@@ -176,39 +176,32 @@ def sfm_exp_integrated_loglik(beta, sigma_prec, lam, data: SfmData):
     return out
 
 
-def _log_gamma_convolution(shape: float, quad_coef: float, lin_coef: float,
-                           tol: float = 1e-10) -> float:
-    """ln of int_0^inf u^(shape-1) exp(-quad_coef u^2 - lin_coef u) du via the
-    parabolic-cylinder identity."""
-    two_b = 2.0 * quad_coef
-    z = lin_coef / math.sqrt(two_b)
-    return (-0.5 * shape * math.log(two_b) + float(gammaln(shape))
-            + 0.25 * z * z + ln_parabolic_cylinder_d(shape, z, tol=tol))
-
-
 def sfm_gamma_integrated_loglik(beta, sigma_prec, lam, theta, data: SfmData):
-    """ln p(y | beta, sigma^-2, lambda, theta) for gamma inefficiency, one
-    parabolic-cylinder evaluation per firm."""
+    """ln p(y | beta, sigma^-2, lambda, theta) for gamma inefficiency.
+
+    Per firm, int_0^inf u^(theta-1) exp(-b u^2 - g u) du with b = T sigma^-2 / 2
+    has the parabolic-cylinder closed form; all (row, firm) pairs go through
+    one broadcast evaluation.
+    """
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
     sigma_prec = np.atleast_1d(np.asarray(sigma_prec, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     t, c = data.num_periods, data.c
     out = np.full(beta.shape[0], -np.inf)
-    for s in range(beta.shape[0]):
-        if not (sigma_prec[s] > 0 and lam[s] > 0 and theta[s] > 0):
-            continue
-        ebar, sum_e2 = _firm_residual_stats(data, beta[s])
-        ebar, sum_e2 = ebar[0], sum_e2[0]
-        sig2 = 1.0 / sigma_prec[s]
-        total = 0.0
-        for i in range(data.num_firms):
-            gam = lam[s] - c * sigma_prec[s] * t * ebar[i]
-            total += (-0.5 * t * (LOG_2PI + math.log(sig2))
-                      - sum_e2[i] / (2.0 * sig2)
-                      + theta[s] * math.log(lam[s]) - float(gammaln(theta[s]))
-                      + _log_gamma_convolution(theta[s], 0.5 * t * sigma_prec[s], gam))
-        out[s] = total
+    ok = (sigma_prec > 0) & (lam > 0) & (theta > 0)
+    if not np.any(ok):
+        return out
+    ebar, sum_e2 = _firm_residual_stats(data, beta[ok])
+    prec, lam_, th = sigma_prec[ok][:, None], lam[ok][:, None], theta[ok][:, None]
+    sig2 = 1.0 / prec
+    two_b = t * prec
+    z = (lam_ - c * prec * t * ebar) / np.sqrt(two_b)
+    log_conv = (-0.5 * th * np.log(two_b) + gammaln(th) + 0.25 * z * z
+                + ln_parabolic_cylinder_d(th, z, tol=1e-10))
+    per_firm = (-0.5 * t * (LOG_2PI + np.log(sig2)) - sum_e2 / (2.0 * sig2)
+                + th * np.log(lam_) - gammaln(th) + log_conv)
+    out[ok] = per_firm.sum(axis=1)
     return out
 
 
@@ -360,57 +353,113 @@ class GammaCaseInefficiency:
     ``prec`` is the coefficient on u^2 (precision-like convention); the
     normalizing constant and power moments come from the parabolic-cylinder
     identity. The distribution degenerates to a zero-truncated normal at
-    shape = 1.
+    shape = 1. ``shape``, ``prec`` and ``slope`` broadcast: an array of
+    slopes gives one independent factor per firm, evaluated together.
+    Scalar parameters give float moments.
     """
 
-    def __init__(self, shape: float, prec: float, slope: float):
-        if not (shape > 0 and prec > 0):
+    def __init__(self, shape, prec, slope):
+        shape, prec, slope = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in (shape, prec, slope)))
+        if not (np.all(shape > 0) and np.all(prec > 0)):
             raise ValueError("shape and precision must be positive")
-        self.shape, self.prec, self.slope = float(shape), float(prec), float(slope)
-        self.root_prec = math.sqrt(self.prec)
+        self.shape, self.prec, self.slope = shape.copy(), prec.copy(), slope.copy()
+        self.root_prec = np.sqrt(self.prec)
         self.z = self.slope / self.root_prec
-        self._log_d0 = ln_parabolic_cylinder_d(self.shape, self.z)
-        self.log_norm = (-self.shape * math.log(self.root_prec) + float(gammaln(self.shape))
-                         + 0.25 * self.z * self.z + self._log_d0)
+        # ln D_{-(shape + j)}(z) for j = 0, 1, 2 in one batched quadrature
+        orders = self.shape + np.arange(3.0).reshape((3,) + (1,) * self.shape.ndim)
+        log_d = ln_parabolic_cylinder_d(orders, self.z)
+        self.log_norm = (-self.shape * np.log(self.root_prec) + gammaln(self.shape)
+                         + 0.25 * self.z * self.z + log_d[0])
+        self._moments = [
+            np.exp(gammaln(self.shape + j) - gammaln(self.shape) + log_d[j] - log_d[0]
+                   - j * np.log(self.root_prec))
+            for j in (1, 2)]
+        self._mean_log = None
 
-    def moment(self, order: int) -> float:
-        """E[u^order] via ratios of parabolic-cylinder values."""
-        num = (float(gammaln(self.shape + order)) - float(gammaln(self.shape))
-               + ln_parabolic_cylinder_d(self.shape + order, self.z) - self._log_d0)
-        return math.exp(num - order * math.log(self.root_prec))
+    @staticmethod
+    def _out(x):
+        return float(x) if np.ndim(x) == 0 else x
 
-    def mean(self) -> float:
+    def moment(self, order: int):
+        """E[u^order] for order 1 or 2 via ratios of parabolic-cylinder values."""
+        if order not in (1, 2):
+            raise ValueError("moment order must be 1 or 2")
+        return self._out(self._moments[order - 1])
+
+    def mean(self):
         return self.moment(1)
 
-    def var(self) -> float:
-        m = self.moment(1)
-        return self.moment(2) - m * m
+    def var(self):
+        return self._out(self._moments[1] - self._moments[0] ** 2)
 
     def logpdf_batch(self, u: np.ndarray) -> np.ndarray:
+        """ln q(u), with u broadcast against the parameters (firms last)."""
         u = np.asarray(u, dtype=float)
-        out = np.full(u.shape, -np.inf)
-        pos = u > 0
-        up = u[pos]
-        out[pos] = ((self.shape - 1.0) * np.log(up) - 0.5 * self.prec * up * up
-                    - self.slope * up - self.log_norm)
-        return out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = ((self.shape - 1.0) * np.log(u) - 0.5 * self.prec * u * u
+                    - self.slope * u - self.log_norm)
+        return np.where(u > 0, vals, -np.inf)
 
-    def mean_log(self) -> float:
+    def _trailing_logpdf(self, u: np.ndarray) -> np.ndarray:
+        """ln q at points u (..., m) per factor, shaped (*param shape, m)."""
+        u = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
+        u = u.reshape(u.shape + (1,) * (self.shape.ndim + 1 - u.ndim))
+        return np.moveaxis(self.logpdf_batch(u), 0, -1)
+
+    def mean_log(self):
         """E[ln u] by split quadrature (ln u changes sign at one)."""
-        def low(u):
-            return np.log(-np.log(u)) + self.logpdf_batch(u)
+        if self._mean_log is None:
+            neg = quadrature_1d(lambda u: np.log(-np.log(u)) + self._trailing_logpdf(u),
+                                0.0, 1.0, tol=1e-9)
+            pos = quadrature_1d(lambda u: np.log(np.log(u)) + self._trailing_logpdf(u),
+                                1.0, np.inf, tol=1e-9)
+            self._mean_log = np.exp(pos) - np.exp(neg)
+        return self._out(self._mean_log)
 
-        def high(u):
-            return np.log(np.log(u)) + self.logpdf_batch(u)
-
-        neg = quadrature_1d(low, 0.0, 1.0, tol=1e-9)
-        pos = quadrature_1d(high, 1.0, np.inf, tol=1e-9)
-        return math.exp(pos) - math.exp(neg)
-
-    def mean_log_q(self) -> float:
+    def mean_log_q(self):
         """E[ln q(u)] assembled from the stored moments."""
-        return ((self.shape - 1.0) * self.mean_log() - 0.5 * self.prec * self.moment(2)
-                - self.slope * self.moment(1) - self.log_norm)
+        m1, m2 = self._moments
+        return self._out((self.shape - 1.0) * self.mean_log() - 0.5 * self.prec * m2
+                         - self.slope * m1 - self.log_norm)
+
+    def sample(self, rng, size: int) -> np.ndarray:
+        """Draws of shape (size, *param shape) by grid inverse CDF.
+
+        Each factor is tabulated on the tanh-sinh nodes of (0, inf) scaled
+        by its mean, which resolve both the u^(shape-1) behaviour at zero
+        and the Gaussian upper tail.
+        """
+        grid = self._moments[0][..., None] * _U_GRID_NODES
+        return _grid_sample(grid, self._trailing_logpdf(grid),
+                            rng.uniform(size=(size,) + self.shape.shape))
+
+
+# tanh-sinh nodes of (0, inf), t = exp(pi sinh s) for s in [-5, 5] at step 1/256
+_U_GRID_NODES = np.exp(math.pi * np.sinh(np.linspace(-5.0, 5.0, 2561)))
+
+
+def _grid_sample(grid: np.ndarray, log_f: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws from densities tabulated at increasing nodes.
+
+    ``grid`` and ``log_f`` (unnormalised log density) have shape
+    (*batch, K); ``uniforms`` has shape (size, *batch). The CDF is the
+    cumulative trapezoid mass of each cell, interpolated linearly, so draws
+    are uniform within a cell and never confined to the nodes.
+    """
+    grid = np.asarray(grid, dtype=float)
+    batch, k = grid.shape[:-1], grid.shape[-1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_mass = np.log(np.diff(grid, axis=-1)) + np.logaddexp(log_f[..., 1:], log_f[..., :-1])
+    mass = np.exp(log_mass - np.max(log_mass, axis=-1, keepdims=True))
+    cdf = np.concatenate((np.zeros(batch + (1,)), np.cumsum(mass, axis=-1)), axis=-1)
+    cdf /= cdf[..., -1:]
+    # one interpolation for the whole batch: row r of the CDF is shifted to [2r, 2r + 1]
+    rows = int(np.prod(batch, dtype=int))
+    offset = 2.0 * np.arange(rows)
+    flat_cdf = (cdf.reshape(rows, k) + offset[:, None]).ravel()
+    u = uniforms.reshape(-1, rows) + offset
+    return np.interp(u, flat_cdf, grid.reshape(rows, k).ravel()).reshape(uniforms.shape)
 
 
 class _GridDensity:
@@ -438,8 +487,6 @@ class _GridDensity:
             raise NumericError("grid density kept mass at the edges after widening")
         self.grid, self.log_c, self.probs = grid, log_c, probs
         self._logf = logf
-        self._cdf = np.concatenate(([0.0], np.cumsum(probs)))
-        self._cdf /= self._cdf[-1]
         self._log_unnorm = log_unnorm
 
     def expect(self, fn) -> float:
@@ -459,10 +506,7 @@ class _GridDensity:
         return out
 
     def sample(self, rng, size: int) -> np.ndarray:
-        u = rng.uniform(size=size)
-        idx = np.searchsorted(self._cdf, u, side="right") - 1
-        idx = np.clip(idx, 0, len(self.grid) - 1)
-        return self.grid[idx]
+        return _grid_sample(self.grid, self._logf, rng.uniform(size=size))
 
 
 def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData, tol: float = 1e-6,
@@ -519,11 +563,10 @@ def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData, tol: float = 1e-6,
         # q(u): nonstandard factors
         prec = t * e_sig if upsilon_convention == "precision" else 1.0 / (t * e_sig)
         slopes = e_lam - c * e_sig * t * ebar
-        u_factors = [GammaCaseInefficiency(theta_mean, prec, s) for s in slopes]
-        u_mean = np.array([f.mean() for f in u_factors])
-        u_m2 = np.array([f.moment(2) for f in u_factors])
-        u_var = u_m2 - u_mean ** 2
-        u_mean_log = np.array([f.mean_log() for f in u_factors])
+        u_factors = GammaCaseInefficiency(theta_mean, prec, slopes)
+        u_mean, u_m2 = u_factors.moment(1), u_factors.moment(2)
+        u_var = u_factors.var()
+        u_mean_log = u_factors.mean_log()
         # q(theta) on its grid
         lin = (n + 1) * eln_lam + math.log(prior.b_lam0) + float(np.sum(u_mean_log))
 
@@ -564,14 +607,13 @@ def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData, tol: float = 1e-6,
         })
 
     def log_q_u(u_vals):
-        u_vals = np.atleast_2d(u_vals)
-        return sum(f.logpdf_batch(u_vals[:, i]) for i, f in enumerate(u_factors))
+        return np.sum(u_factors.logpdf_batch(np.atleast_2d(u_vals)), axis=1)
 
     return VBResult(
         hyper={"beta": gauss, "sigma_prec": gam_sig, "lam": gam_lam,
                "theta": theta_grid, "theta_mean": theta_mean,
                "u_factors": u_factors, "u_mean": u_mean, "u_var": u_var,
-               "log_q_u": log_q_u},
+               "log_q_u": log_q_u, "sample_u": u_factors.sample},
         elbo_trace=np.asarray(trace),
         log_q=log_q,
         sample=sample,
@@ -616,7 +658,7 @@ def _elbo_gamma(prior, data, beta_q, v_beta, a_sig, b_sig, a_lam, b_lam,
     # entropies
     val += 0.5 * k * (LOG_2PI + 1.0) + 0.5 * _logdet(v_beta)
     val += GammaParams(a_sig, b_sig).entropy() + GammaParams(a_lam, b_lam).entropy()
-    val -= float(np.sum([f.mean_log_q() for f in u_factors]))
+    val -= float(np.sum(u_factors.mean_log_q()))
     val -= theta_grid.mean_log_q()
     return float(val)
 
@@ -1021,7 +1063,11 @@ def make_sfm_gamma_cdl_weighting(vb: VBResult, kernel: SfmGammaKernel):
                 + vb.hyper["theta"].logpdf_batch(u["theta"])
                 + vb.hyper["log_q_u"](u["u"]))
 
-    return WeightingDensity(tag="vb-cdl", log_eval=log_eval)
+    def sampler(rng, size):
+        # the kernel layout is the VB layout followed by the u block
+        return np.hstack([vb.sample(rng, size), vb.hyper["sample_u"](rng, size)])
+
+    return WeightingDensity(tag="vb-cdl", log_eval=log_eval, sampler=sampler)
 
 
 # ---------------------------------------------------------------------------

@@ -153,22 +153,60 @@ def chi_square_quantile(dof: int, prob: float) -> float:
 # ---------------------------------------------------------------------------
 
 _DE_CUTOFF = 5.0  # |s| beyond this puts nodes within ~1e-100 of the interval ends
+_DE_CACHED_LEVELS = 12  # deeper levels (>80k nodes each) are rebuilt per call
+_DE_NODES: dict = {}
+
+
+def _de_unit_nodes(level: int):
+    """Tanh-sinh nodes of one refinement level on the unit interval.
+
+    Level 0 is the full grid with step h = 1/4; level j >= 1 holds only the
+    odd multiples of h = 2^-(j+2), the nodes that level adds. Returns
+    ``(h, log_u, log_1mu, log_jac)``: the logs of u, 1 - u and du/ds at each
+    node, as read-only arrays shared by every call.
+    """
+    tables = _DE_NODES.get(level)
+    if tables is None:
+        h = 0.25 * 0.5 ** level
+        if level == 0:
+            s_pos = np.arange(h, _DE_CUTOFF, h)
+            s = np.concatenate((-s_pos[::-1], [0.0], s_pos))
+        else:
+            s_pos = np.arange(h, _DE_CUTOFF, 2.0 * h)
+            s = np.concatenate((-s_pos[::-1], s_pos))
+        x2 = math.pi * np.sinh(s)  # 2 * x
+        log_u = -np.logaddexp(0.0, -x2)
+        log_1mu = -np.logaddexp(0.0, x2)
+        log_jac = math.log(math.pi) + np.log(np.cosh(s)) + log_u + log_1mu
+        for arr in (log_u, log_1mu, log_jac):
+            arr.setflags(write=False)
+        tables = (h, log_u, log_1mu, log_jac)
+        if level <= _DE_CACHED_LEVELS:
+            _DE_NODES[level] = tables
+    return tables
 
 
 def quadrature_1d(log_f, lower, upper, tol=1e-10, max_levels=20):
     """ln of the integral of exp(log_f) over (lower, upper).
 
-    ``log_f`` must accept a vector of abscissae and return log-integrand
-    values (-inf allowed); it only needs to be finite on the interior of
-    the domain. An infinite upper limit is mapped onto (0, 1) through
-    t = u / (1 - u); the unit-interval integral is then evaluated with a
-    double-exponential (tanh-sinh) trapezoid whose step is halved per
-    refinement level until two consecutive levels agree to ``tol``
-    relative. Endpoint singularities integrable in the ordinary sense are
-    handled by the node clustering of the transform.
+    ``log_f`` must accept a vector of m abscissae and return log-integrand
+    values (-inf allowed) of shape ``(..., m)``: a batch of integrands over
+    the same interval, evaluated together. The result has the leading shape
+    (a float for a single integrand). ``log_f`` only needs to be finite on
+    the interior of the domain. An infinite upper limit is mapped onto
+    (0, 1) through t = u / (1 - u); the unit-interval integral is then
+    evaluated with a double-exponential (tanh-sinh) trapezoid whose step is
+    halved per refinement level until two consecutive levels agree to
+    ``tol`` relative. Each integrand keeps the estimate of the first level
+    at which it agreed, so a batch gives the values of separate calls;
+    refinement stops when the slowest one has agreed. Endpoint
+    singularities integrable in the ordinary sense are handled by the node
+    clustering of the transform.
 
-    Raises NumericError carrying the achieved estimate when ``max_levels``
-    refinements are exhausted.
+    An integrand that is -inf at every node of every level returns -inf,
+    after all ``max_levels`` refinements (mass may sit between coarse
+    nodes). Any other integrand that has not agreed by then raises
+    NumericError carrying the achieved estimate.
     """
     lower = float(lower)
     infinite = np.isinf(upper)
@@ -178,17 +216,8 @@ def quadrature_1d(log_f, lower, upper, tol=1e-10, max_levels=20):
             raise ValueError("upper must exceed lower")
         width = upper - lower
 
-    def log_terms(h, odd_only):
-        if odd_only:
-            s_pos = np.arange(h, _DE_CUTOFF, 2.0 * h)
-            s = np.concatenate((-s_pos[::-1], s_pos))
-        else:
-            s_pos = np.arange(h, _DE_CUTOFF, h)
-            s = np.concatenate((-s_pos[::-1], [0.0], s_pos))
-        x2 = math.pi * np.sinh(s)  # 2 * x
-        log_u = -np.logaddexp(0.0, -x2)
-        log_1mu = -np.logaddexp(0.0, x2)
-        log_jac = math.log(math.pi) + np.log(np.cosh(s)) + log_u + log_1mu
+    def log_terms(level):
+        h, log_u, log_1mu, log_jac = _de_unit_nodes(level)
         if infinite:
             t = lower + np.exp(log_u - log_1mu)
             log_j = log_jac - 2.0 * log_1mu
@@ -197,53 +226,61 @@ def quadrature_1d(log_f, lower, upper, tol=1e-10, max_levels=20):
             t = lower + width * np.exp(log_u)
             log_j = log_jac + math.log(width)
             good = (t > lower) & (t < upper)
-        vals = np.full(t.shape, -np.inf)
-        if np.any(good):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                fv = np.asarray(log_f(t[good]), dtype=float)
-            fv = np.where(np.isnan(fv), -np.inf, fv)
-            vals[good] = fv + log_j[good]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            fv = np.asarray(log_f(t[good]), dtype=float)
+        vals = np.full(fv.shape[:-1] + t.shape, -np.inf)
+        vals[..., good] = np.where(np.isnan(fv), -np.inf, fv) + log_j[good]
         return vals + math.log(h)
 
-    h = 0.25
-    terms = log_terms(h, odd_only=False)
-    total = log_sum_exp(terms) if np.any(np.isfinite(terms)) else -np.inf
-    for _ in range(max_levels):
-        h *= 0.5
-        new = log_terms(h, odd_only=True)
-        parts = np.concatenate((new, np.atleast_1d(total + math.log(0.5))))
-        cur = log_sum_exp(parts) if np.any(np.isfinite(parts)) else -np.inf
-        if np.isfinite(cur) and np.isfinite(total) and abs(cur - total) <= tol * max(1.0, abs(cur)):
-            return cur
+    total = np.asarray(log_sum_exp(log_terms(0), axis=-1))
+    result = np.full(total.shape, np.nan)
+    done = np.zeros(total.shape, dtype=bool)
+    for level in range(1, max_levels + 1):
+        new = log_terms(level)
+        cur = np.asarray(log_sum_exp(
+            np.concatenate((new, (total + math.log(0.5))[..., None]), axis=-1), axis=-1))
+        with np.errstate(invalid="ignore"):
+            agree = (np.isfinite(cur) & np.isfinite(total)
+                     & (np.abs(cur - total) <= tol * np.maximum(1.0, np.abs(cur))))
+        newly = agree & ~done
+        result[newly] = cur[newly]
+        done |= newly
         total = cur
-    if total == -np.inf:
+        if np.all(done):
+            break
+    else:
         # nothing finite found at any refinement level: the integrand is zero
-        return -np.inf
-    raise NumericError(f"quadrature_1d did not converge; achieved estimate {total!r}")
+        zero = ~done & (total == -np.inf)
+        result[zero] = -np.inf
+        done |= zero
+        if not np.all(done):
+            raise NumericError(
+                f"quadrature_1d did not converge; achieved estimate {total[~done]!r}")
+    return float(result) if result.ndim == 0 else result
 
 
-def ln_parabolic_cylinder_d(order: float, x: float, tol=1e-12) -> float:
+def ln_parabolic_cylinder_d(order, x, tol=1e-12):
     """ln D_{-order}(x) for order >= 0 through the integral representation.
 
     D_{-v}(x) = exp(-x^2/4) / Gamma(v) * int_0^inf t^(v-1) exp(-t^2/2 - x t) dt
-    for v > 0; v = 0 short-circuits to ln D_0(x) = -x^2/4.
+    for v > 0; v = 0 short-circuits to ln D_0(x) = -x^2/4. ``order`` and
+    ``x`` broadcast against each other; every v > 0 element is integrated in
+    one batched quadrature. Scalar arguments give a float.
     """
-    v = float(order)
-    if v < 0:
+    v, x = np.broadcast_arrays(np.asarray(order, dtype=float), np.asarray(x, dtype=float))
+    if np.any(v < 0):
         raise ValueError("order must be >= 0 (this computes D_{-order})")
-    if v == 0.0:
-        return -x * x / 4.0
+    out = np.array(-x * x / 4.0)
+    pos = v > 0.0
+    if np.any(pos):
+        vp, xp = v[pos][:, None], x[pos][:, None]
 
-    def log_integrand(t):
-        t = np.asarray(t, dtype=float)
-        out = np.full_like(t, -np.inf)
-        pos = t > 0.0
-        tp = t[pos]
-        out[pos] = (v - 1.0) * np.log(tp) - 0.5 * tp * tp - x * tp
-        return out
+        def log_integrand(t):
+            return (vp - 1.0) * np.log(t) - 0.5 * t * t - xp * t
 
-    log_int = quadrature_1d(log_integrand, 0.0, np.inf, tol=tol)
-    return -x * x / 4.0 - float(gammaln(v)) + log_int
+        log_int = quadrature_1d(log_integrand, 0.0, np.inf, tol=tol)
+        out[pos] = out[pos] - gammaln(v[pos]) + log_int
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

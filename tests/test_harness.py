@@ -1,6 +1,7 @@
 """Experiment runner, config grammar, output schemas and the CLI."""
 
 import json
+import math
 
 import pytest
 
@@ -102,6 +103,15 @@ class TestRunExperiment:
         by_method = {r["method"]: r for r in table.rows}
         assert by_method["ris-vb"]["status"] == "ok"
         assert by_method["chib"]["status"].startswith("FAILED(")
+
+    def test_sfm_gamma_default_list_all_ok(self):
+        # every default estimator, bs-vb and is-vb included, samples the VB weighting
+        cfg = ExperimentConfig(model="sfm-gamma", synth={"seed": 1, "n": 6, "t": 4},
+                               draws=500, burn_in=200, repetitions=2, base_seed=9)
+        table = run_experiment(cfg)
+        assert [r["method"] for r in table.rows] == cfg.estimators
+        assert all(r["status"] == "ok" for r in table.rows)
+        assert all(math.isfinite(v) for _, _, v in table.scatter)
 
     def test_seed_isolation_across_estimator_lists(self):
         full = ExperimentConfig(estimators=["ris-vb", "bs-vb", "ris-prior"], **TINY)

@@ -213,6 +213,80 @@ class TestGammaCase:
         assert got == pytest.approx(total, abs=1e-8)
 
 
+class TestBatchedGammaFactor:
+    SLOPES = np.array([-3.0, -0.7, 0.0, 1.2, 3.0])
+
+    def test_array_slopes_match_per_firm_factors(self):
+        batch = GammaCaseInefficiency(1.7, 2.5, self.SLOPES)
+        u = np.array([[0.05, 0.4, 1.0, 2.0, 3.5], [1e-3, 0.2, 0.7, 1.5, 0.9]])
+        for i, slope in enumerate(self.SLOPES):
+            one = GammaCaseInefficiency(1.7, 2.5, slope)
+            for name in ("mean", "var", "mean_log", "mean_log_q"):
+                assert getattr(batch, name)()[i] == pytest.approx(getattr(one, name)(),
+                                                                  rel=1e-12, abs=1e-14)
+            assert batch.moment(2)[i] == pytest.approx(one.moment(2), rel=1e-12)
+            assert batch.log_norm[i] == pytest.approx(one.log_norm, rel=1e-12)
+            assert np.allclose(batch.logpdf_batch(u)[:, i], one.logpdf_batch(u[:, i]),
+                               rtol=1e-12, atol=0.0)
+
+    def test_integrated_loglik_rows_match_single_calls(self):
+        data = sfm_synthetic(21, 6, 4, 2, "gamma", [1.0, 0.5], 0.04, 2.0, theta=1.5)
+        beta = np.array([[1.0, 0.5], [0.9, 0.6], [1.1, 0.4]])
+        prec = np.array([25.0, 18.0, -1.0])
+        lam = np.array([2.0, 1.4, 2.0])
+        th = np.array([1.5, 0.8, 1.5])
+        got = sfm_gamma_integrated_loglik(beta, prec, lam, th, data)
+        for s in range(2):
+            one = sfm_gamma_integrated_loglik(beta[s], prec[s], lam[s], th[s], data)[0]
+            assert got[s] == pytest.approx(one, rel=1e-12)
+        assert got[2] == -np.inf
+
+
+class TestGridSampling:
+    @staticmethod
+    def _check_moments(draws, mean, second, tol_se=5.0):
+        n = draws.shape[0]
+        se1 = draws.std(axis=0) / math.sqrt(n)
+        se2 = (draws ** 2).std(axis=0) / math.sqrt(n)
+        assert np.all(np.abs(draws.mean(axis=0) - mean) < tol_se * se1)
+        assert np.all(np.abs((draws ** 2).mean(axis=0) - second) < tol_se * se2)
+
+    def test_u_factor_samples_match_moments(self):
+        for shape in (0.5, 1.0, 2.5):
+            f = GammaCaseInefficiency(shape, 4.0, np.array([-1.5, 0.0, 2.0]))
+            draws = f.sample(make_rng(40), 200_000)
+            assert draws.shape == (200_000, 3)
+            assert np.all(draws > 0)
+            self._check_moments(draws, f.moment(1), f.moment(2))
+            # continuous draws: practically no value repeats
+            assert np.unique(draws[:, 0]).size > 0.999 * draws.shape[0]
+
+    def test_scalar_factor_sample_shape(self):
+        f = GammaCaseInefficiency(2.5, 1.3, -0.7)
+        draws = f.sample(make_rng(41), 50_000)
+        assert draws.shape == (50_000,)
+        self._check_moments(draws, f.moment(1), f.moment(2))
+
+    def test_theta_grid_samples_match_mean_off_the_nodes(self, gamma_fit):
+        _, _, vb = gamma_fit
+        grid = vb.hyper["theta"]
+        draws = grid.sample(make_rng(42), 200_000)
+        second = grid.expect(lambda g: g * g)
+        self._check_moments(draws, grid.mean(), second)
+        assert not np.any(np.isin(draws, grid.grid))
+
+    def test_cdl_weighting_sampler_draws_the_vb_factors(self, gamma_fit):
+        prior, data, vb = gamma_fit
+        kernel = SfmGammaKernel(prior, data)
+        w = make_sfm_gamma_cdl_weighting(vb, kernel)
+        thetas = w.sampler(make_rng(43), 4000)
+        assert thetas.shape == (4000, kernel.layout.dim)
+        assert np.all(np.isfinite(w.log_eval(thetas)))
+        u = kernel.layout.unpack_batch(thetas)["u"]
+        se = u.std(axis=0) / math.sqrt(4000)
+        assert np.all(np.abs(u.mean(axis=0) - vb.hyper["u_mean"]) < 5 * se)
+
+
 @pytest.fixture(scope="module")
 def gamma_fit():
     data = sfm_synthetic(21, 10, 5, 2, "gamma", [1.0, 0.5], 0.04, 2.0, theta=1.5)

@@ -181,6 +181,77 @@ class TestQuadrature:
             quadrature_1d(noisy, 0.0, 1.0, tol=1e-14, max_levels=4)
 
 
+class TestBatchedQuadrature:
+    SHAPES = np.array([0.4, 1.0, 2.7, 6.0])
+
+    def test_rows_equal_scalar_calls(self):
+        a = self.SHAPES[:, None]
+        batched = quadrature_1d(lambda t: (a - 1.0) * np.log(t) - t, 0.0, np.inf)
+        assert batched.shape == (4,)
+        for shape, got in zip(self.SHAPES, batched):
+            one = quadrature_1d(lambda t: (shape - 1.0) * np.log(t) - t, 0.0, np.inf)
+            assert got == pytest.approx(one, rel=1e-12, abs=0.0)
+            assert got == pytest.approx(math.lgamma(shape), abs=1e-9)
+
+    def test_two_dimensional_batch_on_finite_interval(self):
+        scale = np.array([[0.5, 1.0, 2.0], [3.0, -1.0, 0.1]])
+        batched = quadrature_1d(lambda t: scale[..., None] * t, 2.0, 5.0)
+        assert batched.shape == (2, 3)
+        for idx in np.ndindex(scale.shape):
+            c = scale[idx]
+            assert batched[idx] == pytest.approx(quadrature_1d(lambda t: c * t, 2.0, 5.0),
+                                                 rel=1e-12, abs=0.0)
+
+    def test_all_minus_inf_row_returns_minus_inf(self):
+        def log_f(t):
+            return np.stack([-t, np.full(t.shape, -np.inf)])
+
+        # an all -inf row is refined through every level, so keep them few
+        got = quadrature_1d(log_f, 0.0, np.inf, max_levels=8)
+        assert got[0] == pytest.approx(0.0, abs=1e-12)
+        assert got[1] == -np.inf
+
+    def test_row_zero_on_coarse_nodes_refines_like_a_single_call(self):
+        # a bump of half-width 0.05 on (-10, 10): every level-0 node misses it
+        def bump(t):
+            x = (t - 0.3) / 0.05
+            with np.errstate(divide="ignore"):
+                return np.where(np.abs(x) < 1.0, -1.0 / (1.0 - np.minimum(x * x, 1.0)), -np.inf)
+
+        one = quadrature_1d(bump, -10.0, 10.0, tol=1e-9)
+        batched = quadrature_1d(lambda t: np.stack([-0.5 * t * t, bump(t)]), -10.0, 10.0,
+                                tol=1e-9)
+        assert math.isfinite(one)
+        assert batched[1] == pytest.approx(one, rel=1e-12)
+        assert batched[0] == pytest.approx(0.5 * math.log(2.0 * math.pi), abs=1e-9)
+
+    def test_nonconverging_batch_raises(self):
+        rng = np.random.default_rng(0)
+
+        def log_f(t):
+            smooth = -t
+            noisy = np.log(1.0 + 0.2 * rng.standard_normal(t.shape) ** 2)
+            return np.stack([smooth, noisy])
+
+        with pytest.raises(NumericError):
+            quadrature_1d(log_f, 0.0, 1.0, tol=1e-14, max_levels=4)
+
+
+class TestBroadcastParabolicCylinder:
+    def test_matches_scalar_loop(self):
+        orders = np.array([[0.0], [0.5], [1.0], [2.5], [4.0]])
+        xs = np.array([-3.0, -0.4, 0.0, 1.3, 6.0])
+        got = ln_parabolic_cylinder_d(orders, xs)
+        assert got.shape == (5, 5)
+        for i, j in np.ndindex(got.shape):
+            one = ln_parabolic_cylinder_d(float(orders[i, 0]), float(xs[j]))
+            assert got[i, j] == pytest.approx(one, rel=1e-12, abs=1e-14)
+
+    def test_negative_order_in_batch_rejected(self):
+        with pytest.raises(ValueError):
+            ln_parabolic_cylinder_d(np.array([1.0, -0.5]), 0.0)
+
+
 class TestSamplers:
     def test_wishart_moment_convention(self):
         # E[W] = dof * inv(scale_inv); with scale_inv = I2, dof = 5 the mean is 5 I
