@@ -31,16 +31,11 @@ class RepetitionSet:
 
     values: np.ndarray
     method: str = ""
-    seeds: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if not np.all(np.isfinite(self.values)):
             raise ValueError("repetition values must all be finite")
-        if self.seeds is not None:
-            self.seeds = np.atleast_1d(np.asarray(self.seeds))
-            if self.seeds.shape != self.values.shape:
-                raise ValueError("one seed per repetition required")
 
 
 @dataclass

@@ -16,16 +16,10 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 from scipy.special import gammaln
 
+from .diagnostics import batch_means_se
 from .errors import EstimationError, NumericError, UnsupportedModelError
 from .modelapi import ModelKernel, PosteriorDrawSet, WeightingDensity
-from .statscore import (
-    LOG_2PI,
-    MvNormalParams,
-    chi_square_quantile,
-    ln_multivariate_gamma,
-    log_sum_exp,
-    safe_cholesky,
-)
+from .statscore import MvNormalParams, chi_square_quantile, log_sum_exp, safe_cholesky
 
 __all__ = [
     "MddEstimate",
@@ -55,20 +49,20 @@ class MddEstimate:
     extras: dict = field(default_factory=dict)
 
     def se_batch_means(self, num_batches: int = 30) -> float:
-        """Batch-means SE from per-draw log terms when the method stores them.
+        """Delta-method SE of the log estimate from its per-draw log terms.
 
-        The estimator is recomputed on each batch of its per-draw series and
-        the spread of those per-batch estimates gives the SE.
+        The estimate is the log (or minus the log) of the mean weight
+        exp(term); its SE is the batch-means SE of the normalised weights
+        exp(term - max term) over the first floor(S / B) * B terms, divided
+        by their mean.
         """
         terms = self.extras.get("log_terms")
         if terms is None:
             raise UnsupportedModelError(f"{self.method} keeps no per-draw series")
-        terms = np.asarray(terms)
-        usable = (terms.size // num_batches) * num_batches
-        batches = terms[:usable].reshape(num_batches, -1)
-        sign = -1.0 if self.extras.get("reciprocal") else 1.0
-        vals = np.array([sign * (log_sum_exp(b) - math.log(b.size)) for b in batches])
-        return float(np.std(vals, ddof=1) / math.sqrt(num_batches))
+        terms = np.asarray(terms, dtype=float)
+        usable = terms[:(terms.size // num_batches) * num_batches]
+        weights = np.exp(usable - np.max(usable))
+        return batch_means_se(weights, num_batches) / float(np.mean(weights))
 
 
 def _kernel_values(kernel, draws, cached=None):
@@ -94,7 +88,7 @@ def ris_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, h: WeightingDensi
         log_mdd=-log_recip,
         method=f"ris-{h.tag}",
         num_posterior_draws=draws.size,
-        extras={"log_terms": terms, "reciprocal": True},
+        extras={"log_terms": terms},
     )
 
 
@@ -194,7 +188,7 @@ def chm_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, rng: np.random.Ge
         method="chm",
         num_posterior_draws=draws.size,
         num_weighting_draws=num_is_draws,
-        extras={"log_p_box": log_p_box, "log_terms": harmonic_terms, "reciprocal": True},
+        extras={"log_p_box": log_p_box, "log_terms": harmonic_terms},
     )
 
 
@@ -238,12 +232,10 @@ def chib_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, rng: np.random.G
     log_ordinate = 0.0
     factors = []
     for j, name in enumerate(blocks):
-        if j == 0:
-            states = draws.states()
-        else:
-            states = _reduced_run(kernel, draws, star, blocks[:j], run_len, rng)
-        vals = np.array([_conditional_logpdf_at(kernel, name, state, star[name])
-                         for state in states])
+        states = draws.unpack() if j == 0 else \
+            _reduced_run(kernel, draws, star, blocks[:j], run_len, rng)
+        star_value = np.asarray(star[name], dtype=float)[None]
+        vals = kernel.full_conditional(name, states).logpdf_batch(star_value)[:, 0]
         factor = log_sum_exp(vals) - math.log(len(vals))
         factors.append(factor)
         log_ordinate += factor
@@ -261,27 +253,24 @@ def chib_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, rng: np.random.G
     )
 
 
-def _conditional_logpdf_at(kernel, name, state, value):
-    dist = kernel.full_conditional(name, state)
-    v = np.asarray(value, dtype=float)
-    if v.ndim == 2:
-        return float(dist.logpdf(v))
-    return float(dist.logpdf(np.atleast_1d(v)))
-
-
 def _reduced_run(kernel, draws, star, clamped_names, run_len, rng):
-    state = draws.states([draws.size - 1])[0]
+    """Stacked states of a Gibbs run from the last draw with the clamped
+    blocks held at their starred values; rows are packed as the sampler does."""
+    state = {k: v[0] for k, v in draws.unpack([draws.size - 1]).items()}
     for name in clamped_names:
         state[name] = star[name]
     clamped = frozenset(clamped_names)
     burn = min(draws.burn_in, 200)
-    states = []
+    thetas = np.empty((run_len, draws.layout.dim))
+    latents = None if draws.latents is None else np.empty((run_len, draws.latent_layout.dim))
     for it in range(burn + run_len):
         state = kernel.gibbs_sweep(state, rng, clamped=clamped)
         if it >= burn:
-            states.append({k: (v.copy() if isinstance(v, np.ndarray) else v)
-                           for k, v in state.items()})
-    return states
+            thetas[it - burn] = draws.layout.pack(state)
+            if latents is not None:
+                latents[it - burn] = draws.latent_layout.pack(state)
+    return PosteriorDrawSet(thetas, draws.layout, seed=None, latents=latents,
+                            latent_layout=draws.latent_layout).unpack()
 
 
 # ---------------------------------------------------------------------------
@@ -440,18 +429,17 @@ def make_pmd_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
         idx = np.arange(draws.size)
     else:
         idx = np.linspace(0, draws.size - 1, components).round().astype(int)
-    states = draws.states(idx)
-    mixtures = {name: _BlockMixture([kernel.full_conditional(name, st) for st in states])
-                for name in names}
+    states = draws.unpack(idx)
+    conditionals = {name: kernel.full_conditional(name, states) for name in names}
     layout = draws.layout
-    n_comp = len(states)
+    n_comp = len(idx)
 
     def log_eval(thetas):
         thetas = np.atleast_2d(thetas)
         unpacked = layout.unpack_batch(thetas)
         total = np.zeros(thetas.shape[0])
         for name in names:
-            comp = mixtures[name].component_logpdfs(unpacked[name])
+            comp = conditionals[name].logpdf_batch(unpacked[name])
             total += log_sum_exp(comp, axis=0) - math.log(n_comp)
         return total
 
@@ -459,96 +447,8 @@ def make_pmd_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
         out = {}
         for name in names:
             choice = rng.integers(0, n_comp, size=size)
-            block = kernel.layout.block(name)
-            out[name] = mixtures[name].sample_components(rng, choice, block.shape)
-        return kernel.layout.pack_batch(out)
+            chosen = {k: v[choice] for k, v in states.items()}
+            out[name] = kernel.full_conditional(name, chosen).sample(rng)
+        return layout.pack_batch(out)
 
     return WeightingDensity(tag="pmd", log_eval=log_eval, sampler=sampler)
-
-
-class _BlockMixture:
-    """Equal-weight mixture of one block's conditionals across chain states.
-
-    Vectorizes the component-by-evaluation-point matrix for the standard
-    conjugate families; anything else falls back to a per-component loop.
-    """
-
-    def __init__(self, conds):
-        self.conds = conds
-        c0 = conds[0]
-        same = all(type(c) is type(c0) for c in conds)
-        self.kind = "loop"
-        if same and isinstance(c0, MvNormalParams):
-            self.kind = "mvnormal"
-            self.means = np.stack([c.mean for c in conds])
-            covs = np.stack([c.cov for c in conds])
-            self.precs = np.linalg.inv(covs)
-            _, logdets = np.linalg.slogdet(covs)
-            self.logdets = logdets
-        elif same and type(c0).__name__ == "WishartParams" and \
-                all(c.dof == c0.dof for c in conds):
-            self.kind = "wishart"
-            self.dof = c0.dof
-            self.scale_invs = np.stack([c.scale_inv for c in conds])
-            _, si_logdets = np.linalg.slogdet(self.scale_invs)
-            n = c0.dim
-            self.log_norms = (0.5 * self.dof * n * math.log(2.0)
-                              - 0.5 * self.dof * si_logdets
-                              + ln_multivariate_gamma(n, 0.5 * self.dof))
-        elif same and type(c0).__name__ == "GammaParams":
-            self.kind = "gamma"
-            self.shapes = np.array([c.shape for c in conds])
-            self.rates = np.array([c.rate for c in conds])
-
-    def component_logpdfs(self, vals):
-        """(num_components, num_points) matrix of log densities."""
-        vals = np.asarray(vals, dtype=float)
-        if self.kind == "mvnormal":
-            x = vals.reshape(vals.shape[0], -1)
-            d = x.shape[1]
-            # (x-m)'P(x-m) expanded so everything is a BLAS matmul
-            outer = (x[:, :, None] * x[:, None, :]).reshape(len(x), d * d)
-            quad_xx = self.precs.reshape(-1, d * d) @ outer.T
-            pm = np.einsum("cde,ce->cd", self.precs, self.means)
-            cross = pm @ x.T
-            const = np.sum(pm * self.means, axis=1)
-            quad = quad_xx - 2.0 * cross + const[:, None]
-            return -0.5 * (d * LOG_2PI + self.logdets[:, None] + quad)
-        if self.kind == "wishart":
-            w = vals
-            n = w.shape[-1]
-            sign, logdet_w = np.linalg.slogdet(w)
-            tr = self.scale_invs.reshape(-1, n * n) @ w.reshape(-1, n * n).T
-            out = (0.5 * (self.dof - n - 1.0) * logdet_w[None, :] - 0.5 * tr
-                   - self.log_norms[:, None])
-            out[:, sign <= 0] = -np.inf
-            return out
-        if self.kind == "gamma":
-            x = vals.reshape(-1)
-            with np.errstate(divide="ignore"):
-                logx = np.where(x > 0, np.log(np.maximum(x, 1e-300)), -np.inf)
-            out = (self.shapes[:, None] * np.log(self.rates[:, None])
-                   - gammaln(self.shapes)[:, None]
-                   + (self.shapes[:, None] - 1.0) * logx[None, :]
-                   - self.rates[:, None] * x[None, :])
-            out[:, x <= 0] = -np.inf
-            return out
-        return np.stack([_block_logpdf_batch(c, vals) for c in self.conds])
-
-    def sample_components(self, rng, choice, shape):
-        out = np.empty((len(choice),) + shape)
-        for c in np.unique(choice):
-            sel = np.flatnonzero(choice == c)
-            batch = self.conds[c].sample(rng, len(sel))
-            out[sel] = np.reshape(batch, (len(sel),) + shape)
-        return out
-
-
-def _block_logpdf_batch(dist, vals):
-    """Evaluate one conditional on a batch of block values of any block kind."""
-    vals = np.asarray(vals, dtype=float)
-    if vals.ndim == 3:  # spd block as stacked matrices
-        return dist.logpdf_batch(vals)
-    if vals.ndim == 1 and isinstance(dist, MvNormalParams):
-        return dist.logpdf_batch(vals.reshape(-1, 1))
-    return dist.logpdf_batch(vals)

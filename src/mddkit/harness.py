@@ -164,7 +164,6 @@ class ModelContext:
     cdl_kernel: object | None = None
     cdl_weighting: object | None = None
     extend_draws: object | None = None
-    supports: tuple = ()
 
 
 def build_context(config: ExperimentConfig) -> ModelContext:
@@ -190,9 +189,7 @@ def _build_var_conjugate(config: ExperimentConfig) -> ModelContext:
     prior = _var_conjugate_prior(data, opts)
     kernel = var_mod.VarConjugateKernel(prior, data)
     vb = kernel.vb_fit()
-    return ModelContext(kernel=kernel, vb=vb, vblb=vb.elbo,
-                        exact=kernel.exact_log_mdd(),
-                        supports=("pmd", "chib", "prior"))
+    return ModelContext(kernel=kernel, vb=vb, vblb=vb.elbo, exact=kernel.exact_log_mdd())
 
 
 def _build_var_independent(config: ExperimentConfig) -> ModelContext:
@@ -214,8 +211,7 @@ def _build_var_independent(config: ExperimentConfig) -> ModelContext:
                                         np.eye(data.N), dof)
     kernel = var_mod.VarIndependentKernel(prior, data)
     vb = kernel.vb_fit()
-    return ModelContext(kernel=kernel, vb=vb, vblb=vb.elbo,
-                        supports=("pmd", "chib", "prior"))
+    return ModelContext(kernel=kernel, vb=vb, vblb=vb.elbo)
 
 
 def _default_var_dynamics(n, p, synth_opts):
@@ -255,8 +251,7 @@ def _build_sfm_exponential(config: ExperimentConfig) -> ModelContext:
     return ModelContext(kernel=kernel, vb=vb, vblb=vb.elbo,
                         cdl_kernel=cdl,
                         cdl_weighting=sfm_mod.make_sfm_exp_cdl_weighting(vb, cdl),
-                        extend_draws=lambda ds: sfm_mod.SfmExpCdlKernel.extend_draws(ds, cdl),
-                        supports=("pmd", "chib", "prior", "cdl"))
+                        extend_draws=lambda ds: sfm_mod.SfmExpCdlKernel.extend_draws(ds, cdl))
 
 
 def _build_sfm_gamma(config: ExperimentConfig) -> ModelContext:
@@ -279,8 +274,7 @@ def _build_sfm_gamma(config: ExperimentConfig) -> ModelContext:
     vb = kernel.vb_fit()
     # estimators run on the complete-data kernel; the VB weighting covers it
     return ModelContext(kernel=kernel, vb=vb, vblb=vb.elbo,
-                        cdl_weighting=sfm_mod.make_sfm_gamma_cdl_weighting(vb, kernel),
-                        supports=("prior",))
+                        cdl_weighting=sfm_mod.make_sfm_gamma_cdl_weighting(vb, kernel))
 
 
 def _build_lpm(config: ExperimentConfig) -> ModelContext:
@@ -300,7 +294,7 @@ def _build_lpm(config: ExperimentConfig) -> ModelContext:
                              float(opts.pop("prior_dof", data.m + 2.0)))
     kernel = lpm_mod.LpmKernel(prior, data)
     vb = kernel.vb_fit()
-    return ModelContext(kernel=kernel, vb=vb, vblb=vb.elbo, supports=("prior",))
+    return ModelContext(kernel=kernel, vb=vb, vblb=vb.elbo)
 
 
 _BUILDERS = {

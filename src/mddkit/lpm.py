@@ -28,6 +28,7 @@ from .statscore import (
     LOG_2PI,
     MvNormalParams,
     WishartParams,
+    _logdet,
     ln_multivariate_gamma,
     log_sum_exp,
     multivariate_digamma,
@@ -240,11 +241,6 @@ def lpm_vb(prior: LpmPrior, data: LpmData, tol: float = 1e-6, max_iter: int = 50
         elbo_trace=np.asarray(trace),
         log_q=log_q,
         sample=sample,
-        marginal_log_q={
-            "beta": lambda v: beta_marg.logpdf_batch(np.atleast_2d(v)),
-            "mu": lambda v: gauss_mu.logpdf_batch(np.atleast_2d(v)),
-            "sigma_inv": lambda v: wish.logpdf_batch(v),
-        },
         converged=converged,
     )
 
@@ -310,10 +306,6 @@ def _elbo_lpm(prior, data, c_mat, gamma_q, v_gamma, mu_q, v_mu, s_q, nu_q) -> fl
             - 0.5 * nu_q * m * math.log(2.0) + 0.5 * nu_q * _logdet(s_q)
             - ln_multivariate_gamma(m, 0.5 * nu_q))
     return float(val)
-
-
-def _logdet(a) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(safe_cholesky(np.atleast_2d(a))))))
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +435,8 @@ class LpmKernel(ModelKernel):
         self._gauss_beta0 = MvNormalParams(prior.beta0, prior.Vbeta0)
         self._gauss_mu0 = MvNormalParams(prior.mu0, prior.Vmu0)
         self._wish0 = WishartParams(prior.S0, prior.nu0)
+        self._vmu0_inv = np.linalg.inv(prior.Vmu0)
+        self._vmu0_inv_mu0 = self._vmu0_inv @ prior.mu0
 
     def log_prior_batch(self, thetas):
         u = self.layout.unpack_batch(thetas)
@@ -475,18 +469,18 @@ class LpmKernel(ModelKernel):
         return np.sum(y * eta - np.exp(eta), axis=1)
 
     def full_conditional(self, name, state):
-        d, prior = self.data, self.prior
-        n, m = d.num_subjects, d.m
+        n = self.data.num_subjects
+        u = np.asarray(state["u"])  # (..., n, m)
         if name == "mu":
-            w = np.atleast_2d(state["sigma_inv"])
-            cov = np.linalg.inv(np.linalg.inv(prior.Vmu0) + n * w)
-            cov = 0.5 * (cov + cov.T)
-            u_sum = np.asarray(state["u"]).reshape(n, m).sum(axis=0)
-            mean = cov @ (np.linalg.inv(prior.Vmu0) @ prior.mu0 + w @ u_sum)
-            return MvNormalParams(mean, cov)
+            w = np.asarray(state["sigma_inv"])
+            cov = np.linalg.inv(self._vmu0_inv + n * w)
+            cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+            rhs = self._vmu0_inv_mu0 + np.matvec(w, u.sum(axis=-2))
+            return MvNormalParams(np.matvec(cov, rhs), cov)
         if name == "sigma_inv":
-            dev = np.asarray(state["u"]).reshape(n, m) - np.asarray(state["mu"])
-            return WishartParams(prior.S0 + dev.T @ dev, prior.nu0 + n)
+            dev = u - np.asarray(state["mu"])[..., None, :]
+            return WishartParams(self.prior.S0 + dev.swapaxes(-1, -2) @ dev,
+                                 self.prior.nu0 + n)
         raise KeyError(name)
 
     def posterior_sampler(self, config: SamplerConfig, rng, seed=None,

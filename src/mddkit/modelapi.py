@@ -11,7 +11,7 @@ and only enter complete-data variants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -226,13 +226,14 @@ class PosteriorDrawSet:
     def size(self) -> int:
         return self.thetas.shape[0]
 
-    def states(self, indices=None):
-        """Unpacked per-draw state dicts (parameters plus latents)."""
+    def unpack(self, indices=None) -> dict:
+        """Block values of the chosen draws (parameters plus latents), stacked
+        along a leading axis: a stacked ``full_conditional`` state."""
         idx = np.arange(self.size) if indices is None else np.asarray(indices)
         unpacked = self.layout.unpack_batch(self.thetas[idx])
         if self.latents is not None:
             unpacked.update(self.latent_layout.unpack_batch(self.latents[idx]))
-        return [{k: v[i] for k, v in unpacked.items()} for i in range(len(idx))]
+        return unpacked
 
 
 @dataclass
@@ -243,7 +244,6 @@ class VBResult:
     elbo_trace: np.ndarray
     log_q: Callable[[np.ndarray], np.ndarray]          # batched over theta rows
     sample: Callable[[np.random.Generator, int], np.ndarray]
-    marginal_log_q: dict[str, Callable] = field(default_factory=dict)
     converged: bool = True
 
     @property
@@ -273,8 +273,9 @@ class ModelKernel:
 
     Subclasses must provide ``layout``, ``log_prior_batch`` and
     ``log_likelihood_batch``; conditional-based estimators additionally use
-    ``conditional_blocks`` / ``full_conditional`` / ``sample_block`` and the
-    complete-data variants when latent variables exist.
+    ``conditional_blocks`` / ``full_conditional`` (plus ``gibbs_sweep`` for
+    more than one block) and the complete-data variants when latent
+    variables exist.
     """
 
     layout: ParamLayout
@@ -312,7 +313,14 @@ class ModelKernel:
     # -- conditionals / sampling --------------------------------------------
 
     def full_conditional(self, name: str, state: dict):
-        """Distribution object for one block given the rest; conjugate blocks only."""
+        """Distribution of one block given the rest; conjugate blocks only.
+
+        ``state`` maps block names to values: one state as the Gibbs sweep
+        holds it, or a stack of states along a leading axis, as returned by
+        :meth:`PosteriorDrawSet.unpack`. A stack gives one distribution whose
+        parameters carry that axis, so ``logpdf_batch`` of a batch of block
+        values returns a (stack, points) matrix.
+        """
         raise UnsupportedModelError(f"{type(self).__name__} exposes no conditional for {name!r}")
 
     def posterior_sampler(self, config: SamplerConfig, rng: np.random.Generator,

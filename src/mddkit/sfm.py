@@ -30,6 +30,7 @@ from .statscore import (
     GammaParams,
     MvNormalParams,
     TruncNormalParams,
+    _logdet,
     inverse_mills,
     ln_parabolic_cylinder_d,
     log_sum_exp,
@@ -303,11 +304,6 @@ def sfm_exp_vb(prior: SfmExpPrior, data: SfmData, tol: float = 1e-8,
         elbo_trace=np.asarray(trace),
         log_q=log_q,
         sample=sample,
-        marginal_log_q={
-            "beta": lambda v: gauss.logpdf_batch(np.atleast_2d(v)),
-            "sigma_prec": lambda v: gam_sig.logpdf_batch(np.asarray(v)),
-            "lam": lambda v: gam_lam.logpdf_batch(np.asarray(v)),
-        },
         converged=converged,
     )
 
@@ -337,10 +333,6 @@ def _elbo_exp(prior, data, beta_q, v_beta, a_sig, b_sig, a_lam, b_lam,
     scale = math.sqrt(ups2)
     val += float(np.sum([TruncNormalParams(m, scale).entropy() for m in mu_q]))
     return float(val)
-
-
-def _logdet(m) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(safe_cholesky(np.atleast_2d(m))))))
 
 
 # ---------------------------------------------------------------------------
@@ -617,12 +609,6 @@ def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData, tol: float = 1e-6,
         elbo_trace=np.asarray(trace),
         log_q=log_q,
         sample=sample,
-        marginal_log_q={
-            "beta": lambda v: gauss.logpdf_batch(np.atleast_2d(v)),
-            "sigma_prec": lambda v: gam_sig.logpdf_batch(np.asarray(v)),
-            "lam": lambda v: gam_lam.logpdf_batch(np.asarray(v)),
-            "theta": lambda v: theta_grid.logpdf_batch(np.asarray(v)),
-        },
         converged=converged,
     )
 
@@ -718,24 +704,55 @@ class _IndependentTruncNormals:
                          for _ in range(size)])
 
 
-class SfmExpKernel(ModelKernel):
+class _FrontierKernel(ModelKernel):
+    """What both frontier kernels share: the beta and sigma^-2 priors, their
+    conditionals given the inefficiencies u, and the conjugate sweep steps
+    (lambda's conditional is each kernel's own)."""
+
+    def __init__(self, prior, data: SfmData):
+        if prior.beta0.size != data.k:
+            raise ConfigError("prior dimension does not match the regressors")
+        self.prior = prior
+        self.data = data
+        self._gauss0 = MvNormalParams(prior.beta0, prior.Vbeta0)
+        self._gam_sig0 = GammaParams(prior.a_sigma0, prior.b_sigma0)
+        self._v0_inv = np.linalg.inv(prior.Vbeta0)
+        self._v0_inv_b0 = self._v0_inv @ prior.beta0
+        self._xtx = data.x.T @ data.x
+
+    def _conditional_given_u(self, name, state):
+        """beta or sigma^-2 given the rest, for one state or a stack."""
+        d, c, t = self.data, self.data.c, self.data.num_periods
+        cu = c * np.repeat(state["u"], t, axis=-1)
+        if name == "beta":
+            prec = np.asarray(state["sigma_prec"], dtype=float)
+            cov = np.linalg.inv(self._v0_inv + prec[..., None, None] * self._xtx)
+            cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+            rhs = self._v0_inv_b0 + prec[..., None] * np.matvec(d.x.T, d.y - cu)
+            return MvNormalParams(np.matvec(cov, rhs), cov)
+        if name == "sigma_prec":
+            resid = d.y - np.matvec(d.x, state["beta"]) - cu
+            return GammaParams(self.prior.a_sigma0 + 0.5 * d.num_firms * t,
+                               self.prior.b_sigma0 + 0.5 * np.vecdot(resid, resid))
+        raise KeyError(name)
+
+    def _sweep_conjugate_blocks(self, state, rng, clamped):
+        for name in ("beta", "sigma_prec", "lam"):
+            if name not in clamped:
+                state[name] = self.full_conditional(name, state).sample(rng)
+
+
+class SfmExpKernel(_FrontierKernel):
     """Exponential-inefficiency frontier with the latent integrated out."""
 
     conditional_blocks = ["beta", "sigma_prec", "lam"]
     latent_block = "u"
 
     def __init__(self, prior: SfmExpPrior, data: SfmData):
-        if prior.beta0.size != data.k:
-            raise ConfigError("prior dimension does not match the regressors")
-        self.prior = prior
-        self.data = data
+        super().__init__(prior, data)
         self.layout = _sfm_layout(data.k)
         self.latent_layout = ParamLayout([Block("u", (data.num_firms,), "positive")])
-        self._gauss0 = MvNormalParams(prior.beta0, prior.Vbeta0)
-        self._gam_sig0 = GammaParams(prior.a_sigma0, prior.b_sigma0)
         self._gam_lam0 = GammaParams(prior.a_lam0, prior.b_lam0)
-        self._v0_inv = np.linalg.inv(prior.Vbeta0)
-        self._xtx = data.x.T @ data.x
 
     def log_prior_batch(self, thetas):
         u = self.layout.unpack_batch(thetas)
@@ -750,35 +767,21 @@ class SfmExpKernel(ModelKernel):
     # -- conditionals ---------------------------------------------------------
 
     def full_conditional(self, name, state):
+        """Conditionals of the conjugate blocks (stackable) and of u (one state)."""
         d, c, t = self.data, self.data.c, self.data.num_periods
-        if name == "beta":
-            prec = float(state["sigma_prec"])
-            cov = np.linalg.inv(self._v0_inv + prec * self._xtx)
-            cov = 0.5 * (cov + cov.T)
-            adj = d.y - c * np.repeat(np.asarray(state["u"]), t)
-            mean = cov @ (self._v0_inv @ self.prior.beta0 + prec * (d.x.T @ adj))
-            return MvNormalParams(mean, cov)
-        if name == "sigma_prec":
-            resid = d.y - d.x @ np.asarray(state["beta"]) - c * np.repeat(np.asarray(state["u"]), t)
-            return GammaParams(self.prior.a_sigma0 + 0.5 * d.num_firms * t,
-                               self.prior.b_sigma0 + 0.5 * float(resid @ resid))
         if name == "lam":
             return GammaParams(self.prior.a_lam0 + d.num_firms,
-                               self.prior.b_lam0 + float(np.sum(state["u"])))
+                               self.prior.b_lam0 + np.sum(state["u"], axis=-1))
         if name == "u":
             prec = float(state["sigma_prec"])
             lam = float(state["lam"])
             ebar, _ = _firm_residual_stats(d, np.asarray(state["beta"]))
             locs = (c * t * ebar[0] - lam / prec) / t
             return _IndependentTruncNormals(locs, math.sqrt(1.0 / (t * prec)))
-        raise KeyError(name)
+        return self._conditional_given_u(name, state)
 
     def gibbs_sweep(self, state, rng, clamped=frozenset()):
-        for name in ("beta", "sigma_prec", "lam"):
-            if name not in clamped:
-                dist = self.full_conditional(name, state)
-                draw = dist.sample(rng)
-                state[name] = draw if name == "beta" else float(draw)
+        self._sweep_conjugate_blocks(state, rng, clamped)
         if "u" not in clamped:
             state["u"] = self.full_conditional("u", state).sample(rng)
         return state
@@ -883,7 +886,7 @@ def make_sfm_exp_cdl_weighting(vb: VBResult, kernel: SfmExpCdlKernel):
     return WeightingDensity(tag="vb-cdl", log_eval=log_eval, sampler=sampler)
 
 
-class SfmGammaKernel(ModelKernel):
+class SfmGammaKernel(_FrontierKernel):
     """Gamma-inefficiency frontier; the estimator-facing kernel keeps the
     latents in the parameter vector (complete-data form) since only some
     blocks are conjugate. ``integrated_loglik`` is available separately."""
@@ -891,17 +894,12 @@ class SfmGammaKernel(ModelKernel):
     conditional_blocks = ["beta", "sigma_prec", "lam"]
 
     def __init__(self, prior: SfmGammaPrior, data: SfmData):
-        self.prior = prior
-        self.data = data
+        super().__init__(prior, data)
         self.layout = ParamLayout([
             Block("beta", (data.k,)), Block("sigma_prec", (), "positive"),
             Block("lam", (), "positive"), Block("theta", (), "positive"),
             Block("u", (data.num_firms,), "positive"),
         ])
-        self._gauss0 = MvNormalParams(prior.beta0, prior.Vbeta0)
-        self._gam_sig0 = GammaParams(prior.a_sigma0, prior.b_sigma0)
-        self._v0_inv = np.linalg.inv(prior.Vbeta0)
-        self._xtx = data.x.T @ data.x
 
     def log_prior_batch(self, thetas):
         u = self.layout.unpack_batch(thetas)
@@ -924,18 +922,7 @@ class SfmGammaKernel(ModelKernel):
         return (self._gauss0.logpdf_batch(u["beta"])
                 + self._gam_sig0.logpdf_batch(u["sigma_prec"]) + out)
 
-    def log_likelihood_batch(self, thetas):
-        d = self.data
-        u = self.layout.unpack_batch(thetas)
-        prec = u["sigma_prec"]
-        resid = (d.y[None, :] - u["beta"] @ d.x.T
-                 - d.c * np.repeat(u["u"], d.num_periods, axis=1))
-        ss = np.sum(resid * resid, axis=1)
-        nt = d.num_firms * d.num_periods
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = -0.5 * nt * (LOG_2PI - np.log(prec)) - 0.5 * prec * ss
-        out[~(prec > 0)] = -np.inf
-        return out
+    log_likelihood_batch = SfmExpCdlKernel.log_likelihood_batch
 
     def integrated_loglik(self, beta, sigma_prec, lam, theta):
         return sfm_gamma_integrated_loglik(beta, sigma_prec, lam, theta, self.data)
@@ -943,23 +930,10 @@ class SfmGammaKernel(ModelKernel):
     # -- sampling -------------------------------------------------------------
 
     def full_conditional(self, name, state):
-        d, c, t = self.data, self.data.c, self.data.num_periods
-        if name == "beta":
-            prec = float(state["sigma_prec"])
-            cov = np.linalg.inv(self._v0_inv + prec * self._xtx)
-            cov = 0.5 * (cov + cov.T)
-            adj = d.y - c * np.repeat(np.asarray(state["u"]), t)
-            mean = cov @ (self._v0_inv @ self.prior.beta0 + prec * (d.x.T @ adj))
-            return MvNormalParams(mean, cov)
-        if name == "sigma_prec":
-            resid = d.y - d.x @ np.asarray(state["beta"]) - c * np.repeat(np.asarray(state["u"]), t)
-            return GammaParams(self.prior.a_sigma0 + 0.5 * d.num_firms * t,
-                               self.prior.b_sigma0 + 0.5 * float(resid @ resid))
         if name == "lam":
-            theta = float(state["theta"])
-            return GammaParams((d.num_firms + 1) * theta,
-                               self.prior.b_lam0 + float(np.sum(state["u"])))
-        raise KeyError(name)
+            return GammaParams((self.data.num_firms + 1) * np.asarray(state["theta"], dtype=float),
+                               self.prior.b_lam0 + np.sum(state["u"], axis=-1))
+        return self._conditional_given_u(name, state)
 
     def _log_cond_theta(self, theta, state):
         n = self.data.num_firms
@@ -981,11 +955,7 @@ class SfmGammaKernel(ModelKernel):
         return vals
 
     def gibbs_sweep(self, state, rng, clamped=frozenset(), mh_state=None):
-        for name in ("beta", "sigma_prec", "lam"):
-            if name not in clamped:
-                dist = self.full_conditional(name, state)
-                draw = dist.sample(rng)
-                state[name] = draw if name == "beta" else float(draw)
+        self._sweep_conjugate_blocks(state, rng, clamped)
         step_theta, step_u, adapt = (0.5, np.full(self.data.num_firms, 0.5), False) \
             if mh_state is None else (mh_state["theta"], mh_state["u"], mh_state["adapt"])
         if "theta" not in clamped:

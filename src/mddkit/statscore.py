@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -288,33 +289,40 @@ def ln_parabolic_cylinder_d(order, x, tol=1e-12):
 # ---------------------------------------------------------------------------
 
 def safe_cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor with one jittered retry.
+    """Lower Cholesky factor with one jittered retry; stacks factor together.
 
-    Retry adds 1e-10 * trace/n to the diagonal; a second failure raises
+    Retry adds 1e-10 * trace/n to each diagonal; a second failure raises
     NumericError rather than looping (silent jitter masks model bugs).
     """
     a = np.asarray(a, dtype=float)
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        n = a.shape[0]
-        jitter = 1e-10 * np.trace(a) / n
+        n = a.shape[-1]
+        jitter = 1e-10 * np.trace(a, axis1=-2, axis2=-1) / n
         try:
-            return np.linalg.cholesky(a + jitter * np.eye(n))
+            return np.linalg.cholesky(a + jitter[..., None, None] * np.eye(n))
         except np.linalg.LinAlgError as exc:
             raise NumericError("matrix not positive definite (jittered retry failed)") from exc
 
 
 def _check_symmetric(a: np.ndarray, name: str):
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - a.T)) > 1e-12 * scale:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"{name} must be a square matrix or a stack of them")
+    # relative to max(1, max |a|); the scale is only needed for a visible asymmetry
+    asym = np.abs(a - a.swapaxes(-1, -2)).max()
+    if asym > 1e-12 and asym > 1e-12 * np.abs(a).max():
         raise ValueError(f"{name} must be symmetric within 1e-12 relative")
 
 
-def _chol_logdet(chol: np.ndarray) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+def _chol_logdet(chol: np.ndarray):
+    """ln det of the matrix (or of each matrix in a stack) factored as chol chol'."""
+    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+
+
+def _logdet(m) -> float:
+    """ln det of one SPD matrix through its Cholesky factor."""
+    return float(_chol_logdet(safe_cholesky(np.atleast_2d(m))))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +331,12 @@ def _chol_logdet(chol: np.ndarray) -> float:
 
 @dataclass
 class MvNormalParams:
-    """Multivariate normal with mean (n,) and SPD covariance (n, n)."""
+    """Multivariate normal with mean (n,) and SPD covariance (n, n).
+
+    An optional leading axis, shared by mean and covariance, stacks
+    independent distributions: densities then come back as (stack, points),
+    and a draw without ``size`` holds one point per stacked distribution.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -333,28 +346,52 @@ class MvNormalParams:
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         self.cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
         _check_symmetric(self.cov, "covariance")
-        if self.cov.shape[0] != self.mean.shape[0]:
+        if self.cov.shape[-1] != self.mean.shape[-1]:
             raise ValueError("mean/covariance dimension mismatch")
         self._chol = safe_cholesky(self.cov)
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
+
+    @cached_property
+    def _expanded(self):
+        """Centre c (the average mean), flattened precision P, 2 P (mean - c),
+        and the constant term of the log density."""
+        d = self.dim
+        centre = self.mean.reshape(-1, d).mean(axis=0)
+        dev = self.mean - centre
+        prec = np.linalg.inv(self.cov)
+        pm = np.matvec(prec, dev)
+        const = d * LOG_2PI + _chol_logdet(self._chol) + np.sum(pm * dev, axis=-1)
+        return (centre, prec.reshape(prec.shape[:-2] + (d * d,)), 2.0 * pm,
+                np.asarray(const)[..., None])
 
     def logpdf(self, x) -> float:
-        return float(self.logpdf_batch(np.asarray(x, dtype=float)[None, :])[0])
+        return float(self.logpdf_batch(x)[0])
 
     def logpdf_batch(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        dev = x - self.mean
-        z = solve_triangular(self._chol, dev.T, lower=True)
-        maha = np.sum(z * z, axis=0)
-        return -0.5 * (self.dim * LOG_2PI + _chol_logdet(self._chol) + maha)
+        """ln density at the points x (points, n): shaped (points,), or
+        (stack, points) for stacked parameters."""
+        d = self.dim
+        centre, prec, two_pm, const = self._expanded
+        # (x-m)'P(x-m) expanded about the centre so that each term is one BLAS
+        # matmul over the whole stack and no temporary is larger than the
+        # (stack, points) result; centring keeps the terms from cancelling
+        x = np.asarray(x, dtype=float).reshape(-1, d) - centre
+        outer = (x[:, :, None] * x[:, None, :]).reshape(len(x), d * d)
+        out = prec @ outer.T
+        out -= two_pm @ x.T
+        out += const
+        out *= -0.5
+        return out
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+        """Draws shaped (size, stack, n), or (stack, n) without ``size``."""
         n = 1 if size is None else size
-        z = rng.standard_normal((n, self.dim))
-        draws = self.mean + z @ self._chol.T
+        z = rng.standard_normal((n,) + self.mean.shape)
+        # the draws of each stacked distribution form one matrix product
+        draws = self.mean + (z.swapaxes(0, -2) @ self._chol.swapaxes(-1, -2)).swapaxes(0, -2)
         return draws[0] if size is None else draws
 
 
@@ -414,7 +451,11 @@ class MatricNormalParams:
 
 @dataclass
 class WishartParams:
-    """Wishart W(inv(scale_inv), dof): E[W] = dof * inv(scale_inv)."""
+    """Wishart W(inv(scale_inv), dof): E[W] = dof * inv(scale_inv).
+
+    ``scale_inv`` may stack matrices along a leading axis under one ``dof``;
+    shapes then follow :class:`MvNormalParams`.
+    """
 
     scale_inv: np.ndarray
     dof: float
@@ -422,16 +463,16 @@ class WishartParams:
     def __post_init__(self):
         self.scale_inv = np.atleast_2d(np.asarray(self.scale_inv, dtype=float))
         _check_symmetric(self.scale_inv, "scale_inv")
-        n = self.scale_inv.shape[0]
+        n = self.dim
         if not self.dof > n - 1:
             raise ValueError(f"dof must exceed dim - 1 = {n - 1}")
         self._chol_s = safe_cholesky(self.scale_inv)
 
     @property
     def dim(self) -> int:
-        return self.scale_inv.shape[0]
+        return self.scale_inv.shape[-1]
 
-    def _log_norm(self) -> float:
+    def _log_norm(self):
         n, nu = self.dim, self.dof
         # normalizer of W(Psi, nu) with Psi = inv(scale_inv)
         return (0.5 * nu * n * math.log(2.0)
@@ -439,66 +480,74 @@ class WishartParams:
                 + ln_multivariate_gamma(n, 0.5 * nu))
 
     def logpdf(self, w) -> float:
-        return float(self.logpdf_batch(np.asarray(w, dtype=float)[None, :, :])[0])
+        return float(self.logpdf_batch(w)[0])
 
     def logpdf_batch(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        if w.ndim == 2:
-            w = w[None, :, :]
+        """ln density at the matrices w (points, n, n): shaped (points,), or
+        (stack, points) for stacked parameters; -inf off the SPD cone."""
         n, nu = self.dim, self.dof
-        sign, logdet = np.linalg.slogdet(w)
-        if np.any(sign <= 0):
-            out = np.full(w.shape[0], -np.inf)
-            ok = sign > 0
-            if np.any(ok):
-                out[ok] = self.logpdf_batch(w[ok])
-            return out
-        tr = np.einsum("ij,sji->s", self.scale_inv, w)
-        return 0.5 * (nu - n - 1.0) * logdet - 0.5 * tr - self._log_norm()
+        w = np.asarray(w, dtype=float).reshape(-1, n, n)
+        sign, logdet_w = np.linalg.slogdet(w)
+        # tr(scale_inv w) for every (stacked distribution, point) pair in one matmul
+        out = self.scale_inv.reshape(self.scale_inv.shape[:-2] + (n * n,)) @ w.reshape(-1, n * n).T
+        out *= -0.5
+        with np.errstate(invalid="ignore"):
+            out += 0.5 * (nu - n - 1.0) * logdet_w
+        out -= np.asarray(self._log_norm())[..., None]
+        out[..., sign <= 0] = -np.inf
+        return out
 
     def mean(self) -> np.ndarray:
         return self.dof * cho_solve((self._chol_s, True), np.eye(self.dim))
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Bartlett decomposition draw, bit-reproducible for a given rng."""
-        n_draws = 1 if size is None else size
+        """Bartlett decomposition draw, bit-reproducible for a given rng; shaped
+        (size, stack, n, n), or (stack, n, n) without ``size``."""
         n, nu = self.dim, self.dof
-        psi = cho_solve((self._chol_s, True), np.eye(n))
+        shape = (1 if size is None else size,) + self.scale_inv.shape[:-2]
+        psi = cho_solve((self._chol_s, True), np.eye(n), check_finite=False)
         m = safe_cholesky(psi)
-        a = np.zeros((n_draws, n, n))
+        a = np.zeros(shape + (n, n))
         rows, cols = np.tril_indices(n, k=-1)
         if len(rows):
-            a[:, rows, cols] = rng.standard_normal((n_draws, len(rows)))
+            a[..., rows, cols] = rng.standard_normal(shape + (len(rows),))
         for j in range(n):
-            a[:, j, j] = np.sqrt(rng.gamma(0.5 * (nu - j), 2.0, size=n_draws))
+            a[..., j, j] = np.sqrt(rng.gamma(0.5 * (nu - j), 2.0, size=shape))
         la = m @ a
-        draws = la @ la.transpose(0, 2, 1)
+        draws = la @ la.swapaxes(-1, -2)
         return draws[0] if size is None else draws
 
 
 @dataclass
 class GammaParams:
-    """Gamma in shape/rate form: mean = shape / rate."""
+    """Gamma in shape/rate form: mean = shape / rate.
+
+    ``shape`` and ``rate`` may be vectors that broadcast to a stack of
+    distributions; shapes then follow :class:`MvNormalParams`.
+    """
 
     shape: float
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.rate > 0):
+        positive = (self.shape > 0) & (self.rate > 0)
+        if not (positive if np.isscalar(positive) else positive.all()):
             raise ValueError("gamma shape and rate must be strictly positive")
 
     def logpdf(self, x) -> float:
         return float(self.logpdf_batch(np.atleast_1d(np.asarray(x, dtype=float)))[0])
 
     def logpdf_batch(self, x: np.ndarray) -> np.ndarray:
+        """ln density at the points x: shaped like x for unstacked parameters,
+        (stack, points) for stacked ones and a vector of points."""
         x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, -np.inf)
-        pos = x > 0
-        out[pos] = (self.shape * math.log(self.rate) - gammaln(self.shape)
-                    + (self.shape - 1.0) * np.log(x[pos]) - self.rate * x[pos])
-        return out
+        a = np.asarray(self.shape, dtype=float)[..., None]
+        b = np.asarray(self.rate, dtype=float)[..., None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = a * np.log(b) - gammaln(a) + (a - 1.0) * np.log(x) - b * x
+        return np.where(x > 0, out, -np.inf)
 
-    def mean(self) -> float:
+    def mean(self):
         return self.shape / self.rate
 
     def mean_log(self) -> float:
@@ -509,8 +558,11 @@ class GammaParams:
         return a - math.log(b) + float(gammaln(a)) + (1.0 - a) * float(psi(a))
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        draws = rng.gamma(self.shape, 1.0 / self.rate, size=size)
-        return float(draws) if size is None else draws
+        """Draws shaped (size, stack); without ``size`` one per stacked
+        distribution, a float for unstacked parameters."""
+        if size is not None:
+            size = (size,) + np.broadcast_shapes(np.shape(self.shape), np.shape(self.rate))
+        return rng.gamma(self.shape, 1.0 / self.rate, size=size)
 
 
 @dataclass

@@ -65,8 +65,12 @@ class ToyNormalKernel(ModelKernel):
         return -0.5 * (t * LOG_2PI + logdet + quad)
 
     def full_conditional(self, name, state):
-        assert name == "theta"
-        return MvNormalParams([self.post_mean], [[self.post_var]])
+        if name != "theta":
+            raise KeyError(name)
+        # the same posterior for every state, repeated along any stack axis
+        stack = np.shape(state["theta"])
+        return MvNormalParams(np.full(stack + (1,), self.post_mean),
+                              np.full(stack + (1, 1), self.post_var))
 
     def posterior_sampler(self, config: SamplerConfig, rng, seed=None) -> PosteriorDrawSet:
         draws = self.post_mean + math.sqrt(self.post_var) * rng.standard_normal(config.draws)
@@ -82,7 +86,6 @@ class ToyNormalKernel(ModelKernel):
             elbo_trace=np.array([elbo]),
             log_q=lambda thetas: post.logpdf_batch(np.atleast_2d(thetas)),
             sample=lambda rng, size: post.sample(rng, size),
-            marginal_log_q={"theta": lambda v: post.logpdf_batch(np.asarray(v).reshape(-1, 1))},
         )
 
 
@@ -137,25 +140,19 @@ class ToyNormalGammaKernel(ModelKernel):
     def full_conditional(self, name, state):
         t = self.y.size
         if name == "mu":
-            tau = float(state["tau"])
-            var = 1.0 / (self.kappa_t * tau)
-            return MvNormalParams([self.m_t], [[var]])
+            var = 1.0 / (self.kappa_t * np.asarray(state["tau"], dtype=float))
+            return MvNormalParams(np.full(var.shape + (1,), self.m_t), var[..., None, None])
         if name == "tau":
-            mu = float(state["mu"])
+            mu = state["mu"]
             rate = self.b0 + 0.5 * (self.kappa0 * (mu - self.m0) ** 2
-                                    + float(np.sum((self.y - mu) ** 2)))
+                                    + np.sum((self.y - np.asarray(mu)[..., None]) ** 2, axis=-1))
             return GammaParams(self.a0 + 0.5 * (t + 1), rate)
         raise KeyError(name)
-
-    def sample_block(self, name, state, rng):
-        dist = self.full_conditional(name, state)
-        draw = dist.sample(rng)
-        return float(draw[0]) if name == "mu" else float(draw)
 
     def gibbs_sweep(self, state, rng, clamped=frozenset()):
         for name in self.conditional_blocks:
             if name not in clamped:
-                state[name] = self.sample_block(name, state, rng)
+                state[name] = float(np.ravel(self.full_conditional(name, state).sample(rng))[0])
         return state
 
     def posterior_sampler(self, config: SamplerConfig, rng, seed=None) -> PosteriorDrawSet:
@@ -211,10 +208,6 @@ class ToyNormalGammaKernel(ModelKernel):
             elbo_trace=np.asarray(trace),
             log_q=log_q,
             sample=sample,
-            marginal_log_q={
-                "mu": lambda v: q_mu.logpdf_batch(np.asarray(v).reshape(-1, 1)),
-                "tau": lambda v: q_tau.logpdf_batch(np.asarray(v)),
-            },
         )
 
     def _elbo(self, m_q, v_q, a_q, b_q) -> float:

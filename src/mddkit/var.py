@@ -27,6 +27,7 @@ from .statscore import (
     MatricNormalParams,
     MvNormalParams,
     WishartParams,
+    _logdet,
     ln_multivariate_gamma,
     multivariate_digamma,
     safe_cholesky,
@@ -185,10 +186,6 @@ def var_exact_log_mdd(prior: VarConjugatePrior, data: VarData) -> float:
             + 0.5 * prior.nu0 * _logdet(prior.S0) - 0.5 * post.nu * _logdet(post.S))
 
 
-def _logdet(m) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(safe_cholesky(np.atleast_2d(m))))))
-
-
 # ---------------------------------------------------------------------------
 # VB: conjugate prior
 # ---------------------------------------------------------------------------
@@ -344,13 +341,7 @@ def _var_conjugate_vbresult(a_q, v_q, s_q, nu_q, col_cov, elbo, data, joint) -> 
         return layout.pack_batch({"alpha": a.reshape(size, -1), "sigma_inv": w})
 
     hyper = {"A": a_q, "V": v_q, "S": s_q, "nu": nu_q, "col_cov": col_cov}
-    return VBResult(
-        hyper=hyper, elbo_trace=np.array([elbo]), log_q=log_q, sample=sample,
-        marginal_log_q={
-            "alpha": lambda v: mat.logpdf_batch(np.asarray(v).reshape(-1, k, n)),
-            "sigma_inv": lambda v: wish.logpdf_batch(v),
-        },
-    )
+    return VBResult(hyper=hyper, elbo_trace=np.array([elbo]), log_q=log_q, sample=sample)
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +414,6 @@ def var_vb_independent(prior: VarIndependentPrior, data: VarData,
         elbo_trace=np.asarray(trace),
         log_q=log_q,
         sample=sample,
-        marginal_log_q={
-            "alpha": lambda v: gauss.logpdf_batch(np.atleast_2d(v)),
-            "sigma_inv": lambda v: wish.logpdf_batch(v),
-        },
         converged=converged,
     )
 
@@ -462,6 +449,12 @@ def _var_layout(n: int, k: int) -> ParamLayout:
     return ParamLayout([Block("alpha", (n * k,)), Block("sigma_inv", (n, n), "spd")])
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron over the last two axes, broadcasting leading stack axes."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
 class _VarKernelBase(ModelKernel):
     def __init__(self, data: VarData):
         self.data = data
@@ -482,6 +475,12 @@ class _VarKernelBase(ModelKernel):
         out = -0.5 * t * n * LOG_2PI + 0.5 * t * logdet - 0.5 * quad
         out[sign <= 0] = -np.inf
         return out
+
+    def _coefficients_and_residuals(self, state):
+        """Coefficient matrices A (K x N) of one state or a stack, and Y - X A."""
+        a = np.asarray(state["alpha"])
+        a = a.reshape(a.shape[:-1] + (self.data.K, self.data.N))
+        return a, self.data.Y - self.data.X @ a
 
 
 class VarConjugateKernel(_VarKernelBase):
@@ -525,19 +524,17 @@ class VarConjugateKernel(_VarKernelBase):
         return PosteriorDrawSet(thetas, self.layout, seed=seed, burn_in=0, thin=1)
 
     def full_conditional(self, name, state):
-        n, k = self.data.N, self.data.K
         if name == "alpha":
-            w = np.atleast_2d(state["sigma_inv"])
-            sigma = np.linalg.inv(w)
-            sigma = 0.5 * (sigma + sigma.T)
-            return MvNormalParams(self._post.A.ravel(), np.kron(self._post.V, sigma))
+            sigma = np.linalg.inv(state["sigma_inv"])
+            cov = _kron(self._post.V, 0.5 * (sigma + sigma.swapaxes(-1, -2)))
+            return MvNormalParams(np.broadcast_to(self._post.A.ravel(), cov.shape[:-1]), cov)
         if name == "sigma_inv":
-            a = np.asarray(state["alpha"]).reshape(k, n)
-            resid = self.data.Y - self.data.X @ a
+            a, resid = self._coefficients_and_residuals(state)
             dev = a - self.prior.A0
-            scale_inv = self.prior.S0 + resid.T @ resid + dev.T @ self._v0_inv @ dev
-            return WishartParams(0.5 * (scale_inv + scale_inv.T),
-                                 self.prior.nu0 + self.data.T + k)
+            scale_inv = (self.prior.S0 + resid.swapaxes(-1, -2) @ resid
+                         + dev.swapaxes(-1, -2) @ self._v0_inv @ dev)
+            return WishartParams(0.5 * (scale_inv + scale_inv.swapaxes(-1, -2)),
+                                 self.prior.nu0 + self.data.T + self.data.K)
         raise KeyError(name)
 
     def vb_fit(self, factorized: bool = True) -> VBResult:
@@ -572,19 +569,18 @@ class VarIndependentKernel(_VarKernelBase):
         return out
 
     def full_conditional(self, name, state):
-        n, k = self.data.N, self.data.K
         if name == "alpha":
-            w = np.atleast_2d(state["sigma_inv"])
-            prec = self._v0_inv + np.kron(self._xtx, w)
-            cov = np.linalg.inv(prec)
-            cov = 0.5 * (cov + cov.T)
-            mean = cov @ (self._v0_inv_a0 + (w @ self._xty.T).T.ravel())
-            return MvNormalParams(mean, cov)
+            w = np.asarray(state["sigma_inv"])
+            cov = np.linalg.inv(self._v0_inv + _kron(self._xtx, w))
+            cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+            xty_w = (w @ self._xty.T).swapaxes(-1, -2)
+            rhs = self._v0_inv_a0 + xty_w.reshape(xty_w.shape[:-2] + (-1,))
+            return MvNormalParams(np.matvec(cov, rhs), cov)
         if name == "sigma_inv":
-            a = np.asarray(state["alpha"]).reshape(k, n)
-            resid = self.data.Y - self.data.X @ a
-            scale_inv = self.prior.S0 + resid.T @ resid
-            return WishartParams(0.5 * (scale_inv + scale_inv.T), self.prior.nu0 + self.data.T)
+            _, resid = self._coefficients_and_residuals(state)
+            scale_inv = self.prior.S0 + resid.swapaxes(-1, -2) @ resid
+            return WishartParams(0.5 * (scale_inv + scale_inv.swapaxes(-1, -2)),
+                                 self.prior.nu0 + self.data.T)
         raise KeyError(name)
 
     def gibbs_sweep(self, state, rng, clamped=frozenset()):

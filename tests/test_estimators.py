@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from mddkit import harness
 from mddkit.errors import EstimationError, UnsupportedModelError
 from mddkit.estimators import (
+    MddEstimate,
     bs_estimate,
     chib_estimate,
     chm_estimate,
@@ -72,7 +74,7 @@ class TwoBlockIndependent(ModelKernel):
 
     def full_conditional(self, name, state):
         k = self.k1 if name == "t1" else self.k2
-        return MvNormalParams([k.post_mean], [[k.post_var]])
+        return k.full_conditional("theta", {"theta": state[name]})
 
     def exact_log_mdd(self):
         return self.k1.exact_log_mdd() + self.k2.exact_log_mdd()
@@ -115,6 +117,22 @@ class TestRis:
         est = ris_estimate(kernel, draws, make_vb_weighting(vb), log_k)
         se = est.se_batch_means(20)
         assert 0.0 < se < 0.1
+
+
+class TestBatchMeansSe:
+    def test_matches_iid_delta_method(self):
+        terms = make_rng(520).normal(0.0, 0.3, 30_000)
+        est = MddEstimate(log_mdd=0.0, method="ris-test", extras={"log_terms": terms})
+        w = np.exp(terms)
+        iid = np.std(w, ddof=1) / np.mean(w) / math.sqrt(terms.size)
+        assert 0.6 < est.se_batch_means(30) / iid < 1.5
+
+    def test_all_minus_inf_batch_gives_finite_se(self):
+        terms = make_rng(521).normal(0.0, 0.3, 3000)
+        terms[:100] = -np.inf  # the first of 30 batches carries no weight
+        est = MddEstimate(log_mdd=0.0, method="ris-test", extras={"log_terms": terms})
+        se = est.se_batch_means(30)
+        assert np.isfinite(se) and se > 0.0
 
 
 class TestIsAndBs:
@@ -259,6 +277,14 @@ class TestPmdWeighting:
         w = make_pmd_weighting(kernel, draws, components=256)
         est = is_estimate(kernel, w, 20_000, make_rng(502))
         assert est.log_mdd == pytest.approx(exact, abs=0.05)
+
+    def test_sampler_targets_pmd_density_on_matrix_blocks(self):
+        # var-conjugate stacks a normal and a Wishart conditional; its evidence is exact
+        kernel = harness.build_context(harness.ExperimentConfig(model="var-conjugate")).kernel
+        draws = kernel.posterior_sampler(SamplerConfig(draws=2000, burn_in=0), make_rng(510))
+        w = make_pmd_weighting(kernel, draws, components=256)
+        est = is_estimate(kernel, w, 20_000, make_rng(511))
+        assert est.log_mdd == pytest.approx(kernel.exact_log_mdd(), abs=0.02)
 
     def test_missing_conditionals_raise(self, toy):
         kernel, draws, _ = toy

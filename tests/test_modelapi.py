@@ -144,12 +144,11 @@ class TestKernelContract:
         # averaging the tau conditional over chain states integrates to 1
         ng = ToyNormalGammaKernel(make_rng(7).normal(1.0, 0.8, 12))
         draws = ng.posterior_sampler(SamplerConfig(draws=200, burn_in=100), make_rng(8))
-        states = draws.states(np.arange(0, 200, 10))
-        conds = [ng.full_conditional("tau", s) for s in states]
+        conds = ng.full_conditional("tau", draws.unpack(np.arange(0, 200, 10)))
 
         def log_avg(tau):
-            vals = np.stack([c.logpdf_batch(tau) for c in conds])
-            return np.logaddexp.reduce(vals, axis=0) - math.log(len(conds))
+            vals = conds.logpdf_batch(tau)
+            return np.logaddexp.reduce(vals, axis=0) - math.log(len(vals))
 
         assert quadrature_1d(log_avg, 0.0, np.inf, tol=1e-10) == pytest.approx(0.0, abs=1e-8)
 
@@ -159,9 +158,9 @@ class TestKernelContract:
         assert vb.converged
         assert np.all(np.diff(vb.elbo_trace) >= -1e-10)
         # factor marginals normalize
-        assert quadrature_1d(lambda v: vb.marginal_log_q["mu"](v), -30, 30,
+        assert quadrature_1d(lambda v: vb.hyper["mu"].logpdf_batch(v), -30, 30,
                              tol=1e-10) == pytest.approx(0.0, abs=1e-8)
-        assert quadrature_1d(lambda v: vb.marginal_log_q["tau"](v), 0, np.inf,
+        assert quadrature_1d(lambda v: vb.hyper["tau"].logpdf_batch(v), 0, np.inf,
                              tol=1e-10) == pytest.approx(0.0, abs=1e-8)
         # MC oracle agrees with the closed-form bound
         mean, se = elbo_monte_carlo(ng, vb, make_rng(10), 50_000)
@@ -172,5 +171,36 @@ class TestKernelContract:
         ds = ng.posterior_sampler(SamplerConfig(draws=50, burn_in=10, thin=2), make_rng(12), seed=99)
         assert ds.size == 50
         assert ds.burn_in == 10 and ds.thin == 2 and ds.seed == 99
-        st0 = ds.states([0])[0]
+        st0 = ds.unpack([0])
         assert set(st0) == {"mu", "tau"}
+
+
+@pytest.fixture(scope="module", params=["toy-normal", "toy-normal-gamma", "var-conjugate",
+                                        "var-independent", "sfm-exponential", "sfm-gamma", "lpm"])
+def kernel_draws(request):
+    from mddkit import harness
+
+    if request.param == "toy-normal":
+        kernel = ToyNormalKernel(make_rng(20).normal(0.3, 1.0, 8))
+    elif request.param == "toy-normal-gamma":
+        kernel = ToyNormalGammaKernel(make_rng(21).normal(0.3, 1.0, 8))
+    else:
+        kernel = harness.build_context(harness.ExperimentConfig(model=request.param)).kernel
+    draws = kernel.posterior_sampler(SamplerConfig(draws=7, burn_in=30), make_rng(22))
+    return kernel, draws
+
+
+class TestStackedConditionals:
+    """A stack of states gives one distribution whose row c is state c's."""
+
+    def test_rows_match_single_states(self, kernel_draws):
+        kernel, draws = kernel_draws
+        stack = draws.unpack()
+        for name in kernel.conditional_blocks:
+            points = stack[name]
+            stacked = kernel.full_conditional(name, stack).logpdf_batch(points)
+            assert stacked.shape == (draws.size, draws.size)
+            for c in range(draws.size):
+                single = kernel.full_conditional(name, {k: v[c] for k, v in stack.items()})
+                np.testing.assert_allclose(stacked[c], single.logpdf_batch(points),
+                                           rtol=1e-12, atol=0)

@@ -295,6 +295,25 @@ class TestSamplers:
         draws = params.sample(rng, 200_000)
         assert draws.mean() == pytest.approx(1.5, rel=0.01)
 
+    def test_stacked_draws_follow_each_distribution(self):
+        # a stack alternating two distributions; one draw per stacked element
+        reps = 20_000
+        means = np.array([[0.0, 1.0], [2.0, -1.0]])
+        covs = np.array([[[1.0, 0.8], [0.8, 1.0]], [[4.0, -1.0], [-1.0, 1.0]]])
+        draws = MvNormalParams(np.tile(means, (reps, 1)), np.tile(covs, (reps, 1, 1))).sample(
+            make_rng(46))
+        scale_invs = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, -0.3], [-0.3, 0.5]]])
+        wish = WishartParams(np.tile(scale_invs, (reps, 1, 1)), 6.0).sample(make_rng(47))
+        gam = GammaParams(np.tile([2.0, 5.0], reps), np.tile([1.0, 0.5], reps)).sample(make_rng(48))
+        assert draws.shape == (2 * reps, 2) and wish.shape == (2 * reps, 2, 2)
+        for j in range(2):
+            assert np.allclose(draws[j::2].mean(axis=0), means[j], atol=0.05)
+            assert np.allclose(np.cov(draws[j::2].T), covs[j], rtol=0.05, atol=0.03)
+            assert np.allclose(wish[j::2].mean(axis=0), 6.0 * np.linalg.inv(scale_invs[j]),
+                               rtol=0.03, atol=0.05)
+        assert gam[0::2].mean() == pytest.approx(2.0, rel=0.03)
+        assert gam[1::2].mean() == pytest.approx(10.0, rel=0.03)
+
 
 class TestDensities:
     def test_mvnormal_matches_scipy(self):
