@@ -336,6 +336,35 @@ def _tri_solve(chol, dev):
     return solve_triangular(chol, dev.T, lower=True)
 
 
+_MODE_SENTINEL = 1e100  # objective value where the kernel is not finite
+
+
+def _kernel_mode(kernel: ModelKernel, layout, start: np.ndarray) -> np.ndarray:
+    """Kernel mode on the unconstrained transform by BFGS from ``start``.
+
+    Each objective call evaluates the point and its central-difference
+    stencil (step cbrt(eps) * max(1, |phi|)) in one (2d + 1)-row kernel call;
+    a non-finite stencil reads as the sentinel, so the line search backs off.
+    """
+    d = start.size
+    step_scale = np.cbrt(np.finfo(float).eps)
+    eye = np.eye(d)
+
+    def neg_log_kernel_and_grad(phi):
+        h = step_scale * np.maximum(1.0, np.abs(phi))
+        stencil = np.vstack([phi, phi + h * eye, phi - h * eye])
+        vals = kernel.log_kernel_batch(layout.from_unconstrained(stencil))
+        if not np.all(np.isfinite(vals)):
+            return _MODE_SENTINEL, np.zeros(d)
+        return -vals[0], (vals[d + 1:] - vals[1:d + 1]) / (2.0 * h)
+
+    res = minimize(neg_log_kernel_and_grad, start, jac=True, method="BFGS",
+                   options={"maxiter": 2_000, "gtol": 1e-8})
+    if not res.fun < _MODE_SENTINEL:
+        raise NumericError("posterior mode search failed")
+    return res.x
+
+
 def make_swz_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
                        coverage: float = 0.9, radial_percentiles=(1.0, 99.0),
                        log_kernel_values=None) -> WeightingDensity:
@@ -350,22 +379,7 @@ def make_swz_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
     layout = draws.layout
     log_k = _kernel_values(kernel, draws, log_kernel_values)
     phis, _ = layout.to_unconstrained_batch(draws.thetas)
-
-    # quasi-Newton ascent on the kernel from the best chain draw
-    start = phis[int(np.argmax(log_k))]
-
-    def neg_log_kernel(phi):
-        theta = layout.from_unconstrained(phi[None, :])
-        val = kernel.log_kernel_batch(theta)[0]
-        return 1e100 if not np.isfinite(val) else -val
-
-    res = minimize(neg_log_kernel, start, method="Nelder-Mead",
-                   options={"maxiter": 20_000, "xatol": 1e-8, "fatol": 1e-10})
-    res2 = minimize(neg_log_kernel, res.x, method="BFGS",
-                    options={"maxiter": 2_000, "gtol": 1e-8})
-    phi_hat = res2.x if res2.fun <= res.fun else res.x
-    if not np.isfinite(min(res.fun, res2.fun)):
-        raise NumericError("posterior mode search failed")
+    phi_hat = _kernel_mode(kernel, layout, phis[int(np.argmax(log_k))])
 
     dev = phis - phi_hat
     omega = dev.T @ dev / draws.size
@@ -412,6 +426,9 @@ def make_swz_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
     return WeightingDensity(tag="swz", log_eval=log_eval)
 
 
+_PMD_BLOCK_ROWS = 1024
+
+
 def make_pmd_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
                        blocks: list[str] | None = None,
                        components: int | None = 512) -> WeightingDensity:
@@ -435,12 +452,15 @@ def make_pmd_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
     n_comp = len(idx)
 
     def log_eval(thetas):
+        # blocks of points bound each (components, points) temporary
         thetas = np.atleast_2d(thetas)
-        unpacked = layout.unpack_batch(thetas)
         total = np.zeros(thetas.shape[0])
-        for name in names:
-            comp = conditionals[name].logpdf_batch(unpacked[name])
-            total += log_sum_exp(comp, axis=0) - math.log(n_comp)
+        for lo in range(0, thetas.shape[0], _PMD_BLOCK_ROWS):
+            rows = slice(lo, lo + _PMD_BLOCK_ROWS)
+            unpacked = layout.unpack_batch(thetas[rows])
+            for name in names:
+                comp = conditionals[name].logpdf_batch(unpacked[name])
+                total[rows] += log_sum_exp(comp, axis=0) - math.log(n_comp)
         return total
 
     def sampler(rng, size):
@@ -451,4 +471,6 @@ def make_pmd_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
             out[name] = kernel.full_conditional(name, chosen).sample(rng)
         return layout.pack_batch(out)
 
-    return WeightingDensity(tag="pmd", log_eval=log_eval, sampler=sampler)
+    # a draw needs every parameter block; the conditionals may cover only some
+    covered = set(layout.names) <= set(names)
+    return WeightingDensity(tag="pmd", log_eval=log_eval, sampler=sampler if covered else None)

@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnsupportedModelError
+from .statscore import _tril_indices
 
 __all__ = [
     "Block",
@@ -38,14 +39,14 @@ __all__ = [
 def vech(m: np.ndarray) -> np.ndarray:
     """Lower triangle of a symmetric matrix, row-major."""
     n = m.shape[-1]
-    rows, cols = np.tril_indices(n)
+    rows, cols = _tril_indices(n)
     return m[..., rows, cols]
 
 
 def unvech(v: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`vech`; symmetrizes by mirroring."""
     v = np.asarray(v, dtype=float)
-    rows, cols = np.tril_indices(n)
+    rows, cols = _tril_indices(n)
     out = np.zeros(v.shape[:-1] + (n, n))
     out[..., rows, cols] = v
     out[..., cols, rows] = v
@@ -158,7 +159,7 @@ class ParamLayout:
                 n = b.shape[0]
                 mats = unvech(raw, n)
                 chol = np.linalg.cholesky(mats)
-                rows, cols = np.tril_indices(n)
+                rows, cols = _tril_indices(n)
                 elems = chol[:, rows, cols]
                 diag_mask = rows == cols
                 elems[:, diag_mask] = np.log(elems[:, diag_mask])
@@ -183,7 +184,7 @@ class ParamLayout:
                 out[:, sl] = np.exp(raw)
             else:
                 n = b.shape[0]
-                rows, cols = np.tril_indices(n)
+                rows, cols = _tril_indices(n)
                 diag_mask = rows == cols
                 elems = raw.copy()
                 elems[:, diag_mask] = np.exp(elems[:, diag_mask])

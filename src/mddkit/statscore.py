@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -306,6 +306,15 @@ def safe_cholesky(a: np.ndarray) -> np.ndarray:
             raise NumericError("matrix not positive definite (jittered retry failed)") from exc
 
 
+@cache
+def _tril_indices(n: int, k: int = 0):
+    """Read-only ``np.tril_indices(n, k)``, computed once per (n, k)."""
+    rows, cols = np.tril_indices(n, k=k)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def _check_symmetric(a: np.ndarray, name: str):
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"{name} must be a square matrix or a stack of them")
@@ -508,7 +517,7 @@ class WishartParams:
         psi = cho_solve((self._chol_s, True), np.eye(n), check_finite=False)
         m = safe_cholesky(psi)
         a = np.zeros(shape + (n, n))
-        rows, cols = np.tril_indices(n, k=-1)
+        rows, cols = _tril_indices(n, -1)
         if len(rows):
             a[..., rows, cols] = rng.standard_normal(shape + (len(rows),))
         for j in range(n):

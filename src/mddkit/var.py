@@ -461,6 +461,7 @@ class _VarKernelBase(ModelKernel):
         self.layout = _var_layout(data.N, data.K)
         self._xtx = data.X.T @ data.X
         self._xty = data.X.T @ data.Y
+        self._yty = data.Y.T @ data.Y
 
     def log_likelihood_batch(self, thetas):
         u = self.layout.unpack_batch(thetas)
@@ -468,10 +469,12 @@ class _VarKernelBase(ModelKernel):
         a = u["alpha"].reshape(-1, k, n)
         w = u["sigma_inv"]
         sign, logdet = np.linalg.slogdet(w)
-        xa = np.einsum("tk,skn->stn", self.data.X, a)
-        r = self.data.Y[None] - xa
-        m = np.einsum("stn,stm->snm", r, r)
-        quad = np.einsum("snm,smn->s", m, w)
+        # residual cross-product from the sufficient statistics:
+        # Y'Y - A'X'Y - (A'X'Y)' + A'X'X A, never a (rows, T, N) residual array
+        at = a.swapaxes(-1, -2)
+        axy = at @ self._xty
+        m = self._yty - axy - axy.swapaxes(-1, -2) + at @ self._xtx @ a
+        quad = np.vecdot(m.reshape(-1, n * n), w.reshape(-1, n * n))
         out = -0.5 * t * n * LOG_2PI + 0.5 * t * logdet - 0.5 * quad
         out[sign <= 0] = -np.inf
         return out

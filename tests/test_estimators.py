@@ -9,6 +9,7 @@ from mddkit import harness
 from mddkit.errors import EstimationError, UnsupportedModelError
 from mddkit.estimators import (
     MddEstimate,
+    _kernel_mode,
     bs_estimate,
     chib_estimate,
     chm_estimate,
@@ -256,6 +257,20 @@ class TestSwzWeighting:
         assert val == pytest.approx(0.0, abs=1e-4)
 
 
+    def test_kernel_mode_is_closed_form_var_mode(self):
+        # conjugate VAR: the kernel peaks at A = A_post and W = (K + nu - N - 1) inv(S_post)
+        kernel = harness.build_context(harness.ExperimentConfig(model="var-conjugate")).kernel
+        draws = kernel.posterior_sampler(SamplerConfig(draws=2000, burn_in=0), make_rng(520))
+        layout = kernel.layout
+        phis, _ = layout.to_unconstrained_batch(draws.thetas)
+        start = phis[int(np.argmax(kernel.log_kernel_batch(draws.thetas)))]
+        mode = layout.from_unconstrained(_kernel_mode(kernel, layout, start))[0]
+        post, n, k = kernel._post, kernel.data.N, kernel.data.K
+        expected = layout.pack({"alpha": post.A.ravel(),
+                                "sigma_inv": (k + post.nu - n - 1) * np.linalg.inv(post.S)})
+        assert np.allclose(mode, expected, rtol=1e-6, atol=1e-6)
+
+
 class TestPmdWeighting:
     def test_single_block_equals_rao_blackwell_posterior(self, toy):
         kernel, draws, exact = toy
@@ -285,6 +300,15 @@ class TestPmdWeighting:
         w = make_pmd_weighting(kernel, draws, components=256)
         est = is_estimate(kernel, w, 20_000, make_rng(511))
         assert est.log_mdd == pytest.approx(kernel.exact_log_mdd(), abs=0.02)
+
+    @pytest.mark.parametrize("model", ["lpm", "sfm-gamma"])
+    def test_uncovered_blocks_leave_no_sampler(self, model):
+        # the conditionals leave out lpm's beta and sfm-gamma's theta: no draw can be built
+        kernel = harness.build_context(harness.ExperimentConfig(model=model)).kernel
+        draws = kernel.posterior_sampler(SamplerConfig(draws=200, burn_in=50), make_rng(530))
+        w = make_pmd_weighting(kernel, draws, components=64)
+        with pytest.raises(UnsupportedModelError, match="'pmd' cannot be sampled from"):
+            is_estimate(kernel, w, 100, make_rng(531))
 
     def test_missing_conditionals_raise(self, toy):
         kernel, draws, _ = toy

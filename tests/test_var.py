@@ -189,6 +189,39 @@ class TestIndependentVb:
         assert vb.elbo == pytest.approx(mean, abs=4 * se + 1e-9)
 
 
+def _var_kernels(small_var):
+    prior, data = small_var
+    independent = VarIndependentPrior(np.zeros(6), 10 * np.eye(6), np.eye(2), 4.0)
+    return [VarConjugateKernel(prior, data), VarIndependentKernel(independent, data)]
+
+
+class TestLikelihood:
+    def test_sufficient_statistics_match_residual_sum(self, small_var):
+        _, data = small_var
+        rng = make_rng(80)
+        for kernel in _var_kernels(small_var):
+            size = 50
+            alpha = rng.normal(0.0, 0.5, (size, data.K * data.N))
+            g = rng.normal(size=(size, data.N, data.N + 3))
+            w = g @ g.swapaxes(-1, -2)
+            thetas = kernel.layout.pack_batch({"alpha": alpha, "sigma_inv": w})
+            resid = data.Y[None] - data.X @ alpha.reshape(size, data.K, data.N)
+            quad = np.einsum("stn,snm,stm->s", resid, w, resid)
+            expected = (-0.5 * data.T * data.N * math.log(2 * math.pi)
+                        + 0.5 * data.T * np.linalg.slogdet(w)[1] - 0.5 * quad)
+            got = kernel.log_likelihood_batch(thetas)
+            assert np.allclose(got, expected, rtol=1e-12, atol=0.0), type(kernel).__name__
+
+    def test_indefinite_precision_gives_minus_inf(self, small_var):
+        _, data = small_var
+        for kernel in _var_kernels(small_var):
+            w = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]])
+            thetas = kernel.layout.pack_batch({"alpha": np.zeros((2, data.K * data.N)),
+                                               "sigma_inv": w})
+            out = kernel.log_likelihood_batch(thetas)
+            assert np.isfinite(out[0]) and out[1] == -np.inf
+
+
 class TestGibbs:
     def test_chain_mean_matches_vb_mean(self, small_var):
         _, data = small_var
