@@ -29,6 +29,7 @@ from .statscore import (
     MvNormalParams,
     WishartParams,
     _logdet,
+    _spd_slogdet,
     ln_multivariate_gamma,
     log_sum_exp,
     multivariate_digamma,
@@ -314,6 +315,10 @@ def _elbo_lpm(prior, data, c_mat, gamma_q, v_gamma, mu_q, v_mu, s_q, nu_q) -> fl
 
 _GH_CACHE: dict = {}
 
+# rows x subjects x nodes of one block of the m = 1 integrated likelihood: its
+# largest arrays stay at 1 MB each however many rows a call brings
+_BLOCK_ELEMENTS = 2 ** 17
+
 
 def _gh_nodes(order: int):
     if order not in _GH_CACHE:
@@ -325,7 +330,9 @@ def lpm_loglik_integrated(beta, mu, sigma_inv, data: LpmData, nodes: int = 31):
     """ln p(y | beta, mu, Sigma) with the random effects integrated out by
     adaptive Gauss-Hermite centered at each subject's conditional mode.
 
-    Supports m <= 2; batched over aligned (beta, mu, sigma_inv) draws.
+    Supports m <= 2; batched over aligned (beta, mu, sigma_inv) draws, -inf
+    where sigma_inv is not SPD. For m = 1 the rows are integrated in blocks of
+    at most ``_BLOCK_ELEMENTS`` rows x subjects x nodes.
     """
     if nodes < 21:
         raise ValueError("need at least 21 Gauss-Hermite nodes")
@@ -338,50 +345,29 @@ def lpm_loglik_integrated(beta, mu, sigma_inv, data: LpmData, nodes: int = 31):
         sigma_inv = sigma_inv[None]
     s = beta.shape[0]
     n, t, m = data.num_subjects, data.num_periods, data.m
-    eta0 = data.offsets[None, :] + beta @ data.x.T  # (s, NT)
-    eta0 = eta0.reshape(s, n, t)
-    y = data.y.reshape(n, t)
     log_y_fact = float(np.sum(gammaln(data.y + 1.0)))
+    spd, logdet_w = _spd_slogdet(sigma_inv)
+    out = np.full(s, -np.inf)
+    xg, wg = _gh_nodes(nodes)
 
     if m == 1:
-        z = data.z[:, :, 0]  # (n, t)
-        prec = sigma_inv[:, 0, 0]  # (s,)
-        u = np.broadcast_to(mu[:, 0][:, None], (s, n)).copy()
-        for _ in range(100):
-            lam = np.exp(eta0 + z[None] * u[:, :, None])
-            g1 = np.sum(z[None] * (y[None] - lam), axis=2) - prec[:, None] * (u - mu[:, [0]])
-            g2 = -np.sum(z[None] ** 2 * lam, axis=2) - prec[:, None]
-            step = g1 / g2
-            u -= step
-            if np.max(np.abs(step)) < 1e-10:
-                break
-        lam = np.exp(eta0 + z[None] * u[:, :, None])
-        curv = np.sum(z[None] ** 2 * lam, axis=2) + prec[:, None]
-        sd = 1.0 / np.sqrt(curv)
-        xg, wg = _gh_nodes(nodes)
-        # integrand in log space at shifted-scaled nodes
-        pts = u[:, :, None] + math.sqrt(2.0) * sd[:, :, None] * xg[None, None, :]
-        etas = eta0[:, :, None, :] + z[None, :, None, :] * pts[:, :, :, None]
-        loglam = np.sum(y[None, :, None, :] * etas - np.exp(etas), axis=3)
-        dev = pts - mu[:, 0][:, None, None]
-        logprior = (-0.5 * LOG_2PI + 0.5 * np.log(prec)[:, None, None]
-                    - 0.5 * prec[:, None, None] * dev * dev)
-        logint = loglam + logprior + xg[None, None, :] ** 2 + np.log(wg)[None, None, :]
-        per_subject = log_sum_exp(logint, axis=2) + 0.5 * math.log(2.0) + np.log(sd)
-        return per_subject.sum(axis=1) - log_y_fact
+        node_terms = xg ** 2 + np.log(wg)
+        rows = np.flatnonzero(spd)
+        size = max(1, _BLOCK_ELEMENTS // (n * nodes))
+        for lo in range(0, rows.size, size):
+            r = rows[lo:lo + size]
+            out[r] = _integrate_m1(beta[r], mu[r, 0], sigma_inv[r, 0, 0], logdet_w[r],
+                                   data, xg, node_terms) - log_y_fact
+        return out
 
     # m == 2: per-draw loop with vectorized subjects
-    out = np.empty(s)
-    xg, wg = _gh_nodes(nodes)
+    y = data.y.reshape(n, t)
+    eta0 = (data.offsets[None, :] + beta @ data.x.T).reshape(s, n, t)
     grid_a, grid_b = np.meshgrid(xg, xg, indexing="ij")
     logw2 = (np.log(wg)[:, None] + np.log(wg)[None, :] + grid_a ** 2 + grid_b ** 2).ravel()
     grid = np.stack([grid_a.ravel(), grid_b.ravel()], axis=1)  # (nodes^2, 2)
-    for si in range(s):
+    for si in np.flatnonzero(spd):
         w_mat = sigma_inv[si]
-        sign, logdet_w = np.linalg.slogdet(w_mat)
-        if sign <= 0:
-            out[si] = -np.inf
-            continue
         u = np.tile(mu[si], (n, 1))
         for _ in range(100):
             eta = eta0[si] + np.einsum("itm,im->it", data.z, u)
@@ -401,12 +387,62 @@ def lpm_loglik_integrated(beta, mu, sigma_inv, data: LpmData, nodes: int = 31):
         loglam = np.sum(y[:, None, :] * etas - np.exp(etas), axis=2)
         dev = pts - mu[si]
         quad = np.einsum("igm,ml,igl->ig", dev, w_mat, dev)
-        logprior = -LOG_2PI + 0.5 * logdet_w - 0.5 * quad
+        logprior = -LOG_2PI + 0.5 * logdet_w[si] - 0.5 * quad
         _, logdet_ci = np.linalg.slogdet(chol_inv)
         logint = loglam + logprior + logw2[None, :]
         per_subject = log_sum_exp(logint, axis=1) + math.log(2.0) + logdet_ci
         out[si] = per_subject.sum() - log_y_fact
     return out
+
+
+def _integrate_m1(beta, mu, prec, log_prec, data: LpmData, xg, node_terms):
+    """Sum over subjects of ln int prod_t Poisson(y_it | eta_it) N(u; mu, 1/prec) du,
+    less the ln y! terms, for one block of rows with scalar random effects.
+
+    y * eta is summed per subject before the nodes enter, and
+    sum_t exp(eta_t) is accumulated one period at a time: no array has a
+    (rows, subjects, nodes, periods) shape.
+    """
+    n, t = data.num_subjects, data.num_periods
+    b = beta.shape[0]
+    # period-major (t, rows, n): each period is one contiguous slice
+    eta0 = (data.offsets + beta @ data.x.T).reshape(b, n, t).transpose(2, 0, 1).copy()
+    y = data.y.reshape(n, t).T[:, None, :]
+    z = data.z[:, :, 0].T[:, None, :]
+    yz = np.sum(y * z, axis=0)[0]  # (n,)
+    y_eta0 = np.sum(y * eta0, axis=0)  # (b, n)
+    prec_col, mu_col = prec[:, None], mu[:, None]
+
+    u = np.repeat(mu_col, n, axis=1)
+    for _ in range(100):
+        zlam = z * np.exp(eta0 + z * u)
+        step = ((yz - np.sum(zlam, axis=0) - prec_col * (u - mu_col))
+                / (-np.sum(z * zlam, axis=0) - prec_col))
+        u -= step
+        if np.max(np.abs(step)) < 1e-10:
+            break
+    curv = np.sum(z * z * np.exp(eta0 + z * u), axis=0) + prec_col
+    sd = 1.0 / np.sqrt(curv)
+
+    # integrand in log space at the shifted-scaled nodes, node-major (nodes, b, n)
+    pts = (math.sqrt(2.0) * xg)[:, None, None] * sd
+    pts += u
+    exp_sum = np.zeros_like(pts)
+    buf = np.empty_like(pts)
+    for p in range(t):
+        np.multiply(pts, z[p], out=buf)
+        buf += eta0[p]
+        exp_sum += np.exp(buf, out=buf)
+    logint = pts * yz
+    logint -= exp_sum
+    dev = np.subtract(pts, mu_col, out=buf)
+    dev *= dev
+    dev *= 0.5 * prec_col
+    logint -= dev
+    logint += node_terms[:, None, None]
+    per_subject = (log_sum_exp(logint, axis=0) + y_eta0 + np.log(sd)
+                   + (0.5 * log_prec - 0.5 * LOG_2PI + 0.5 * math.log(2.0))[:, None])
+    return per_subject.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +476,10 @@ class LpmKernel(ModelKernel):
 
     def log_prior_batch(self, thetas):
         u = self.layout.unpack_batch(thetas)
-        w = u["sigma_inv"]
-        sign, _ = np.linalg.slogdet(w)
-        out = (self._gauss_beta0.logpdf_batch(u["beta"])
-               + self._gauss_mu0.logpdf_batch(u["mu"])
-               + self._wish0.logpdf_batch(w))
-        out[sign <= 0] = -np.inf
-        return out
+        # the Wishart term is -inf off the SPD cone
+        return (self._gauss_beta0.logpdf_batch(u["beta"])
+                + self._gauss_mu0.logpdf_batch(u["mu"])
+                + self._wish0.logpdf_batch(u["sigma_inv"]))
 
     def log_likelihood_batch(self, thetas):
         u = self.layout.unpack_batch(thetas)
@@ -455,16 +488,16 @@ class LpmKernel(ModelKernel):
 
     # -- complete-data pieces used by the sampler -----------------------------
 
-    def _poisson_loglik_given_u(self, beta, u_mat):
-        d = self.data
-        eta = (d.offsets + d.x @ beta
-               + np.einsum("itm,im->it", d.z, u_mat).ravel())
-        return float(d.y @ eta - np.sum(np.exp(eta)))
+    def _poisson_loglik(self, xb, zu):
+        """Complete-data Poisson log likelihood less the ln y! terms, from the
+        linear predictor's parts xb = offsets + X beta (NT,) and zu = Z u (N, T)."""
+        eta = xb + zu.ravel()
+        return float(self.data.y @ eta - np.sum(np.exp(eta)))
 
-    def _poisson_loglik_per_subject(self, beta, u_mat):
+    def _poisson_loglik_per_subject(self, xb, zu):
+        """:meth:`_poisson_loglik` per subject."""
         d = self.data
-        eta = (d.offsets + d.x @ beta).reshape(d.num_subjects, d.num_periods) \
-            + np.einsum("itm,im->it", d.z, u_mat)
+        eta = xb.reshape(d.num_subjects, d.num_periods) + zu
         y = d.y.reshape(d.num_subjects, d.num_periods)
         return np.sum(y * eta - np.exp(eta), axis=1)
 
@@ -510,17 +543,21 @@ class LpmKernel(ModelKernel):
         thetas = np.empty((config.draws, self.layout.dim))
         latents = np.empty((config.draws, n * m))
         kept = 0
+        # the current state's linear-predictor parts and beta prior term
+        xb = d.offsets + d.x @ state["beta"]
+        zu = np.einsum("itm,im->it", d.z, state["u"])
+        lp_beta = self._gauss_beta0.logpdf(state["beta"])
         for it in range(total):
             adapt = it < config.burn_in
             # beta block
             prop = state["beta"] + step_beta * (chol_beta @ rng.standard_normal(k))
-            cur_ll = self._poisson_loglik_given_u(state["beta"], state["u"])
-            new_ll = self._poisson_loglik_given_u(prop, state["u"])
-            delta = (new_ll - cur_ll
-                     + self._gauss_beta0.logpdf(prop) - self._gauss_beta0.logpdf(state["beta"]))
+            xb_prop = d.offsets + d.x @ prop
+            lp_prop = self._gauss_beta0.logpdf(prop)
+            delta = (self._poisson_loglik(xb_prop, zu) - self._poisson_loglik(xb, zu)
+                     + lp_prop - lp_beta)
             acc = math.log(rng.uniform()) <= delta
             if acc:
-                state["beta"] = prop
+                state["beta"], xb, lp_beta = prop, xb_prop, lp_prop
             if adapt:
                 step_beta = float(np.clip(step_beta * math.exp(
                     0.05 * ((1.0 if acc else 0.0) - target_beta)), 1e-3, 50.0))
@@ -530,14 +567,16 @@ class LpmKernel(ModelKernel):
             noise = rng.standard_normal((n, m))
             prop_u = state["u"] + step_u[:, None] * np.einsum("iml,il->im", u_chols, noise)
             w_mat = np.atleast_2d(state["sigma_inv"])
-            cur = self._poisson_loglik_per_subject(state["beta"], state["u"])
-            new = self._poisson_loglik_per_subject(state["beta"], prop_u)
+            zu_prop = np.einsum("itm,im->it", d.z, prop_u)
+            cur = self._poisson_loglik_per_subject(xb, zu)
+            new = self._poisson_loglik_per_subject(xb, zu_prop)
             dev_c = state["u"] - state["mu"]
             dev_p = prop_u - state["mu"]
             dprior = -0.5 * (np.einsum("im,ml,il->i", dev_p, w_mat, dev_p)
                              - np.einsum("im,ml,il->i", dev_c, w_mat, dev_c))
             acc_u = np.log(rng.uniform(size=n)) <= (new - cur + dprior)
             state["u"] = np.where(acc_u[:, None], prop_u, state["u"])
+            zu = np.where(acc_u[:, None], zu_prop, zu)
             if adapt:
                 step_u = np.clip(step_u * np.exp(0.05 * (acc_u.astype(float) - target_u)),
                                  1e-3, 50.0)

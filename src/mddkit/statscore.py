@@ -334,6 +334,20 @@ def _logdet(m) -> float:
     return float(_chol_logdet(safe_cholesky(np.atleast_2d(m))))
 
 
+def _spd_slogdet(w):
+    """(SPD mask, ln |det|) of symmetric matrices w (..., n, n).
+
+    SPD by Sylvester's criterion, every leading principal minor positive:
+    the sign of the full determinant alone passes a negative-definite matrix
+    of even dimension.
+    """
+    sign, logdet = np.linalg.slogdet(w)
+    spd = (sign > 0) & (w[..., 0, 0] > 0)
+    for k in range(2, w.shape[-1]):
+        spd &= np.linalg.slogdet(w[..., :k, :k])[0] > 0
+    return spd, logdet
+
+
 # ---------------------------------------------------------------------------
 # distribution layer
 # ---------------------------------------------------------------------------
@@ -496,14 +510,14 @@ class WishartParams:
         (stack, points) for stacked parameters; -inf off the SPD cone."""
         n, nu = self.dim, self.dof
         w = np.asarray(w, dtype=float).reshape(-1, n, n)
-        sign, logdet_w = np.linalg.slogdet(w)
+        spd, logdet_w = _spd_slogdet(w)
         # tr(scale_inv w) for every (stacked distribution, point) pair in one matmul
         out = self.scale_inv.reshape(self.scale_inv.shape[:-2] + (n * n,)) @ w.reshape(-1, n * n).T
         out *= -0.5
         with np.errstate(invalid="ignore"):
             out += 0.5 * (nu - n - 1.0) * logdet_w
         out -= np.asarray(self._log_norm())[..., None]
-        out[..., sign <= 0] = -np.inf
+        out[..., ~spd] = -np.inf
         return out
 
     def mean(self) -> np.ndarray:

@@ -28,6 +28,7 @@ from .statscore import (
     MvNormalParams,
     WishartParams,
     _logdet,
+    _spd_slogdet,
     ln_multivariate_gamma,
     multivariate_digamma,
     safe_cholesky,
@@ -308,14 +309,14 @@ def _var_conjugate_vbresult(a_q, v_q, s_q, nu_q, col_cov, elbo, data, joint) -> 
             u = layout.unpack_batch(thetas)
             a = u["alpha"].reshape(-1, k, n)
             w = u["sigma_inv"]
-            sign, w_logdet = np.linalg.slogdet(w)
+            spd, w_logdet = _spd_slogdet(w)
             dev = a - a_q
             q_mat = np.einsum("skn,kl,slm->snm", dev, v_inv, dev)
             quad = np.einsum("snm,smn->s", q_mat, w)
             log_a = (-0.5 * k * n * LOG_2PI + 0.5 * k * w_logdet
                      - 0.5 * n * _logdet(v_q) - 0.5 * quad)
             out = log_a + wish.logpdf_batch(w)
-            out[sign <= 0] = -np.inf
+            out[~spd] = -np.inf
             return out
 
         def sample(rng, size):
@@ -468,7 +469,7 @@ class _VarKernelBase(ModelKernel):
         n, k, t = self.data.N, self.data.K, self.data.T
         a = u["alpha"].reshape(-1, k, n)
         w = u["sigma_inv"]
-        sign, logdet = np.linalg.slogdet(w)
+        spd, logdet = _spd_slogdet(w)
         # residual cross-product from the sufficient statistics:
         # Y'Y - A'X'Y - (A'X'Y)' + A'X'X A, never a (rows, T, N) residual array
         at = a.swapaxes(-1, -2)
@@ -476,7 +477,7 @@ class _VarKernelBase(ModelKernel):
         m = self._yty - axy - axy.swapaxes(-1, -2) + at @ self._xtx @ a
         quad = np.vecdot(m.reshape(-1, n * n), w.reshape(-1, n * n))
         out = -0.5 * t * n * LOG_2PI + 0.5 * t * logdet - 0.5 * quad
-        out[sign <= 0] = -np.inf
+        out[~spd] = -np.inf
         return out
 
     def _coefficients_and_residuals(self, state):
@@ -505,14 +506,14 @@ class VarConjugateKernel(_VarKernelBase):
         n, k = self.data.N, self.data.K
         a = u["alpha"].reshape(-1, k, n)
         w = u["sigma_inv"]
-        sign, logdet = np.linalg.slogdet(w)
+        spd, logdet = _spd_slogdet(w)
         dev = a - self.prior.A0
         q = np.einsum("skn,kl,slm->snm", dev, self._v0_inv, dev)
         quad = np.einsum("snm,smn->s", q, w)
         log_a = (-0.5 * k * n * LOG_2PI + 0.5 * k * logdet
                  - 0.5 * n * _logdet(self.prior.V0) - 0.5 * quad)
         out = log_a + self._wish0.logpdf_batch(w)
-        out[sign <= 0] = -np.inf
+        out[~spd] = -np.inf
         return out
 
     def posterior_sampler(self, config: SamplerConfig, rng, seed=None) -> PosteriorDrawSet:
@@ -565,11 +566,8 @@ class VarIndependentKernel(_VarKernelBase):
 
     def log_prior_batch(self, thetas):
         u = self.layout.unpack_batch(thetas)
-        w = u["sigma_inv"]
-        sign, _ = np.linalg.slogdet(w)
-        out = self._gauss0.logpdf_batch(u["alpha"]) + self._wish0.logpdf_batch(w)
-        out[sign <= 0] = -np.inf
-        return out
+        # the Wishart term is -inf off the SPD cone
+        return self._gauss0.logpdf_batch(u["alpha"]) + self._wish0.logpdf_batch(u["sigma_inv"])
 
     def full_conditional(self, name, state):
         if name == "alpha":

@@ -1,11 +1,13 @@
 """Longitudinal Poisson model: NCVMP fit, integrated likelihood, sampler."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from mddkit import lpm
 from mddkit.errors import ConfigError
 from mddkit.lpm import (
     LpmData,
@@ -18,7 +20,10 @@ from mddkit.lpm import (
     lpm_vb_gradient_residual,
 )
 from mddkit.modelapi import SamplerConfig
-from mddkit.statscore import make_rng, quadrature_1d
+from mddkit.statscore import WishartParams, make_rng, quadrature_1d
+
+# an overflow or invalid value in the integration or the sampler fails a test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +110,63 @@ class TestIntegratedLikelihood:
         _, data = micro
         with pytest.raises(ValueError):
             lpm_loglik_integrated([0.1], [0.2], [[1.0]], data, nodes=11)
+
+
+def _default_panel_rows(size, seed):
+    """The harness's default 20 x 5 panel and ``size`` parameter rows near its truth."""
+    data = lpm_synthetic(70, 20, 5, 2, 1, [0.3, -0.2], [0.1], [[0.3]])
+    rng = make_rng(seed)
+    beta = np.array([0.3, -0.2]) + 0.1 * rng.standard_normal((size, 2))
+    mu = 0.1 + 0.2 * rng.standard_normal((size, 1))
+    prec = (np.exp(0.5 * rng.standard_normal(size)) / 0.3)[:, None, None]
+    return data, beta, mu, prec
+
+
+class TestIntegratedLikelihoodBlocks:
+    def test_blocks_match_row_calls(self):
+        # two full blocks and a partial one
+        data, _, _, _ = _default_panel_rows(1, 71)
+        size = 2 * (lpm._BLOCK_ELEMENTS // (data.num_subjects * 31)) + 7
+        data, beta, mu, prec = _default_panel_rows(size, 71)
+        batch = lpm_loglik_integrated(beta, mu, prec, data)
+        rows = np.array([lpm_loglik_integrated(beta[i], mu[i], prec[i], data)[0]
+                         for i in range(size)])
+        assert np.allclose(batch, rows, rtol=1e-13, atol=0.0)
+
+    def test_non_spd_precision_gives_minus_inf(self):
+        data, beta, mu, prec = _default_panel_rows(4, 72)
+        prec[1] = 0.0
+        prec[2] = -1.0
+        out = lpm_loglik_integrated(beta, mu, prec, data)
+        assert out[1] == -np.inf and out[2] == -np.inf
+        for i in (0, 3):
+            assert out[i] == pytest.approx(
+                lpm_loglik_integrated(beta[i], mu[i], prec[i], data)[0], rel=1e-13)
+
+    def test_negative_definite_two_dim_precision_gives_minus_inf(self):
+        # det(-I_2) > 0: only the leading minors show it is off the SPD cone
+        data = lpm_synthetic(73, 4, 4, 1, 2, [0.2], [0.1, 0.05], 0.2 * np.eye(2))
+        w = np.stack([5.0 * np.eye(2), -np.eye(2)])
+        out = lpm_loglik_integrated([[0.2], [0.2]], [[0.1, 0.05]] * 2, w, data)
+        assert np.isfinite(out[0]) and out[1] == -np.inf
+        assert WishartParams(np.eye(2), 5).logpdf_batch(-np.eye(2))[0] == -np.inf
+        prior = LpmPrior([0.0], [[4.0]], [0.0, 0.0], 4 * np.eye(2), 0.5 * np.eye(2), 4.0)
+        kernel = LpmKernel(prior, data)
+        thetas = kernel.layout.pack_batch({"beta": [[0.2], [0.2]], "mu": [[0.1, 0.05]] * 2,
+                                           "sigma_inv": w})
+        prior_vals = kernel.log_prior_batch(thetas)
+        assert np.isfinite(prior_vals[0]) and prior_vals[1] == -np.inf
+
+    def test_wide_call_memory_is_bounded(self):
+        data, beta, mu, prec = _default_panel_rows(5000, 74)
+        tracemalloc.start()
+        try:
+            out = lpm_loglik_integrated(beta, mu, prec, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(out))
+        assert peak < 32 * 2 ** 20
 
 
 class TestVb:

@@ -221,6 +221,18 @@ class TestLikelihood:
             out = kernel.log_likelihood_batch(thetas)
             assert np.isfinite(out[0]) and out[1] == -np.inf
 
+    def test_negative_definite_precision_gives_minus_inf(self, small_var):
+        # det(-I_2) > 0: only the leading minors show it is off the SPD cone
+        prior, data = small_var
+        w = np.stack([np.eye(2), -np.eye(2)])
+        joint_vb = var_vb_conjugate(prior, data, factorized=False)
+        for kernel in _var_kernels(small_var):
+            thetas = kernel.layout.pack_batch({"alpha": np.zeros((2, data.K * data.N)),
+                                               "sigma_inv": w})
+            for out in (kernel.log_likelihood_batch(thetas), kernel.log_prior_batch(thetas),
+                        joint_vb.log_q(thetas)):
+                assert np.isfinite(out[0]) and out[1] == -np.inf, type(kernel).__name__
+
 
 class TestGibbs:
     def test_chain_mean_matches_vb_mean(self, small_var):
