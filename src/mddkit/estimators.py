@@ -18,7 +18,7 @@ from scipy.special import gammaln
 
 from .diagnostics import batch_means_se
 from .errors import EstimationError, NumericError, UnsupportedModelError
-from .modelapi import ModelKernel, PosteriorDrawSet, WeightingDensity
+from .modelapi import ModelKernel, PosteriorDrawSet, SamplerConfig, WeightingDensity, run_gibbs
 from .statscore import MvNormalParams, chi_square_quantile, log_sum_exp, safe_cholesky
 
 __all__ = [
@@ -255,22 +255,12 @@ def chib_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, rng: np.random.G
 
 def _reduced_run(kernel, draws, star, clamped_names, run_len, rng):
     """Stacked states of a Gibbs run from the last draw with the clamped
-    blocks held at their starred values; rows are packed as the sampler does."""
+    blocks held at their starred values (default Metropolis steps)."""
     state = {k: v[0] for k, v in draws.unpack([draws.size - 1]).items()}
     for name in clamped_names:
         state[name] = star[name]
-    clamped = frozenset(clamped_names)
-    burn = min(draws.burn_in, 200)
-    thetas = np.empty((run_len, draws.layout.dim))
-    latents = None if draws.latents is None else np.empty((run_len, draws.latent_layout.dim))
-    for it in range(burn + run_len):
-        state = kernel.gibbs_sweep(state, rng, clamped=clamped)
-        if it >= burn:
-            thetas[it - burn] = draws.layout.pack(state)
-            if latents is not None:
-                latents[it - burn] = draws.latent_layout.pack(state)
-    return PosteriorDrawSet(thetas, draws.layout, seed=None, latents=latents,
-                            latent_layout=draws.latent_layout).unpack()
+    config = SamplerConfig(draws=run_len, burn_in=min(draws.burn_in, 200))
+    return run_gibbs(kernel, state, config, rng, clamped=frozenset(clamped_names)).unpack()
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from . import lpm as lpm_mod
 from . import sfm as sfm_mod
 from . import var as var_mod
 from .diagnostics import BoundsSpec, RepetitionSet, nse, percent_in_bounds
-from .errors import ConfigError, UnsupportedModelError
+from .errors import ConfigError, NumericError, UnsupportedModelError
 from .modelapi import SamplerConfig
 from .statscore import make_rng
 
@@ -415,8 +415,8 @@ class ResultsTable:
 
 
 def run_experiment(config: ExperimentConfig, progress=None) -> ResultsTable:
-    """Run all repetitions and aggregate; estimator failures are recorded per
-    cell and never abort the run."""
+    """Run all repetitions and aggregate; estimator failures, a non-finite
+    estimate included, are recorded per cell and never abort the run."""
     ctx = build_context(config)
     values: dict[str, list] = {m: [] for m in config.estimators}
     errors: dict[str, str] = {}
@@ -427,6 +427,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultsTable:
         for method in config.estimators:
             try:
                 result = _run_method(method, bundle)
+                if not math.isfinite(result.log_mdd):
+                    raise NumericError(f"non-finite log_mdd ({result.log_mdd})")
                 values[method].append(result.log_mdd)
                 scatter.append((rep, method, result.log_mdd))
                 try:

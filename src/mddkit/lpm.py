@@ -586,8 +586,7 @@ class LpmKernel(ModelKernel):
             state["mu"] = self.full_conditional("mu", state).sample(rng)
             state["sigma_inv"] = np.atleast_2d(self.full_conditional("sigma_inv", state).sample(rng))
             if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
-                thetas[kept] = self.layout.pack(
-                    {"beta": state["beta"], "mu": state["mu"], "sigma_inv": state["sigma_inv"]})
+                self.layout.pack_into(thetas[kept], state)
                 latents[kept] = state["u"].ravel()
                 kept += 1
         retained = total - config.burn_in

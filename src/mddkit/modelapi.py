@@ -11,6 +11,7 @@ and only enter complete-data variants.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +30,7 @@ __all__ = [
     "ModelKernel",
     "log_posterior_kernel",
     "elbo_monte_carlo",
+    "run_gibbs",
 ]
 
 
@@ -96,13 +98,14 @@ class ParamLayout:
         return [b.name for b in self.blocks]
 
     def pack(self, values: dict) -> np.ndarray:
-        out = np.empty(self.dim)
+        return self.pack_into(np.empty(self.dim), values)
+
+    def pack_into(self, out: np.ndarray, values: dict) -> np.ndarray:
+        """Write the block values into the flat row ``out`` (a view of a draw
+        matrix row works) through the block slices; returns ``out``."""
         for b in self.blocks:
             v = np.asarray(values[b.name], dtype=float)
-            if b.support == "spd":
-                out[self.slices[b.name]] = vech(v)
-            else:
-                out[self.slices[b.name]] = np.ravel(v)
+            out[self.slices[b.name]] = vech(v) if b.support == "spd" else v.ravel()
         return out
 
     def pack_batch(self, values: dict) -> np.ndarray:
@@ -330,6 +333,49 @@ class ModelKernel:
 
     def vb_fit(self, **kwargs) -> VBResult:
         raise UnsupportedModelError(f"{type(self).__name__} has no VB fit wired")
+
+
+def run_gibbs(kernel: ModelKernel, state: dict, config: SamplerConfig,
+              rng: np.random.Generator, seed=None, clamped=frozenset(),
+              mh_state: dict | None = None) -> PosteriorDrawSet:
+    """The one Gibbs driver: ``config.burn_in`` sweeps from ``state``, then
+    ``config.draws`` kept states, one every ``config.thin`` sweeps, written
+    straight into the draw matrix (and the latent matrix, if any).
+
+    ``kernel.gibbs_sweep(state, rng, clamped)`` draws every block not in
+    ``clamped`` and binds it to a new value, never mutating one in place.
+    ``mh_state``, a kernel's Metropolis tuning (step sizes by block, plus
+    ``"adapt"``), goes to every sweep; adaptation stops at burn-in, and a
+    block that moves in under 5% or over 95% of the later sweeps warns.
+    """
+    layout, latent_layout = kernel.layout, kernel.latent_layout
+    thetas = np.empty((config.draws, layout.dim))
+    latents = None if latent_layout is None else np.empty((config.draws, latent_layout.dim))
+    sweep_kw = {} if mh_state is None else {"mh_state": mh_state}
+    mh_blocks = [name for name in (mh_state or {}) if name != "adapt"]
+    moved = dict.fromkeys(mh_blocks, 0.0)
+    burn_in, thin = config.burn_in, config.thin
+    for it in range(burn_in + config.draws * thin):
+        if it == burn_in and mh_state is not None:
+            mh_state["adapt"] = False
+        before = [state[name] for name in mh_blocks]
+        state = kernel.gibbs_sweep(state, rng, clamped, **sweep_kw)
+        if it < burn_in:
+            continue
+        for name, prev in zip(mh_blocks, before):
+            moved[name] += np.mean(state[name] != prev)
+        kept, offset = divmod(it - burn_in, thin)
+        if offset == 0:
+            layout.pack_into(thetas[kept], state)
+            if latents is not None:
+                latent_layout.pack_into(latents[kept], state)
+    for name, count in moved.items():
+        rate = count / (config.draws * thin)
+        if not 0.05 <= rate <= 0.95:
+            # stacklevel: the caller of the kernel's posterior_sampler
+            warnings.warn(f"MH acceptance for {name} is {rate:.2f}", stacklevel=3)
+    return PosteriorDrawSet(thetas, layout, seed=seed, burn_in=burn_in, thin=thin,
+                            latents=latents, latent_layout=latent_layout)
 
 
 def log_posterior_kernel(model: ModelKernel, theta) -> float:

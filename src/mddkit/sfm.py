@@ -24,6 +24,7 @@ from .modelapi import (
     PosteriorDrawSet,
     SamplerConfig,
     VBResult,
+    run_gibbs,
 )
 from .statscore import (
     LOG_2PI,
@@ -141,6 +142,13 @@ def _firm_residual_stats(data: SfmData, beta: np.ndarray):
     resid = data.y[None, :] - betas @ data.x.T
     resid = resid.reshape(betas.shape[0], data.num_firms, data.num_periods)
     return resid.mean(axis=2), np.sum(resid * resid, axis=2)
+
+
+def _firm_residual_means(data: SfmData, beta: np.ndarray) -> np.ndarray:
+    """Per-firm residual means of one beta, as :func:`_firm_residual_stats`
+    computes them (sum / T is bit for bit ``mean``) without the sums of squares."""
+    resid = data.y[None, :] - np.atleast_2d(beta) @ data.x.T
+    return resid.reshape(data.num_firms, data.num_periods).sum(axis=1) / data.num_periods
 
 
 def sfm_exp_integrated_loglik(beta, sigma_prec, lam, data: SfmData):
@@ -668,13 +676,17 @@ def _sample_truncnorm_vec(locs: np.ndarray, scale: float, rng) -> np.ndarray:
     inversion/rejection split."""
     locs = np.asarray(locs, dtype=float)
     ratios = locs / scale
-    out = np.empty(locs.shape)
     easy = ratios >= -5.0
-    if np.any(easy):
-        lo = np.exp(log_ndtr(-ratios[easy]))
-        u = rng.uniform(size=int(np.count_nonzero(easy)))
-        z = ndtri(lo + u * (1.0 - lo))
-        out[easy] = np.maximum(locs[easy] + scale * z, 0.0)
+    # inversion where the ratio allows it; index only when some draw is rejection's
+    every = bool(easy.all())
+    pick = Ellipsis if every else easy
+    lo = np.exp(log_ndtr(-ratios[pick]))
+    z = ndtri(lo + rng.uniform(size=lo.shape) * (1.0 - lo))
+    inverted = np.maximum(locs[pick] + scale * z, 0.0)
+    if every:
+        return inverted
+    out = np.empty(locs.shape)
+    out[easy] = inverted
     for idx in np.flatnonzero(~easy):
         out[idx] = TruncNormalParams(float(locs[idx]), scale).sample(rng)
     return out
@@ -720,10 +732,16 @@ class _FrontierKernel(ModelKernel):
         self._v0_inv_b0 = self._v0_inv @ prior.beta0
         self._xtx = data.x.T @ data.x
 
-    def _conditional_given_u(self, name, state):
-        """beta or sigma^-2 given the rest, for one state or a stack."""
-        d, c, t = self.data, self.data.c, self.data.num_periods
-        cu = c * np.repeat(state["u"], t, axis=-1)
+    def _c_times_u(self, state):
+        """c * u_i at every observation, for one state or a stack."""
+        return self.data.c * np.repeat(state["u"], self.data.num_periods, axis=-1)
+
+    def _conditional_given_u(self, name, state, cu=None):
+        """beta or sigma^-2 given the rest, for one state or a stack; ``cu`` is
+        :meth:`_c_times_u` of the state when the caller already holds it."""
+        d, t = self.data, self.data.num_periods
+        if cu is None:
+            cu = self._c_times_u(state)
         if name == "beta":
             prec = np.asarray(state["sigma_prec"], dtype=float)
             cov = np.linalg.inv(self._v0_inv + prec[..., None, None] * self._xtx)
@@ -737,9 +755,13 @@ class _FrontierKernel(ModelKernel):
         raise KeyError(name)
 
     def _sweep_conjugate_blocks(self, state, rng, clamped):
-        for name in ("beta", "sigma_prec", "lam"):
-            if name not in clamped:
-                state[name] = self.full_conditional(name, state).sample(rng)
+        # u stays fixed through these steps, so one c * u serves beta and sigma^-2
+        drawn = [name for name in ("beta", "sigma_prec") if name not in clamped]
+        cu = self._c_times_u(state) if drawn else None
+        for name in drawn:
+            state[name] = self._conditional_given_u(name, state, cu).sample(rng)
+        if "lam" not in clamped:
+            state["lam"] = self.full_conditional("lam", state).sample(rng)
 
 
 class SfmExpKernel(_FrontierKernel):
@@ -771,12 +793,12 @@ class SfmExpKernel(_FrontierKernel):
         d, c, t = self.data, self.data.c, self.data.num_periods
         if name == "lam":
             return GammaParams(self.prior.a_lam0 + d.num_firms,
-                               self.prior.b_lam0 + np.sum(state["u"], axis=-1))
+                               self.prior.b_lam0 + np.asarray(state["u"]).sum(axis=-1))
         if name == "u":
             prec = float(state["sigma_prec"])
             lam = float(state["lam"])
-            ebar, _ = _firm_residual_stats(d, np.asarray(state["beta"]))
-            locs = (c * t * ebar[0] - lam / prec) / t
+            ebar = _firm_residual_means(d, state["beta"])
+            locs = (c * t * ebar - lam / prec) / t
             return _IndependentTruncNormals(locs, math.sqrt(1.0 / (t * prec)))
         return self._conditional_given_u(name, state)
 
@@ -792,19 +814,7 @@ class SfmExpKernel(_FrontierKernel):
         resid = d.y - d.x @ beta0
         state = {"beta": beta0, "sigma_prec": 1.0 / max(float(np.var(resid)), 1e-6),
                  "lam": 1.0, "u": np.full(d.num_firms, 0.5)}
-        total = config.burn_in + config.draws * config.thin
-        thetas = np.empty((config.draws, self.layout.dim))
-        latents = np.empty((config.draws, d.num_firms))
-        kept = 0
-        for it in range(total):
-            state = self.gibbs_sweep(state, rng)
-            if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
-                thetas[kept] = self.layout.pack({k: state[k] for k in self.layout.names})
-                latents[kept] = state["u"]
-                kept += 1
-        return PosteriorDrawSet(thetas, self.layout, seed=seed, burn_in=config.burn_in,
-                                thin=config.thin, latents=latents,
-                                latent_layout=self.latent_layout)
+        return run_gibbs(self, state, config, rng, seed=seed)
 
     def vb_fit(self, tol: float = 1e-8, max_iter: int = 500) -> VBResult:
         return sfm_exp_vb(self.prior, self.data, tol=tol, max_iter=max_iter)
@@ -932,23 +942,19 @@ class SfmGammaKernel(_FrontierKernel):
     def full_conditional(self, name, state):
         if name == "lam":
             return GammaParams((self.data.num_firms + 1) * np.asarray(state["theta"], dtype=float),
-                               self.prior.b_lam0 + np.sum(state["u"], axis=-1))
+                               self.prior.b_lam0 + np.asarray(state["u"]).sum(axis=-1))
         return self._conditional_given_u(name, state)
 
-    def _log_cond_theta(self, theta, state):
-        n = self.data.num_firms
-        lam = float(state["lam"])
-        su = float(np.sum(np.log(state["u"])))
+    def _log_cond_theta(self, theta, lin, su):
+        """ln p(theta | rest) up to a constant; ``lin`` is theta's linear
+        coefficient from lambda and u, ``su`` the sum of ln u."""
         return (-(self.prior.a_theta0 + 1.0) * math.log(theta)
-                - self.prior.b_theta0 / theta
-                + theta * (math.log(self.prior.b_lam0) + (n + 1) * math.log(lam) + su)
-                - (n + 1) * float(gammaln(theta)) - su)
+                - self.prior.b_theta0 / theta + theta * lin
+                - (self.data.num_firms + 1) * float(gammaln(theta)) - su)
 
-    def _log_cond_u(self, u, state, ebar):
-        c, t = self.data.c, self.data.num_periods
-        prec = float(state["sigma_prec"])
-        lam, theta = float(state["lam"]), float(state["theta"])
-        slopes = lam - c * prec * t * ebar
+    def _log_cond_u(self, u, prec, theta, slopes):
+        """ln p(u_i | rest) up to a constant, per firm."""
+        t = self.data.num_periods
         with np.errstate(divide="ignore"):
             vals = (theta - 1.0) * np.log(u) - 0.5 * t * prec * u * u - slopes * u
         vals[u <= 0] = -np.inf
@@ -958,11 +964,15 @@ class SfmGammaKernel(_FrontierKernel):
         self._sweep_conjugate_blocks(state, rng, clamped)
         step_theta, step_u, adapt = (0.5, np.full(self.data.num_firms, 0.5), False) \
             if mh_state is None else (mh_state["theta"], mh_state["u"], mh_state["adapt"])
+        n, c, t = self.data.num_firms, self.data.c, self.data.num_periods
+        lam = float(state["lam"])
         if "theta" not in clamped:
+            su = float(np.sum(np.log(state["u"])))
+            lin = math.log(self.prior.b_lam0) + (n + 1) * math.log(lam) + su
             cur = float(state["theta"])
             prop = cur * math.exp(step_theta * rng.standard_normal())
             # log-scale random walk: proposal asymmetry enters as log(prop/cur)
-            delta = (self._log_cond_theta(prop, state) - self._log_cond_theta(cur, state)
+            delta = (self._log_cond_theta(prop, lin, su) - self._log_cond_theta(cur, lin, su)
                      + math.log(prop) - math.log(cur))
             accept = math.log(rng.uniform()) <= delta
             if accept:
@@ -972,11 +982,12 @@ class SfmGammaKernel(_FrontierKernel):
                     step_theta * math.exp(0.05 * ((1.0 if accept else 0.0) - 0.44)),
                     1e-3, 10.0))
         if "u" not in clamped:
-            ebar, _ = _firm_residual_stats(self.data, np.asarray(state["beta"]))
-            ebar = ebar[0]
+            prec, theta = float(state["sigma_prec"]), float(state["theta"])
+            slopes = lam - c * prec * t * _firm_residual_means(self.data, state["beta"])
             cur = np.asarray(state["u"], dtype=float)
             prop = cur * np.exp(step_u * rng.standard_normal(cur.size))
-            delta = (self._log_cond_u(prop, state, ebar) - self._log_cond_u(cur, state, ebar)
+            delta = (self._log_cond_u(prop, prec, theta, slopes)
+                     - self._log_cond_u(cur, prec, theta, slopes)
                      + np.log(prop) - np.log(cur))
             accept = np.log(rng.uniform(size=cur.size)) <= delta
             state["u"] = np.where(accept, prop, cur)
@@ -992,28 +1003,7 @@ class SfmGammaKernel(_FrontierKernel):
         state = {"beta": beta0, "sigma_prec": 1.0 / max(float(np.var(resid)), 1e-6),
                  "lam": 1.0, "theta": 1.0, "u": np.full(d.num_firms, 0.5)}
         mh_state = {"theta": 0.5, "u": np.full(d.num_firms, 0.5), "adapt": True}
-        accepts = {"theta": 0, "u": 0}
-        total = config.burn_in + config.draws * config.thin
-        thetas = np.empty((config.draws, self.layout.dim))
-        kept = 0
-        for it in range(total):
-            if it == config.burn_in:
-                mh_state["adapt"] = False  # freeze adaptation for retained draws
-            before_theta, before_u = state["theta"], state["u"].copy()
-            state = self.gibbs_sweep(state, rng, mh_state=mh_state)
-            if it >= config.burn_in:
-                accepts["theta"] += state["theta"] != before_theta
-                accepts["u"] += np.mean(state["u"] != before_u)
-                if (it - config.burn_in) % config.thin == 0:
-                    thetas[kept] = self.layout.pack(state)
-                    kept += 1
-        retained = total - config.burn_in
-        for name, count in accepts.items():
-            rate = count / retained
-            if not 0.05 <= rate <= 0.95:
-                warnings.warn(f"MH acceptance for {name} is {rate:.2f}", stacklevel=2)
-        return PosteriorDrawSet(thetas, self.layout, seed=seed,
-                                burn_in=config.burn_in, thin=config.thin)
+        return run_gibbs(self, state, config, rng, seed=seed, mh_state=mh_state)
 
     def vb_fit(self, tol: float = 1e-6, max_iter: int = 200, **kw) -> VBResult:
         return sfm_gamma_vb(self.prior, self.data, tol=tol, max_iter=max_iter, **kw)

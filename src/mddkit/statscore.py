@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrs
 from scipy.special import gammainc, gammaln, log_ndtr, multigammaln, ndtri, psi
 
 from .errors import NumericError
@@ -324,6 +325,31 @@ def _check_symmetric(a: np.ndarray, name: str):
         raise ValueError(f"{name} must be symmetric within 1e-12 relative")
 
 
+@cache
+def _identity(n: int) -> np.ndarray:
+    """Read-only ``np.eye(n)``, built once per n."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+def _inverse_from_cholesky(chol: np.ndarray) -> np.ndarray:
+    """inv(a) of an SPD matrix, or of each in a stack, from its lower Cholesky
+    factor: LAPACK potrs against the identity, the routine scipy's
+    ``cho_solve`` runs per matrix, called without its per-call checks."""
+    eye = _identity(chol.shape[-1])
+
+    def solve(c):
+        inv, info = dpotrs(c, eye, lower=True)
+        if info != 0:
+            raise NumericError(f"potrs rejected argument {-info}")
+        return inv
+
+    if chol.ndim == 2:
+        return solve(chol)
+    return np.stack([solve(c) for c in chol.reshape((-1,) + eye.shape)]).reshape(chol.shape)
+
+
 def _chol_logdet(chol: np.ndarray):
     """ln det of the matrix (or of each matrix in a stack) factored as chol chol'."""
     return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
@@ -521,15 +547,14 @@ class WishartParams:
         return out
 
     def mean(self) -> np.ndarray:
-        return self.dof * cho_solve((self._chol_s, True), np.eye(self.dim))
+        return self.dof * _inverse_from_cholesky(self._chol_s)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Bartlett decomposition draw, bit-reproducible for a given rng; shaped
         (size, stack, n, n), or (stack, n, n) without ``size``."""
         n, nu = self.dim, self.dof
         shape = (1 if size is None else size,) + self.scale_inv.shape[:-2]
-        psi = cho_solve((self._chol_s, True), np.eye(n), check_finite=False)
-        m = safe_cholesky(psi)
+        m = safe_cholesky(_inverse_from_cholesky(self._chol_s))
         a = np.zeros(shape + (n, n))
         rows, cols = _tril_indices(n, -1)
         if len(rows):

@@ -21,6 +21,7 @@ from .modelapi import (
     PosteriorDrawSet,
     SamplerConfig,
     VBResult,
+    run_gibbs,
 )
 from .statscore import GammaParams, LOG_2PI, MvNormalParams
 
@@ -157,16 +158,7 @@ class ToyNormalGammaKernel(ModelKernel):
 
     def posterior_sampler(self, config: SamplerConfig, rng, seed=None) -> PosteriorDrawSet:
         state = {"mu": self.y.mean(), "tau": 1.0 / max(self.y.var(), 1e-3)}
-        total = config.burn_in + config.draws * config.thin
-        kept = np.empty((config.draws, 2))
-        k = 0
-        for it in range(total):
-            state = self.gibbs_sweep(state, rng)
-            if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
-                kept[k] = (state["mu"], state["tau"])
-                k += 1
-        return PosteriorDrawSet(kept, self.layout, seed=seed,
-                                burn_in=config.burn_in, thin=config.thin)
+        return run_gibbs(self, state, config, rng, seed=seed)
 
     # -- mean-field fit -------------------------------------------------------
 

@@ -21,6 +21,7 @@ from .modelapi import (
     PosteriorDrawSet,
     SamplerConfig,
     VBResult,
+    run_gibbs,
 )
 from .statscore import (
     LOG_2PI,
@@ -596,16 +597,7 @@ class VarIndependentKernel(_VarKernelBase):
         resid = self.data.Y - self.data.X @ a_ols
         w0 = np.linalg.inv((resid.T @ resid + self.prior.S0) / (self.data.T + self.prior.nu0))
         state = {"alpha": a_ols.ravel().copy(), "sigma_inv": 0.5 * (w0 + w0.T)}
-        total = config.burn_in + config.draws * config.thin
-        thetas = np.empty((config.draws, self.layout.dim))
-        kept = 0
-        for it in range(total):
-            state = self.gibbs_sweep(state, rng)
-            if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
-                thetas[kept] = self.layout.pack(state)
-                kept += 1
-        return PosteriorDrawSet(thetas, self.layout, seed=seed,
-                                burn_in=config.burn_in, thin=config.thin)
+        return run_gibbs(self, state, config, rng, seed=seed)
 
     def vb_fit(self, tol: float = 1e-8, max_iter: int = 500) -> VBResult:
         return var_vb_independent(self.prior, self.data, tol=tol, max_iter=max_iter)

@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from mddkit import harness
 from mddkit.cli import main as cli_main
 from mddkit.errors import ConfigError
 from mddkit.harness import (
@@ -103,6 +105,26 @@ class TestRunExperiment:
         by_method = {r["method"]: r for r in table.rows}
         assert by_method["ris-vb"]["status"] == "ok"
         assert by_method["chib"]["status"].startswith("FAILED(")
+
+    def test_non_finite_estimate_fails_only_its_repetition(self, monkeypatch, tiny_table):
+        run_method = harness._run_method
+
+        def nan_at_rep_1(method, bundle):
+            result = run_method(method, bundle)
+            if method == "ris-vb" and bundle.rep == 1:
+                result.log_mdd = math.nan
+            return result
+
+        monkeypatch.setattr(harness, "_run_method", nan_at_rep_1)
+        table = run_experiment(ExperimentConfig(estimators=["ris-vb", "ris-prior"], **TINY))
+        rows = {r["method"]: r for r in table.rows}
+        assert rows["ris-vb"]["status"] == "FAILED(NumericError: non-finite log_mdd (nan))"
+        assert rows["ris-vb"]["repetitions"] == 2
+        assert rows["ris-prior"]["status"] == "ok" and rows["ris-prior"]["repetitions"] == 3
+        # the other repetitions keep the values an unpatched run gives them
+        kept = [v for r, m, v in tiny_table[1].scatter if m == "ris-vb" and r != 1]
+        assert rows["ris-vb"]["mean_log_mdd"] == pytest.approx(np.mean(kept), rel=1e-15)
+        assert math.isnan(next(v for r, m, v in table.scatter if (r, m) == (1, "ris-vb")))
 
     def test_sfm_gamma_default_list_all_ok(self):
         # every default estimator, bs-vb and is-vb included, samples the VB weighting

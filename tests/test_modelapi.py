@@ -7,15 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mddkit.estimators import _default_theta_star, _reduced_run
 from mddkit.modelapi import (
     Block,
     ParamLayout,
+    PosteriorDrawSet,
     SamplerConfig,
     elbo_monte_carlo,
     log_posterior_kernel,
+    run_gibbs,
     unvech,
     vech,
 )
+from mddkit.sfm import SfmGammaKernel
 from mddkit.statscore import make_rng, quadrature_1d
 from mddkit.toys import ToyNormalGammaKernel, ToyNormalKernel
 
@@ -175,19 +179,105 @@ class TestKernelContract:
         assert set(st0) == {"mu", "tau"}
 
 
+def build_kernel(name):
+    from mddkit import harness
+
+    if name == "toy-normal":
+        return ToyNormalKernel(make_rng(20).normal(0.3, 1.0, 8))
+    if name == "toy-normal-gamma":
+        return ToyNormalGammaKernel(make_rng(21).normal(0.3, 1.0, 8))
+    return harness.build_context(harness.ExperimentConfig(model=name)).kernel
+
+
 @pytest.fixture(scope="module", params=["toy-normal", "toy-normal-gamma", "var-conjugate",
                                         "var-independent", "sfm-exponential", "sfm-gamma", "lpm"])
 def kernel_draws(request):
-    from mddkit import harness
-
-    if request.param == "toy-normal":
-        kernel = ToyNormalKernel(make_rng(20).normal(0.3, 1.0, 8))
-    elif request.param == "toy-normal-gamma":
-        kernel = ToyNormalGammaKernel(make_rng(21).normal(0.3, 1.0, 8))
-    else:
-        kernel = harness.build_context(harness.ExperimentConfig(model=request.param)).kernel
+    kernel = build_kernel(request.param)
     draws = kernel.posterior_sampler(SamplerConfig(draws=7, burn_in=30), make_rng(22))
     return kernel, draws
+
+
+@pytest.fixture(scope="module", params=["toy-normal-gamma", "var-independent",
+                                        "sfm-exponential", "sfm-gamma"])
+def gibbs_draws(request):
+    """A kernel with a Gibbs sweep and a short chain of it."""
+    kernel = build_kernel(request.param)
+    draws = kernel.posterior_sampler(SamplerConfig(draws=60, burn_in=40), make_rng(23))
+    return kernel, draws
+
+
+def last_state(draws):
+    return {k: v[0] for k, v in draws.unpack([draws.size - 1]).items()}
+
+
+def plain_chain(kernel, state, config, rng, clamped=frozenset(), mh_state=None):
+    """The driver's bookkeeping written out: sweep, freeze adaptation at
+    burn-in, pack every thin-th state after it."""
+    kw = {} if mh_state is None else {"mh_state": mh_state}
+    rows, latents = [], []
+    for it in range(config.burn_in + config.draws * config.thin):
+        if mh_state is not None and it == config.burn_in:
+            mh_state["adapt"] = False
+        state = kernel.gibbs_sweep(state, rng, clamped, **kw)
+        if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
+            rows.append(kernel.layout.pack(state))
+            if kernel.latent_layout is not None:
+                latents.append(kernel.latent_layout.pack(state))
+    return PosteriorDrawSet(np.array(rows), kernel.layout, seed=None,
+                            latents=np.array(latents) if latents else None,
+                            latent_layout=kernel.latent_layout)
+
+
+class TestGibbsDriver:
+    def test_sweeps_draw_from_the_full_conditionals(self, gibbs_draws):
+        kernel, draws = gibbs_draws
+        drawn = kernel.conditional_blocks + [b for b in [kernel.latent_block] if b]
+        # sfm-gamma moves theta and u by Metropolis steps, not conditional draws
+        mh = {"theta", "u"} if isinstance(kernel, SfmGammaKernel) else set()
+        for j in range(len(kernel.conditional_blocks)):  # every clamp set Chib uses
+            clamped = frozenset(kernel.conditional_blocks[:j]) | mh
+            state, ref = last_state(draws), last_state(draws)
+            rng, ref_rng = make_rng(24, j), make_rng(24, j)
+            for _ in range(300):
+                state = kernel.gibbs_sweep(state, rng, clamped)
+                for name in drawn:
+                    if name not in clamped:
+                        value = kernel.full_conditional(name, ref).sample(ref_rng)
+                        ref[name] = np.reshape(value, np.shape(ref[name]))
+                for name in ref:
+                    assert np.array_equal(state[name], ref[name]), (j, name)
+
+    def test_kept_rows_match_a_plain_loop(self, gibbs_draws):
+        kernel, draws = gibbs_draws
+        config = SamplerConfig(draws=40, burn_in=25, thin=3)
+        tunings = [(None, None)]
+        if isinstance(kernel, SfmGammaKernel):  # its chain adapts Metropolis steps in burn-in
+            tunings.append(tuple({"theta": 0.5, "u": np.full(kernel.data.num_firms, 0.5),
+                                  "adapt": True} for _ in range(2)))
+        for tuning, plain_tuning in tunings:
+            got = run_gibbs(kernel, last_state(draws), config, make_rng(25), seed=7,
+                            mh_state=tuning)
+            want = plain_chain(kernel, last_state(draws), config, make_rng(25),
+                               mh_state=plain_tuning)
+            assert (got.burn_in, got.thin, got.seed) == (25, 3, 7)
+            assert np.array_equal(got.thetas, want.thetas)
+            assert (got.latents is None) == (want.latents is None)
+            if got.latents is not None:
+                assert np.array_equal(got.latents, want.latents)
+            if tuning is not None:
+                assert tuning["adapt"] is False and tuning["theta"] == plain_tuning["theta"]
+
+    def test_reduced_run_matches_a_plain_loop(self, gibbs_draws):
+        kernel, draws = gibbs_draws
+        star = _default_theta_star(draws)
+        clamped = kernel.conditional_blocks[:1]
+        got = _reduced_run(kernel, draws, star, clamped, 50, make_rng(27))
+        start = last_state(draws) | {name: star[name] for name in clamped}
+        config = SamplerConfig(draws=50, burn_in=min(draws.burn_in, 200))
+        want = plain_chain(kernel, start, config, make_rng(27), frozenset(clamped)).unpack()
+        assert got.keys() == want.keys()
+        for name in got:
+            assert np.array_equal(got[name], want[name]), name
 
 
 class TestStackedConditionals:
