@@ -399,40 +399,49 @@ def _integrate_m1(beta, mu, prec, log_prec, data: LpmData, xg, node_terms):
     """Sum over subjects of ln int prod_t Poisson(y_it | eta_it) N(u; mu, 1/prec) du,
     less the ln y! terms, for one block of rows with scalar random effects.
 
-    y * eta is summed per subject before the nodes enter, and
-    sum_t exp(eta_t) is accumulated one period at a time: no array has a
-    (rows, subjects, nodes, periods) shape.
+    y * eta is summed per subject before the nodes enter. The periods are
+    grouped by their z column (the z_t of every subject): with E_g the sum of
+    exp(eta0_t) over the periods of group g,
+
+        sum_t exp(eta0_t + z_t v) = sum_g exp(z_g v) E_g,
+
+    so the Newton sums and the node sums take one exponential per group, not
+    per period, and no array has a (rows, subjects, nodes, periods) shape.
     """
     n, t = data.num_subjects, data.num_periods
     b = beta.shape[0]
-    # period-major (t, rows, n): each period is one contiguous slice
-    eta0 = (data.offsets + beta @ data.x.T).reshape(b, n, t).transpose(2, 0, 1).copy()
-    y = data.y.reshape(n, t).T[:, None, :]
-    z = data.z[:, :, 0].T[:, None, :]
-    yz = np.sum(y * z, axis=0)[0]  # (n,)
-    y_eta0 = np.sum(y * eta0, axis=0)  # (b, n)
+    eta0 = (data.offsets + beta @ data.x.T).reshape(b, n, t)
+    y, z = data.y.reshape(n, t), data.z[:, :, 0]
+    yz = np.sum(y * z, axis=1)  # (n,)
+    y_eta0 = np.sum(y * eta0, axis=2)  # (b, n)
+    z_cols, group = np.unique(z.T, axis=0, return_inverse=True)  # (G, n), (t,)
+    exp_eta0 = np.exp(eta0)
+    e_g = np.stack([exp_eta0[:, :, group == g].sum(axis=2) for g in range(len(z_cols))])
+    zg = z_cols[:, None, :]  # (G, 1, n) against (G, b, n)
     prec_col, mu_col = prec[:, None], mu[:, None]
 
     u = np.repeat(mu_col, n, axis=1)
     for _ in range(100):
-        zlam = z * np.exp(eta0 + z * u)
+        zlam = zg * np.exp(zg * u) * e_g
         step = ((yz - np.sum(zlam, axis=0) - prec_col * (u - mu_col))
-                / (-np.sum(z * zlam, axis=0) - prec_col))
+                / (-np.sum(zg * zlam, axis=0) - prec_col))
         u -= step
         if np.max(np.abs(step)) < 1e-10:
             break
-    curv = np.sum(z * z * np.exp(eta0 + z * u), axis=0) + prec_col
+    curv = np.sum(zg * zg * np.exp(zg * u) * e_g, axis=0) + prec_col
     sd = 1.0 / np.sqrt(curv)
 
     # integrand in log space at the shifted-scaled nodes, node-major (nodes, b, n)
     pts = (math.sqrt(2.0) * xg)[:, None, None] * sd
     pts += u
-    exp_sum = np.zeros_like(pts)
+    exp_sum = np.exp(pts * z_cols[0])
+    exp_sum *= e_g[0]
     buf = np.empty_like(pts)
-    for p in range(t):
-        np.multiply(pts, z[p], out=buf)
-        buf += eta0[p]
-        exp_sum += np.exp(buf, out=buf)
+    for g in range(1, len(z_cols)):
+        np.multiply(pts, z_cols[g], out=buf)
+        np.exp(buf, out=buf)
+        buf *= e_g[g]
+        exp_sum += buf
     logint = pts * yz
     logint -= exp_sum
     dev = np.subtract(pts, mu_col, out=buf)
@@ -473,6 +482,7 @@ class LpmKernel(ModelKernel):
         self._wish0 = WishartParams(prior.S0, prior.nu0)
         self._vmu0_inv = np.linalg.inv(prior.Vmu0)
         self._vmu0_inv_mu0 = self._vmu0_inv @ prior.mu0
+        self._y_nt = data.y.reshape(data.num_subjects, data.num_periods)
 
     def log_prior_batch(self, thetas):
         u = self.layout.unpack_batch(thetas)
@@ -486,20 +496,12 @@ class LpmKernel(ModelKernel):
         return lpm_loglik_integrated(u["beta"], u["mu"], u["sigma_inv"],
                                      self.data, nodes=self.nodes)
 
-    # -- complete-data pieces used by the sampler -----------------------------
-
-    def _poisson_loglik(self, xb, zu):
-        """Complete-data Poisson log likelihood less the ln y! terms, from the
-        linear predictor's parts xb = offsets + X beta (NT,) and zu = Z u (N, T)."""
-        eta = xb + zu.ravel()
-        return float(self.data.y @ eta - np.sum(np.exp(eta)))
-
     def _poisson_loglik_per_subject(self, xb, zu):
-        """:meth:`_poisson_loglik` per subject."""
-        d = self.data
-        eta = xb.reshape(d.num_subjects, d.num_periods) + zu
-        y = d.y.reshape(d.num_subjects, d.num_periods)
-        return np.sum(y * eta - np.exp(eta), axis=1)
+        """Complete-data Poisson log likelihood less the ln y! terms, per subject,
+        from the linear predictor's parts xb = offsets + X beta and zu = Z u,
+        both (N, T)."""
+        eta = xb + zu
+        return (self._y_nt * eta - np.exp(eta)).sum(axis=1)
 
     def full_conditional(self, name, state):
         n = self.data.num_subjects
@@ -543,48 +545,50 @@ class LpmKernel(ModelKernel):
         thetas = np.empty((config.draws, self.layout.dim))
         latents = np.empty((config.draws, n * m))
         kept = 0
-        # the current state's linear-predictor parts and beta prior term
-        xb = d.offsets + d.x @ state["beta"]
+        # the current state's linear-predictor parts, beta prior term and
+        # per-subject Poisson log likelihood, carried across the steps
+        xb = (d.offsets + d.x @ state["beta"]).reshape(n, t)
         zu = np.einsum("itm,im->it", d.z, state["u"])
         lp_beta = self._gauss_beta0.logpdf(state["beta"])
+        ll = self._poisson_loglik_per_subject(xb, zu)
         for it in range(total):
             adapt = it < config.burn_in
             # beta block
             prop = state["beta"] + step_beta * (chol_beta @ rng.standard_normal(k))
-            xb_prop = d.offsets + d.x @ prop
+            xb_prop = (d.offsets + d.x @ prop).reshape(n, t)
             lp_prop = self._gauss_beta0.logpdf(prop)
-            delta = (self._poisson_loglik(xb_prop, zu) - self._poisson_loglik(xb, zu)
-                     + lp_prop - lp_beta)
+            ll_prop = self._poisson_loglik_per_subject(xb_prop, zu)
+            delta = float(ll_prop.sum() - ll.sum()) + lp_prop - lp_beta
             acc = math.log(rng.uniform()) <= delta
             if acc:
-                state["beta"], xb, lp_beta = prop, xb_prop, lp_prop
+                state["beta"], xb, lp_beta, ll = prop, xb_prop, lp_prop, ll_prop
             if adapt:
-                step_beta = float(np.clip(step_beta * math.exp(
-                    0.05 * ((1.0 if acc else 0.0) - target_beta)), 1e-3, 50.0))
+                step_beta = min(max(step_beta * math.exp(
+                    0.05 * ((1.0 if acc else 0.0) - target_beta)), 1e-3), 50.0)
             elif acc:
                 accept_beta += 1
             # u blocks, all subjects at once
             noise = rng.standard_normal((n, m))
             prop_u = state["u"] + step_u[:, None] * np.einsum("iml,il->im", u_chols, noise)
-            w_mat = np.atleast_2d(state["sigma_inv"])
+            w_mat = state["sigma_inv"]
             zu_prop = np.einsum("itm,im->it", d.z, prop_u)
-            cur = self._poisson_loglik_per_subject(xb, zu)
             new = self._poisson_loglik_per_subject(xb, zu_prop)
             dev_c = state["u"] - state["mu"]
             dev_p = prop_u - state["mu"]
             dprior = -0.5 * (np.einsum("im,ml,il->i", dev_p, w_mat, dev_p)
                              - np.einsum("im,ml,il->i", dev_c, w_mat, dev_c))
-            acc_u = np.log(rng.uniform(size=n)) <= (new - cur + dprior)
+            acc_u = np.log(rng.uniform(size=n)) <= (new - ll + dprior)
             state["u"] = np.where(acc_u[:, None], prop_u, state["u"])
             zu = np.where(acc_u[:, None], zu_prop, zu)
+            ll = np.where(acc_u, new, ll)
             if adapt:
                 step_u = np.clip(step_u * np.exp(0.05 * (acc_u.astype(float) - target_u)),
                                  1e-3, 50.0)
             else:
-                accept_u += float(np.mean(acc_u))
+                accept_u += np.count_nonzero(acc_u) / n
             # conjugate blocks
             state["mu"] = self.full_conditional("mu", state).sample(rng)
-            state["sigma_inv"] = np.atleast_2d(self.full_conditional("sigma_inv", state).sample(rng))
+            state["sigma_inv"] = self.full_conditional("sigma_inv", state).sample(rng)
             if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
                 self.layout.pack_into(thetas[kept], state)
                 latents[kept] = state["u"].ravel()

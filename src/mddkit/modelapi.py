@@ -310,10 +310,6 @@ class ModelKernel:
     def log_likelihood(self, theta) -> float:
         return float(self.log_likelihood_batch(np.atleast_2d(theta))[0])
 
-    # complete-data kernel over (theta, latents); optional
-    def log_complete_kernel_batch(self, thetas, latents) -> np.ndarray:
-        raise UnsupportedModelError(f"{type(self).__name__} has no complete-data kernel")
-
     # -- conditionals / sampling --------------------------------------------
 
     def full_conditional(self, name: str, state: dict):

@@ -736,6 +736,16 @@ class _FrontierKernel(ModelKernel):
         """c * u_i at every observation, for one state or a stack."""
         return self.data.c * np.repeat(state["u"], self.data.num_periods, axis=-1)
 
+    def _residual_means(self, state, clamped):
+        """Per-firm residual means of the state's beta for the u step. A clamped
+        beta never changes, so its means are computed on the first sweep and
+        carried in the state under ``"_ebar"``."""
+        if "beta" not in clamped:
+            return _firm_residual_means(self.data, state["beta"])
+        if "_ebar" not in state:
+            state["_ebar"] = _firm_residual_means(self.data, state["beta"])
+        return state["_ebar"]
+
     def _conditional_given_u(self, name, state, cu=None):
         """beta or sigma^-2 given the rest, for one state or a stack; ``cu`` is
         :meth:`_c_times_u` of the state when the caller already holds it."""
@@ -790,22 +800,27 @@ class SfmExpKernel(_FrontierKernel):
 
     def full_conditional(self, name, state):
         """Conditionals of the conjugate blocks (stackable) and of u (one state)."""
-        d, c, t = self.data, self.data.c, self.data.num_periods
+        d = self.data
         if name == "lam":
             return GammaParams(self.prior.a_lam0 + d.num_firms,
                                self.prior.b_lam0 + np.asarray(state["u"]).sum(axis=-1))
         if name == "u":
-            prec = float(state["sigma_prec"])
-            lam = float(state["lam"])
-            ebar = _firm_residual_means(d, state["beta"])
-            locs = (c * t * ebar - lam / prec) / t
-            return _IndependentTruncNormals(locs, math.sqrt(1.0 / (t * prec)))
+            return self._u_conditional(state, _firm_residual_means(d, state["beta"]))
         return self._conditional_given_u(name, state)
+
+    def _u_conditional(self, state, ebar):
+        """u given the rest, for one state whose per-firm residual means are ``ebar``."""
+        c, t = self.data.c, self.data.num_periods
+        prec = float(state["sigma_prec"])
+        lam = float(state["lam"])
+        locs = (c * t * ebar - lam / prec) / t
+        return _IndependentTruncNormals(locs, math.sqrt(1.0 / (t * prec)))
 
     def gibbs_sweep(self, state, rng, clamped=frozenset()):
         self._sweep_conjugate_blocks(state, rng, clamped)
         if "u" not in clamped:
-            state["u"] = self.full_conditional("u", state).sample(rng)
+            ebar = self._residual_means(state, clamped)
+            state["u"] = self._u_conditional(state, ebar).sample(rng)
         return state
 
     def posterior_sampler(self, config: SamplerConfig, rng, seed=None) -> PosteriorDrawSet:
@@ -983,7 +998,7 @@ class SfmGammaKernel(_FrontierKernel):
                     1e-3, 10.0))
         if "u" not in clamped:
             prec, theta = float(state["sigma_prec"]), float(state["theta"])
-            slopes = lam - c * prec * t * _firm_residual_means(self.data, state["beta"])
+            slopes = lam - c * prec * t * self._residual_means(state, clamped)
             cur = np.asarray(state["u"], dtype=float)
             prop = cur * np.exp(step_u * rng.standard_normal(cur.size))
             delta = (self._log_cond_u(prop, prec, theta, slopes)

@@ -293,9 +293,14 @@ def safe_cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor with one jittered retry; stacks factor together.
 
     Retry adds 1e-10 * trace/n to each diagonal; a second failure raises
-    NumericError rather than looping (silent jitter masks model bugs).
+    NumericError rather than looping (silent jitter masks model bugs). One
+    positive finite 1 x 1 matrix is factored as its square root, the bits
+    LAPACK returns, without the call; any other 1 x 1 value (0, negative,
+    NaN) takes the generic path.
     """
     a = np.asarray(a, dtype=float)
+    if a.shape == (1, 1) and 0.0 < a[0, 0] < math.inf:
+        return np.sqrt(a)
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -319,6 +324,8 @@ def _tril_indices(n: int, k: int = 0):
 def _check_symmetric(a: np.ndarray, name: str):
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"{name} must be a square matrix or a stack of them")
+    if a.shape == (1, 1):  # a single entry is its own transpose, NaN included
+        return
     # relative to max(1, max |a|); the scale is only needed for a visible asymmetry
     asym = np.abs(a - a.swapaxes(-1, -2)).max()
     if asym > 1e-12 and asym > 1e-12 * np.abs(a).max():

@@ -1,7 +1,9 @@
 """Longitudinal Poisson model: NCVMP fit, integrated likelihood, sampler."""
 
+import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,15 @@ from mddkit.lpm import (
     lpm_vb_gradient_residual,
 )
 from mddkit.modelapi import SamplerConfig
-from mddkit.statscore import WishartParams, make_rng, quadrature_1d
+from mddkit.statscore import (
+    LOG_2PI,
+    MvNormalParams,
+    WishartParams,
+    log_sum_exp,
+    make_rng,
+    quadrature_1d,
+    safe_cholesky,
+)
 
 # an overflow or invalid value in the integration or the sampler fails a test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -169,6 +179,77 @@ class TestIntegratedLikelihoodBlocks:
         assert peak < 32 * 2 ** 20
 
 
+def _per_period_integrate_m1(beta, mu, prec, log_prec, data, xg, node_terms):
+    """The m = 1 block integration with one exponential per period, as it was
+    before the periods were grouped by their z column."""
+    n, t = data.num_subjects, data.num_periods
+    b = beta.shape[0]
+    eta0 = (data.offsets + beta @ data.x.T).reshape(b, n, t).transpose(2, 0, 1).copy()
+    y = data.y.reshape(n, t).T[:, None, :]
+    z = data.z[:, :, 0].T[:, None, :]
+    yz = np.sum(y * z, axis=0)[0]
+    y_eta0 = np.sum(y * eta0, axis=0)
+    prec_col, mu_col = prec[:, None], mu[:, None]
+    u = np.repeat(mu_col, n, axis=1)
+    for _ in range(100):
+        zlam = z * np.exp(eta0 + z * u)
+        step = ((yz - np.sum(zlam, axis=0) - prec_col * (u - mu_col))
+                / (-np.sum(z * zlam, axis=0) - prec_col))
+        u -= step
+        if np.max(np.abs(step)) < 1e-10:
+            break
+    curv = np.sum(z * z * np.exp(eta0 + z * u), axis=0) + prec_col
+    sd = 1.0 / np.sqrt(curv)
+    pts = (math.sqrt(2.0) * xg)[:, None, None] * sd
+    pts += u
+    exp_sum = np.zeros_like(pts)
+    buf = np.empty_like(pts)
+    for p in range(t):
+        np.multiply(pts, z[p], out=buf)
+        buf += eta0[p]
+        exp_sum += np.exp(buf, out=buf)
+    logint = pts * yz
+    logint -= exp_sum
+    dev = np.subtract(pts, mu_col, out=buf)
+    dev *= dev
+    dev *= 0.5 * prec_col
+    logint -= dev
+    logint += node_terms[:, None, None]
+    per_subject = (log_sum_exp(logint, axis=0) + y_eta0 + np.log(sd)
+                   + (0.5 * log_prec - 0.5 * LOG_2PI + 0.5 * math.log(2.0))[:, None])
+    return per_subject.sum(axis=1)
+
+
+def _with_z(data, z):
+    return LpmData(data.y, data.x, z, data.num_subjects, data.num_periods, data.offsets)
+
+
+class TestGroupedPeriods:
+    """Periods grouped by z column give the per-period integration's rows."""
+
+    @pytest.mark.parametrize("design", ["ones", "two-columns", "random"])
+    def test_rows_match_per_period_formula(self, design):
+        data, _, _, _ = _default_panel_rows(1, 75)
+        size = 2 * (lpm._BLOCK_ELEMENTS // (data.num_subjects * 31)) + 7
+        data, beta, mu, prec = _default_panel_rows(size, 75)
+        n, t = data.num_subjects, data.num_periods
+        if design == "two-columns":
+            z = np.where(np.arange(t) < 2, 1.0, 0.5)[None, :, None] * np.ones((n, t, 1))
+        elif design == "random":
+            z = 1.0 + 0.3 * make_rng(76).standard_normal((n, t, 1))
+        else:
+            z = data.z
+        data = _with_z(data, z)
+        groups = len(np.unique(data.z[:, :, 0].T, axis=0))
+        assert groups == {"ones": 1, "two-columns": 2, "random": t}[design]
+        xg, wg = np.polynomial.hermite.hermgauss(31)
+        want = (_per_period_integrate_m1(beta, mu[:, 0], prec[:, 0, 0], np.log(prec[:, 0, 0]),
+                                         data, xg, xg ** 2 + np.log(wg))
+                - np.sum(gammaln(data.y + 1.0)))
+        got = lpm_loglik_integrated(beta, mu, prec, data)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 class TestVb:
     def test_wishart_dof_update(self):
         data = lpm_synthetic(40, 59, 5, 2, 1, [0.3, -0.2], [0.1], [[0.4]])
@@ -248,6 +329,115 @@ class TestSampler:
         x_t1 = data.x.reshape(400, 4)[:, 1:]
         expected = np.exp(math.log(2.0) + 0.4 * x_t1 + 0.1 + 0.125)
         assert t1_cells.mean() == pytest.approx(expected.mean(), rel=0.05)
+
+
+def _reference_sampler(kernel, config, rng, vb):
+    """The Metropolis-within-Gibbs loop as it was written before the
+    per-subject likelihood was carried across steps: four Poisson evaluations
+    per iteration."""
+    d = kernel.data
+    n, t, k, m = d.num_subjects, d.num_periods, d.k, d.m
+
+    def poisson_loglik(xb, zu):
+        eta = xb + zu.ravel()
+        return float(d.y @ eta - np.sum(np.exp(eta)))
+
+    def poisson_loglik_per_subject(xb, zu):
+        eta = xb.reshape(n, t) + zu
+        return np.sum(d.y.reshape(n, t) * eta - np.exp(eta), axis=1)
+
+    chol_beta = safe_cholesky(vb.hyper["beta"].cov)
+    gamma_cov = vb.hyper["gamma"].cov
+    u_chols = np.stack([safe_cholesky(gamma_cov[k + i * m: k + (i + 1) * m,
+                                                k + i * m: k + (i + 1) * m])
+                        for i in range(n)])
+    target_beta = 0.44 if k == 1 else 0.234
+    target_u = 0.44 if m == 1 else 0.234
+    state = {"beta": vb.hyper["beta"].mean.copy(), "u": vb.hyper["u_means"].copy(),
+             "mu": vb.hyper["mu"].mean.copy(),
+             "sigma_inv": vb.hyper["nu"] * np.linalg.inv(vb.hyper["S"])}
+    step_beta, step_u = 2.38 / math.sqrt(k), np.full(n, 2.38 / math.sqrt(m))
+    accept_beta = accept_u = 0
+    total = config.burn_in + config.draws * config.thin
+    thetas, latents = [], []
+    xb = d.offsets + d.x @ state["beta"]
+    zu = np.einsum("itm,im->it", d.z, state["u"])
+    lp_beta = kernel._gauss_beta0.logpdf(state["beta"])
+    for it in range(total):
+        adapt = it < config.burn_in
+        prop = state["beta"] + step_beta * (chol_beta @ rng.standard_normal(k))
+        xb_prop = d.offsets + d.x @ prop
+        lp_prop = kernel._gauss_beta0.logpdf(prop)
+        delta = (poisson_loglik(xb_prop, zu) - poisson_loglik(xb, zu) + lp_prop - lp_beta)
+        acc = math.log(rng.uniform()) <= delta
+        if acc:
+            state["beta"], xb, lp_beta = prop, xb_prop, lp_prop
+        if adapt:
+            step_beta = float(np.clip(step_beta * math.exp(
+                0.05 * ((1.0 if acc else 0.0) - target_beta)), 1e-3, 50.0))
+        elif acc:
+            accept_beta += 1
+        noise = rng.standard_normal((n, m))
+        prop_u = state["u"] + step_u[:, None] * np.einsum("iml,il->im", u_chols, noise)
+        w_mat = np.atleast_2d(state["sigma_inv"])
+        zu_prop = np.einsum("itm,im->it", d.z, prop_u)
+        cur = poisson_loglik_per_subject(xb, zu)
+        new = poisson_loglik_per_subject(xb, zu_prop)
+        dev_c = state["u"] - state["mu"]
+        dev_p = prop_u - state["mu"]
+        dprior = -0.5 * (np.einsum("im,ml,il->i", dev_p, w_mat, dev_p)
+                         - np.einsum("im,ml,il->i", dev_c, w_mat, dev_c))
+        acc_u = np.log(rng.uniform(size=n)) <= (new - cur + dprior)
+        state["u"] = np.where(acc_u[:, None], prop_u, state["u"])
+        zu = np.where(acc_u[:, None], zu_prop, zu)
+        if adapt:
+            step_u = np.clip(step_u * np.exp(0.05 * (acc_u.astype(float) - target_u)),
+                             1e-3, 50.0)
+        else:
+            accept_u += float(np.mean(acc_u))
+        state["mu"] = kernel.full_conditional("mu", state).sample(rng)
+        state["sigma_inv"] = np.atleast_2d(kernel.full_conditional("sigma_inv", state).sample(rng))
+        if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
+            thetas.append(kernel.layout.pack(state))
+            latents.append(state["u"].ravel())
+    retained = total - config.burn_in
+    for name, rate in [("beta", accept_beta / retained), ("u", accept_u / retained)]:
+        if not 0.05 <= rate <= 0.95:
+            warnings.warn(f"MH acceptance for {name} is {rate:.2f}", stacklevel=2)
+    return np.array(thetas), np.array(latents)
+
+
+def _recorded(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, [str(w.message) for w in caught]
+
+
+class TestLeanSampler:
+    """The sampler's draws and warnings equal the reference loop's."""
+
+    @pytest.mark.parametrize("m, k", [(1, 2), (1, 1), (2, 2)])
+    @pytest.mark.parametrize("wide_beta", [False, True])
+    def test_matches_reference_loop(self, m, k, wide_beta):
+        data = lpm_synthetic(80 + m + k, 12, 4, k, m, [0.3, -0.2][:k], [0.1] * m, 0.3 * np.eye(m))
+        prior = LpmPrior(np.zeros(k), 4 * np.eye(k), np.zeros(m), 4 * np.eye(m),
+                         0.5 * np.eye(m), m + 2.0)
+        kernel = LpmKernel(prior, data)
+        vb = lpm_vb(prior, data)
+        if wide_beta:  # proposals far too wide: beta acceptance falls below 5% and warns
+            beta = vb.hyper["beta"]
+            vb = dataclasses.replace(vb, hyper=vb.hyper | {
+                "beta": MvNormalParams(beta.mean, 1e4 * beta.cov)})
+        config = SamplerConfig(draws=40, burn_in=25, thin=3)
+        got, got_warnings = _recorded(
+            lambda: kernel.posterior_sampler(config, make_rng(81, m, k), vb=vb))
+        (thetas, latents), want_warnings = _recorded(
+            lambda: _reference_sampler(kernel, config, make_rng(81, m, k), vb))
+        assert np.array_equal(got.thetas, thetas)
+        assert np.array_equal(got.latents, latents)
+        assert got_warnings == want_warnings
+        assert any("beta" in w for w in got_warnings) == wide_beta
 
 
 class TestSynthetic:

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from mddkit import sfm
 from mddkit.errors import ConfigError
-from mddkit.estimators import chib_estimate, ris_estimate
+from mddkit.estimators import _default_theta_star, _reduced_run, chib_estimate, ris_estimate
 from mddkit.modelapi import SamplerConfig
 from mddkit.sfm import (
     GammaCaseInefficiency,
@@ -361,6 +362,31 @@ class TestGammaSampler:
         assert np.array_equal(a.thetas, b.thetas)
         u = kernel.layout.unpack_batch(a.thetas)["u"]
         assert np.all(u > 0)
+
+
+class TestReducedRun:
+    @pytest.mark.parametrize("family", ["exponential", "gamma"])
+    def test_clamped_beta_residual_means_computed_once(self, family, monkeypatch):
+        data = sfm_synthetic(30, 8, 4, 2, family, [1.0, 0.5], 0.04, 2.0, theta=1.5)
+        kernel = (SfmExpKernel(SfmExpPrior(np.zeros(2), 4 * np.eye(2), 2.0, 0.1, 2.0, 1.0), data)
+                  if family == "exponential" else
+                  SfmGammaKernel(SfmGammaPrior(np.zeros(2), 4 * np.eye(2), 2.0, 0.1, 1.0, 2.0, 2.0),
+                                 data))
+        draws = kernel.posterior_sampler(SamplerConfig(draws=30, burn_in=20), make_rng(31))
+        star = _default_theta_star(draws)
+        calls = []
+
+        def counted(data, beta):
+            calls.append(1)
+            return real(data, beta)
+
+        real = sfm._firm_residual_means
+        monkeypatch.setattr(sfm, "_firm_residual_means", counted)
+        _reduced_run(kernel, draws, star, [], 40, make_rng(32))
+        assert len(calls) == 20 + 40  # a free beta: once per sweep
+        calls.clear()
+        _reduced_run(kernel, draws, star, ["beta"], 40, make_rng(32))
+        assert len(calls) == 1
 
 
 class TestSynthetic:

@@ -23,7 +23,11 @@ from mddkit.statscore import (
     log_sum_exp,
     make_rng,
     quadrature_1d,
+    safe_cholesky,
 )
+
+# an overflow or invalid value in a primitive or a distribution fails a test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestLogSumExp:
@@ -361,3 +365,43 @@ class TestDensities:
             WishartParams(np.eye(3), 1.5)
         with pytest.raises(ValueError):
             MvNormalParams([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])
+
+
+class TestOneByOne:
+    """A single 1 x 1 matrix skips the generic symmetry scan and LAPACK call."""
+
+    def test_factor_equals_lapack_bitwise(self):
+        rng = make_rng(60)
+        values = np.concatenate([np.exp(rng.uniform(-700.0, 700.0, 20_000)),
+                                 rng.uniform(0.0, 1e-300, 200),
+                                 [5e-324, np.finfo(float).max, 1.0, 2.0, 0.3]])
+        for v in values:
+            a = np.array([[v]])
+            assert safe_cholesky(a).tobytes() == np.linalg.cholesky(a).tobytes(), v
+
+    def test_distributions_hold_the_lapack_factor(self):
+        for v in (0.3, 7.0, 1e-200):
+            a = np.array([[v]])
+            assert np.array_equal(MvNormalParams([0.0], a)._chol, np.linalg.cholesky(a))
+            assert np.array_equal(WishartParams(a, 3.0)._chol_s, np.linalg.cholesky(a))
+
+    @pytest.mark.parametrize("v", [0.0, -1.0])
+    def test_nonpositive_raises(self, v):
+        with pytest.raises(NumericError):
+            safe_cholesky(np.array([[v]]))
+        with pytest.raises(NumericError):
+            MvNormalParams([0.0], [[v]])
+        with pytest.raises(NumericError):
+            WishartParams([[v]], 3.0)
+
+    def test_nan_gives_nan_factor(self):
+        assert np.isnan(safe_cholesky(np.array([[np.nan]]))).all()
+        assert safe_cholesky(np.array([[np.nan]])).shape == (1, 1)
+        assert np.isnan(MvNormalParams([0.0], [[np.nan]])._chol).all()
+
+    def test_asymmetric_two_by_two_still_rejected(self):
+        asym = [[1.0, 0.5], [0.2, 1.0]]
+        with pytest.raises(ValueError):
+            MvNormalParams([0.0, 0.0], asym)
+        with pytest.raises(ValueError):
+            WishartParams(asym, 5.0)
