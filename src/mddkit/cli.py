@@ -6,21 +6,21 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 from . import harness
 from .errors import ConfigError
+from .models import MODELS
 
 
 def _add_common(parser):
     parser.add_argument("--config", type=Path, help="key = value experiment file")
-    parser.add_argument("--model", help="var-conjugate | var-independent | "
-                                        "sfm-exponential | sfm-gamma | lpm")
+    parser.add_argument("--model", help=" | ".join(MODELS))
     parser.add_argument("--data", dest="data_csv", help="input CSV path")
-    parser.add_argument("--seed", type=int, help="base seed")
-    parser.add_argument("--reps", type=int, help="number of repetitions")
+    parser.add_argument("--seed", type=int, dest="base_seed",
+                        help="base seed of the chain and estimator streams (not synth.seed)")
+    parser.add_argument("--reps", type=int, dest="repetitions", help="number of repetitions")
     parser.add_argument("--draws", type=int, help="posterior draws per chain")
     parser.add_argument("--burn-in", type=int, dest="burn_in")
     parser.add_argument("--estimators", help="comma list of estimator names")
@@ -32,64 +32,23 @@ def _add_common(parser):
 
 def _load_config(args) -> harness.ExperimentConfig:
     mapping = harness.parse_config_file(args.config) if args.config else {}
-    if args.model:
-        mapping["model"] = args.model
-    if "model" not in mapping:
-        raise ConfigError("--model or a config file with model= is required")
-    if args.data_csv:
-        mapping["data_csv"] = args.data_csv
-    if args.seed is not None:
-        mapping["base_seed"] = args.seed
-    if args.reps is not None:
-        mapping["repetitions"] = args.reps
-    if args.draws is not None:
-        mapping["draws"] = args.draws
-    if args.burn_in is not None:
-        mapping["burn_in"] = args.burn_in
+    for key in ("model", "data_csv", "base_seed", "repetitions", "draws", "burn_in",
+                "upper_bound"):
+        if getattr(args, key) is not None:
+            mapping[key] = getattr(args, key)
     if args.estimators:
         mapping["estimators"] = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    if args.upper_bound is not None:
-        mapping["upper_bound"] = args.upper_bound
+    if "model" not in mapping:
+        raise ConfigError("--model or a config file with model= is required")
     return harness.config_from_mapping(mapping)
 
 
 def cmd_synth(args) -> int:
     config = _load_config(args)
-    ctx = harness.build_context(config)
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "synthetic.csv"
-    kernel = ctx.kernel
-    if config.model.startswith("var"):
-        data = kernel.data
-        header = ",".join(f"y{j + 1}" for j in range(data.N))
-        # re-emit presample + sample so the file round-trips at the same lag
-        first = data.X[0, 1:1 + data.p * data.N].reshape(data.p, data.N)[::-1]
-        rows = np.vstack([first, data.Y])
-        body = "\n".join(",".join(repr(float(v)) for v in row) for row in rows)
-        path.write_text(header + "\n" + body + "\n")
-    elif config.model.startswith("sfm"):
-        data = kernel.data
-        header = "firm_id,period,y," + ",".join(f"x{j}" for j in range(1, data.k))
-        lines = [header.rstrip(",")]
-        for i in range(data.num_firms):
-            for t in range(data.num_periods):
-                row = i * data.num_periods + t
-                xs = ",".join(repr(float(v)) for v in data.x[row, 1:])
-                lines.append(f"f{i:03d},{t},{float(data.y[row])!r}" + ("," + xs if xs else ""))
-        path.write_text("\n".join(lines) + "\n")
-    else:
-        data = kernel.data
-        header = ("subject_id,period,count,"
-                  + ",".join(f"x{j + 1}" for j in range(data.k)) + ",offset")
-        lines = [header]
-        for i in range(data.num_subjects):
-            for t in range(data.num_periods):
-                row = i * data.num_periods + t
-                xs = ",".join(repr(float(v)) for v in data.x[row])
-                lines.append(f"s{i:03d},{t},{int(data.y[row])},{xs},"
-                             f"{float(data.offsets[row])!r}")
-        path.write_text("\n".join(lines) + "\n")
+    data = harness.load_data(config)
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / "synthetic.csv"
+    MODELS[config.model].write_csv(data, path)
     print(f"wrote {path}")
     return 0
 
@@ -118,35 +77,30 @@ def cmd_fit_vb(args) -> int:
 def cmd_sample(args) -> int:
     config = _load_config(args)
     ctx = harness.build_context(config)
-    bundle = harness._RepBundle(ctx, config, rep=0)
+    draws = harness.sample_chain(ctx, config, rep=0)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "draws.csv"
     names = []
     for block in ctx.kernel.layout.blocks:
         size = block.size
         names.extend(f"{block.name}_{j}" for j in range(size))
-    body = "\n".join(",".join(repr(float(v)) for v in row) for row in bundle.draws.thetas)
+    body = "\n".join(",".join(repr(float(v)) for v in row) for row in draws.thetas)
     path.write_text(",".join(names) + "\n" + body + "\n")
-    print(f"wrote {path} ({bundle.draws.size} draws)")
+    print(f"wrote {path} ({draws.size} draws)")
     return 0
 
 
-def cmd_estimate(args) -> int:
+def cmd_experiment(args, repetitions=None) -> int:
+    """Run the experiment (``estimate``: one repetition of it) and write its tables."""
     config = _load_config(args)
-    config.repetitions = 1
-    table = harness.run_experiment(config)
-    _print_table(table)
-    harness.emit_outputs(table, args.out, formats=tuple(args.formats.split(",")))
-    return 0 if all(r.get("status") == "ok" for r in table.rows) else 1
-
-
-def cmd_experiment(args) -> int:
-    config = _load_config(args)
+    if repetitions is not None:
+        config.repetitions = repetitions
     table = harness.run_experiment(config)
     _print_table(table)
     written = harness.emit_outputs(table, args.out, formats=tuple(args.formats.split(",")))
-    for path in written:
-        print(f"wrote {path}")
+    if repetitions is None:
+        for path in written:
+            print(f"wrote {path}")
     return 0 if all(r.get("status") == "ok" for r in table.rows) else 1
 
 
@@ -171,7 +125,8 @@ def main(argv=None) -> int:
         description="Marginal data density estimation with VB weighting densities")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in [("synth", cmd_synth), ("fit-vb", cmd_fit_vb), ("sample", cmd_sample),
-                     ("estimate", cmd_estimate), ("experiment", cmd_experiment)]:
+                     ("estimate", partial(cmd_experiment, repetitions=1)),
+                     ("experiment", cmd_experiment)]:
         p = sub.add_parser(name)
         _add_common(p)
         p.set_defaults(func=fn)

@@ -12,18 +12,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import estimators as est
-from . import lpm as lpm_mod
-from . import sfm as sfm_mod
-from . import var as var_mod
 from .diagnostics import BoundsSpec, RepetitionSet, nse, percent_in_bounds
 from .errors import ConfigError, NumericError, UnsupportedModelError
-from .modelapi import SamplerConfig
+from .modelapi import ModelContext, SamplerConfig
+from .models import MODELS
 from .statscore import make_rng
 
 SCHEMA_VERSION = 1
@@ -35,6 +33,8 @@ __all__ = [
     "emit_outputs",
     "parse_config_file",
     "build_context",
+    "load_data",
+    "sample_chain",
     "ESTIMATOR_IDS",
 ]
 
@@ -79,6 +79,17 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown estimators: {unknown}; "
                               f"registered: {sorted(ESTIMATOR_IDS)}")
+        spec = MODELS.get(self.model)
+        if spec is None:
+            raise ConfigError(f"unknown model {self.model!r}; choose from {sorted(MODELS)}")
+        # with data from a CSV, no synth key is read
+        reads = {"synth": {} if self.data_csv else spec.synth, "options": spec.options}
+        for kind, read in reads.items():
+            unread = sorted(set(getattr(self, kind)) - set(read))
+            if unread:
+                note = " (data_csv is set)" if kind == "synth" and self.data_csv else ""
+                raise ConfigError(f"{self.model} reads no {kind} keys {unread}; "
+                                  f"it reads {sorted(read)}{note}")
 
 
 def parse_config_file(path) -> dict:
@@ -124,186 +135,42 @@ def _parse_value(text: str):
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
-    mapping = dict(mapping)
-    est_list = mapping.pop("estimators", None)
-    if isinstance(est_list, str):
-        est_list = [est_list]
-    cfg = ExperimentConfig(
-        model=mapping.pop("model"),
-        estimators=est_list or list(_DEFAULT_ESTIMATORS),
-        data_csv=mapping.pop("data_csv", None),
-        synth=mapping.pop("synth", {}) or {},
-        options=mapping.pop("options", {}) or {},
-        draws=mapping.pop("draws", 10_000),
-        burn_in=mapping.pop("burn_in", 1_000),
-        thin=mapping.pop("thin", 1),
-        weighting_draws=mapping.pop("weighting_draws", None),
-        is_draws=mapping.pop("is_draws", None),
-        repetitions=mapping.pop("repetitions", 100),
-        base_seed=mapping.pop("base_seed", 20_240_101),
-        upper_bound=mapping.pop("upper_bound", math.inf),
-        pmd_components=mapping.pop("pmd_components", 512),
-    )
-    if mapping:
-        raise ConfigError(f"unknown config keys: {sorted(mapping)}")
-    return cfg
+    """The config of a parsed mapping; an empty estimator list, ``synth`` or
+    ``options`` means the default."""
+    unknown = sorted(set(mapping) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    if "model" not in mapping:
+        raise ConfigError("model is required")
+    mapping = {key: value for key, value in mapping.items()
+               if value or key not in ("estimators", "synth", "options")}
+    if isinstance(mapping.get("estimators"), str):
+        mapping["estimators"] = [mapping["estimators"]]
+    return ExperimentConfig(**mapping)
 
 
 # ---------------------------------------------------------------------------
 # model contexts
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ModelContext:
-    """Everything the repetition loop needs for one model family."""
-
-    kernel: object
-    vb: object
-    vblb: float
-    exact: float | None = None
-    cdl_kernel: object | None = None
-    cdl_weighting: object | None = None
-    extend_draws: object | None = None
+def load_data(config: ExperimentConfig):
+    """The data of ``config``: its CSV, or the model's synthetic data set."""
+    spec = MODELS[config.model]
+    return spec.load(config.data_csv, {**spec.synth, **config.synth},
+                     {**spec.options, **config.options})
 
 
 def build_context(config: ExperimentConfig) -> ModelContext:
-    builder = _BUILDERS.get(config.model)
-    if builder is None:
-        raise ConfigError(f"unknown model {config.model!r}; "
-                          f"choose from {sorted(_BUILDERS)}")
-    return builder(config)
+    spec = MODELS[config.model]
+    kernel = spec.kernel(load_data(config), {**spec.options, **config.options})
+    return spec.context(kernel, kernel.vb_fit())
 
 
-def _build_var_conjugate(config: ExperimentConfig) -> ModelContext:
-    opts = dict(config.options)
-    p = int(opts.pop("p", 1))
-    if config.data_csv:
-        data, _ = var_mod.var_read_csv(config.data_csv, p)
-    else:
-        sy = dict(config.synth)
-        n = int(sy.pop("n", 2))
-        t = int(sy.pop("t", 80))
-        seed = int(sy.pop("seed", 1))
-        coeffs, sigma = _default_var_dynamics(n, p, sy)
-        data = var_mod.var_synthetic(seed, n, t, p, coeffs, sigma)
-    prior = _var_conjugate_prior(data, opts)
-    kernel = var_mod.VarConjugateKernel(prior, data)
-    vb = kernel.vb_fit()
-    return ModelContext(kernel=kernel, vb=vb, vblb=vb.elbo, exact=kernel.exact_log_mdd())
-
-
-def _build_var_independent(config: ExperimentConfig) -> ModelContext:
-    opts = dict(config.options)
-    p = int(opts.pop("p", 1))
-    if config.data_csv:
-        data, _ = var_mod.var_read_csv(config.data_csv, p)
-    else:
-        sy = dict(config.synth)
-        n = int(sy.pop("n", 2))
-        t = int(sy.pop("t", 80))
-        seed = int(sy.pop("seed", 1))
-        coeffs, sigma = _default_var_dynamics(n, p, sy)
-        data = var_mod.var_synthetic(seed, n, t, p, coeffs, sigma)
-    nk = data.N * data.K
-    scale = float(opts.pop("prior_scale", 10.0))
-    dof = float(opts.pop("prior_dof", data.N + 2.0))
-    prior = var_mod.VarIndependentPrior(np.zeros(nk), scale * np.eye(nk),
-                                        np.eye(data.N), dof)
-    kernel = var_mod.VarIndependentKernel(prior, data)
-    vb = kernel.vb_fit()
-    return ModelContext(kernel=kernel, vb=vb, vblb=vb.elbo)
-
-
-def _default_var_dynamics(n, p, synth_opts):
-    diag = float(synth_opts.pop("ar_diag", 0.5))
-    coeffs = np.zeros((1 + p * n, n))
-    if p >= 1:
-        coeffs[1:1 + n, :] = diag * np.eye(n)
-    sigma = np.eye(n)
-    return coeffs, sigma
-
-
-def _var_conjugate_prior(data, opts):
-    scale = float(opts.pop("prior_scale", 10.0))
-    dof = float(opts.pop("prior_dof", data.N + 2.0))
-    return var_mod.VarConjugatePrior(np.zeros((data.K, data.N)),
-                                     scale * np.eye(data.K), np.eye(data.N), dof)
-
-
-def _build_sfm_exponential(config: ExperimentConfig) -> ModelContext:
-    opts = dict(config.options)
-    sign = opts.pop("sign", "production")
-    if config.data_csv:
-        data = sfm_mod.sfm_read_csv(config.data_csv, sign=sign)
-    else:
-        sy = dict(config.synth)
-        data = sfm_mod.sfm_synthetic(
-            int(sy.pop("seed", 1)), int(sy.pop("n", 20)), int(sy.pop("t", 5)),
-            int(sy.pop("k", 2)), "exponential",
-            sy.pop("beta", [1.0, 0.5]), float(sy.pop("sigma_sq", 0.04)),
-            float(sy.pop("lam", 2.0)), sign=sign)
-    prior = sfm_mod.SfmExpPrior(np.zeros(data.k), 4.0 * np.eye(data.k),
-                                float(opts.pop("a_sigma", 2.0)), float(opts.pop("b_sigma", 0.1)),
-                                float(opts.pop("a_lam", 2.0)), float(opts.pop("b_lam", 1.0)))
-    kernel = sfm_mod.SfmExpKernel(prior, data)
-    vb = kernel.vb_fit()
-    cdl = kernel.as_complete_data()
-    return ModelContext(kernel=kernel, vb=vb, vblb=vb.elbo,
-                        cdl_kernel=cdl,
-                        cdl_weighting=sfm_mod.make_sfm_exp_cdl_weighting(vb, cdl),
-                        extend_draws=lambda ds: sfm_mod.SfmExpCdlKernel.extend_draws(ds, cdl))
-
-
-def _build_sfm_gamma(config: ExperimentConfig) -> ModelContext:
-    opts = dict(config.options)
-    sign = opts.pop("sign", "production")
-    if config.data_csv:
-        data = sfm_mod.sfm_read_csv(config.data_csv, sign=sign)
-    else:
-        sy = dict(config.synth)
-        data = sfm_mod.sfm_synthetic(
-            int(sy.pop("seed", 1)), int(sy.pop("n", 12)), int(sy.pop("t", 5)),
-            int(sy.pop("k", 2)), "gamma",
-            sy.pop("beta", [1.0, 0.5]), float(sy.pop("sigma_sq", 0.04)),
-            float(sy.pop("lam", 2.0)), theta=float(sy.pop("theta", 1.5)), sign=sign)
-    prior = sfm_mod.SfmGammaPrior(np.zeros(data.k), 4.0 * np.eye(data.k),
-                                  float(opts.pop("a_sigma", 2.0)), float(opts.pop("b_sigma", 0.1)),
-                                  float(opts.pop("b_lam", 1.0)),
-                                  float(opts.pop("a_theta", 2.0)), float(opts.pop("b_theta", 2.0)))
-    kernel = sfm_mod.SfmGammaKernel(prior, data)
-    vb = kernel.vb_fit()
-    # estimators run on the complete-data kernel; the VB weighting covers it
-    return ModelContext(kernel=kernel, vb=vb, vblb=vb.elbo,
-                        cdl_weighting=sfm_mod.make_sfm_gamma_cdl_weighting(vb, kernel))
-
-
-def _build_lpm(config: ExperimentConfig) -> ModelContext:
-    opts = dict(config.options)
-    if config.data_csv:
-        data = lpm_mod.lpm_read_csv(config.data_csv)
-    else:
-        sy = dict(config.synth)
-        m = int(sy.pop("m", 1))
-        data = lpm_mod.lpm_synthetic(
-            int(sy.pop("seed", 1)), int(sy.pop("n", 20)), int(sy.pop("t", 5)),
-            int(sy.pop("k", 2)), m, sy.pop("beta", [0.3, -0.2]),
-            sy.pop("mu", [0.1] * m), np.eye(m) * float(sy.pop("sigma_diag", 0.3)))
-    prior = lpm_mod.LpmPrior(np.zeros(data.k), 4.0 * np.eye(data.k),
-                             np.zeros(data.m), 4.0 * np.eye(data.m),
-                             np.eye(data.m) * float(opts.pop("prior_scale_sigma", 0.5)),
-                             float(opts.pop("prior_dof", data.m + 2.0)))
-    kernel = lpm_mod.LpmKernel(prior, data)
-    vb = kernel.vb_fit()
-    return ModelContext(kernel=kernel, vb=vb, vblb=vb.elbo)
-
-
-_BUILDERS = {
-    "var-conjugate": _build_var_conjugate,
-    "var-independent": _build_var_independent,
-    "sfm-exponential": _build_sfm_exponential,
-    "sfm-gamma": _build_sfm_gamma,
-    "lpm": _build_lpm,
-}
+def sample_chain(ctx: ModelContext, config: ExperimentConfig, rep: int):
+    """The posterior chain of repetition ``rep``, from its own seed stream."""
+    sampler_cfg = SamplerConfig(draws=config.draws, burn_in=config.burn_in, thin=config.thin)
+    return ctx.kernel.posterior_sampler(sampler_cfg, make_rng(config.base_seed, rep, 0),
+                                        seed=(config.base_seed, rep), **ctx.sampler_kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +184,7 @@ class _RepBundle:
         self.ctx = ctx
         self.config = config
         self.rep = rep
-        sampler_cfg = SamplerConfig(draws=config.draws, burn_in=config.burn_in,
-                                    thin=config.thin)
-        kw = {}
-        if isinstance(ctx.kernel, lpm_mod.LpmKernel):
-            kw["vb"] = ctx.vb
-        self.draws = ctx.kernel.posterior_sampler(
-            sampler_cfg, make_rng(config.base_seed, rep, 0),
-            seed=(config.base_seed, rep), **kw)
+        self.draws = sample_chain(ctx, config, rep)
         self.log_k = ctx.kernel.log_kernel_batch(self.draws.thetas)
         self._weightings: dict = {}
         self._chain_vals: dict = {}
@@ -334,28 +194,18 @@ class _RepBundle:
 
     def weighting(self, tag: str):
         if tag not in self._weightings:
-            ctx, cfg = self.ctx, self.config
-            if tag == "vb":
-                if ctx.cdl_weighting is not None and ctx.extend_draws is None:
-                    # gamma frontier: the estimator kernel is the complete-data one
-                    w = ctx.cdl_weighting
-                else:
-                    w = est.make_vb_weighting(ctx.vb)
-            elif tag == "prior":
-                w = est.make_prior_weighting(ctx.kernel)
-            elif tag == "geweke":
-                w = est.make_geweke_weighting(self.draws)
-            elif tag == "swz":
-                w = est.make_swz_weighting(ctx.kernel, self.draws,
-                                           log_kernel_values=self.log_k)
-            elif tag == "normal":
-                w = est.make_normal_weighting(self.draws)
-            elif tag == "pmd":
-                w = est.make_pmd_weighting(ctx.kernel, self.draws,
-                                           components=cfg.pmd_components)
-            else:
-                raise KeyError(tag)
-            self._weightings[tag] = w
+            ctx, draws = self.ctx, self.draws
+            self._weightings[tag] = {
+                "vb": lambda: (est.make_vb_weighting(ctx.vb) if ctx.vb_weighting is None
+                               else ctx.vb_weighting),
+                "prior": lambda: est.make_prior_weighting(ctx.kernel),
+                "geweke": lambda: est.make_geweke_weighting(draws),
+                "swz": lambda: est.make_swz_weighting(ctx.kernel, draws,
+                                                      log_kernel_values=self.log_k),
+                "normal": lambda: est.make_normal_weighting(draws),
+                "pmd": lambda: est.make_pmd_weighting(
+                    ctx.kernel, draws, components=self.config.pmd_components),
+            }[tag]()
         return self._weightings[tag]
 
     def chain_values(self, tag: str):
@@ -370,11 +220,21 @@ class _RepBundle:
 def _run_method(method: str, bundle: _RepBundle):
     ctx, cfg = bundle.ctx, bundle.config
     kernel, draws, log_k = ctx.kernel, bundle.draws, bundle.log_k
-    if method.startswith("ris-") and not method.endswith("-cdl"):
+    if method.endswith("-cdl"):
+        if ctx.cdl_kernel is None:
+            raise UnsupportedModelError(f"{cfg.model} has no complete-data route")
+        if method == "ris-vb-cdl":
+            return est.ris_estimate(ctx.cdl_kernel, bundle.cdl_draws, ctx.cdl_weighting,
+                                    bundle.cdl_log_k)
+        return est.bs_estimate(ctx.cdl_kernel, bundle.cdl_draws, ctx.cdl_weighting,
+                               num_weighting_draws=cfg.weighting_draws,
+                               rng=bundle.rng(method),
+                               log_kernel_values=bundle.cdl_log_k)
+    if method.startswith("ris-"):
         tag = method[4:]
         return est.ris_estimate(kernel, draws, bundle.weighting(tag), log_k,
                                 log_weight_values=bundle.chain_values(tag))
-    if method.startswith("bs-") and not method.endswith("-cdl"):
+    if method.startswith("bs-"):
         tag = method[3:]
         return est.bs_estimate(kernel, draws, bundle.weighting(tag),
                                num_weighting_draws=cfg.weighting_draws,
@@ -391,18 +251,6 @@ def _run_method(method: str, bundle: _RepBundle):
     if method == "chib":
         return est.chib_estimate(kernel, draws, bundle.rng(method),
                                  reduced_run_length=cfg.draws)
-    if method == "ris-vb-cdl":
-        if ctx.cdl_kernel is None:
-            raise UnsupportedModelError(f"{cfg.model} has no complete-data route")
-        return est.ris_estimate(ctx.cdl_kernel, bundle.cdl_draws, ctx.cdl_weighting,
-                                bundle.cdl_log_k)
-    if method == "bs-vb-cdl":
-        if ctx.cdl_kernel is None:
-            raise UnsupportedModelError(f"{cfg.model} has no complete-data route")
-        return est.bs_estimate(ctx.cdl_kernel, bundle.cdl_draws, ctx.cdl_weighting,
-                               num_weighting_draws=cfg.weighting_draws,
-                               rng=bundle.rng(method),
-                               log_kernel_values=bundle.cdl_log_k)
     raise ConfigError(f"unknown estimator {method}")
 
 
@@ -441,7 +289,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultsTable:
         if progress is not None:
             progress(rep)
 
-    bounds = BoundsSpec(ctx.vblb, config.upper_bound)
+    bounds = BoundsSpec(ctx.vb.elbo, config.upper_bound)
     rows = []
     for method in config.estimators:
         vals = values[method]
@@ -459,7 +307,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultsTable:
             "repetitions": len(vals),
         }
         rows.append(row)
-    benchmarks = {"vblb": ctx.vblb, "upper_bound": config.upper_bound}
+    benchmarks = {"vblb": ctx.vb.elbo, "upper_bound": config.upper_bound}
     if ctx.exact is not None:
         benchmarks["exact"] = ctx.exact
     return ResultsTable(rows=rows, benchmarks=benchmarks, scatter=scatter, config=config)

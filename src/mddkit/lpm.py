@@ -18,11 +18,14 @@ from scipy.special import gammaln
 from .errors import ConfigError, EstimationError
 from .modelapi import (
     Block,
+    ModelContext,
     ModelKernel,
+    ModelSpec,
     ParamLayout,
     PosteriorDrawSet,
     SamplerConfig,
     VBResult,
+    read_panel_csv,
 )
 from .statscore import (
     LOG_2PI,
@@ -43,6 +46,7 @@ __all__ = [
     "lpm_loglik_integrated",
     "lpm_synthetic",
     "lpm_read_csv",
+    "lpm_write_csv",
     "LpmKernel",
 ]
 
@@ -635,43 +639,66 @@ def lpm_synthetic(seed, num_subjects: int, num_periods: int, k: int, m: int,
     return LpmData(y, x, z, n, t)
 
 
+def lpm_write_csv(data: LpmData, path) -> None:
+    """Write ``data`` as :func:`lpm_read_csv` reads it, offsets included.
+    Only a random intercept (m = 1, z = 1) round-trips."""
+    if data.m != 1 or np.any(data.z != 1.0):
+        raise ConfigError(f"cannot write a panel with m = {data.m} random effects: "
+                          "the CSV format has no z columns")
+    header = ("subject_id,period,count,"
+              + ",".join(f"x{j + 1}" for j in range(data.k)) + ",offset")
+    lines = [header]
+    for i in range(data.num_subjects):
+        for t in range(data.num_periods):
+            row = i * data.num_periods + t
+            xs = ",".join(repr(float(v)) for v in data.x[row])
+            lines.append(f"s{i:03d},{t},{int(data.y[row])},{xs},"
+                         f"{float(data.offsets[row])!r}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def lpm_read_csv(path) -> LpmData:
     """Load a count panel: columns subject_id, period, count, covariates,
     with an optional trailing ``offset`` column."""
-    import csv
-
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    if header[:3] != ["subject_id", "period", "count"]:
-        raise ConfigError(f"{path}: header must start with subject_id,period,count")
+    header, cells = read_panel_csv(path, "subject", "count")
+    n, t, cols = cells.shape
+    rows = cells.reshape(n * t, cols)
     has_offset = header[-1] == "offset"
-    num_x = len(header) - 3 - (1 if has_offset else 0)
-    records = {}
-    for i, row in enumerate(rows):
-        try:
-            vals = [float(v) for v in row[2:]]
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad cell in row {i + 2}: {exc}") from exc
-        records.setdefault(row[0], {})[row[1]] = vals
-    subjects = sorted(records)
-    periods = sorted({p for r in records.values() for p in r})
-    t = len(periods)
-    for s in subjects:
-        if sorted(records[s]) != periods:
-            raise ConfigError(f"{path}: unbalanced panel (subject {s})")
-    n = len(subjects)
-    y = np.empty(n * t)
-    x = np.empty((n * t, max(num_x, 1)))
-    offsets = np.empty(n * t) if has_offset else None
-    for i, s in enumerate(subjects):
-        for j, period in enumerate(periods):
-            vals = records[s][period]
-            y[i * t + j] = vals[0]
-            xs = vals[1:1 + num_x] if num_x else [1.0]
-            x[i * t + j] = xs
-            if has_offset:
-                offsets[i * t + j] = vals[-1]
-    z = np.ones((n, t, 1))
-    return LpmData(y, x, z, n, t, offsets=offsets)
+    x = rows[:, 1:cols - has_offset]
+    return LpmData(rows[:, 0].copy(), x.copy() if x.shape[1] else np.ones((n * t, 1)),
+                   np.ones((n, t, 1)), n, t, offsets=rows[:, -1].copy() if has_offset else None)
+
+
+# ---------------------------------------------------------------------------
+# registry entry
+# ---------------------------------------------------------------------------
+
+def _load(data_csv, synth, options):
+    if data_csv:
+        return lpm_read_csv(data_csv)
+    m = int(synth["m"])
+    mu = [0.1] * m if synth["mu"] is None else synth["mu"]
+    return lpm_synthetic(int(synth["seed"]), int(synth["n"]), int(synth["t"]), int(synth["k"]),
+                         m, synth["beta"], mu, np.eye(m) * float(synth["sigma_diag"]))
+
+
+def _kernel(data: LpmData, options) -> LpmKernel:
+    dof = options["prior_dof"]
+    prior = LpmPrior(np.zeros(data.k), 4.0 * np.eye(data.k),
+                     np.zeros(data.m), 4.0 * np.eye(data.m),
+                     np.eye(data.m) * float(options["prior_scale_sigma"]),
+                     data.m + 2.0 if dof is None else float(dof))
+    return LpmKernel(prior, data)
+
+
+MODELS = {
+    "lpm": ModelSpec(
+        # mu None: 0.1 per effect; prior_dof None: m + 2
+        {"seed": 1, "n": 20, "t": 5, "k": 2, "m": 1, "beta": (0.3, -0.2), "mu": None,
+         "sigma_diag": 0.3},
+        {"prior_scale_sigma": 0.5, "prior_dof": None},
+        _load, _kernel, lpm_write_csv,
+        # the sampler scales its Metropolis proposals from the VB fit
+        context=lambda kernel, vb: ModelContext(kernel, vb, sampler_kwargs={"vb": vb})),
+}

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import UnsupportedModelError
+from .errors import ConfigError, UnsupportedModelError
 from .statscore import _tril_indices
 
 __all__ = [
@@ -28,9 +28,12 @@ __all__ = [
     "VBResult",
     "WeightingDensity",
     "ModelKernel",
+    "ModelContext",
+    "ModelSpec",
     "log_posterior_kernel",
     "elbo_monte_carlo",
     "run_gibbs",
+    "read_panel_csv",
 ]
 
 
@@ -304,12 +307,6 @@ class ModelKernel:
             out[ok] = prior[ok] + self.log_likelihood_batch(thetas[ok])
         return out
 
-    def log_prior(self, theta) -> float:
-        return float(self.log_prior_batch(np.atleast_2d(theta))[0])
-
-    def log_likelihood(self, theta) -> float:
-        return float(self.log_likelihood_batch(np.atleast_2d(theta))[0])
-
     # -- conditionals / sampling --------------------------------------------
 
     def full_conditional(self, name: str, state: dict):
@@ -386,3 +383,70 @@ def elbo_monte_carlo(model: ModelKernel, vb: VBResult, rng: np.random.Generator,
     draws = vb.sample(rng, num_draws)
     vals = model.log_kernel_batch(draws) - vb.log_q(draws)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(num_draws))
+
+
+# ---------------------------------------------------------------------------
+# model registry entries
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ModelContext:
+    """Everything the repetition loop needs for one model."""
+
+    kernel: ModelKernel
+    vb: VBResult
+    exact: float | None = None
+    # the weighting the estimator tag "vb" means; None: the VB fit's q itself
+    vb_weighting: WeightingDensity | None = None
+    cdl_kernel: ModelKernel | None = None
+    cdl_weighting: WeightingDensity | None = None
+    extend_draws: Callable[[PosteriorDrawSet], PosteriorDrawSet] | None = None
+    sampler_kwargs: dict = field(default_factory=dict)  # extra posterior_sampler arguments
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """One model name's registry entry, kept in its family's module.
+
+    ``synth`` and ``options`` map every key the entry reads to its default
+    (None: derived from the data or another key). ``load(data_csv, synth,
+    options)`` reads the CSV, or simulates from ``synth`` without one;
+    ``kernel(data, options)`` builds the model kernel and ``context(kernel,
+    vb)`` the loop's context from it and its VB fit. ``write_csv(data,
+    path)`` writes data that ``load`` reads back unchanged.
+    """
+
+    synth: dict
+    options: dict
+    load: Callable[[str | None, dict, dict], object]
+    kernel: Callable[[object, dict], ModelKernel]
+    write_csv: Callable[[object, object], None]
+    context: Callable[[ModelKernel, VBResult], ModelContext] = ModelContext
+
+
+def read_panel_csv(path, unit: str, value: str):
+    """The header and the cells, shaped (units, periods, columns from
+    ``value`` on), of a balanced panel CSV with columns ``{unit}_id, period,
+    {value}, ...``; units and periods are in label order."""
+    import csv
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(reader)
+    if header[:3] != [f"{unit}_id", "period", value]:
+        raise ConfigError(f"{path}: header must start with {unit}_id,period,{value}")
+    records = {}
+    for i, row in enumerate(rows):
+        try:
+            vals = [float(v) for v in row[2:]]
+        except ValueError as exc:
+            raise ConfigError(f"{path}: bad cell in row {i + 2}: {exc}") from exc
+        records.setdefault(row[0], {})[row[1]] = vals
+    units = sorted(records)
+    periods = sorted({p for r in records.values() for p in r})
+    for label in units:
+        if sorted(records[label]) != periods:
+            raise ConfigError(f"{path}: unbalanced panel ({unit} {label})")
+    cells = np.array([[records[label][p] for p in periods] for label in units])
+    return header, cells.reshape(len(units), len(periods), len(header) - 2)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import gammaln, log_ndtr, ndtri, psi
@@ -19,11 +20,14 @@ from scipy.special import gammaln, log_ndtr, ndtri, psi
 from .errors import ConfigError, NumericError
 from .modelapi import (
     Block,
+    ModelContext,
     ModelKernel,
+    ModelSpec,
     ParamLayout,
     PosteriorDrawSet,
     SamplerConfig,
     VBResult,
+    read_panel_csv,
     run_gibbs,
 )
 from .statscore import (
@@ -49,6 +53,7 @@ __all__ = [
     "sfm_gamma_integrated_loglik",
     "sfm_synthetic",
     "sfm_read_csv",
+    "sfm_write_csv",
     "SfmExpKernel",
     "SfmExpCdlKernel",
     "SfmGammaKernel",
@@ -1075,36 +1080,75 @@ def sfm_synthetic(seed, num_firms: int, num_periods: int, k: int, family: str,
     return SfmData(y, x, num_firms, num_periods, sign=sign)
 
 
+def sfm_write_csv(data: SfmData, path) -> None:
+    """Write ``data`` as :func:`sfm_read_csv` reads it, which adds the
+    intercept column back."""
+    header = "firm_id,period,y," + ",".join(f"x{j}" for j in range(1, data.k))
+    lines = [header.rstrip(",")]
+    for i in range(data.num_firms):
+        for t in range(data.num_periods):
+            row = i * data.num_periods + t
+            xs = ",".join(repr(float(v)) for v in data.x[row, 1:])
+            lines.append(f"f{i:03d},{t},{float(data.y[row])!r}" + ("," + xs if xs else ""))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def sfm_read_csv(path, sign: str = "production") -> SfmData:
     """Load a balanced panel: columns firm_id, period, y, x1..xk."""
-    import csv
+    _, cells = read_panel_csv(path, "firm", "y")
+    n, t, cols = cells.shape
+    rows = cells.reshape(n * t, cols)
+    return SfmData(rows[:, 0].copy(), np.column_stack([np.ones(n * t), rows[:, 1:]]), n, t,
+                   sign=sign)
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    if header[:3] != ["firm_id", "period", "y"]:
-        raise ConfigError(f"{path}: header must start with firm_id,period,y")
-    k = len(header) - 2  # y plus regressors
-    records = {}
-    for i, row in enumerate(rows):
-        try:
-            vals = [float(v) for v in row[2:]]
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad cell in row {i + 2}: {exc}") from exc
-        records.setdefault(row[0], {})[row[1]] = vals
-    firms = sorted(records)
-    periods = sorted({p for r in records.values() for p in r})
-    t = len(periods)
-    for firm in firms:
-        if sorted(records[firm]) != periods:
-            raise ConfigError(f"{path}: unbalanced panel (firm {firm})")
-    y = np.empty(len(firms) * t)
-    x = np.empty((len(firms) * t, k - 1 + 1))
-    for i, firm in enumerate(firms):
-        for j, period in enumerate(periods):
-            vals = records[firm][period]
-            y[i * t + j] = vals[0]
-            x[i * t + j, 0] = 1.0
-            x[i * t + j, 1:] = vals[1:]
-    return SfmData(y, x, len(firms), t, sign=sign)
+
+# ---------------------------------------------------------------------------
+# registry entries
+# ---------------------------------------------------------------------------
+
+def _load(family, data_csv, synth, options):
+    sign = options["sign"]
+    if data_csv:
+        return sfm_read_csv(data_csv, sign=sign)
+    return sfm_synthetic(int(synth["seed"]), int(synth["n"]), int(synth["t"]), int(synth["k"]),
+                         family, synth["beta"], float(synth["sigma_sq"]), float(synth["lam"]),
+                         theta=float(synth.get("theta", 1.0)), sign=sign)
+
+
+def _exp_kernel(data: SfmData, options) -> SfmExpKernel:
+    prior = SfmExpPrior(np.zeros(data.k), 4.0 * np.eye(data.k),
+                        float(options["a_sigma"]), float(options["b_sigma"]),
+                        float(options["a_lam"]), float(options["b_lam"]))
+    return SfmExpKernel(prior, data)
+
+
+def _exp_context(kernel: SfmExpKernel, vb: VBResult) -> ModelContext:
+    cdl = kernel.as_complete_data()
+    return ModelContext(kernel, vb, cdl_kernel=cdl,
+                        cdl_weighting=make_sfm_exp_cdl_weighting(vb, cdl),
+                        extend_draws=lambda draws: SfmExpCdlKernel.extend_draws(draws, cdl))
+
+
+def _gamma_kernel(data: SfmData, options) -> SfmGammaKernel:
+    prior = SfmGammaPrior(np.zeros(data.k), 4.0 * np.eye(data.k),
+                          float(options["a_sigma"]), float(options["b_sigma"]),
+                          float(options["b_lam"]),
+                          float(options["a_theta"]), float(options["b_theta"]))
+    return SfmGammaKernel(prior, data)
+
+
+_SYNTH = {"seed": 1, "n": 20, "t": 5, "k": 2, "beta": (1.0, 0.5), "sigma_sq": 0.04, "lam": 2.0}
+_OPTIONS = {"sign": "production", "a_sigma": 2.0, "b_sigma": 0.1, "b_lam": 1.0}
+
+MODELS = {
+    "sfm-exponential": ModelSpec(
+        _SYNTH, {**_OPTIONS, "a_lam": 2.0}, partial(_load, "exponential"),
+        _exp_kernel, sfm_write_csv, context=_exp_context),
+    "sfm-gamma": ModelSpec(
+        {**_SYNTH, "n": 12, "theta": 1.5}, {**_OPTIONS, "a_theta": 2.0, "b_theta": 2.0},
+        partial(_load, "gamma"), _gamma_kernel, sfm_write_csv,
+        # the kernel carries the u's, so its VB weighting is the complete-data one
+        context=lambda kernel, vb: ModelContext(
+            kernel, vb, vb_weighting=make_sfm_gamma_cdl_weighting(vb, kernel))),
+}

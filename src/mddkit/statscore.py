@@ -64,13 +64,6 @@ def log_sum_exp(values, axis=None):
     return out
 
 
-def log_mean_exp(values, axis=None):
-    """ln mean(exp(values)); companion of :func:`log_sum_exp`."""
-    v = np.asarray(values, dtype=float)
-    n = v.size if axis is None else v.shape[axis]
-    return log_sum_exp(v, axis=axis) - math.log(n)
-
-
 def ln_multivariate_gamma(dim: int, x: float) -> float:
     """ln Gamma_dim(x); requires x > (dim - 1) / 2."""
     if dim < 1:

@@ -16,7 +16,9 @@ import numpy as np
 from .errors import ConfigError
 from .modelapi import (
     Block,
+    ModelContext,
     ModelKernel,
+    ModelSpec,
     ParamLayout,
     PosteriorDrawSet,
     SamplerConfig,
@@ -46,6 +48,7 @@ __all__ = [
     "var_vb_independent",
     "var_synthetic",
     "var_read_csv",
+    "var_write_csv",
     "VarConjugateKernel",
     "VarIndependentKernel",
 ]
@@ -636,6 +639,17 @@ def var_synthetic(seed, n: int, t: int, p: int, coeffs: np.ndarray,
     return VarData.from_series(y[burn:], p)
 
 
+def var_write_csv(data: VarData, path) -> None:
+    """Write ``data`` as :func:`var_read_csv` reads it at the same lag order:
+    the p presample rows, then Y."""
+    header = ",".join(f"y{j + 1}" for j in range(data.N))
+    first = data.X[0, 1:1 + data.p * data.N].reshape(data.p, data.N)[::-1]
+    rows = np.vstack([first, data.Y])
+    body = "\n".join(",".join(repr(float(v)) for v in row) for row in rows)
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + body + "\n")
+
+
 def var_read_csv(path, p: int):
     """Load a VAR series: one header row, columns = series; an optional
     leading ISO-8601 date column is ignored for the math."""
@@ -664,3 +678,48 @@ def var_read_csv(path, p: int):
             except ValueError:
                 raise ConfigError(f"{path}: bad cell at row {i + 2}, column {names[j]!r}: {cell!r}")
     return VarData.from_series(data, p), names
+
+
+# ---------------------------------------------------------------------------
+# registry entries
+# ---------------------------------------------------------------------------
+
+def _load(data_csv, synth, options):
+    p = int(options["p"])
+    if data_csv:
+        return var_read_csv(data_csv, p)[0]
+    n = int(synth["n"])
+    coeffs = np.zeros((1 + p * n, n))
+    if p >= 1:
+        coeffs[1:1 + n, :] = float(synth["ar_diag"]) * np.eye(n)
+    return var_synthetic(int(synth["seed"]), n, int(synth["t"]), p, coeffs, np.eye(n))
+
+
+def _prior_scale_and_dof(data: VarData, options):
+    dof = options["prior_dof"]
+    return float(options["prior_scale"]), data.N + 2.0 if dof is None else float(dof)
+
+
+def _conjugate_kernel(data: VarData, options) -> VarConjugateKernel:
+    scale, dof = _prior_scale_and_dof(data, options)
+    prior = VarConjugatePrior(np.zeros((data.K, data.N)), scale * np.eye(data.K),
+                              np.eye(data.N), dof)
+    return VarConjugateKernel(prior, data)
+
+
+def _independent_kernel(data: VarData, options) -> VarIndependentKernel:
+    scale, dof = _prior_scale_and_dof(data, options)
+    nk = data.N * data.K
+    prior = VarIndependentPrior(np.zeros(nk), scale * np.eye(nk), np.eye(data.N), dof)
+    return VarIndependentKernel(prior, data)
+
+
+_SYNTH = {"seed": 1, "n": 2, "t": 80, "ar_diag": 0.5}
+_OPTIONS = {"p": 1, "prior_scale": 10.0, "prior_dof": None}   # prior_dof None: N + 2
+
+MODELS = {
+    "var-conjugate": ModelSpec(
+        _SYNTH, _OPTIONS, _load, _conjugate_kernel, var_write_csv,
+        context=lambda kernel, vb: ModelContext(kernel, vb, exact=kernel.exact_log_mdd())),
+    "var-independent": ModelSpec(_SYNTH, _OPTIONS, _load, _independent_kernel, var_write_csv),
+}

@@ -109,7 +109,7 @@ class TestRis:
         thetas = np.array([[0.0], [0.3], [-0.2]])
         draws = PosteriorDrawSet(thetas, kernel.layout, seed=0)
         est = ris_estimate(kernel, draws, make_prior_weighting(kernel))
-        liks = [kernel.log_likelihood(t) for t in thetas]
+        liks = kernel.log_likelihood_batch(thetas)
         hand = -(math.log(sum(math.exp(-l) for l in liks) / 3.0))
         assert est.log_mdd == pytest.approx(hand, abs=1e-12)
 

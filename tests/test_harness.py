@@ -14,9 +14,14 @@ from mddkit.harness import (
     ExperimentConfig,
     config_from_mapping,
     emit_outputs,
+    load_data,
     parse_config_file,
     run_experiment,
 )
+from mddkit.lpm import lpm_read_csv
+from mddkit.models import MODELS
+from mddkit.sfm import sfm_read_csv
+from mddkit.var import var_read_csv
 
 TINY = dict(model="var-conjugate", synth={"seed": 5, "n": 2, "t": 50},
             options={"p": 1}, draws=1200, burn_in=0, repetitions=3, base_seed=7)
@@ -66,6 +71,24 @@ class TestConfig:
     def test_zero_repetitions_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(model="var-conjugate", repetitions=0)
+
+    def test_unread_keys_rejected(self):
+        with pytest.raises(ConfigError, match=r"synth keys \['nn'\]; it reads \['ar_diag', "
+                                              r"'n', 'seed', 't'\]"):
+            ExperimentConfig(model="var-conjugate", synth={"nn": 5})
+        with pytest.raises(ConfigError, match=r"options keys \['prior_scal'\]; it reads "
+                                              r"\['p', 'prior_dof', 'prior_scale'\]"):
+            ExperimentConfig(model="var-conjugate", options={"prior_scal": 3.0})
+        # the exponential frontier has no shape parameter
+        with pytest.raises(ConfigError, match="theta"):
+            ExperimentConfig(model="sfm-exponential", synth={"theta": 2.0})
+        # data from a CSV reads no synth key
+        with pytest.raises(ConfigError, match=r"it reads \[\] \(data_csv is set\)"):
+            ExperimentConfig(model="lpm", data_csv="panel.csv", synth={"seed": 2})
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ConfigError, match="unknown model 'var'"):
+            ExperimentConfig(model="var")
 
 
 class TestRunExperiment:
@@ -180,6 +203,38 @@ class TestOutputs:
         svg = (tmp_path / "scatter.svg").read_text()
         # one circle per estimate plus one legend swatch per method
         assert svg.count("<circle") == cfg.repetitions * len(cfg.estimators) + len(cfg.estimators)
+
+
+class TestDataCsv:
+    # the family reader of each model and the data fields it must give back
+    READERS = {
+        "var-conjugate": (lambda path: var_read_csv(path, 1)[0], ("Y", "X")),
+        "var-independent": (lambda path: var_read_csv(path, 1)[0], ("Y", "X")),
+        "sfm-exponential": (sfm_read_csv, ("y", "x")),
+        "sfm-gamma": (sfm_read_csv, ("y", "x")),
+        "lpm": (lpm_read_csv, ("y", "x", "z", "offsets")),
+    }
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_writer_round_trips(self, tmp_path, model):
+        data = load_data(ExperimentConfig(model=model))
+        MODELS[model].write_csv(data, tmp_path / "data.csv")
+        reader, fields = self.READERS[model]
+        back = reader(tmp_path / "data.csv")
+        for name in fields:
+            assert np.array_equal(getattr(back, name), getattr(data, name)), name
+
+    def test_lpm_writer_rejects_two_effects(self, tmp_path):
+        # the CSV would read back as a one-effect panel
+        data = load_data(ExperimentConfig(model="lpm", synth={"m": 2}))
+        with pytest.raises(ConfigError, match="no z columns"):
+            MODELS["lpm"].write_csv(data, tmp_path / "data.csv")
+        assert not (tmp_path / "data.csv").exists()
+        conf = tmp_path / "exp.conf"
+        conf.write_text("model = lpm\nsynth.m = 2\n")
+        rc = cli_main(["synth", "--config", str(conf), "--out", str(tmp_path / "cli")])
+        assert rc == 2
+        assert not (tmp_path / "cli" / "synthetic.csv").exists()
 
 
 class TestCli:

@@ -134,7 +134,8 @@ class TestKernelContract:
     def test_empty_data_kernel_is_prior(self):
         toy = ToyNormalKernel(np.empty(0))
         theta = np.array([0.7])
-        assert log_posterior_kernel(toy, theta) == pytest.approx(toy.log_prior(theta), abs=1e-12)
+        prior = toy.log_prior_batch(np.atleast_2d(theta))[0]
+        assert log_posterior_kernel(toy, theta) == pytest.approx(prior, abs=1e-12)
 
     def test_outside_support_is_minus_inf(self):
         ng = ToyNormalGammaKernel(np.array([0.1, -0.2]))
