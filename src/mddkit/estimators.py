@@ -222,8 +222,9 @@ def chib_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, rng: np.random.G
     blocks clamped at their starred values.
     """
     blocks = kernel.conditional_blocks
-    if not blocks:
-        raise UnsupportedModelError(f"{type(kernel).__name__} exposes no conditional blocks")
+    if missing := kernel.layout.missing(blocks):  # would need Chib-Jeliazkov ordinates
+        raise UnsupportedModelError(f"chib needs a full conditional for every block; "
+                                    f"{type(kernel).__name__} has none for {' and '.join(missing)}")
     if len(blocks) > 1 and not hasattr(kernel, "gibbs_sweep"):
         raise UnsupportedModelError(f"{type(kernel).__name__} lacks a clampable Gibbs sweep")
     run_len = reduced_run_length or draws.size
@@ -462,5 +463,5 @@ def make_pmd_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
         return layout.pack_batch(out)
 
     # a draw needs every parameter block; the conditionals may cover only some
-    covered = set(layout.names) <= set(names)
+    covered = not layout.missing(names)
     return WeightingDensity(tag="pmd", log_eval=log_eval, sampler=sampler if covered else None)

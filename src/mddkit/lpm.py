@@ -26,6 +26,7 @@ from .modelapi import (
     SamplerConfig,
     VBResult,
     read_panel_csv,
+    run_gibbs,
 )
 from .statscore import (
     LOG_2PI,
@@ -471,7 +472,6 @@ class LpmKernel(ModelKernel):
     """Poisson panel with the random effects integrated out numerically."""
 
     conditional_blocks = ["mu", "sigma_inv"]
-    latent_block = "u"
 
     def __init__(self, prior: LpmPrior, data: LpmData, nodes: int = 31):
         if prior.beta0.size != data.k or prior.mu0.size != data.m:
@@ -522,88 +522,86 @@ class LpmKernel(ModelKernel):
                                  self.prior.nu0 + n)
         raise KeyError(name)
 
-    def posterior_sampler(self, config: SamplerConfig, rng, seed=None,
-                          vb: VBResult | None = None) -> PosteriorDrawSet:
-        """Random-walk Metropolis for beta and each u_i (proposals scaled from
-        the variational covariance blocks, adaptation frozen after burn-in),
-        conjugate draws for mu and Sigma^-1."""
-        d, prior = self.data, self.prior
-        n, t, k, m = d.num_subjects, d.num_periods, d.k, d.m
-        if vb is None:
-            vb = lpm_vb(prior, d)
-        chol_beta = safe_cholesky(vb.hyper["beta"].cov)
-        gamma_cov = vb.hyper["gamma"].cov
-        u_chols = np.stack([safe_cholesky(gamma_cov[k + i * m: k + (i + 1) * m,
-                                                    k + i * m: k + (i + 1) * m])
-                            for i in range(n)])
-        target_beta = 0.44 if k == 1 else 0.234
-        target_u = 0.44 if m == 1 else 0.234
+    def _steps(self, adapt: bool) -> dict:
+        """The initial Metropolis step sizes by block, as ``mh_state``."""
+        d = self.data
+        return {"beta": 2.38 / math.sqrt(d.k), "u": np.full(d.num_subjects, 2.38 / math.sqrt(d.m)),
+                "adapt": adapt}
 
-        state = {"beta": vb.hyper["beta"].mean.copy(),
-                 "u": vb.hyper["u_means"].copy(),
-                 "mu": vb.hyper["mu"].mean.copy(),
-                 "sigma_inv": vb.hyper["nu"] * np.linalg.inv(vb.hyper["S"])}
-        step_beta, step_u = 2.38 / math.sqrt(k), np.full(n, 2.38 / math.sqrt(m))
-        accept_beta = accept_u = 0
-        total = config.burn_in + config.draws * config.thin
-        thetas = np.empty((config.draws, self.layout.dim))
-        latents = np.empty((config.draws, n * m))
-        kept = 0
-        # the current state's linear-predictor parts, beta prior term and
-        # per-subject Poisson log likelihood, carried across the steps
-        xb = (d.offsets + d.x @ state["beta"]).reshape(n, t)
-        zu = np.einsum("itm,im->it", d.z, state["u"])
-        lp_beta = self._gauss_beta0.logpdf(state["beta"])
-        ll = self._poisson_loglik_per_subject(xb, zu)
-        for it in range(total):
-            adapt = it < config.burn_in
-            # beta block
-            prop = state["beta"] + step_beta * (chol_beta @ rng.standard_normal(k))
+    def _carry(self, state):
+        """Add what the Metropolis steps carry across sweeps where absent: xb, zu,
+        the beta prior term, the per-subject log likelihood and the proposal
+        factors (from the curvature at the state when no VB fit gave them)."""
+        d, n, t = self.data, self.data.num_subjects, self.data.num_periods
+        if "_ll" not in state:
+            state["_xb"] = (d.offsets + d.x @ state["beta"]).reshape(n, t)
+            state["_zu"] = np.einsum("itm,im->it", d.z, state["u"])
+            state["_lp_beta"] = self._gauss_beta0.logpdf(state["beta"])
+            state["_ll"] = self._poisson_loglik_per_subject(state["_xb"], state["_zu"])
+        if "_chol_beta" not in state:
+            lam = np.exp(state["_xb"] + state["_zu"])
+            state["_chol_beta"] = safe_cholesky(np.linalg.inv(
+                d.x.T @ (lam.reshape(-1, 1) * d.x) + np.linalg.inv(self.prior.Vbeta0)))
+            state["_u_chols"] = safe_cholesky(np.linalg.inv(
+                np.einsum("itm,it,itl->iml", d.z, lam, d.z) + state["sigma_inv"]))
+
+    def gibbs_sweep(self, state, rng, clamped=frozenset(), mh_state=None):
+        """Random-walk Metropolis for beta, then all u_i, then conjugate mu and
+        Sigma^-1; proposals are the state's ``"_chol_beta"`` / ``"_u_chols"``
+        scaled by the ``mh_state`` steps (the initial ones, unadapted, if None)."""
+        d = self.data
+        n, t, k, m = d.num_subjects, d.num_periods, d.k, d.m
+        mh_state = self._steps(adapt=False) if mh_state is None else mh_state
+        self._carry(state)
+        if "beta" not in clamped:
+            prop = state["beta"] + mh_state["beta"] * (state["_chol_beta"] @ rng.standard_normal(k))
             xb_prop = (d.offsets + d.x @ prop).reshape(n, t)
             lp_prop = self._gauss_beta0.logpdf(prop)
-            ll_prop = self._poisson_loglik_per_subject(xb_prop, zu)
-            delta = float(ll_prop.sum() - ll.sum()) + lp_prop - lp_beta
+            ll_prop = self._poisson_loglik_per_subject(xb_prop, state["_zu"])
+            delta = float(ll_prop.sum() - state["_ll"].sum()) + lp_prop - state["_lp_beta"]
             acc = math.log(rng.uniform()) <= delta
             if acc:
-                state["beta"], xb, lp_beta, ll = prop, xb_prop, lp_prop, ll_prop
-            if adapt:
-                step_beta = min(max(step_beta * math.exp(
-                    0.05 * ((1.0 if acc else 0.0) - target_beta)), 1e-3), 50.0)
-            elif acc:
-                accept_beta += 1
-            # u blocks, all subjects at once
+                state.update(beta=prop, _xb=xb_prop, _lp_beta=lp_prop, _ll=ll_prop)
+            if mh_state["adapt"]:
+                target = 0.44 if k == 1 else 0.234
+                mh_state["beta"] = min(max(mh_state["beta"] * math.exp(
+                    0.05 * ((1.0 if acc else 0.0) - target)), 1e-3), 50.0)
+        if "u" not in clamped:
+            step, u, ll, w_mat = mh_state["u"], state["u"], state["_ll"], state["sigma_inv"]
             noise = rng.standard_normal((n, m))
-            prop_u = state["u"] + step_u[:, None] * np.einsum("iml,il->im", u_chols, noise)
-            w_mat = state["sigma_inv"]
+            prop_u = u + step[:, None] * np.einsum("iml,il->im", state["_u_chols"], noise)
             zu_prop = np.einsum("itm,im->it", d.z, prop_u)
-            new = self._poisson_loglik_per_subject(xb, zu_prop)
-            dev_c = state["u"] - state["mu"]
-            dev_p = prop_u - state["mu"]
+            new = self._poisson_loglik_per_subject(state["_xb"], zu_prop)
+            dev_c, dev_p = u - state["mu"], prop_u - state["mu"]
             dprior = -0.5 * (np.einsum("im,ml,il->i", dev_p, w_mat, dev_p)
                              - np.einsum("im,ml,il->i", dev_c, w_mat, dev_c))
             acc_u = np.log(rng.uniform(size=n)) <= (new - ll + dprior)
-            state["u"] = np.where(acc_u[:, None], prop_u, state["u"])
-            zu = np.where(acc_u[:, None], zu_prop, zu)
-            ll = np.where(acc_u, new, ll)
-            if adapt:
-                step_u = np.clip(step_u * np.exp(0.05 * (acc_u.astype(float) - target_u)),
-                                 1e-3, 50.0)
-            else:
-                accept_u += np.count_nonzero(acc_u) / n
-            # conjugate blocks
-            state["mu"] = self.full_conditional("mu", state).sample(rng)
-            state["sigma_inv"] = self.full_conditional("sigma_inv", state).sample(rng)
-            if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
-                self.layout.pack_into(thetas[kept], state)
-                latents[kept] = state["u"].ravel()
-                kept += 1
-        retained = total - config.burn_in
-        for name, rate in [("beta", accept_beta / retained), ("u", accept_u / retained)]:
-            if not 0.05 <= rate <= 0.95:
-                warnings.warn(f"MH acceptance for {name} is {rate:.2f}", stacklevel=2)
-        return PosteriorDrawSet(thetas, self.layout, seed=seed, burn_in=config.burn_in,
-                                thin=config.thin, latents=latents,
-                                latent_layout=self.latent_layout)
+            state["u"] = np.where(acc_u[:, None], prop_u, u)
+            state["_zu"] = np.where(acc_u[:, None], zu_prop, state["_zu"])
+            state["_ll"] = np.where(acc_u, new, ll)
+            if mh_state["adapt"]:
+                target = 0.44 if m == 1 else 0.234
+                mh_state["u"] = np.clip(step * np.exp(0.05 * (acc_u.astype(float) - target)),
+                                        1e-3, 50.0)
+        for name in ("mu", "sigma_inv"):
+            if name not in clamped:
+                state[name] = self.full_conditional(name, state).sample(rng)
+        return state
+
+    def posterior_sampler(self, config: SamplerConfig, rng, seed=None,
+                          vb: VBResult | None = None) -> PosteriorDrawSet:
+        """:meth:`gibbs_sweep` chain from the VB fit's means, its proposals
+        scaled from the variational covariance blocks and adapted in burn-in."""
+        n, k, m = self.data.num_subjects, self.data.k, self.data.m
+        vb = lpm_vb(self.prior, self.data) if vb is None else vb
+        # the (m, m) diagonal blocks of the u part of the Gaussian factor
+        u_covs = vb.hyper["gamma"].cov[k:, k:].reshape(n, m, n, m)[np.arange(n), :, np.arange(n)]
+        state = {"beta": vb.hyper["beta"].mean.copy(), "u": vb.hyper["u_means"].copy(),
+                 "mu": vb.hyper["mu"].mean.copy(),
+                 "sigma_inv": vb.hyper["nu"] * np.linalg.inv(vb.hyper["S"]),
+                 "_chol_beta": safe_cholesky(vb.hyper["beta"].cov),
+                 "_u_chols": safe_cholesky(u_covs)}
+        return run_gibbs(self, state, config, rng, seed=seed, mh_state=self._steps(adapt=True))
 
     def vb_fit(self, tol: float = 1e-6, max_iter: int = 500, damping: float = 0.5) -> VBResult:
         return lpm_vb(self.prior, self.data, tol=tol, max_iter=max_iter, damping=damping)
@@ -647,12 +645,12 @@ def lpm_write_csv(data: LpmData, path) -> None:
                           "the CSV format has no z columns")
     header = ("subject_id,period,count,"
               + ",".join(f"x{j + 1}" for j in range(data.k)) + ",offset")
-    lines = [header]
+    lines, width = [header], max(3, len(str(data.num_subjects - 1)))
     for i in range(data.num_subjects):
         for t in range(data.num_periods):
             row = i * data.num_periods + t
             xs = ",".join(repr(float(v)) for v in data.x[row])
-            lines.append(f"s{i:03d},{t},{int(data.y[row])},{xs},"
+            lines.append(f"s{i:0{width}d},{t},{int(data.y[row])},{xs},"
                          f"{float(data.offsets[row])!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -100,6 +100,10 @@ class ParamLayout:
     def names(self) -> list[str]:
         return [b.name for b in self.blocks]
 
+    def missing(self, names) -> list[str]:
+        """The block names not among ``names``, in layout order."""
+        return [b.name for b in self.blocks if b.name not in names]
+
     def pack(self, values: dict) -> np.ndarray:
         return self.pack_into(np.empty(self.dim), values)
 
@@ -288,7 +292,6 @@ class ModelKernel:
     layout: ParamLayout
     latent_layout: ParamLayout | None = None
     conditional_blocks: list[str] = []
-    latent_block: str | None = None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -356,7 +359,7 @@ def run_gibbs(kernel: ModelKernel, state: dict, config: SamplerConfig,
         if it < burn_in:
             continue
         for name, prev in zip(mh_blocks, before):
-            moved[name] += np.mean(state[name] != prev)
+            moved[name] += np.count_nonzero(state[name] != prev) / np.size(prev)
         kept, offset = divmod(it - burn_in, thin)
         if offset == 0:
             layout.pack_into(thetas[kept], state)
@@ -427,7 +430,7 @@ class ModelSpec:
 def read_panel_csv(path, unit: str, value: str):
     """The header and the cells, shaped (units, periods, columns from
     ``value`` on), of a balanced panel CSV with columns ``{unit}_id, period,
-    {value}, ...``; units and periods are in label order."""
+    {value}, ...``; units in label order, periods too (numeric if all are digits)."""
     import csv
 
     with open(path, newline="") as fh:
@@ -448,5 +451,7 @@ def read_panel_csv(path, unit: str, value: str):
     for label in units:
         if sorted(records[label]) != periods:
             raise ConfigError(f"{path}: unbalanced panel ({unit} {label})")
+    if all(p.isdecimal() for p in periods):  # 10 after 9; a stable sort keeps 01 before 1
+        periods.sort(key=int)
     cells = np.array([[records[label][p] for p in periods] for label in units])
     return header, cells.reshape(len(units), len(periods), len(header) - 2)

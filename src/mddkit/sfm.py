@@ -737,6 +737,14 @@ class _FrontierKernel(ModelKernel):
         self._v0_inv_b0 = self._v0_inv @ prior.beta0
         self._xtx = data.x.T @ data.x
 
+    def _initial_state(self) -> dict:
+        """A chain's start: least-squares beta and its residual precision."""
+        d = self.data
+        beta0, *_ = np.linalg.lstsq(d.x, d.y, rcond=None)
+        resid = d.y - d.x @ beta0
+        return {"beta": beta0, "sigma_prec": 1.0 / max(float(np.var(resid)), 1e-6),
+                "lam": 1.0, "u": np.full(d.num_firms, 0.5)}
+
     def _c_times_u(self, state):
         """c * u_i at every observation, for one state or a stack."""
         return self.data.c * np.repeat(state["u"], self.data.num_periods, axis=-1)
@@ -783,7 +791,6 @@ class SfmExpKernel(_FrontierKernel):
     """Exponential-inefficiency frontier with the latent integrated out."""
 
     conditional_blocks = ["beta", "sigma_prec", "lam"]
-    latent_block = "u"
 
     def __init__(self, prior: SfmExpPrior, data: SfmData):
         super().__init__(prior, data)
@@ -829,12 +836,7 @@ class SfmExpKernel(_FrontierKernel):
         return state
 
     def posterior_sampler(self, config: SamplerConfig, rng, seed=None) -> PosteriorDrawSet:
-        d = self.data
-        beta0, *_ = np.linalg.lstsq(d.x, d.y, rcond=None)
-        resid = d.y - d.x @ beta0
-        state = {"beta": beta0, "sigma_prec": 1.0 / max(float(np.var(resid)), 1e-6),
-                 "lam": 1.0, "u": np.full(d.num_firms, 0.5)}
-        return run_gibbs(self, state, config, rng, seed=seed)
+        return run_gibbs(self, self._initial_state(), config, rng, seed=seed)
 
     def vb_fit(self, tol: float = 1e-8, max_iter: int = 500) -> VBResult:
         return sfm_exp_vb(self.prior, self.data, tol=tol, max_iter=max_iter)
@@ -919,7 +921,8 @@ def make_sfm_exp_cdl_weighting(vb: VBResult, kernel: SfmExpCdlKernel):
 class SfmGammaKernel(_FrontierKernel):
     """Gamma-inefficiency frontier; the estimator-facing kernel keeps the
     latents in the parameter vector (complete-data form) since only some
-    blocks are conjugate. ``integrated_loglik`` is available separately."""
+    blocks are conjugate. :func:`sfm_gamma_integrated_loglik` integrates the
+    latents out."""
 
     conditional_blocks = ["beta", "sigma_prec", "lam"]
 
@@ -953,9 +956,6 @@ class SfmGammaKernel(_FrontierKernel):
                 + self._gam_sig0.logpdf_batch(u["sigma_prec"]) + out)
 
     log_likelihood_batch = SfmExpCdlKernel.log_likelihood_batch
-
-    def integrated_loglik(self, beta, sigma_prec, lam, theta):
-        return sfm_gamma_integrated_loglik(beta, sigma_prec, lam, theta, self.data)
 
     # -- sampling -------------------------------------------------------------
 
@@ -1017,13 +1017,9 @@ class SfmGammaKernel(_FrontierKernel):
         return state
 
     def posterior_sampler(self, config: SamplerConfig, rng, seed=None) -> PosteriorDrawSet:
-        d = self.data
-        beta0, *_ = np.linalg.lstsq(d.x, d.y, rcond=None)
-        resid = d.y - d.x @ beta0
-        state = {"beta": beta0, "sigma_prec": 1.0 / max(float(np.var(resid)), 1e-6),
-                 "lam": 1.0, "theta": 1.0, "u": np.full(d.num_firms, 0.5)}
-        mh_state = {"theta": 0.5, "u": np.full(d.num_firms, 0.5), "adapt": True}
-        return run_gibbs(self, state, config, rng, seed=seed, mh_state=mh_state)
+        mh_state = {"theta": 0.5, "u": np.full(self.data.num_firms, 0.5), "adapt": True}
+        return run_gibbs(self, self._initial_state() | {"theta": 1.0}, config, rng, seed=seed,
+                         mh_state=mh_state)
 
     def vb_fit(self, tol: float = 1e-6, max_iter: int = 200, **kw) -> VBResult:
         return sfm_gamma_vb(self.prior, self.data, tol=tol, max_iter=max_iter, **kw)
@@ -1084,12 +1080,12 @@ def sfm_write_csv(data: SfmData, path) -> None:
     """Write ``data`` as :func:`sfm_read_csv` reads it, which adds the
     intercept column back."""
     header = "firm_id,period,y," + ",".join(f"x{j}" for j in range(1, data.k))
-    lines = [header.rstrip(",")]
+    lines, width = [header.rstrip(",")], max(3, len(str(data.num_firms - 1)))
     for i in range(data.num_firms):
         for t in range(data.num_periods):
             row = i * data.num_periods + t
             xs = ",".join(repr(float(v)) for v in data.x[row, 1:])
-            lines.append(f"f{i:03d},{t},{float(data.y[row])!r}" + ("," + xs if xs else ""))
+            lines.append(f"f{i:0{width}d},{t},{float(data.y[row])!r}" + ("," + xs if xs else ""))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

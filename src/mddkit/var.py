@@ -589,10 +589,9 @@ class VarIndependentKernel(_VarKernelBase):
         raise KeyError(name)
 
     def gibbs_sweep(self, state, rng, clamped=frozenset()):
-        if "alpha" not in clamped:
-            state["alpha"] = self.full_conditional("alpha", state).sample(rng)
-        if "sigma_inv" not in clamped:
-            state["sigma_inv"] = self.full_conditional("sigma_inv", state).sample(rng)
+        for name in self.conditional_blocks:
+            if name not in clamped:
+                state[name] = self.full_conditional(name, state).sample(rng)
         return state
 
     def posterior_sampler(self, config: SamplerConfig, rng, seed=None) -> PosteriorDrawSet:

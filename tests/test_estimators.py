@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mddkit import harness
+from mddkit import estimators, harness
 from mddkit.errors import EstimationError, UnsupportedModelError
 from mddkit.estimators import (
     MddEstimate,
@@ -32,6 +32,8 @@ from mddkit.modelapi import (
 )
 from mddkit.statscore import MvNormalParams, make_rng, quadrature_1d
 from mddkit.toys import ToyNormalGammaKernel, ToyNormalKernel
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture(scope="module")
@@ -362,3 +364,16 @@ class TestChib:
         a = chib_estimate(kernel, draws, make_rng(702), reduced_run_length=500)
         b = chib_estimate(kernel, draws, make_rng(702), reduced_run_length=500)
         assert a.log_mdd == b.log_mdd
+
+    @pytest.mark.parametrize("model, missing", [("sfm-gamma", "theta and u"), ("lpm", "beta")])
+    def test_refuses_conditionals_that_leave_a_block_out(self, model, missing, monkeypatch):
+        # the ordinate would drop the Metropolis-moved blocks; refused before any reduced run
+        config = harness.ExperimentConfig(model=model, draws=20, burn_in=10)
+        ctx = harness.build_context(config)
+        draws = harness.sample_chain(ctx, config, 0)
+
+        def no_reduced_run(*args):
+            raise AssertionError("reduced run started")
+        monkeypatch.setattr(estimators, "_reduced_run", no_reduced_run)
+        with pytest.raises(UnsupportedModelError, match=f"has none for {missing}$"):
+            chib_estimate(ctx.kernel, draws, make_rng(703))

@@ -119,7 +119,7 @@ class TestRunExperiment:
         assert table.rows[0]["nse"] is None
 
     def test_failed_cell_recorded_and_run_continues(self):
-        # chib needs clampable conditionals, which the Poisson panel lacks
+        # chib needs a full conditional for every block; the Poisson panel has none for beta
         cfg = ExperimentConfig(model="lpm", estimators=["ris-vb", "chib"],
                                synth={"seed": 2, "n": 4, "t": 3, "k": 1, "m": 1,
                                       "beta": [0.2], "mu": [0.1]},
@@ -215,9 +215,12 @@ class TestDataCsv:
         "lpm": (lpm_read_csv, ("y", "x", "z", "offsets")),
     }
 
-    @pytest.mark.parametrize("model", sorted(MODELS))
-    def test_writer_round_trips(self, tmp_path, model):
-        data = load_data(ExperimentConfig(model=model))
+    # period labels past 9 and unit labels past 999 must come back in order
+    @pytest.mark.parametrize("model, synth", [pytest.param(m, {}, id=m) for m in sorted(MODELS)] + [
+        pytest.param(m, {key: size}, id=f"{m}-{key}{size}")
+        for m in ("sfm-exponential", "lpm") for key, size in (("t", 12), ("n", 1001))])
+    def test_writer_round_trips(self, tmp_path, model, synth):
+        data = load_data(ExperimentConfig(model=model, synth=synth))
         MODELS[model].write_csv(data, tmp_path / "data.csv")
         reader, fields = self.READERS[model]
         back = reader(tmp_path / "data.csv")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mddkit.estimators import _default_theta_star, _reduced_run
+from mddkit.lpm import LpmKernel
 from mddkit.modelapi import (
     Block,
     ParamLayout,
@@ -202,7 +203,7 @@ def kernel_draws(request):
 
 
 @pytest.fixture(scope="module", params=["toy-normal-gamma", "var-independent",
-                                        "sfm-exponential", "sfm-gamma"])
+                                        "sfm-exponential", "sfm-gamma", "lpm"])
 def gibbs_draws(request):
     """A kernel with a Gibbs sweep and a short chain of it."""
     kernel = build_kernel(request.param)
@@ -235,9 +236,10 @@ def plain_chain(kernel, state, config, rng, clamped=frozenset(), mh_state=None):
 class TestGibbsDriver:
     def test_sweeps_draw_from_the_full_conditionals(self, gibbs_draws):
         kernel, draws = gibbs_draws
-        drawn = kernel.conditional_blocks + [b for b in [kernel.latent_block] if b]
-        # sfm-gamma moves theta and u by Metropolis steps, not conditional draws
-        mh = {"theta", "u"} if isinstance(kernel, SfmGammaKernel) else set()
+        drawn = kernel.conditional_blocks + (kernel.latent_layout.names
+                                             if kernel.latent_layout is not None else [])
+        # sfm-gamma and lpm move these blocks by Metropolis steps, not conditional draws
+        mh = {SfmGammaKernel: {"theta", "u"}, LpmKernel: {"beta", "u"}}.get(type(kernel), set())
         for j in range(len(kernel.conditional_blocks)):  # every clamp set Chib uses
             clamped = frozenset(kernel.conditional_blocks[:j]) | mh
             state, ref = last_state(draws), last_state(draws)
@@ -258,6 +260,8 @@ class TestGibbsDriver:
         if isinstance(kernel, SfmGammaKernel):  # its chain adapts Metropolis steps in burn-in
             tunings.append(tuple({"theta": 0.5, "u": np.full(kernel.data.num_firms, 0.5),
                                   "adapt": True} for _ in range(2)))
+        if isinstance(kernel, LpmKernel):  # so does the Poisson panel's, for beta and u
+            tunings.append((kernel._steps(adapt=True), kernel._steps(adapt=True)))
         for tuning, plain_tuning in tunings:
             got = run_gibbs(kernel, last_state(draws), config, make_rng(25), seed=7,
                             mh_state=tuning)
@@ -269,7 +273,9 @@ class TestGibbsDriver:
             if got.latents is not None:
                 assert np.array_equal(got.latents, want.latents)
             if tuning is not None:
-                assert tuning["adapt"] is False and tuning["theta"] == plain_tuning["theta"]
+                assert tuning["adapt"] is False
+                for name in tuning:
+                    assert np.array_equal(tuning[name], plain_tuning[name]), name
 
     def test_reduced_run_matches_a_plain_loop(self, gibbs_draws):
         kernel, draws = gibbs_draws
