@@ -421,16 +421,16 @@ _PMD_BLOCK_ROWS = 1024
 
 
 def make_pmd_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
-                       blocks: list[str] | None = None,
                        components: int | None = 512) -> WeightingDensity:
     """Product of Rao-Blackwellized marginal posterior densities.
 
-    Each factor is the chain average of the block's full conditional; the
+    Each factor, one per block of ``kernel.conditional_blocks``, is the chain
+    average of the block's full conditional; the
     sampler draws every block independently from the conditional of a
     uniformly chosen component state. ``components`` caps the number of
     mixture components by even-stride subsampling (None keeps all draws).
     """
-    names = blocks or kernel.conditional_blocks
+    names = kernel.conditional_blocks
     if not names:
         raise UnsupportedModelError(f"{type(kernel).__name__} exposes no conditionals for PMD")
     if components is None or components >= draws.size:

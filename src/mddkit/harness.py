@@ -19,7 +19,7 @@ import numpy as np
 
 from . import estimators as est
 from .diagnostics import BoundsSpec, RepetitionSet, nse, percent_in_bounds
-from .errors import ConfigError, NumericError, UnsupportedModelError
+from .errors import ConfigError, EstimationError, NumericError, UnsupportedModelError
 from .modelapi import ModelContext, SamplerConfig
 from .models import MODELS
 from .statscore import make_rng
@@ -188,16 +188,15 @@ class _RepBundle:
         self.log_k = ctx.kernel.log_kernel_batch(self.draws.thetas)
         self._weightings: dict = {}
         self._chain_vals: dict = {}
-        if ctx.extend_draws is not None:
-            self.cdl_draws = ctx.extend_draws(self.draws)
+        if ctx.cdl_kernel is not None:
+            self.cdl_draws = self.draws.complete_data(ctx.cdl_kernel.layout)
             self.cdl_log_k = ctx.cdl_kernel.log_kernel_batch(self.cdl_draws.thetas)
 
     def weighting(self, tag: str):
         if tag not in self._weightings:
             ctx, draws = self.ctx, self.draws
             self._weightings[tag] = {
-                "vb": lambda: (est.make_vb_weighting(ctx.vb) if ctx.vb_weighting is None
-                               else ctx.vb_weighting),
+                "vb": lambda: est.make_vb_weighting(ctx.vb),
                 "prior": lambda: est.make_prior_weighting(ctx.kernel),
                 "geweke": lambda: est.make_geweke_weighting(draws),
                 "swz": lambda: est.make_swz_weighting(ctx.kernel, draws,
@@ -254,6 +253,11 @@ def _run_method(method: str, bundle: _RepBundle):
     raise ConfigError(f"unknown estimator {method}")
 
 
+# what a failed cell raises; anything else is a programming error and propagates
+_CELL_ERRORS = (NumericError, EstimationError, UnsupportedModelError, ConfigError,
+                np.linalg.LinAlgError, FloatingPointError)
+
+
 @dataclass
 class ResultsTable:
     rows: list
@@ -263,8 +267,8 @@ class ResultsTable:
 
 
 def run_experiment(config: ExperimentConfig, progress=None) -> ResultsTable:
-    """Run all repetitions and aggregate; estimator failures, a non-finite
-    estimate included, are recorded per cell and never abort the run."""
+    """Run all repetitions and aggregate; estimator failures (``_CELL_ERRORS``),
+    a non-finite estimate included, are recorded per cell and never abort the run."""
     ctx = build_context(config)
     values: dict[str, list] = {m: [] for m in config.estimators}
     errors: dict[str, str] = {}
@@ -283,7 +287,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultsTable:
                     se_bm[method].append(result.se_batch_means(30))
                 except UnsupportedModelError:
                     pass
-            except Exception as exc:  # record and continue: table comparability
+            except _CELL_ERRORS as exc:  # record and continue: table comparability
                 errors.setdefault(method, f"{type(exc).__name__}: {exc}")
                 scatter.append((rep, method, math.nan))
         if progress is not None:

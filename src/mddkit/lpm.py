@@ -222,33 +222,12 @@ def lpm_vb(prior: LpmPrior, data: LpmData, tol: float = 1e-6, max_iter: int = 50
     if not converged:
         warnings.warn("Poisson-panel VB hit max_iter before the tolerance", stacklevel=2)
 
-    layout = _lpm_layout(k, m)
     gauss_gamma = MvNormalParams(gamma_q, np.linalg.inv(prec_q))
-    beta_marg = MvNormalParams(gamma_q[:k], gauss_gamma.cov[:k, :k])
-    gauss_mu = MvNormalParams(mu_q, v_mu)
-    wish = WishartParams(s_q, nu_q)
-
-    def log_q(thetas):
-        u = layout.unpack_batch(thetas)
-        return (beta_marg.logpdf_batch(u["beta"]) + gauss_mu.logpdf_batch(u["mu"])
-                + wish.logpdf_batch(u["sigma_inv"]))
-
-    def sample(rng, size):
-        return layout.pack_batch({
-            "beta": beta_marg.sample(rng, size),
-            "mu": gauss_mu.sample(rng, size),
-            "sigma_inv": wish.sample(rng, size),
-        })
-
-    return VBResult(
-        hyper={"gamma": gauss_gamma, "beta": beta_marg, "mu": gauss_mu,
-               "sigma_inv": wish, "S": s_q, "nu": nu_q,
-               "u_means": gamma_q[k:].reshape(n, m)},
-        elbo_trace=np.asarray(trace),
-        log_q=log_q,
-        sample=sample,
-        converged=converged,
-    )
+    factors = {"beta": MvNormalParams(gamma_q[:k], gauss_gamma.cov[:k, :k]),
+               "mu": MvNormalParams(mu_q, v_mu), "sigma_inv": WishartParams(s_q, nu_q)}
+    # q(beta) is the beta marginal of the Gaussian factor over (beta, u)
+    hyper = {"gamma": gauss_gamma, "S": s_q, "nu": nu_q, "u_means": gamma_q[k:].reshape(n, m)}
+    return VBResult.mean_field(_lpm_layout(k, m), factors, trace, hyper, converged)
 
 
 def _gamma_gradient_norm(prior, data, c_mat, gamma_q, v_gamma, mu_q, s_q, nu_q) -> float:
@@ -270,7 +249,7 @@ def lpm_vb_gradient_residual(prior: LpmPrior, data: LpmData, vb: VBResult) -> fl
     """Norm of the Gaussian-factor fixed-point condition at the fitted values."""
     c_mat = data.design()
     return _gamma_gradient_norm(prior, data, c_mat, vb.hyper["gamma"].mean,
-                                vb.hyper["gamma"].cov, vb.hyper["mu"].mean,
+                                vb.hyper["gamma"].cov, vb.factors["mu"].mean,
                                 vb.hyper["S"], vb.hyper["nu"])
 
 
@@ -596,10 +575,10 @@ class LpmKernel(ModelKernel):
         vb = lpm_vb(self.prior, self.data) if vb is None else vb
         # the (m, m) diagonal blocks of the u part of the Gaussian factor
         u_covs = vb.hyper["gamma"].cov[k:, k:].reshape(n, m, n, m)[np.arange(n), :, np.arange(n)]
-        state = {"beta": vb.hyper["beta"].mean.copy(), "u": vb.hyper["u_means"].copy(),
-                 "mu": vb.hyper["mu"].mean.copy(),
+        state = {"beta": vb.factors["beta"].mean.copy(), "u": vb.hyper["u_means"].copy(),
+                 "mu": vb.factors["mu"].mean.copy(),
                  "sigma_inv": vb.hyper["nu"] * np.linalg.inv(vb.hyper["S"]),
-                 "_chol_beta": safe_cholesky(vb.hyper["beta"].cov),
+                 "_chol_beta": safe_cholesky(vb.factors["beta"].cov),
                  "_u_chols": safe_cholesky(u_covs)}
         return run_gibbs(self, state, config, rng, seed=seed, mh_state=self._steps(adapt=True))
 

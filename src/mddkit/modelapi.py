@@ -27,6 +27,7 @@ __all__ = [
     "SamplerConfig",
     "VBResult",
     "WeightingDensity",
+    "product_density",
     "ModelKernel",
     "ModelContext",
     "ModelSpec",
@@ -246,16 +247,62 @@ class PosteriorDrawSet:
             unpacked.update(self.latent_layout.unpack_batch(self.latents[idx]))
         return unpacked
 
+    def complete_data(self, layout: ParamLayout) -> "PosteriorDrawSet":
+        """The draws with their latents appended to each row, under ``layout``:
+        a complete-data layout, the parameter layout followed by the latent one."""
+        if (self.latents is None or layout.names != self.layout.names + self.latent_layout.names
+                or layout.dim != self.layout.dim + self.latent_layout.dim):
+            raise ValueError(f"layout {layout.names} is not the draws' blocks then latents")
+        return PosteriorDrawSet(np.hstack([self.thetas, self.latents]), layout, seed=self.seed,
+                                burn_in=self.burn_in, thin=self.thin)
+
+
+def product_density(layout: ParamLayout, factors: dict):
+    """The mean-field density prod_b factors[b] over the blocks b of ``layout``,
+    as ``(log_eval, sample)``: ``log_eval`` sums the factors' ``logpdf_batch``
+    at the unpacked blocks left to right in layout order, and ``sample`` packs
+    each factor's ``sample(rng, size)``, drawn in layout order. Factors of
+    blocks outside ``layout`` are not used."""
+    names = layout.names
+
+    def log_eval(thetas):
+        unpacked = layout.unpack_batch(thetas)
+        total = 0.0
+        for name in names:
+            total = total + factors[name].logpdf_batch(unpacked[name])
+        return total
+
+    def sample(rng, size):
+        return layout.pack_batch({name: factors[name].sample(rng, size) for name in names})
+
+    return log_eval, sample
+
 
 @dataclass
 class VBResult:
-    """Fitted variational approximation: hyper-parameters plus evaluators."""
+    """Fitted variational approximation.
+
+    ``factors`` maps block names to fitted distributions (``logpdf_batch``
+    over a batch of block values, ``sample(rng, size)``); a mean-field fit's
+    q is their product over a layout (:meth:`mean_field`), and a factor may
+    cover a block outside that layout, such as a latent block the
+    complete-data kernel carries. ``hyper`` keeps moments and other fitted
+    values.
+    """
 
     hyper: dict
     elbo_trace: np.ndarray
     log_q: Callable[[np.ndarray], np.ndarray]          # batched over theta rows
     sample: Callable[[np.random.Generator, int], np.ndarray]
     converged: bool = True
+    factors: dict = field(default_factory=dict)
+
+    @classmethod
+    def mean_field(cls, layout: ParamLayout, factors: dict, elbo_trace, hyper=None,
+                   converged: bool = True) -> "VBResult":
+        """The fit whose q is :func:`product_density` of ``factors`` over ``layout``."""
+        return cls({} if hyper is None else hyper, np.asarray(elbo_trace),
+                   *product_density(layout, factors), converged=converged, factors=factors)
 
     @property
     def elbo(self) -> float:
@@ -399,11 +446,9 @@ class ModelContext:
     kernel: ModelKernel
     vb: VBResult
     exact: float | None = None
-    # the weighting the estimator tag "vb" means; None: the VB fit's q itself
-    vb_weighting: WeightingDensity | None = None
+    # the complete-data route: its layout is the kernel's then the latent one
     cdl_kernel: ModelKernel | None = None
     cdl_weighting: WeightingDensity | None = None
-    extend_draws: Callable[[PosteriorDrawSet], PosteriorDrawSet] | None = None
     sampler_kwargs: dict = field(default_factory=dict)  # extra posterior_sampler arguments
 
 

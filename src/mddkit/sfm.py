@@ -27,6 +27,8 @@ from .modelapi import (
     PosteriorDrawSet,
     SamplerConfig,
     VBResult,
+    WeightingDensity,
+    product_density,
     read_panel_csv,
     run_gibbs,
 )
@@ -229,7 +231,8 @@ def sfm_exp_vb(prior: SfmExpPrior, data: SfmData, tol: float = 1e-8,
 
     Factors: normal (beta) x gamma (sigma^-2) x gamma (lambda) x product of
     zero-truncated normals (u_i). The bound is assembled term by term and is
-    monotone along the sweep.
+    monotone along the sweep. q spans the integrated kernel's layout; the u
+    factor serves the complete-data weighting.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -284,41 +287,26 @@ def sfm_exp_vb(prior: SfmExpPrior, data: SfmData, tol: float = 1e-8,
     if not converged:
         warnings.warn("exponential-case VB hit max_iter before the tolerance", stacklevel=2)
 
-    layout = _sfm_layout(k)
-    gauss = MvNormalParams(beta_q, v_beta)
-    gam_sig = GammaParams(a_sig, b_sig)
-    gam_lam = GammaParams(a_lam, b_lam)
     u_scale = math.sqrt(ups2)
-    u_dists = [TruncNormalParams(m, u_scale) for m in mu_q]
+    factors = {"beta": MvNormalParams(beta_q, v_beta), "sigma_prec": GammaParams(a_sig, b_sig),
+               "lam": GammaParams(a_lam, b_lam),
+               "u": _FirmByFirm([TruncNormalParams(m, u_scale) for m in mu_q])}
+    return VBResult.mean_field(_sfm_layout(k), factors, trace,
+                               {"u_mean": u_mean, "u_var": u_var}, converged)
 
-    def log_q(thetas):
-        u = layout.unpack_batch(thetas)
-        return (gauss.logpdf_batch(u["beta"]) + gam_sig.logpdf_batch(u["sigma_prec"])
-                + gam_lam.logpdf_batch(u["lam"]))
 
-    def sample(rng, size):
-        return layout.pack_batch({
-            "beta": gauss.sample(rng, size),
-            "sigma_prec": gam_sig.sample(rng, size),
-            "lam": gam_lam.sample(rng, size),
-        })
+class _FirmByFirm:
+    """q(u) from one factor per firm, drawn firm by firm (firm-major stream)
+    and log-evaluated firm by firm, the per-firm terms summed in firm order."""
 
-    def log_q_u(u_vals):
-        u_vals = np.atleast_2d(u_vals)
-        return sum(d.logpdf_batch(u_vals[:, i]) for i, d in enumerate(u_dists))
+    def __init__(self, dists):
+        self.dists = dists
 
-    def sample_u(rng, size):
-        return np.column_stack([d.sample(rng, size) for d in u_dists])
+    def logpdf_batch(self, u):
+        return sum(d.logpdf_batch(u[:, i]) for i, d in enumerate(self.dists))
 
-    return VBResult(
-        hyper={"beta": gauss, "sigma_prec": gam_sig, "lam": gam_lam,
-               "u_mu": mu_q, "u_scale": u_scale, "u_mean": u_mean, "u_var": u_var,
-               "log_q_u": log_q_u, "sample_u": sample_u},
-        elbo_trace=np.asarray(trace),
-        log_q=log_q,
-        sample=sample,
-        converged=converged,
-    )
+    def sample(self, rng, size):
+        return np.column_stack([d.sample(rng, size) for d in self.dists])
 
 
 def _elbo_exp(prior, data, beta_q, v_beta, a_sig, b_sig, a_lam, b_lam,
@@ -467,26 +455,32 @@ def _grid_sample(grid: np.ndarray, log_f: np.ndarray, uniforms: np.ndarray) -> n
     return np.interp(u, flat_cdf, grid.reshape(rows, k).ravel()).reshape(uniforms.shape)
 
 
+# the grid starts on [e^-10, e^10] at 2001 log-spaced nodes; an edge node holding
+# 1e-10 of the mass or more widens that side by e^5, at most 6 times
+_GRID_LO, _GRID_HI, _GRID_SIZE = math.exp(-10.0), math.exp(10.0), 2001
+_GRID_EDGE_MASS_TOL, _GRID_MAX_WIDEN = 1e-10, 6
+
+
 class _GridDensity:
     """Density tabulated on a log-spaced grid with trapezoid weights."""
 
-    def __init__(self, log_unnorm, lo=math.exp(-10.0), hi=math.exp(10.0), size=2001,
-                 edge_mass_tol=1e-10, max_widen=6):
-        for _ in range(max_widen):
-            grid = np.exp(np.linspace(math.log(lo), math.log(hi), size))
+    def __init__(self, log_unnorm):
+        lo, hi = _GRID_LO, _GRID_HI
+        for _ in range(_GRID_MAX_WIDEN):
+            grid = np.exp(np.linspace(math.log(lo), math.log(hi), _GRID_SIZE))
             logf = log_unnorm(grid)
-            w = np.empty(size)
+            w = np.empty(_GRID_SIZE)
             w[1:-1] = 0.5 * (grid[2:] - grid[:-2])
             w[0] = 0.5 * (grid[1] - grid[0])
             w[-1] = 0.5 * (grid[-1] - grid[-2])
             terms = logf + np.log(w)
             log_c = log_sum_exp(terms)
             probs = np.exp(terms - log_c)
-            if probs[0] < edge_mass_tol and probs[-1] < edge_mass_tol:
+            if probs[0] < _GRID_EDGE_MASS_TOL and probs[-1] < _GRID_EDGE_MASS_TOL:
                 break
-            if probs[0] >= edge_mass_tol:
+            if probs[0] >= _GRID_EDGE_MASS_TOL:
                 lo /= math.e ** 5
-            if probs[-1] >= edge_mass_tol:
+            if probs[-1] >= _GRID_EDGE_MASS_TOL:
                 hi *= math.e ** 5
         else:
             raise NumericError("grid density kept mass at the edges after widening")
@@ -520,7 +514,8 @@ def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData, tol: float = 1e-6,
     """Coordinate ascent for the gamma-inefficiency frontier model.
 
     The u factors are nonstandard (normalized by parabolic-cylinder values)
-    and the theta factor lives on a quadrature grid. ``upsilon_convention``
+    and the theta factor lives on a quadrature grid. q spans the layout of
+    :class:`SfmGammaKernel`, u included. ``upsilon_convention``
     selects how the displayed u-factor spread parameter is read: "precision"
     treats it as the coefficient on u^2 (the reading under which the factor
     normalizes and the bound ascends); "variance" is the alternative reading,
@@ -593,37 +588,26 @@ def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData, tol: float = 1e-6,
     if not converged:
         warnings.warn("gamma-case VB hit max_iter before the tolerance", stacklevel=2)
 
-    layout = _sfm_gamma_layout(k)
-    gauss = MvNormalParams(beta_q, v_beta)
-    gam_sig = GammaParams(a_sig, b_sig)
-    gam_lam = GammaParams(a_lam, b_lam)
+    factors = {"beta": MvNormalParams(beta_q, v_beta), "sigma_prec": GammaParams(a_sig, b_sig),
+               "lam": GammaParams(a_lam, b_lam), "theta": theta_grid,
+               "u": _AllFirms(u_factors)}
+    return VBResult.mean_field(_sfm_gamma_layout(k, n), factors, trace,
+                               {"theta_mean": theta_mean, "u_mean": u_mean, "u_var": u_var},
+                               converged)
 
-    def log_q(thetas):
-        u = layout.unpack_batch(thetas)
-        return (gauss.logpdf_batch(u["beta"]) + gam_sig.logpdf_batch(u["sigma_prec"])
-                + gam_lam.logpdf_batch(u["lam"]) + theta_grid.logpdf_batch(u["theta"]))
 
-    def sample(rng, size):
-        return layout.pack_batch({
-            "beta": gauss.sample(rng, size),
-            "sigma_prec": gam_sig.sample(rng, size),
-            "lam": gam_lam.sample(rng, size),
-            "theta": theta_grid.sample(rng, size),
-        })
+class _AllFirms:
+    """q(u) from one :class:`GammaCaseInefficiency` over all firms: one draw
+    of every firm at a time, log densities summed over the firms by ``np.sum``."""
 
-    def log_q_u(u_vals):
-        return np.sum(u_factors.logpdf_batch(np.atleast_2d(u_vals)), axis=1)
+    def __init__(self, firms: GammaCaseInefficiency):
+        self.firms = firms
 
-    return VBResult(
-        hyper={"beta": gauss, "sigma_prec": gam_sig, "lam": gam_lam,
-               "theta": theta_grid, "theta_mean": theta_mean,
-               "u_factors": u_factors, "u_mean": u_mean, "u_var": u_var,
-               "log_q_u": log_q_u, "sample_u": u_factors.sample},
-        elbo_trace=np.asarray(trace),
-        log_q=log_q,
-        sample=sample,
-        converged=converged,
-    )
+    def logpdf_batch(self, u):
+        return np.sum(self.firms.logpdf_batch(u), axis=1)
+
+    def sample(self, rng, size):
+        return self.firms.sample(rng, size)
 
 
 def _elbo_gamma(prior, data, beta_q, v_beta, a_sig, b_sig, a_lam, b_lam,
@@ -671,9 +655,13 @@ def _sfm_layout(k: int) -> ParamLayout:
                         Block("lam", (), "positive")])
 
 
-def _sfm_gamma_layout(k: int) -> ParamLayout:
-    return ParamLayout([Block("beta", (k,)), Block("sigma_prec", (), "positive"),
-                        Block("lam", (), "positive"), Block("theta", (), "positive")])
+def _u_block(num_firms: int) -> Block:
+    return Block("u", (num_firms,), "positive")
+
+
+def _sfm_gamma_layout(k: int, num_firms: int) -> ParamLayout:
+    return ParamLayout(_sfm_layout(k).blocks + [Block("theta", (), "positive"),
+                                                _u_block(num_firms)])
 
 
 def _sample_truncnorm_vec(locs: np.ndarray, scale: float, rng) -> np.ndarray:
@@ -795,7 +783,7 @@ class SfmExpKernel(_FrontierKernel):
     def __init__(self, prior: SfmExpPrior, data: SfmData):
         super().__init__(prior, data)
         self.layout = _sfm_layout(data.k)
-        self.latent_layout = ParamLayout([Block("u", (data.num_firms,), "positive")])
+        self.latent_layout = ParamLayout([_u_block(data.num_firms)])
         self._gam_lam0 = GammaParams(prior.a_lam0, prior.b_lam0)
 
     def log_prior_batch(self, thetas):
@@ -852,10 +840,8 @@ class SfmExpCdlKernel(ModelKernel):
     def __init__(self, prior: SfmExpPrior, data: SfmData):
         self.prior = prior
         self.data = data
-        self.layout = ParamLayout([
-            Block("beta", (data.k,)), Block("sigma_prec", (), "positive"),
-            Block("lam", (), "positive"), Block("u", (data.num_firms,), "positive"),
-        ])
+        # the integrated kernel's layout followed by its latent layout
+        self.layout = ParamLayout(_sfm_layout(data.k).blocks + [_u_block(data.num_firms)])
         self._gauss0 = MvNormalParams(prior.beta0, prior.Vbeta0)
         self._gam_sig0 = GammaParams(prior.a_sigma0, prior.b_sigma0)
         self._gam_lam0 = GammaParams(prior.a_lam0, prior.b_lam0)
@@ -886,36 +872,10 @@ class SfmExpCdlKernel(ModelKernel):
         out[~(prec > 0)] = -np.inf
         return out
 
-    @staticmethod
-    def extend_draws(draws: PosteriorDrawSet, kernel: "SfmExpCdlKernel") -> PosteriorDrawSet:
-        """View an integrated-kernel draw set as complete-data draws."""
-        thetas = np.hstack([draws.thetas, draws.latents])
-        return PosteriorDrawSet(thetas, kernel.layout, seed=draws.seed,
-                                burn_in=draws.burn_in, thin=draws.thin)
 
-
-def make_sfm_exp_cdl_weighting(vb: VBResult, kernel: SfmExpCdlKernel):
+def make_sfm_exp_cdl_weighting(vb: VBResult, kernel: SfmExpCdlKernel) -> WeightingDensity:
     """VB weighting over (beta, sigma^-2, lambda, u) for the complete-data kernel."""
-    from .modelapi import WeightingDensity
-
-    layout = kernel.layout
-
-    def log_eval(thetas):
-        u = layout.unpack_batch(thetas)
-        base = (vb.hyper["beta"].logpdf_batch(u["beta"])
-                + vb.hyper["sigma_prec"].logpdf_batch(u["sigma_prec"])
-                + vb.hyper["lam"].logpdf_batch(u["lam"]))
-        return base + vb.hyper["log_q_u"](u["u"])
-
-    def sampler(rng, size):
-        return layout.pack_batch({
-            "beta": vb.hyper["beta"].sample(rng, size),
-            "sigma_prec": vb.hyper["sigma_prec"].sample(rng, size),
-            "lam": vb.hyper["lam"].sample(rng, size),
-            "u": vb.hyper["sample_u"](rng, size),
-        })
-
-    return WeightingDensity(tag="vb-cdl", log_eval=log_eval, sampler=sampler)
+    return WeightingDensity("vb-cdl", *product_density(kernel.layout, vb.factors))
 
 
 class SfmGammaKernel(_FrontierKernel):
@@ -928,11 +888,7 @@ class SfmGammaKernel(_FrontierKernel):
 
     def __init__(self, prior: SfmGammaPrior, data: SfmData):
         super().__init__(prior, data)
-        self.layout = ParamLayout([
-            Block("beta", (data.k,)), Block("sigma_prec", (), "positive"),
-            Block("lam", (), "positive"), Block("theta", (), "positive"),
-            Block("u", (data.num_firms,), "positive"),
-        ])
+        self.layout = _sfm_gamma_layout(data.k, data.num_firms)
 
     def log_prior_batch(self, thetas):
         u = self.layout.unpack_batch(thetas)
@@ -1025,25 +981,10 @@ class SfmGammaKernel(_FrontierKernel):
         return sfm_gamma_vb(self.prior, self.data, tol=tol, max_iter=max_iter, **kw)
 
 
-def make_sfm_gamma_cdl_weighting(vb: VBResult, kernel: SfmGammaKernel):
-    """VB weighting over (beta, sigma^-2, lambda, theta, u) for the gamma kernel."""
-    from .modelapi import WeightingDensity
-
-    layout = kernel.layout
-
-    def log_eval(thetas):
-        u = layout.unpack_batch(thetas)
-        return (vb.hyper["beta"].logpdf_batch(u["beta"])
-                + vb.hyper["sigma_prec"].logpdf_batch(u["sigma_prec"])
-                + vb.hyper["lam"].logpdf_batch(u["lam"])
-                + vb.hyper["theta"].logpdf_batch(u["theta"])
-                + vb.hyper["log_q_u"](u["u"]))
-
-    def sampler(rng, size):
-        # the kernel layout is the VB layout followed by the u block
-        return np.hstack([vb.sample(rng, size), vb.hyper["sample_u"](rng, size)])
-
-    return WeightingDensity(tag="vb-cdl", log_eval=log_eval, sampler=sampler)
+def make_sfm_gamma_cdl_weighting(vb: VBResult, kernel: SfmGammaKernel) -> WeightingDensity:
+    """VB weighting over (beta, sigma^-2, lambda, theta, u) for the gamma kernel:
+    the fit's q itself, tagged as the complete-data weighting."""
+    return WeightingDensity("vb-cdl", *product_density(kernel.layout, vb.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -1122,8 +1063,7 @@ def _exp_kernel(data: SfmData, options) -> SfmExpKernel:
 def _exp_context(kernel: SfmExpKernel, vb: VBResult) -> ModelContext:
     cdl = kernel.as_complete_data()
     return ModelContext(kernel, vb, cdl_kernel=cdl,
-                        cdl_weighting=make_sfm_exp_cdl_weighting(vb, cdl),
-                        extend_draws=lambda draws: SfmExpCdlKernel.extend_draws(draws, cdl))
+                        cdl_weighting=make_sfm_exp_cdl_weighting(vb, cdl))
 
 
 def _gamma_kernel(data: SfmData, options) -> SfmGammaKernel:
@@ -1143,8 +1083,5 @@ MODELS = {
         _exp_kernel, sfm_write_csv, context=_exp_context),
     "sfm-gamma": ModelSpec(
         {**_SYNTH, "n": 12, "theta": 1.5}, {**_OPTIONS, "a_theta": 2.0, "b_theta": 2.0},
-        partial(_load, "gamma"), _gamma_kernel, sfm_write_csv,
-        # the kernel carries the u's, so its VB weighting is the complete-data one
-        context=lambda kernel, vb: ModelContext(
-            kernel, vb, vb_weighting=make_sfm_gamma_cdl_weighting(vb, kernel))),
+        partial(_load, "gamma"), _gamma_kernel, sfm_write_csv),
 }

@@ -473,13 +473,13 @@ class MatricNormalParams:
         return self.mean.shape
 
     def logpdf(self, x) -> float:
-        return float(self.logpdf_batch(np.asarray(x, dtype=float)[None, :, :])[0])
+        return float(self.logpdf_batch(x)[0])
 
     def logpdf_batch(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            x = x[None, :, :]
+        """ln density at the points x: (points, K, N) matrices or (points, K N)
+        rows of them, row-major, as :class:`MvNormalParams` takes flat points."""
         k, n = self.mean.shape
+        x = np.asarray(x, dtype=float).reshape(-1, k, n)
         dev = x - self.mean
         # trace(inv(col) dev' inv(row) dev) via triangular solves
         a = solve_triangular(self._chol_row, dev.transpose(1, 0, 2).reshape(k, -1), lower=True)

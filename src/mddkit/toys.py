@@ -81,13 +81,7 @@ class ToyNormalKernel(ModelKernel):
     def vb_fit(self) -> VBResult:
         # one block: the optimal approximation is the posterior itself
         post = MvNormalParams([self.post_mean], [[self.post_var]])
-        elbo = self.exact_log_mdd()
-        return VBResult(
-            hyper={"theta": post},
-            elbo_trace=np.array([elbo]),
-            log_q=lambda thetas: post.logpdf_batch(np.atleast_2d(thetas)),
-            sample=lambda rng, size: post.sample(rng, size),
-        )
+        return VBResult.mean_field(self.layout, {"theta": post}, [self.exact_log_mdd()])
 
 
 class ToyNormalGammaKernel(ModelKernel):
@@ -182,25 +176,8 @@ class ToyNormalGammaKernel(ModelKernel):
                 break
         e_tau = a_q / b_q
         v_q = 1.0 / (self.kappa_t * e_tau)
-        q_mu = MvNormalParams([m_q], [[v_q]])
-        q_tau = GammaParams(a_q, b_q)
-
-        def log_q(thetas):
-            u = self.layout.unpack_batch(thetas)
-            return (q_mu.logpdf_batch(u["mu"].reshape(-1, 1))
-                    + q_tau.logpdf_batch(u["tau"]))
-
-        def sample(rng, size):
-            mu = q_mu.sample(rng, size)[:, 0]
-            tau = q_tau.sample(rng, size)
-            return np.column_stack([mu, tau])
-
-        return VBResult(
-            hyper={"mu": q_mu, "tau": q_tau},
-            elbo_trace=np.asarray(trace),
-            log_q=log_q,
-            sample=sample,
-        )
+        factors = {"mu": MvNormalParams([m_q], [[v_q]]), "tau": GammaParams(a_q, b_q)}
+        return VBResult.mean_field(self.layout, factors, trace)
 
     def _elbo(self, m_q, v_q, a_q, b_q) -> float:
         t = self.y.size

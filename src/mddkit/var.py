@@ -333,20 +333,9 @@ def _var_conjugate_vbresult(a_q, v_q, s_q, nu_q, col_cov, elbo, data, joint) -> 
         hyper = {"A": a_q, "V": v_q, "S": s_q, "nu": nu_q}
         return VBResult(hyper=hyper, elbo_trace=np.array([elbo]), log_q=log_q, sample=sample)
 
-    mat = MatricNormalParams(a_q, v_q, col_cov)
-
-    def log_q(thetas):
-        u = layout.unpack_batch(thetas)
-        a = u["alpha"].reshape(-1, k, n)
-        return mat.logpdf_batch(a) + wish.logpdf_batch(u["sigma_inv"])
-
-    def sample(rng, size):
-        a = mat.sample(rng, size)
-        w = wish.sample(rng, size)
-        return layout.pack_batch({"alpha": a.reshape(size, -1), "sigma_inv": w})
-
+    factors = {"alpha": MatricNormalParams(a_q, v_q, col_cov), "sigma_inv": wish}
     hyper = {"A": a_q, "V": v_q, "S": s_q, "nu": nu_q, "col_cov": col_cov}
-    return VBResult(hyper=hyper, elbo_trace=np.array([elbo]), log_q=log_q, sample=sample)
+    return VBResult.mean_field(layout, factors, [elbo], hyper)
 
 
 # ---------------------------------------------------------------------------
@@ -402,25 +391,9 @@ def var_vb_independent(prior: VarIndependentPrior, data: VarData,
     if not converged:
         warnings.warn("independent-prior VB hit max_iter before the tolerance", stacklevel=2)
 
-    layout = _var_layout(n, k)
-    gauss = MvNormalParams(alpha_q, v_q)
-    wish = WishartParams(s_q, nu_q)
-
-    def log_q(thetas):
-        u = layout.unpack_batch(thetas)
-        return gauss.logpdf_batch(u["alpha"]) + wish.logpdf_batch(u["sigma_inv"])
-
-    def sample(rng, size):
-        return layout.pack_batch({"alpha": gauss.sample(rng, size),
-                                  "sigma_inv": wish.sample(rng, size)})
-
-    return VBResult(
-        hyper={"alpha": alpha_q, "V": v_q, "S": s_q, "nu": nu_q},
-        elbo_trace=np.asarray(trace),
-        log_q=log_q,
-        sample=sample,
-        converged=converged,
-    )
+    factors = {"alpha": MvNormalParams(alpha_q, v_q), "sigma_inv": WishartParams(s_q, nu_q)}
+    return VBResult.mean_field(_var_layout(n, k), factors, trace,
+                               {"alpha": alpha_q, "V": v_q, "S": s_q, "nu": nu_q}, converged)
 
 
 def _elbo_independent(prior, data, alpha_q, v_q, s_q, nu_q) -> float:

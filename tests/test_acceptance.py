@@ -270,7 +270,7 @@ def test_criterion_08_sfm_integrated_oracle(sfm_exp_fixture):
         draws = kernel.posterior_sampler(SamplerConfig(draws=3000, burn_in=400),
                                          make_rng(801, rep))
         vals_int.append(est.ris_estimate(kernel, draws, w_int).log_mdd)
-        cdl_draws = sfm_mod.SfmExpCdlKernel.extend_draws(draws, cdl)
+        cdl_draws = draws.complete_data(cdl.layout)
         vals_cdl.append(est.ris_estimate(cdl, cdl_draws, w_cdl).log_mdd)
     nse_int = np.std(vals_int, ddof=1)
     nse_cdl = np.std(vals_cdl, ddof=1)

@@ -149,6 +149,26 @@ class TestRunExperiment:
         assert rows["ris-vb"]["mean_log_mdd"] == pytest.approx(np.mean(kept), rel=1e-15)
         assert math.isnan(next(v for r, m, v in table.scatter if (r, m) == (1, "ris-vb")))
 
+    def test_programming_error_propagates(self, monkeypatch):
+        run_method = harness._run_method
+
+        def type_error_at_rep_1(method, bundle):
+            if method == "ris-prior" and bundle.rep == 1:
+                raise TypeError("a bug, not a failed cell")
+            return run_method(method, bundle)
+
+        monkeypatch.setattr(harness, "_run_method", type_error_at_rep_1)
+        with pytest.raises(TypeError, match="a bug"):
+            run_experiment(ExperimentConfig(estimators=["ris-vb", "ris-prior"], **TINY))
+
+    def test_sfm_gamma_vb_cells_use_the_vb_weighting(self):
+        # the gamma kernel carries the u's and so does its q: "vb" is the fit's q itself
+        cfg = ExperimentConfig(model="sfm-gamma", estimators=["ris-vb", "bs-vb", "is-vb"],
+                               synth={"seed": 1, "n": 6, "t": 4}, draws=300, burn_in=100,
+                               repetitions=1, base_seed=9)
+        bundle = harness._RepBundle(harness.build_context(cfg), cfg, 0)
+        assert [harness._run_method(m, bundle).method for m in cfg.estimators] == cfg.estimators
+
     def test_sfm_gamma_default_list_all_ok(self):
         # every default estimator, bs-vb and is-vb included, samples the VB weighting
         cfg = ExperimentConfig(model="sfm-gamma", synth={"seed": 1, "n": 6, "t": 4},

@@ -262,7 +262,7 @@ class TestVb:
         dead = LpmData(np.zeros(9), data.x, data.z, 3, 3, offsets=np.full(9, -40.0))
         prior = LpmPrior([0.7], [[2.0]], [0.1], [[1.5]], [[0.5]], 3.0)
         vb = lpm_vb(prior, dead)
-        assert vb.hyper["beta"].mean[0] == pytest.approx(0.7, abs=1e-6)
+        assert vb.factors["beta"].mean[0] == pytest.approx(0.7, abs=1e-6)
 
     def test_micro_bound_below_quadrature_evidence(self, micro):
         prior, data = micro
@@ -319,7 +319,7 @@ class TestSampler:
                                          make_rng(52), vb=vb)
         mu = kernel.layout.unpack_batch(draws.thetas)["mu"]
         se = mu.std(axis=0) / math.sqrt(150)  # conservative for MH autocorrelation
-        assert np.all(np.abs(mu.mean(axis=0) - vb.hyper["mu"].mean) < 3 * se)
+        assert np.all(np.abs(mu.mean(axis=0) - vb.factors["mu"].mean) < 3 * se)
 
     def test_dogmatic_predictive_mean(self):
         # with all parameters pinned, predictive mean follows the
@@ -346,15 +346,15 @@ def _reference_sampler(kernel, config, rng, vb):
         eta = xb.reshape(n, t) + zu
         return np.sum(d.y.reshape(n, t) * eta - np.exp(eta), axis=1)
 
-    chol_beta = safe_cholesky(vb.hyper["beta"].cov)
+    chol_beta = safe_cholesky(vb.factors["beta"].cov)
     gamma_cov = vb.hyper["gamma"].cov
     u_chols = np.stack([safe_cholesky(gamma_cov[k + i * m: k + (i + 1) * m,
                                                 k + i * m: k + (i + 1) * m])
                         for i in range(n)])
     target_beta = 0.44 if k == 1 else 0.234
     target_u = 0.44 if m == 1 else 0.234
-    state = {"beta": vb.hyper["beta"].mean.copy(), "u": vb.hyper["u_means"].copy(),
-             "mu": vb.hyper["mu"].mean.copy(),
+    state = {"beta": vb.factors["beta"].mean.copy(), "u": vb.hyper["u_means"].copy(),
+             "mu": vb.factors["mu"].mean.copy(),
              "sigma_inv": vb.hyper["nu"] * np.linalg.inv(vb.hyper["S"])}
     step_beta, step_u = 2.38 / math.sqrt(k), np.full(n, 2.38 / math.sqrt(m))
     accept_beta = accept_u = 0
@@ -426,8 +426,8 @@ class TestLeanSampler:
         kernel = LpmKernel(prior, data)
         vb = lpm_vb(prior, data)
         if wide_beta:  # proposals far too wide: beta acceptance falls below 5% and warns
-            beta = vb.hyper["beta"]
-            vb = dataclasses.replace(vb, hyper=vb.hyper | {
+            beta = vb.factors["beta"]
+            vb = dataclasses.replace(vb, factors=vb.factors | {
                 "beta": MvNormalParams(beta.mean, 1e4 * beta.cov)})
         config = SamplerConfig(draws=40, burn_in=25, thin=3)
         got, got_warnings = _recorded(

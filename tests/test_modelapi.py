@@ -167,9 +167,9 @@ class TestKernelContract:
         assert vb.converged
         assert np.all(np.diff(vb.elbo_trace) >= -1e-10)
         # factor marginals normalize
-        assert quadrature_1d(lambda v: vb.hyper["mu"].logpdf_batch(v), -30, 30,
+        assert quadrature_1d(lambda v: vb.factors["mu"].logpdf_batch(v), -30, 30,
                              tol=1e-10) == pytest.approx(0.0, abs=1e-8)
-        assert quadrature_1d(lambda v: vb.hyper["tau"].logpdf_batch(v), 0, np.inf,
+        assert quadrature_1d(lambda v: vb.factors["tau"].logpdf_batch(v), 0, np.inf,
                              tol=1e-10) == pytest.approx(0.0, abs=1e-8)
         # MC oracle agrees with the closed-form bound
         mean, se = elbo_monte_carlo(ng, vb, make_rng(10), 50_000)
@@ -182,6 +182,17 @@ class TestKernelContract:
         assert ds.burn_in == 10 and ds.thin == 2 and ds.seed == 99
         st0 = ds.unpack([0])
         assert set(st0) == {"mu", "tau"}
+
+    def test_complete_data_appends_the_latents(self):
+        layout = ParamLayout([Block("a", (2,)), Block("u", (3,), "positive")])
+        ds = PosteriorDrawSet(np.ones((4, 2)), ParamLayout(layout.blocks[:1]), seed=5,
+                              latents=np.full((4, 3), 2.0),
+                              latent_layout=ParamLayout(layout.blocks[1:]))
+        full = ds.complete_data(layout)
+        assert full.layout is layout and full.seed == 5
+        assert np.array_equal(full.thetas, np.hstack([np.ones((4, 2)), np.full((4, 3), 2.0)]))
+        with pytest.raises(ValueError, match="blocks then latents"):
+            ds.complete_data(ParamLayout(layout.blocks[::-1]))
 
 
 def build_kernel(name):

@@ -8,7 +8,7 @@ import pytest
 from mddkit import sfm
 from mddkit.errors import ConfigError
 from mddkit.estimators import _default_theta_star, _reduced_run, chib_estimate, ris_estimate
-from mddkit.modelapi import SamplerConfig
+from mddkit.modelapi import SamplerConfig, elbo_monte_carlo
 from mddkit.sfm import (
     GammaCaseInefficiency,
     SfmData,
@@ -100,8 +100,8 @@ class TestExpVb:
         prior = SfmExpPrior(np.zeros(2), 4 * np.eye(2), 1.0, 0.1, 1.0, 1.0)
         with pytest.warns(UserWarning, match="max_iter"):
             vb = sfm_exp_vb(prior, data, max_iter=3, tol=1e-30)
-        assert vb.hyper["sigma_prec"].shape == 1.0 + 0.5 * 43 * 4 == 87.0
-        assert vb.hyper["lam"].shape == 1.0 + 43 == 44.0
+        assert vb.factors["sigma_prec"].shape == 1.0 + 0.5 * 43 * 4 == 87.0
+        assert vb.factors["lam"].shape == 1.0 + 43 == 44.0
 
     def test_trace_monotone(self, exp_setup):
         prior, data = exp_setup
@@ -118,6 +118,29 @@ class TestExpVb:
         vals = cdl.log_kernel_batch(thetas) - w.log_eval(thetas)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert vb.elbo == pytest.approx(vals.mean(), abs=4 * se)
+
+    def test_cdl_weighting_pins_a_per_firm_reference(self, exp_setup):
+        # u drawn firm by firm after the other blocks; its log density, the
+        # per-firm terms summed in firm order, added after theirs
+        prior, data = exp_setup
+        vb = sfm_exp_vb(prior, data)
+        w = make_sfm_exp_cdl_weighting(vb, SfmExpCdlKernel(prior, data))
+        f, t, k = vb.factors, data.num_periods, data.k
+        e_sig, e_lam = f["sigma_prec"].mean(), f["lam"].mean()
+        ebar = sfm._firm_residual_stats(data, f["beta"].mean)[0][0]
+        scale = math.sqrt(1.0 / (t * e_sig))
+        firms = [TruncNormalParams(m, scale) for m in (data.c * t * ebar - e_lam / e_sig) / t]
+        rng = make_rng(15)
+        ref = np.hstack([f["beta"].sample(rng, 500), f["sigma_prec"].sample(rng, 500)[:, None],
+                         f["lam"].sample(rng, 500)[:, None],
+                         np.column_stack([d.sample(rng, 500) for d in firms])])
+        log_u = 0.0
+        for i, d in enumerate(firms):
+            log_u = log_u + d.logpdf_batch(ref[:, k + 2 + i])
+        ref_log = (f["beta"].logpdf_batch(ref[:, :k]) + f["sigma_prec"].logpdf_batch(ref[:, k])
+                   + f["lam"].logpdf_batch(ref[:, k + 1]) + log_u)
+        assert np.array_equal(w.sampler(make_rng(15), 500), ref)
+        assert np.array_equal(w.log_eval(ref), ref_log)
 
     def test_bound_below_chib_benchmark(self, exp_setup):
         prior, data = exp_setup
@@ -150,7 +173,7 @@ class TestExpSampler:
                                          make_rng(17))
         beta = kernel.layout.unpack_batch(draws.thetas)["beta"]
         se = beta.std(axis=0) / math.sqrt(300)
-        assert np.all(np.abs(beta.mean(axis=0) - vb.hyper["beta"].mean) < 3 * se)
+        assert np.all(np.abs(beta.mean(axis=0) - vb.factors["beta"].mean) < 3 * se)
 
     def test_dogmatic_prior_pins_beta(self, exp_setup):
         _, data = exp_setup
@@ -273,7 +296,7 @@ class TestGridSampling:
 
     def test_theta_grid_samples_match_mean_off_the_nodes(self, gamma_fit):
         _, _, vb = gamma_fit
-        grid = vb.hyper["theta"]
+        grid = vb.factors["theta"]
         draws = grid.sample(make_rng(42), 200_000)
         second = grid.expect(lambda g: g * g)
         self._check_moments(draws, grid.mean(), second)
@@ -306,8 +329,14 @@ class TestGammaVb:
 
     def test_lambda_shape_tracks_theta(self, gamma_fit):
         prior, data, vb = gamma_fit
-        assert vb.hyper["lam"].shape == pytest.approx(
+        assert vb.factors["lam"].shape == pytest.approx(
             (data.num_firms + 1) * vb.hyper["theta_mean"], rel=1e-12)
+
+    def test_bound_matches_monte_carlo_over_the_kernel_layout(self, gamma_fit):
+        # q spans the kernel's layout, u included, so its draws go straight to the kernel
+        prior, data, vb = gamma_fit
+        mean, se = elbo_monte_carlo(SfmGammaKernel(prior, data), vb, make_rng(24))
+        assert vb.elbo == pytest.approx(mean, abs=4 * se)
 
     def test_bound_below_ris_estimate(self, gamma_fit):
         prior, data, vb = gamma_fit

@@ -335,6 +335,12 @@ class TestDensities:
             x.T.reshape(-1))
         assert params.logpdf(x) == pytest.approx(ref, abs=1e-10)
 
+    def test_matric_normal_takes_flat_rows(self):
+        params = MatricNormalParams(np.arange(6.0).reshape(3, 2), 2.0 * np.eye(3),
+                                    np.array([[1.0, 0.3], [0.3, 1.0]]))
+        x = make_rng(4).standard_normal((5, 3, 2))
+        assert np.array_equal(params.logpdf_batch(x.reshape(5, 6)), params.logpdf_batch(x))
+
     def test_wishart_matches_scipy(self):
         scale_inv = np.array([[2.0, 0.5], [0.5, 1.0]])
         params = WishartParams(scale_inv, 5.0)
