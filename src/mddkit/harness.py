@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "build_context",
     "load_data",
     "sample_chain",
+    "ESTIMATORS",
     "ESTIMATOR_IDS",
 ]
 
@@ -43,16 +45,38 @@ __all__ = [
 # configuration
 # ---------------------------------------------------------------------------
 
-_DEFAULT_ESTIMATORS = ["ris-vb", "bs-vb", "is-vb", "ris-pmd", "ris-geweke", "ris-prior"]
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """An estimator: its seed stream (frozen, so removing a method never reseeds
+    the others), its engine (ris, bs, is, chm or chib), the tag of its weighting
+    and whether it runs on the complete-data route."""
 
-# stable stream ids so removing a method never reseeds the others
-ESTIMATOR_IDS = {
-    "ris-vb": 1, "ris-geweke": 2, "ris-swz": 3, "ris-pmd": 4, "ris-prior": 5,
-    "bs-vb": 6, "bs-pmd": 7, "bs-normal": 8,
-    "is-vb": 9, "is-pmd": 10, "is-prior": 11,
-    "chm": 12, "chib": 13,
-    "ris-vb-cdl": 14, "bs-vb-cdl": 15,
+    stream: int
+    engine: str
+    tag: str | None = None
+    complete_data: bool = False
+
+
+# stream 11 stays free for is-prior, which needs a sampler of the prior
+ESTIMATORS = {
+    "ris-vb": EstimatorSpec(1, "ris", "vb"),
+    "ris-geweke": EstimatorSpec(2, "ris", "geweke"),
+    "ris-swz": EstimatorSpec(3, "ris", "swz"),
+    "ris-pmd": EstimatorSpec(4, "ris", "pmd"),
+    "ris-prior": EstimatorSpec(5, "ris", "prior"),
+    "bs-vb": EstimatorSpec(6, "bs", "vb"),
+    "bs-pmd": EstimatorSpec(7, "bs", "pmd"),
+    "bs-normal": EstimatorSpec(8, "bs", "normal"),
+    "is-vb": EstimatorSpec(9, "is", "vb"),
+    "is-pmd": EstimatorSpec(10, "is", "pmd"),
+    "chm": EstimatorSpec(12, "chm"),
+    "chib": EstimatorSpec(13, "chib"),
+    "ris-vb-cdl": EstimatorSpec(14, "ris", "vb-cdl", complete_data=True),
+    "bs-vb-cdl": EstimatorSpec(15, "bs", "vb-cdl", complete_data=True),
 }
+ESTIMATOR_IDS = {name: spec.stream for name, spec in ESTIMATORS.items()}
+
+_DEFAULT_ESTIMATORS = ["ris-vb", "bs-vb", "is-vb", "ris-pmd", "ris-geweke", "ris-prior"]
 
 
 @dataclass
@@ -75,10 +99,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        unknown = [e for e in self.estimators if e not in ESTIMATOR_IDS]
+        unknown = [e for e in self.estimators if e not in ESTIMATORS]
         if unknown:
             raise ConfigError(f"unknown estimators: {unknown}; "
-                              f"registered: {sorted(ESTIMATOR_IDS)}")
+                              f"registered: {sorted(ESTIMATORS)}")
         spec = MODELS.get(self.model)
         if spec is None:
             raise ConfigError(f"unknown model {self.model!r}; choose from {sorted(MODELS)}")
@@ -177,34 +201,19 @@ def sample_chain(ctx: ModelContext, config: ExperimentConfig, rep: int):
 # repetition loop
 # ---------------------------------------------------------------------------
 
-class _RepBundle:
-    """Per-repetition chain with cached kernel values and lazy weightings."""
+class _Route:
+    """Draws on one kernel with their kernel values; the weightings over them,
+    and their values at the draws, are built on first use and kept by tag.
+    ``builders`` maps each tag the route offers to a builder of the route."""
 
-    def __init__(self, ctx: ModelContext, config: ExperimentConfig, rep: int):
-        self.ctx = ctx
-        self.config = config
-        self.rep = rep
-        self.draws = sample_chain(ctx, config, rep)
-        self.log_k = ctx.kernel.log_kernel_batch(self.draws.thetas)
-        self._weightings: dict = {}
-        self._chain_vals: dict = {}
-        if ctx.cdl_kernel is not None:
-            self.cdl_draws = self.draws.complete_data(ctx.cdl_kernel.layout)
-            self.cdl_log_k = ctx.cdl_kernel.log_kernel_batch(self.cdl_draws.thetas)
+    def __init__(self, kernel, draws, builders: dict):
+        self.kernel, self.draws, self._builders = kernel, draws, builders
+        self.log_k = kernel.log_kernel_batch(draws.thetas)
+        self._weightings, self._chain_vals = {}, {}
 
     def weighting(self, tag: str):
         if tag not in self._weightings:
-            ctx, draws = self.ctx, self.draws
-            self._weightings[tag] = {
-                "vb": lambda: est.make_vb_weighting(ctx.vb),
-                "prior": lambda: est.make_prior_weighting(ctx.kernel),
-                "geweke": lambda: est.make_geweke_weighting(draws),
-                "swz": lambda: est.make_swz_weighting(ctx.kernel, draws,
-                                                      log_kernel_values=self.log_k),
-                "normal": lambda: est.make_normal_weighting(draws),
-                "pmd": lambda: est.make_pmd_weighting(
-                    ctx.kernel, draws, components=self.config.pmd_components),
-            }[tag]()
+            self._weightings[tag] = self._builders[tag](self)
         return self._weightings[tag]
 
     def chain_values(self, tag: str):
@@ -212,45 +221,52 @@ class _RepBundle:
             self._chain_vals[tag] = self.weighting(tag).log_eval(self.draws.thetas)
         return self._chain_vals[tag]
 
-    def rng(self, method: str):
-        return make_rng(self.config.base_seed, self.rep, 1000 + ESTIMATOR_IDS[method])
+
+class _RepBundle:
+    """One repetition: its chain on the integrated route and, built for the
+    first cell that asks, its draws with their latents on the complete-data one."""
+
+    def __init__(self, ctx: ModelContext, config: ExperimentConfig, rep: int):
+        self.ctx, self.config, self.rep = ctx, config, rep
+        # builders reach ``est`` at call time, so patches of its functions apply
+        self.integrated = _Route(ctx.kernel, sample_chain(ctx, config, rep), {
+            "vb": lambda r: est.make_vb_weighting(ctx.vb),
+            "prior": lambda r: est.make_prior_weighting(r.kernel),
+            "geweke": lambda r: est.make_geweke_weighting(r.draws),
+            "swz": lambda r: est.make_swz_weighting(r.kernel, r.draws, log_kernel_values=r.log_k),
+            "normal": lambda r: est.make_normal_weighting(r.draws),
+            "pmd": lambda r: est.make_pmd_weighting(r.kernel, r.draws,
+                                                    components=config.pmd_components),
+        })
+
+    @cached_property
+    def complete_data(self) -> _Route:
+        ctx = self.ctx  # a builder holding self would keep the repetition alive in a cycle
+        if ctx.cdl_kernel is None:
+            raise UnsupportedModelError(f"{self.config.model} has no complete-data route")
+        return _Route(ctx.cdl_kernel, self.integrated.draws.complete_data(ctx.cdl_kernel.layout),
+                      {"vb-cdl": lambda r: ctx.cdl_weighting})
 
 
 def _run_method(method: str, bundle: _RepBundle):
-    ctx, cfg = bundle.ctx, bundle.config
-    kernel, draws, log_k = ctx.kernel, bundle.draws, bundle.log_k
-    if method.endswith("-cdl"):
-        if ctx.cdl_kernel is None:
-            raise UnsupportedModelError(f"{cfg.model} has no complete-data route")
-        if method == "ris-vb-cdl":
-            return est.ris_estimate(ctx.cdl_kernel, bundle.cdl_draws, ctx.cdl_weighting,
-                                    bundle.cdl_log_k)
-        return est.bs_estimate(ctx.cdl_kernel, bundle.cdl_draws, ctx.cdl_weighting,
-                               num_weighting_draws=cfg.weighting_draws,
-                               rng=bundle.rng(method),
-                               log_kernel_values=bundle.cdl_log_k)
-    if method.startswith("ris-"):
-        tag = method[4:]
-        return est.ris_estimate(kernel, draws, bundle.weighting(tag), log_k,
-                                log_weight_values=bundle.chain_values(tag))
-    if method.startswith("bs-"):
-        tag = method[3:]
-        return est.bs_estimate(kernel, draws, bundle.weighting(tag),
-                               num_weighting_draws=cfg.weighting_draws,
-                               rng=bundle.rng(method), log_kernel_values=log_k,
-                               log_weight_values=bundle.chain_values(tag))
-    if method.startswith("is-"):
-        tag = method[3:]
-        return est.is_estimate(kernel, bundle.weighting(tag),
-                               cfg.is_draws or cfg.draws, bundle.rng(method))
-    if method == "chm":
-        return est.chm_estimate(kernel, draws, bundle.rng(method),
-                                num_is_draws=max(cfg.is_draws or cfg.draws, 1000),
-                                log_kernel_values=log_k)
-    if method == "chib":
-        return est.chib_estimate(kernel, draws, bundle.rng(method),
-                                 reduced_run_length=cfg.draws)
-    raise ConfigError(f"unknown estimator {method}")
+    spec, cfg = ESTIMATORS[method], bundle.config
+    route = bundle.complete_data if spec.complete_data else bundle.integrated
+    rng = make_rng(cfg.base_seed, bundle.rep, 1000 + spec.stream)
+    if spec.engine == "ris":
+        return est.ris_estimate(route.kernel, route.draws, route.weighting(spec.tag), route.log_k,
+                                log_weight_values=route.chain_values(spec.tag))
+    if spec.engine == "bs":
+        return est.bs_estimate(route.kernel, route.draws, route.weighting(spec.tag),
+                               num_weighting_draws=cfg.weighting_draws, rng=rng,
+                               log_kernel_values=route.log_k,
+                               log_weight_values=route.chain_values(spec.tag))
+    if spec.engine == "is":
+        return est.is_estimate(route.kernel, route.weighting(spec.tag),
+                               cfg.is_draws or cfg.draws, rng)
+    if spec.engine == "chm":
+        return est.chm_estimate(route.kernel, route.draws, rng, log_kernel_values=route.log_k,
+                                num_is_draws=max(cfg.is_draws or cfg.draws, 1000))
+    return est.chib_estimate(route.kernel, route.draws, rng, reduced_run_length=cfg.draws)
 
 
 # what a failed cell raises; anything else is a programming error and propagates
@@ -268,16 +284,22 @@ class ResultsTable:
 
 def run_experiment(config: ExperimentConfig, progress=None) -> ResultsTable:
     """Run all repetitions and aggregate; estimator failures (``_CELL_ERRORS``),
-    a non-finite estimate included, are recorded per cell and never abort the run."""
+    a non-finite estimate included, are recorded per cell and never abort the
+    run, and a failed chain fails every cell of its repetition."""
     ctx = build_context(config)
     values: dict[str, list] = {m: [] for m in config.estimators}
     errors: dict[str, str] = {}
     se_bm: dict[str, list] = {m: [] for m in config.estimators}
     scatter = []
     for rep in range(config.repetitions):
-        bundle = _RepBundle(ctx, config, rep)
+        try:
+            bundle, chain_error = _RepBundle(ctx, config, rep), None
+        except _CELL_ERRORS as exc:  # a failed chain fails the cells of its repetition only
+            chain_error = exc
         for method in config.estimators:
             try:
+                if chain_error is not None:
+                    raise chain_error
                 result = _run_method(method, bundle)
                 if not math.isfinite(result.log_mdd):
                     raise NumericError(f"non-finite log_mdd ({result.log_mdd})")

@@ -18,8 +18,6 @@ from mddkit.diagnostics import (
 from mddkit.errors import NumericError
 from mddkit.statscore import make_rng
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestNse:
     def test_constant_is_zero(self):

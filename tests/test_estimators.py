@@ -33,8 +33,6 @@ from mddkit.modelapi import (
 from mddkit.statscore import MvNormalParams, make_rng, quadrature_1d
 from mddkit.toys import ToyNormalGammaKernel, ToyNormalKernel
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.fixture(scope="module")
 def toy():

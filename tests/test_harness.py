@@ -1,14 +1,17 @@
 """Experiment runner, config grammar, output schemas and the CLI."""
 
+import functools
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from mddkit import harness
 from mddkit.cli import main as cli_main
-from mddkit.errors import ConfigError
+from mddkit.errors import ConfigError, NumericError
 from mddkit.harness import (
     ESTIMATOR_IDS,
     ExperimentConfig,
@@ -20,7 +23,7 @@ from mddkit.harness import (
 )
 from mddkit.lpm import lpm_read_csv
 from mddkit.models import MODELS
-from mddkit.sfm import sfm_read_csv
+from mddkit.sfm import SfmExpCdlKernel, sfm_read_csv
 from mddkit.var import var_read_csv
 
 TINY = dict(model="var-conjugate", synth={"seed": 5, "n": 2, "t": 50},
@@ -63,6 +66,11 @@ class TestConfig:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ConfigError, match="unknown estimators"):
             ExperimentConfig(model="var-conjugate", estimators=["ris-bogus"])
+
+    def test_is_prior_is_retired(self):
+        # the prior weighting has no sampler, so is-prior could run on no model
+        with pytest.raises(ConfigError, match=r"unknown estimators: \['is-prior'\]"):
+            ExperimentConfig(model="var-conjugate", estimators=["is-prior"])
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -161,6 +169,81 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match="a bug"):
             run_experiment(ExperimentConfig(estimators=["ris-vb", "ris-prior"], **TINY))
 
+    def test_failed_chain_fails_only_its_repetition(self, monkeypatch, tiny_table):
+        cfg, unpatched = tiny_table
+        sample_chain = harness.sample_chain
+
+        def fail_at_rep_1(ctx, config, rep):
+            if rep == 1:
+                raise NumericError("chain left the support")
+            return sample_chain(ctx, config, rep)
+
+        monkeypatch.setattr(harness, "sample_chain", fail_at_rep_1)
+        seen = []
+        table = run_experiment(cfg, progress=seen.append)
+        assert seen == [0, 1, 2]
+        for row in table.rows:
+            assert row["status"] == "FAILED(NumericError: chain left the support)"
+            assert row["repetitions"] == 2
+        # the other repetitions keep the values an unpatched run gives them
+        kept = {(r, m): v for r, m, v in unpatched.scatter if r != 1}
+        assert {(r, m): v for r, m, v in table.scatter if r != 1} == kept
+        assert all(math.isnan(v) for r, _, v in table.scatter if r == 1)
+        assert len(table.scatter) == len(unpatched.scatter)
+
+    def test_programming_error_in_the_chain_propagates(self, monkeypatch, tiny_table):
+        sample_chain = harness.sample_chain
+
+        def type_error_at_rep_1(ctx, config, rep):
+            if rep == 1:
+                raise TypeError("a bug, not a failed chain")
+            return sample_chain(ctx, config, rep)
+
+        monkeypatch.setattr(harness, "sample_chain", type_error_at_rep_1)
+        with pytest.raises(TypeError, match="a bug"):
+            run_experiment(tiny_table[0])
+
+    @pytest.mark.parametrize("estimators, chain_calls", [
+        pytest.param(None, 0, id="default-list"),
+        pytest.param(["ris-vb", "ris-vb-cdl", "bs-vb-cdl"], 1, id="both-cdl-cells"),
+    ])
+    def test_complete_data_route_built_on_first_use(self, monkeypatch, estimators, chain_calls):
+        # the complete-data draws are evaluated once per repetition, and only when a cell asks
+        rows = []
+        log_kernel_batch = SfmExpCdlKernel.log_kernel_batch
+
+        def counted(self, thetas):
+            rows.append(len(thetas))
+            return log_kernel_batch(self, thetas)
+
+        monkeypatch.setattr(SfmExpCdlKernel, "log_kernel_batch", counted)
+        listed = {} if estimators is None else {"estimators": estimators}
+        cfg = ExperimentConfig(model="sfm-exponential", synth={"seed": 2}, draws=300,
+                               burn_in=100, weighting_draws=200, repetitions=2, base_seed=5,
+                               **listed)
+        table = run_experiment(cfg)
+        assert all(r["status"] == "ok" for r in table.rows)
+        assert rows.count(cfg.draws) == chain_calls * cfg.repetitions
+        # the only other calls: bs-vb-cdl's weighting draws, one call per repetition
+        assert rows.count(cfg.weighting_draws) == chain_calls * cfg.repetitions
+        assert len(rows) == 2 * chain_calls * cfg.repetitions
+
+    def test_repetition_is_freed_without_the_cycle_collector(self):
+        # a cycle through a route would keep each repetition's draws alive until a collection
+        cfg = ExperimentConfig(model="sfm-exponential", synth={"seed": 2}, draws=200,
+                               burn_in=50, repetitions=1, base_seed=5,
+                               estimators=["ris-vb", "ris-pmd", "bs-vb-cdl"])
+        bundle = harness._RepBundle(harness.build_context(cfg), cfg, 0)
+        for method in cfg.estimators:
+            harness._run_method(method, bundle)
+        freed = weakref.ref(bundle)
+        gc.disable()
+        try:
+            del bundle
+            assert freed() is None
+        finally:
+            gc.enable()
+
     def test_sfm_gamma_vb_cells_use_the_vb_weighting(self):
         # the gamma kernel carries the u's and so does its q: "vb" is the fit's q itself
         cfg = ExperimentConfig(model="sfm-gamma", estimators=["ris-vb", "bs-vb", "is-vb"],
@@ -189,9 +272,44 @@ class TestRunExperiment:
 
     def test_estimator_ids_are_stable(self):
         # frozen registry: renumbering silently breaks seed isolation
-        assert ESTIMATOR_IDS["ris-vb"] == 1
-        assert ESTIMATOR_IDS["chib"] == 13
-        assert len(set(ESTIMATOR_IDS.values())) == len(ESTIMATOR_IDS)
+        assert ESTIMATOR_IDS == {
+            "ris-vb": 1, "ris-geweke": 2, "ris-swz": 3, "ris-pmd": 4, "ris-prior": 5,
+            "bs-vb": 6, "bs-pmd": 7, "bs-normal": 8, "is-vb": 9, "is-pmd": 10,
+            "chm": 12, "chib": 13, "ris-vb-cdl": 14, "bs-vb-cdl": 15,
+        }
+
+
+# the status of every estimator on every model at the matrix config; a pair
+# missing here runs ("ok")
+_NO_PMD_SAMPLER = "UnsupportedModelError: weighting 'pmd' cannot be sampled from"
+_MATRIX_FAILURES = {
+    **{(model, method): _NO_PMD_SAMPLER
+       for model in ("lpm", "sfm-gamma") for method in ("bs-pmd", "is-pmd")},
+    ("var-conjugate", "chib"):
+        "UnsupportedModelError: VarConjugateKernel lacks a clampable Gibbs sweep",
+    ("sfm-gamma", "chib"): "UnsupportedModelError: chib needs a full conditional for "
+                           "every block; SfmGammaKernel has none for theta and u",
+    ("lpm", "chib"): "UnsupportedModelError: chib needs a full conditional for every "
+                     "block; LpmKernel has none for beta",
+    **{(model, method): f"UnsupportedModelError: {model} has no complete-data route"
+       for model in MODELS if model != "sfm-exponential"
+       for method in ("ris-vb-cdl", "bs-vb-cdl")},
+}
+
+
+@functools.cache
+def _matrix_row_status(model):
+    cfg = ExperimentConfig(model=model, estimators=list(ESTIMATOR_IDS), draws=400,
+                           burn_in=100, repetitions=2, base_seed=5, synth={"seed": 2})
+    return {r["method"]: r["status"] for r in run_experiment(cfg).rows}
+
+
+@pytest.mark.parametrize("method", list(ESTIMATOR_IDS))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_estimator_availability_matrix(model, method):
+    failure = _MATRIX_FAILURES.get((model, method))
+    status = _matrix_row_status(model)[method]
+    assert status == ("ok" if failure is None else f"FAILED({failure})")
 
 
 class TestOutputs:

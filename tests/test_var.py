@@ -24,8 +24,6 @@ from mddkit.var import (
     var_vblb_conjugate_closed_form,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.fixture(scope="module")
 def small_var():
