@@ -166,7 +166,6 @@ def chm_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, rng: np.random.Ge
     from a moment-matched normal (log-transformed on constrained blocks)."""
     if num_is_draws < 1000:
         raise ValueError("box-probability importance sampling needs >= 1000 draws")
-    layout = draws.layout
     box_lo = draws.thetas.min(axis=0)
     box_hi = draws.thetas.max(axis=0)
 
@@ -212,8 +211,8 @@ def _default_theta_star(draws: PosteriorDrawSet) -> dict:
 
 
 def chib_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, rng: np.random.Generator,
-                  theta_star: dict | None = None, reduced_run_length: int | None = None,
-                  log_kernel_values=None) -> MddEstimate:
+                  theta_star: dict | None = None,
+                  reduced_run_length: int | None = None) -> MddEstimate:
     """Basic marginal likelihood identity evaluated at a high-density point.
 
     ln p(y) = ln p(y|t*) + ln p(t*) - ln p(t*|y), with the posterior ordinate
@@ -417,7 +416,8 @@ def make_swz_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
     return WeightingDensity(tag="swz", log_eval=log_eval)
 
 
-_PMD_BLOCK_ROWS = 1024
+# each (components, points) log-density temporary holds at most this many entries
+_PMD_BLOCK_ELEMENTS = 2 ** 17
 
 
 def make_pmd_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
@@ -425,9 +425,9 @@ def make_pmd_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
     """Product of Rao-Blackwellized marginal posterior densities.
 
     Each factor, one per block of ``kernel.conditional_blocks``, is the chain
-    average of the block's full conditional; the
-    sampler draws every block independently from the conditional of a
-    uniformly chosen component state. ``components`` caps the number of
+    average of the block's full conditional, built once over the component
+    states; the sampler draws every block independently from the conditional
+    of a uniformly chosen component. ``components`` caps the number of
     mixture components by even-stride subsampling (None keeps all draws).
     """
     names = kernel.conditional_blocks
@@ -441,26 +441,23 @@ def make_pmd_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
     conditionals = {name: kernel.full_conditional(name, states) for name in names}
     layout = draws.layout
     n_comp = len(idx)
+    block_rows = max(1, _PMD_BLOCK_ELEMENTS // n_comp)
 
     def log_eval(thetas):
-        # blocks of points bound each (components, points) temporary
         thetas = np.atleast_2d(thetas)
+        unpacked = layout.unpack_batch(thetas)
         total = np.zeros(thetas.shape[0])
-        for lo in range(0, thetas.shape[0], _PMD_BLOCK_ROWS):
-            rows = slice(lo, lo + _PMD_BLOCK_ROWS)
-            unpacked = layout.unpack_batch(thetas[rows])
+        for lo in range(0, thetas.shape[0], block_rows):
+            rows = slice(lo, lo + block_rows)
             for name in names:
-                comp = conditionals[name].logpdf_batch(unpacked[name])
+                comp = conditionals[name].logpdf_batch(unpacked[name][rows])
                 total[rows] += log_sum_exp(comp, axis=0) - math.log(n_comp)
         return total
 
     def sampler(rng, size):
-        out = {}
-        for name in names:
-            choice = rng.integers(0, n_comp, size=size)
-            chosen = {k: v[choice] for k, v in states.items()}
-            out[name] = kernel.full_conditional(name, chosen).sample(rng)
-        return layout.pack_batch(out)
+        return layout.pack_batch({
+            name: conditionals[name].take(rng.integers(0, n_comp, size=size)).sample(rng)
+            for name in names})
 
     # a draw needs every parameter block; the conditionals may cover only some
     covered = not layout.missing(names)

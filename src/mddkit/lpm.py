@@ -338,10 +338,13 @@ def lpm_loglik_integrated(beta, mu, sigma_inv, data: LpmData, nodes: int = 31):
         node_terms = xg ** 2 + np.log(wg)
         rows = np.flatnonzero(spd)
         size = max(1, _BLOCK_ELEMENTS // (n * nodes))
+        # the blocks share three arrays: allocated per block, their pages can go back
+        # to the OS and fault in again each time (glibc trims a freed heap top)
+        work = np.empty((3, min(size, rows.size) * n * nodes))
         for lo in range(0, rows.size, size):
             r = rows[lo:lo + size]
             out[r] = _integrate_m1(beta[r], mu[r, 0], sigma_inv[r, 0, 0], logdet_w[r],
-                                   data, xg, node_terms) - log_y_fact
+                                   data, xg, node_terms, work) - log_y_fact
         return out
 
     # m == 2: per-draw loop with vectorized subjects
@@ -379,9 +382,10 @@ def lpm_loglik_integrated(beta, mu, sigma_inv, data: LpmData, nodes: int = 31):
     return out
 
 
-def _integrate_m1(beta, mu, prec, log_prec, data: LpmData, xg, node_terms):
+def _integrate_m1(beta, mu, prec, log_prec, data: LpmData, xg, node_terms, work):
     """Sum over subjects of ln int prod_t Poisson(y_it | eta_it) N(u; mu, 1/prec) du,
-    less the ln y! terms, for one block of rows with scalar random effects.
+    less the ln y! terms, for one block of rows with scalar random effects;
+    ``work`` holds three flat arrays of at least nodes x rows x subjects each.
 
     y * eta is summed per subject before the nodes enter. The periods are
     grouped by their z column (the z_t of every subject): with E_g the sum of
@@ -416,19 +420,20 @@ def _integrate_m1(beta, mu, prec, log_prec, data: LpmData, xg, node_terms):
     sd = 1.0 / np.sqrt(curv)
 
     # integrand in log space at the shifted-scaled nodes, node-major (nodes, b, n)
-    pts = (math.sqrt(2.0) * xg)[:, None, None] * sd
+    pts, exp_sum, buf = (w[:xg.size * b * n].reshape(xg.size, b, n) for w in work)
+    np.multiply((math.sqrt(2.0) * xg)[:, None, None], sd, out=pts)
     pts += u
-    exp_sum = np.exp(pts * z_cols[0])
+    np.multiply(pts, z_cols[0], out=exp_sum)
+    np.exp(exp_sum, out=exp_sum)
     exp_sum *= e_g[0]
-    buf = np.empty_like(pts)
     for g in range(1, len(z_cols)):
         np.multiply(pts, z_cols[g], out=buf)
         np.exp(buf, out=buf)
         buf *= e_g[g]
         exp_sum += buf
-    logint = pts * yz
+    logint = np.multiply(pts, yz, out=buf)
     logint -= exp_sum
-    dev = np.subtract(pts, mu_col, out=buf)
+    dev = np.subtract(pts, mu_col, out=exp_sum)
     dev *= dev
     dev *= 0.5 * prec_col
     logint -= dev

@@ -57,8 +57,11 @@ def log_sum_exp(values, axis=None):
         raise ValueError("log_sum_exp of an empty vector")
     vmax = np.max(v, axis=axis, keepdims=True)
     vmax = np.where(np.isfinite(vmax), vmax, 0.0)
+    # one temporary, exponentiated in place; the caller's array is never written
+    tmp = np.asarray(v - vmax)
+    np.exp(tmp, out=tmp)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(v - vmax), axis=axis)) + np.squeeze(vmax, axis=axis)
+        out = np.log(np.sum(tmp, axis=axis)) + np.squeeze(vmax, axis=axis)
     if axis is None:
         return float(out)
     return out
@@ -435,6 +438,13 @@ class MvNormalParams:
         out *= -0.5
         return out
 
+    def take(self, indices) -> "MvNormalParams":
+        """The stacked distributions at ``indices``, with their Cholesky factors
+        gathered from this stack instead of recomputed."""
+        out = object.__new__(MvNormalParams)
+        out.mean, out.cov, out._chol = self.mean[indices], self.cov[indices], self._chol[indices]
+        return out
+
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Draws shaped (size, stack, n), or (stack, n) without ``size``."""
         n = 1 if size is None else size
@@ -521,12 +531,18 @@ class WishartParams:
     def dim(self) -> int:
         return self.scale_inv.shape[-1]
 
+    @cached_property
     def _log_norm(self):
         n, nu = self.dim, self.dof
         # normalizer of W(Psi, nu) with Psi = inv(scale_inv)
         return (0.5 * nu * n * math.log(2.0)
                 - 0.5 * nu * _chol_logdet(self._chol_s)
                 + ln_multivariate_gamma(n, 0.5 * nu))
+
+    @cached_property
+    def _bartlett(self):
+        """Lower Cholesky factor of inv(scale_inv), the Bartlett draw's scale."""
+        return safe_cholesky(_inverse_from_cholesky(self._chol_s))
 
     def logpdf(self, w) -> float:
         return float(self.logpdf_batch(w)[0])
@@ -542,19 +558,27 @@ class WishartParams:
         out *= -0.5
         with np.errstate(invalid="ignore"):
             out += 0.5 * (nu - n - 1.0) * logdet_w
-        out -= np.asarray(self._log_norm())[..., None]
+        out -= np.asarray(self._log_norm)[..., None]
         out[..., ~spd] = -np.inf
         return out
 
     def mean(self) -> np.ndarray:
         return self.dof * _inverse_from_cholesky(self._chol_s)
 
+    def take(self, indices) -> "WishartParams":
+        """The stacked distributions at ``indices``, with their Cholesky and
+        Bartlett factors gathered from this stack (each computed once here)."""
+        out = object.__new__(WishartParams)
+        out.scale_inv, out.dof = self.scale_inv[indices], self.dof
+        out._chol_s, out._bartlett = self._chol_s[indices], self._bartlett[indices]
+        return out
+
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Bartlett decomposition draw, bit-reproducible for a given rng; shaped
         (size, stack, n, n), or (stack, n, n) without ``size``."""
         n, nu = self.dim, self.dof
         shape = (1 if size is None else size,) + self.scale_inv.shape[:-2]
-        m = safe_cholesky(_inverse_from_cholesky(self._chol_s))
+        m = self._bartlett
         a = np.zeros(shape + (n, n))
         rows, cols = _tril_indices(n, -1)
         if len(rows):
@@ -594,6 +618,13 @@ class GammaParams:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = a * np.log(b) - gammaln(a) + (a - 1.0) * np.log(x) - b * x
         return np.where(x > 0, out, -np.inf)
+
+    def take(self, indices) -> "GammaParams":
+        """The stacked distributions at ``indices``; an unstacked (scalar)
+        shape or rate is shared by all of them."""
+        def pick(p):
+            return np.asarray(p)[indices] if np.ndim(p) else p
+        return GammaParams(pick(self.shape), pick(self.rate))
 
     def mean(self):
         return self.shape / self.rate

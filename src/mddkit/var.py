@@ -201,7 +201,7 @@ def _wishart_elog_det(scale_inv: np.ndarray, dof: float) -> float:
     return multivariate_digamma(n, 0.5 * dof) + n * math.log(2.0) - _logdet(scale_inv)
 
 
-def _wishart_cross_entropy_terms(scale_inv_q, dof_q, elog_det, e_w_trace_with, scale_inv_p, dof_p):
+def _wishart_cross_entropy_terms(elog_det, e_w_trace_with, scale_inv_p, dof_p):
     """E_q[ln p(W)] for a Wishart prior p with parameters (scale_inv_p, dof_p)."""
     n = scale_inv_p.shape[0]
     return (0.5 * (dof_p - n - 1.0) * elog_det - 0.5 * e_w_trace_with
@@ -254,7 +254,7 @@ def _elbo_conjugate_factorized(prior, data, post, s_q, nu_q, col_cov) -> float:
     val = -0.5 * t * n * LOG_2PI + 0.5 * t * elog_det - 0.5 * float(np.sum(e_w * m_lik.T))
     val += (-0.5 * k * n * LOG_2PI + 0.5 * k * elog_det - 0.5 * n * _logdet(prior.V0)
             - 0.5 * float(np.sum(e_w * m_pri.T)))
-    val += _wishart_cross_entropy_terms(s_q, nu_q, elog_det,
+    val += _wishart_cross_entropy_terms(elog_det,
                                         float(np.sum(prior.S0 * e_w.T)), prior.S0, prior.nu0)
     # entropies of q_A (matric normal) and q_W
     val += 0.5 * k * n * (LOG_2PI + 1.0) + 0.5 * n * _logdet(post.V) + 0.5 * k * _logdet(col_cov)
@@ -277,7 +277,7 @@ def _elbo_conjugate_joint(prior, data, post) -> float:
     val += (-0.5 * k * n * LOG_2PI + 0.5 * k * elog_det - 0.5 * n * _logdet(prior.V0)
             - 0.5 * (float(np.sum(e_w * (dev.T @ v0_inv @ dev).T))
                      + n * float(np.trace(v0_inv @ post.V))))
-    val += _wishart_cross_entropy_terms(post.S, post.nu, elog_det,
+    val += _wishart_cross_entropy_terms(elog_det,
                                         float(np.sum(prior.S0 * e_w.T)), prior.S0, prior.nu0)
     # E[ln q(A|W)] = -KN/2 ln 2pi - N/2 ln|V| + K/2 E ln|W| - KN/2
     val -= (-0.5 * k * n * LOG_2PI - 0.5 * n * _logdet(post.V) + 0.5 * k * elog_det
@@ -354,7 +354,6 @@ def var_vb_independent(prior: VarIndependentPrior, data: VarData,
     if tol <= 0:
         raise ValueError("tol must be positive")
     n, k, t = data.N, data.K, data.T
-    nk = n * k
     xtx = data.X.T @ data.X
     xty = data.X.T @ data.Y
     v0_inv = np.linalg.inv(prior.Vbig0)
@@ -412,7 +411,7 @@ def _elbo_independent(prior, data, alpha_q, v_q, s_q, nu_q) -> float:
 
     val = -0.5 * t * n * LOG_2PI + 0.5 * t * elog_det - 0.5 * quad_lik
     val += -0.5 * n * k * LOG_2PI - 0.5 * _logdet(prior.Vbig0) - 0.5 * quad_pri
-    val += _wishart_cross_entropy_terms(s_q, nu_q, elog_det,
+    val += _wishart_cross_entropy_terms(elog_det,
                                         float(np.sum(prior.S0 * e_w.T)), prior.S0, prior.nu0)
     val += 0.5 * n * k * (LOG_2PI + 1.0) + 0.5 * _logdet(v_q)
     val -= _wishart_neg_entropy(s_q, nu_q, elog_det)

@@ -30,7 +30,7 @@ from mddkit.modelapi import (
     SamplerConfig,
     WeightingDensity,
 )
-from mddkit.statscore import MvNormalParams, make_rng, quadrature_1d
+from mddkit.statscore import MvNormalParams, log_sum_exp, make_rng, quadrature_1d
 from mddkit.toys import ToyNormalGammaKernel, ToyNormalKernel
 
 
@@ -319,6 +319,93 @@ class TestPmdWeighting:
 
         with pytest.raises(UnsupportedModelError):
             make_pmd_weighting(NoCond(), draws)
+
+
+_PMD_MODELS = ["var-conjugate", "var-independent", "sfm-exponential", "sfm-gamma", "lpm",
+               "normal-gamma"]
+
+
+@pytest.fixture(scope="module")
+def pmd_chains():
+    """A kernel and a 600-draw chain per model, built on first use."""
+    chains = {}
+
+    def get(model):
+        if model not in chains:
+            if model == "normal-gamma":
+                kernel = ToyNormalGammaKernel(make_rng(540).normal(1.4, 0.8, 20))
+                draws = kernel.posterior_sampler(SamplerConfig(draws=600, burn_in=100),
+                                                 make_rng(541))
+            else:
+                config = harness.ExperimentConfig(model=model, draws=600, burn_in=100,
+                                                  base_seed=542)
+                ctx = harness.build_context(config)
+                kernel, draws = ctx.kernel, harness.sample_chain(ctx, config, 0)
+            chains[model] = kernel, draws
+        return chains[model]
+
+    return get
+
+
+def _pmd_components(draws, components):
+    if components is None:
+        return np.arange(draws.size)
+    return np.linspace(0, draws.size - 1, components).round().astype(int)
+
+
+def _pmd_reference_log_eval(kernel, draws, components, thetas, rows_per_call):
+    """PMD by its formula: per block, the log mean of the block's conditional
+    densities over the component states, summed over the blocks, with one
+    ``logpdf_batch`` call per ``rows_per_call`` points."""
+    idx = _pmd_components(draws, components)
+    states = draws.unpack(idx)
+    total = np.zeros(len(thetas))
+    for lo in range(0, len(thetas), rows_per_call):
+        points = draws.layout.unpack_batch(thetas[lo:lo + rows_per_call])
+        for name in kernel.conditional_blocks:
+            comp = kernel.full_conditional(name, states).logpdf_batch(points[name])
+            total[lo:lo + rows_per_call] += log_sum_exp(comp, axis=0) - math.log(len(idx))
+    return total
+
+
+def _pmd_reference_sample(kernel, draws, components, rng, size):
+    """PMD draws with each block's conditionals rebuilt from the chosen states."""
+    idx = _pmd_components(draws, components)
+    states = draws.unpack(idx)
+    out = {}
+    for name in kernel.conditional_blocks:
+        choice = rng.integers(0, len(idx), size=size)
+        chosen = {k: v[choice] for k, v in states.items()}
+        out[name] = kernel.full_conditional(name, chosen).sample(rng)
+    return draws.layout.pack_batch(out)
+
+
+class TestPmdAgainstReference:
+    @pytest.mark.parametrize("model", _PMD_MODELS)
+    def test_log_eval_across_block_edges(self, model, pmd_chains):
+        kernel, draws = pmd_chains(model)
+        cases = [(512, n) for n in (1, 255, 256, 257, 515)] + [(None, draws.size)]
+        for components, n in cases:
+            w = make_pmd_weighting(kernel, draws, components=components)
+            thetas = draws.thetas[:n]
+            got = w.log_eval(thetas)
+            # the same arithmetic in blocks of the element budget's row count ...
+            rows = 2 ** 17 // len(_pmd_components(draws, components))
+            ref = _pmd_reference_log_eval(kernel, draws, components, thetas, rows)
+            assert np.array_equal(got, ref), (components, n)
+            # ... while one product over all points may round its last bits differently
+            ref_all = _pmd_reference_log_eval(kernel, draws, components, thetas, n)
+            np.testing.assert_allclose(got, ref_all, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("model", ["var-conjugate", "var-independent", "sfm-exponential",
+                                       "normal-gamma"])
+    def test_sampler_matches_rebuilt_conditionals(self, model, pmd_chains):
+        kernel, draws = pmd_chains(model)
+        w = make_pmd_weighting(kernel, draws, components=512)
+        got = w.sampler(make_rng(543, 1), 3000)
+        ref = _pmd_reference_sample(kernel, draws, 512, make_rng(543, 1), 3000)
+        assert got.shape == (3000, draws.layout.dim)
+        assert np.array_equal(got, ref)
 
 
 class TestChm:

@@ -316,6 +316,61 @@ class TestSamplers:
         assert gam[1::2].mean() == pytest.approx(10.0, rel=0.03)
 
 
+def _spd_stack(rng, stack, n):
+    a = rng.standard_normal((stack, n, n))
+    return a @ a.swapaxes(-1, -2) + n * np.eye(n)
+
+
+class TestTake:
+    """``take`` against the distribution rebuilt from the indexed parameters."""
+
+    idx = np.array([4, 0, 4, 2, 5, 4])
+
+    @staticmethod
+    def _same(taken, rebuilt, points):
+        assert np.array_equal(taken.logpdf_batch(points), rebuilt.logpdf_batch(points))
+        assert np.array_equal(taken.sample(make_rng(70, 1)), rebuilt.sample(make_rng(70, 1)))
+        assert np.array_equal(taken.sample(make_rng(70, 2), 3), rebuilt.sample(make_rng(70, 2), 3))
+
+    def test_mvnormal(self):
+        rng = make_rng(71)
+        mean, cov = rng.standard_normal((6, 3)), _spd_stack(rng, 6, 3)
+        stacked = MvNormalParams(mean, cov)
+        stacked.logpdf_batch(mean)  # a cached expansion of the whole stack is not carried over
+        self._same(stacked.take(self.idx), MvNormalParams(mean[self.idx], cov[self.idx]),
+                   rng.standard_normal((5, 3)))
+
+    def test_mvnormal_broadcast_mean(self):
+        # var-conjugate's alpha conditional: one mean broadcast over the stack
+        rng = make_rng(72)
+        mean, cov = np.broadcast_to(rng.standard_normal(3), (6, 3)), _spd_stack(rng, 6, 3)
+        self._same(MvNormalParams(mean, cov).take(self.idx),
+                   MvNormalParams(mean[self.idx], cov[self.idx]), rng.standard_normal((5, 3)))
+
+    def test_wishart(self):
+        rng = make_rng(73)
+        scale_inv = _spd_stack(rng, 6, 3)
+        stacked = WishartParams(scale_inv, 7.5)
+        stacked.sample(make_rng(74))  # the Bartlett factors, computed once, are gathered
+        taken = stacked.take(self.idx)
+        self._same(taken, WishartParams(scale_inv[self.idx], 7.5),
+                   WishartParams(np.eye(3), 6.0).sample(rng, 5))
+        assert taken.sample(make_rng(70, 1)).shape == (len(self.idx), 3, 3)
+
+    def test_gamma_scalar_shape_vector_rate(self):
+        # sfm's lam conditional: one shape, a rate per stacked state
+        rate = make_rng(75).gamma(2.0, 1.0, 6)
+        taken = GammaParams(44.0, rate).take(self.idx)
+        assert taken.shape == 44.0
+        self._same(taken, GammaParams(44.0, rate[self.idx]), np.array([0.5, 2.0, 7.0]))
+
+    def test_gamma_stacked_shape_and_rate(self):
+        rng = make_rng(76)
+        shape, rate = rng.gamma(3.0, 1.0, 6), rng.gamma(2.0, 1.0, 6)
+        self._same(GammaParams(shape, rate).take(self.idx),
+                   GammaParams(shape[self.idx], rate[self.idx]), np.array([0.5, 2.0, 7.0]))
+
+
 class TestDensities:
     def test_mvnormal_matches_scipy(self):
         params = MvNormalParams([0.5, -1.0], [[2.0, 0.4], [0.4, 1.0]])
