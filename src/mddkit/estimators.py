@@ -255,12 +255,13 @@ def chib_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, rng: np.random.G
 
 def _reduced_run(kernel, draws, star, clamped_names, run_len, rng):
     """Stacked states of a Gibbs run from the last draw with the clamped
-    blocks held at their starred values (default Metropolis steps)."""
-    state = {k: v[0] for k, v in draws.unpack([draws.size - 1]).items()}
+    blocks held at their starred values (default Metropolis steps): one
+    chain, run as a stack of one."""
+    state = draws.unpack([draws.size - 1])
     for name in clamped_names:
-        state[name] = star[name]
+        state[name] = np.asarray(star[name], dtype=float)[None]
     config = SamplerConfig(draws=run_len, burn_in=min(draws.burn_in, 200))
-    return run_gibbs(kernel, state, config, rng, clamped=frozenset(clamped_names)).unpack()
+    return run_gibbs(kernel, state, config, [rng], clamped=frozenset(clamped_names))[0].unpack()
 
 
 # ---------------------------------------------------------------------------

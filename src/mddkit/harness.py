@@ -36,6 +36,7 @@ __all__ = [
     "build_context",
     "load_data",
     "sample_chain",
+    "sample_chains",
     "ESTIMATORS",
     "ESTIMATOR_IDS",
 ]
@@ -190,11 +191,20 @@ def build_context(config: ExperimentConfig) -> ModelContext:
     return spec.context(kernel, kernel.vb_fit())
 
 
+def sample_chains(ctx: ModelContext, config: ExperimentConfig, reps) -> list:
+    """The posterior chains of repetitions ``reps``, each from its own seed
+    stream, sampled together (a Gibbs kernel advances them in lockstep); each
+    is the chain its repetition gets alone."""
+    sampler_cfg = SamplerConfig(draws=config.draws, burn_in=config.burn_in, thin=config.thin)
+    return ctx.kernel.posterior_chains(sampler_cfg,
+                                       [make_rng(config.base_seed, rep, 0) for rep in reps],
+                                       [(config.base_seed, rep) for rep in reps],
+                                       **ctx.sampler_kwargs)
+
+
 def sample_chain(ctx: ModelContext, config: ExperimentConfig, rep: int):
     """The posterior chain of repetition ``rep``, from its own seed stream."""
-    sampler_cfg = SamplerConfig(draws=config.draws, burn_in=config.burn_in, thin=config.thin)
-    return ctx.kernel.posterior_sampler(sampler_cfg, make_rng(config.base_seed, rep, 0),
-                                        seed=(config.base_seed, rep), **ctx.sampler_kwargs)
+    return sample_chains(ctx, config, [rep])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +236,10 @@ class _RepBundle:
     """One repetition: its chain on the integrated route and, built for the
     first cell that asks, its draws with their latents on the complete-data one."""
 
-    def __init__(self, ctx: ModelContext, config: ExperimentConfig, rep: int):
+    def __init__(self, ctx: ModelContext, config: ExperimentConfig, rep: int, draws):
         self.ctx, self.config, self.rep = ctx, config, rep
         # builders reach ``est`` at call time, so patches of its functions apply
-        self.integrated = _Route(ctx.kernel, sample_chain(ctx, config, rep), {
+        self.integrated = _Route(ctx.kernel, draws, {
             "vb": lambda r: est.make_vb_weighting(ctx.vb),
             "prior": lambda r: est.make_prior_weighting(r.kernel),
             "geweke": lambda r: est.make_geweke_weighting(r.draws),
@@ -273,6 +283,21 @@ def _run_method(method: str, bundle: _RepBundle):
 _CELL_ERRORS = (NumericError, EstimationError, UnsupportedModelError, ConfigError,
                 np.linalg.LinAlgError, FloatingPointError)
 
+# repetitions whose chains are sampled together; bounds the draws a group holds
+_CHAIN_GROUP = 16
+
+
+def _sample_group(ctx: ModelContext, config: ExperimentConfig, reps) -> list:
+    """The chain of each repetition in ``reps``, or the ``_CELL_ERRORS`` error
+    that failed it. A group that fails is sampled again one chain at a time,
+    so that only the failing repetition fails."""
+    try:
+        return sample_chains(ctx, config, reps)
+    except _CELL_ERRORS as exc:
+        if len(reps) == 1:
+            return [exc]
+    return [chain for rep in reps for chain in _sample_group(ctx, config, [rep])]
+
 
 @dataclass
 class ResultsTable:
@@ -285,16 +310,25 @@ class ResultsTable:
 def run_experiment(config: ExperimentConfig, progress=None) -> ResultsTable:
     """Run all repetitions and aggregate; estimator failures (``_CELL_ERRORS``),
     a non-finite estimate included, are recorded per cell and never abort the
-    run, and a failed chain fails every cell of its repetition."""
+    run, and a failed chain fails every cell of its repetition. The chains of
+    each group of ``_CHAIN_GROUP`` repetitions are sampled together before
+    their cells run."""
     ctx = build_context(config)
     values: dict[str, list] = {m: [] for m in config.estimators}
     errors: dict[str, str] = {}
     se_bm: dict[str, list] = {m: [] for m in config.estimators}
     scatter = []
+    chains = []
     for rep in range(config.repetitions):
+        if not chains:
+            chains = _sample_group(ctx, config,
+                                   range(rep, min(rep + _CHAIN_GROUP, config.repetitions)))
+        chain = chains.pop(0)
         try:
-            bundle, chain_error = _RepBundle(ctx, config, rep), None
-        except _CELL_ERRORS as exc:  # a failed chain fails the cells of its repetition only
+            if isinstance(chain, Exception):  # a failed chain fails its repetition's cells only
+                raise chain
+            bundle, chain_error = _RepBundle(ctx, config, rep, chain), None
+        except _CELL_ERRORS as exc:
             chain_error = exc
         for method in config.estimators:
             try:
@@ -353,32 +387,32 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# the columns of table.csv, in order; a benchmark row fills method and mean_log_mdd
+_TABLE_COLUMNS = ("method", "status", "mean_log_mdd", "nse", "se_bm", "pct_in_bounds",
+                  "repetitions")
+
+
 def emit_outputs(table: ResultsTable, out_dir, formats=("csv", "json")) -> list:
     """Write the results table, the per-repetition scatter, and optionally a
     self-contained SVG; returns the written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    if "csv" in formats:
-        path = out / "table.csv"
-        lines = ["method,status,mean_log_mdd,nse,se_bm,pct_in_bounds,repetitions"]
-        for row in table.rows:
-            lines.append(",".join(_fmt(row.get(k)) for k in
-                                  ("method", "status", "mean_log_mdd", "nse",
-                                   "se_bm", "pct_in_bounds", "repetitions")))
-        for name, val in sorted(table.benchmarks.items()):
-            lines.append(f"benchmark:{name},,{_fmt(val)},,,,")
-        path.write_text("\n".join(lines) + "\n")
+
+    def write(name, text):
+        path = out / name
+        path.write_text(text)
         written.append(path)
 
-        scat = out / "scatter.csv"
-        lines = ["repetition,method,log_mdd"]
-        for rep, method, val in sorted(table.scatter, key=lambda r: (r[1], r[0])):
-            lines.append(f"{rep},{method},{_fmt(float(val))}")
-        scat.write_text("\n".join(lines) + "\n")
-        written.append(scat)
+    if "csv" in formats:
+        rows = table.rows + [{"method": f"benchmark:{name}", "mean_log_mdd": val}
+                             for name, val in sorted(table.benchmarks.items())]
+        write("table.csv", "\n".join([",".join(_TABLE_COLUMNS)] + [
+            ",".join(_fmt(row.get(k)) for k in _TABLE_COLUMNS) for row in rows]) + "\n")
+        write("scatter.csv", "\n".join(["repetition,method,log_mdd"] + [
+            f"{rep},{method},{_fmt(float(val))}"
+            for rep, method, val in sorted(table.scatter, key=lambda r: (r[1], r[0]))]) + "\n")
     if "json" in formats:
-        path = out / "table.json"
         payload = {
             "schema_version": SCHEMA_VERSION,
             "model": table.config.model,
@@ -388,12 +422,9 @@ def emit_outputs(table: ResultsTable, out_dir, formats=("csv", "json")) -> list:
             "benchmarks": {k: _json_num(v) for k, v in table.benchmarks.items()},
             "rows": [{k: _json_num(v) for k, v in row.items()} for row in table.rows],
         }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        written.append(path)
+        write("table.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if "svg" in formats:
-        path = out / "scatter.svg"
-        path.write_text(_render_scatter_svg(table))
-        written.append(path)
+        write("scatter.svg", _render_scatter_svg(table))
     return written
 
 

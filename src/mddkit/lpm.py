@@ -18,15 +18,13 @@ from scipy.special import gammaln
 from .errors import ConfigError, EstimationError
 from .modelapi import (
     Block,
+    GibbsKernel,
     ModelContext,
-    ModelKernel,
     ModelSpec,
     ParamLayout,
-    PosteriorDrawSet,
-    SamplerConfig,
     VBResult,
     read_panel_csv,
-    run_gibbs,
+    stack_state,
 )
 from .statscore import (
     LOG_2PI,
@@ -34,6 +32,7 @@ from .statscore import (
     WishartParams,
     _logdet,
     _spd_slogdet,
+    draw_each,
     ln_multivariate_gamma,
     log_sum_exp,
     multivariate_digamma,
@@ -452,7 +451,7 @@ def _lpm_layout(k: int, m: int) -> ParamLayout:
                         Block("sigma_inv", (m, m), "spd")])
 
 
-class LpmKernel(ModelKernel):
+class LpmKernel(GibbsKernel):
     """Poisson panel with the random effects integrated out numerically."""
 
     conditional_blocks = ["mu", "sigma_inv"]
@@ -487,9 +486,9 @@ class LpmKernel(ModelKernel):
     def _poisson_loglik_per_subject(self, xb, zu):
         """Complete-data Poisson log likelihood less the ln y! terms, per subject,
         from the linear predictor's parts xb = offsets + X beta and zu = Z u,
-        both (N, T)."""
+        both (..., N, T)."""
         eta = xb + zu
-        return (self._y_nt * eta - np.exp(eta)).sum(axis=1)
+        return (self._y_nt * eta - np.exp(eta)).sum(axis=-1)
 
     def full_conditional(self, name, state):
         n = self.data.num_subjects
@@ -506,62 +505,75 @@ class LpmKernel(ModelKernel):
                                  self.prior.nu0 + n)
         raise KeyError(name)
 
-    def _steps(self, adapt: bool) -> dict:
-        """The initial Metropolis step sizes by block, as ``mh_state``."""
+    def _steps(self, chains: int, adapt: bool) -> dict:
+        """The initial Metropolis step sizes of ``chains`` chains by block, as ``mh_state``."""
         d = self.data
-        return {"beta": 2.38 / math.sqrt(d.k), "u": np.full(d.num_subjects, 2.38 / math.sqrt(d.m)),
-                "adapt": adapt}
+        return {"beta": np.full(chains, 2.38 / math.sqrt(d.k)),
+                "u": np.full((chains, d.num_subjects), 2.38 / math.sqrt(d.m)), "adapt": adapt}
 
     def _carry(self, state):
         """Add what the Metropolis steps carry across sweeps where absent: xb, zu,
         the beta prior term, the per-subject log likelihood and the proposal
-        factors (from the curvature at the state when no VB fit gave them)."""
+        factors (from the curvature at the state when no VB fit gave them).
+        The beta prior term is one one-point density call per state, the bits
+        the proposal's own term gets."""
         d, n, t = self.data, self.data.num_subjects, self.data.num_periods
         if "_ll" not in state:
-            state["_xb"] = (d.offsets + d.x @ state["beta"]).reshape(n, t)
-            state["_zu"] = np.einsum("itm,im->it", d.z, state["u"])
-            state["_lp_beta"] = self._gauss_beta0.logpdf(state["beta"])
+            state["_xb"] = (d.offsets + np.matvec(d.x, state["beta"])).reshape(-1, n, t)
+            state["_zu"] = np.einsum("itm,cim->cit", d.z, state["u"])
+            state["_lp_beta"] = np.array([self._gauss_beta0.logpdf(b) for b in state["beta"]])
             state["_ll"] = self._poisson_loglik_per_subject(state["_xb"], state["_zu"])
         if "_chol_beta" not in state:
             lam = np.exp(state["_xb"] + state["_zu"])
             state["_chol_beta"] = safe_cholesky(np.linalg.inv(
-                d.x.T @ (lam.reshape(-1, 1) * d.x) + np.linalg.inv(self.prior.Vbeta0)))
+                d.x.T @ (lam.reshape(len(lam), -1, 1) * d.x) + np.linalg.inv(self.prior.Vbeta0)))
             state["_u_chols"] = safe_cholesky(np.linalg.inv(
-                np.einsum("itm,it,itl->iml", d.z, lam, d.z) + state["sigma_inv"]))
+                np.einsum("itm,cit,itl->ciml", d.z, lam, d.z) + state["sigma_inv"][:, None]))
 
-    def gibbs_sweep(self, state, rng, clamped=frozenset(), mh_state=None):
+    def gibbs_sweep(self, state, rngs, clamped=frozenset(), mh_state=None):
         """Random-walk Metropolis for beta, then all u_i, then conjugate mu and
-        Sigma^-1; proposals are the state's ``"_chol_beta"`` / ``"_u_chols"``
-        scaled by the ``mh_state`` steps (the initial ones, unadapted, if None)."""
+        Sigma^-1, over a stack of states; proposals are the states'
+        ``"_chol_beta"`` / ``"_u_chols"`` scaled by the ``mh_state`` steps (the
+        initial ones, unadapted, if None). The beta acceptance and step update
+        are scalar math chain by chain."""
         d = self.data
         n, t, k, m = d.num_subjects, d.num_periods, d.k, d.m
-        mh_state = self._steps(adapt=False) if mh_state is None else mh_state
+        mh_state = self._steps(len(rngs), adapt=False) if mh_state is None else mh_state
         self._carry(state)
         if "beta" not in clamped:
-            prop = state["beta"] + mh_state["beta"] * (state["_chol_beta"] @ rng.standard_normal(k))
-            xb_prop = (d.offsets + d.x @ prop).reshape(n, t)
-            lp_prop = self._gauss_beta0.logpdf(prop)
+            steps = mh_state["beta"]
+            noise = draw_each(rngs, lambda rng: rng.standard_normal(k))
+            prop = state["beta"] + steps[:, None] * np.matvec(state["_chol_beta"], noise)
+            xb_prop = (d.offsets + np.matvec(d.x, prop)).reshape(-1, n, t)
+            lp_prop = np.array([self._gauss_beta0.logpdf(p) for p in prop])
             ll_prop = self._poisson_loglik_per_subject(xb_prop, state["_zu"])
-            delta = float(ll_prop.sum() - state["_ll"].sum()) + lp_prop - state["_lp_beta"]
-            acc = math.log(rng.uniform()) <= delta
-            if acc:
+            delta = (ll_prop.sum(axis=-1) - state["_ll"].sum(axis=-1)) + lp_prop - state["_lp_beta"]
+            acc = [math.log(rng.uniform()) <= dl for rng, dl in zip(rngs, delta.tolist())]
+            if any(acc):  # a stack that rejects everywhere keeps its arrays
+                if not all(acc):  # rejecting chains keep their rows
+                    keep = ~np.array(acc)
+                    prop[keep], xb_prop[keep] = state["beta"][keep], state["_xb"][keep]
+                    lp_prop[keep], ll_prop[keep] = state["_lp_beta"][keep], state["_ll"][keep]
                 state.update(beta=prop, _xb=xb_prop, _lp_beta=lp_prop, _ll=ll_prop)
             if mh_state["adapt"]:
                 target = 0.44 if k == 1 else 0.234
-                mh_state["beta"] = min(max(mh_state["beta"] * math.exp(
-                    0.05 * ((1.0 if acc else 0.0) - target)), 1e-3), 50.0)
+                mh_state["beta"] = np.array([
+                    min(max(step * math.exp(0.05 * ((1.0 if a else 0.0) - target)), 1e-3), 50.0)
+                    for step, a in zip(steps, acc)])
         if "u" not in clamped:
             step, u, ll, w_mat = mh_state["u"], state["u"], state["_ll"], state["sigma_inv"]
-            noise = rng.standard_normal((n, m))
-            prop_u = u + step[:, None] * np.einsum("iml,il->im", state["_u_chols"], noise)
-            zu_prop = np.einsum("itm,im->it", d.z, prop_u)
+            noise = draw_each(rngs, lambda rng: rng.standard_normal((n, m)))
+            prop_u = u + step[..., None] * np.einsum("ciml,cil->cim", state["_u_chols"], noise)
+            zu_prop = np.einsum("itm,cim->cit", d.z, prop_u)
             new = self._poisson_loglik_per_subject(state["_xb"], zu_prop)
-            dev_c, dev_p = u - state["mu"], prop_u - state["mu"]
-            dprior = -0.5 * (np.einsum("im,ml,il->i", dev_p, w_mat, dev_p)
-                             - np.einsum("im,ml,il->i", dev_c, w_mat, dev_c))
-            acc_u = np.log(rng.uniform(size=n)) <= (new - ll + dprior)
-            state["u"] = np.where(acc_u[:, None], prop_u, u)
-            state["_zu"] = np.where(acc_u[:, None], zu_prop, state["_zu"])
+            mu = state["mu"][:, None, :]
+            dev_c, dev_p = u - mu, prop_u - mu
+            dprior = -0.5 * (np.einsum("cim,cml,cil->ci", dev_p, w_mat, dev_p)
+                             - np.einsum("cim,cml,cil->ci", dev_c, w_mat, dev_c))
+            uniforms = draw_each(rngs, lambda rng: rng.uniform(size=n))
+            acc_u = np.log(uniforms) <= (new - ll + dprior)
+            state["u"] = np.where(acc_u[..., None], prop_u, u)
+            state["_zu"] = np.where(acc_u[..., None], zu_prop, state["_zu"])
             state["_ll"] = np.where(acc_u, new, ll)
             if mh_state["adapt"]:
                 target = 0.44 if m == 1 else 0.234
@@ -569,23 +581,22 @@ class LpmKernel(ModelKernel):
                                         1e-3, 50.0)
         for name in ("mu", "sigma_inv"):
             if name not in clamped:
-                state[name] = self.full_conditional(name, state).sample(rng)
+                state[name] = self.full_conditional(name, state).sample_stack(rngs)
         return state
 
-    def posterior_sampler(self, config: SamplerConfig, rng, seed=None,
-                          vb: VBResult | None = None) -> PosteriorDrawSet:
-        """:meth:`gibbs_sweep` chain from the VB fit's means, its proposals
-        scaled from the variational covariance blocks and adapted in burn-in."""
+    def gibbs_start(self, chains, vb: VBResult | None = None):
+        """Chains from the VB fit's means, their proposals scaled from the
+        variational covariance blocks and adapted in burn-in."""
         n, k, m = self.data.num_subjects, self.data.k, self.data.m
         vb = lpm_vb(self.prior, self.data) if vb is None else vb
         # the (m, m) diagonal blocks of the u part of the Gaussian factor
         u_covs = vb.hyper["gamma"].cov[k:, k:].reshape(n, m, n, m)[np.arange(n), :, np.arange(n)]
-        state = {"beta": vb.factors["beta"].mean.copy(), "u": vb.hyper["u_means"].copy(),
-                 "mu": vb.factors["mu"].mean.copy(),
+        state = {"beta": vb.factors["beta"].mean, "u": vb.hyper["u_means"],
+                 "mu": vb.factors["mu"].mean,
                  "sigma_inv": vb.hyper["nu"] * np.linalg.inv(vb.hyper["S"]),
                  "_chol_beta": safe_cholesky(vb.factors["beta"].cov),
                  "_u_chols": safe_cholesky(u_covs)}
-        return run_gibbs(self, state, config, rng, seed=seed, mh_state=self._steps(adapt=True))
+        return stack_state(state, chains), self._steps(chains, adapt=True)
 
     def vb_fit(self, tol: float = 1e-6, max_iter: int = 500, damping: float = 0.5) -> VBResult:
         return lpm_vb(self.prior, self.data, tol=tol, max_iter=max_iter, damping=damping)

@@ -29,11 +29,13 @@ __all__ = [
     "WeightingDensity",
     "product_density",
     "ModelKernel",
+    "GibbsKernel",
     "ModelContext",
     "ModelSpec",
     "log_posterior_kernel",
     "elbo_monte_carlo",
     "run_gibbs",
+    "stack_state",
     "read_panel_csv",
 ]
 
@@ -109,23 +111,18 @@ class ParamLayout:
         return self.pack_into(np.empty(self.dim), values)
 
     def pack_into(self, out: np.ndarray, values: dict) -> np.ndarray:
-        """Write the block values into the flat row ``out`` (a view of a draw
-        matrix row works) through the block slices; returns ``out``."""
+        """Write the block values into the flat rows ``out`` (..., dim) through
+        the block slices, each value stacked along the same leading axes (a
+        view of draw matrix rows works); returns ``out``."""
         for b in self.blocks:
             v = np.asarray(values[b.name], dtype=float)
-            out[self.slices[b.name]] = vech(v) if b.support == "spd" else v.ravel()
+            out[..., self.slices[b.name]] = (vech(v) if b.support == "spd"
+                                             else v.reshape(out.shape[:-1] + (-1,)))
         return out
 
     def pack_batch(self, values: dict) -> np.ndarray:
         n = len(np.asarray(values[self.blocks[0].name]))
-        out = np.empty((n, self.dim))
-        for b in self.blocks:
-            v = np.asarray(values[b.name], dtype=float)
-            if b.support == "spd":
-                out[:, self.slices[b.name]] = vech(v)
-            else:
-                out[:, self.slices[b.name]] = v.reshape(n, -1)
-        return out
+        return self.pack_into(np.empty((n, self.dim)), values)
 
     def unpack(self, theta: np.ndarray) -> dict:
         return {k: (v[0] if np.ndim(v) and v.shape[0] == 1 else v)
@@ -374,51 +371,128 @@ class ModelKernel:
                           seed=None) -> PosteriorDrawSet:
         raise NotImplementedError
 
+    def posterior_chains(self, config: SamplerConfig, rngs, seeds, **kwargs) -> list:
+        """One chain per generator: chain c is ``posterior_sampler(config,
+        rngs[c], seeds[c], **kwargs)``, drawn chain by chain here."""
+        return [self.posterior_sampler(config, rng, seed, **kwargs)
+                for rng, seed in zip(rngs, seeds)]
+
     def vb_fit(self, **kwargs) -> VBResult:
         raise UnsupportedModelError(f"{type(self).__name__} has no VB fit wired")
 
 
-def run_gibbs(kernel: ModelKernel, state: dict, config: SamplerConfig,
-              rng: np.random.Generator, seed=None, clamped=frozenset(),
-              mh_state: dict | None = None) -> PosteriorDrawSet:
-    """The one Gibbs driver: ``config.burn_in`` sweeps from ``state``, then
-    ``config.draws`` kept states, one every ``config.thin`` sweeps, written
-    straight into the draw matrix (and the latent matrix, if any).
+class GibbsKernel(ModelKernel):
+    """A model family sampled by :func:`run_gibbs`.
 
-    ``kernel.gibbs_sweep(state, rng, clamped)`` draws every block not in
-    ``clamped`` and binds it to a new value, never mutating one in place.
-    ``mh_state``, a kernel's Metropolis tuning (step sizes by block, plus
-    ``"adapt"``), goes to every sweep; adaptation stops at burn-in, and a
-    block that moves in under 5% or over 95% of the later sweeps warns.
+    Subclasses provide ``gibbs_start(chains, **kwargs)``, the start of that
+    many chains as one stack of states and their stacked Metropolis tuning
+    (None without Metropolis steps), and ``gibbs_sweep(state, rngs, clamped,
+    [mh_state])``, which advances a stack of states, chain c drawing from
+    ``rngs[c]``. The default sweep draws each conditional block not in
+    ``clamped`` from its full conditional, in ``conditional_blocks`` order.
     """
+
+    def gibbs_start(self, chains: int, **kwargs) -> tuple:
+        raise NotImplementedError
+
+    def gibbs_sweep(self, state, rngs, clamped=frozenset()):
+        for name in self.conditional_blocks:
+            if name not in clamped:
+                value = self.full_conditional(name, state).sample_stack(rngs)
+                state[name] = value.reshape(np.shape(state[name]))
+        return state
+
+    def posterior_chains(self, config: SamplerConfig, rngs, seeds, **kwargs) -> list:
+        """The chains of all generators advanced together by :func:`run_gibbs`."""
+        state, mh_state = self.gibbs_start(len(rngs), **kwargs)
+        return run_gibbs(self, state, config, rngs, seeds, mh_state=mh_state)
+
+    def posterior_sampler(self, config: SamplerConfig, rng: np.random.Generator,
+                          seed=None, **kwargs) -> PosteriorDrawSet:
+        """One chain: :meth:`posterior_chains` with a stack of one."""
+        return self.posterior_chains(config, [rng], [seed], **kwargs)[0]
+
+
+def stack_state(state: dict, chains: int) -> dict:
+    """``chains`` copies of one state stacked along a leading axis."""
+    return {name: np.repeat(np.asarray(value)[None], chains, axis=0)
+            for name, value in state.items()}
+
+
+# kept states the driver holds before packing them into its draw matrices
+_PACK_ROWS = 256
+
+
+def run_gibbs(kernel: GibbsKernel, state: dict, config: SamplerConfig, rngs, seeds=None,
+              clamped=frozenset(), mh_state: dict | None = None) -> list:
+    """The one Gibbs driver: one chain per generator in ``rngs``, all advanced
+    by each sweep. ``config.burn_in`` sweeps from the stack of states
+    ``state``, then ``config.draws`` kept states, one every ``config.thin``
+    sweeps, packed into the draw matrices (and latent matrices, if any) a
+    block of rows at a time; returns one draw set per chain, with its seed
+    from ``seeds``.
+
+    ``kernel.gibbs_sweep(state, rngs, clamped)`` draws every block not in
+    ``clamped`` and binds it to a new value, never mutating one in place;
+    chain c draws its variates from ``rngs[c]`` alone, so it is the chain a
+    stack of one gives. ``mh_state``, a kernel's stacked Metropolis tuning
+    (step sizes by block, plus ``"adapt"``), goes to every sweep; adaptation
+    stops at burn-in, and a block that moves in under 5% or over 95% of a
+    chain's later sweeps warns, chain by chain.
+    """
+    chains = len(rngs)
+    seeds = [None] * chains if seeds is None else seeds
     layout, latent_layout = kernel.layout, kernel.latent_layout
-    thetas = np.empty((config.draws, layout.dim))
-    latents = None if latent_layout is None else np.empty((config.draws, latent_layout.dim))
+    thetas = np.empty((chains, config.draws, layout.dim))
+    latents = (None if latent_layout is None
+               else np.empty((chains, config.draws, latent_layout.dim)))
+    names = layout.names + ([] if latent_layout is None else latent_layout.names)
     sweep_kw = {} if mh_state is None else {"mh_state": mh_state}
     mh_blocks = [name for name in (mh_state or {}) if name != "adapt"]
-    moved = dict.fromkeys(mh_blocks, 0.0)
+    moved = {name: np.zeros(chains) for name in mh_blocks}
     burn_in, thin = config.burn_in, config.thin
+    # the kept states' block values (sweeps bind new arrays, never write into
+    # them), packed into the matrices _PACK_ROWS rows at a time
+    kept, packed = [], 0
+
+    def pack():
+        nonlocal packed
+        values = {name: np.stack([row[i] for row in kept], axis=1)
+                  for i, name in enumerate(names)}
+        rows = slice(packed, packed + len(kept))
+        layout.pack_into(thetas[:, rows], values)
+        if latents is not None:
+            latent_layout.pack_into(latents[:, rows], values)
+        packed += len(kept)
+        kept.clear()
+
     for it in range(burn_in + config.draws * thin):
         if it == burn_in and mh_state is not None:
             mh_state["adapt"] = False
         before = [state[name] for name in mh_blocks]
-        state = kernel.gibbs_sweep(state, rng, clamped, **sweep_kw)
+        state = kernel.gibbs_sweep(state, rngs, clamped, **sweep_kw)
         if it < burn_in:
             continue
         for name, prev in zip(mh_blocks, before):
-            moved[name] += np.count_nonzero(state[name] != prev) / np.size(prev)
-        kept, offset = divmod(it - burn_in, thin)
-        if offset == 0:
-            layout.pack_into(thetas[kept], state)
-            if latents is not None:
-                latent_layout.pack_into(latents[kept], state)
-    for name, count in moved.items():
-        rate = count / (config.draws * thin)
-        if not 0.05 <= rate <= 0.95:
-            # stacklevel: the caller of the kernel's posterior_sampler
-            warnings.warn(f"MH acceptance for {name} is {rate:.2f}", stacklevel=3)
-    return PosteriorDrawSet(thetas, layout, seed=seed, burn_in=burn_in, thin=thin,
-                            latents=latents, latent_layout=latent_layout)
+            if state[name] is not prev:
+                changed = (state[name] != prev).reshape(chains, -1)
+                moved[name] += np.count_nonzero(changed, axis=1) / changed.shape[1]
+        if (it - burn_in) % thin == 0:
+            kept.append([state[name] for name in names])
+            if len(kept) == _PACK_ROWS:
+                pack()
+    if kept:
+        pack()
+    for c in range(chains):
+        for name, count in moved.items():
+            rate = count[c] / (config.draws * thin)
+            if not 0.05 <= rate <= 0.95:
+                # stacklevel: the caller of the kernel's posterior_chains
+                warnings.warn(f"MH acceptance for {name} is {rate:.2f}", stacklevel=3)
+    return [PosteriorDrawSet(thetas[c], layout, seed=seeds[c], burn_in=burn_in, thin=thin,
+                             latents=None if latents is None else latents[c],
+                             latent_layout=latent_layout)
+            for c in range(chains)]
 
 
 def log_posterior_kernel(model: ModelKernel, theta) -> float:

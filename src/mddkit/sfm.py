@@ -20,17 +20,16 @@ from scipy.special import gammaln, log_ndtr, ndtri, psi
 from .errors import ConfigError, NumericError
 from .modelapi import (
     Block,
+    GibbsKernel,
     ModelContext,
     ModelKernel,
     ModelSpec,
     ParamLayout,
-    PosteriorDrawSet,
-    SamplerConfig,
     VBResult,
     WeightingDensity,
     product_density,
     read_panel_csv,
-    run_gibbs,
+    stack_state,
 )
 from .statscore import (
     LOG_2PI,
@@ -38,6 +37,7 @@ from .statscore import (
     MvNormalParams,
     TruncNormalParams,
     _logdet,
+    draw_each,
     inverse_mills,
     ln_parabolic_cylinder_d,
     log_sum_exp,
@@ -152,10 +152,13 @@ def _firm_residual_stats(data: SfmData, beta: np.ndarray):
 
 
 def _firm_residual_means(data: SfmData, beta: np.ndarray) -> np.ndarray:
-    """Per-firm residual means of one beta, as :func:`_firm_residual_stats`
-    computes them (sum / T is bit for bit ``mean``) without the sums of squares."""
-    resid = data.y[None, :] - np.atleast_2d(beta) @ data.x.T
-    return resid.reshape(data.num_firms, data.num_periods).sum(axis=1) / data.num_periods
+    """Per-firm residual means of one beta or a stack (..., k), as
+    :func:`_firm_residual_stats` computes them (sum / T is bit for bit ``mean``)
+    without the sums of squares; one x-beta product per beta, so each row
+    has the bits of a one-beta call."""
+    resid = data.y - np.matvec(data.x, beta)
+    resid = resid.reshape(resid.shape[:-1] + (data.num_firms, data.num_periods))
+    return resid.sum(axis=-1) / data.num_periods
 
 
 def sfm_exp_integrated_loglik(beta, sigma_prec, lam, data: SfmData):
@@ -222,6 +225,64 @@ def sfm_gamma_integrated_loglik(beta, sigma_prec, lam, theta, data: SfmData):
 
 
 # ---------------------------------------------------------------------------
+# what both VB fits share
+# ---------------------------------------------------------------------------
+
+class _FrontierCavi:
+    """The coordinate-ascent pieces both frontier fits share: the set-up,
+    q(beta) and q(sigma^-2) given the moments of q(u), and the bound's terms
+    for those two blocks."""
+
+    def __init__(self, prior, data: SfmData):
+        n, t = data.num_firms, data.num_periods
+        self.prior, self.data = prior, data
+        self.v0_inv = np.linalg.inv(prior.Vbeta0)
+        self.v0_inv_b0 = self.v0_inv @ prior.beta0
+        self.xtx = data.x.T @ data.x
+        self.a_sig = prior.a_sigma0 + 0.5 * n * t
+        self.b_sig_start = prior.b_sigma0 + 0.5 * float(np.var(data.y)) * n * t
+
+    def update_beta_sigma(self, e_sig, u_mean, u_var):
+        """q(beta) given E[sigma^-2] and q(u), then the rate of q(sigma^-2)
+        given both: (beta mean, beta covariance, sigma^-2 rate, residual means)."""
+        d, c, t = self.data, self.data.c, self.data.num_periods
+        v_beta = np.linalg.inv(self.v0_inv + e_sig * self.xtx)
+        v_beta = 0.5 * (v_beta + v_beta.T)
+        adj = d.y - c * np.repeat(u_mean, t)
+        beta_q = v_beta @ (self.v0_inv_b0 + e_sig * (d.x.T @ adj))
+        ebar, sum_e2 = _firm_residual_stats(d, beta_q)
+        ebar, sum_e2 = ebar[0], sum_e2[0]
+        dev2 = sum_e2 - 2.0 * c * t * ebar * u_mean + t * (u_mean ** 2 + u_var)
+        b_sig = self.prior.b_sigma0 + 0.5 * (float(np.sum(dev2))
+                                             + float(np.sum(self.xtx * v_beta)))
+        return beta_q, v_beta, b_sig, ebar
+
+    def elbo_start(self, beta_q, v_beta, b_sig, u_mean, u_m2) -> float:
+        """The bound's expected log likelihood given E[u] and E[u^2], plus its
+        beta and sigma^-2 prior terms, summed in that order."""
+        prior, d = self.prior, self.data
+        n, t, k, c = d.num_firms, d.num_periods, d.k, d.c
+        e_sig, eln_sig = self.a_sig / b_sig, float(psi(self.a_sig)) - math.log(b_sig)
+        ebar, sum_e2 = _firm_residual_stats(d, beta_q)
+        ebar, sum_e2 = ebar[0], sum_e2[0]
+        quad = (float(np.sum(sum_e2 - 2.0 * c * t * ebar * u_mean + t * u_m2))
+                + float(np.sum(self.xtx * v_beta)))
+        val = -0.5 * n * t * LOG_2PI + 0.5 * n * t * eln_sig - 0.5 * e_sig * quad
+        dev = beta_q - prior.beta0
+        val += (-0.5 * k * LOG_2PI - 0.5 * _logdet(prior.Vbeta0)
+                - 0.5 * (dev @ self.v0_inv @ dev + float(np.sum(self.v0_inv * v_beta.T))))
+        val += (prior.a_sigma0 * math.log(prior.b_sigma0) - float(gammaln(prior.a_sigma0))
+                + (prior.a_sigma0 - 1.0) * eln_sig - prior.b_sigma0 * e_sig)
+        return val
+
+    def add_entropies(self, val, v_beta, b_sig, a_lam, b_lam) -> float:
+        """``val`` plus the entropies of q(beta), then of q(sigma^-2) and q(lambda)."""
+        val += 0.5 * self.data.k * (LOG_2PI + 1.0) + 0.5 * _logdet(v_beta)
+        return val + (GammaParams(self.a_sig, b_sig).entropy()
+                      + GammaParams(a_lam, b_lam).entropy())
+
+
+# ---------------------------------------------------------------------------
 # exponential-case VB
 # ---------------------------------------------------------------------------
 
@@ -237,13 +298,9 @@ def sfm_exp_vb(prior: SfmExpPrior, data: SfmData, tol: float = 1e-8,
     if tol <= 0:
         raise ValueError("tol must be positive")
     n, t, k, c = data.num_firms, data.num_periods, data.k, data.c
-    v0_inv = np.linalg.inv(prior.Vbeta0)
-    v0_inv_b0 = v0_inv @ prior.beta0
-    xtx = data.x.T @ data.x
-
-    a_sig = prior.a_sigma0 + 0.5 * n * t
+    cavi = _FrontierCavi(prior, data)
+    a_sig, b_sig = cavi.a_sig, cavi.b_sig_start
     a_lam = prior.a_lam0 + n
-    b_sig = prior.b_sigma0 + 0.5 * float(np.var(data.y)) * n * t
     b_lam = prior.b_lam0 + n  # starts E[lambda] at ~1
     u_mean = np.full(n, 1.0)
     u_var = np.full(n, 0.5)
@@ -255,19 +312,8 @@ def sfm_exp_vb(prior: SfmExpPrior, data: SfmData, tol: float = 1e-8,
     trace = []
     converged = False
     for _ in range(max_iter):
-        e_sig = a_sig / b_sig
-        e_lam = a_lam / b_lam
-        # q(beta)
-        v_beta = np.linalg.inv(v0_inv + e_sig * xtx)
-        v_beta = 0.5 * (v_beta + v_beta.T)
-        adj = data.y - c * np.repeat(u_mean, t)
-        beta_q = v_beta @ (v0_inv_b0 + e_sig * (data.x.T @ adj))
-        # q(sigma^-2)
-        ebar, sum_e2 = _firm_residual_stats(data, beta_q)
-        ebar, sum_e2 = ebar[0], sum_e2[0]
-        dev2 = (sum_e2 - 2.0 * c * t * ebar * u_mean
-                + t * (u_mean ** 2 + u_var))
-        b_sig = prior.b_sigma0 + 0.5 * (float(np.sum(dev2)) + float(np.sum(xtx * v_beta)))
+        # q(beta), q(sigma^-2)
+        beta_q, v_beta, b_sig, ebar = cavi.update_beta_sigma(a_sig / b_sig, u_mean, u_var)
         e_sig = a_sig / b_sig
         # q(lambda)
         b_lam = prior.b_lam0 + float(np.sum(u_mean))
@@ -279,8 +325,8 @@ def sfm_exp_vb(prior: SfmExpPrior, data: SfmData, tol: float = 1e-8,
         mills = inverse_mills(ratio)
         u_mean = mu_q + math.sqrt(ups2) * mills
         u_var = ups2 * (1.0 - mills * (mills + ratio))
-        trace.append(_elbo_exp(prior, data, beta_q, v_beta, a_sig, b_sig,
-                               a_lam, b_lam, mu_q, ups2, u_mean, u_var))
+        trace.append(_elbo_exp(cavi, beta_q, v_beta, b_sig, a_lam, b_lam,
+                               mu_q, ups2, u_mean, u_var))
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
             converged = True
             break
@@ -309,28 +355,14 @@ class _FirmByFirm:
         return np.column_stack([d.sample(rng, size) for d in self.dists])
 
 
-def _elbo_exp(prior, data, beta_q, v_beta, a_sig, b_sig, a_lam, b_lam,
-              mu_q, ups2, u_mean, u_var) -> float:
-    n, t, k, c = data.num_firms, data.num_periods, data.k, data.c
-    v0_inv = np.linalg.inv(prior.Vbeta0)
-    e_sig, eln_sig = a_sig / b_sig, float(psi(a_sig)) - math.log(b_sig)
+def _elbo_exp(cavi, beta_q, v_beta, b_sig, a_lam, b_lam, mu_q, ups2, u_mean, u_var) -> float:
+    prior, n = cavi.prior, cavi.data.num_firms
     e_lam, eln_lam = a_lam / b_lam, float(psi(a_lam)) - math.log(b_lam)
-    ebar, sum_e2 = _firm_residual_stats(data, beta_q)
-    ebar, sum_e2 = ebar[0], sum_e2[0]
-    quad = (float(np.sum(sum_e2 - 2.0 * c * t * ebar * u_mean + t * (u_mean ** 2 + u_var)))
-            + float(np.sum((data.x.T @ data.x) * v_beta)))
-
-    val = -0.5 * n * t * LOG_2PI + 0.5 * n * t * eln_sig - 0.5 * e_sig * quad
-    dev = beta_q - prior.beta0
-    val += (-0.5 * k * LOG_2PI - 0.5 * _logdet(prior.Vbeta0)
-            - 0.5 * (dev @ v0_inv @ dev + float(np.sum(v0_inv * v_beta.T))))
-    val += (prior.a_sigma0 * math.log(prior.b_sigma0) - float(gammaln(prior.a_sigma0))
-            + (prior.a_sigma0 - 1.0) * eln_sig - prior.b_sigma0 * e_sig)
+    val = cavi.elbo_start(beta_q, v_beta, b_sig, u_mean, u_mean ** 2 + u_var)
     val += (prior.a_lam0 * math.log(prior.b_lam0) - float(gammaln(prior.a_lam0))
             + (prior.a_lam0 - 1.0) * eln_lam - prior.b_lam0 * e_lam)
     val += n * eln_lam - e_lam * float(np.sum(u_mean))
-    val += 0.5 * k * (LOG_2PI + 1.0) + 0.5 * _logdet(v_beta)
-    val += GammaParams(a_sig, b_sig).entropy() + GammaParams(a_lam, b_lam).entropy()
+    val = cavi.add_entropies(val, v_beta, b_sig, a_lam, b_lam)
     scale = math.sqrt(ups2)
     val += float(np.sum([TruncNormalParams(m, scale).entropy() for m in mu_q]))
     return float(val)
@@ -526,12 +558,8 @@ def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData, tol: float = 1e-6,
     if upsilon_convention not in ("precision", "variance"):
         raise ValueError("upsilon_convention must be 'precision' or 'variance'")
     n, t, k, c = data.num_firms, data.num_periods, data.k, data.c
-    v0_inv = np.linalg.inv(prior.Vbeta0)
-    v0_inv_b0 = v0_inv @ prior.beta0
-    xtx = data.x.T @ data.x
-
-    a_sig = prior.a_sigma0 + 0.5 * n * t
-    b_sig = prior.b_sigma0 + 0.5 * float(np.var(data.y)) * n * t
+    cavi = _FrontierCavi(prior, data)
+    a_sig, b_sig = cavi.a_sig, cavi.b_sig_start
     theta_mean = 1.0
     a_lam = (n + 1) * theta_mean
     b_lam = prior.b_lam0 + n
@@ -546,19 +574,10 @@ def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData, tol: float = 1e-6,
     trace = []
     converged = False
     for _ in range(max_iter):
-        e_sig = a_sig / b_sig
         e_lam = a_lam / b_lam
         eln_lam = float(psi(a_lam)) - math.log(b_lam)
-        # q(beta)
-        v_beta = np.linalg.inv(v0_inv + e_sig * xtx)
-        v_beta = 0.5 * (v_beta + v_beta.T)
-        adj = data.y - c * np.repeat(u_mean, t)
-        beta_q = v_beta @ (v0_inv_b0 + e_sig * (data.x.T @ adj))
-        # q(sigma^-2)
-        ebar, sum_e2 = _firm_residual_stats(data, beta_q)
-        ebar, sum_e2 = ebar[0], sum_e2[0]
-        dev2 = sum_e2 - 2.0 * c * t * ebar * u_mean + t * (u_mean ** 2 + u_var)
-        b_sig = prior.b_sigma0 + 0.5 * (float(np.sum(dev2)) + float(np.sum(xtx * v_beta)))
+        # q(beta), q(sigma^-2)
+        beta_q, v_beta, b_sig, ebar = cavi.update_beta_sigma(a_sig / b_sig, u_mean, u_var)
         e_sig = a_sig / b_sig
         # q(u): nonstandard factors
         prec = t * e_sig if upsilon_convention == "precision" else 1.0 / (t * e_sig)
@@ -579,9 +598,8 @@ def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData, tol: float = 1e-6,
         # q(lambda)
         a_lam = (n + 1) * theta_mean
         b_lam = prior.b_lam0 + float(np.sum(u_mean))
-        trace.append(_elbo_gamma(prior, data, beta_q, v_beta, a_sig, b_sig,
-                                 a_lam, b_lam, theta_grid, theta_mean,
-                                 u_factors, u_mean, u_m2, u_mean_log))
+        trace.append(_elbo_gamma(cavi, beta_q, v_beta, b_sig, a_lam, b_lam, theta_grid,
+                                 theta_mean, u_factors, u_mean, u_m2, u_mean_log))
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
             converged = True
             break
@@ -610,26 +628,14 @@ class _AllFirms:
         return self.firms.sample(rng, size)
 
 
-def _elbo_gamma(prior, data, beta_q, v_beta, a_sig, b_sig, a_lam, b_lam,
-                theta_grid, theta_mean, u_factors, u_mean, u_m2, u_mean_log) -> float:
-    n, t, k, c = data.num_firms, data.num_periods, data.k, data.c
-    v0_inv = np.linalg.inv(prior.Vbeta0)
-    e_sig, eln_sig = a_sig / b_sig, float(psi(a_sig)) - math.log(b_sig)
+def _elbo_gamma(cavi, beta_q, v_beta, b_sig, a_lam, b_lam, theta_grid, theta_mean,
+                u_factors, u_mean, u_m2, u_mean_log) -> float:
+    prior, n = cavi.prior, cavi.data.num_firms
     e_lam, eln_lam = a_lam / b_lam, float(psi(a_lam)) - math.log(b_lam)
     eln_theta = theta_grid.expect(np.log)
     e_theta_inv = theta_grid.expect(lambda g: 1.0 / g)
     eln_gamma_theta = theta_grid.expect(lambda g: gammaln(g))
-    ebar, sum_e2 = _firm_residual_stats(data, beta_q)
-    ebar, sum_e2 = ebar[0], sum_e2[0]
-    quad = (float(np.sum(sum_e2 - 2.0 * c * t * ebar * u_mean + t * u_m2))
-            + float(np.sum((data.x.T @ data.x) * v_beta)))
-
-    val = -0.5 * n * t * LOG_2PI + 0.5 * n * t * eln_sig - 0.5 * e_sig * quad
-    dev = beta_q - prior.beta0
-    val += (-0.5 * k * LOG_2PI - 0.5 * _logdet(prior.Vbeta0)
-            - 0.5 * (dev @ v0_inv @ dev + float(np.sum(v0_inv * v_beta.T))))
-    val += (prior.a_sigma0 * math.log(prior.b_sigma0) - float(gammaln(prior.a_sigma0))
-            + (prior.a_sigma0 - 1.0) * eln_sig - prior.b_sigma0 * e_sig)
+    val = cavi.elbo_start(beta_q, v_beta, b_sig, u_mean, u_m2)
     # lambda | theta prior and the u priors
     val += (theta_mean * math.log(prior.b_lam0) + (theta_mean - 1.0) * eln_lam
             - prior.b_lam0 * e_lam - eln_gamma_theta)
@@ -639,8 +645,7 @@ def _elbo_gamma(prior, data, beta_q, v_beta, a_sig, b_sig, a_lam, b_lam,
     val += (prior.a_theta0 * math.log(prior.b_theta0) - float(gammaln(prior.a_theta0))
             - (prior.a_theta0 + 1.0) * eln_theta - prior.b_theta0 * e_theta_inv)
     # entropies
-    val += 0.5 * k * (LOG_2PI + 1.0) + 0.5 * _logdet(v_beta)
-    val += GammaParams(a_sig, b_sig).entropy() + GammaParams(a_lam, b_lam).entropy()
+    val = cavi.add_entropies(val, v_beta, b_sig, a_lam, b_lam)
     val -= float(np.sum(u_factors.mean_log_q()))
     val -= theta_grid.mean_log_q()
     return float(val)
@@ -664,55 +669,63 @@ def _sfm_gamma_layout(k: int, num_firms: int) -> ParamLayout:
                                                 _u_block(num_firms)])
 
 
-def _sample_truncnorm_vec(locs: np.ndarray, scale: float, rng) -> np.ndarray:
-    """Vectorized zero-truncated normal draws matching the scalar sampler's
-    inversion/rejection split."""
-    locs = np.asarray(locs, dtype=float)
+def _sample_truncnorm(locs: np.ndarray, scales: np.ndarray, rngs) -> np.ndarray:
+    """Zero-truncated normal draws for a stack of location rows (chains,
+    firms), row c with scale ``scales[c]`` from ``rngs[c]``: inversion where
+    location / scale >= -5, with that row's uniforms drawn in firm order, then
+    the exponential rejection of :class:`TruncNormalParams` for its other
+    firms, in firm order."""
+    scale = scales[:, None]
     ratios = locs / scale
-    easy = ratios >= -5.0
-    # inversion where the ratio allows it; index only when some draw is rejection's
-    every = bool(easy.all())
-    pick = Ellipsis if every else easy
-    lo = np.exp(log_ndtr(-ratios[pick]))
-    z = ndtri(lo + rng.uniform(size=lo.shape) * (1.0 - lo))
-    inverted = np.maximum(locs[pick] + scale * z, 0.0)
-    if every:
-        return inverted
-    out = np.empty(locs.shape)
-    out[easy] = inverted
-    for idx in np.flatnonzero(~easy):
-        out[idx] = TruncNormalParams(float(locs[idx]), scale).sample(rng)
+    if ratios.min() >= -5.0:
+        u = draw_each(rngs, lambda rng: rng.uniform(size=locs.shape[1]))
+        easy = None
+    else:  # each row draws uniforms for its inversion firms only
+        easy = ratios >= -5.0
+        u = np.full(locs.shape, 0.5)
+        for row, ok, rng in zip(u, easy, rngs):
+            row[ok] = rng.uniform(size=np.count_nonzero(ok))
+    lo = np.exp(log_ndtr(-ratios))
+    out = np.maximum(locs + scale * ndtri(lo + u * (1.0 - lo)), 0.0)
+    if easy is not None:
+        for c, i in zip(*np.nonzero(~easy)):
+            out[c, i] = TruncNormalParams(float(locs[c, i]), float(scales[c])).sample(rngs[c])
     return out
 
 
 class _IndependentTruncNormals:
-    """Product of per-firm zero-truncated normals, used as the u conditional."""
+    """Product of per-firm zero-truncated normals, used as the u conditional:
+    locations (firms,) and a scale, or a stack of them (chains, firms) with
+    one scale per product; ``logpdf_batch`` and ``sample`` take an unstacked one."""
 
     def __init__(self, locs, scale):
         self.locs = np.asarray(locs, dtype=float)
-        self.scale = float(scale)
+        self.scale = np.asarray(scale, dtype=float)
 
     def logpdf_batch(self, u_vals):
         u_vals = np.atleast_2d(np.asarray(u_vals, dtype=float))
-        z = (u_vals - self.locs) / self.scale
-        terms = (-0.5 * (LOG_2PI + z * z) - math.log(self.scale)
-                 - log_ndtr(self.locs / self.scale))
+        scale = float(self.scale)
+        z = (u_vals - self.locs) / scale
+        terms = (-0.5 * (LOG_2PI + z * z) - math.log(scale)
+                 - log_ndtr(self.locs / scale))
         bad = np.any(u_vals < 0, axis=1)
         out = terms.sum(axis=1)
         out[bad] = -np.inf
         return out
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return _sample_truncnorm_vec(self.locs, self.scale, rng)
-        return np.stack([_sample_truncnorm_vec(self.locs, self.scale, rng)
-                         for _ in range(size)])
+    def sample(self, rng):
+        return _sample_truncnorm(self.locs[None], self.scale[None], [rng])[0]
+
+    def sample_stack(self, rngs):
+        """One draw per stacked product, product c from ``rngs[c]`` with the
+        bits :meth:`sample` of it alone gives."""
+        return _sample_truncnorm(self.locs, self.scale, rngs)
 
 
-class _FrontierKernel(ModelKernel):
+class _FrontierKernel(GibbsKernel):
     """What both frontier kernels share: the beta and sigma^-2 priors, their
     conditionals given the inefficiencies u, and the conjugate sweep steps
-    (lambda's conditional is each kernel's own)."""
+    (lambda's conditional is each kernel's own), all over a stack of states."""
 
     def __init__(self, prior, data: SfmData):
         if prior.beta0.size != data.k:
@@ -738,9 +751,9 @@ class _FrontierKernel(ModelKernel):
         return self.data.c * np.repeat(state["u"], self.data.num_periods, axis=-1)
 
     def _residual_means(self, state, clamped):
-        """Per-firm residual means of the state's beta for the u step. A clamped
-        beta never changes, so its means are computed on the first sweep and
-        carried in the state under ``"_ebar"``."""
+        """Per-firm residual means of the states' betas for the u step. A
+        clamped beta never changes, so its means are computed on the first
+        sweep and carried in the state under ``"_ebar"``."""
         if "beta" not in clamped:
             return _firm_residual_means(self.data, state["beta"])
         if "_ebar" not in state:
@@ -765,14 +778,14 @@ class _FrontierKernel(ModelKernel):
                                self.prior.b_sigma0 + 0.5 * np.vecdot(resid, resid))
         raise KeyError(name)
 
-    def _sweep_conjugate_blocks(self, state, rng, clamped):
+    def _sweep_conjugate_blocks(self, state, rngs, clamped):
         # u stays fixed through these steps, so one c * u serves beta and sigma^-2
         drawn = [name for name in ("beta", "sigma_prec") if name not in clamped]
         cu = self._c_times_u(state) if drawn else None
         for name in drawn:
-            state[name] = self._conditional_given_u(name, state, cu).sample(rng)
+            state[name] = self._conditional_given_u(name, state, cu).sample_stack(rngs)
         if "lam" not in clamped:
-            state["lam"] = self.full_conditional("lam", state).sample(rng)
+            state["lam"] = self.full_conditional("lam", state).sample_stack(rngs)
 
 
 class SfmExpKernel(_FrontierKernel):
@@ -799,7 +812,7 @@ class SfmExpKernel(_FrontierKernel):
     # -- conditionals ---------------------------------------------------------
 
     def full_conditional(self, name, state):
-        """Conditionals of the conjugate blocks (stackable) and of u (one state)."""
+        """Conditionals of the conjugate blocks and of u, for one state or a stack."""
         d = self.data
         if name == "lam":
             return GammaParams(self.prior.a_lam0 + d.num_firms,
@@ -809,22 +822,21 @@ class SfmExpKernel(_FrontierKernel):
         return self._conditional_given_u(name, state)
 
     def _u_conditional(self, state, ebar):
-        """u given the rest, for one state whose per-firm residual means are ``ebar``."""
+        """u given the rest, for states whose per-firm residual means are ``ebar``."""
         c, t = self.data.c, self.data.num_periods
-        prec = float(state["sigma_prec"])
-        lam = float(state["lam"])
-        locs = (c * t * ebar - lam / prec) / t
-        return _IndependentTruncNormals(locs, math.sqrt(1.0 / (t * prec)))
+        prec = state["sigma_prec"]
+        locs = (c * t * ebar - np.divide(state["lam"], prec)[..., None]) / t
+        return _IndependentTruncNormals(locs, np.sqrt(1.0 / (t * prec)))
 
-    def gibbs_sweep(self, state, rng, clamped=frozenset()):
-        self._sweep_conjugate_blocks(state, rng, clamped)
+    def gibbs_sweep(self, state, rngs, clamped=frozenset()):
+        self._sweep_conjugate_blocks(state, rngs, clamped)
         if "u" not in clamped:
             ebar = self._residual_means(state, clamped)
-            state["u"] = self._u_conditional(state, ebar).sample(rng)
+            state["u"] = self._u_conditional(state, ebar).sample_stack(rngs)
         return state
 
-    def posterior_sampler(self, config: SamplerConfig, rng, seed=None) -> PosteriorDrawSet:
-        return run_gibbs(self, self._initial_state(), config, rng, seed=seed)
+    def gibbs_start(self, chains):
+        return stack_state(self._initial_state(), chains), None
 
     def vb_fit(self, tol: float = 1e-8, max_iter: int = 500) -> VBResult:
         return sfm_exp_vb(self.prior, self.data, tol=tol, max_iter=max_iter)
@@ -928,54 +940,73 @@ class SfmGammaKernel(_FrontierKernel):
                 - self.prior.b_theta0 / theta + theta * lin
                 - (self.data.num_firms + 1) * float(gammaln(theta)) - su)
 
-    def _log_cond_u(self, u, prec, theta, slopes):
-        """ln p(u_i | rest) up to a constant, per firm."""
+    def _log_cond_u(self, u, log_u, prec, theta, slopes):
+        """ln p(u_i | rest) up to a constant, per firm, for a stack of states
+        (``prec`` and ``theta`` one per state) at u with logs ``log_u``."""
         t = self.data.num_periods
-        with np.errstate(divide="ignore"):
-            vals = (theta - 1.0) * np.log(u) - 0.5 * t * prec * u * u - slopes * u
+        vals = (theta - 1.0)[:, None] * log_u - (0.5 * t * prec)[:, None] * u * u - slopes * u
         vals[u <= 0] = -np.inf
         return vals
 
-    def gibbs_sweep(self, state, rng, clamped=frozenset(), mh_state=None):
-        self._sweep_conjugate_blocks(state, rng, clamped)
-        step_theta, step_u, adapt = (0.5, np.full(self.data.num_firms, 0.5), False) \
-            if mh_state is None else (mh_state["theta"], mh_state["u"], mh_state["adapt"])
+    # the Metropolis step size of theta and of each u_i before any adaptation
+    _STEP0 = 0.5
+
+    def _steps(self, chains: int, adapt: bool) -> dict:
+        """The initial Metropolis step sizes of ``chains`` chains, as ``mh_state``."""
+        return {"theta": np.full(chains, self._STEP0),
+                "u": np.full((chains, self.data.num_firms), self._STEP0), "adapt": adapt}
+
+    def gibbs_sweep(self, state, rngs, clamped=frozenset(), mh_state=None):
+        """Conjugate beta, sigma^-2 and lambda, then log-scale random-walk
+        Metropolis for theta (scalar math chain by chain) and for every u_i,
+        with the ``mh_state`` steps (the initial ones, unadapted, if None)."""
+        self._sweep_conjugate_blocks(state, rngs, clamped)
+        adapt = mh_state is not None and mh_state["adapt"]
         n, c, t = self.data.num_firms, self.data.c, self.data.num_periods
-        lam = float(state["lam"])
+        lam = state["lam"]
         if "theta" not in clamped:
-            su = float(np.sum(np.log(state["u"])))
-            lin = math.log(self.prior.b_lam0) + (n + 1) * math.log(lam) + su
-            cur = float(state["theta"])
-            prop = cur * math.exp(step_theta * rng.standard_normal())
-            # log-scale random walk: proposal asymmetry enters as log(prop/cur)
-            delta = (self._log_cond_theta(prop, lin, su) - self._log_cond_theta(cur, lin, su)
-                     + math.log(prop) - math.log(cur))
-            accept = math.log(rng.uniform()) <= delta
-            if accept:
-                state["theta"] = prop
+            thetas = state["theta"].tolist()
+            steps = [self._STEP0] * len(rngs) if mh_state is None else mh_state["theta"].tolist()
+            sums = np.sum(np.log(state["u"]), axis=-1).tolist()
+            moved = False
+            for i, (rng, lam_i, su) in enumerate(zip(rngs, lam.tolist(), sums)):
+                cur, step = thetas[i], steps[i]
+                lin = math.log(self.prior.b_lam0) + (n + 1) * math.log(lam_i) + su
+                prop = cur * math.exp(step * rng.standard_normal())
+                # log-scale random walk: proposal asymmetry enters as log(prop/cur)
+                delta = (self._log_cond_theta(prop, lin, su) - self._log_cond_theta(cur, lin, su)
+                         + math.log(prop) - math.log(cur))
+                accept = math.log(rng.uniform()) <= delta
+                if accept:
+                    thetas[i], moved = prop, True
+                if adapt:
+                    steps[i] = float(np.clip(
+                        step * math.exp(0.05 * ((1.0 if accept else 0.0) - 0.44)), 1e-3, 10.0))
+            if moved:  # a stack that rejects everywhere keeps its array
+                state["theta"] = np.array(thetas)
             if adapt:
-                mh_state["theta"] = float(np.clip(
-                    step_theta * math.exp(0.05 * ((1.0 if accept else 0.0) - 0.44)),
-                    1e-3, 10.0))
+                mh_state["theta"] = np.array(steps)
         if "u" not in clamped:
-            prec, theta = float(state["sigma_prec"]), float(state["theta"])
-            slopes = lam - c * prec * t * self._residual_means(state, clamped)
-            cur = np.asarray(state["u"], dtype=float)
-            prop = cur * np.exp(step_u * rng.standard_normal(cur.size))
-            delta = (self._log_cond_u(prop, prec, theta, slopes)
-                     - self._log_cond_u(cur, prec, theta, slopes)
-                     + np.log(prop) - np.log(cur))
-            accept = np.log(rng.uniform(size=cur.size)) <= delta
+            prec, theta = state["sigma_prec"], state["theta"]
+            step_u = self._STEP0 if mh_state is None else mh_state["u"]
+            slopes = lam[:, None] - (c * prec * t)[:, None] * self._residual_means(state, clamped)
+            cur = state["u"]
+            prop = cur * np.exp(step_u * draw_each(rngs, lambda rng: rng.standard_normal(n)))
+            with np.errstate(divide="ignore"):
+                log_prop, log_cur = np.log(prop), np.log(cur)
+            delta = (self._log_cond_u(prop, log_prop, prec, theta, slopes)
+                     - self._log_cond_u(cur, log_cur, prec, theta, slopes)
+                     + log_prop - log_cur)
+            accept = np.log(draw_each(rngs, lambda rng: rng.uniform(size=n))) <= delta
             state["u"] = np.where(accept, prop, cur)
             if adapt:
                 mh_state["u"] = np.clip(
                     step_u * np.exp(0.05 * (accept.astype(float) - 0.44)), 1e-3, 10.0)
         return state
 
-    def posterior_sampler(self, config: SamplerConfig, rng, seed=None) -> PosteriorDrawSet:
-        mh_state = {"theta": 0.5, "u": np.full(self.data.num_firms, 0.5), "adapt": True}
-        return run_gibbs(self, self._initial_state() | {"theta": 1.0}, config, rng, seed=seed,
-                         mh_state=mh_state)
+    def gibbs_start(self, chains):
+        return (stack_state(self._initial_state() | {"theta": 1.0}, chains),
+                self._steps(chains, adapt=True))
 
     def vb_fit(self, tol: float = 1e-6, max_iter: int = 200, **kw) -> VBResult:
         return sfm_gamma_vb(self.prior, self.data, tol=tol, max_iter=max_iter, **kw)

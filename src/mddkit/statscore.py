@@ -34,6 +34,7 @@ __all__ = [
     "chi_square_quantile",
     "quadrature_1d",
     "safe_cholesky",
+    "draw_each",
     "MvNormalParams",
     "MatricNormalParams",
     "WishartParams",
@@ -289,18 +290,21 @@ def safe_cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor with one jittered retry; stacks factor together.
 
     Retry adds 1e-10 * trace/n to each diagonal; a second failure raises
-    NumericError rather than looping (silent jitter masks model bugs). One
-    positive finite 1 x 1 matrix is factored as its square root, the bits
-    LAPACK returns, without the call; any other 1 x 1 value (0, negative,
-    NaN) takes the generic path.
+    NumericError rather than looping (silent jitter masks model bugs). A
+    stack retries matrix by matrix, so each factor is the one its matrix gets
+    alone. Positive finite 1 x 1 matrices, one or a stack, are factored as
+    their square roots, the bits LAPACK returns, without the call; any other
+    1 x 1 value (0, negative, NaN) takes the generic path.
     """
     a = np.asarray(a, dtype=float)
-    if a.shape == (1, 1) and 0.0 < a[0, 0] < math.inf:
+    if a.shape[-2:] == (1, 1) and a.size and a.min() > 0.0 and a.max() < math.inf:
         return np.sqrt(a)
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         n = a.shape[-1]
+        if a.ndim > 2:  # each matrix as if alone: only a failing one takes the jitter
+            return np.stack([safe_cholesky(m) for m in a.reshape(-1, n, n)]).reshape(a.shape)
         jitter = 1e-10 * np.trace(a, axis1=-2, axis2=-1) / n
         try:
             return np.linalg.cholesky(a + jitter[..., None, None] * np.eye(n))
@@ -320,7 +324,7 @@ def _tril_indices(n: int, k: int = 0):
 def _check_symmetric(a: np.ndarray, name: str):
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"{name} must be a square matrix or a stack of them")
-    if a.shape == (1, 1):  # a single entry is its own transpose, NaN included
+    if a.shape[-2:] == (1, 1):  # a single entry is its own transpose, NaN included
         return
     # relative to max(1, max |a|); the scale is only needed for a visible asymmetry
     asym = np.abs(a - a.swapaxes(-1, -2)).max()
@@ -350,7 +354,7 @@ def _inverse_from_cholesky(chol: np.ndarray) -> np.ndarray:
 
     if chol.ndim == 2:
         return solve(chol)
-    return np.stack([solve(c) for c in chol.reshape((-1,) + eye.shape)]).reshape(chol.shape)
+    return np.array([solve(c) for c in chol.reshape((-1,) + eye.shape)]).reshape(chol.shape)
 
 
 def _chol_logdet(chol: np.ndarray):
@@ -380,6 +384,14 @@ def _spd_slogdet(w):
 # ---------------------------------------------------------------------------
 # distribution layer
 # ---------------------------------------------------------------------------
+
+def draw_each(rngs, draw) -> np.ndarray:
+    """``draw(rng)`` from each chain's generator, stacked along a leading axis:
+    chain c takes the variates a one-chain draw from ``rngs[c]`` takes."""
+    if len(rngs) == 1:
+        return np.asarray(draw(rngs[0]))[None]
+    return np.array([draw(rng) for rng in rngs])
+
 
 @dataclass
 class MvNormalParams:
@@ -452,6 +464,13 @@ class MvNormalParams:
         # the draws of each stacked distribution form one matrix product
         draws = self.mean + (z.swapaxes(0, -2) @ self._chol.swapaxes(-1, -2)).swapaxes(0, -2)
         return draws[0] if size is None else draws
+
+    def sample_stack(self, rngs) -> np.ndarray:
+        """One draw per stacked distribution, (stack, n): distribution c draws
+        from ``rngs[c]`` the bits :meth:`sample` of it alone gives."""
+        n = self.dim
+        z = draw_each(rngs, lambda rng: rng.standard_normal(n))
+        return self.mean + (z[:, None, :] @ self._chol.swapaxes(-1, -2))[:, 0]
 
 
 @dataclass
@@ -589,6 +608,27 @@ class WishartParams:
         draws = la @ la.swapaxes(-1, -2)
         return draws[0] if size is None else draws
 
+    def sample_stack(self, rngs) -> np.ndarray:
+        """One draw per stacked distribution, (stack, n, n): distribution c
+        draws from ``rngs[c]`` the bits :meth:`sample` of it alone gives."""
+        n, nu = self.dim, self.dof
+        rows, cols = _tril_indices(n, -1)
+        a = np.zeros((len(rngs), n, n))
+        for c, rng in enumerate(rngs):
+            if len(rows):
+                a[c, rows, cols] = rng.standard_normal(len(rows))
+            for j in range(n):
+                a[c, j, j] = math.sqrt(rng.gamma(0.5 * (nu - j), 2.0))
+        la = self._bartlett @ a
+        return la @ la.swapaxes(-1, -2)
+
+
+def _all_positive(p) -> bool:
+    """Every entry of a number or an array is > 0; NaN is not."""
+    if isinstance(p, float):
+        return p > 0
+    return all(v > 0 for v in np.asarray(p).ravel().tolist())
+
 
 @dataclass
 class GammaParams:
@@ -602,8 +642,7 @@ class GammaParams:
     rate: float
 
     def __post_init__(self):
-        positive = (self.shape > 0) & (self.rate > 0)
-        if not (positive if np.isscalar(positive) else positive.all()):
+        if not (_all_positive(self.shape) and _all_positive(self.rate)):
             raise ValueError("gamma shape and rate must be strictly positive")
 
     def logpdf(self, x) -> float:
@@ -642,6 +681,15 @@ class GammaParams:
         if size is not None:
             size = (size,) + np.broadcast_shapes(np.shape(self.shape), np.shape(self.rate))
         return rng.gamma(self.shape, 1.0 / self.rate, size=size)
+
+    def sample_stack(self, rngs) -> np.ndarray:
+        """One draw per stacked distribution, (stack,), for a ``rate`` that
+        carries the stack axis: distribution c draws from ``rngs[c]`` the bits
+        :meth:`sample` of it alone gives."""
+        rates = self.rate.tolist()
+        shapes = (self.shape.tolist() if isinstance(self.shape, np.ndarray)
+                  else [self.shape] * len(rates))
+        return np.array([rng.gamma(a, 1.0 / b) for rng, a, b in zip(rngs, shapes, rates)])
 
 
 @dataclass

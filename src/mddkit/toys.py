@@ -16,12 +16,13 @@ from scipy.special import gammaln, psi
 
 from .modelapi import (
     Block,
+    GibbsKernel,
     ModelKernel,
     ParamLayout,
     PosteriorDrawSet,
     SamplerConfig,
     VBResult,
-    run_gibbs,
+    stack_state,
 )
 from .statscore import GammaParams, LOG_2PI, MvNormalParams
 
@@ -84,7 +85,7 @@ class ToyNormalKernel(ModelKernel):
         return VBResult.mean_field(self.layout, {"theta": post}, [self.exact_log_mdd()])
 
 
-class ToyNormalGammaKernel(ModelKernel):
+class ToyNormalGammaKernel(GibbsKernel):
     """y_i ~ N(mu, 1/tau); mu | tau ~ N(m0, 1/(kappa0 tau)); tau ~ Gamma(a0, b0)."""
 
     conditional_blocks = ["mu", "tau"]
@@ -144,15 +145,9 @@ class ToyNormalGammaKernel(ModelKernel):
             return GammaParams(self.a0 + 0.5 * (t + 1), rate)
         raise KeyError(name)
 
-    def gibbs_sweep(self, state, rng, clamped=frozenset()):
-        for name in self.conditional_blocks:
-            if name not in clamped:
-                state[name] = float(np.ravel(self.full_conditional(name, state).sample(rng))[0])
-        return state
-
-    def posterior_sampler(self, config: SamplerConfig, rng, seed=None) -> PosteriorDrawSet:
-        state = {"mu": self.y.mean(), "tau": 1.0 / max(self.y.var(), 1e-3)}
-        return run_gibbs(self, state, config, rng, seed=seed)
+    def gibbs_start(self, chains):
+        return stack_state({"mu": self.y.mean(), "tau": 1.0 / max(self.y.var(), 1e-3)},
+                           chains), None
 
     # -- mean-field fit -------------------------------------------------------
 

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ConfigError
 from .modelapi import (
     Block,
+    GibbsKernel,
     ModelContext,
     ModelKernel,
     ModelSpec,
@@ -23,7 +24,7 @@ from .modelapi import (
     PosteriorDrawSet,
     SamplerConfig,
     VBResult,
-    run_gibbs,
+    stack_state,
 )
 from .statscore import (
     LOG_2PI,
@@ -524,7 +525,7 @@ class VarConjugateKernel(_VarKernelBase):
         return var_exact_log_mdd(self.prior, self.data)
 
 
-class VarIndependentKernel(_VarKernelBase):
+class VarIndependentKernel(_VarKernelBase, GibbsKernel):
     """Independent-prior VAR with a two-block Gibbs sampler."""
 
     conditional_blocks = ["alpha", "sigma_inv"]
@@ -560,18 +561,11 @@ class VarIndependentKernel(_VarKernelBase):
                                  self.prior.nu0 + self.data.T)
         raise KeyError(name)
 
-    def gibbs_sweep(self, state, rng, clamped=frozenset()):
-        for name in self.conditional_blocks:
-            if name not in clamped:
-                state[name] = self.full_conditional(name, state).sample(rng)
-        return state
-
-    def posterior_sampler(self, config: SamplerConfig, rng, seed=None) -> PosteriorDrawSet:
+    def gibbs_start(self, chains):
         a_ols, *_ = np.linalg.lstsq(self.data.X, self.data.Y, rcond=None)
         resid = self.data.Y - self.data.X @ a_ols
         w0 = np.linalg.inv((resid.T @ resid + self.prior.S0) / (self.data.T + self.prior.nu0))
-        state = {"alpha": a_ols.ravel().copy(), "sigma_inv": 0.5 * (w0 + w0.T)}
-        return run_gibbs(self, state, config, rng, seed=seed)
+        return stack_state({"alpha": a_ols.ravel(), "sigma_inv": 0.5 * (w0 + w0.T)}, chains), None
 
     def vb_fit(self, tol: float = 1e-8, max_iter: int = 500) -> VBResult:
         return var_vb_independent(self.prior, self.data, tol=tol, max_iter=max_iter)

@@ -170,9 +170,10 @@ def test_criterion_05_reciprocal_unbiasedness(toy_fixture):
     start = time.time()
     weighting = est.make_vb_weighting(vb)
     scaled = np.empty(200)
-    for rep in range(200):
-        draws = kernel.posterior_sampler(SamplerConfig(draws=2000, burn_in=300),
-                                         make_rng(500, rep))
+    # the 200 chains advance in lockstep; each is the chain it gives alone
+    chains = kernel.posterior_chains(SamplerConfig(draws=2000, burn_in=300),
+                                     [make_rng(500, rep) for rep in range(200)], [None] * 200)
+    for rep, draws in enumerate(chains):
         log_recip = -est.ris_estimate(kernel, draws, weighting).log_mdd
         scaled[rep] = math.exp(log_recip + exact)  # target value 1
     se = scaled.std(ddof=1) / math.sqrt(scaled.size)

@@ -1,5 +1,6 @@
 """Experiment runner, config grammar, output schemas and the CLI."""
 
+import dataclasses
 import functools
 import gc
 import json
@@ -23,11 +24,20 @@ from mddkit.harness import (
 )
 from mddkit.lpm import lpm_read_csv
 from mddkit.models import MODELS
-from mddkit.sfm import SfmExpCdlKernel, sfm_read_csv
+from mddkit.sfm import SfmExpCdlKernel, SfmExpKernel, sfm_read_csv
 from mddkit.var import var_read_csv
 
 TINY = dict(model="var-conjugate", synth={"seed": 5, "n": 2, "t": 50},
             options={"p": 1}, draws=1200, burn_in=0, repetitions=3, base_seed=7)
+
+
+@pytest.fixture(scope="module")
+def gibbs_table():
+    """A short sfm-exponential experiment, its three chains sampled as one group."""
+    cfg = ExperimentConfig(model="sfm-exponential", synth={"seed": 2},
+                           estimators=["ris-vb", "chib"], draws=200, burn_in=50, repetitions=3,
+                           base_seed=5)
+    return cfg, run_experiment(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -171,14 +181,14 @@ class TestRunExperiment:
 
     def test_failed_chain_fails_only_its_repetition(self, monkeypatch, tiny_table):
         cfg, unpatched = tiny_table
-        sample_chain = harness.sample_chain
+        sample_chains = harness.sample_chains
 
-        def fail_at_rep_1(ctx, config, rep):
-            if rep == 1:
+        def fail_at_rep_1(ctx, config, reps):
+            if 1 in reps:
                 raise NumericError("chain left the support")
-            return sample_chain(ctx, config, rep)
+            return sample_chains(ctx, config, reps)
 
-        monkeypatch.setattr(harness, "sample_chain", fail_at_rep_1)
+        monkeypatch.setattr(harness, "sample_chains", fail_at_rep_1)
         seen = []
         table = run_experiment(cfg, progress=seen.append)
         assert seen == [0, 1, 2]
@@ -192,16 +202,71 @@ class TestRunExperiment:
         assert len(table.scatter) == len(unpatched.scatter)
 
     def test_programming_error_in_the_chain_propagates(self, monkeypatch, tiny_table):
-        sample_chain = harness.sample_chain
+        sample_chains = harness.sample_chains
 
-        def type_error_at_rep_1(ctx, config, rep):
-            if rep == 1:
+        def type_error_at_rep_1(ctx, config, reps):
+            if 1 in reps:
                 raise TypeError("a bug, not a failed chain")
-            return sample_chain(ctx, config, rep)
+            return sample_chains(ctx, config, reps)
 
-        monkeypatch.setattr(harness, "sample_chain", type_error_at_rep_1)
+        monkeypatch.setattr(harness, "sample_chains", type_error_at_rep_1)
         with pytest.raises(TypeError, match="a bug"):
             run_experiment(tiny_table[0])
+
+    def test_failed_chain_in_a_group_fails_only_its_repetition(self, monkeypatch, gibbs_table):
+        # repetition 1's chain raises mid-run inside a group of three lockstep chains
+        cfg, unpatched = gibbs_table
+        tagged, sweeps, stacks = [], {}, []
+        make_rng, sweep = harness.make_rng, SfmExpKernel.gibbs_sweep
+
+        def tag_rep_1(base_seed, *path):
+            rng = make_rng(base_seed, *path)
+            if path == (1, 0):
+                tagged.append(rng)  # kept alive, so its id stays its own
+            return rng
+
+        def fail_at_sweep_100(self, state, rngs, clamped=frozenset()):
+            stacks.append(len(rngs))
+            for rng in rngs:
+                if any(rng is t for t in tagged):
+                    sweeps[id(rng)] = sweeps.get(id(rng), 0) + 1
+                    if sweeps[id(rng)] == 100:
+                        raise NumericError("chain left the support")
+            return sweep(self, state, rngs, clamped)
+
+        monkeypatch.setattr(harness, "make_rng", tag_rep_1)
+        monkeypatch.setattr(SfmExpKernel, "gibbs_sweep", fail_at_sweep_100)
+        table = run_experiment(cfg)
+        assert stacks[0] == 3 and len(tagged) == 2  # the group, then rep 1 alone
+        for row in table.rows:
+            assert row["status"] == "FAILED(NumericError: chain left the support)"
+            assert row["repetitions"] == 2
+        kept = {(r, m): v for r, m, v in unpatched.scatter if r != 1}
+        assert {(r, m): v for r, m, v in table.scatter if r != 1} == kept
+        assert all(math.isnan(v) for r, _, v in table.scatter if r == 1)
+        assert len(table.scatter) == len(unpatched.scatter)
+
+    def test_programming_error_in_a_group_propagates(self, monkeypatch, gibbs_table):
+        sweep = SfmExpKernel.gibbs_sweep
+
+        def type_error(self, state, rngs, clamped=frozenset()):
+            if len(rngs) == 3:
+                raise TypeError("a bug, not a failed chain")
+            return sweep(self, state, rngs, clamped)
+
+        monkeypatch.setattr(SfmExpKernel, "gibbs_sweep", type_error)
+        with pytest.raises(TypeError, match="a bug"):
+            run_experiment(gibbs_table[0])
+
+    def test_results_do_not_depend_on_the_group_size(self, monkeypatch, gibbs_table):
+        # 5 repetitions: groups of one, of three then two, and one group of five
+        cfg = dataclasses.replace(gibbs_table[0], repetitions=5)
+        tables = []
+        for group in (1, 3, 16):
+            monkeypatch.setattr(harness, "_CHAIN_GROUP", group)
+            tables.append(run_experiment(cfg))
+        for table in tables[1:]:
+            assert table.scatter == tables[0].scatter and table.rows == tables[0].rows
 
     @pytest.mark.parametrize("estimators, chain_calls", [
         pytest.param(None, 0, id="default-list"),
@@ -233,7 +298,8 @@ class TestRunExperiment:
         cfg = ExperimentConfig(model="sfm-exponential", synth={"seed": 2}, draws=200,
                                burn_in=50, repetitions=1, base_seed=5,
                                estimators=["ris-vb", "ris-pmd", "bs-vb-cdl"])
-        bundle = harness._RepBundle(harness.build_context(cfg), cfg, 0)
+        ctx = harness.build_context(cfg)
+        bundle = harness._RepBundle(ctx, cfg, 0, harness.sample_chain(ctx, cfg, 0))
         for method in cfg.estimators:
             harness._run_method(method, bundle)
         freed = weakref.ref(bundle)
@@ -249,7 +315,8 @@ class TestRunExperiment:
         cfg = ExperimentConfig(model="sfm-gamma", estimators=["ris-vb", "bs-vb", "is-vb"],
                                synth={"seed": 1, "n": 6, "t": 4}, draws=300, burn_in=100,
                                repetitions=1, base_seed=9)
-        bundle = harness._RepBundle(harness.build_context(cfg), cfg, 0)
+        ctx = harness.build_context(cfg)
+        bundle = harness._RepBundle(ctx, cfg, 0, harness.sample_chain(ctx, cfg, 0))
         assert [harness._run_method(m, bundle).method for m in cfg.estimators] == cfg.estimators
 
     def test_sfm_gamma_default_list_all_ok(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mddkit import modelapi
 from mddkit.estimators import _default_theta_star, _reduced_run
 from mddkit.lpm import LpmKernel
 from mddkit.modelapi import (
@@ -220,25 +221,36 @@ def gibbs_draws(request):
 
 
 def last_state(draws):
-    return {k: v[0] for k, v in draws.unpack([draws.size - 1]).items()}
+    """The last draw's blocks, latents included, as a stack of one state."""
+    return draws.unpack([draws.size - 1])
 
 
 def plain_chain(kernel, state, config, rng, clamped=frozenset(), mh_state=None):
-    """The driver's bookkeeping written out: sweep, freeze adaptation at
-    burn-in, pack every thin-th state after it."""
+    """The driver's bookkeeping written out for a stack of one: sweep, freeze
+    adaptation at burn-in, pack every thin-th state after it."""
     kw = {} if mh_state is None else {"mh_state": mh_state}
     rows, latents = [], []
     for it in range(config.burn_in + config.draws * config.thin):
         if mh_state is not None and it == config.burn_in:
             mh_state["adapt"] = False
-        state = kernel.gibbs_sweep(state, rng, clamped, **kw)
+        state = kernel.gibbs_sweep(state, [rng], clamped, **kw)
         if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
-            rows.append(kernel.layout.pack(state))
+            one = {name: value[0] for name, value in state.items()}
+            rows.append(kernel.layout.pack(one))
             if kernel.latent_layout is not None:
-                latents.append(kernel.latent_layout.pack(state))
+                latents.append(kernel.latent_layout.pack(one))
     return PosteriorDrawSet(np.array(rows), kernel.layout, seed=None,
                             latents=np.array(latents) if latents else None,
                             latent_layout=kernel.latent_layout)
+
+
+def tunings(kernel, chains=1):
+    """The Metropolis tunings a driver test covers: none, and a kernel's
+    adapting start where its chain has one."""
+    out = [None]
+    if isinstance(kernel, (SfmGammaKernel, LpmKernel)):  # Metropolis steps adapted in burn-in
+        out.append(kernel._steps(chains, adapt=True))
+    return out
 
 
 class TestGibbsDriver:
@@ -250,29 +262,25 @@ class TestGibbsDriver:
         mh = {SfmGammaKernel: {"theta", "u"}, LpmKernel: {"beta", "u"}}.get(type(kernel), set())
         for j in range(len(kernel.conditional_blocks)):  # every clamp set Chib uses
             clamped = frozenset(kernel.conditional_blocks[:j]) | mh
-            state, ref = last_state(draws), last_state(draws)
+            state = last_state(draws)
+            ref = {name: value[0] for name, value in last_state(draws).items()}
             rng, ref_rng = make_rng(24, j), make_rng(24, j)
             for _ in range(300):
-                state = kernel.gibbs_sweep(state, rng, clamped)
+                state = kernel.gibbs_sweep(state, [rng], clamped)
                 for name in drawn:
                     if name not in clamped:
                         value = kernel.full_conditional(name, ref).sample(ref_rng)
                         ref[name] = np.reshape(value, np.shape(ref[name]))
                 for name in ref:
-                    assert np.array_equal(state[name], ref[name]), (j, name)
+                    assert np.array_equal(state[name][0], ref[name]), (j, name)
 
-    def test_kept_rows_match_a_plain_loop(self, gibbs_draws):
+    def test_kept_rows_match_a_plain_loop(self, gibbs_draws, monkeypatch):
         kernel, draws = gibbs_draws
         config = SamplerConfig(draws=40, burn_in=25, thin=3)
-        tunings = [(None, None)]
-        if isinstance(kernel, SfmGammaKernel):  # its chain adapts Metropolis steps in burn-in
-            tunings.append(tuple({"theta": 0.5, "u": np.full(kernel.data.num_firms, 0.5),
-                                  "adapt": True} for _ in range(2)))
-        if isinstance(kernel, LpmKernel):  # so does the Poisson panel's, for beta and u
-            tunings.append((kernel._steps(adapt=True), kernel._steps(adapt=True)))
-        for tuning, plain_tuning in tunings:
-            got = run_gibbs(kernel, last_state(draws), config, make_rng(25), seed=7,
-                            mh_state=tuning)
+        monkeypatch.setattr(modelapi, "_PACK_ROWS", 16)  # rows packed in blocks of 16, 16, 8
+        for tuning, plain_tuning in zip(tunings(kernel), tunings(kernel)):
+            got, = run_gibbs(kernel, last_state(draws), config, [make_rng(25)], [7],
+                             mh_state=tuning)
             want = plain_chain(kernel, last_state(draws), config, make_rng(25),
                                mh_state=plain_tuning)
             assert (got.burn_in, got.thin, got.seed) == (25, 3, 7)
@@ -290,12 +298,48 @@ class TestGibbsDriver:
         star = _default_theta_star(draws)
         clamped = kernel.conditional_blocks[:1]
         got = _reduced_run(kernel, draws, star, clamped, 50, make_rng(27))
-        start = last_state(draws) | {name: star[name] for name in clamped}
+        start = last_state(draws) | {name: np.asarray(star[name])[None] for name in clamped}
         config = SamplerConfig(draws=50, burn_in=min(draws.burn_in, 200))
         want = plain_chain(kernel, start, config, make_rng(27), frozenset(clamped)).unpack()
         assert got.keys() == want.keys()
         for name in got:
             assert np.array_equal(got[name], want[name]), name
+
+
+class TestLockstepChains:
+    """A stack of chains advanced together gives each chain bit for bit: the
+    chain a stack of one gives, and the one ``posterior_sampler`` gives."""
+
+    def test_group_equals_each_chain_alone(self, gibbs_draws):
+        kernel, draws = gibbs_draws
+        config = SamplerConfig(draws=20, burn_in=15, thin=3)
+        group = kernel.posterior_chains(config, [make_rng(28, c) for c in range(3)], list("abc"))
+        for c, chain in enumerate(group):
+            alone = kernel.posterior_sampler(config, make_rng(28, c), seed="abc"[c])
+            assert chain.seed == alone.seed and (chain.burn_in, chain.thin) == (15, 3)
+            assert np.array_equal(chain.thetas, alone.thetas), c
+            assert (chain.latents is None) == (alone.latents is None)
+            if chain.latents is not None:
+                assert np.array_equal(chain.latents, alone.latents), c
+
+    def test_group_tuning_equals_each_chain_alone(self, gibbs_draws):
+        # adaptation runs chain by chain in burn-in and freezes at its end
+        kernel, draws = gibbs_draws
+        config = SamplerConfig(draws=10, burn_in=30, thin=3)
+        for tuning in tunings(kernel, chains=3)[1:]:
+            start = {name: np.repeat(value, 3, axis=0) for name, value in last_state(draws).items()}
+            group = run_gibbs(kernel, start, config, [make_rng(29, c) for c in range(3)],
+                              mh_state=tuning)
+            assert tuning["adapt"] is False
+            for c, chain in enumerate(group):
+                alone = tunings(kernel)[1]
+                chain_alone, = run_gibbs(kernel, last_state(draws), config, [make_rng(29, c)],
+                                         mh_state=alone)
+                assert np.array_equal(chain.thetas, chain_alone.thetas), c
+                assert np.array_equal(chain.latents, chain_alone.latents), c
+                for name in ("beta", "theta", "u"):
+                    if name in tuning:
+                        assert np.array_equal(tuning[name][c], alone[name][0]), (c, name)
 
 
 class TestStackedConditionals:

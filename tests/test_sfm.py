@@ -191,6 +191,23 @@ class TestExpSampler:
         assert np.all(a.latents > 0)
 
 
+class TestTruncNormalStack:
+    """The u conditional's stacked draw: each row is the draw its product gives
+    alone, the inversion uniforms first, then rejection (loc / scale < -5)
+    firm by firm."""
+
+    def test_rows_match_products_alone(self):
+        scales = np.array([0.5, 1.0, 2.0])
+        locs = np.array([[0.3, -1.0, 0.2], [-6.0, 0.5, -9.0], [-20.0, -11.0, -10.5]])
+        got = sfm._IndependentTruncNormals(locs, scales).sample_stack(
+            [make_rng(40, c) for c in range(3)])
+        for c in range(3):
+            alone = sfm._IndependentTruncNormals(locs[c], scales[c]).sample(make_rng(40, c))
+            assert np.array_equal(got[c], alone), c
+        rng = make_rng(40, 2)  # the last row is all rejection
+        assert np.array_equal(got[2], [TruncNormalParams(loc, 2.0).sample(rng) for loc in locs[2]])
+
+
 class TestGammaCase:
     def test_qu_normalizes_across_grid(self):
         for shape in (0.5, 1.0, 2.0, 5.0):

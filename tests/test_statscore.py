@@ -425,6 +425,42 @@ class TestDensities:
             MvNormalParams([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])
 
 
+class TestSampleStack:
+    """``sample_stack`` draws stacked distribution c from generator c, with
+    the bits ``sample`` of distribution c alone gives."""
+
+    @staticmethod
+    def spd_stack(rng, count, n):
+        a = rng.standard_normal((count, n, n))
+        return a @ a.swapaxes(-1, -2) + n * np.eye(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_one_distribution_at_a_time(self, n):
+        rng = make_rng(70, n)
+        means, cov = rng.standard_normal((4, n)), self.spd_stack(rng, 4, n)
+        shapes, rates = rng.uniform(0.5, 3.0, 4), rng.uniform(0.5, 3.0, 4)
+        cases = [(MvNormalParams(means, cov), [MvNormalParams(m, v) for m, v in zip(means, cov)]),
+                 (WishartParams(cov, n + 2.5), [WishartParams(v, n + 2.5) for v in cov]),
+                 (GammaParams(shapes, rates), [GammaParams(a, b) for a, b in zip(shapes, rates)]),
+                 (GammaParams(2.5, rates), [GammaParams(2.5, b) for b in rates])]
+        for stack, alone in cases:
+            got = stack.sample_stack([make_rng(71, c) for c in range(4)])
+            for c, dist in enumerate(alone):
+                assert np.array_equal(got[c], dist.sample(make_rng(71, c))), (type(dist), c)
+
+    def test_stack_of_one_by_one_factors_equal_lapack_bitwise(self):
+        a = np.exp(make_rng(72).uniform(-50.0, 50.0, (500, 1, 1)))
+        assert safe_cholesky(a).tobytes() == np.linalg.cholesky(a).tobytes()
+
+    def test_failing_matrix_of_a_stack_takes_the_jitter_alone(self):
+        good = self.spd_stack(make_rng(73), 2, 2)
+        singular = np.array([[[1.0, 1.0], [1.0, 1.0]]])
+        stack = np.concatenate([good[:1], singular, good[1:]])
+        factors = safe_cholesky(stack)
+        assert np.array_equal(factors[[0, 2]], np.linalg.cholesky(good))
+        assert np.array_equal(factors[1], safe_cholesky(singular[0]))
+
+
 class TestOneByOne:
     """A single 1 x 1 matrix skips the generic symmetry scan and LAPACK call."""
 
