@@ -21,7 +21,7 @@ import numpy as np
 from . import estimators as est
 from .diagnostics import BoundsSpec, RepetitionSet, nse, percent_in_bounds
 from .errors import ConfigError, EstimationError, NumericError, UnsupportedModelError
-from .modelapi import ModelContext, SamplerConfig
+from .modelapi import GibbsKernel, ModelContext, SamplerConfig
 from .models import MODELS
 from .statscore import make_rng
 
@@ -283,8 +283,20 @@ def _run_method(method: str, bundle: _RepBundle):
 _CELL_ERRORS = (NumericError, EstimationError, UnsupportedModelError, ConfigError,
                 np.linalg.LinAlgError, FloatingPointError)
 
-# repetitions whose chains are sampled together; bounds the draws a group holds
-_CHAIN_GROUP = 16
+# the draw and latent entries the chains of one group hold together (16 MiB)
+_GROUP_ELEMENTS = 2 ** 21
+
+
+def _group_size(kernel, config: ExperimentConfig) -> int:
+    """Repetitions whose chains are sampled together: for a Gibbs kernel, as
+    many as ``_GROUP_ELEMENTS`` entries of kept draws and latents hold, at
+    least one and at most every repetition; one for a kernel that draws its
+    chains one by one anyway."""
+    if not isinstance(kernel, GibbsKernel):
+        return 1
+    latent = 0 if kernel.latent_layout is None else kernel.latent_layout.dim
+    per_chain = config.draws * (kernel.layout.dim + latent)
+    return max(1, min(config.repetitions, _GROUP_ELEMENTS // max(per_chain, 1)))
 
 
 def _sample_group(ctx: ModelContext, config: ExperimentConfig, reps) -> list:
@@ -311,18 +323,17 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultsTable:
     """Run all repetitions and aggregate; estimator failures (``_CELL_ERRORS``),
     a non-finite estimate included, are recorded per cell and never abort the
     run, and a failed chain fails every cell of its repetition. The chains of
-    each group of ``_CHAIN_GROUP`` repetitions are sampled together before
-    their cells run."""
+    each group of :func:`_group_size` repetitions are sampled together before
+    their cells run, and each is freed when its repetition's cells are done."""
     ctx = build_context(config)
     values: dict[str, list] = {m: [] for m in config.estimators}
     errors: dict[str, str] = {}
     se_bm: dict[str, list] = {m: [] for m in config.estimators}
     scatter = []
-    chains = []
+    group, chains = _group_size(ctx.kernel, config), []
     for rep in range(config.repetitions):
         if not chains:
-            chains = _sample_group(ctx, config,
-                                   range(rep, min(rep + _CHAIN_GROUP, config.repetitions)))
+            chains = _sample_group(ctx, config, range(rep, min(rep + group, config.repetitions)))
         chain = chains.pop(0)
         try:
             if isinstance(chain, Exception):  # a failed chain fails its repetition's cells only

@@ -469,7 +469,11 @@ class LpmKernel(GibbsKernel):
         self._wish0 = WishartParams(prior.S0, prior.nu0)
         self._vmu0_inv = np.linalg.inv(prior.Vmu0)
         self._vmu0_inv_mu0 = self._vmu0_inv @ prior.mu0
-        self._y_nt = data.y.reshape(data.num_subjects, data.num_periods)
+        # the counts and the offsets with a leading chain axis: in a stack of
+        # one they meet the states' arrays without broadcasting
+        self._y_nt = data.y.reshape(1, data.num_subjects, data.num_periods)
+        self._offsets_row = data.offsets[None]
+        self._unadapted_steps = {}  # by chain count
 
     def log_prior_batch(self, thetas):
         u = self.layout.unpack_batch(thetas)
@@ -486,19 +490,17 @@ class LpmKernel(GibbsKernel):
     def _poisson_loglik_per_subject(self, xb, zu):
         """Complete-data Poisson log likelihood less the ln y! terms, per subject,
         from the linear predictor's parts xb = offsets + X beta and zu = Z u,
-        both (..., N, T)."""
+        both (chains, N, T)."""
         eta = xb + zu
-        return (self._y_nt * eta - np.exp(eta)).sum(axis=-1)
+        return np.add.reduce(self._y_nt * eta - np.exp(eta), axis=-1)
 
     def full_conditional(self, name, state):
         n = self.data.num_subjects
         u = np.asarray(state["u"])  # (..., n, m)
         if name == "mu":
             w = np.asarray(state["sigma_inv"])
-            cov = np.linalg.inv(self._vmu0_inv + n * w)
-            cov = 0.5 * (cov + cov.swapaxes(-1, -2))
             rhs = self._vmu0_inv_mu0 + np.matvec(w, u.sum(axis=-2))
-            return MvNormalParams(np.matvec(cov, rhs), cov)
+            return MvNormalParams.from_precision(self._vmu0_inv + n * w, rhs)
         if name == "sigma_inv":
             dev = u - np.asarray(state["mu"])[..., None, :]
             return WishartParams(self.prior.S0 + dev.swapaxes(-1, -2) @ dev,
@@ -519,7 +521,7 @@ class LpmKernel(GibbsKernel):
         the proposal's own term gets."""
         d, n, t = self.data, self.data.num_subjects, self.data.num_periods
         if "_ll" not in state:
-            state["_xb"] = (d.offsets + np.matvec(d.x, state["beta"])).reshape(-1, n, t)
+            state["_xb"] = (self._offsets_row + np.matvec(d.x, state["beta"])).reshape(-1, n, t)
             state["_zu"] = np.einsum("itm,cim->cit", d.z, state["u"])
             state["_lp_beta"] = np.array([self._gauss_beta0.logpdf(b) for b in state["beta"]])
             state["_ll"] = self._poisson_loglik_per_subject(state["_xb"], state["_zu"])
@@ -538,18 +540,25 @@ class LpmKernel(GibbsKernel):
         are scalar math chain by chain."""
         d = self.data
         n, t, k, m = d.num_subjects, d.num_periods, d.k, d.m
-        mh_state = self._steps(len(rngs), adapt=False) if mh_state is None else mh_state
+        if mh_state is None:  # the initial steps, unadapted, so never written to
+            if len(rngs) not in self._unadapted_steps:
+                self._unadapted_steps[len(rngs)] = self._steps(len(rngs), adapt=False)
+            mh_state = self._unadapted_steps[len(rngs)]
         self._carry(state)
         if "beta" not in clamped:
             steps = mh_state["beta"]
             noise = draw_each(rngs, lambda rng: rng.standard_normal(k))
             prop = state["beta"] + steps[:, None] * np.matvec(state["_chol_beta"], noise)
-            xb_prop = (d.offsets + np.matvec(d.x, prop)).reshape(-1, n, t)
-            lp_prop = np.array([self._gauss_beta0.logpdf(p) for p in prop])
+            xb_prop = (self._offsets_row + np.matvec(d.x, prop)).reshape(-1, n, t)
+            lp_prop = [self._gauss_beta0.logpdf(p) for p in prop]
             ll_prop = self._poisson_loglik_per_subject(xb_prop, state["_zu"])
-            delta = (ll_prop.sum(axis=-1) - state["_ll"].sum(axis=-1)) + lp_prop - state["_lp_beta"]
-            acc = [math.log(rng.uniform()) <= dl for rng, dl in zip(rngs, delta.tolist())]
+            sums = zip(np.add.reduce(ll_prop, axis=-1).tolist(),
+                       np.add.reduce(state["_ll"], axis=-1).tolist())
+            delta = [(ll1 - ll0) + lp1 - lp0
+                     for (ll1, ll0), lp1, lp0 in zip(sums, lp_prop, state["_lp_beta"].tolist())]
+            acc = [math.log(rng.uniform()) <= dl for rng, dl in zip(rngs, delta)]
             if any(acc):  # a stack that rejects everywhere keeps its arrays
+                lp_prop = np.array(lp_prop)
                 if not all(acc):  # rejecting chains keep their rows
                     keep = ~np.array(acc)
                     prop[keep], xb_prop[keep] = state["beta"][keep], state["_xb"][keep]

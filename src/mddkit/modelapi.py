@@ -428,8 +428,8 @@ def run_gibbs(kernel: GibbsKernel, state: dict, config: SamplerConfig, rngs, see
     """The one Gibbs driver: one chain per generator in ``rngs``, all advanced
     by each sweep. ``config.burn_in`` sweeps from the stack of states
     ``state``, then ``config.draws`` kept states, one every ``config.thin``
-    sweeps, packed into the draw matrices (and latent matrices, if any) a
-    block of rows at a time; returns one draw set per chain, with its seed
+    sweeps, packed into each chain's draw matrix (and latent matrix, if any)
+    a block of rows at a time; returns one draw set per chain, with its seed
     from ``seeds``.
 
     ``kernel.gibbs_sweep(state, rngs, clamped)`` draws every block not in
@@ -443,9 +443,11 @@ def run_gibbs(kernel: GibbsKernel, state: dict, config: SamplerConfig, rngs, see
     chains = len(rngs)
     seeds = [None] * chains if seeds is None else seeds
     layout, latent_layout = kernel.layout, kernel.latent_layout
-    thetas = np.empty((chains, config.draws, layout.dim))
+    # each chain owns its matrices, so a chain's draws are freed with its draw set
+    thetas = [np.empty((config.draws, layout.dim)) for _ in range(chains)]
     latents = (None if latent_layout is None
-               else np.empty((chains, config.draws, latent_layout.dim)))
+               else [np.empty((config.draws, latent_layout.dim)) for _ in range(chains)])
+    targets = [(layout, thetas)] + ([] if latents is None else [(latent_layout, latents)])
     names = layout.names + ([] if latent_layout is None else latent_layout.names)
     sweep_kw = {} if mh_state is None else {"mh_state": mh_state}
     mh_blocks = [name for name in (mh_state or {}) if name != "adapt"]
@@ -460,9 +462,11 @@ def run_gibbs(kernel: GibbsKernel, state: dict, config: SamplerConfig, rngs, see
         values = {name: np.stack([row[i] for row in kept], axis=1)
                   for i, name in enumerate(names)}
         rows = slice(packed, packed + len(kept))
-        layout.pack_into(thetas[:, rows], values)
-        if latents is not None:
-            latent_layout.pack_into(latents[:, rows], values)
+        for target_layout, matrices in targets:
+            block = target_layout.pack_into(np.empty((chains, len(kept), target_layout.dim)),
+                                            values)
+            for matrix, chain_rows in zip(matrices, block):
+                matrix[rows] = chain_rows
         packed += len(kept)
         kept.clear()
 

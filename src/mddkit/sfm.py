@@ -677,7 +677,7 @@ def _sample_truncnorm(locs: np.ndarray, scales: np.ndarray, rngs) -> np.ndarray:
     firms, in firm order."""
     scale = scales[:, None]
     ratios = locs / scale
-    if ratios.min() >= -5.0:
+    if np.minimum.reduce(ratios, axis=None) >= -5.0:
         u = draw_each(rngs, lambda rng: rng.uniform(size=locs.shape[1]))
         easy = None
     else:  # each row draws uniforms for its inversion firms only
@@ -737,6 +737,8 @@ class _FrontierKernel(GibbsKernel):
         self._v0_inv = np.linalg.inv(prior.Vbeta0)
         self._v0_inv_b0 = self._v0_inv @ prior.beta0
         self._xtx = data.x.T @ data.x
+        # y as a row, so that y - (x beta) of a stack of one is no broadcast
+        self._y_row = data.y[None]
 
     def _initial_state(self) -> dict:
         """A chain's start: least-squares beta and its residual precision."""
@@ -750,42 +752,58 @@ class _FrontierKernel(GibbsKernel):
         """c * u_i at every observation, for one state or a stack."""
         return self.data.c * np.repeat(state["u"], self.data.num_periods, axis=-1)
 
-    def _residual_means(self, state, clamped):
-        """Per-firm residual means of the states' betas for the u step. A
-        clamped beta never changes, so its means are computed on the first
-        sweep and carried in the state under ``"_ebar"``."""
-        if "beta" not in clamped:
-            return _firm_residual_means(self.data, state["beta"])
-        if "_ebar" not in state:
-            state["_ebar"] = _firm_residual_means(self.data, state["beta"])
-        return state["_ebar"]
-
     def _conditional_given_u(self, name, state, cu=None):
         """beta or sigma^-2 given the rest, for one state or a stack; ``cu`` is
         :meth:`_c_times_u` of the state when the caller already holds it."""
-        d, t = self.data, self.data.num_periods
+        d = self.data
         if cu is None:
             cu = self._c_times_u(state)
         if name == "beta":
             prec = np.asarray(state["sigma_prec"], dtype=float)
-            cov = np.linalg.inv(self._v0_inv + prec[..., None, None] * self._xtx)
-            cov = 0.5 * (cov + cov.swapaxes(-1, -2))
             rhs = self._v0_inv_b0 + prec[..., None] * np.matvec(d.x.T, d.y - cu)
-            return MvNormalParams(np.matvec(cov, rhs), cov)
+            return MvNormalParams.from_precision(self._v0_inv + prec[..., None, None] * self._xtx,
+                                                 rhs)
         if name == "sigma_prec":
-            resid = d.y - np.matvec(d.x, state["beta"]) - cu
-            return GammaParams(self.prior.a_sigma0 + 0.5 * d.num_firms * t,
-                               self.prior.b_sigma0 + 0.5 * np.vecdot(resid, resid))
+            return self._sigma_conditional(d.y - np.matvec(d.x, state["beta"]) - cu)
         raise KeyError(name)
+
+    def _sigma_conditional(self, resid):
+        """sigma^-2 given the rest, from the states' residuals y - x beta - c u."""
+        return GammaParams(self.prior.a_sigma0 + 0.5 * self.data.num_firms * self.data.num_periods,
+                           self.prior.b_sigma0 + 0.5 * np.vecdot(resid, resid))
+
+    @staticmethod
+    def _fixed(state, clamped, blocks, key, compute):
+        """``compute()`` for the states, a term of ``blocks``; while they are
+        all clamped it never changes, so it is computed on the first sweep and
+        carried in the state under ``key``."""
+        if not clamped.issuperset(blocks):
+            return compute()
+        if key not in state:
+            state[key] = compute()
+        return state[key]
+
+    def _residual_means(self, state, clamped):
+        """Per-firm residual means of the states' betas for the u step."""
+        return self._fixed(state, clamped, ("beta",), "_ebar",
+                           lambda: _firm_residual_means(self.data, state["beta"]))
 
     def _sweep_conjugate_blocks(self, state, rngs, clamped):
         # u stays fixed through these steps, so one c * u serves beta and sigma^-2
-        drawn = [name for name in ("beta", "sigma_prec") if name not in clamped]
-        cu = self._c_times_u(state) if drawn else None
-        for name in drawn:
-            state[name] = self._conditional_given_u(name, state, cu).sample_stack(rngs)
+        if "beta" not in clamped:
+            cu = self._c_times_u(state)
+            state["beta"] = self._conditional_given_u("beta", state, cu).sample_stack(rngs)
+        if "sigma_prec" not in clamped:
+            cu = self._c_times_u(state) if "beta" in clamped else cu
+            resid = self._beta_residuals(state, clamped) - cu
+            state["sigma_prec"] = self._sigma_conditional(resid).sample_stack(rngs)
         if "lam" not in clamped:
             state["lam"] = self.full_conditional("lam", state).sample_stack(rngs)
+
+    def _beta_residuals(self, state, clamped):
+        """y - x beta of the states' betas for the sigma^-2 step."""
+        return self._fixed(state, clamped, ("beta",), "_xres",
+                           lambda: self._y_row - np.matvec(self.data.x, state["beta"]))
 
 
 class SfmExpKernel(_FrontierKernel):
@@ -816,23 +834,27 @@ class SfmExpKernel(_FrontierKernel):
         d = self.data
         if name == "lam":
             return GammaParams(self.prior.a_lam0 + d.num_firms,
-                               self.prior.b_lam0 + np.asarray(state["u"]).sum(axis=-1))
+                               self.prior.b_lam0 + np.add.reduce(state["u"], axis=-1))
         if name == "u":
-            return self._u_conditional(state, _firm_residual_means(d, state["beta"]))
+            return self._u_conditional(state, frozenset())
         return self._conditional_given_u(name, state)
 
-    def _u_conditional(self, state, ebar):
-        """u given the rest, for states whose per-firm residual means are ``ebar``."""
+    def _u_conditional(self, state, clamped):
+        """u given the rest, for one state or a stack; the terms of a clamped
+        beta or sigma^-2 are carried in the state."""
         c, t = self.data.c, self.data.num_periods
-        prec = state["sigma_prec"]
-        locs = (c * t * ebar - np.divide(state["lam"], prec)[..., None]) / t
-        return _IndependentTruncNormals(locs, np.sqrt(1.0 / (t * prec)))
+        prec = np.asarray(state["sigma_prec"], dtype=float)
+        cte = self._fixed(state, clamped, ("beta",), "_cte",
+                          lambda: c * t * self._residual_means(state, clamped))
+        # the scale is scalar math chain by chain
+        scale = self._fixed(state, clamped, ("sigma_prec",), "_u_scale", lambda: np.array(
+            [math.sqrt(1.0 / (t * p)) for p in prec.ravel().tolist()]).reshape(prec.shape))
+        return _IndependentTruncNormals((cte - (state["lam"] / prec)[..., None]) / t, scale)
 
     def gibbs_sweep(self, state, rngs, clamped=frozenset()):
         self._sweep_conjugate_blocks(state, rngs, clamped)
         if "u" not in clamped:
-            ebar = self._residual_means(state, clamped)
-            state["u"] = self._u_conditional(state, ebar).sample_stack(rngs)
+            state["u"] = self._u_conditional(state, clamped).sample_stack(rngs)
         return state
 
     def gibbs_start(self, chains):
@@ -930,7 +952,7 @@ class SfmGammaKernel(_FrontierKernel):
     def full_conditional(self, name, state):
         if name == "lam":
             return GammaParams((self.data.num_firms + 1) * np.asarray(state["theta"], dtype=float),
-                               self.prior.b_lam0 + np.asarray(state["u"]).sum(axis=-1))
+                               self.prior.b_lam0 + np.add.reduce(state["u"], axis=-1))
         return self._conditional_given_u(name, state)
 
     def _log_cond_theta(self, theta, lin, su):
@@ -940,11 +962,13 @@ class SfmGammaKernel(_FrontierKernel):
                 - self.prior.b_theta0 / theta + theta * lin
                 - (self.data.num_firms + 1) * float(gammaln(theta)) - su)
 
-    def _log_cond_u(self, u, log_u, prec, theta, slopes):
-        """ln p(u_i | rest) up to a constant, per firm, for a stack of states
-        (``prec`` and ``theta`` one per state) at u with logs ``log_u``."""
-        t = self.data.num_periods
-        vals = (theta - 1.0)[:, None] * log_u - (0.5 * t * prec)[:, None] * u * u - slopes * u
+    @staticmethod
+    def _log_cond_u(u, log_u, coefs):
+        """ln p(u_i | rest) up to a constant, per firm, for a stack of states at
+        u with logs ``log_u``; ``coefs`` holds the states' theta - 1 and
+        T sigma^-2 / 2 as columns, then the slopes of u."""
+        theta_m1, half_tp, slopes = coefs
+        vals = theta_m1 * log_u - half_tp * u * u - slopes * u
         vals[u <= 0] = -np.inf
         return vals
 
@@ -967,7 +991,7 @@ class SfmGammaKernel(_FrontierKernel):
         if "theta" not in clamped:
             thetas = state["theta"].tolist()
             steps = [self._STEP0] * len(rngs) if mh_state is None else mh_state["theta"].tolist()
-            sums = np.sum(np.log(state["u"]), axis=-1).tolist()
+            sums = np.add.reduce(np.log(state["u"]), axis=-1).tolist()
             moved = False
             for i, (rng, lam_i, su) in enumerate(zip(rngs, lam.tolist(), sums)):
                 cur, step = thetas[i], steps[i]
@@ -980,8 +1004,8 @@ class SfmGammaKernel(_FrontierKernel):
                 if accept:
                     thetas[i], moved = prop, True
                 if adapt:
-                    steps[i] = float(np.clip(
-                        step * math.exp(0.05 * ((1.0 if accept else 0.0) - 0.44)), 1e-3, 10.0))
+                    steps[i] = min(max(
+                        step * math.exp(0.05 * ((1.0 if accept else 0.0) - 0.44)), 1e-3), 10.0)
             if moved:  # a stack that rejects everywhere keeps its array
                 state["theta"] = np.array(thetas)
             if adapt:
@@ -989,13 +1013,18 @@ class SfmGammaKernel(_FrontierKernel):
         if "u" not in clamped:
             prec, theta = state["sigma_prec"], state["theta"]
             step_u = self._STEP0 if mh_state is None else mh_state["u"]
-            slopes = lam[:, None] - (c * prec * t)[:, None] * self._residual_means(state, clamped)
+            half_tp = self._fixed(state, clamped, ("sigma_prec",), "_half_tp",
+                                  lambda: (0.5 * t * prec)[:, None])
+            # c = +-1, so c * t * prec is bit for bit c * prec * t
+            fixed_slopes = self._fixed(
+                state, clamped, ("beta", "sigma_prec"), "_fixed_slopes",
+                lambda: (c * t * prec)[:, None] * self._residual_means(state, clamped))
+            coefs = ((theta - 1.0)[:, None], half_tp, lam[:, None] - fixed_slopes)
             cur = state["u"]
             prop = cur * np.exp(step_u * draw_each(rngs, lambda rng: rng.standard_normal(n)))
             with np.errstate(divide="ignore"):
                 log_prop, log_cur = np.log(prop), np.log(cur)
-            delta = (self._log_cond_u(prop, log_prop, prec, theta, slopes)
-                     - self._log_cond_u(cur, log_cur, prec, theta, slopes)
+            delta = (self._log_cond_u(prop, log_prop, coefs) - self._log_cond_u(cur, log_cur, coefs)
                      + log_prop - log_cur)
             accept = np.log(draw_each(rngs, lambda rng: rng.uniform(size=n))) <= delta
             state["u"] = np.where(accept, prop, cur)

@@ -297,7 +297,7 @@ def safe_cholesky(a: np.ndarray) -> np.ndarray:
     1 x 1 value (0, negative, NaN) takes the generic path.
     """
     a = np.asarray(a, dtype=float)
-    if a.shape[-2:] == (1, 1) and a.size and a.min() > 0.0 and a.max() < math.inf:
+    if a.shape[-2:] == (1, 1) and _positive_finite(a):
         return np.sqrt(a)
     try:
         return np.linalg.cholesky(a)
@@ -310,6 +310,13 @@ def safe_cholesky(a: np.ndarray) -> np.ndarray:
             return np.linalg.cholesky(a + jitter[..., None, None] * np.eye(n))
         except np.linalg.LinAlgError as exc:
             raise NumericError("matrix not positive definite (jittered retry failed)") from exc
+
+
+def _positive_finite(a: np.ndarray) -> bool:
+    """Every entry of a non-empty array lies in (0, inf); NaN does not."""
+    if a.size == 1:
+        return 0.0 < a.item() < math.inf
+    return a.size > 0 and a.min() > 0.0 and a.max() < math.inf
 
 
 @cache
@@ -354,7 +361,10 @@ def _inverse_from_cholesky(chol: np.ndarray) -> np.ndarray:
 
     if chol.ndim == 2:
         return solve(chol)
-    return np.array([solve(c) for c in chol.reshape((-1,) + eye.shape)]).reshape(chol.shape)
+    mats = chol.reshape((-1,) + eye.shape)
+    if len(mats) == 1:
+        return solve(mats[0]).reshape(chol.shape)
+    return np.array([solve(c) for c in mats]).reshape(chol.shape)
 
 
 def _chol_logdet(chol: np.ndarray):
@@ -413,6 +423,17 @@ class MvNormalParams:
         if self.cov.shape[-1] != self.mean.shape[-1]:
             raise ValueError("mean/covariance dimension mismatch")
         self._chol = safe_cholesky(self.cov)
+
+    @classmethod
+    def from_precision(cls, prec: np.ndarray, rhs: np.ndarray) -> "MvNormalParams":
+        """The normal with covariance inv(prec) and mean cov @ rhs, for one
+        precision or a stack: a Gaussian full conditional in canonical form.
+        The covariance is symmetrized, so it skips the symmetry check."""
+        cov = np.linalg.inv(prec)
+        cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+        out = object.__new__(cls)
+        out.mean, out.cov, out._chol = np.matvec(cov, rhs), cov, safe_cholesky(cov)
+        return out
 
     @property
     def dim(self) -> int:
@@ -625,9 +646,9 @@ class WishartParams:
 
 def _all_positive(p) -> bool:
     """Every entry of a number or an array is > 0; NaN is not."""
-    if isinstance(p, float):
+    if not isinstance(p, np.ndarray):
         return p > 0
-    return all(v > 0 for v in np.asarray(p).ravel().tolist())
+    return p.item() > 0 if p.size == 1 else bool(np.all(p > 0))
 
 
 @dataclass
@@ -689,6 +710,8 @@ class GammaParams:
         rates = self.rate.tolist()
         shapes = (self.shape.tolist() if isinstance(self.shape, np.ndarray)
                   else [self.shape] * len(rates))
+        if len(rngs) == 1:
+            return np.array([rngs[0].gamma(shapes[0], 1.0 / rates[0])])
         return np.array([rng.gamma(a, 1.0 / b) for rng, a, b in zip(rngs, shapes, rates)])
 
 

@@ -549,11 +549,9 @@ class VarIndependentKernel(_VarKernelBase, GibbsKernel):
     def full_conditional(self, name, state):
         if name == "alpha":
             w = np.asarray(state["sigma_inv"])
-            cov = np.linalg.inv(self._v0_inv + _kron(self._xtx, w))
-            cov = 0.5 * (cov + cov.swapaxes(-1, -2))
             xty_w = (w @ self._xty.T).swapaxes(-1, -2)
             rhs = self._v0_inv_a0 + xty_w.reshape(xty_w.shape[:-2] + (-1,))
-            return MvNormalParams(np.matvec(cov, rhs), cov)
+            return MvNormalParams.from_precision(self._v0_inv + _kron(self._xtx, w), rhs)
         if name == "sigma_inv":
             _, resid = self._coefficients_and_residuals(state)
             scale_inv = self.prior.S0 + resid.swapaxes(-1, -2) @ resid

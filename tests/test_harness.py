@@ -261,12 +261,34 @@ class TestRunExperiment:
     def test_results_do_not_depend_on_the_group_size(self, monkeypatch, gibbs_table):
         # 5 repetitions: groups of one, of three then two, and one group of five
         cfg = dataclasses.replace(gibbs_table[0], repetitions=5)
+        kernel = harness.build_context(cfg).kernel
+        per_chain = cfg.draws * (kernel.layout.dim + kernel.latent_layout.dim)
         tables = []
-        for group in (1, 3, 16):
-            monkeypatch.setattr(harness, "_CHAIN_GROUP", group)
+        for group, expected in ((1, 1), (3, 3), (16, 5)):
+            monkeypatch.setattr(harness, "_GROUP_ELEMENTS", group * per_chain)
+            assert harness._group_size(kernel, cfg) == expected
             tables.append(run_experiment(cfg))
         for table in tables[1:]:
             assert table.scatter == tables[0].scatter and table.rows == tables[0].rows
+
+    def test_group_size_bounds_the_draws_a_group_holds(self):
+        # 2**21 entries over 2,000 draws of 4 parameters and 20 latents: 43 chains
+        cfg = ExperimentConfig(model="sfm-exponential", synth={"seed": 2}, draws=2000,
+                               repetitions=100)
+        kernel = harness.build_context(cfg).kernel
+        assert harness._group_size(kernel, cfg) == 2 ** 21 // (2000 * 24) == 43
+        assert harness._group_size(kernel, dataclasses.replace(cfg, repetitions=5)) == 5
+        assert harness._group_size(kernel, dataclasses.replace(cfg, draws=10 ** 6)) == 1
+        # a kernel that draws its chains one by one gains nothing from a group
+        exact = harness.build_context(ExperimentConfig(**TINY)).kernel
+        assert harness._group_size(exact, ExperimentConfig(**TINY)) == 1
+
+    def test_each_chain_of_a_group_owns_its_draws(self, gibbs_table):
+        # no chain is a view into a group array, so each is freed with its repetition
+        cfg = gibbs_table[0]
+        chains = harness.sample_chains(harness.build_context(cfg), cfg, range(3))
+        for chain in chains:
+            assert chain.thetas.base is None and chain.latents.base is None
 
     @pytest.mark.parametrize("estimators, chain_calls", [
         pytest.param(None, 0, id="default-list"),
