@@ -278,7 +278,7 @@ def make_prior_weighting(kernel: ModelKernel) -> WeightingDensity:
     return WeightingDensity(tag="prior", log_eval=kernel.log_prior_batch)
 
 
-def make_normal_weighting(draws: PosteriorDrawSet, tag: str = "normal") -> WeightingDensity:
+def make_normal_weighting(draws: PosteriorDrawSet) -> WeightingDensity:
     """Moment-matched multivariate normal on the unconstrained transform of the
     draws (log for positive blocks, Cholesky-log for SPD blocks)."""
     layout = draws.layout
@@ -292,7 +292,7 @@ def make_normal_weighting(draws: PosteriorDrawSet, tag: str = "normal") -> Weigh
     def sampler(rng, size):
         return layout.from_unconstrained(base.sample(rng, size))
 
-    return WeightingDensity(tag=tag, log_eval=log_eval, sampler=sampler)
+    return WeightingDensity(tag="normal", log_eval=log_eval, sampler=sampler)
 
 
 def make_geweke_weighting(draws: PosteriorDrawSet, alpha: float = 0.05) -> WeightingDensity:
@@ -357,11 +357,11 @@ def _kernel_mode(kernel: ModelKernel, layout, start: np.ndarray) -> np.ndarray:
 
 
 def make_swz_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
-                       coverage: float = 0.9, radial_percentiles=(1.0, 99.0),
-                       log_kernel_values=None) -> WeightingDensity:
+                       coverage: float = 0.9, log_kernel_values=None) -> WeightingDensity:
     """Elliptical weighting centered at the posterior mode with a fitted
-    power-law radial density, truncated to a kernel superlevel set holding
-    ~``coverage`` of the chain draws.
+    power-law radial density on the 1st to 99th percentile of the draws'
+    radii, truncated to a kernel superlevel set holding ~``coverage`` of the
+    chain draws.
 
     The ellipse lives on the unconstrained transform; the scaling matrix is
     the second moment of the transformed draws about the transformed mode,
@@ -377,7 +377,7 @@ def make_swz_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
     chol = safe_cholesky(np.atleast_2d(omega))
     z = _tri_solve(chol, dev)
     radii = np.sqrt(np.sum(z * z, axis=0))
-    a, b = np.percentile(radii, radial_percentiles)
+    a, b = np.percentile(radii, (1.0, 99.0))
     r_mean = radii.mean()
 
     def mean_radius(nu):

@@ -100,6 +100,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        try:
+            SamplerConfig(self.draws, self.burn_in, self.thin)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         unknown = [e for e in self.estimators if e not in ESTIMATORS]
         if unknown:
             raise ConfigError(f"unknown estimators: {unknown}; "

@@ -30,12 +30,9 @@ from .statscore import (
     LOG_2PI,
     MvNormalParams,
     WishartParams,
-    _logdet,
     _spd_slogdet,
     draw_each,
-    ln_multivariate_gamma,
     log_sum_exp,
-    multivariate_digamma,
     safe_cholesky,
 )
 
@@ -161,6 +158,8 @@ def lpm_vb(prior: LpmPrior, data: LpmData, tol: float = 1e-6, max_iter: int = 50
     v0_inv_beta = np.linalg.inv(prior.Vbeta0)
     v0_inv_mu = np.linalg.inv(prior.Vmu0)
     nu_q = prior.nu0 + n
+    priors = (MvNormalParams(prior.beta0, prior.Vbeta0), MvNormalParams(prior.mu0, prior.Vmu0),
+              WishartParams(prior.S0, prior.nu0))
 
     gamma_q = np.zeros(dim)
     prec_q = np.eye(dim)
@@ -202,7 +201,7 @@ def lpm_vb(prior: LpmPrior, data: LpmData, tol: float = 1e-6, max_iter: int = 50
         s_q = prior.S0 + n * v_mu + dev.T @ dev + u_covs.sum(axis=0)
         s_q = 0.5 * (s_q + s_q.T)
 
-        trace.append(_elbo_lpm(prior, data, c_mat, gamma_q, v_gamma, mu_q, v_mu, s_q, nu_q))
+        trace.append(_elbo_lpm(priors, data, c_mat, gamma_q, v_gamma, mu_q, v_mu, s_q, nu_q))
         if len(trace) > 1:
             step = trace[-1] - trace[-2]
             if step < -1.0:
@@ -252,20 +251,18 @@ def lpm_vb_gradient_residual(prior: LpmPrior, data: LpmData, vb: VBResult) -> fl
                                 vb.hyper["S"], vb.hyper["nu"])
 
 
-def _elbo_lpm(prior, data, c_mat, gamma_q, v_gamma, mu_q, v_mu, s_q, nu_q) -> float:
-    n, t, k, m = data.num_subjects, data.num_periods, data.k, data.m
+def _elbo_lpm(priors, data, c_mat, gamma_q, v_gamma, mu_q, v_mu, s_q, nu_q) -> float:
+    prior_beta, prior_mu, prior_w = priors
+    n, k, m = data.num_subjects, data.k, data.m
+    q_w = WishartParams(s_q, nu_q)
     e_w = nu_q * np.linalg.inv(s_q)
-    elog_det = multivariate_digamma(m, 0.5 * nu_q) + m * math.log(2.0) - _logdet(s_q)
+    elog_det = q_w.mean_logdet
     half_diag = 0.5 * np.einsum("ij,ij->i", c_mat @ v_gamma, c_mat)
     eta = data.offsets + c_mat @ gamma_q
     w = np.exp(eta + half_diag)
     val = float(-np.sum(w) + data.y @ eta - np.sum(gammaln(data.y + 1.0)))
 
-    beta_q, v_beta = gamma_q[:k], v_gamma[:k, :k]
-    dev_b = beta_q - prior.beta0
-    v0_inv_beta = np.linalg.inv(prior.Vbeta0)
-    val += (-0.5 * k * LOG_2PI - 0.5 * _logdet(prior.Vbeta0)
-            - 0.5 * (dev_b @ v0_inv_beta @ dev_b + float(np.sum(v0_inv_beta * v_beta.T))))
+    val += prior_beta.expected_logpdf(gamma_q[:k], v_gamma[:k, :k])
 
     u_means = gamma_q[k:].reshape(n, m)
     u_covs = np.stack([v_gamma[k + i * m: k + (i + 1) * m, k + i * m: k + (i + 1) * m]
@@ -274,21 +271,11 @@ def _elbo_lpm(prior, data, c_mat, gamma_q, v_gamma, mu_q, v_mu, s_q, nu_q) -> fl
     quad_u = float(np.sum(e_w * (dev_u.T @ dev_u + u_covs.sum(axis=0) + n * v_mu).T))
     val += -0.5 * n * m * LOG_2PI + 0.5 * n * elog_det - 0.5 * quad_u
 
-    dev_m = mu_q - prior.mu0
-    v0_inv_mu = np.linalg.inv(prior.Vmu0)
-    val += (-0.5 * m * LOG_2PI - 0.5 * _logdet(prior.Vmu0)
-            - 0.5 * (dev_m @ v0_inv_mu @ dev_m + float(np.sum(v0_inv_mu * v_mu.T))))
-
-    val += (0.5 * (prior.nu0 - m - 1.0) * elog_det - 0.5 * float(np.sum(prior.S0 * e_w.T))
-            - 0.5 * prior.nu0 * m * math.log(2.0) + 0.5 * prior.nu0 * _logdet(prior.S0)
-            - ln_multivariate_gamma(m, 0.5 * prior.nu0))
-
-    dim = k + n * m
-    val += 0.5 * dim * (LOG_2PI + 1.0) + 0.5 * _logdet(v_gamma)
-    val += 0.5 * m * (LOG_2PI + 1.0) + 0.5 * _logdet(v_mu)
-    val -= (0.5 * (nu_q - m - 1.0) * elog_det - 0.5 * nu_q * m
-            - 0.5 * nu_q * m * math.log(2.0) + 0.5 * nu_q * _logdet(s_q)
-            - ln_multivariate_gamma(m, 0.5 * nu_q))
+    val += prior_mu.expected_logpdf(mu_q, v_mu)
+    val += prior_w.expected_logpdf(e_w, elog_det)
+    val += MvNormalParams(gamma_q, v_gamma).entropy()
+    val += MvNormalParams(mu_q, v_mu).entropy()
+    val += q_w.entropy()
     return float(val)
 
 

@@ -209,11 +209,18 @@ class ParamLayout:
 
 @dataclass
 class SamplerConfig:
-    """Chain length configuration; defaults follow the reference setup."""
+    """Chain length configuration; defaults follow the reference setup. A
+    chain keeps ``draws`` >= 1 states, one every ``thin`` >= 1 sweeps, after
+    ``burn_in`` >= 0 sweeps; other values raise ValueError."""
 
     draws: int = 10_000
     burn_in: int = 1_000
     thin: int = 1
+
+    def __post_init__(self):
+        for name, low in (("draws", 1), ("burn_in", 0), ("thin", 1)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -527,7 +534,7 @@ class ModelContext:
     # the complete-data route: its layout is the kernel's then the latent one
     cdl_kernel: ModelKernel | None = None
     cdl_weighting: WeightingDensity | None = None
-    sampler_kwargs: dict = field(default_factory=dict)  # extra posterior_sampler arguments
+    sampler_kwargs: dict = field(default_factory=dict)  # extra posterior_chains arguments
 
 
 @dataclass(frozen=True)

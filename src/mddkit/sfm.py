@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, ndtri, psi
+from scipy.special import gammaln, log_ndtr, ndtri
 
 from .errors import ConfigError, NumericError
 from .modelapi import (
@@ -36,7 +36,6 @@ from .statscore import (
     GammaParams,
     MvNormalParams,
     TruncNormalParams,
-    _logdet,
     draw_each,
     inverse_mills,
     ln_parabolic_cylinder_d,
@@ -236,6 +235,8 @@ class _FrontierCavi:
     def __init__(self, prior, data: SfmData):
         n, t = data.num_firms, data.num_periods
         self.prior, self.data = prior, data
+        self.beta_prior = MvNormalParams(prior.beta0, prior.Vbeta0)
+        self.sig_prior = GammaParams(prior.a_sigma0, prior.b_sigma0)
         self.v0_inv = np.linalg.inv(prior.Vbeta0)
         self.v0_inv_b0 = self.v0_inv @ prior.beta0
         self.xtx = data.x.T @ data.x
@@ -257,29 +258,26 @@ class _FrontierCavi:
                                              + float(np.sum(self.xtx * v_beta)))
         return beta_q, v_beta, b_sig, ebar
 
-    def elbo_start(self, beta_q, v_beta, b_sig, u_mean, u_m2) -> float:
+    def elbo_start(self, beta_q, v_beta, q_sig, u_mean, u_m2) -> float:
         """The bound's expected log likelihood given E[u] and E[u^2], plus its
         beta and sigma^-2 prior terms, summed in that order."""
-        prior, d = self.prior, self.data
-        n, t, k, c = d.num_firms, d.num_periods, d.k, d.c
-        e_sig, eln_sig = self.a_sig / b_sig, float(psi(self.a_sig)) - math.log(b_sig)
+        d = self.data
+        n, t, c = d.num_firms, d.num_periods, d.c
+        e_sig, eln_sig = q_sig.mean(), q_sig.mean_log()
         ebar, sum_e2 = _firm_residual_stats(d, beta_q)
         ebar, sum_e2 = ebar[0], sum_e2[0]
         quad = (float(np.sum(sum_e2 - 2.0 * c * t * ebar * u_mean + t * u_m2))
                 + float(np.sum(self.xtx * v_beta)))
         val = -0.5 * n * t * LOG_2PI + 0.5 * n * t * eln_sig - 0.5 * e_sig * quad
-        dev = beta_q - prior.beta0
-        val += (-0.5 * k * LOG_2PI - 0.5 * _logdet(prior.Vbeta0)
-                - 0.5 * (dev @ self.v0_inv @ dev + float(np.sum(self.v0_inv * v_beta.T))))
-        val += (prior.a_sigma0 * math.log(prior.b_sigma0) - float(gammaln(prior.a_sigma0))
-                + (prior.a_sigma0 - 1.0) * eln_sig - prior.b_sigma0 * e_sig)
+        val += self.beta_prior.expected_logpdf(beta_q, v_beta)
+        val += self.sig_prior.expected_logpdf(e_sig, eln_sig)
         return val
 
-    def add_entropies(self, val, v_beta, b_sig, a_lam, b_lam) -> float:
+    @staticmethod
+    def add_entropies(val, beta_q, v_beta, q_sig, q_lam) -> float:
         """``val`` plus the entropies of q(beta), then of q(sigma^-2) and q(lambda)."""
-        val += 0.5 * self.data.k * (LOG_2PI + 1.0) + 0.5 * _logdet(v_beta)
-        return val + (GammaParams(self.a_sig, b_sig).entropy()
-                      + GammaParams(a_lam, b_lam).entropy())
+        val += MvNormalParams(beta_q, v_beta).entropy()
+        return val + (q_sig.entropy() + q_lam.entropy())
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +355,12 @@ class _FirmByFirm:
 
 def _elbo_exp(cavi, beta_q, v_beta, b_sig, a_lam, b_lam, mu_q, ups2, u_mean, u_var) -> float:
     prior, n = cavi.prior, cavi.data.num_firms
-    e_lam, eln_lam = a_lam / b_lam, float(psi(a_lam)) - math.log(b_lam)
-    val = cavi.elbo_start(beta_q, v_beta, b_sig, u_mean, u_mean ** 2 + u_var)
-    val += (prior.a_lam0 * math.log(prior.b_lam0) - float(gammaln(prior.a_lam0))
-            + (prior.a_lam0 - 1.0) * eln_lam - prior.b_lam0 * e_lam)
+    q_sig, q_lam = GammaParams(cavi.a_sig, b_sig), GammaParams(a_lam, b_lam)
+    e_lam, eln_lam = q_lam.mean(), q_lam.mean_log()
+    val = cavi.elbo_start(beta_q, v_beta, q_sig, u_mean, u_mean ** 2 + u_var)
+    val += GammaParams(prior.a_lam0, prior.b_lam0).expected_logpdf(e_lam, eln_lam)
     val += n * eln_lam - e_lam * float(np.sum(u_mean))
-    val = cavi.add_entropies(val, v_beta, b_sig, a_lam, b_lam)
+    val = cavi.add_entropies(val, beta_q, v_beta, q_sig, q_lam)
     scale = math.sqrt(ups2)
     val += float(np.sum([TruncNormalParams(m, scale).entropy() for m in mu_q]))
     return float(val)
@@ -541,22 +539,19 @@ class _GridDensity:
 
 
 def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData, tol: float = 1e-6,
-                 max_iter: int = 200,
-                 upsilon_convention: str = "precision") -> VBResult:
+                 max_iter: int = 200) -> VBResult:
     """Coordinate ascent for the gamma-inefficiency frontier model.
 
     The u factors are nonstandard (normalized by parabolic-cylinder values)
     and the theta factor lives on a quadrature grid. q spans the layout of
-    :class:`SfmGammaKernel`, u included. ``upsilon_convention``
-    selects how the displayed u-factor spread parameter is read: "precision"
-    treats it as the coefficient on u^2 (the reading under which the factor
-    normalizes and the bound ascends); "variance" is the alternative reading,
-    kept to document that it fails the invariants.
+    :class:`SfmGammaKernel`, u included. The u factors' spread parameter
+    T E[sigma^-2] is the coefficient on -u^2 / 2 in E_q ln p, so it is read as
+    a precision: so read, each factor is its coordinate-ascent optimum and
+    the bound ascends; read as a variance it is no optimum, and the ascent
+    guarantee is lost.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if upsilon_convention not in ("precision", "variance"):
-        raise ValueError("upsilon_convention must be 'precision' or 'variance'")
     n, t, k, c = data.num_firms, data.num_periods, data.k, data.c
     cavi = _FrontierCavi(prior, data)
     a_sig, b_sig = cavi.a_sig, cavi.b_sig_start
@@ -574,15 +569,14 @@ def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData, tol: float = 1e-6,
     trace = []
     converged = False
     for _ in range(max_iter):
-        e_lam = a_lam / b_lam
-        eln_lam = float(psi(a_lam)) - math.log(b_lam)
+        q_lam = GammaParams(a_lam, b_lam)
+        e_lam, eln_lam = q_lam.mean(), q_lam.mean_log()
         # q(beta), q(sigma^-2)
         beta_q, v_beta, b_sig, ebar = cavi.update_beta_sigma(a_sig / b_sig, u_mean, u_var)
         e_sig = a_sig / b_sig
         # q(u): nonstandard factors
-        prec = t * e_sig if upsilon_convention == "precision" else 1.0 / (t * e_sig)
         slopes = e_lam - c * e_sig * t * ebar
-        u_factors = GammaCaseInefficiency(theta_mean, prec, slopes)
+        u_factors = GammaCaseInefficiency(theta_mean, t * e_sig, slopes)
         u_mean, u_m2 = u_factors.moment(1), u_factors.moment(2)
         u_var = u_factors.var()
         u_mean_log = u_factors.mean_log()
@@ -631,11 +625,12 @@ class _AllFirms:
 def _elbo_gamma(cavi, beta_q, v_beta, b_sig, a_lam, b_lam, theta_grid, theta_mean,
                 u_factors, u_mean, u_m2, u_mean_log) -> float:
     prior, n = cavi.prior, cavi.data.num_firms
-    e_lam, eln_lam = a_lam / b_lam, float(psi(a_lam)) - math.log(b_lam)
+    q_sig, q_lam = GammaParams(cavi.a_sig, b_sig), GammaParams(a_lam, b_lam)
+    e_lam, eln_lam = q_lam.mean(), q_lam.mean_log()
     eln_theta = theta_grid.expect(np.log)
     e_theta_inv = theta_grid.expect(lambda g: 1.0 / g)
     eln_gamma_theta = theta_grid.expect(lambda g: gammaln(g))
-    val = cavi.elbo_start(beta_q, v_beta, b_sig, u_mean, u_m2)
+    val = cavi.elbo_start(beta_q, v_beta, q_sig, u_mean, u_m2)
     # lambda | theta prior and the u priors
     val += (theta_mean * math.log(prior.b_lam0) + (theta_mean - 1.0) * eln_lam
             - prior.b_lam0 * e_lam - eln_gamma_theta)
@@ -645,7 +640,7 @@ def _elbo_gamma(cavi, beta_q, v_beta, b_sig, a_lam, b_lam, theta_grid, theta_mea
     val += (prior.a_theta0 * math.log(prior.b_theta0) - float(gammaln(prior.a_theta0))
             - (prior.a_theta0 + 1.0) * eln_theta - prior.b_theta0 * e_theta_inv)
     # entropies
-    val = cavi.add_entropies(val, v_beta, b_sig, a_lam, b_lam)
+    val = cavi.add_entropies(val, beta_q, v_beta, q_sig, q_lam)
     val -= float(np.sum(u_factors.mean_log_q()))
     val -= theta_grid.mean_log_q()
     return float(val)
@@ -1037,8 +1032,8 @@ class SfmGammaKernel(_FrontierKernel):
         return (stack_state(self._initial_state() | {"theta": 1.0}, chains),
                 self._steps(chains, adapt=True))
 
-    def vb_fit(self, tol: float = 1e-6, max_iter: int = 200, **kw) -> VBResult:
-        return sfm_gamma_vb(self.prior, self.data, tol=tol, max_iter=max_iter, **kw)
+    def vb_fit(self, tol: float = 1e-6, max_iter: int = 200) -> VBResult:
+        return sfm_gamma_vb(self.prior, self.data, tol=tol, max_iter=max_iter)
 
 
 def make_sfm_gamma_cdl_weighting(vb: VBResult, kernel: SfmGammaKernel) -> WeightingDensity:

@@ -440,13 +440,17 @@ class MvNormalParams:
         return self.mean.shape[-1]
 
     @cached_property
+    def _prec(self) -> np.ndarray:
+        return np.linalg.inv(self.cov)
+
+    @cached_property
     def _expanded(self):
         """Centre c (the average mean), flattened precision P, 2 P (mean - c),
         and the constant term of the log density."""
         d = self.dim
         centre = self.mean.reshape(-1, d).mean(axis=0)
         dev = self.mean - centre
-        prec = np.linalg.inv(self.cov)
+        prec = self._prec
         pm = np.matvec(prec, dev)
         const = d * LOG_2PI + _chol_logdet(self._chol) + np.sum(pm * dev, axis=-1)
         return (centre, prec.reshape(prec.shape[:-2] + (d * d,)), 2.0 * pm,
@@ -470,6 +474,17 @@ class MvNormalParams:
         out += const
         out *= -0.5
         return out
+
+    def entropy(self):
+        """0.5 d (ln 2 pi + 1) + 0.5 ln|cov|."""
+        return 0.5 * self.dim * (LOG_2PI + 1.0) + 0.5 * _chol_logdet(self._chol)
+
+    def expected_logpdf(self, mean, cov) -> float:
+        """E_q[ln p(x)] of this (unstacked) density p under any q with the given
+        mean and covariance."""
+        dev = mean - self.mean
+        return (-0.5 * self.dim * LOG_2PI - 0.5 * _chol_logdet(self._chol)
+                - 0.5 * (dev @ self._prec @ dev + float(np.sum(self._prec * cov.T))))
 
     def take(self, indices) -> "MvNormalParams":
         """The stacked distributions at ``indices``, with their Cholesky factors
@@ -605,6 +620,29 @@ class WishartParams:
     def mean(self) -> np.ndarray:
         return self.dof * _inverse_from_cholesky(self._chol_s)
 
+    @cached_property
+    def mean_logdet(self):
+        """E[ln|W|] = psi_n(dof / 2) + n ln 2 - ln|scale_inv|."""
+        n = self.dim
+        return multivariate_digamma(n, 0.5 * self.dof) + n * math.log(2.0) \
+            - _chol_logdet(self._chol_s)
+
+    def expected_logpdf(self, mean, mean_logdet) -> float:
+        """E_q[ln p(W)] of this (unstacked) density p under any q with
+        E_q[W] = ``mean`` and E_q[ln|W|] = ``mean_logdet``."""
+        return self._expected_log(mean_logdet, float(np.sum(self.scale_inv * mean.T)))
+
+    def entropy(self):
+        # E[tr(scale_inv W)] = dof * n under the density itself
+        return -self._expected_log(self.mean_logdet, self.dof * self.dim)
+
+    def _expected_log(self, mean_logdet, trace):
+        """E ln p(W) from E[ln|W|] and E[tr(scale_inv W)]."""
+        n, nu = self.dim, self.dof
+        return (0.5 * (nu - n - 1.0) * mean_logdet - 0.5 * trace
+                - 0.5 * nu * n * math.log(2.0) + 0.5 * nu * _chol_logdet(self._chol_s)
+                - ln_multivariate_gamma(n, 0.5 * nu))
+
     def take(self, indices) -> "WishartParams":
         """The stacked distributions at ``indices``, with their Cholesky and
         Bartlett factors gathered from this stack (each computed once here)."""
@@ -691,6 +729,12 @@ class GammaParams:
 
     def mean_log(self) -> float:
         return float(psi(self.shape)) - math.log(self.rate)
+
+    def expected_logpdf(self, mean, mean_log) -> float:
+        """E_q[ln p(x)] of this (unstacked) density p under any q with
+        E_q[x] = ``mean`` and E_q[ln x] = ``mean_log``."""
+        a, b = self.shape, self.rate
+        return a * math.log(b) - float(gammaln(a)) + (a - 1.0) * mean_log - b * mean
 
     def entropy(self) -> float:
         a, b = self.shape, self.rate

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, psi
+from scipy.special import gammaln
 
 from .modelapi import (
     Block,
@@ -178,15 +178,14 @@ class ToyNormalGammaKernel(GibbsKernel):
         t = self.y.size
         ybar = self.y.mean()
         ss = float(np.sum((self.y - ybar) ** 2))
-        e_tau = a_q / b_q
-        e_ln_tau = float(psi(a_q)) - math.log(b_q)
+        q_tau = GammaParams(a_q, b_q)
+        e_tau, e_ln_tau = q_tau.mean(), q_tau.mean_log()
         e_sq_lik = ss + t * ((m_q - ybar) ** 2 + v_q)
         e_sq_pri = (m_q - self.m0) ** 2 + v_q
         val = -0.5 * t * LOG_2PI + 0.5 * t * e_ln_tau - 0.5 * e_tau * e_sq_lik
         val += -0.5 * LOG_2PI + 0.5 * math.log(self.kappa0) + 0.5 * e_ln_tau \
             - 0.5 * self.kappa0 * e_tau * e_sq_pri
-        val += self.a0 * math.log(self.b0) - float(gammaln(self.a0)) \
-            + (self.a0 - 1.0) * e_ln_tau - self.b0 * e_tau
+        val += GammaParams(self.a0, self.b0).expected_logpdf(e_tau, e_ln_tau)
         val += 0.5 * (math.log(2.0 * math.pi * v_q) + 1.0)
-        val += GammaParams(a_q, b_q).entropy()
+        val += q_tau.entropy()
         return float(val)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .statscore import (
     _logdet,
     _spd_slogdet,
     ln_multivariate_gamma,
-    multivariate_digamma,
     safe_cholesky,
 )
 
@@ -42,7 +42,7 @@ __all__ = [
     "VarData",
     "VarConjugatePrior",
     "VarIndependentPrior",
-    "VarConjugatePosterior",
+    "NormalWishart",
     "var_exact_posterior",
     "var_exact_log_mdd",
     "var_vb_conjugate",
@@ -154,18 +154,58 @@ class VarIndependentPrior:
 
 
 @dataclass
-class VarConjugatePosterior:
+class NormalWishart:
+    """A | W ~ MN(A, V, W^-1) and W ~ W(S^-1, nu), with W = Sigma^-1: the
+    conjugate VAR's prior (A0, V0, S0, nu0) and its exact posterior. Densities
+    and draws are rows in the VAR layout."""
+
     A: np.ndarray
     V: np.ndarray
     S: np.ndarray
     nu: float
+
+    def __post_init__(self):
+        self.wishart = WishartParams(self.S, self.nu)
+
+    @cached_property
+    def layout(self) -> ParamLayout:
+        return _var_layout(self.A.shape[1], self.A.shape[0])
+
+    @cached_property
+    def _v_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.V)
+
+    def logpdf_batch(self, thetas) -> np.ndarray:
+        """ln density at the rows ``thetas``; -inf where W is not SPD."""
+        u = self.layout.unpack_batch(thetas)
+        k, n = self.A.shape
+        a = u["alpha"].reshape(-1, k, n)
+        w = u["sigma_inv"]
+        spd, logdet = _spd_slogdet(w)
+        dev = a - self.A
+        q = np.einsum("skn,kl,slm->snm", dev, self._v_inv, dev)
+        quad = np.einsum("snm,smn->s", q, w)
+        log_a = (-0.5 * k * n * LOG_2PI + 0.5 * k * logdet
+                 - 0.5 * n * _logdet(self.V) - 0.5 * quad)
+        out = log_a + self.wishart.logpdf_batch(w)
+        out[~spd] = -np.inf
+        return out
+
+    def sample(self, rng, size: int) -> np.ndarray:
+        """``size`` rows: W first, then A given W."""
+        k, n = self.A.shape
+        w = self.wishart.sample(rng, size)
+        g = np.linalg.inv(np.linalg.cholesky(w))
+        z = rng.standard_normal((size, k, n))
+        a = self.A[None] + (safe_cholesky(self.V) @ z) @ g
+        return self.layout.pack_batch({"alpha": a.reshape(size, -1), "sigma_inv": w})
 
 
 # ---------------------------------------------------------------------------
 # exact conjugate analysis
 # ---------------------------------------------------------------------------
 
-def var_exact_posterior(prior: VarConjugatePrior, data: VarData) -> VarConjugatePosterior:
+def var_exact_posterior(prior: VarConjugatePrior, data: VarData) -> NormalWishart:
     """Normal-Wishart posterior of the conjugate VAR."""
     v0_inv = np.linalg.inv(prior.V0)
     v_post = np.linalg.inv(v0_inv + data.X.T @ data.X)
@@ -175,7 +215,7 @@ def var_exact_posterior(prior: VarConjugatePrior, data: VarData) -> VarConjugate
     dev = a_post - prior.A0
     s_post = resid.T @ resid + prior.S0 + dev.T @ v0_inv @ dev
     s_post = 0.5 * (s_post + s_post.T)
-    return VarConjugatePosterior(a_post, v_post, s_post, data.T + prior.nu0)
+    return NormalWishart(a_post, v_post, s_post, data.T + prior.nu0)
 
 
 def var_exact_log_mdd(prior: VarConjugatePrior, data: VarData) -> float:
@@ -196,28 +236,6 @@ def var_exact_log_mdd(prior: VarConjugatePrior, data: VarData) -> float:
 # VB: conjugate prior
 # ---------------------------------------------------------------------------
 
-def _wishart_elog_det(scale_inv: np.ndarray, dof: float) -> float:
-    """E[ln|W|] for W ~ W(scale_inv^-1, dof)."""
-    n = scale_inv.shape[0]
-    return multivariate_digamma(n, 0.5 * dof) + n * math.log(2.0) - _logdet(scale_inv)
-
-
-def _wishart_cross_entropy_terms(elog_det, e_w_trace_with, scale_inv_p, dof_p):
-    """E_q[ln p(W)] for a Wishart prior p with parameters (scale_inv_p, dof_p)."""
-    n = scale_inv_p.shape[0]
-    return (0.5 * (dof_p - n - 1.0) * elog_det - 0.5 * e_w_trace_with
-            - 0.5 * dof_p * n * math.log(2.0) + 0.5 * dof_p * _logdet(scale_inv_p)
-            - ln_multivariate_gamma(n, 0.5 * dof_p))
-
-
-def _wishart_neg_entropy(scale_inv_q, dof_q, elog_det) -> float:
-    """E_q[ln q(W)] for q = W(scale_inv_q^-1, dof_q)."""
-    n = scale_inv_q.shape[0]
-    return (0.5 * (dof_q - n - 1.0) * elog_det - 0.5 * dof_q * n
-            - 0.5 * dof_q * n * math.log(2.0) + 0.5 * dof_q * _logdet(scale_inv_q)
-            - ln_multivariate_gamma(n, 0.5 * dof_q))
-
-
 def var_vb_conjugate(prior: VarConjugatePrior, data: VarData,
                      factorized: bool = True) -> VBResult:
     """Closed-form VB for the conjugate VAR.
@@ -228,25 +246,29 @@ def var_vb_conjugate(prior: VarConjugatePrior, data: VarData,
     and its bound sits strictly below.
     """
     post = var_exact_posterior(prior, data)
-    n, k, t = data.N, data.K, data.T
+    n, t = data.N, data.T
+    hyper = {"A": post.A, "V": post.V, "S": post.S, "nu": post.nu}
     if not factorized:
+        # q is the exact normal-Wishart posterior itself, no product of factors
         elbo = _elbo_conjugate_joint(prior, data, post)
-        return _var_conjugate_vbresult(post.A, post.V, post.S, post.nu, None, elbo,
-                                       data, joint=True)
+        return VBResult(hyper, np.array([elbo]), post.logpdf_batch, post.sample)
     nu_q = t + 1.0 + data.p * n + prior.nu0  # = posterior dof + K
     if not nu_q - n - 1.0 > 0:
         raise ConfigError("factorized VB needs nu* > N + 1")
     s_q = (nu_q / post.nu) * post.S
     col_cov = s_q / nu_q  # = inv(E_q[Sigma^-1]); the coordinate-ascent optimum
-    elbo = _elbo_conjugate_factorized(prior, data, post, s_q, nu_q, col_cov)
-    return _var_conjugate_vbresult(post.A, post.V, s_q, nu_q, col_cov, elbo, data, joint=False)
+    q_w = WishartParams(s_q, nu_q)
+    elbo = _elbo_conjugate_factorized(prior, data, post, q_w, col_cov)
+    factors = {"alpha": MatricNormalParams(post.A, post.V, col_cov), "sigma_inv": q_w}
+    hyper.update(S=s_q, nu=nu_q, col_cov=col_cov)
+    return VBResult.mean_field(_var_layout(n, data.K), factors, [elbo], hyper)
 
 
-def _elbo_conjugate_factorized(prior, data, post, s_q, nu_q, col_cov) -> float:
+def _elbo_conjugate_factorized(prior, data, post, q_w, col_cov) -> float:
     n, k, t = data.N, data.K, data.T
     v0_inv = np.linalg.inv(prior.V0)
-    e_w = nu_q * np.linalg.inv(s_q)
-    elog_det = _wishart_elog_det(s_q, nu_q)
+    e_w = q_w.dof * np.linalg.inv(q_w.scale_inv)
+    elog_det = q_w.mean_logdet
     resid = data.Y - data.X @ post.A
     m_lik = resid.T @ resid + np.trace(data.X.T @ data.X @ post.V) * col_cov
     dev = post.A - prior.A0
@@ -255,11 +277,10 @@ def _elbo_conjugate_factorized(prior, data, post, s_q, nu_q, col_cov) -> float:
     val = -0.5 * t * n * LOG_2PI + 0.5 * t * elog_det - 0.5 * float(np.sum(e_w * m_lik.T))
     val += (-0.5 * k * n * LOG_2PI + 0.5 * k * elog_det - 0.5 * n * _logdet(prior.V0)
             - 0.5 * float(np.sum(e_w * m_pri.T)))
-    val += _wishart_cross_entropy_terms(elog_det,
-                                        float(np.sum(prior.S0 * e_w.T)), prior.S0, prior.nu0)
+    val += WishartParams(prior.S0, prior.nu0).expected_logpdf(e_w, elog_det)
     # entropies of q_A (matric normal) and q_W
     val += 0.5 * k * n * (LOG_2PI + 1.0) + 0.5 * n * _logdet(post.V) + 0.5 * k * _logdet(col_cov)
-    val -= _wishart_neg_entropy(s_q, nu_q, elog_det)
+    val += q_w.entropy()
     return float(val)
 
 
@@ -268,7 +289,7 @@ def _elbo_conjugate_joint(prior, data, post) -> float:
     n, k, t = data.N, data.K, data.T
     v0_inv = np.linalg.inv(prior.V0)
     e_w = post.nu * np.linalg.inv(post.S)
-    elog_det = _wishart_elog_det(post.S, post.nu)
+    elog_det = post.wishart.mean_logdet
     resid = data.Y - data.X @ post.A
     dev = post.A - prior.A0
 
@@ -278,12 +299,11 @@ def _elbo_conjugate_joint(prior, data, post) -> float:
     val += (-0.5 * k * n * LOG_2PI + 0.5 * k * elog_det - 0.5 * n * _logdet(prior.V0)
             - 0.5 * (float(np.sum(e_w * (dev.T @ v0_inv @ dev).T))
                      + n * float(np.trace(v0_inv @ post.V))))
-    val += _wishart_cross_entropy_terms(elog_det,
-                                        float(np.sum(prior.S0 * e_w.T)), prior.S0, prior.nu0)
+    val += WishartParams(prior.S0, prior.nu0).expected_logpdf(e_w, elog_det)
     # E[ln q(A|W)] = -KN/2 ln 2pi - N/2 ln|V| + K/2 E ln|W| - KN/2
     val -= (-0.5 * k * n * LOG_2PI - 0.5 * n * _logdet(post.V) + 0.5 * k * elog_det
             - 0.5 * k * n)
-    val -= _wishart_neg_entropy(post.S, post.nu, elog_det)
+    val += post.wishart.entropy()
     return float(val)
 
 
@@ -298,45 +318,6 @@ def var_vblb_conjugate_closed_form(prior: VarConjugatePrior, data: VarData) -> f
             + ln_multivariate_gamma(n, 0.5 * nu_q) - ln_multivariate_gamma(n, 0.5 * prior.nu0)
             + 0.5 * n * (_logdet(post.V) - _logdet(prior.V0))
             + 0.5 * (prior.nu0 * _logdet(prior.S0) - nu_bar * _logdet(post.S)))
-
-
-def _var_conjugate_vbresult(a_q, v_q, s_q, nu_q, col_cov, elbo, data, joint) -> VBResult:
-    n, k = data.N, data.K
-    layout = _var_layout(n, k)
-    wish = WishartParams(s_q, nu_q)
-    if joint:
-        # q(A, W) = q(A|W) q(W); only the joint evaluator and sampler make sense
-        v_chol = safe_cholesky(v_q)
-
-        v_inv = np.linalg.inv(v_q)
-
-        def log_q(thetas):
-            u = layout.unpack_batch(thetas)
-            a = u["alpha"].reshape(-1, k, n)
-            w = u["sigma_inv"]
-            spd, w_logdet = _spd_slogdet(w)
-            dev = a - a_q
-            q_mat = np.einsum("skn,kl,slm->snm", dev, v_inv, dev)
-            quad = np.einsum("snm,smn->s", q_mat, w)
-            log_a = (-0.5 * k * n * LOG_2PI + 0.5 * k * w_logdet
-                     - 0.5 * n * _logdet(v_q) - 0.5 * quad)
-            out = log_a + wish.logpdf_batch(w)
-            out[~spd] = -np.inf
-            return out
-
-        def sample(rng, size):
-            w = wish.sample(rng, size)
-            g = np.linalg.inv(np.linalg.cholesky(w))
-            z = rng.standard_normal((size, k, n))
-            a = a_q[None] + (v_chol @ z) @ g
-            return layout.pack_batch({"alpha": a.reshape(size, -1), "sigma_inv": w})
-
-        hyper = {"A": a_q, "V": v_q, "S": s_q, "nu": nu_q}
-        return VBResult(hyper=hyper, elbo_trace=np.array([elbo]), log_q=log_q, sample=sample)
-
-    factors = {"alpha": MatricNormalParams(a_q, v_q, col_cov), "sigma_inv": wish}
-    hyper = {"A": a_q, "V": v_q, "S": s_q, "nu": nu_q, "col_cov": col_cov}
-    return VBResult.mean_field(layout, factors, [elbo], hyper)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +340,8 @@ def var_vb_independent(prior: VarIndependentPrior, data: VarData,
     xty = data.X.T @ data.Y
     v0_inv = np.linalg.inv(prior.Vbig0)
     v0_inv_a0 = v0_inv @ prior.alpha0
+    prior_alpha = MvNormalParams(prior.alpha0, prior.Vbig0)
+    prior_w = WishartParams(prior.S0, prior.nu0)
 
     # initialization: OLS residual cross-product
     a_ols, *_ = np.linalg.lstsq(data.X, data.Y, rcond=None)
@@ -384,7 +367,7 @@ def var_vb_independent(prior: VarIndependentPrior, data: VarData,
         v4 = v_q.reshape(k, n, k, n)
         s_q = prior.S0 + resid.T @ resid + np.einsum("kl,knlm->nm", xtx, v4)
         s_q = 0.5 * (s_q + s_q.T)
-        trace.append(_elbo_independent(prior, data, alpha_q, v_q, s_q, nu_q))
+        trace.append(_elbo_independent(prior_alpha, prior_w, data, alpha_q, v_q, s_q, nu_q))
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
             converged = True
             break
@@ -396,26 +379,23 @@ def var_vb_independent(prior: VarIndependentPrior, data: VarData,
                                {"alpha": alpha_q, "V": v_q, "S": s_q, "nu": nu_q}, converged)
 
 
-def _elbo_independent(prior, data, alpha_q, v_q, s_q, nu_q) -> float:
+def _elbo_independent(prior_alpha, prior_w, data, alpha_q, v_q, s_q, nu_q) -> float:
     n, k, t = data.N, data.K, data.T
     xtx = data.X.T @ data.X
-    v0_inv = np.linalg.inv(prior.Vbig0)
+    q_w = WishartParams(s_q, nu_q)
     e_w = nu_q * np.linalg.inv(s_q)
-    elog_det = _wishart_elog_det(s_q, nu_q)
+    elog_det = q_w.mean_logdet
     a_mat = alpha_q.reshape(k, n)
     resid = data.Y - data.X @ a_mat
     v4 = v_q.reshape(k, n, k, n)
     quad_lik = float(np.sum(e_w * (resid.T @ resid).T)) \
         + float(np.einsum("kl,nm,lmkn->", xtx, e_w, v4))
-    dev = alpha_q - prior.alpha0
-    quad_pri = float(dev @ v0_inv @ dev) + float(np.sum(v0_inv * v_q.T))
 
     val = -0.5 * t * n * LOG_2PI + 0.5 * t * elog_det - 0.5 * quad_lik
-    val += -0.5 * n * k * LOG_2PI - 0.5 * _logdet(prior.Vbig0) - 0.5 * quad_pri
-    val += _wishart_cross_entropy_terms(elog_det,
-                                        float(np.sum(prior.S0 * e_w.T)), prior.S0, prior.nu0)
-    val += 0.5 * n * k * (LOG_2PI + 1.0) + 0.5 * _logdet(v_q)
-    val -= _wishart_neg_entropy(s_q, nu_q, elog_det)
+    val += prior_alpha.expected_logpdf(alpha_q, v_q)
+    val += prior_w.expected_logpdf(e_w, elog_det)
+    val += MvNormalParams(alpha_q, v_q).entropy()
+    val += q_w.entropy()
     return float(val)
 
 
@@ -474,35 +454,16 @@ class VarConjugateKernel(_VarKernelBase):
         if prior.K != data.K or prior.N != data.N:
             raise ConfigError("prior dimensions do not match the data")
         self.prior = prior
+        self._nw0 = NormalWishart(prior.A0, prior.V0, prior.S0, prior.nu0)
         self._post = var_exact_posterior(prior, data)
-        self._v0_inv = np.linalg.inv(prior.V0)
-        self._wish0 = WishartParams(prior.S0, prior.nu0)
 
     def log_prior_batch(self, thetas):
-        u = self.layout.unpack_batch(thetas)
-        n, k = self.data.N, self.data.K
-        a = u["alpha"].reshape(-1, k, n)
-        w = u["sigma_inv"]
-        spd, logdet = _spd_slogdet(w)
-        dev = a - self.prior.A0
-        q = np.einsum("skn,kl,slm->snm", dev, self._v0_inv, dev)
-        quad = np.einsum("snm,smn->s", q, w)
-        log_a = (-0.5 * k * n * LOG_2PI + 0.5 * k * logdet
-                 - 0.5 * n * _logdet(self.prior.V0) - 0.5 * quad)
-        out = log_a + self._wish0.logpdf_batch(w)
-        out[~spd] = -np.inf
-        return out
+        return self._nw0.logpdf_batch(thetas)
 
     def posterior_sampler(self, config: SamplerConfig, rng, seed=None) -> PosteriorDrawSet:
         """Direct Monte Carlo from the exact normal-Wishart posterior."""
-        s = config.draws
-        n, k = self.data.N, self.data.K
-        w = WishartParams(self._post.S, self._post.nu).sample(rng, s)
-        g = np.linalg.inv(np.linalg.cholesky(w))
-        z = rng.standard_normal((s, k, n))
-        a = self._post.A[None] + (safe_cholesky(self._post.V) @ z) @ g
-        thetas = self.layout.pack_batch({"alpha": a.reshape(s, -1), "sigma_inv": w})
-        return PosteriorDrawSet(thetas, self.layout, seed=seed, burn_in=0, thin=1)
+        return PosteriorDrawSet(self._post.sample(rng, config.draws), self.layout, seed=seed,
+                                burn_in=0, thin=1)
 
     def full_conditional(self, name, state):
         if name == "alpha":
@@ -513,7 +474,7 @@ class VarConjugateKernel(_VarKernelBase):
             a, resid = self._coefficients_and_residuals(state)
             dev = a - self.prior.A0
             scale_inv = (self.prior.S0 + resid.swapaxes(-1, -2) @ resid
-                         + dev.swapaxes(-1, -2) @ self._v0_inv @ dev)
+                         + dev.swapaxes(-1, -2) @ self._nw0._v_inv @ dev)
             return WishartParams(0.5 * (scale_inv + scale_inv.swapaxes(-1, -2)),
                                  self.prior.nu0 + self.data.T + self.data.K)
         raise KeyError(name)

@@ -90,6 +90,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(model="var-conjugate", repetitions=0)
 
+    @pytest.mark.parametrize("lengths", [{"draws": 0}, {"draws": -5}, {"burn_in": -3},
+                                         {"thin": 0}, {"thin": -1}])
+    def test_bad_chain_lengths_rejected(self, lengths):
+        name = next(iter(lengths))
+        with pytest.raises(ConfigError, match=f"{name} must be >= "):
+            ExperimentConfig(model="sfm-exponential", **lengths)
+
     def test_unread_keys_rejected(self):
         with pytest.raises(ConfigError, match=r"synth keys \['nn'\]; it reads \['ar_diag', "
                                               r"'n', 'seed', 't'\]"):
@@ -498,6 +505,19 @@ class TestCli:
                        "--draws", "500", "--burn-in", "100",
                        "--estimators", "ris-vb", "--out", str(tmp_path / "o4")])
         assert rc == 0
+
+    @pytest.mark.parametrize("args", [["--draws", "0"], ["--draws", "-5"], ["--burn-in", "-3"],
+                                      ["--config", "thin = 0"]])
+    def test_bad_chain_length_is_config_error(self, tmp_path, capsys, args):
+        if args[0] == "--config":
+            conf = tmp_path / "exp.conf"
+            conf.write_text(args[1] + "\n")
+            args = ["--config", str(conf)]
+        rc = cli_main(["experiment", "--model", "sfm-exponential", *args,
+                       "--out", str(tmp_path / "o6")])
+        assert rc == 2
+        assert "must be >= " in capsys.readouterr().err
+        assert not (tmp_path / "o6").exists()
 
     def test_missing_model_is_config_error(self, tmp_path):
         rc = cli_main(["estimate", "--out", str(tmp_path / "o5")])

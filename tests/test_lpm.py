@@ -276,6 +276,29 @@ class TestVb:
         assert vb.elbo <= evidence
         assert vb.elbo == pytest.approx(evidence, abs=0.2)
 
+    def test_micro_bound_matches_monte_carlo(self, micro):
+        # the complete-data log joint minus ln q, averaged over draws from q
+        prior, data = micro
+        vb = lpm_vb(prior, data)
+        rng, size = make_rng(33), 100_000
+        gam = vb.hyper["gamma"].sample(rng, size)  # (beta, u_1, u_2)
+        mu = vb.factors["mu"].sample(rng, size)[:, 0]
+        w = vb.factors["sigma_inv"].sample(rng, size)[:, 0, 0]
+        beta, u = gam[:, 0], gam[:, 1:]
+        eta = data.offsets + beta[:, None] * data.x[:, 0] + np.repeat(u, 2, axis=1)
+        log_joint = np.sum(data.y * eta - np.exp(eta) - gammaln(data.y + 1.0), axis=1)
+        log_joint += -0.5 * math.log(2 * math.pi * 4.0) - 0.5 * beta ** 2 / 4.0
+        log_joint += np.sum(-0.5 * LOG_2PI + 0.5 * np.log(w)[:, None]
+                            - 0.5 * w[:, None] * (u - mu[:, None]) ** 2, axis=1)
+        log_joint += -0.5 * math.log(2 * math.pi * 1e-8) - 0.5 * (mu - 0.2) ** 2 / 1e-8
+        # a 1 x 1 Wishart W(1 / S0, nu0) is Gamma(nu0 / 2, rate S0 / 2)
+        a0, b0 = 0.5e8, 0.5 * 0.3e8
+        log_joint += a0 * math.log(b0) - gammaln(a0) + (a0 - 1.0) * np.log(w) - b0 * w
+        log_q = (vb.hyper["gamma"].logpdf_batch(gam) + vb.factors["mu"].logpdf_batch(mu[:, None])
+                 + vb.factors["sigma_inv"].logpdf_batch(w[:, None, None]))
+        vals = log_joint - log_q
+        assert vb.elbo == pytest.approx(vals.mean(), abs=4 * vals.std(ddof=1) / math.sqrt(size))
+
     def test_fixed_point_residual(self, micro):
         prior, data = micro
         vb = lpm_vb(prior, data, tol=1e-12, max_iter=5000, grad_tol=1e-9)

@@ -253,6 +253,15 @@ def tunings(kernel, chains=1):
     return out
 
 
+@pytest.mark.parametrize("lengths", [{"draws": 0}, {"draws": -5}, {"burn_in": -3},
+                                     {"thin": 0}, {"thin": -1}])
+def test_sampler_config_rejects_bad_chain_lengths(lengths):
+    # run_gibbs would leave draw rows unwritten and return them as draws
+    name = next(iter(lengths))
+    with pytest.raises(ValueError, match=f"{name} must be >= "):
+        SamplerConfig(**lengths)
+
+
 class TestGibbsDriver:
     def test_sweeps_draw_from_the_full_conditionals(self, gibbs_draws):
         kernel, draws = gibbs_draws

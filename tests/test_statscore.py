@@ -425,6 +425,49 @@ class TestDensities:
             MvNormalParams([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])
 
 
+def _mc(values):
+    """Mean and standard error of a Monte Carlo sample."""
+    return values.mean(), values.std(ddof=1) / math.sqrt(values.size)
+
+
+class TestExpectationsAndEntropies:
+    """The variational bounds' closed-form terms against Monte Carlo averages
+    over draws from q, within 4 standard errors."""
+
+    def test_normal(self):
+        p = MvNormalParams([0.5, -1.0, 0.2], [[2.0, 0.4, 0.1], [0.4, 1.0, -0.2],
+                                              [0.1, -0.2, 0.7]])
+        q = MvNormalParams([0.1, -0.3, 0.9], [[0.5, 0.1, 0.0], [0.1, 0.8, 0.2],
+                                              [0.0, 0.2, 1.1]])
+        x = q.sample(make_rng(40), 100_000)
+        mean, se = _mc(p.logpdf_batch(x))
+        assert p.expected_logpdf(q.mean, q.cov) == pytest.approx(mean, abs=4 * se)
+        mean, se = _mc(-q.logpdf_batch(x))
+        assert q.entropy() == pytest.approx(mean, abs=4 * se)
+
+    def test_gamma(self):
+        p, q = GammaParams(2.5, 1.5), GammaParams(4.0, 3.0)
+        x = q.sample(make_rng(41), 100_000)
+        mean, se = _mc(np.log(x))
+        assert q.mean_log() == pytest.approx(mean, abs=4 * se)
+        mean, se = _mc(p.logpdf_batch(x))
+        assert p.expected_logpdf(q.mean(), q.mean_log()) == pytest.approx(mean, abs=4 * se)
+        mean, se = _mc(-q.logpdf_batch(x))
+        assert q.entropy() == pytest.approx(mean, abs=4 * se)
+
+    def test_wishart(self):
+        p = WishartParams(np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]]), 5.0)
+        q = WishartParams(np.array([[6.0, 1.0, 0.5], [1.0, 4.0, -0.5], [0.5, -0.5, 5.0]]), 9.5)
+        w = q.sample(make_rng(42), 50_000)
+        mean, se = _mc(np.linalg.slogdet(w)[1])
+        assert q.mean_logdet == pytest.approx(mean, abs=4 * se)
+        e_w = q.dof * np.linalg.inv(q.scale_inv)
+        mean, se = _mc(p.logpdf_batch(w))
+        assert p.expected_logpdf(e_w, q.mean_logdet) == pytest.approx(mean, abs=4 * se)
+        mean, se = _mc(-q.logpdf_batch(w))
+        assert q.entropy() == pytest.approx(mean, abs=4 * se)
+
+
 class TestSampleStack:
     """``sample_stack`` draws stacked distribution c from generator c, with
     the bits ``sample`` of distribution c alone gives."""

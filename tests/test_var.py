@@ -8,8 +8,9 @@ import pytest
 from mddkit.errors import ConfigError
 from mddkit.estimators import make_vb_weighting, ris_estimate
 from mddkit.modelapi import SamplerConfig, elbo_monte_carlo
-from mddkit.statscore import make_rng, quadrature_1d
+from mddkit.statscore import MatricNormalParams, WishartParams, make_rng, quadrature_1d
 from mddkit.var import (
+    NormalWishart,
     VarConjugateKernel,
     VarConjugatePrior,
     VarData,
@@ -105,6 +106,32 @@ class TestExactLogMdd:
                                    prior.S0[np.ix_(perm, perm)], prior.nu0)
         assert var_exact_log_mdd(prior2, data2) == pytest.approx(
             var_exact_log_mdd(prior, data), abs=1e-8)
+
+
+class TestNormalWishart:
+    def test_logpdf_is_matric_normal_times_wishart(self):
+        rng = make_rng(70)
+        k, n = 3, 2
+        a0 = rng.standard_normal((k, n))
+        v = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.5]])
+        s = np.array([[1.5, 0.4], [0.4, 0.8]])
+        nw = NormalWishart(a0, v, s, 6.0)
+        thetas = nw.sample(rng, 20)
+        thetas[:10, :k * n] += rng.standard_normal((10, k * n))  # off the bulk too
+        u = nw.layout.unpack_batch(thetas)
+        want = [MatricNormalParams(a0, v, np.linalg.inv(w)).logpdf(a.reshape(k, n))
+                + WishartParams(s, 6.0).logpdf(w)
+                for a, w in zip(u["alpha"], u["sigma_inv"])]
+        np.testing.assert_allclose(nw.logpdf_batch(thetas), want, rtol=1e-10)
+
+    def test_joint_fit_is_the_exact_posterior(self, small_var):
+        prior, data = small_var
+        post = var_exact_posterior(prior, data)
+        vb = var_vb_conjugate(prior, data, factorized=False)
+        kernel = VarConjugateKernel(prior, data)
+        draws = kernel.posterior_sampler(SamplerConfig(draws=50), make_rng(71))
+        assert np.array_equal(vb.sample(make_rng(71), 50), draws.thetas)
+        assert np.array_equal(vb.log_q(draws.thetas), post.logpdf_batch(draws.thetas))
 
 
 class TestConjugateVb:
