@@ -459,6 +459,27 @@ class TestLeanSampler:
         assert got_warnings == want_warnings
         assert any("beta" in w for w in got_warnings) == wide_beta
 
+    def test_group_warns_chain_by_chain(self):
+        # a group of three chains warns once per chain for the too-wide beta
+        # proposal, in chain order, each at the rate that chain has alone
+        data = lpm_synthetic(83, 12, 4, 2, 1, [0.3, -0.2], [0.1], 0.3 * np.eye(1))
+        prior = LpmPrior(np.zeros(2), 4 * np.eye(2), np.zeros(1), 4 * np.eye(1),
+                         0.5 * np.eye(1), 3.0)
+        kernel = LpmKernel(prior, data)
+        vb = lpm_vb(prior, data)
+        beta = vb.factors["beta"]
+        vb = dataclasses.replace(vb, factors=vb.factors | {
+            "beta": MvNormalParams(beta.mean, 20 * beta.cov)})
+        config = SamplerConfig(draws=40, burn_in=25, thin=3)
+        _, group = _recorded(lambda: kernel.posterior_chains(
+            config, [make_rng(85, c) for c in range(3)], list("abc"), vb=vb))
+        alone = [w for c in range(3)
+                 for w in _recorded(lambda: kernel.posterior_sampler(
+                     config, make_rng(85, c), vb=vb))[1]]
+        assert group == alone
+        beta_warnings = [w for w in group if "beta" in w]
+        assert len(set(beta_warnings)) == len(beta_warnings) == 3  # so their order shows
+
 
 class TestSynthetic:
     def test_offset_scheme_controls_baseline(self):

@@ -1,9 +1,11 @@
 """Stochastic frontier family: integrated likelihood, VB fits, samplers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from mddkit import sfm
 from mddkit.errors import ConfigError
@@ -365,7 +367,95 @@ class TestGammaVb:
         assert vb.elbo <= np.mean(vals) + 3 * nse
 
 
+def _gamma_reference_sampler(kernel, config, rng):
+    """sfm-gamma's Metropolis-within-Gibbs loop for one chain, written out: the
+    conjugate blocks from their full conditionals, then log-scale random walks
+    for theta and for each u_i, their steps adapted in burn-in towards 0.44
+    and their acceptance counted as accepted proposals after it."""
+    d, prior = kernel.data, kernel.prior
+    n, t, c = d.num_firms, d.num_periods, d.c
+    beta0, *_ = np.linalg.lstsq(d.x, d.y, rcond=None)
+    state = {"beta": beta0, "sigma_prec": 1.0 / max(float(np.var(d.y - d.x @ beta0)), 1e-6),
+             "lam": 1.0, "theta": 1.0, "u": np.full(n, 0.5)}
+
+    def log_cond_theta(theta, lin, su):
+        return (-(prior.a_theta0 + 1.0) * math.log(theta) - prior.b_theta0 / theta
+                + theta * lin - (n + 1) * float(gammaln(theta)) - su)
+
+    step_theta, step_u = 0.5, np.full(n, 0.5)
+    accepted_theta = accepted_u = 0.0
+    total = config.burn_in + config.draws * config.thin
+    thetas = []
+    for it in range(total):
+        tuning = it < config.burn_in
+        for name in ("beta", "sigma_prec", "lam"):
+            value = kernel.full_conditional(name, state).sample(rng)
+            state[name] = np.reshape(value, np.shape(state[name]))
+        cur, lam = float(state["theta"]), float(state["lam"])
+        su = float(np.sum(np.log(state["u"])))
+        lin = math.log(prior.b_lam0) + (n + 1) * math.log(lam) + su
+        prop = cur * math.exp(step_theta * rng.standard_normal())
+        delta = (log_cond_theta(prop, lin, su) - log_cond_theta(cur, lin, su)
+                 + math.log(prop) - math.log(cur))
+        acc = math.log(rng.uniform()) <= delta
+        if acc:
+            state["theta"] = prop
+        if tuning:
+            step_theta = min(max(step_theta * math.exp(0.05 * ((1.0 if acc else 0.0) - 0.44)),
+                                 1e-3), 10.0)
+        elif acc:
+            accepted_theta += 1
+        theta, prec = state["theta"], state["sigma_prec"]
+        ebar = (d.y - np.matvec(d.x, state["beta"])).reshape(n, t).sum(axis=1) / t
+        slopes = lam - (c * t * prec) * ebar
+
+        def log_cond_u(u, log_u):
+            vals = (theta - 1.0) * log_u - (0.5 * t * prec) * u * u - slopes * u
+            return np.where(u > 0, vals, -np.inf)
+
+        cur_u = state["u"]
+        prop_u = cur_u * np.exp(step_u * rng.standard_normal(n))
+        with np.errstate(divide="ignore"):
+            log_prop, log_cur = np.log(prop_u), np.log(cur_u)
+        delta_u = log_cond_u(prop_u, log_prop) - log_cond_u(cur_u, log_cur) + log_prop - log_cur
+        acc_u = np.log(rng.uniform(size=n)) <= delta_u
+        state["u"] = np.where(acc_u, prop_u, cur_u)
+        if tuning:
+            step_u = np.clip(step_u * np.exp(0.05 * (acc_u.astype(float) - 0.44)), 1e-3, 10.0)
+        else:
+            accepted_u += float(np.mean(acc_u))
+        if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
+            thetas.append(kernel.layout.pack(state))
+    retained = total - config.burn_in
+    for name, rate in [("theta", accepted_theta / retained), ("u", accepted_u / retained)]:
+        if not 0.05 <= rate <= 0.95:
+            warnings.warn(f"MH acceptance for {name} is {rate:.2f}", stacklevel=2)
+    return np.array(thetas)
+
+
+def _recorded(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, [str(w.message) for w in caught]
+
+
 class TestGammaSampler:
+    @pytest.mark.parametrize("pinned_theta", [False, True])
+    def test_matches_reference_loop(self, pinned_theta):
+        # a theta prior pinned at 1 leaves the theta walk far too wide: it warns
+        data = sfm_synthetic(33, 10, 5, 2, "gamma", [1.0, 0.5], 0.04, 2.0, theta=1.5)
+        shape = 1e6 if pinned_theta else 2.0
+        kernel = SfmGammaKernel(
+            SfmGammaPrior(np.zeros(2), 4 * np.eye(2), 2.0, 0.1, 1.0, shape, shape), data)
+        config = SamplerConfig(draws=40, burn_in=25, thin=3)
+        got, got_warnings = _recorded(lambda: kernel.posterior_sampler(config, make_rng(34)))
+        want, want_warnings = _recorded(
+            lambda: _gamma_reference_sampler(kernel, config, make_rng(34)))
+        assert np.array_equal(got.thetas, want)
+        assert got.latents is None
+        assert got_warnings == want_warnings
+        assert any("theta" in w for w in got_warnings) == pinned_theta
     def test_theta_pinned_matches_exponential_model(self):
         data = sfm_synthetic(25, 10, 5, 2, "exponential", [1.0, 0.5], 0.04, 2.0)
         gprior = SfmGammaPrior(np.zeros(2), 4 * np.eye(2), 2.0, 0.1, 1.0, 1e6, 1e6)
