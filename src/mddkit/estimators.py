@@ -255,8 +255,8 @@ def chib_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, rng: np.random.G
 
 def _reduced_run(kernel, draws, star, clamped_names, run_len, rng):
     """Stacked states of a Gibbs run from the last draw with the clamped
-    blocks held at their starred values (default Metropolis steps): one
-    chain, run as a stack of one."""
+    blocks held at their starred values (the initial Metropolis steps, which
+    a run with clamped blocks keeps): one chain, run as a stack of one."""
     state = draws.unpack([draws.size - 1])
     for name in clamped_names:
         state[name] = np.asarray(star[name], dtype=float)[None]

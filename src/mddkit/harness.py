@@ -104,6 +104,11 @@ class ExperimentConfig:
             SamplerConfig(self.draws, self.burn_in, self.thin)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if not self.pmd_components >= 1:
+            raise ConfigError(f"pmd_components must be >= 1, got {self.pmd_components!r}")
+        for name in ("is_draws", "weighting_draws"):  # 0 leaves it unset, as None does
+            if getattr(self, name) is not None and not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be unset or >= 0, got {getattr(self, name)!r}")
         unknown = [e for e in self.estimators if e not in ESTIMATORS]
         if unknown:
             raise ConfigError(f"unknown estimators: {unknown}; "
@@ -328,8 +333,14 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultsTable:
     a non-finite estimate included, are recorded per cell and never abort the
     run, and a failed chain fails every cell of its repetition. The chains of
     each group of :func:`_group_size` repetitions are sampled together before
-    their cells run, and each is freed when its repetition's cells are done."""
+    their cells run, and each is freed when its repetition's cells are done.
+    An ``upper_bound`` below the VB lower bound raises ConfigError before any
+    chain is sampled."""
     ctx = build_context(config)
+    if not ctx.vb.elbo <= config.upper_bound:
+        raise ConfigError(f"upper_bound {config.upper_bound!r} is below the VB lower bound "
+                          f"{ctx.vb.elbo!r}")
+    bounds = BoundsSpec(ctx.vb.elbo, config.upper_bound)
     values: dict[str, list] = {m: [] for m in config.estimators}
     errors: dict[str, str] = {}
     se_bm: dict[str, list] = {m: [] for m in config.estimators}
@@ -364,7 +375,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultsTable:
         if progress is not None:
             progress(rep)
 
-    bounds = BoundsSpec(ctx.vb.elbo, config.upper_bound)
     rows = []
     for method in config.estimators:
         vals = values[method]

@@ -172,23 +172,14 @@ def lpm_vb(prior: LpmPrior, data: LpmData, tol: float = 1e-6, max_iter: int = 50
     for _ in range(max_iter):
         e_w = nu_q * np.linalg.inv(s_q)
         e_w = 0.5 * (e_w + e_w.T)
-        prior_prec = np.zeros((dim, dim))
-        prior_prec[:k, :k] = v0_inv_beta
-        for i in range(n):
-            sl = slice(k + i * m, k + (i + 1) * m)
-            prior_prec[sl, sl] = e_w
-        prior_mean = np.concatenate([prior.beta0, np.tile(mu_q, n)])
-
         v_gamma = np.linalg.inv(prec_q)
         v_gamma = 0.5 * (v_gamma + v_gamma.T)
-        cv = c_mat @ v_gamma
-        half_diag = 0.5 * np.einsum("ij,ij->i", cv, c_mat)
-        w = np.exp(data.offsets + c_mat @ gamma_q + half_diag)
+        prior_prec, w, grad = _gaussian_factor_gradient(v0_inv_beta, prior.beta0, data, c_mat,
+                                                        gamma_q, v_gamma, mu_q, e_w)
         prec_new = c_mat.T @ (w[:, None] * c_mat) + prior_prec
         prec_q = (1.0 - damping) * prec_q + damping * prec_new
         v_gamma = np.linalg.inv(prec_q)
         v_gamma = 0.5 * (v_gamma + v_gamma.T)
-        grad = c_mat.T @ (data.y - w) - prior_prec @ (gamma_q - prior_mean)
         gamma_q = gamma_q + damping * (v_gamma @ grad)
 
         u_means = gamma_q[k:].reshape(n, m)
@@ -228,18 +219,28 @@ def lpm_vb(prior: LpmPrior, data: LpmData, tol: float = 1e-6, max_iter: int = 50
     return VBResult.mean_field(_lpm_layout(k, m), factors, trace, hyper, converged)
 
 
-def _gamma_gradient_norm(prior, data, c_mat, gamma_q, v_gamma, mu_q, s_q, nu_q) -> float:
+def _gaussian_factor_gradient(v0_inv_beta, beta0, data, c_mat, gamma_q, v_gamma, mu_q, e_w):
+    """At q(Gamma) = N(gamma_q, v_gamma): the block-diagonal prior precision of
+    Gamma = (beta, u) (V_beta0^-1, then E[Sigma^-1] per subject), the Poisson
+    weights E[exp(eta)] and the bound's gradient in the mean, as
+    ``(prior_prec, w, grad)``."""
     n, k, m = data.num_subjects, data.k, data.m
-    e_w = nu_q * np.linalg.inv(s_q)
     prior_prec = np.zeros_like(v_gamma)
-    prior_prec[:k, :k] = np.linalg.inv(prior.Vbeta0)
+    prior_prec[:k, :k] = v0_inv_beta
     for i in range(n):
         sl = slice(k + i * m, k + (i + 1) * m)
         prior_prec[sl, sl] = e_w
-    prior_mean = np.concatenate([prior.beta0, np.tile(mu_q, n)])
+    prior_mean = np.concatenate([beta0, np.tile(mu_q, n)])
     half_diag = 0.5 * np.einsum("ij,ij->i", c_mat @ v_gamma, c_mat)
     w = np.exp(data.offsets + c_mat @ gamma_q + half_diag)
     grad = c_mat.T @ (data.y - w) - prior_prec @ (gamma_q - prior_mean)
+    return prior_prec, w, grad
+
+
+def _gamma_gradient_norm(prior, data, c_mat, gamma_q, v_gamma, mu_q, s_q, nu_q) -> float:
+    e_w = nu_q * np.linalg.inv(s_q)
+    _, _, grad = _gaussian_factor_gradient(np.linalg.inv(prior.Vbeta0), prior.beta0, data, c_mat,
+                                           gamma_q, v_gamma, mu_q, 0.5 * (e_w + e_w.T))
     return float(np.linalg.norm(grad))
 
 
@@ -460,7 +461,6 @@ class LpmKernel(GibbsKernel):
         # one they meet the states' arrays without broadcasting
         self._y_nt = data.y.reshape(1, data.num_subjects, data.num_periods)
         self._offsets_row = data.offsets[None]
-        self._unadapted_steps = {}  # by chain count
 
     def log_prior_batch(self, thetas):
         u = self.layout.unpack_batch(thetas)
@@ -494,11 +494,12 @@ class LpmKernel(GibbsKernel):
                                  self.prior.nu0 + n)
         raise KeyError(name)
 
-    def _steps(self, chains: int, adapt: bool) -> dict:
-        """The initial Metropolis step sizes of ``chains`` chains by block, as ``mh_state``."""
+    def metropolis_steps(self, chains):
+        """Random-walk steps of 2.38 / sqrt(dimension) for beta and each u_i,
+        capped at 50."""
         d = self.data
         return {"beta": np.full(chains, 2.38 / math.sqrt(d.k)),
-                "u": np.full((chains, d.num_subjects), 2.38 / math.sqrt(d.m)), "adapt": adapt}
+                "u": np.full((chains, d.num_subjects), 2.38 / math.sqrt(d.m))}, 50.0
 
     def _carry(self, state):
         """Add what the Metropolis steps carry across sweeps where absent: xb, zu,
@@ -519,23 +520,18 @@ class LpmKernel(GibbsKernel):
             state["_u_chols"] = safe_cholesky(np.linalg.inv(
                 np.einsum("itm,cit,itl->ciml", d.z, lam, d.z) + state["sigma_inv"][:, None]))
 
-    def gibbs_sweep(self, state, rngs, clamped=frozenset(), mh_state=None):
+    def gibbs_sweep(self, state, rngs, clamped, steps):
         """Random-walk Metropolis for beta, then all u_i, then conjugate mu and
         Sigma^-1, over a stack of states; proposals are the states'
-        ``"_chol_beta"`` / ``"_u_chols"`` scaled by the ``mh_state`` steps (the
-        initial ones, unadapted, if None). The beta acceptance and step update
-        are scalar math chain by chain."""
+        ``"_chol_beta"`` / ``"_u_chols"`` scaled by the ``steps``, and the beta
+        acceptance is scalar math chain by chain. Returns the accept decisions."""
         d = self.data
         n, t, k, m = d.num_subjects, d.num_periods, d.k, d.m
-        if mh_state is None:  # the initial steps, unadapted, so never written to
-            if len(rngs) not in self._unadapted_steps:
-                self._unadapted_steps[len(rngs)] = self._steps(len(rngs), adapt=False)
-            mh_state = self._unadapted_steps[len(rngs)]
+        accepted = {}
         self._carry(state)
         if "beta" not in clamped:
-            steps = mh_state["beta"]
             noise = draw_each(rngs, lambda rng: rng.standard_normal(k))
-            prop = state["beta"] + steps[:, None] * np.matvec(state["_chol_beta"], noise)
+            prop = state["beta"] + steps["beta"][:, None] * np.matvec(state["_chol_beta"], noise)
             xb_prop = (self._offsets_row + np.matvec(d.x, prop)).reshape(-1, n, t)
             lp_prop = [self._gauss_beta0.logpdf(p) for p in prop]
             ll_prop = self._poisson_loglik_per_subject(xb_prop, state["_zu"])
@@ -551,13 +547,9 @@ class LpmKernel(GibbsKernel):
                     prop[keep], xb_prop[keep] = state["beta"][keep], state["_xb"][keep]
                     lp_prop[keep], ll_prop[keep] = state["_lp_beta"][keep], state["_ll"][keep]
                 state.update(beta=prop, _xb=xb_prop, _lp_beta=lp_prop, _ll=ll_prop)
-            if mh_state["adapt"]:
-                target = 0.44 if k == 1 else 0.234
-                mh_state["beta"] = np.array([
-                    min(max(step * math.exp(0.05 * ((1.0 if a else 0.0) - target)), 1e-3), 50.0)
-                    for step, a in zip(steps, acc)])
+            accepted["beta"] = np.array(acc)
         if "u" not in clamped:
-            step, u, ll, w_mat = mh_state["u"], state["u"], state["_ll"], state["sigma_inv"]
+            step, u, ll, w_mat = steps["u"], state["u"], state["_ll"], state["sigma_inv"]
             noise = draw_each(rngs, lambda rng: rng.standard_normal((n, m)))
             prop_u = u + step[..., None] * np.einsum("ciml,cil->cim", state["_u_chols"], noise)
             zu_prop = np.einsum("itm,cim->cit", d.z, prop_u)
@@ -571,18 +563,15 @@ class LpmKernel(GibbsKernel):
             state["u"] = np.where(acc_u[..., None], prop_u, u)
             state["_zu"] = np.where(acc_u[..., None], zu_prop, state["_zu"])
             state["_ll"] = np.where(acc_u, new, ll)
-            if mh_state["adapt"]:
-                target = 0.44 if m == 1 else 0.234
-                mh_state["u"] = np.clip(step * np.exp(0.05 * (acc_u.astype(float) - target)),
-                                        1e-3, 50.0)
+            accepted["u"] = acc_u
         for name in ("mu", "sigma_inv"):
             if name not in clamped:
                 state[name] = self.full_conditional(name, state).sample_stack(rngs)
-        return state
+        return accepted
 
     def gibbs_start(self, chains, vb: VBResult | None = None):
         """Chains from the VB fit's means, their proposals scaled from the
-        variational covariance blocks and adapted in burn-in."""
+        variational covariance blocks."""
         n, k, m = self.data.num_subjects, self.data.k, self.data.m
         vb = lpm_vb(self.prior, self.data) if vb is None else vb
         # the (m, m) diagonal blocks of the u part of the Gaussian factor
@@ -592,7 +581,7 @@ class LpmKernel(GibbsKernel):
                  "sigma_inv": vb.hyper["nu"] * np.linalg.inv(vb.hyper["S"]),
                  "_chol_beta": safe_cholesky(vb.factors["beta"].cov),
                  "_u_chols": safe_cholesky(u_covs)}
-        return stack_state(state, chains), self._steps(chains, adapt=True)
+        return stack_state(state, chains)
 
     def vb_fit(self, tol: float = 1e-6, max_iter: int = 500, damping: float = 0.5) -> VBResult:
         return lpm_vb(self.prior, self.data, tol=tol, max_iter=max_iter, damping=damping)

@@ -392,27 +392,34 @@ class GibbsKernel(ModelKernel):
     """A model family sampled by :func:`run_gibbs`.
 
     Subclasses provide ``gibbs_start(chains, **kwargs)``, the start of that
-    many chains as one stack of states and their stacked Metropolis tuning
-    (None without Metropolis steps), and ``gibbs_sweep(state, rngs, clamped,
-    [mh_state])``, which advances a stack of states, chain c drawing from
-    ``rngs[c]``. The default sweep draws each conditional block not in
+    many chains as one stack of states, and ``gibbs_sweep(state, rngs,
+    clamped, steps)``, which advances a stack of states, chain c drawing from
+    ``rngs[c]``, and returns the accept decisions of its random-walk
+    Metropolis blocks; a kernel with such blocks gives their initial steps
+    through :meth:`metropolis_steps`, and the sweep reads them from
+    ``steps``. The default sweep draws each conditional block not in
     ``clamped`` from its full conditional, in ``conditional_blocks`` order.
     """
 
-    def gibbs_start(self, chains: int, **kwargs) -> tuple:
+    def gibbs_start(self, chains: int, **kwargs) -> dict:
         raise NotImplementedError
 
-    def gibbs_sweep(self, state, rngs, clamped=frozenset()):
+    def metropolis_steps(self, chains: int) -> tuple[dict, float]:
+        """The initial step of every random-walk Metropolis proposal by block,
+        over ``chains`` (and over firms or subjects for a block proposed unit
+        by unit), and the cap their adaptation keeps them under; none here."""
+        return {}, math.inf
+
+    def gibbs_sweep(self, state, rngs, clamped, steps) -> dict:
         for name in self.conditional_blocks:
             if name not in clamped:
                 value = self.full_conditional(name, state).sample_stack(rngs)
                 state[name] = value.reshape(np.shape(state[name]))
-        return state
+        return {}
 
     def posterior_chains(self, config: SamplerConfig, rngs, seeds, **kwargs) -> list:
         """The chains of all generators advanced together by :func:`run_gibbs`."""
-        state, mh_state = self.gibbs_start(len(rngs), **kwargs)
-        return run_gibbs(self, state, config, rngs, seeds, mh_state=mh_state)
+        return run_gibbs(self, self.gibbs_start(len(rngs), **kwargs), config, rngs, seeds)
 
     def posterior_sampler(self, config: SamplerConfig, rng: np.random.Generator,
                           seed=None, **kwargs) -> PosteriorDrawSet:
@@ -431,7 +438,7 @@ _PACK_ROWS = 256
 
 
 def run_gibbs(kernel: GibbsKernel, state: dict, config: SamplerConfig, rngs, seeds=None,
-              clamped=frozenset(), mh_state: dict | None = None) -> list:
+              clamped=frozenset()) -> list:
     """The one Gibbs driver: one chain per generator in ``rngs``, all advanced
     by each sweep. ``config.burn_in`` sweeps from the stack of states
     ``state``, then ``config.draws`` kept states, one every ``config.thin``
@@ -439,13 +446,16 @@ def run_gibbs(kernel: GibbsKernel, state: dict, config: SamplerConfig, rngs, see
     a block of rows at a time; returns one draw set per chain, with its seed
     from ``seeds``.
 
-    ``kernel.gibbs_sweep(state, rngs, clamped)`` draws every block not in
-    ``clamped`` and binds it to a new value, never mutating one in place;
+    ``kernel.gibbs_sweep(state, rngs, clamped, steps)`` draws every block not
+    in ``clamped`` and binds it to a new value, never mutating one in place;
     chain c draws its variates from ``rngs[c]`` alone, so it is the chain a
-    stack of one gives. ``mh_state``, a kernel's stacked Metropolis tuning
-    (step sizes by block, plus ``"adapt"``), goes to every sweep; adaptation
-    stops at burn-in, and a block that moves in under 5% or over 95% of a
-    chain's later sweeps warns, chain by chain.
+    stack of one gives. It returns the accept decisions of its Metropolis
+    blocks, whose steps start at ``kernel.metropolis_steps``. In burn-in each
+    step adapts to its own decisions towards the acceptance rate for its
+    proposal's dimension, 0.44 for one and 0.234 otherwise (Roberts &
+    Rosenthal 2001), unless blocks are clamped. A block whose proposals are
+    accepted in under 5% or over 95% of a chain's later sweeps warns, chain
+    by chain.
     """
     chains = len(rngs)
     seeds = [None] * chains if seeds is None else seeds
@@ -455,10 +465,14 @@ def run_gibbs(kernel: GibbsKernel, state: dict, config: SamplerConfig, rngs, see
     latents = (None if latent_layout is None
                else [np.empty((config.draws, latent_layout.dim)) for _ in range(chains)])
     targets = [(layout, thetas)] + ([] if latents is None else [(latent_layout, latents)])
-    names = layout.names + ([] if latent_layout is None else latent_layout.names)
-    sweep_kw = {} if mh_state is None else {"mh_state": mh_state}
-    mh_blocks = [name for name in (mh_state or {}) if name != "adapt"]
-    moved = {name: np.zeros(chains) for name in mh_blocks}
+    blocks = layout.blocks + ([] if latent_layout is None else latent_layout.blocks)
+    names = [b.name for b in blocks]
+    steps, cap = kernel.metropolis_steps(chains)
+    # a block's proposals per chain: its steps' entries per chain
+    units = {name: step.size // chains for name, step in steps.items()}
+    rate_targets = {b.name: 0.44 if b.size == units[b.name] else 0.234
+                    for b in blocks if b.name in steps}
+    accepted = {name: np.zeros(chains) for name in steps if name not in clamped}
     burn_in, thin = config.burn_in, config.thin
     # the kept states' block values (sweeps bind new arrays, never write into
     # them), packed into the matrices _PACK_ROWS rows at a time
@@ -478,16 +492,15 @@ def run_gibbs(kernel: GibbsKernel, state: dict, config: SamplerConfig, rngs, see
         kept.clear()
 
     for it in range(burn_in + config.draws * thin):
-        if it == burn_in and mh_state is not None:
-            mh_state["adapt"] = False
-        before = [state[name] for name in mh_blocks]
-        state = kernel.gibbs_sweep(state, rngs, clamped, **sweep_kw)
+        decisions = kernel.gibbs_sweep(state, rngs, clamped, steps)
         if it < burn_in:
+            if not clamped:  # a reduced run keeps the initial steps
+                for name, accept in decisions.items():
+                    steps[name] = np.clip(
+                        steps[name] * np.exp(0.05 * (accept - rate_targets[name])), 1e-3, cap)
             continue
-        for name, prev in zip(mh_blocks, before):
-            if state[name] is not prev:
-                changed = (state[name] != prev).reshape(chains, -1)
-                moved[name] += np.count_nonzero(changed, axis=1) / changed.shape[1]
+        for name, accept in decisions.items():
+            accepted[name] += np.count_nonzero(accept.reshape(chains, -1), axis=1) / units[name]
         if (it - burn_in) % thin == 0:
             kept.append([state[name] for name in names])
             if len(kept) == _PACK_ROWS:
@@ -495,7 +508,7 @@ def run_gibbs(kernel: GibbsKernel, state: dict, config: SamplerConfig, rngs, see
     if kept:
         pack()
     for c in range(chains):
-        for name, count in moved.items():
+        for name, count in accepted.items():
             rate = count[c] / (config.draws * thin)
             if not 0.05 <= rate <= 0.95:
                 # stacklevel: the caller of the kernel's posterior_chains

@@ -846,14 +846,14 @@ class SfmExpKernel(_FrontierKernel):
             [math.sqrt(1.0 / (t * p)) for p in prec.ravel().tolist()]).reshape(prec.shape))
         return _IndependentTruncNormals((cte - (state["lam"] / prec)[..., None]) / t, scale)
 
-    def gibbs_sweep(self, state, rngs, clamped=frozenset()):
+    def gibbs_sweep(self, state, rngs, clamped, steps):
         self._sweep_conjugate_blocks(state, rngs, clamped)
         if "u" not in clamped:
             state["u"] = self._u_conditional(state, clamped).sample_stack(rngs)
-        return state
+        return {}
 
     def gibbs_start(self, chains):
-        return stack_state(self._initial_state(), chains), None
+        return stack_state(self._initial_state(), chains)
 
     def vb_fit(self, tol: float = 1e-8, max_iter: int = 500) -> VBResult:
         return sfm_exp_vb(self.prior, self.data, tol=tol, max_iter=max_iter)
@@ -967,47 +967,34 @@ class SfmGammaKernel(_FrontierKernel):
         vals[u <= 0] = -np.inf
         return vals
 
-    # the Metropolis step size of theta and of each u_i before any adaptation
-    _STEP0 = 0.5
+    def metropolis_steps(self, chains):
+        """Log-scale random-walk steps of 0.5 for theta and each u_i, capped at 10."""
+        return {"theta": np.full(chains, 0.5),
+                "u": np.full((chains, self.data.num_firms), 0.5)}, 10.0
 
-    def _steps(self, chains: int, adapt: bool) -> dict:
-        """The initial Metropolis step sizes of ``chains`` chains, as ``mh_state``."""
-        return {"theta": np.full(chains, self._STEP0),
-                "u": np.full((chains, self.data.num_firms), self._STEP0), "adapt": adapt}
-
-    def gibbs_sweep(self, state, rngs, clamped=frozenset(), mh_state=None):
+    def gibbs_sweep(self, state, rngs, clamped, steps):
         """Conjugate beta, sigma^-2 and lambda, then log-scale random-walk
-        Metropolis for theta (scalar math chain by chain) and for every u_i,
-        with the ``mh_state`` steps (the initial ones, unadapted, if None)."""
+        Metropolis with the ``steps`` for theta (scalar math chain by chain)
+        and for every u_i; returns their accept decisions."""
         self._sweep_conjugate_blocks(state, rngs, clamped)
-        adapt = mh_state is not None and mh_state["adapt"]
+        accepted = {}
         n, c, t = self.data.num_firms, self.data.c, self.data.num_periods
         lam = state["lam"]
         if "theta" not in clamped:
-            thetas = state["theta"].tolist()
-            steps = [self._STEP0] * len(rngs) if mh_state is None else mh_state["theta"].tolist()
+            thetas, accept = [], []
             sums = np.add.reduce(np.log(state["u"]), axis=-1).tolist()
-            moved = False
-            for i, (rng, lam_i, su) in enumerate(zip(rngs, lam.tolist(), sums)):
-                cur, step = thetas[i], steps[i]
+            for rng, cur, step, lam_i, su in zip(rngs, state["theta"].tolist(),
+                                                 steps["theta"].tolist(), lam.tolist(), sums):
                 lin = math.log(self.prior.b_lam0) + (n + 1) * math.log(lam_i) + su
                 prop = cur * math.exp(step * rng.standard_normal())
                 # log-scale random walk: proposal asymmetry enters as log(prop/cur)
                 delta = (self._log_cond_theta(prop, lin, su) - self._log_cond_theta(cur, lin, su)
                          + math.log(prop) - math.log(cur))
-                accept = math.log(rng.uniform()) <= delta
-                if accept:
-                    thetas[i], moved = prop, True
-                if adapt:
-                    steps[i] = min(max(
-                        step * math.exp(0.05 * ((1.0 if accept else 0.0) - 0.44)), 1e-3), 10.0)
-            if moved:  # a stack that rejects everywhere keeps its array
-                state["theta"] = np.array(thetas)
-            if adapt:
-                mh_state["theta"] = np.array(steps)
+                accept.append(math.log(rng.uniform()) <= delta)
+                thetas.append(prop if accept[-1] else cur)
+            state["theta"], accepted["theta"] = np.array(thetas), np.array(accept)
         if "u" not in clamped:
             prec, theta = state["sigma_prec"], state["theta"]
-            step_u = self._STEP0 if mh_state is None else mh_state["u"]
             half_tp = self._fixed(state, clamped, ("sigma_prec",), "_half_tp",
                                   lambda: (0.5 * t * prec)[:, None])
             # c = +-1, so c * t * prec is bit for bit c * prec * t
@@ -1016,21 +1003,17 @@ class SfmGammaKernel(_FrontierKernel):
                 lambda: (c * t * prec)[:, None] * self._residual_means(state, clamped))
             coefs = ((theta - 1.0)[:, None], half_tp, lam[:, None] - fixed_slopes)
             cur = state["u"]
-            prop = cur * np.exp(step_u * draw_each(rngs, lambda rng: rng.standard_normal(n)))
+            prop = cur * np.exp(steps["u"] * draw_each(rngs, lambda rng: rng.standard_normal(n)))
             with np.errstate(divide="ignore"):
                 log_prop, log_cur = np.log(prop), np.log(cur)
             delta = (self._log_cond_u(prop, log_prop, coefs) - self._log_cond_u(cur, log_cur, coefs)
                      + log_prop - log_cur)
-            accept = np.log(draw_each(rngs, lambda rng: rng.uniform(size=n))) <= delta
-            state["u"] = np.where(accept, prop, cur)
-            if adapt:
-                mh_state["u"] = np.clip(
-                    step_u * np.exp(0.05 * (accept.astype(float) - 0.44)), 1e-3, 10.0)
-        return state
+            accepted["u"] = np.log(draw_each(rngs, lambda rng: rng.uniform(size=n))) <= delta
+            state["u"] = np.where(accepted["u"], prop, cur)
+        return accepted
 
     def gibbs_start(self, chains):
-        return (stack_state(self._initial_state() | {"theta": 1.0}, chains),
-                self._steps(chains, adapt=True))
+        return stack_state(self._initial_state() | {"theta": 1.0}, chains)
 
     def vb_fit(self, tol: float = 1e-6, max_iter: int = 200) -> VBResult:
         return sfm_gamma_vb(self.prior, self.data, tol=tol, max_iter=max_iter)

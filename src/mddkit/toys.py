@@ -146,8 +146,7 @@ class ToyNormalGammaKernel(GibbsKernel):
         raise KeyError(name)
 
     def gibbs_start(self, chains):
-        return stack_state({"mu": self.y.mean(), "tau": 1.0 / max(self.y.var(), 1e-3)},
-                           chains), None
+        return stack_state({"mu": self.y.mean(), "tau": 1.0 / max(self.y.var(), 1e-3)}, chains)
 
     # -- mean-field fit -------------------------------------------------------
 

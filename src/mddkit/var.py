@@ -524,7 +524,7 @@ class VarIndependentKernel(_VarKernelBase, GibbsKernel):
         a_ols, *_ = np.linalg.lstsq(self.data.X, self.data.Y, rcond=None)
         resid = self.data.Y - self.data.X @ a_ols
         w0 = np.linalg.inv((resid.T @ resid + self.prior.S0) / (self.data.T + self.prior.nu0))
-        return stack_state({"alpha": a_ols.ravel(), "sigma_inv": 0.5 * (w0 + w0.T)}, chains), None
+        return stack_state({"alpha": a_ols.ravel(), "sigma_inv": 0.5 * (w0 + w0.T)}, chains)
 
     def vb_fit(self, tol: float = 1e-8, max_iter: int = 500) -> VBResult:
         return var_vb_independent(self.prior, self.data, tol=tol, max_iter=max_iter)

@@ -97,6 +97,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{name} must be >= "):
             ExperimentConfig(model="sfm-exponential", **lengths)
 
+    @pytest.mark.parametrize("counts", [{"pmd_components": 0}, {"pmd_components": -3},
+                                        {"is_draws": -5}, {"weighting_draws": -5}])
+    def test_bad_counts_rejected(self, counts):
+        name = next(iter(counts))
+        with pytest.raises(ConfigError, match=f"{name} must be "):
+            ExperimentConfig(model="var-conjugate", **counts)
+
+    def test_zero_draw_counts_mean_unset(self):
+        ExperimentConfig(model="var-conjugate", is_draws=0, weighting_draws=0)
+
     def test_unread_keys_rejected(self):
         with pytest.raises(ConfigError, match=r"synth keys \['nn'\]; it reads \['ar_diag', "
                                               r"'n', 'seed', 't'\]"):
@@ -232,14 +242,14 @@ class TestRunExperiment:
                 tagged.append(rng)  # kept alive, so its id stays its own
             return rng
 
-        def fail_at_sweep_100(self, state, rngs, clamped=frozenset()):
+        def fail_at_sweep_100(self, state, rngs, clamped, steps):
             stacks.append(len(rngs))
             for rng in rngs:
                 if any(rng is t for t in tagged):
                     sweeps[id(rng)] = sweeps.get(id(rng), 0) + 1
                     if sweeps[id(rng)] == 100:
                         raise NumericError("chain left the support")
-            return sweep(self, state, rngs, clamped)
+            return sweep(self, state, rngs, clamped, steps)
 
         monkeypatch.setattr(harness, "make_rng", tag_rep_1)
         monkeypatch.setattr(SfmExpKernel, "gibbs_sweep", fail_at_sweep_100)
@@ -256,10 +266,10 @@ class TestRunExperiment:
     def test_programming_error_in_a_group_propagates(self, monkeypatch, gibbs_table):
         sweep = SfmExpKernel.gibbs_sweep
 
-        def type_error(self, state, rngs, clamped=frozenset()):
+        def type_error(self, state, rngs, clamped, steps):
             if len(rngs) == 3:
                 raise TypeError("a bug, not a failed chain")
-            return sweep(self, state, rngs, clamped)
+            return sweep(self, state, rngs, clamped, steps)
 
         monkeypatch.setattr(SfmExpKernel, "gibbs_sweep", type_error)
         with pytest.raises(TypeError, match="a bug"):
@@ -518,6 +528,29 @@ class TestCli:
         assert rc == 2
         assert "must be >= " in capsys.readouterr().err
         assert not (tmp_path / "o6").exists()
+
+    @pytest.mark.parametrize("line", ["pmd_components = 0", "is_draws = -5",
+                                      "weighting_draws = -5"])
+    def test_bad_count_is_config_error(self, tmp_path, capsys, line):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(f"model = var-conjugate\n{line}\n")
+        rc = cli_main(["experiment", "--config", str(conf), "--out", str(tmp_path / "o7")])
+        assert rc == 2
+        assert f"{line.split()[0]} must be " in capsys.readouterr().err
+        assert not (tmp_path / "o7").exists()
+
+    def test_upper_bound_below_vb_bound_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def no_chains(*args):
+            raise AssertionError("a chain was sampled")
+
+        monkeypatch.setattr(harness, "sample_chains", no_chains)
+        rc = cli_main(["experiment", "--model", "var-conjugate", "--draws", "200",
+                       "--burn-in", "0", "--reps", "2", "--estimators", "ris-vb",
+                       "--upper-bound", "-300", "--out", str(tmp_path / "o8")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "upper_bound -300.0 is below the VB lower bound -" in err
+        assert not (tmp_path / "o8").exists()
 
     def test_missing_model_is_config_error(self, tmp_path):
         rc = cli_main(["estimate", "--out", str(tmp_path / "o5")])

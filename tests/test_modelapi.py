@@ -225,15 +225,27 @@ def last_state(draws):
     return draws.unpack([draws.size - 1])
 
 
-def plain_chain(kernel, state, config, rng, clamped=frozenset(), mh_state=None):
-    """The driver's bookkeeping written out for a stack of one: sweep, freeze
-    adaptation at burn-in, pack every thin-th state after it."""
-    kw = {} if mh_state is None else {"mh_state": mh_state}
+# the acceptance rate each Metropolis block's steps adapt towards, on the
+# harness data sets: one-dimensional proposals except lpm's beta (k = 2)
+ACCEPTANCE_TARGETS = {SfmGammaKernel: {"theta": 0.44, "u": 0.44},
+                      LpmKernel: {"beta": 0.234, "u": 0.44}}
+
+
+def plain_chain(kernel, state, config, rng, clamped=frozenset()):
+    """The driver's bookkeeping written out for a stack of one: sweep, adapt
+    the Metropolis steps in burn-in unless blocks are clamped, pack every
+    thin-th state after it."""
+    steps, cap = kernel.metropolis_steps(1)
+    targets = ACCEPTANCE_TARGETS.get(type(kernel), {})
     rows, latents = [], []
     for it in range(config.burn_in + config.draws * config.thin):
-        if mh_state is not None and it == config.burn_in:
-            mh_state["adapt"] = False
-        state = kernel.gibbs_sweep(state, [rng], clamped, **kw)
+        accepted = kernel.gibbs_sweep(state, [rng], clamped, steps)
+        if it < config.burn_in and not clamped:
+            for name, accept in accepted.items():  # scalar math, entry by entry
+                adapted = [min(max(step * math.exp(0.05 * (a - targets[name])), 1e-3), cap)
+                           for step, a in zip(steps[name].ravel().tolist(),
+                                              accept.ravel().tolist())]
+                steps[name] = np.reshape(adapted, steps[name].shape)
         if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
             one = {name: value[0] for name, value in state.items()}
             rows.append(kernel.layout.pack(one))
@@ -242,15 +254,6 @@ def plain_chain(kernel, state, config, rng, clamped=frozenset(), mh_state=None):
     return PosteriorDrawSet(np.array(rows), kernel.layout, seed=None,
                             latents=np.array(latents) if latents else None,
                             latent_layout=kernel.latent_layout)
-
-
-def tunings(kernel, chains=1):
-    """The Metropolis tunings a driver test covers: none, and a kernel's
-    adapting start where its chain has one."""
-    out = [None]
-    if isinstance(kernel, (SfmGammaKernel, LpmKernel)):  # Metropolis steps adapted in burn-in
-        out.append(kernel._steps(chains, adapt=True))
-    return out
 
 
 @pytest.mark.parametrize("lengths", [{"draws": 0}, {"draws": -5}, {"burn_in": -3},
@@ -275,7 +278,7 @@ class TestGibbsDriver:
             ref = {name: value[0] for name, value in last_state(draws).items()}
             rng, ref_rng = make_rng(24, j), make_rng(24, j)
             for _ in range(300):
-                state = kernel.gibbs_sweep(state, [rng], clamped)
+                kernel.gibbs_sweep(state, [rng], clamped, {})
                 for name in drawn:
                     if name not in clamped:
                         value = kernel.full_conditional(name, ref).sample(ref_rng)
@@ -287,20 +290,13 @@ class TestGibbsDriver:
         kernel, draws = gibbs_draws
         config = SamplerConfig(draws=40, burn_in=25, thin=3)
         monkeypatch.setattr(modelapi, "_PACK_ROWS", 16)  # rows packed in blocks of 16, 16, 8
-        for tuning, plain_tuning in zip(tunings(kernel), tunings(kernel)):
-            got, = run_gibbs(kernel, last_state(draws), config, [make_rng(25)], [7],
-                             mh_state=tuning)
-            want = plain_chain(kernel, last_state(draws), config, make_rng(25),
-                               mh_state=plain_tuning)
-            assert (got.burn_in, got.thin, got.seed) == (25, 3, 7)
-            assert np.array_equal(got.thetas, want.thetas)
-            assert (got.latents is None) == (want.latents is None)
-            if got.latents is not None:
-                assert np.array_equal(got.latents, want.latents)
-            if tuning is not None:
-                assert tuning["adapt"] is False
-                for name in tuning:
-                    assert np.array_equal(tuning[name], plain_tuning[name]), name
+        got, = run_gibbs(kernel, last_state(draws), config, [make_rng(25)], [7])
+        want = plain_chain(kernel, last_state(draws), config, make_rng(25))
+        assert (got.burn_in, got.thin, got.seed) == (25, 3, 7)
+        assert np.array_equal(got.thetas, want.thetas)
+        assert (got.latents is None) == (want.latents is None)
+        if got.latents is not None:
+            assert np.array_equal(got.latents, want.latents)
 
     def test_reduced_run_matches_a_plain_loop(self, gibbs_draws):
         kernel, draws = gibbs_draws
@@ -335,20 +331,12 @@ class TestLockstepChains:
         # adaptation runs chain by chain in burn-in and freezes at its end
         kernel, draws = gibbs_draws
         config = SamplerConfig(draws=10, burn_in=30, thin=3)
-        for tuning in tunings(kernel, chains=3)[1:]:
-            start = {name: np.repeat(value, 3, axis=0) for name, value in last_state(draws).items()}
-            group = run_gibbs(kernel, start, config, [make_rng(29, c) for c in range(3)],
-                              mh_state=tuning)
-            assert tuning["adapt"] is False
-            for c, chain in enumerate(group):
-                alone = tunings(kernel)[1]
-                chain_alone, = run_gibbs(kernel, last_state(draws), config, [make_rng(29, c)],
-                                         mh_state=alone)
-                assert np.array_equal(chain.thetas, chain_alone.thetas), c
-                assert np.array_equal(chain.latents, chain_alone.latents), c
-                for name in ("beta", "theta", "u"):
-                    if name in tuning:
-                        assert np.array_equal(tuning[name][c], alone[name][0]), (c, name)
+        start = {name: np.repeat(value, 3, axis=0) for name, value in last_state(draws).items()}
+        group = run_gibbs(kernel, start, config, [make_rng(29, c) for c in range(3)])
+        for c, chain in enumerate(group):
+            chain_alone, = run_gibbs(kernel, last_state(draws), config, [make_rng(29, c)])
+            assert np.array_equal(chain.thetas, chain_alone.thetas), c
+            assert np.array_equal(chain.latents, chain_alone.latents), c
 
 
 class TestStackedConditionals:
