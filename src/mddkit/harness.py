@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -78,6 +79,9 @@ ESTIMATORS = {
 ESTIMATOR_IDS = {name: spec.stream for name, spec in ESTIMATORS.items()}
 
 _DEFAULT_ESTIMATORS = ["ris-vb", "bs-vb", "is-vb", "ris-pmd", "ris-geweke", "ris-prior"]
+# integer fields of ExperimentConfig; the last two may also be unset (None)
+_COUNT_KEYS = ("repetitions", "draws", "burn_in", "thin", "pmd_components",
+               "is_draws", "weighting_draws")
 
 
 @dataclass
@@ -98,6 +102,12 @@ class ExperimentConfig:
     pmd_components: int = 512
 
     def __post_init__(self):
+        for name in _COUNT_KEYS:
+            value = getattr(self, name)
+            if value is None and name in ("is_draws", "weighting_draws"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, ndtri
+from scipy.special import gammaln, log_ndtr
 
 from .errors import ConfigError, NumericError
 from .modelapi import (
@@ -37,7 +37,6 @@ from .statscore import (
     MvNormalParams,
     TruncNormalParams,
     draw_each,
-    inverse_mills,
     ln_parabolic_cylinder_d,
     log_sum_exp,
     quadrature_1d,
@@ -280,6 +279,21 @@ class _FrontierCavi:
         return val + (q_sig.entropy() + q_lam.entropy())
 
 
+class _AllFirms:
+    """q(u) of either frontier from one factor object over all firms (a
+    :class:`GammaCaseInefficiency` or a :class:`TruncNormalParams`): one draw
+    of every firm at a time, log densities summed over the firms by ``np.sum``."""
+
+    def __init__(self, firms):
+        self.firms = firms
+
+    def logpdf_batch(self, u):
+        return np.sum(self.firms.logpdf_batch(u), axis=1)
+
+    def sample(self, rng, size):
+        return self.firms.sample(rng, size)
+
+
 # ---------------------------------------------------------------------------
 # exponential-case VB
 # ---------------------------------------------------------------------------
@@ -304,8 +318,7 @@ def sfm_exp_vb(prior: SfmExpPrior, data: SfmData, tol: float = 1e-8,
     u_var = np.full(n, 0.5)
     beta_q = prior.beta0.copy()
     v_beta = prior.Vbeta0.copy()
-    mu_q = np.zeros(n)
-    ups2 = 1.0
+    q_u = None
 
     trace = []
     converged = False
@@ -317,52 +330,31 @@ def sfm_exp_vb(prior: SfmExpPrior, data: SfmData, tol: float = 1e-8,
         b_lam = prior.b_lam0 + float(np.sum(u_mean))
         e_lam = a_lam / b_lam
         # q(u): truncated normals
-        ups2 = 1.0 / (t * e_sig)
-        mu_q = (c * t * ebar - e_lam / e_sig) / t
-        ratio = mu_q / math.sqrt(ups2)
-        mills = inverse_mills(ratio)
-        u_mean = mu_q + math.sqrt(ups2) * mills
-        u_var = ups2 * (1.0 - mills * (mills + ratio))
-        trace.append(_elbo_exp(cavi, beta_q, v_beta, b_sig, a_lam, b_lam,
-                               mu_q, ups2, u_mean, u_var))
+        q_u = TruncNormalParams((c * t * ebar - e_lam / e_sig) / t, math.sqrt(1.0 / (t * e_sig)))
+        u_mean, u_var = q_u.mean(), q_u.var()
+        trace.append(_elbo_exp(cavi, beta_q, v_beta, b_sig, a_lam, b_lam, q_u))
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
             converged = True
             break
     if not converged:
         warnings.warn("exponential-case VB hit max_iter before the tolerance", stacklevel=2)
 
-    u_scale = math.sqrt(ups2)
     factors = {"beta": MvNormalParams(beta_q, v_beta), "sigma_prec": GammaParams(a_sig, b_sig),
-               "lam": GammaParams(a_lam, b_lam),
-               "u": _FirmByFirm([TruncNormalParams(m, u_scale) for m in mu_q])}
+               "lam": GammaParams(a_lam, b_lam), "u": _AllFirms(q_u)}
     return VBResult.mean_field(_sfm_layout(k), factors, trace,
                                {"u_mean": u_mean, "u_var": u_var}, converged)
 
 
-class _FirmByFirm:
-    """q(u) from one factor per firm, drawn firm by firm (firm-major stream)
-    and log-evaluated firm by firm, the per-firm terms summed in firm order."""
-
-    def __init__(self, dists):
-        self.dists = dists
-
-    def logpdf_batch(self, u):
-        return sum(d.logpdf_batch(u[:, i]) for i, d in enumerate(self.dists))
-
-    def sample(self, rng, size):
-        return np.column_stack([d.sample(rng, size) for d in self.dists])
-
-
-def _elbo_exp(cavi, beta_q, v_beta, b_sig, a_lam, b_lam, mu_q, ups2, u_mean, u_var) -> float:
+def _elbo_exp(cavi, beta_q, v_beta, b_sig, a_lam, b_lam, q_u) -> float:
     prior, n = cavi.prior, cavi.data.num_firms
     q_sig, q_lam = GammaParams(cavi.a_sig, b_sig), GammaParams(a_lam, b_lam)
     e_lam, eln_lam = q_lam.mean(), q_lam.mean_log()
-    val = cavi.elbo_start(beta_q, v_beta, q_sig, u_mean, u_mean ** 2 + u_var)
+    u_mean = q_u.mean()
+    val = cavi.elbo_start(beta_q, v_beta, q_sig, u_mean, u_mean ** 2 + q_u.var())
     val += GammaParams(prior.a_lam0, prior.b_lam0).expected_logpdf(e_lam, eln_lam)
     val += n * eln_lam - e_lam * float(np.sum(u_mean))
     val = cavi.add_entropies(val, beta_q, v_beta, q_sig, q_lam)
-    scale = math.sqrt(ups2)
-    val += float(np.sum([TruncNormalParams(m, scale).entropy() for m in mu_q]))
+    val += float(np.sum(q_u.entropy()))
     return float(val)
 
 
@@ -608,20 +600,6 @@ def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData, tol: float = 1e-6,
                                converged)
 
 
-class _AllFirms:
-    """q(u) from one :class:`GammaCaseInefficiency` over all firms: one draw
-    of every firm at a time, log densities summed over the firms by ``np.sum``."""
-
-    def __init__(self, firms: GammaCaseInefficiency):
-        self.firms = firms
-
-    def logpdf_batch(self, u):
-        return np.sum(self.firms.logpdf_batch(u), axis=1)
-
-    def sample(self, rng, size):
-        return self.firms.sample(rng, size)
-
-
 def _elbo_gamma(cavi, beta_q, v_beta, b_sig, a_lam, b_lam, theta_grid, theta_mean,
                 u_factors, u_mean, u_m2, u_mean_log) -> float:
     prior, n = cavi.prior, cavi.data.num_firms
@@ -662,59 +640,6 @@ def _u_block(num_firms: int) -> Block:
 def _sfm_gamma_layout(k: int, num_firms: int) -> ParamLayout:
     return ParamLayout(_sfm_layout(k).blocks + [Block("theta", (), "positive"),
                                                 _u_block(num_firms)])
-
-
-def _sample_truncnorm(locs: np.ndarray, scales: np.ndarray, rngs) -> np.ndarray:
-    """Zero-truncated normal draws for a stack of location rows (chains,
-    firms), row c with scale ``scales[c]`` from ``rngs[c]``: inversion where
-    location / scale >= -5, with that row's uniforms drawn in firm order, then
-    the exponential rejection of :class:`TruncNormalParams` for its other
-    firms, in firm order."""
-    scale = scales[:, None]
-    ratios = locs / scale
-    if np.minimum.reduce(ratios, axis=None) >= -5.0:
-        u = draw_each(rngs, lambda rng: rng.uniform(size=locs.shape[1]))
-        easy = None
-    else:  # each row draws uniforms for its inversion firms only
-        easy = ratios >= -5.0
-        u = np.full(locs.shape, 0.5)
-        for row, ok, rng in zip(u, easy, rngs):
-            row[ok] = rng.uniform(size=np.count_nonzero(ok))
-    lo = np.exp(log_ndtr(-ratios))
-    out = np.maximum(locs + scale * ndtri(lo + u * (1.0 - lo)), 0.0)
-    if easy is not None:
-        for c, i in zip(*np.nonzero(~easy)):
-            out[c, i] = TruncNormalParams(float(locs[c, i]), float(scales[c])).sample(rngs[c])
-    return out
-
-
-class _IndependentTruncNormals:
-    """Product of per-firm zero-truncated normals, used as the u conditional:
-    locations (firms,) and a scale, or a stack of them (chains, firms) with
-    one scale per product; ``logpdf_batch`` and ``sample`` take an unstacked one."""
-
-    def __init__(self, locs, scale):
-        self.locs = np.asarray(locs, dtype=float)
-        self.scale = np.asarray(scale, dtype=float)
-
-    def logpdf_batch(self, u_vals):
-        u_vals = np.atleast_2d(np.asarray(u_vals, dtype=float))
-        scale = float(self.scale)
-        z = (u_vals - self.locs) / scale
-        terms = (-0.5 * (LOG_2PI + z * z) - math.log(scale)
-                 - log_ndtr(self.locs / scale))
-        bad = np.any(u_vals < 0, axis=1)
-        out = terms.sum(axis=1)
-        out[bad] = -np.inf
-        return out
-
-    def sample(self, rng):
-        return _sample_truncnorm(self.locs[None], self.scale[None], [rng])[0]
-
-    def sample_stack(self, rngs):
-        """One draw per stacked product, product c from ``rngs[c]`` with the
-        bits :meth:`sample` of it alone gives."""
-        return _sample_truncnorm(self.locs, self.scale, rngs)
 
 
 class _FrontierKernel(GibbsKernel):
@@ -835,16 +760,16 @@ class SfmExpKernel(_FrontierKernel):
         return self._conditional_given_u(name, state)
 
     def _u_conditional(self, state, clamped):
-        """u given the rest, for one state or a stack; the terms of a clamped
-        beta or sigma^-2 are carried in the state."""
+        """u given the rest, one zero-truncated normal per firm, for one state or
+        a stack (one scale per state); the terms of a clamped beta or sigma^-2
+        are carried in the state."""
         c, t = self.data.c, self.data.num_periods
         prec = np.asarray(state["sigma_prec"], dtype=float)
         cte = self._fixed(state, clamped, ("beta",), "_cte",
                           lambda: c * t * self._residual_means(state, clamped))
-        # the scale is scalar math chain by chain
-        scale = self._fixed(state, clamped, ("sigma_prec",), "_u_scale", lambda: np.array(
-            [math.sqrt(1.0 / (t * p)) for p in prec.ravel().tolist()]).reshape(prec.shape))
-        return _IndependentTruncNormals((cte - (state["lam"] / prec)[..., None]) / t, scale)
+        scale = self._fixed(state, clamped, ("sigma_prec",), "_u_scale",
+                            lambda: np.sqrt(1.0 / (t * prec))[..., None])
+        return TruncNormalParams((cte - (state["lam"] / prec)[..., None]) / t, scale)
 
     def gibbs_sweep(self, state, rngs, clamped, steps):
         self._sweep_conjugate_blocks(state, rngs, clamped)

@@ -18,11 +18,13 @@ from functools import cache, cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrs
-from scipy.special import gammainc, gammaln, log_ndtr, multigammaln, ndtri, psi
+from scipy.special import chdtri, erfcx, gammaln, log_ndtr, multigammaln, ndtri, psi
 
 from .errors import NumericError
 
 LOG_2PI = math.log(2.0 * math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_SQRT_2 = math.sqrt(2.0)
 
 __all__ = [
     "LOG_2PI",
@@ -84,67 +86,20 @@ def multivariate_digamma(dim: int, x: float) -> float:
 
 
 def inverse_mills(x):
-    """phi(x) / Phi(x) for finite real x.
-
-    Moderate and positive arguments use exp(ln phi - ln Phi); deep negative
-    arguments (x < -8) use the Laplace continued fraction for the Mills
-    ratio, which stays accurate where the direct ratio is 0/0.
-    """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    deep = x < -8.0
-    xm = x[~deep]
-    out[~deep] = np.exp(-0.5 * xm * xm - 0.5 * LOG_2PI - log_ndtr(xm))
-    if np.any(deep):
-        xd = x[deep]
-        # m(x) = -x + 1/(-x + 2/(-x + 3/(-x + ...)))
-        cf = np.zeros_like(xd)
-        for k in range(40, 0, -1):
-            cf = k / (-xd + cf)
-        out[deep] = -xd + cf
-    return float(out[0]) if scalar else out
+    """phi(x) / Phi(x) for finite real x, as sqrt(2 / pi) / erfcx(-x / sqrt(2)):
+    the scaled complementary error function keeps it accurate in both tails,
+    including deep negative arguments where the direct ratio is 0/0."""
+    out = _SQRT_2_OVER_PI / erfcx(-np.asarray(x, dtype=float) / _SQRT_2)
+    return float(out) if out.ndim == 0 else out
 
 
 def chi_square_quantile(dof: int, prob: float) -> float:
-    """x such that P(chi2_dof <= x) = prob, solved to 1e-10.
-
-    Root-find on the regularized lower incomplete gamma via bracketed
-    bisection refined by Newton steps.
-    """
+    """x such that P(chi2_dof <= x) = prob."""
     if dof < 1:
         raise ValueError("dof must be >= 1")
     if not 0.0 < prob < 1.0:
         raise ValueError("prob must lie strictly inside (0, 1)")
-    a = dof / 2.0
-
-    def cdf(x):
-        return gammainc(a, x / 2.0)
-
-    lo, hi = 0.0, max(4.0 * dof, 10.0)
-    while cdf(hi) < prob:
-        hi *= 2.0
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = cdf(x) - prob
-        if f > 0:
-            hi = x
-        else:
-            lo = x
-        # Newton step from the pdf; fall back to bisection when it escapes.
-        logpdf = (a - 1.0) * math.log(x / 2.0) - x / 2.0 - gammaln(a) - math.log(2.0)
-        step = f / math.exp(logpdf)
-        xn = x - step
-        if not lo < xn < hi:
-            xn = 0.5 * (lo + hi)
-        if abs(xn - x) < 1e-12 * max(1.0, x):
-            x = xn
-            break
-        x = xn
-    if abs(cdf(x) - prob) > 1e-10:
-        raise NumericError(f"chi_square_quantile did not reach 1e-10 (residual {cdf(x) - prob:.3e})")
-    return float(x)
+    return float(chdtri(dof, 1.0 - prob))
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +641,7 @@ def _all_positive(p) -> bool:
     """Every entry of a number or an array is > 0; NaN is not."""
     if not isinstance(p, np.ndarray):
         return p > 0
-    return p.item() > 0 if p.size == 1 else bool(np.all(p > 0))
+    return p.item() > 0 if p.size == 1 else p.size == 0 or bool(p.min() > 0)
 
 
 @dataclass
@@ -761,69 +716,121 @@ class GammaParams:
 
 @dataclass
 class TruncNormalParams:
-    """Normal(location, scale^2) truncated to [0, inf)."""
+    """Normal(location, scale^2) truncated to [0, inf), elementwise.
 
-    location: float
-    scale: float
+    ``location`` and ``scale`` broadcast against each other, so one object
+    holds a product of independent factors: locations (firms,) under one
+    scale, or a stack (chains, firms) with one scale per product as
+    (chains, 1). Moments, entropy and log density come back in the broadcast
+    shape, floats for scalar parameters.
+    """
+
+    location: np.ndarray
+    scale: np.ndarray
 
     def __post_init__(self):
-        if not self.scale > 0:
+        self.location = np.asarray(self.location, dtype=float)
+        self.scale = np.asarray(self.scale, dtype=float)
+        if not _all_positive(self.scale):
             raise ValueError("scale must be strictly positive")
+        self._alpha = self.location / self.scale
 
-    @property
-    def _alpha(self) -> float:
-        return self.location / self.scale
+    @staticmethod
+    def _out(x):
+        return float(x) if np.ndim(x) == 0 else x
 
-    def log_normalizer(self) -> float:
+    @cached_property
+    def _mills(self):
+        return inverse_mills(self._alpha)
+
+    def log_normalizer(self):
         """ln Phi(location / scale), the kept probability mass."""
-        return float(log_ndtr(self._alpha))
+        return self._out(log_ndtr(self._alpha))
 
-    def mean(self) -> float:
-        return self.location + self.scale * inverse_mills(self._alpha)
+    def mean(self):
+        return self._out(self.location + self.scale * self._mills)
 
-    def var(self) -> float:
-        m = inverse_mills(self._alpha)
-        return self.scale ** 2 * (1.0 - m * (m + self._alpha))
+    def var(self):
+        m = self._mills
+        return self._out(self.scale ** 2 * (1.0 - m * (m + self._alpha)))
 
-    def entropy(self) -> float:
+    def entropy(self):
         a = self._alpha
-        return 0.5 * (LOG_2PI + 1.0) + math.log(self.scale) + self.log_normalizer() \
-            - 0.5 * a * inverse_mills(a)
+        return self._out(0.5 * (LOG_2PI + 1.0) + np.log(self.scale) + log_ndtr(a)
+                         - 0.5 * a * self._mills)
 
     def logpdf(self, x) -> float:
         return float(self.logpdf_batch(np.atleast_1d(np.asarray(x, dtype=float)))[0])
 
     def logpdf_batch(self, x: np.ndarray) -> np.ndarray:
+        """ln density at x, broadcast against the parameters (-inf below 0)."""
         x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, -np.inf)
-        ok = x >= 0
-        z = (x[ok] - self.location) / self.scale
-        out[ok] = -0.5 * (LOG_2PI + z * z) - math.log(self.scale) - self.log_normalizer()
+        # -0.5 (ln 2 pi + z^2) - ln scale - ln Phi(alpha), step by step in place:
+        # a wide batch of points makes one temporary
+        out = np.asarray((x - self.location) / self.scale)
+        out *= out
+        out += LOG_2PI
+        out *= -0.5
+        out -= np.log(self.scale)
+        out -= log_ndtr(self._alpha)
+        np.copyto(out, -np.inf, where=~(x >= 0))
         return out
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Inversion for location/scale >= -5, exponential rejection below."""
+        """Draws shaped (size, *shape), or one per factor without ``size`` (a
+        float for scalar parameters).
+
+        Inversion where location / scale >= -5: the uniforms of those factors
+        come first, ``size`` per factor, factor by factor in C order. Then the
+        exponential rejection of :func:`_tail_normal`, factor by factor.
+        """
         n = 1 if size is None else size
-        a = self._alpha
-        if a >= -5.0:
-            lo = float(np.exp(log_ndtr(-a)))  # P(Z < -a) = mass below 0
-            u = rng.uniform(lo, 1.0, size=n)
-            z = ndtri(u)
-            draws = self.location + self.scale * z
-            draws = np.maximum(draws, 0.0)
-        else:
-            # Robert (1995) translated-exponential rejection on the tail z >= -a
-            am = -a
-            lam = 0.5 * (am + math.sqrt(am * am + 4.0))
-            draws = np.empty(n)
-            for i in range(n):
-                while True:
-                    z = am + rng.exponential(1.0 / lam)
-                    log_acc = -0.5 * (z - lam) ** 2
-                    if math.log(rng.uniform()) <= log_acc:
-                        draws[i] = self.location + self.scale * z
-                        break
-        return float(draws[0]) if size is None else draws
+        alpha = self._alpha
+        easy = alpha >= -5.0
+        u = np.full(alpha.shape + (n,), 0.5)
+        u[easy] = rng.uniform(size=(np.count_nonzero(easy), n))
+        draws = self._invert(np.moveaxis(u, -1, 0))
+        if not np.all(easy):
+            loc, scale = np.broadcast_arrays(self.location, self.scale)
+            for i in map(tuple, np.argwhere(~easy)):
+                z = _tail_normal(rng, -float(alpha[i]), n)
+                draws[(slice(None),) + i] = loc[i] + scale[i] * z
+        return self._out(draws[0]) if size is None else draws
+
+    def sample_stack(self, rngs) -> np.ndarray:
+        """One draw of every factor, (stack, ...): stacked product c draws from
+        ``rngs[c]`` the bits :meth:`sample` of it alone gives."""
+        alpha = self._alpha
+        if np.minimum.reduce(alpha, axis=None) >= -5.0:
+            return self._invert(draw_each(rngs, lambda rng: rng.uniform(size=alpha.shape[1:])))
+        loc, scale = np.broadcast_arrays(self.location, self.scale)
+        return np.array([TruncNormalParams(m, s).sample(rng)
+                         for m, s, rng in zip(loc, scale, rngs)])
+
+    def _invert(self, u):
+        """Inverse-CDF draws at the uniforms ``u``, broadcast against the parameters:
+        max(location + scale ndtri(lo + u (1 - lo)), 0), each step in place."""
+        lo = np.exp(log_ndtr(-self._alpha))  # P(Z < -alpha), the mass below 0
+        v = u * (1.0 - lo)
+        v += lo
+        z = ndtri(v)
+        z *= self.scale
+        z += self.location
+        return np.maximum(z, 0.0, out=z)
+
+
+def _tail_normal(rng: np.random.Generator, a: float, n: int) -> np.ndarray:
+    """n standard normal draws conditioned on z >= a, for a > 5: Robert (1995)
+    translated-exponential rejection, one draw after the other."""
+    lam = 0.5 * (a + math.sqrt(a * a + 4.0))
+    out = np.empty(n)
+    for i in range(n):
+        while True:
+            z = a + rng.exponential(1.0 / lam)
+            if math.log(rng.uniform()) <= -0.5 * (z - lam) ** 2:
+                out[i] = z
+                break
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,11 @@ def var_vb_conjugate(prior: VarConjugatePrior, data: VarData,
     evidence. The factorized fit breaks the coefficient/precision coupling
     and its bound sits strictly below.
     """
-    post = var_exact_posterior(prior, data)
+    return _vb_conjugate(prior, data, var_exact_posterior(prior, data), factorized)
+
+
+def _vb_conjugate(prior, data, post: NormalWishart, factorized: bool) -> VBResult:
+    """:func:`var_vb_conjugate` from the exact posterior ``post``."""
     n, t = data.N, data.T
     hyper = {"A": post.A, "V": post.V, "S": post.S, "nu": post.nu}
     if not factorized:
@@ -480,7 +484,7 @@ class VarConjugateKernel(_VarKernelBase):
         raise KeyError(name)
 
     def vb_fit(self, factorized: bool = True) -> VBResult:
-        return var_vb_conjugate(self.prior, self.data, factorized=factorized)
+        return _vb_conjugate(self.prior, self.data, self._post, factorized)
 
     def exact_log_mdd(self) -> float:
         return var_exact_log_mdd(self.prior, self.data)

@@ -104,6 +104,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{name} must be "):
             ExperimentConfig(model="var-conjugate", **counts)
 
+    @pytest.mark.parametrize("counts", [{"repetitions": 2.5}, {"draws": "lots"},
+                                        {"burn_in": 100.0}, {"thin": True},
+                                        {"pmd_components": 2.5}, {"is_draws": "500"},
+                                        {"weighting_draws": 1e3}])
+    def test_non_integer_counts_rejected(self, counts):
+        name = next(iter(counts))
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got "):
+            ExperimentConfig(model="var-conjugate", **counts)
+
     def test_zero_draw_counts_mean_unset(self):
         ExperimentConfig(model="var-conjugate", is_draws=0, weighting_draws=0)
 
@@ -530,7 +539,8 @@ class TestCli:
         assert not (tmp_path / "o6").exists()
 
     @pytest.mark.parametrize("line", ["pmd_components = 0", "is_draws = -5",
-                                      "weighting_draws = -5"])
+                                      "weighting_draws = -5", "draws = lots",
+                                      "pmd_components = 2.5"])
     def test_bad_count_is_config_error(self, tmp_path, capsys, line):
         conf = tmp_path / "exp.conf"
         conf.write_text(f"model = var-conjugate\n{line}\n")

@@ -120,7 +120,7 @@ class TestExpVb:
 
     def test_cdl_weighting_pins_a_per_firm_reference(self, exp_setup):
         # u drawn firm by firm after the other blocks; its log density, the
-        # per-firm terms summed in firm order, added after theirs
+        # per-firm terms summed over the firms by np.sum, added after theirs
         prior, data = exp_setup
         vb = sfm_exp_vb(prior, data)
         w = make_sfm_exp_cdl_weighting(vb, SfmExpCdlKernel(prior, data))
@@ -133,9 +133,8 @@ class TestExpVb:
         ref = np.hstack([f["beta"].sample(rng, 500), f["sigma_prec"].sample(rng, 500)[:, None],
                          f["lam"].sample(rng, 500)[:, None],
                          np.column_stack([d.sample(rng, 500) for d in firms])])
-        log_u = 0.0
-        for i, d in enumerate(firms):
-            log_u = log_u + d.logpdf_batch(ref[:, k + 2 + i])
+        log_u = np.sum(np.column_stack([d.logpdf_batch(ref[:, k + 2 + i])
+                                        for i, d in enumerate(firms)]), axis=1)
         ref_log = (f["beta"].logpdf_batch(ref[:, :k]) + f["sigma_prec"].logpdf_batch(ref[:, k])
                    + f["lam"].logpdf_batch(ref[:, k + 1]) + log_u)
         assert np.array_equal(w.sampler(make_rng(15), 500), ref)
@@ -201,10 +200,10 @@ class TestTruncNormalStack:
     def test_rows_match_products_alone(self):
         scales = np.array([0.5, 1.0, 2.0])
         locs = np.array([[0.3, -1.0, 0.2], [-6.0, 0.5, -9.0], [-20.0, -11.0, -10.5]])
-        got = sfm._IndependentTruncNormals(locs, scales).sample_stack(
+        got = TruncNormalParams(locs, scales[:, None]).sample_stack(
             [make_rng(40, c) for c in range(3)])
         for c in range(3):
-            alone = sfm._IndependentTruncNormals(locs[c], scales[c]).sample(make_rng(40, c))
+            alone = TruncNormalParams(locs[c], scales[c]).sample(make_rng(40, c))
             assert np.array_equal(got[c], alone), c
         rng = make_rng(40, 2)  # the last row is all rejection
         assert np.array_equal(got[2], [TruncNormalParams(loc, 2.0).sample(rng) for loc in locs[2]])

@@ -290,6 +290,15 @@ class TestSamplers:
         t = TruncNormalParams(-6.5, 2.0)
         assert np.array_equal(t.sample(make_rng(9, 2), 50), t.sample(make_rng(9, 2), 50))
 
+    def test_truncnormal_sized_draws_invert_first_then_reject(self):
+        # the inversion factors take their uniforms factor by factor, then the
+        # rejection factors (location / scale < -5) draw, factor by factor
+        locs, scale = np.array([0.3, -6.0, -1.0, -9.0]), 0.5
+        got = TruncNormalParams(locs, scale).sample(make_rng(41), 6)
+        rng = make_rng(41)
+        one = [TruncNormalParams(locs[i], scale).sample(rng, 6) for i in (0, 2, 1, 3)]
+        assert np.array_equal(got, np.column_stack([one[0], one[2], one[1], one[3]]))
+
     def test_gamma_moments(self):
         rng = make_rng(45)
         params = GammaParams(3.0, 2.0)
@@ -405,14 +414,32 @@ class TestDensities:
         assert quadrature_1d(lambda x: params.logpdf_batch(x), 0.0, np.inf) == pytest.approx(0.0, abs=1e-9)
 
     def test_truncnormal_moments_against_quadrature(self):
-        # dense check of the inverse-Mills moment formulas on a ratio grid
-        for ratio in np.linspace(-6.0, 6.0, 13):
-            params = TruncNormalParams(ratio * 1.7, 1.7)
-            log_mean = quadrature_1d(lambda u: np.log(u) + params.logpdf_batch(u), 0.0, np.inf, tol=1e-12)
-            assert math.exp(log_mean) == pytest.approx(params.mean(), rel=1e-9, abs=1e-12)
-            log_m2 = quadrature_1d(lambda u: 2.0 * np.log(u) + params.logpdf_batch(u), 0.0, np.inf, tol=1e-12)
-            var = math.exp(log_m2) - params.mean() ** 2
-            assert var == pytest.approx(params.var(), rel=1e-7, abs=1e-12)
+        # dense check of the inverse-Mills moment formulas on a ratio grid, one
+        # factor per ratio, all integrated in one batched quadrature
+        params = TruncNormalParams(np.linspace(-6.0, 6.0, 13)[:, None] * 1.7, 1.7)
+        mean = params.mean()[:, 0]
+        log_mean = quadrature_1d(lambda u: np.log(u) + params.logpdf_batch(u), 0.0, np.inf, tol=1e-12)
+        assert np.exp(log_mean) == pytest.approx(mean, rel=1e-9, abs=1e-12)
+        log_m2 = quadrature_1d(lambda u: 2.0 * np.log(u) + params.logpdf_batch(u), 0.0, np.inf, tol=1e-12)
+        var = np.exp(log_m2) - mean ** 2
+        assert var == pytest.approx(params.var()[:, 0], rel=1e-7, abs=1e-12)
+
+    def test_truncnormal_array_matches_each_factor_alone(self):
+        # location / scale from -40 to 12 under mixed scales: every entry of
+        # the array-valued factor is, bit for bit, that factor's value alone
+        scales = np.resize([0.3, 1.0, 2.5], 105).reshape(35, 3)
+        locs = np.linspace(-40.0, 12.0, 105).reshape(35, 3) * scales
+        x = np.array([-1.0, 0.0, 0.02, 0.7, 3.0, 40.0])
+        stack = TruncNormalParams(locs, scales)
+        values = {name: getattr(stack, name)()
+                  for name in ("mean", "var", "entropy", "log_normalizer")}
+        log_pdf = stack.logpdf_batch(x[:, None, None])
+        for i, j in np.ndindex(locs.shape):
+            alone = TruncNormalParams(locs[i, j], scales[i, j])
+            for name, value in values.items():
+                assert value[i, j] == getattr(alone, name)(), (name, i, j)
+            assert np.array_equal(log_pdf[:, i, j], alone.logpdf_batch(x)), (i, j)
+        assert np.all(log_pdf[0] == -np.inf)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

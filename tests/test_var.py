@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from mddkit import var as var_mod
 from mddkit.errors import ConfigError
 from mddkit.estimators import make_vb_weighting, ris_estimate
+from mddkit.harness import ExperimentConfig, build_context
 from mddkit.modelapi import SamplerConfig, elbo_monte_carlo
 from mddkit.statscore import MatricNormalParams, WishartParams, make_rng, quadrature_1d
 from mddkit.var import (
@@ -170,6 +172,24 @@ class TestConjugateVb:
         vb = var_vb_conjugate(prior, data)
         mean, se = elbo_monte_carlo(kernel, vb, make_rng(55), 50_000)
         assert vb.elbo == pytest.approx(mean, abs=4 * se + 1e-9)
+
+    def test_context_reuses_the_kernels_posterior(self, monkeypatch):
+        # the kernel's exact posterior serves its VB fit; var_exact_log_mdd, the
+        # closed form the tests compare against, still computes its own
+        calls = []
+        exact_posterior = var_mod.var_exact_posterior
+        monkeypatch.setattr(var_mod, "var_exact_posterior",
+                            lambda *args: calls.append(args) or exact_posterior(*args))
+        ctx = build_context(ExperimentConfig(model="var-conjugate", repetitions=1))
+        assert len(calls) == 2
+        prior, data = ctx.kernel.prior, ctx.kernel.data
+        assert ctx.exact == var_exact_log_mdd(prior, data)
+        for factorized in (True, False):
+            fit, ref = ctx.kernel.vb_fit(factorized), var_vb_conjugate(prior, data, factorized)
+            assert np.array_equal(fit.elbo_trace, ref.elbo_trace)
+            draws = fit.sample(make_rng(72), 20)
+            assert np.array_equal(draws, ref.sample(make_rng(72), 20))
+            assert np.array_equal(fit.log_q(draws), ref.log_q(draws))
 
     def test_dof_guard(self):
         # factor dof T + 1 + pN + nu0 = 2.2 fails the > N + 1 = 3 requirement
