@@ -39,7 +39,7 @@ from .statscore import (
     draw_each,
     ln_parabolic_cylinder_d,
     log_sum_exp,
-    quadrature_1d,
+    quadrature_expectations,
     safe_cholesky,
 )
 
@@ -365,9 +365,13 @@ def _elbo_exp(cavi, beta_q, v_beta, b_sig, a_lam, b_lam, q_u) -> float:
 class GammaCaseInefficiency:
     """The nonstandard q(u_i) ~ u^(shape-1) exp(-prec/2 u^2 - slope u) factor.
 
-    ``prec`` is the coefficient on u^2 (precision-like convention); the
-    normalizing constant and power moments come from the parabolic-cylinder
-    identity. The distribution degenerates to a zero-truncated normal at
+    ``prec`` is the coefficient on u^2 (precision-like convention). With
+    u = t / sqrt(prec) the factor is t^(shape-1) exp(-t^2/2 - z t) in t,
+    z = slope / sqrt(prec), the integrand of the parabolic-cylinder function
+    D_{-shape}(z) (DLMF 12.5.1). Its normalizing constant, E[u], E[u^2] and
+    E[ln u] come from one tanh-sinh pass over that integrand
+    (:func:`quadrature_expectations`), ln u as a signed weight on the same
+    nodes. The distribution degenerates to a zero-truncated normal at
     shape = 1. ``shape``, ``prec`` and ``slope`` broadcast: an array of
     slopes gives one independent factor per firm, evaluated together.
     Scalar parameters give float moments.
@@ -381,23 +385,20 @@ class GammaCaseInefficiency:
         self.shape, self.prec, self.slope = shape.copy(), prec.copy(), slope.copy()
         self.root_prec = np.sqrt(self.prec)
         self.z = self.slope / self.root_prec
-        # ln D_{-(shape + j)}(z) for j = 0, 1, 2 in one batched quadrature
-        orders = self.shape + np.arange(3.0).reshape((3,) + (1,) * self.shape.ndim)
-        log_d = ln_parabolic_cylinder_d(orders, self.z)
-        self.log_norm = (-self.shape * np.log(self.root_prec) + gammaln(self.shape)
-                         + 0.25 * self.z * self.z + log_d[0])
-        self._moments = [
-            np.exp(gammaln(self.shape + j) - gammaln(self.shape) + log_d[j] - log_d[0]
-                   - j * np.log(self.root_prec))
-            for j in (1, 2)]
-        self._mean_log = None
+        log_int, (e_t, e_t2, e_log_t) = quadrature_expectations(
+            lambda t, shape_m1, z: shape_m1 * np.log(t) - 0.5 * t * t - z * t,
+            (self.shape - 1.0, self.z), 0.0, np.inf, (lambda t: t, np.square, np.log))
+        log_root = np.log(self.root_prec)
+        self.log_norm = log_int - self.shape * log_root
+        self._moments = [e_t / self.root_prec, e_t2 / self.prec]
+        self._e_log_u = e_log_t - log_root
 
     @staticmethod
     def _out(x):
         return float(x) if np.ndim(x) == 0 else x
 
     def moment(self, order: int):
-        """E[u^order] for order 1 or 2 via ratios of parabolic-cylinder values."""
+        """E[u^order] for order 1 or 2."""
         if order not in (1, 2):
             raise ValueError("moment order must be 1 or 2")
         return self._out(self._moments[order - 1])
@@ -423,19 +424,13 @@ class GammaCaseInefficiency:
         return np.moveaxis(self.logpdf_batch(u), 0, -1)
 
     def mean_log(self):
-        """E[ln u] by split quadrature (ln u changes sign at one)."""
-        if self._mean_log is None:
-            neg = quadrature_1d(lambda u: np.log(-np.log(u)) + self._trailing_logpdf(u),
-                                0.0, 1.0, tol=1e-9)
-            pos = quadrature_1d(lambda u: np.log(np.log(u)) + self._trailing_logpdf(u),
-                                1.0, np.inf, tol=1e-9)
-            self._mean_log = np.exp(pos) - np.exp(neg)
-        return self._out(self._mean_log)
+        """E[ln u]."""
+        return self._out(self._e_log_u)
 
     def mean_log_q(self):
         """E[ln q(u)] assembled from the stored moments."""
         m1, m2 = self._moments
-        return self._out((self.shape - 1.0) * self.mean_log() - 0.5 * self.prec * m2
+        return self._out((self.shape - 1.0) * self._e_log_u - 0.5 * self.prec * m2
                          - self.slope * m1 - self.log_norm)
 
     def sample(self, rng, size: int) -> np.ndarray:
@@ -534,8 +529,10 @@ def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData, tol: float = 1e-6,
                  max_iter: int = 200) -> VBResult:
     """Coordinate ascent for the gamma-inefficiency frontier model.
 
-    The u factors are nonstandard (normalized by parabolic-cylinder values)
-    and the theta factor lives on a quadrature grid. q spans the layout of
+    The u factors are nonstandard: each iteration takes their normalizing
+    constants, E[u], E[u^2] and E[ln u] from one tanh-sinh pass over all
+    firms (:class:`GammaCaseInefficiency`), and the theta factor lives on a
+    quadrature grid. q spans the layout of
     :class:`SfmGammaKernel`, u included. The u factors' spread parameter
     T E[sigma^-2] is the coefficient on -u^2 / 2 in E_q ln p, so it is read as
     a precision: so read, each factor is its coordinate-ascent optimum and

@@ -1,13 +1,15 @@
 """Stochastic frontier family: integrated likelihood, VB fits, samplers."""
 
 import math
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from mddkit import sfm
+from mddkit import harness, sfm, statscore
 from mddkit.errors import ConfigError
 from mddkit.estimators import _default_theta_star, _reduced_run, chib_estimate, ris_estimate
 from mddkit.modelapi import SamplerConfig, elbo_monte_carlo
@@ -27,7 +29,7 @@ from mddkit.sfm import (
     sfm_synthetic,
 )
 from mddkit.sfm import make_sfm_exp_cdl_weighting, make_sfm_gamma_cdl_weighting
-from mddkit.statscore import TruncNormalParams, make_rng, quadrature_1d
+from mddkit.statscore import TruncNormalParams, ln_parabolic_cylinder_d, make_rng, quadrature_1d
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +212,10 @@ class TestTruncNormalStack:
 
 
 class TestGammaCase:
+    SHAPES = (0.3, 0.7, 1.7, 3.0)
+    PRECS = (0.5, 4.0, 60.0)
+    SLOPES = np.array([-6.0, -1.5, 0.0, 0.8, 6.0])
+
     def test_qu_normalizes_across_grid(self):
         for shape in (0.5, 1.0, 2.0, 5.0):
             for slope in (-3.0, 0.0, 3.0):
@@ -230,10 +236,47 @@ class TestGammaCase:
     def test_shape_one_reduces_to_truncated_normal(self):
         f = GammaCaseInefficiency(1.0, 4.0, -1.5)
         tn = TruncNormalParams(1.5 / 4.0, 0.5)
-        assert f.mean() == pytest.approx(tn.mean(), abs=1e-6)
-        assert f.var() == pytest.approx(tn.var(), abs=1e-6)
         u = np.linspace(0.01, 3.0, 50)
         assert np.allclose(f.logpdf_batch(u), tn.logpdf_batch(u), atol=1e-8)
+        for prec in (0.5, 4.0, 60.0):
+            f = GammaCaseInefficiency(1.0, prec, self.SLOPES)
+            tn = TruncNormalParams(-self.SLOPES / prec, 1.0 / math.sqrt(prec))
+            assert f.mean() == pytest.approx(tn.mean(), rel=1e-12, abs=0.0)
+            assert f.var() == pytest.approx(tn.var(), rel=1e-12, abs=0.0)
+
+    def test_one_pass_matches_independent_formulas(self):
+        # normaliser and power moments from parabolic-cylinder values, which
+        # ln_parabolic_cylinder_d integrates on its own (DLMF 12.5.1)
+        for shape in self.SHAPES:
+            for prec in self.PRECS:
+                f = GammaCaseInefficiency(shape, prec, self.SLOPES)
+                z = self.SLOPES / math.sqrt(prec)
+                log_d = [ln_parabolic_cylinder_d(shape + j, z, tol=1e-13) for j in range(3)]
+                log_norm = (-0.5 * shape * math.log(prec) + gammaln(shape) + 0.25 * z * z
+                            + log_d[0])
+                m1 = np.exp(gammaln(shape + 1) - gammaln(shape) + log_d[1] - log_d[0]) \
+                    / math.sqrt(prec)
+                m2 = np.exp(gammaln(shape + 2) - gammaln(shape) + log_d[2] - log_d[0]) / prec
+                assert f.log_norm == pytest.approx(log_norm, rel=1e-10, abs=0.0)
+                assert f.moment(1) == pytest.approx(m1, rel=1e-10, abs=0.0)
+                assert f.moment(2) == pytest.approx(m2, rel=1e-10, abs=0.0)
+
+    def test_mean_log_matches_mpmath(self):
+        # with v = u^shape the density is exp(-prec v^(2/shape) / 2 - slope v^(1/shape))
+        # in v, smooth at 0, and ln u = ln v / shape
+        for shape in self.SHAPES:
+            for prec in self.PRECS:
+                f = GammaCaseInefficiency(shape, prec, self.SLOPES)
+                for slope, got in zip(self.SLOPES, f.mean_log()):
+                    with mpmath.workdps(20):
+                        def dens(v, slope=slope, shape=shape, prec=prec):
+                            return mpmath.exp(-prec * v ** (2 / shape) / 2
+                                              - slope * v ** (1 / shape))
+
+                        edges = [0, 1, mpmath.inf]
+                        ref = (mpmath.quad(lambda v: mpmath.log(v) * dens(v), edges)
+                               / (shape * mpmath.quad(dens, edges)))
+                    assert got == pytest.approx(float(ref), abs=1e-10), (shape, prec, slope)
 
     def test_gamma_integrated_matches_quadrature(self):
         data = sfm_synthetic(21, 6, 4, 2, "gamma", [1.0, 0.5], 0.04, 2.0, theta=1.5)
@@ -264,12 +307,10 @@ class TestBatchedGammaFactor:
         for i, slope in enumerate(self.SLOPES):
             one = GammaCaseInefficiency(1.7, 2.5, slope)
             for name in ("mean", "var", "mean_log", "mean_log_q"):
-                assert getattr(batch, name)()[i] == pytest.approx(getattr(one, name)(),
-                                                                  rel=1e-12, abs=1e-14)
-            assert batch.moment(2)[i] == pytest.approx(one.moment(2), rel=1e-12)
-            assert batch.log_norm[i] == pytest.approx(one.log_norm, rel=1e-12)
-            assert np.allclose(batch.logpdf_batch(u)[:, i], one.logpdf_batch(u[:, i]),
-                               rtol=1e-12, atol=0.0)
+                assert getattr(batch, name)()[i] == getattr(one, name)(), name
+            assert batch.moment(2)[i] == one.moment(2)
+            assert batch.log_norm[i] == one.log_norm
+            assert np.array_equal(batch.logpdf_batch(u)[:, i], one.logpdf_batch(u[:, i]))
 
     def test_integrated_loglik_rows_match_single_calls(self):
         data = sfm_synthetic(21, 6, 4, 2, "gamma", [1.0, 0.5], 0.04, 2.0, theta=1.5)
@@ -341,6 +382,28 @@ class TestGammaVb:
     def test_trace_monotone_with_slack(self, gamma_fit):
         _, _, vb = gamma_fit
         assert np.all(np.diff(vb.elbo_trace) >= -1e-8)
+
+    def test_fit_runs_no_adaptive_quadrature(self, monkeypatch):
+        # every q(u) moment comes from one pass per iteration: on the harness's
+        # sfm-gamma data the fit once made 528 quadrature_1d calls (3 per
+        # iteration) and 176 ln_parabolic_cylinder_d calls
+        counts = dict.fromkeys(("quadrature_1d", "ln_parabolic_cylinder_d"), 0)
+        for name in counts:
+            original = getattr(statscore, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("mddkit") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        ctx = harness.build_context(harness.ExperimentConfig(model="sfm-gamma"))
+        assert len(ctx.vb.elbo_trace) > 100
+        assert counts == {"quadrature_1d": 0, "ln_parabolic_cylinder_d": 0}
+        # the counters see the calls that remain: one integrated likelihood
+        sfm_gamma_integrated_loglik(np.array([1.0, 0.5]), 25.0, 2.0, 1.5, ctx.kernel.data)
+        assert counts == {"quadrature_1d": 1, "ln_parabolic_cylinder_d": 1}
 
     def test_lambda_shape_tracks_theta(self, gamma_fit):
         prior, data, vb = gamma_fit

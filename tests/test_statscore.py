@@ -1,14 +1,17 @@
 """Tests for the distribution / special-function layer."""
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammainc, log_ndtr
+from scipy.special import gammainc, gammaln, log_ndtr, psi
 from scipy.stats import chi2, multivariate_normal, wishart
 
+from mddkit import statscore
 from mddkit.errors import NumericError
 from mddkit.statscore import (
     GammaParams,
@@ -23,6 +26,7 @@ from mddkit.statscore import (
     log_sum_exp,
     make_rng,
     quadrature_1d,
+    quadrature_expectations,
     safe_cholesky,
 )
 
@@ -238,6 +242,99 @@ class TestBatchedQuadrature:
             quadrature_1d(log_f, 0.0, 1.0, tol=1e-14, max_levels=4)
 
 
+class TestQuadratureExpectations:
+    SHAPES = np.array([0.4, 1.0, 2.7, 6.0])
+    FUNCTIONS = (lambda t: t, np.square, np.log)
+
+    @staticmethod
+    def gamma_like(t, a, z):
+        return (a - 1.0) * np.log(t) - 0.5 * t * t - z * t
+
+    def test_gamma_moments(self):
+        # t^(a-1) e^-t: Z = Gamma(a), E[t] = a, E[t^2] = a (a + 1), E[ln t] = psi(a)
+        a = self.SHAPES
+        log_z, (m1, m2, m_log) = quadrature_expectations(
+            lambda t, a: (a - 1.0) * np.log(t) - t, (a,), 0.0, np.inf, self.FUNCTIONS)
+        assert log_z == pytest.approx(gammaln(a), rel=1e-12, abs=1e-12)
+        assert m1 == pytest.approx(a, rel=1e-12)
+        assert m2 == pytest.approx(a * (a + 1.0), rel=1e-12)
+        assert m_log == pytest.approx(psi(a), rel=1e-12, abs=1e-12)
+
+    def test_finite_interval_and_scalar_integrand(self):
+        # the uniform density on (2, 5)
+        log_z, (m1, m_log) = quadrature_expectations(
+            lambda t, c: c + 0.0 * t, (0.0,), 2.0, 5.0, (lambda t: t, np.log))
+        assert log_z.shape == () and m1.shape == ()
+        assert float(log_z) == pytest.approx(math.log(3.0), abs=1e-13)
+        assert float(m1) == pytest.approx(3.5, rel=1e-13)
+        assert float(m_log) == pytest.approx((5 * math.log(5) - 2 * math.log(2) - 3) / 3,
+                                             rel=1e-13)
+
+    def test_signed_function_near_zero_mean(self):
+        # E[ln t] of the unit exponential is -Euler's gamma; of t^(a-1) e^-t at
+        # the root of psi it vanishes: a signed mean, with ln t of both signs
+        root = 1.4616321449683623
+        _, (m_log,) = quadrature_expectations(
+            lambda t, a: (a - 1.0) * np.log(t) - t, (np.array([1.0, root]),), 0.0, np.inf,
+            (np.log,))
+        assert m_log[0] == pytest.approx(-np.euler_gamma, rel=1e-13)
+        assert abs(m_log[1]) < 1e-13
+
+    def test_batch_equals_single_calls_bit_for_bit(self):
+        # the batch broadcasts (4, 1) shapes against 3 slopes; its integrands
+        # converge at different levels and leave the batch one by one
+        a, z = self.SHAPES[:, None], np.array([-12.0, -1.0, 4.0])
+        log_z, expect = quadrature_expectations(self.gamma_like, (a, z), 0.0, np.inf,
+                                                self.FUNCTIONS)
+        assert log_z.shape == (4, 3) and expect.shape == (3, 4, 3)
+        for i, j in np.ndindex(log_z.shape):
+            one = quadrature_expectations(self.gamma_like, (a[i, 0], z[j]), 0.0, np.inf,
+                                          self.FUNCTIONS)
+            assert np.array_equal(log_z[i, j], one[0])
+            assert np.array_equal(expect[:, i, j], one[1])
+
+
+class TestRefinementBudget:
+    """A level adds 20 * 2^level nodes; refinement stops before a level of more
+    than ``_QUAD_MAX_ELEMENTS`` integrand values, so a batch that never
+    agrees raises instead of filling memory."""
+
+    def test_level_sizes(self):
+        for level in range(1, 9):
+            assert statscore._de_unit_nodes(level)[1].size == 20 << level
+        # the deepest level the tests reach: one integrand at level 19
+        assert not statscore._over_budget(1, 19)
+        assert statscore._over_budget(1, 20)
+
+    @pytest.mark.parametrize("method", ["quadrature_1d", "quadrature_expectations"])
+    def test_kinked_batch_raises_within_budget(self, monkeypatch, method):
+        # a kink between nodes converges only algebraically, so 60 of them
+        # never agree to 1e-12; a small budget, and a level cap that keeps even
+        # an unbudgeted run near 10 MB per array, keep this test small
+        budget = 1 << 16
+        monkeypatch.setattr(statscore, "_QUAD_MAX_ELEMENTS", budget)
+        monkeypatch.setattr(statscore, "_DE_MAX_LEVELS", 10)
+        kinks = np.linspace(0.1, 0.9, 60) + math.pi * 1e-3
+
+        def log_f(t, kink):
+            return -np.abs(t - kink)
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericError, match="achieved"):
+                if method == "quadrature_1d":
+                    quadrature_1d(lambda t: log_f(t, kinks[:, None]), 0.0, 1.0, tol=1e-12,
+                                  max_levels=10)
+                else:
+                    quadrature_expectations(log_f, (kinks,), 0.0, 1.0, (lambda t: t,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the last level evaluated holds under 2^16 values; the first one over
+        # the budget (level 6) would hold 76,800 per array, level 10 1.2M
+        assert peak < 8 * 8 * budget
+
+
 class TestBroadcastParabolicCylinder:
     def test_matches_scalar_loop(self):
         orders = np.array([[0.0], [0.5], [1.0], [2.5], [4.0]])
@@ -423,6 +520,30 @@ class TestDensities:
         log_m2 = quadrature_1d(lambda u: 2.0 * np.log(u) + params.logpdf_batch(u), 0.0, np.inf, tol=1e-12)
         var = np.exp(log_m2) - mean ** 2
         assert var == pytest.approx(params.var()[:, 0], rel=1e-7, abs=1e-12)
+
+    def test_truncnormal_moments_against_mpmath(self):
+        # location / scale from -40 to 12 under three scales, against 50-digit
+        # values; below -2.5 the continued fraction avoids the cancellation in
+        # a + m(a) and 1 - m (m + a) (m the inverse Mills ratio)
+        with mpmath.workdps(50):
+            for scale in (0.3, 1.0, 2.5):
+                locs = np.linspace(-40.0, 12.0, 105) * scale
+                params = TruncNormalParams(locs, scale)
+                for loc, mean, var in zip(locs, params.mean(), params.var()):
+                    a = mpmath.mpf(loc) / scale
+                    m = mpmath.npdf(a) / mpmath.ncdf(a)
+                    assert mean == pytest.approx(float(scale * (a + m)), rel=1e-13, abs=0.0)
+                    assert var == pytest.approx(float(scale ** 2 * (1 - m * (m + a))),
+                                                rel=1e-13, abs=0.0)
+
+    def test_truncnormal_moments_continuous_across_the_tail_switch(self):
+        cut = statscore._MILLS_CF_BELOW
+        for scale in (0.3, 1.0, 2.5):
+            alphas = np.array([np.nextafter(cut, -np.inf), cut])
+            params = TruncNormalParams(alphas * scale, scale)
+            mean, var = params.mean(), params.var()
+            assert mean[0] == pytest.approx(mean[1], rel=1e-14)
+            assert var[0] == pytest.approx(var[1], rel=1e-13)
 
     def test_truncnormal_array_matches_each_factor_alone(self):
         # location / scale from -40 to 12 under mixed scales: every entry of
