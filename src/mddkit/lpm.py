@@ -455,6 +455,7 @@ class LpmKernel(GibbsKernel):
         self._gauss_beta0 = MvNormalParams(prior.beta0, prior.Vbeta0)
         self._gauss_mu0 = MvNormalParams(prior.mu0, prior.Vmu0)
         self._wish0 = WishartParams(prior.S0, prior.nu0)
+        self._vbeta0_inv = np.linalg.inv(prior.Vbeta0)
         self._vmu0_inv = np.linalg.inv(prior.Vmu0)
         self._vmu0_inv_mu0 = self._vmu0_inv @ prior.mu0
         # the counts and the offsets with a leading chain axis: in a stack of
@@ -503,51 +504,44 @@ class LpmKernel(GibbsKernel):
 
     def _carry(self, state):
         """Add what the Metropolis steps carry across sweeps where absent: xb, zu,
-        the beta prior term, the per-subject log likelihood and the proposal
-        factors (from the curvature at the state when no VB fit gave them).
-        The beta prior term is one one-point density call per state, the bits
-        the proposal's own term gets."""
+        the per-subject log likelihood and the proposal factors (from the
+        curvature at the state when no VB fit gave them)."""
         d, n, t = self.data, self.data.num_subjects, self.data.num_periods
         if "_ll" not in state:
             state["_xb"] = (self._offsets_row + np.matvec(d.x, state["beta"])).reshape(-1, n, t)
             state["_zu"] = np.einsum("itm,cim->cit", d.z, state["u"])
-            state["_lp_beta"] = np.array([self._gauss_beta0.logpdf(b) for b in state["beta"]])
             state["_ll"] = self._poisson_loglik_per_subject(state["_xb"], state["_zu"])
         if "_chol_beta" not in state:
             lam = np.exp(state["_xb"] + state["_zu"])
             state["_chol_beta"] = safe_cholesky(np.linalg.inv(
-                d.x.T @ (lam.reshape(len(lam), -1, 1) * d.x) + np.linalg.inv(self.prior.Vbeta0)))
+                d.x.T @ (lam.reshape(len(lam), -1, 1) * d.x) + self._vbeta0_inv))
             state["_u_chols"] = safe_cholesky(np.linalg.inv(
                 np.einsum("itm,cit,itl->ciml", d.z, lam, d.z) + state["sigma_inv"][:, None]))
 
     def gibbs_sweep(self, state, rngs, clamped, steps):
         """Random-walk Metropolis for beta, then all u_i, then conjugate mu and
         Sigma^-1, over a stack of states; proposals are the states'
-        ``"_chol_beta"`` / ``"_u_chols"`` scaled by the ``steps``, and the beta
-        acceptance is scalar math chain by chain. Returns the accept decisions."""
+        ``"_chol_beta"`` / ``"_u_chols"`` scaled by the ``steps``. Returns the
+        accept decisions."""
         d = self.data
         n, t, k, m = d.num_subjects, d.num_periods, d.k, d.m
         accepted = {}
         self._carry(state)
         if "beta" not in clamped:
+            beta, ll = state["beta"], state["_ll"]
             noise = draw_each(rngs, lambda rng: rng.standard_normal(k))
-            prop = state["beta"] + steps["beta"][:, None] * np.matvec(state["_chol_beta"], noise)
+            prop = beta + steps["beta"][:, None] * np.matvec(state["_chol_beta"], noise)
             xb_prop = (self._offsets_row + np.matvec(d.x, prop)).reshape(-1, n, t)
-            lp_prop = [self._gauss_beta0.logpdf(p) for p in prop]
             ll_prop = self._poisson_loglik_per_subject(xb_prop, state["_zu"])
-            sums = zip(np.add.reduce(ll_prop, axis=-1).tolist(),
-                       np.add.reduce(state["_ll"], axis=-1).tolist())
-            delta = [(ll1 - ll0) + lp1 - lp0
-                     for (ll1, ll0), lp1, lp0 in zip(sums, lp_prop, state["_lp_beta"].tolist())]
-            acc = [math.log(rng.uniform()) <= dl for rng, dl in zip(rngs, delta)]
-            if any(acc):  # a stack that rejects everywhere keeps its arrays
-                lp_prop = np.array(lp_prop)
-                if not all(acc):  # rejecting chains keep their rows
-                    keep = ~np.array(acc)
-                    prop[keep], xb_prop[keep] = state["beta"][keep], state["_xb"][keep]
-                    lp_prop[keep], ll_prop[keep] = state["_lp_beta"][keep], state["_ll"][keep]
-                state.update(beta=prop, _xb=xb_prop, _lp_beta=lp_prop, _ll=ll_prop)
-            accepted["beta"] = np.array(acc)
+            dev_c, dev_p = beta - self.prior.beta0, prop - self.prior.beta0
+            dprior = -0.5 * (np.einsum("ck,kl,cl->c", dev_p, self._vbeta0_inv, dev_p)
+                             - np.einsum("ck,kl,cl->c", dev_c, self._vbeta0_inv, dev_c))
+            delta = (np.add.reduce(ll_prop, axis=-1) - np.add.reduce(ll, axis=-1)) + dprior
+            acc = np.log(draw_each(rngs, lambda rng: rng.uniform())) <= delta
+            state["beta"] = np.where(acc[:, None], prop, beta)
+            state["_xb"] = np.where(acc[:, None, None], xb_prop, state["_xb"])
+            state["_ll"] = np.where(acc[:, None], ll_prop, ll)
+            accepted["beta"] = acc
         if "u" not in clamped:
             step, u, ll, w_mat = steps["u"], state["u"], state["_ll"], state["sigma_inv"]
             noise = draw_each(rngs, lambda rng: rng.standard_normal((n, m)))

@@ -479,17 +479,17 @@ _GRID_EDGE_MASS_TOL, _GRID_MAX_WIDEN = 1e-10, 6
 
 
 class _GridDensity:
-    """Density tabulated on a log-spaced grid with trapezoid weights."""
+    """Density tabulated on a log-spaced grid with the trapezoid weights of
+    its log: the integral of f over x is that of f(e^s) e^s over s = ln x."""
 
     def __init__(self, log_unnorm):
         lo, hi = _GRID_LO, _GRID_HI
         for _ in range(_GRID_MAX_WIDEN):
-            grid = np.exp(np.linspace(math.log(lo), math.log(hi), _GRID_SIZE))
+            log_grid, h = np.linspace(math.log(lo), math.log(hi), _GRID_SIZE, retstep=True)
+            grid = np.exp(log_grid)
             logf = log_unnorm(grid)
-            w = np.empty(_GRID_SIZE)
-            w[1:-1] = 0.5 * (grid[2:] - grid[:-2])
-            w[0] = 0.5 * (grid[1] - grid[0])
-            w[-1] = 0.5 * (grid[-1] - grid[-2])
+            w = h * grid
+            w[[0, -1]] *= 0.5
             terms = logf + np.log(w)
             log_c = log_sum_exp(terms)
             probs = np.exp(terms - log_c)

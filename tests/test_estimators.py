@@ -253,8 +253,26 @@ class TestSwzWeighting:
     def test_radial_density_normalizes_untruncated(self, toy):
         kernel, draws, _ = toy
         w = make_swz_weighting(kernel, draws, coverage=1.0 - 1e-12)
-        val = quadrature_1d(lambda v: w.log_eval(v[:, None]), -10, 10, tol=1e-8)
-        assert val == pytest.approx(0.0, abs=1e-4)
+
+        def log_eval(v):
+            return w.log_eval(np.reshape(v, (-1, 1)))
+
+        def edge(live, dead):
+            # bisect between a live and a dead abscissa down to adjacent floats
+            while (mid := 0.5 * (live + dead)) not in (live, dead):
+                live, dead = (mid, dead) if np.isfinite(log_eval(mid)[0]) else (live, mid)
+            return live
+
+        # the weighting is smooth where it is finite and jumps to -inf at the
+        # edges of its support: locate each edge, then integrate each live piece
+        grid = np.linspace(-10.0, 10.0, 2001)
+        alive = np.isfinite(log_eval(grid))
+        assert not alive[0] and not alive[-1]
+        edges = [edge(grid[i], grid[i + 1]) if alive[i] else edge(grid[i + 1], grid[i])
+                 for i in np.flatnonzero(alive[1:] != alive[:-1])]
+        pieces = [quadrature_1d(log_eval, a, b, tol=1e-12)
+                  for a, b in zip(edges[::2], edges[1::2])]
+        assert log_sum_exp(pieces) == pytest.approx(0.0, abs=1e-9)
 
 
     def test_kernel_mode_is_closed_form_var_mode(self):

@@ -21,7 +21,7 @@ from mddkit.lpm import (
     lpm_vb,
     lpm_vb_gradient_residual,
 )
-from mddkit.modelapi import SamplerConfig
+from mddkit.modelapi import SamplerConfig, run_gibbs
 from mddkit.statscore import (
     LOG_2PI,
     MvNormalParams,
@@ -29,6 +29,7 @@ from mddkit.statscore import (
     log_sum_exp,
     make_rng,
     quadrature_1d,
+    quadrature_expectations,
     safe_cholesky,
 )
 
@@ -479,6 +480,47 @@ class TestLeanSampler:
         assert group == alone
         beta_warnings = [w for w in group if "beta" in w]
         assert len(set(beta_warnings)) == len(beta_warnings) == 3  # so their order shows
+
+    def test_group_of_sixteen_equals_each_chain_alone(self, sampler_fit):
+        # every step's arithmetic is row by row, so no bit depends on the stack size
+        kernel, vb = sampler_fit
+        config = SamplerConfig(draws=20, burn_in=15, thin=3)
+        group = kernel.posterior_chains(config, [make_rng(86, c) for c in range(16)],
+                                        list(range(16)), vb=vb)
+        for c, chain in enumerate(group):
+            alone = kernel.posterior_sampler(config, make_rng(86, c), vb=vb)
+            assert np.array_equal(chain.thetas, alone.thetas), c
+            assert np.array_equal(chain.latents, alone.latents), c
+
+
+class TestBetaStep:
+
+    def test_targets_its_conditional(self):
+        # a strong prior (beta0 = 1, Vbeta0 = 0.02) pulls beta's conditional
+        # away from the likelihood's, so a wrong prior term in the accept
+        # ratio shows; u, mu and Sigma^-1 stay at the VB start
+        data = lpm_synthetic(91, 12, 4, 1, 1, [0.3], [0.1], 0.3 * np.eye(1))
+        prior = LpmPrior([1.0], [[0.02]], [0.0], [[4.0]], [[0.5]], 3.0)
+        kernel = LpmKernel(prior, data)
+        chains = 32
+        start = kernel.gibbs_start(chains, vb=lpm_vb(prior, data))
+        draws = run_gibbs(kernel, start, SamplerConfig(draws=400, burn_in=50),
+                          [make_rng(92, c) for c in range(chains)],
+                          clamped=frozenset({"u", "mu", "sigma_inv"}))
+        beta = np.stack([d.thetas[:, 0] for d in draws])  # (chains, draws)
+        # beta's conditional: the Poisson likelihood at the clamped u times the prior
+        zu = np.einsum("itm,im->it", data.z, start["u"][0]).ravel()
+
+        def log_f(b, b0):
+            eta = (data.offsets + zu)[:, None] + data.x[:, :1] * b
+            return data.y @ eta - np.exp(eta).sum(axis=0) - 0.5 * (b - b0) ** 2 / 0.02
+
+        _, (mean, second) = quadrature_expectations(log_f, (1.0,), -2.0, 4.0,
+                                                    (lambda b: b, lambda b: b * b))
+        for stat, want in ((beta, mean), ((beta - mean) ** 2, second - mean ** 2)):
+            per_chain = stat.mean(axis=1)
+            z = (per_chain.mean() - want) / (per_chain.std(ddof=1) / math.sqrt(chains))
+            assert abs(z) < 4, z
 
 
 class TestSynthetic:

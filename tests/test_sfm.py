@@ -358,6 +358,18 @@ class TestGridSampling:
         self._check_moments(draws, grid.mean(), second)
         assert not np.any(np.isin(draws, grid.grid))
 
+    @pytest.mark.parametrize("lin", [8.0, 12.0, 20.0, 40.0])
+    def test_theta_grid_normalizer_matches_quadrature(self, lin):
+        # q(theta)'s form (shape 2, scale 2, ten firms); the trapezoid runs in
+        # ln theta, where theta-space widths would overstate log_c by
+        # ln(sinh h / h) = 1.7e-5
+        def log_unnorm(th):
+            return -3.0 * np.log(th) + lin * th - 2.0 / th - 11 * gammaln(th)
+
+        grid = sfm._GridDensity(log_unnorm)
+        assert grid.log_c == pytest.approx(
+            quadrature_1d(log_unnorm, 0.0, math.inf, tol=1e-14), abs=1e-12)
+
     def test_cdl_weighting_sampler_draws_the_vb_factors(self, gamma_fit):
         prior, data, vb = gamma_fit
         kernel = SfmGammaKernel(prior, data)

@@ -302,7 +302,7 @@ class TestRefinementBudget:
     def test_level_sizes(self):
         for level in range(1, 9):
             assert statscore._de_unit_nodes(level)[1].size == 20 << level
-        # the deepest level the tests reach: one integrand at level 19
+        # the deepest level the budget allows one integrand: level 19
         assert not statscore._over_budget(1, 19)
         assert statscore._over_budget(1, 20)
 
