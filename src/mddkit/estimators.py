@@ -36,6 +36,10 @@ __all__ = [
     "make_pmd_weighting",
 ]
 
+_BRIDGE_TOL = 1e-10
+_BRIDGE_MAX_ITER = 100
+_GEWEKE_ALPHA = 0.05
+
 
 @dataclass
 class MddEstimate:
@@ -108,7 +112,6 @@ def is_estimate(kernel: ModelKernel, f: WeightingDensity, num_draws: int,
 
 def bs_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, g: WeightingDensity,
                 num_weighting_draws: int | None = None, rng: np.random.Generator | None = None,
-                tol: float = 1e-10, max_iter: int = 100,
                 log_kernel_values=None, log_weight_values=None) -> MddEstimate:
     """Bridge sampling via the optimal-bridge recursion, iterated in log space.
 
@@ -141,10 +144,10 @@ def bs_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, g: WeightingDensit
     else:
         log_r = 0.0
     trace = [log_r]
-    for it in range(1, max_iter + 1):
+    for it in range(1, _BRIDGE_MAX_ITER + 1):
         new = step(log_r)
         trace.append(new)
-        if abs(new - log_r) < tol:
+        if abs(new - log_r) < _BRIDGE_TOL:
             return MddEstimate(
                 log_mdd=new, method=f"bs-{g.tag}", num_posterior_draws=s,
                 num_weighting_draws=o, iterations=it,
@@ -152,7 +155,7 @@ def bs_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, g: WeightingDensit
             )
         log_r = new
     raise EstimationError(
-        f"bridge sampling did not converge in {max_iter} iterations; trace={trace[-8:]}")
+        f"bridge sampling did not converge in {_BRIDGE_MAX_ITER} iterations; trace={trace[-8:]}")
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +214,6 @@ def _default_theta_star(draws: PosteriorDrawSet) -> dict:
 
 
 def chib_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, rng: np.random.Generator,
-                  theta_star: dict | None = None,
                   reduced_run_length: int | None = None) -> MddEstimate:
     """Basic marginal likelihood identity evaluated at a high-density point.
 
@@ -227,7 +229,7 @@ def chib_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, rng: np.random.G
     if len(blocks) > 1 and not hasattr(kernel, "gibbs_sweep"):
         raise UnsupportedModelError(f"{type(kernel).__name__} lacks a clampable Gibbs sweep")
     run_len = reduced_run_length or draws.size
-    star = dict(theta_star) if theta_star is not None else _default_theta_star(draws)
+    star = _default_theta_star(draws)
 
     log_ordinate = 0.0
     factors = []
@@ -295,19 +297,17 @@ def make_normal_weighting(draws: PosteriorDrawSet) -> WeightingDensity:
     return WeightingDensity(tag="normal", log_eval=log_eval, sampler=sampler)
 
 
-def make_geweke_weighting(draws: PosteriorDrawSet, alpha: float = 0.05) -> WeightingDensity:
-    """Moment-matched normal truncated to its 100(1-alpha)% highest density
-    region; constrained blocks are handled on the unconstrained transform with
-    the Jacobian so the result is a proper density on the original space."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+def make_geweke_weighting(draws: PosteriorDrawSet) -> WeightingDensity:
+    """Moment-matched normal truncated to its 95% highest density region;
+    constrained blocks are handled on the unconstrained transform with the
+    Jacobian so the result is a proper density on the original space."""
     layout = draws.layout
     phis, _ = layout.to_unconstrained_batch(draws.thetas)
     mean = phis.mean(axis=0)
     cov = np.atleast_2d(np.cov(phis.T))
     base = MvNormalParams(mean, cov)
     n = layout.dim
-    threshold = chi_square_quantile(n, 1.0 - alpha)
+    threshold = chi_square_quantile(n, 1.0 - _GEWEKE_ALPHA)
     chol = safe_cholesky(base.cov)
 
     def log_eval(thetas):
@@ -315,7 +315,7 @@ def make_geweke_weighting(draws: PosteriorDrawSet, alpha: float = 0.05) -> Weigh
         dev = phi - mean
         z = _tri_solve(chol, dev)
         maha = np.sum(z * z, axis=0)
-        out = base.logpdf_batch(phi) - math.log1p(-alpha) + log_jac
+        out = base.logpdf_batch(phi) - math.log1p(-_GEWEKE_ALPHA) + log_jac
         out[maha > threshold] = -np.inf
         return out
 

@@ -295,7 +295,7 @@ def _run_method(method: str, bundle: _RepBundle):
     if spec.engine == "chm":
         return est.chm_estimate(route.kernel, route.draws, rng, log_kernel_values=route.log_k,
                                 num_is_draws=max(cfg.is_draws or cfg.draws, 1000))
-    return est.chib_estimate(route.kernel, route.draws, rng, reduced_run_length=cfg.draws)
+    return est.chib_estimate(route.kernel, route.draws, rng)
 
 
 # what a failed cell raises; anything else is a programming error and propagates
@@ -471,9 +471,10 @@ def _json_num(v):
 
 _SVG_COLORS = ["#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#f39c12",
                "#16a085", "#7f8c8d", "#d35400", "#2c3e50", "#e84393"]
+_SVG_WIDTH, _SVG_HEIGHT = 720, 420
 
 
-def _render_scatter_svg(table: ResultsTable, width=720, height=420) -> str:
+def _render_scatter_svg(table: ResultsTable) -> str:
     methods = [r["method"] for r in table.rows if r.get("mean_log_mdd") is not None]
     pts = [(rep, m, v) for rep, m, v in table.scatter
            if m in methods and not math.isnan(v)]
@@ -489,23 +490,23 @@ def _render_scatter_svg(table: ResultsTable, width=720, height=420) -> str:
     mleft, mright, mtop, mbot = 70, 160, 20, 40
 
     def sx(rep):
-        return mleft + (width - mleft - mright) * (rep + 0.5) / reps
+        return mleft + (_SVG_WIDTH - mleft - mright) * (rep + 0.5) / reps
 
     def sy(v):
-        return mtop + (height - mtop - mbot) * (hi - v) / (hi - lo)
+        return mtop + (_SVG_HEIGHT - mtop - mbot) * (hi - v) / (hi - lo)
 
-    parts = [f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' height='{height}' "
+    parts = [f"<svg xmlns='http://www.w3.org/2000/svg' width='{_SVG_WIDTH}' height='{_SVG_HEIGHT}' "
              f"font-family='sans-serif' font-size='11'>",
-             f"<rect width='{width}' height='{height}' fill='white'/>"]
+             f"<rect width='{_SVG_WIDTH}' height='{_SVG_HEIGHT}' fill='white'/>"]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         v = lo + frac * (hi - lo)
         y = sy(v)
-        parts.append(f"<line x1='{mleft}' y1='{y:.1f}' x2='{width - mright}' y2='{y:.1f}' "
+        parts.append(f"<line x1='{mleft}' y1='{y:.1f}' x2='{_SVG_WIDTH - mright}' y2='{y:.1f}' "
                      "stroke='#eee'/>")
         parts.append(f"<text x='{mleft - 6}' y='{y + 4:.1f}' text-anchor='end'>{v:.2f}</text>")
     if "exact" in table.benchmarks:
         y = sy(table.benchmarks["exact"])
-        parts.append(f"<line x1='{mleft}' y1='{y:.1f}' x2='{width - mright}' y2='{y:.1f}' "
+        parts.append(f"<line x1='{mleft}' y1='{y:.1f}' x2='{_SVG_WIDTH - mright}' y2='{y:.1f}' "
                      "stroke='black' stroke-dasharray='4 3'/>")
     for i, method in enumerate(methods):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
@@ -514,8 +515,8 @@ def _render_scatter_svg(table: ResultsTable, width=720, height=420) -> str:
                 parts.append(f"<circle cx='{sx(rep):.1f}' cy='{sy(v):.1f}' r='2.4' "
                              f"fill='{color}' fill-opacity='0.75'/>")
         ly = mtop + 16 * i + 8
-        parts.append(f"<circle cx='{width - mright + 14}' cy='{ly}' r='4' fill='{color}'/>")
-        parts.append(f"<text x='{width - mright + 24}' y='{ly + 4}'>{method}</text>")
-    parts.append(f"<text x='{mleft}' y='{height - 10}'>repetition</text>")
+        parts.append(f"<circle cx='{_SVG_WIDTH - mright + 14}' cy='{ly}' r='4' fill='{color}'/>")
+        parts.append(f"<text x='{_SVG_WIDTH - mright + 24}' y='{ly + 4}'>{method}</text>")
+    parts.append(f"<text x='{mleft}' y='{_SVG_HEIGHT - 10}'>repetition</text>")
     parts.append("</svg>")
     return "\n".join(parts)

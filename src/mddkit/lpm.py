@@ -9,7 +9,6 @@ updates, which lack an ascent guarantee and are therefore damped.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,8 +207,6 @@ def lpm_vb(prior: LpmPrior, data: LpmData, tol: float = 1e-6, max_iter: int = 50
                     continue
                 converged = True
                 break
-    if not converged:
-        warnings.warn("Poisson-panel VB hit max_iter before the tolerance", stacklevel=2)
 
     gauss_gamma = MvNormalParams(gamma_q, np.linalg.inv(prec_q))
     factors = {"beta": MvNormalParams(gamma_q[:k], gauss_gamma.cov[:k, :k]),
@@ -577,8 +574,8 @@ class LpmKernel(GibbsKernel):
                  "_u_chols": safe_cholesky(u_covs)}
         return stack_state(state, chains)
 
-    def vb_fit(self, tol: float = 1e-6, max_iter: int = 500, damping: float = 0.5) -> VBResult:
-        return lpm_vb(self.prior, self.data, tol=tol, max_iter=max_iter, damping=damping)
+    def vb_fit(self) -> VBResult:
+        return lpm_vb(self.prior, self.data)
 
 
 # ---------------------------------------------------------------------------

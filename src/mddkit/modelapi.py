@@ -298,15 +298,18 @@ class VBResult:
     elbo_trace: np.ndarray
     log_q: Callable[[np.ndarray], np.ndarray]          # batched over theta rows
     sample: Callable[[np.random.Generator, int], np.ndarray]
-    converged: bool = True
+    converged: bool
     factors: dict = field(default_factory=dict)
 
     @classmethod
-    def mean_field(cls, layout: ParamLayout, factors: dict, elbo_trace, hyper=None,
-                   converged: bool = True) -> "VBResult":
-        """The fit whose q is :func:`product_density` of ``factors`` over ``layout``."""
-        return cls({} if hyper is None else hyper, np.asarray(elbo_trace),
-                   *product_density(layout, factors), converged=converged, factors=factors)
+    def mean_field(cls, layout: ParamLayout, factors: dict, elbo_trace, hyper: dict,
+                   converged: bool) -> "VBResult":
+        """The fit whose q is :func:`product_density` of ``factors`` over ``layout``;
+        it warns unless ``converged`` (a closed-form fit passes True)."""
+        if not converged:
+            warnings.warn(f"VB over {layout.names} hit max_iter before the tolerance", stacklevel=3)
+        return cls(hyper, np.asarray(elbo_trace), *product_density(layout, factors),
+                   converged=converged, factors=factors)
 
     @property
     def elbo(self) -> float:
@@ -384,7 +387,7 @@ class ModelKernel:
         return [self.posterior_sampler(config, rng, seed, **kwargs)
                 for rng, seed in zip(rngs, seeds)]
 
-    def vb_fit(self, **kwargs) -> VBResult:
+    def vb_fit(self) -> VBResult:
         raise UnsupportedModelError(f"{type(self).__name__} has no VB fit wired")
 
 

@@ -10,7 +10,6 @@ theta and the latent u for the complete-data variant).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import partial
 
@@ -59,6 +58,9 @@ __all__ = [
     "SfmGammaKernel",
     "GammaCaseInefficiency",
 ]
+
+_GAMMA_VB_TOL = 1e-6
+_GAMMA_VB_MAX_ITER = 200
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +338,6 @@ def sfm_exp_vb(prior: SfmExpPrior, data: SfmData, tol: float = 1e-8,
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
             converged = True
             break
-    if not converged:
-        warnings.warn("exponential-case VB hit max_iter before the tolerance", stacklevel=2)
 
     factors = {"beta": MvNormalParams(beta_q, v_beta), "sigma_prec": GammaParams(a_sig, b_sig),
                "lam": GammaParams(a_lam, b_lam), "u": _AllFirms(q_u)}
@@ -525,8 +525,7 @@ class _GridDensity:
         return _grid_sample(self.grid, self._logf, rng.uniform(size=size))
 
 
-def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData, tol: float = 1e-6,
-                 max_iter: int = 200) -> VBResult:
+def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData) -> VBResult:
     """Coordinate ascent for the gamma-inefficiency frontier model.
 
     The u factors are nonstandard: each iteration takes their normalizing
@@ -539,8 +538,6 @@ def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData, tol: float = 1e-6,
     the bound ascends; read as a variance it is no optimum, and the ascent
     guarantee is lost.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     n, t, k, c = data.num_firms, data.num_periods, data.k, data.c
     cavi = _FrontierCavi(prior, data)
     a_sig, b_sig = cavi.a_sig, cavi.b_sig_start
@@ -557,7 +554,7 @@ def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData, tol: float = 1e-6,
 
     trace = []
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_GAMMA_VB_MAX_ITER):
         q_lam = GammaParams(a_lam, b_lam)
         e_lam, eln_lam = q_lam.mean(), q_lam.mean_log()
         # q(beta), q(sigma^-2)
@@ -583,11 +580,9 @@ def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData, tol: float = 1e-6,
         b_lam = prior.b_lam0 + float(np.sum(u_mean))
         trace.append(_elbo_gamma(cavi, beta_q, v_beta, b_sig, a_lam, b_lam, theta_grid,
                                  theta_mean, u_factors, u_mean, u_m2, u_mean_log))
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < _GAMMA_VB_TOL:
             converged = True
             break
-    if not converged:
-        warnings.warn("gamma-case VB hit max_iter before the tolerance", stacklevel=2)
 
     factors = {"beta": MvNormalParams(beta_q, v_beta), "sigma_prec": GammaParams(a_sig, b_sig),
                "lam": GammaParams(a_lam, b_lam), "theta": theta_grid,
@@ -777,8 +772,8 @@ class SfmExpKernel(_FrontierKernel):
     def gibbs_start(self, chains):
         return stack_state(self._initial_state(), chains)
 
-    def vb_fit(self, tol: float = 1e-8, max_iter: int = 500) -> VBResult:
-        return sfm_exp_vb(self.prior, self.data, tol=tol, max_iter=max_iter)
+    def vb_fit(self) -> VBResult:
+        return sfm_exp_vb(self.prior, self.data)
 
     def as_complete_data(self) -> "SfmExpCdlKernel":
         return SfmExpCdlKernel(self.prior, self.data)
@@ -937,8 +932,8 @@ class SfmGammaKernel(_FrontierKernel):
     def gibbs_start(self, chains):
         return stack_state(self._initial_state() | {"theta": 1.0}, chains)
 
-    def vb_fit(self, tol: float = 1e-6, max_iter: int = 200) -> VBResult:
-        return sfm_gamma_vb(self.prior, self.data, tol=tol, max_iter=max_iter)
+    def vb_fit(self) -> VBResult:
+        return sfm_gamma_vb(self.prior, self.data)
 
 
 def make_sfm_gamma_cdl_weighting(vb: VBResult, kernel: SfmGammaKernel) -> WeightingDensity:

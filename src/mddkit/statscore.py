@@ -113,7 +113,7 @@ _DE_NODES: dict = {}
 _DE_MAX_LEVELS = 20
 # most integrand values (integrands x nodes) one refinement level may evaluate: a
 # level adds 20 * 2^level nodes, so one integrand may reach level 19 (10.5M); the
-# deepest in the tests is level 17 (2.6M), an inner integral of a nested 2-d oracle
+# deepest in the tests is level 13 (164k), a narrow bump that coarse nodes miss
 _QUAD_MAX_ELEMENTS = 1 << 24
 _EXPECT_TOL = 1e-12
 _NO_MASS = -1e300  # the exp-shift of an integrand while all its terms so far are zero

@@ -28,6 +28,9 @@ from .statscore import GammaParams, LOG_2PI, MvNormalParams
 
 __all__ = ["ToyNormalKernel", "ToyNormalGammaKernel"]
 
+_NORMAL_GAMMA_VB_TOL = 1e-12
+_NORMAL_GAMMA_VB_MAX_ITER = 200
+
 
 class ToyNormalKernel(ModelKernel):
     """y_i ~ N(theta, obs_var) with theta ~ N(prior_mean, prior_var); obs_var known."""
@@ -82,7 +85,7 @@ class ToyNormalKernel(ModelKernel):
     def vb_fit(self) -> VBResult:
         # one block: the optimal approximation is the posterior itself
         post = MvNormalParams([self.post_mean], [[self.post_var]])
-        return VBResult.mean_field(self.layout, {"theta": post}, [self.exact_log_mdd()])
+        return VBResult.mean_field(self.layout, {"theta": post}, [self.exact_log_mdd()], {}, True)
 
 
 class ToyNormalGammaKernel(GibbsKernel):
@@ -150,7 +153,7 @@ class ToyNormalGammaKernel(GibbsKernel):
 
     # -- mean-field fit -------------------------------------------------------
 
-    def vb_fit(self, tol=1e-12, max_iter=200) -> VBResult:
+    def vb_fit(self) -> VBResult:
         t = self.y.size
         ybar = self.y.mean()
         ss = float(np.sum((self.y - ybar) ** 2))
@@ -158,7 +161,8 @@ class ToyNormalGammaKernel(GibbsKernel):
         b_q = self.b_t  # any sane positive start
         trace = []
         m_q = self.m_t
-        for _ in range(max_iter):
+        converged = False
+        for _ in range(_NORMAL_GAMMA_VB_MAX_ITER):
             e_tau = a_q / b_q
             v_q = 1.0 / (self.kappa_t * e_tau)
             # E[kappa0 (mu-m0)^2 + sum (y-mu)^2] under q(mu)
@@ -166,12 +170,13 @@ class ToyNormalGammaKernel(GibbsKernel):
                       + ss + t * ((m_q - ybar) ** 2 + v_q))
             b_q = self.b0 + 0.5 * e_quad
             trace.append(self._elbo(m_q, v_q, a_q, b_q))
-            if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
+            if len(trace) > 1 and abs(trace[-1] - trace[-2]) < _NORMAL_GAMMA_VB_TOL:
+                converged = True
                 break
         e_tau = a_q / b_q
         v_q = 1.0 / (self.kappa_t * e_tau)
         factors = {"mu": MvNormalParams([m_q], [[v_q]]), "tau": GammaParams(a_q, b_q)}
-        return VBResult.mean_field(self.layout, factors, trace)
+        return VBResult.mean_field(self.layout, factors, trace, {}, converged)
 
     def _elbo(self, m_q, v_q, a_q, b_q) -> float:
         t = self.y.size

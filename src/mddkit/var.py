@@ -54,6 +54,10 @@ __all__ = [
     "VarIndependentKernel",
 ]
 
+_INDEPENDENT_VB_TOL = 1e-8
+_INDEPENDENT_VB_MAX_ITER = 500
+_SYNTH_BURN = 100  # simulated rows dropped before the kept sample
+
 
 # ---------------------------------------------------------------------------
 # data
@@ -255,7 +259,7 @@ def _vb_conjugate(prior, data, post: NormalWishart, factorized: bool) -> VBResul
     if not factorized:
         # q is the exact normal-Wishart posterior itself, no product of factors
         elbo = _elbo_conjugate_joint(prior, data, post)
-        return VBResult(hyper, np.array([elbo]), post.logpdf_batch, post.sample)
+        return VBResult(hyper, np.array([elbo]), post.logpdf_batch, post.sample, True)
     nu_q = t + 1.0 + data.p * n + prior.nu0  # = posterior dof + K
     if not nu_q - n - 1.0 > 0:
         raise ConfigError("factorized VB needs nu* > N + 1")
@@ -265,7 +269,7 @@ def _vb_conjugate(prior, data, post: NormalWishart, factorized: bool) -> VBResul
     elbo = _elbo_conjugate_factorized(prior, data, post, q_w, col_cov)
     factors = {"alpha": MatricNormalParams(post.A, post.V, col_cov), "sigma_inv": q_w}
     hyper.update(S=s_q, nu=nu_q, col_cov=col_cov)
-    return VBResult.mean_field(_var_layout(n, data.K), factors, [elbo], hyper)
+    return VBResult.mean_field(_var_layout(n, data.K), factors, [elbo], hyper, True)
 
 
 def _elbo_conjugate_factorized(prior, data, post, q_w, col_cov) -> float:
@@ -328,8 +332,7 @@ def var_vblb_conjugate_closed_form(prior: VarConjugatePrior, data: VarData) -> f
 # VB: independent prior
 # ---------------------------------------------------------------------------
 
-def var_vb_independent(prior: VarIndependentPrior, data: VarData,
-                       tol: float = 1e-8, max_iter: int = 500) -> VBResult:
+def var_vb_independent(prior: VarIndependentPrior, data: VarData) -> VBResult:
     """Coordinate ascent for the independent normal-Wishart prior.
 
     Starts the precision factor at the OLS residual scale; the coefficient
@@ -337,8 +340,6 @@ def var_vb_independent(prior: VarIndependentPrior, data: VarData,
     the coefficient uncertainty. The bound is assembled term by term, so the
     trace is monotone along the iterations.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     n, k, t = data.N, data.K, data.T
     xtx = data.X.T @ data.X
     xty = data.X.T @ data.Y
@@ -357,7 +358,7 @@ def var_vb_independent(prior: VarIndependentPrior, data: VarData,
     alpha_q = prior.alpha0.copy()
     v_q = prior.Vbig0.copy()
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_INDEPENDENT_VB_MAX_ITER):
         e_w = nu_q * np.linalg.inv(s_q)
         e_w = 0.5 * (e_w + e_w.T)
         # q(alpha): precision Vbig0^-1 + X'X kron E[W]
@@ -372,11 +373,9 @@ def var_vb_independent(prior: VarIndependentPrior, data: VarData,
         s_q = prior.S0 + resid.T @ resid + np.einsum("kl,knlm->nm", xtx, v4)
         s_q = 0.5 * (s_q + s_q.T)
         trace.append(_elbo_independent(prior_alpha, prior_w, data, alpha_q, v_q, s_q, nu_q))
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < _INDEPENDENT_VB_TOL:
             converged = True
             break
-    if not converged:
-        warnings.warn("independent-prior VB hit max_iter before the tolerance", stacklevel=2)
 
     factors = {"alpha": MvNormalParams(alpha_q, v_q), "sigma_inv": WishartParams(s_q, nu_q)}
     return VBResult.mean_field(_var_layout(n, k), factors, trace,
@@ -530,16 +529,15 @@ class VarIndependentKernel(_VarKernelBase, GibbsKernel):
         w0 = np.linalg.inv((resid.T @ resid + self.prior.S0) / (self.data.T + self.prior.nu0))
         return stack_state({"alpha": a_ols.ravel(), "sigma_inv": 0.5 * (w0 + w0.T)}, chains)
 
-    def vb_fit(self, tol: float = 1e-8, max_iter: int = 500) -> VBResult:
-        return var_vb_independent(self.prior, self.data, tol=tol, max_iter=max_iter)
+    def vb_fit(self) -> VBResult:
+        return var_vb_independent(self.prior, self.data)
 
 
 # ---------------------------------------------------------------------------
 # synthetic data and CSV ingestion
 # ---------------------------------------------------------------------------
 
-def var_synthetic(seed, n: int, t: int, p: int, coeffs: np.ndarray,
-                  sigma: np.ndarray, burn: int = 100) -> VarData:
+def var_synthetic(seed, n: int, t: int, p: int, coeffs: np.ndarray, sigma: np.ndarray) -> VarData:
     """Simulate a stable VAR(p); raises on an explosive companion matrix."""
     from .statscore import make_rng
 
@@ -558,13 +556,13 @@ def var_synthetic(seed, n: int, t: int, p: int, coeffs: np.ndarray,
             raise ValueError(f"explosive dynamics: companion spectral radius {radius:.3f} >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
     chol = safe_cholesky(sigma)
-    total = burn + t + p
+    total = _SYNTH_BURN + t + p
     y = np.zeros((total, n))
     for row in range(total):
         x = np.concatenate([[1.0]] + [y[row - lag] if row - lag >= 0 else np.zeros(n)
                                       for lag in range(1, p + 1)])
         y[row] = x @ coeffs + chol @ rng.standard_normal(n)
-    return VarData.from_series(y[burn:], p)
+    return VarData.from_series(y[_SYNTH_BURN:], p)
 
 
 def var_write_csv(data: VarData, path) -> None:

@@ -105,23 +105,19 @@ def test_criterion_03_lower_bound_law(sfm_exp_fixture):
     kernel_i = var_mod.VarIndependentKernel(ind_prior, var_data)
     vb_i = kernel_i.vb_fit()
     assert np.all(np.diff(vb_i.elbo_trace) >= -1e-10)
-    vals = []
-    for r in range(6):
-        draws = kernel_i.posterior_sampler(SamplerConfig(draws=2500, burn_in=300),
-                                           make_rng(301, r))
-        vals.append(est.ris_estimate(kernel_i, draws,
-                                     est.make_vb_weighting(vb_i)).log_mdd)
+    chains = kernel_i.posterior_chains(SamplerConfig(draws=2500, burn_in=300),
+                                       [make_rng(301, r) for r in range(6)], [None] * 6)
+    vals = [est.ris_estimate(kernel_i, draws, est.make_vb_weighting(vb_i)).log_mdd
+            for draws in chains]
     assert vb_i.elbo <= np.mean(vals) + 3 * np.std(vals, ddof=1)
 
     # frontier, exponential inefficiency
     prior_e, data_e, kernel_e, vb_e = sfm_exp_fixture
     assert np.all(np.diff(vb_e.elbo_trace) >= -1e-10)
-    vals = []
-    for r in range(6):
-        draws = kernel_e.posterior_sampler(SamplerConfig(draws=2500, burn_in=400),
-                                           make_rng(302, r))
-        vals.append(est.ris_estimate(kernel_e, draws,
-                                     est.make_vb_weighting(vb_e)).log_mdd)
+    chains = kernel_e.posterior_chains(SamplerConfig(draws=2500, burn_in=400),
+                                       [make_rng(302, r) for r in range(6)], [None] * 6)
+    vals = [est.ris_estimate(kernel_e, draws, est.make_vb_weighting(vb_e)).log_mdd
+            for draws in chains]
     assert vb_e.elbo <= np.mean(vals) + 3 * np.std(vals, ddof=1)
 
     # frontier, gamma inefficiency (complete-data kernel; grid-quadrature noise
@@ -132,11 +128,9 @@ def test_criterion_03_lower_bound_law(sfm_exp_fixture):
     vb_g = kernel_g.vb_fit()
     assert np.all(np.diff(vb_g.elbo_trace) >= -1e-8)
     w_g = sfm_mod.make_sfm_gamma_cdl_weighting(vb_g, kernel_g)
-    vals = []
-    for r in range(4):
-        draws = kernel_g.posterior_sampler(SamplerConfig(draws=2500, burn_in=800),
-                                           make_rng(303, r))
-        vals.append(est.ris_estimate(kernel_g, draws, w_g).log_mdd)
+    chains = kernel_g.posterior_chains(SamplerConfig(draws=2500, burn_in=800),
+                                       [make_rng(303, r) for r in range(4)], [None] * 4)
+    vals = [est.ris_estimate(kernel_g, draws, w_g).log_mdd for draws in chains]
     assert vb_g.elbo <= np.mean(vals) + 3 * np.std(vals, ddof=1)
 
     # Poisson panel: damped fixed-point updates are exempt from per-step
@@ -145,12 +139,10 @@ def test_criterion_03_lower_bound_law(sfm_exp_fixture):
     prior_l = lpm_mod.LpmPrior(np.zeros(2), 4 * np.eye(2), [0.0], [[4.0]], [[0.5]], 3.0)
     kernel_l = lpm_mod.LpmKernel(prior_l, data_l)
     vb_l = kernel_l.vb_fit()
-    vals = []
-    for r in range(5):
-        draws = kernel_l.posterior_sampler(SamplerConfig(draws=2000, burn_in=600),
-                                           make_rng(304, r), vb=vb_l)
-        vals.append(est.ris_estimate(kernel_l, draws,
-                                     est.make_vb_weighting(vb_l)).log_mdd)
+    chains = kernel_l.posterior_chains(SamplerConfig(draws=2000, burn_in=600),
+                                       [make_rng(304, r) for r in range(5)], [None] * 5, vb=vb_l)
+    vals = [est.ris_estimate(kernel_l, draws, est.make_vb_weighting(vb_l)).log_mdd
+            for draws in chains]
     assert vb_l.elbo <= np.mean(vals) + 3 * np.std(vals, ddof=1)
     _ok(3, "lower-bound law on all five fixtures")
 
@@ -267,9 +259,8 @@ def test_criterion_08_sfm_integrated_oracle(sfm_exp_fixture):
     w_int = est.make_vb_weighting(vb)
     w_cdl = sfm_mod.make_sfm_exp_cdl_weighting(vb, cdl)
     vals_int, vals_cdl = [], []
-    for rep in range(16):
-        draws = kernel.posterior_sampler(SamplerConfig(draws=3000, burn_in=400),
-                                         make_rng(801, rep))
+    for draws in kernel.posterior_chains(SamplerConfig(draws=3000, burn_in=400),
+                                         [make_rng(801, rep) for rep in range(16)], [None] * 16):
         vals_int.append(est.ris_estimate(kernel, draws, w_int).log_mdd)
         cdl_draws = draws.complete_data(cdl.layout)
         vals_cdl.append(est.ris_estimate(cdl, cdl_draws, w_cdl).log_mdd)
@@ -326,9 +317,9 @@ def test_criterion_10_lpm_micro_oracle():
     evidence = quadrature_1d(outer, -8.0, 8.0, tol=1e-9)
     weighting = est.make_vb_weighting(vb)
     ris_vals, bs_vals = [], []
-    for rep in range(8):
-        draws = kernel.posterior_sampler(SamplerConfig(draws=3000, burn_in=500),
-                                         make_rng(1000, rep), vb=vb)
+    chains = kernel.posterior_chains(SamplerConfig(draws=3000, burn_in=500),
+                                     [make_rng(1000, rep) for rep in range(8)], [None] * 8, vb=vb)
+    for rep, draws in enumerate(chains):
         log_k = kernel.log_kernel_batch(draws.thetas)
         ris_vals.append(est.ris_estimate(kernel, draws, weighting, log_k).log_mdd)
         bs_vals.append(est.bs_estimate(kernel, draws, weighting, rng=make_rng(1001, rep),

@@ -193,7 +193,7 @@ class TestGewekeWeighting:
         z = make_rng(400).standard_normal(50_000)
         z = (z - z.mean()) / z.std(ddof=1)  # exact (0, 1) sample moments
         draws = PosteriorDrawSet(z[:, None], layout, seed=0)
-        w = make_geweke_weighting(draws, alpha=0.05)
+        w = make_geweke_weighting(draws)
         val = w.log_eval(np.array([[0.0]]))[0]
         assert val == pytest.approx(math.log((1 / 0.95) * (2 * math.pi) ** -0.5), abs=1e-6)
         assert math.exp(val) == pytest.approx(0.419947, abs=1e-5)
@@ -203,7 +203,7 @@ class TestGewekeWeighting:
         z = make_rng(401).standard_normal(50_000)
         z = (z - z.mean()) / z.std(ddof=1)
         draws = PosteriorDrawSet(z[:, None], layout, seed=0)
-        w = make_geweke_weighting(draws, alpha=0.05)
+        w = make_geweke_weighting(draws)
         # radius^2 = 3.85 exceeds the 95% chi-square threshold 3.8415
         assert w.log_eval(np.array([[math.sqrt(3.85)]]))[0] == -np.inf
         assert np.isfinite(w.log_eval(np.array([[math.sqrt(3.83)]]))[0])
@@ -213,7 +213,7 @@ class TestGewekeWeighting:
         z = make_rng(402).standard_normal(50_000)
         z = (z - z.mean()) / z.std(ddof=1)
         draws = PosteriorDrawSet(z[:, None], layout, seed=0)
-        w = make_geweke_weighting(draws, alpha=0.05)
+        w = make_geweke_weighting(draws)
         # split at the truncation radius so each piece is smooth
         r = math.sqrt(3.8414588206941267)
         total = math.exp(quadrature_1d(lambda v: w.log_eval(v[:, None]), -r, 0.0, tol=1e-12)) \

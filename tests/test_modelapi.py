@@ -1,5 +1,6 @@
 """Tests for parameter layouts, transforms and the kernel contract."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mddkit import modelapi
+from mddkit import lpm, modelapi, sfm, toys, var
 from mddkit.estimators import _default_theta_star, _reduced_run
+from mddkit.harness import ExperimentConfig, build_context
 from mddkit.lpm import LpmKernel
 from mddkit.modelapi import (
     Block,
@@ -21,6 +23,7 @@ from mddkit.modelapi import (
     unvech,
     vech,
 )
+from mddkit.models import MODELS
 from mddkit.sfm import SfmGammaKernel
 from mddkit.statscore import make_rng, quadrature_1d
 from mddkit.toys import ToyNormalGammaKernel, ToyNormalKernel
@@ -254,6 +257,38 @@ def plain_chain(kernel, state, config, rng, clamped=frozenset()):
     return PosteriorDrawSet(np.array(rows), kernel.layout, seed=None,
                             latents=np.array(latents) if latents else None,
                             latent_layout=kernel.latent_layout)
+
+
+# the bound increment below which each iterative fit of a registered model stops
+_FIT_TOLS = {
+    "var-independent": var._INDEPENDENT_VB_TOL,
+    "sfm-exponential": inspect.signature(sfm.sfm_exp_vb).parameters["tol"].default,
+    "sfm-gamma": sfm._GAMMA_VB_TOL,
+    "lpm": inspect.signature(lpm.lpm_vb).parameters["tol"].default,
+}
+
+
+class TestVbConvergence:
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_registered_fit_converges(self, model):
+        vb = build_context(ExperimentConfig(model=model)).vb
+        assert vb.converged
+        if model in _FIT_TOLS:
+            assert abs(vb.elbo_trace[-1] - vb.elbo_trace[-2]) < _FIT_TOLS[model]
+        else:  # closed form: one bound
+            assert len(vb.elbo_trace) == 1
+
+    def test_normal_gamma_fit_converges(self):
+        vb = ToyNormalGammaKernel(make_rng(9).normal(0.5, 1.2, 25)).vb_fit()
+        assert vb.converged
+        assert abs(vb.elbo_trace[-1] - vb.elbo_trace[-2]) < toys._NORMAL_GAMMA_VB_TOL
+
+    def test_normal_gamma_fit_reports_the_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(toys, "_NORMAL_GAMMA_VB_MAX_ITER", 1)
+        with pytest.warns(UserWarning, match="max_iter"):
+            vb = ToyNormalGammaKernel(make_rng(9).normal(0.5, 1.2, 25)).vb_fit()
+        assert not vb.converged
+        assert len(vb.elbo_trace) == 1
 
 
 @pytest.mark.parametrize("lengths", [{"draws": 0}, {"draws": -5}, {"burn_in": -3},

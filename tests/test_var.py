@@ -74,19 +74,22 @@ class TestExactLogMdd:
         def outer(ws):
             out = np.empty(len(ws))
             for i, w in enumerate(ws):
-                def f(a):
+                # the intercept given w is N(sum(y) / 4, 1 / (4 w)); integrate over its
+                # mean +- 8 conditional standard deviations, a = sum(y) / 4 + z sd
+                sd = 0.5 / math.sqrt(w)
+
+                def f(z):
+                    a = y.sum() / 4 + z * sd
                     ll = (-0.5 * 3 * np.log(2 * np.pi / w)
                           - 0.5 * w * ((y.ravel()[None, :] - a[:, None]) ** 2).sum(axis=1))
                     lpa = -0.5 * np.log(2 * np.pi / w) - 0.5 * w * a ** 2
-                    return ll + lpa
-                # the conditional posterior of the intercept tightens as 1/sqrt(w)
-                half = 1.0 + 8.0 / math.sqrt(w)
-                out[i] = quadrature_1d(f, -half, half, tol=1e-10)
+                    return ll + lpa + math.log(sd)
+                out[i] = quadrature_1d(f, -8.0, 8.0, tol=1e-10)
             logp_w = 0.5 * np.log(ws) - 0.5 * ws - 1.5 * math.log(2.0) - math.lgamma(1.5)
             return out + logp_w
 
         oracle = quadrature_1d(outer, 0.0, np.inf, tol=1e-9)
-        assert exact == pytest.approx(oracle, abs=1e-6)
+        assert exact == pytest.approx(oracle, abs=1e-9)
 
     def test_empty_data_integrates_to_one(self):
         prior = VarConjugatePrior(np.zeros((3, 2)), 2 * np.eye(3), np.eye(2), 4.0)
