@@ -111,7 +111,7 @@ def is_estimate(kernel: ModelKernel, f: WeightingDensity, num_draws: int,
 
 
 def bs_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, g: WeightingDensity,
-                num_weighting_draws: int | None = None, rng: np.random.Generator | None = None,
+                num_weighting_draws: int | None = None, *, rng: np.random.Generator,
                 log_kernel_values=None, log_weight_values=None) -> MddEstimate:
     """Bridge sampling via the optimal-bridge recursion, iterated in log space.
 
@@ -120,8 +120,6 @@ def bs_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, g: WeightingDensit
     where l = kernel/g ratios, s1 = O/(O+S) and s2 = S/(O+S).
     """
     g.require_sampler()
-    if rng is None:
-        raise ValueError("bridge sampling needs an rng for the weighting draws")
     s = draws.size
     o = num_weighting_draws or s
     log_k_chain = _kernel_values(kernel, draws, log_kernel_values)

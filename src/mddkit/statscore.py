@@ -152,10 +152,10 @@ def _de_nodes(level: int, lower, upper):
     """The nodes of one tanh-sinh level mapped onto (lower, upper).
 
     An infinite upper limit is reached through t = lower + u / (1 - u), a
-    finite one through t = lower + (upper - lower) u. Returns ``(h, t, log_j,
-    good)``: the level's step, the abscissae that lie strictly inside the
-    interval in floating point, the log Jacobian dt/ds at each, and the mask
-    of those nodes among the level's (the others carry no weight).
+    finite one through t = lower + (upper - lower) u. Returns ``(h, t,
+    log_j)``: the level's step, the abscissae that lie strictly inside the
+    interval in floating point (the others carry no weight), and the log
+    Jacobian dt/ds at each.
     """
     h, log_u, log_1mu, log_jac = _de_unit_nodes(level)
     lower, upper = float(lower), float(upper)
@@ -170,7 +170,7 @@ def _de_nodes(level: int, lower, upper):
         t = lower + width * np.exp(log_u)
         log_j = log_jac + math.log(width)
         good = (t > lower) & (t < upper)
-    return h, t[good], log_j[good], good
+    return h, t[good], log_j[good]
 
 
 def _over_budget(batch: int, level: int) -> bool:
@@ -179,67 +179,101 @@ def _over_budget(batch: int, level: int) -> bool:
     return batch * (20 << level) > _QUAD_MAX_ELEMENTS
 
 
-def quadrature_1d(log_f, lower, upper, tol=1e-10, max_levels=_DE_MAX_LEVELS):
+def _refine(log_f, lower, upper, functions, tol, whole_batch=False):
+    """The tanh-sinh refinement loop every quadrature here runs.
+
+    ``log_f(t, live)`` gets the abscissae (m,) of one level and the indices of
+    the integrands still refining (``slice(None)`` at level 0, which fixes the
+    batch size n); it returns their log values (len(live), m), finite or
+    -inf. Each level adds its exp-shifted terms f and g f, for each g in
+    ``functions``, to running trapezoid sums. An integrand has converged at
+    the first level where ln Z and every E[g] agree with the previous level's
+    to ``tol`` relative (absolute below one); it keeps that level's values and
+    leaves the live set, so a batch gives the values of separate calls.
+
+    Refinement ends after ``_DE_MAX_LEVELS`` levels, or before a level of more
+    than ``_QUAD_MAX_ELEMENTS`` integrand values: the live set's, or all n's
+    when ``whole_batch`` says ``log_f`` evaluates every integrand each level.
+    With no ``functions``, an integrand that is -inf at every node evaluated
+    has ln Z = -inf (mass may sit between coarse nodes); any other integrand
+    that has not converged raises NumericError carrying the achieved
+    estimates. Returns ln Z, then each E[g], as an array (1 + len(functions), n).
+    """
+    live = slice(None)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for level in range(_DE_MAX_LEVELS + 1):
+            if level and _over_budget(n if whole_batch else live.size, level):
+                break
+            h, t, log_j = _de_nodes(level, lower, upper)
+            rows = np.array([np.ones_like(t), *(fn(t) for fn in functions)])  # Z, each g
+            terms = log_f(t, live) + (log_j + math.log(h))
+            if not level:
+                n = terms.shape[0]
+                live = np.arange(n)
+                shift = np.full(live.size, _NO_MASS)
+                sums = np.zeros((rows.shape[0], live.size))
+                out = np.full(sums.shape, np.nan)
+            # exp-shifted sums: the shift is the largest term so far; the previous
+            # level's sums halve with the step and move to the new shift
+            new_shift = np.maximum(shift, terms.max(axis=-1))
+            keep = 0.5 * np.exp(shift - new_shift)
+            shift = new_shift
+            terms -= shift[:, None]
+            w = np.exp(terms, out=terms)
+            # einsum sums each integrand's row alone, the same way at any batch size
+            sums = keep * sums + np.einsum("nm,rm->rn", w, rows)
+            cur = np.concatenate(((shift + np.log(sums[0]))[None], sums[1:] / sums[0]))
+            if level:
+                # a NaN or an infinite ln Z (no mass yet) never agrees
+                agree = (np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur))).all(axis=0)
+                if agree.any():
+                    out[:, live[agree]] = cur[:, agree]
+                    live, shift, sums, cur = (live[~agree], shift[~agree], sums[:, ~agree],
+                                              cur[:, ~agree])
+                if not live.size:
+                    return out
+            prev = cur
+    if not functions:  # ln Z = -inf is a value; E[g] of a zero integrand is not
+        out[0, live[cur[0] == -np.inf]] = -np.inf
+    if np.isnan(out[0]).any():
+        raise NumericError(
+            f"tanh-sinh quadrature did not converge within {_DE_MAX_LEVELS} levels of at most "
+            f"{_QUAD_MAX_ELEMENTS} integrand values each; achieved ln Z and expectations "
+            f"{cur!r}")
+    return out
+
+
+def quadrature_1d(log_f, lower, upper, tol=1e-10):
     """ln of the integral of exp(log_f) over (lower, upper).
 
     ``log_f`` must accept a vector of m abscissae and return log-integrand
-    values (-inf allowed) of shape ``(..., m)``: a batch of integrands over
-    the same interval, evaluated together. The result has the leading shape
-    (a float for a single integrand). ``log_f`` only needs to be finite on
-    the interior of the domain. An infinite upper limit is mapped onto
-    (0, 1) through t = u / (1 - u); the unit-interval integral is then
-    evaluated with a double-exponential (tanh-sinh) trapezoid whose step is
-    halved per refinement level until two consecutive levels agree to
-    ``tol`` relative. Each integrand keeps the estimate of the first level
-    at which it agreed, so a batch gives the values of separate calls;
-    refinement stops when the slowest one has agreed. Endpoint
-    singularities integrable in the ordinary sense are handled by the node
-    clustering of the transform.
+    values (-inf allowed; NaN counts as -inf) of shape ``(..., m)``: a batch
+    of integrands over the same interval, evaluated together. The result has
+    the leading shape (a float for a single integrand). ``log_f`` only needs
+    to be finite on the interior of the domain. An infinite upper limit is
+    mapped onto (0, 1) through t = u / (1 - u); the unit-interval integral is
+    then evaluated with a double-exponential (tanh-sinh) trapezoid whose step
+    is halved per refinement level (:func:`_refine`) until two consecutive
+    levels agree to ``tol`` relative. Endpoint singularities integrable in
+    the ordinary sense are handled by the node clustering of the transform.
 
-    Refinement ends after ``max_levels`` levels, or before a level that
-    would evaluate more than ``_QUAD_MAX_ELEMENTS`` integrand values over
-    the batch. An integrand that is -inf at every node of every level
-    evaluated returns -inf (mass may sit between coarse nodes). Any other
-    integrand that has not agreed by then raises NumericError carrying the
-    achieved estimate.
+    A batch gives the values of separate calls. ``log_f`` evaluates the whole
+    batch at every level, so the element budget counts all of it. An
+    integrand that is -inf at every node evaluated returns -inf; any other
+    that has not agreed when refinement ends raises NumericError carrying
+    the achieved estimate.
     """
-    def log_terms(level):
-        h, t, log_j, good = _de_nodes(level, lower, upper)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            fv = np.asarray(log_f(t), dtype=float)
-        vals = np.full(fv.shape[:-1] + good.shape, -np.inf)
-        vals[..., good] = np.where(np.isnan(fv), -np.inf, fv) + log_j
-        return vals + math.log(h)
+    shape = None
 
-    total = np.asarray(log_sum_exp(log_terms(0), axis=-1))
-    result = np.full(total.shape, np.nan)
-    done = np.zeros(total.shape, dtype=bool)
-    for level in range(1, max_levels + 1):
-        if _over_budget(total.size, level):
-            break
-        new = log_terms(level)
-        cur = np.asarray(log_sum_exp(
-            np.concatenate((new, (total + math.log(0.5))[..., None]), axis=-1), axis=-1))
-        with np.errstate(invalid="ignore"):
-            agree = (np.isfinite(cur) & np.isfinite(total)
-                     & (np.abs(cur - total) <= tol * np.maximum(1.0, np.abs(cur))))
-        newly = agree & ~done
-        result[newly] = cur[newly]
-        done |= newly
-        total = cur
-        if np.all(done):
-            break
-    if not np.all(done):
-        # nothing finite found at any refinement level: the integrand is zero
-        zero = ~done & (total == -np.inf)
-        result[zero] = -np.inf
-        done |= zero
-        if not np.all(done):
-            raise NumericError(
-                f"quadrature_1d did not converge within {max_levels} levels of at most "
-                f"{_QUAD_MAX_ELEMENTS} integrand values each; achieved estimate "
-                f"{total[~done]!r}")
-    return float(result) if result.ndim == 0 else result
+    def log_terms(t, live):
+        nonlocal shape
+        fv = np.asarray(log_f(t), dtype=float)
+        shape = fv.shape[:-1]
+        fv = fv.reshape(-1, t.size)[live]
+        return np.where(np.isnan(fv), -np.inf, fv)
+
+    log_z = _refine(log_terms, lower, upper, (), tol, whole_batch=True)[0].reshape(shape)
+    return float(log_z) if log_z.ndim == 0 else log_z
 
 
 def quadrature_expectations(log_f, params, lower, upper, functions):
@@ -252,60 +286,20 @@ def quadrature_expectations(log_f, params, lower, upper, functions):
     column (n, 1) of its values for the n integrands still refining; it
     returns their log values (n, m), finite or -inf. Each g maps the
     abscissae to values of the same length and may change sign. The nodes,
-    the refinement and the budget are those of :func:`quadrature_1d`: each
-    level adds its exp-shifted terms f and g f to running trapezoid sums. An
-    integrand has converged at the first level where ln Z and every E[g]
-    agree with the previous level's to 1e-12 relative (absolute below one),
-    the test :func:`quadrature_1d` applies to ln Z; it keeps that level's
-    values and leaves the batch, so a batch gives the values of separate
-    calls. Returns ``(log_z, expectations)``: arrays of the batch shape and
-    of shape ``(len(functions), *batch)``. An integrand that has not
-    converged when refinement ends raises NumericError carrying the achieved
-    estimates.
+    the refinement and the budget are :func:`_refine`'s, with a tolerance of
+    1e-12: an integrand has converged once ln Z and every E[g] agree with the
+    previous level's, and a batch gives the values of separate calls.
+    Returns ``(log_z, expectations)``: arrays of the batch shape and of shape
+    ``(len(functions), *batch)``. An integrand that has not converged when
+    refinement ends raises NumericError carrying the achieved estimates; so
+    does one with no mass at any node, whose E[g] are undefined.
     """
     params = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in params))
     batch = params[0].shape
     columns = [p.reshape(-1, 1) for p in params]
-    live = np.arange(columns[0].shape[0])  # the integrands still refining
-    shift = np.full(live.size, _NO_MASS)
-    sums = np.zeros((len(functions) + 1, live.size))
-    out = np.full(sums.shape, np.nan)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for level in range(_DE_MAX_LEVELS + 1):
-            if level and _over_budget(live.size, level):
-                break
-            h, t, log_j, _ = _de_nodes(level, lower, upper)
-            # one row per sum: 1 for Z, then each g
-            rows = np.empty(sums.shape[:1] + t.shape)
-            rows[0] = 1.0
-            for row, fn in zip(rows[1:], functions):
-                row[...] = fn(t)
-            terms = log_f(t, *(c[live] for c in columns)) + (log_j + math.log(h))
-            # exp-shifted sums: the shift is the largest term so far; the previous
-            # level's sums halve with the step and move to the new shift
-            new_shift = np.maximum(shift, terms.max(axis=-1))
-            keep = 0.5 * np.exp(shift - new_shift)
-            shift = new_shift
-            terms -= shift[:, None]
-            w = np.exp(terms, out=terms)
-            # einsum sums each integrand's row alone, the same way at any batch size
-            sums = keep * sums + np.einsum("nm,rm->rn", w, rows)
-            cur = np.concatenate(((shift + np.log(sums[0]))[None], sums[1:] / sums[0]))
-            if level:
-                # a NaN (no mass yet) never agrees
-                agree = (np.abs(cur - prev) <= _EXPECT_TOL * np.maximum(1.0, np.abs(cur))).all(
-                    axis=0)
-                if agree.any():
-                    out[:, live[agree]] = cur[:, agree]
-                    live, shift, sums, cur = (live[~agree], shift[~agree], sums[:, ~agree],
-                                              cur[:, ~agree])
-                if not live.size:
-                    return out[0].reshape(batch), out[1:].reshape((len(functions),) + batch)
-            prev = cur
-    raise NumericError(
-        f"quadrature_expectations did not converge within {_DE_MAX_LEVELS} levels of at "
-        f"most {_QUAD_MAX_ELEMENTS} integrand values each; achieved ln Z and expectations "
-        f"{cur!r}")
+    out = _refine(lambda t, live: log_f(t, *(c[live] for c in columns)), lower, upper,
+                  functions, _EXPECT_TOL)
+    return out[0].reshape(batch), out[1:].reshape((len(functions),) + batch)
 
 
 def ln_parabolic_cylinder_d(order, x, tol=1e-12):
@@ -314,7 +308,8 @@ def ln_parabolic_cylinder_d(order, x, tol=1e-12):
     D_{-v}(x) = exp(-x^2/4) / Gamma(v) * int_0^inf t^(v-1) exp(-t^2/2 - x t) dt
     for v > 0; v = 0 short-circuits to ln D_0(x) = -x^2/4. ``order`` and
     ``x`` broadcast against each other; every v > 0 element is integrated in
-    one batched quadrature. Scalar arguments give a float.
+    one batched refinement (:func:`_refine`), which evaluates and budgets only
+    the integrals still refining. Scalar arguments give a float.
     """
     v, x = np.broadcast_arrays(np.asarray(order, dtype=float), np.asarray(x, dtype=float))
     if np.any(v < 0):
@@ -322,12 +317,12 @@ def ln_parabolic_cylinder_d(order, x, tol=1e-12):
     out = np.array(-x * x / 4.0)
     pos = v > 0.0
     if np.any(pos):
-        vp, xp = v[pos][:, None], x[pos][:, None]
+        vm1, xp = v[pos][:, None] - 1.0, x[pos][:, None]
 
-        def log_integrand(t):
-            return (vp - 1.0) * np.log(t) - 0.5 * t * t - xp * t
+        def log_integrand(t, live):
+            return vm1[live] * np.log(t) - 0.5 * t * t - xp[live] * t
 
-        log_int = quadrature_1d(log_integrand, 0.0, np.inf, tol=tol)
+        log_int = _refine(log_integrand, 0.0, np.inf, (), tol)[0]
         out[pos] = out[pos] - gammaln(v[pos]) + log_int
     return float(out) if out.ndim == 0 else out
 
