@@ -8,6 +8,7 @@ updates, which lack an ascent guarantee and are therefore damped.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -281,17 +282,21 @@ def _elbo_lpm(priors, data, c_mat, gamma_q, v_gamma, mu_q, v_mu, s_q, nu_q) -> f
 # integrated likelihood
 # ---------------------------------------------------------------------------
 
-_GH_CACHE: dict = {}
-
-# rows x subjects x nodes of one block of the m = 1 integrated likelihood: its
+# rows x subjects x nodes^m of one block of the integrated likelihood: its
 # largest arrays stay at 1 MB each however many rows a call brings
 _BLOCK_ELEMENTS = 2 ** 17
 
 
-def _gh_nodes(order: int):
-    if order not in _GH_CACHE:
-        _GH_CACHE[order] = np.polynomial.hermite.hermgauss(order)
-    return _GH_CACHE[order]
+@functools.cache
+def _product_grid(nodes: int, m: int):
+    """The Gauss-Hermite product grid in m dimensions as (nodes^m, 1, 1) arrays,
+    shared by every call and never written: each coordinate's nodes times
+    sqrt 2, and the log weights plus the squared nodes (the rule's exp(-x^2))."""
+    xg, wg = np.polynomial.hermite.hermgauss(nodes)
+    axes = np.meshgrid(*[xg] * m, indexing="ij")
+    terms = np.meshgrid(*[xg ** 2 + np.log(wg)] * m, indexing="ij")
+    return ([math.sqrt(2.0) * a.ravel()[:, None, None] for a in axes],
+            np.sum([a.ravel() for a in terms], axis=0)[:, None, None])
 
 
 def lpm_loglik_integrated(beta, mu, sigma_inv, data: LpmData, nodes: int = 31):
@@ -299,132 +304,125 @@ def lpm_loglik_integrated(beta, mu, sigma_inv, data: LpmData, nodes: int = 31):
     adaptive Gauss-Hermite centered at each subject's conditional mode.
 
     Supports m <= 2; batched over aligned (beta, mu, sigma_inv) draws, -inf
-    where sigma_inv is not SPD. For m = 1 the rows are integrated in blocks of
-    at most ``_BLOCK_ELEMENTS`` rows x subjects x nodes.
+    where sigma_inv is not SPD. The rows are integrated in blocks of at most
+    ``_BLOCK_ELEMENTS`` rows x subjects x nodes^m.
     """
     if nodes < 21:
         raise ValueError("need at least 21 Gauss-Hermite nodes")
     if data.m > 2:
         raise ConfigError("integrated likelihood supports m <= 2")
+    n, m = data.num_subjects, data.m
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
     mu = np.atleast_2d(np.asarray(mu, dtype=float))
-    sigma_inv = np.asarray(sigma_inv, dtype=float)
-    if sigma_inv.ndim == 2:
-        sigma_inv = sigma_inv[None]
-    s = beta.shape[0]
-    n, t, m = data.num_subjects, data.num_periods, data.m
+    sigma_inv = np.asarray(sigma_inv, dtype=float).reshape(-1, m, m)
     log_y_fact = float(np.sum(gammaln(data.y + 1.0)))
     spd, logdet_w = _spd_slogdet(sigma_inv)
-    out = np.full(s, -np.inf)
-    xg, wg = _gh_nodes(nodes)
-
-    if m == 1:
-        node_terms = xg ** 2 + np.log(wg)
-        rows = np.flatnonzero(spd)
-        size = max(1, _BLOCK_ELEMENTS // (n * nodes))
-        # the blocks share three arrays: allocated per block, their pages can go back
-        # to the OS and fault in again each time (glibc trims a freed heap top)
-        work = np.empty((3, min(size, rows.size) * n * nodes))
-        for lo in range(0, rows.size, size):
-            r = rows[lo:lo + size]
-            out[r] = _integrate_m1(beta[r], mu[r, 0], sigma_inv[r, 0, 0], logdet_w[r],
-                                   data, xg, node_terms, work) - log_y_fact
-        return out
-
-    # m == 2: per-draw loop with vectorized subjects
-    y = data.y.reshape(n, t)
-    eta0 = (data.offsets[None, :] + beta @ data.x.T).reshape(s, n, t)
-    grid_a, grid_b = np.meshgrid(xg, xg, indexing="ij")
-    logw2 = (np.log(wg)[:, None] + np.log(wg)[None, :] + grid_a ** 2 + grid_b ** 2).ravel()
-    grid = np.stack([grid_a.ravel(), grid_b.ravel()], axis=1)  # (nodes^2, 2)
-    for si in np.flatnonzero(spd):
-        w_mat = sigma_inv[si]
-        u = np.tile(mu[si], (n, 1))
-        for _ in range(100):
-            eta = eta0[si] + np.einsum("itm,im->it", data.z, u)
-            lam = np.exp(eta)
-            g1 = np.einsum("itm,it->im", data.z, y - lam) - (u - mu[si]) @ w_mat
-            h = -np.einsum("itm,it,itl->iml", data.z, lam, data.z) - w_mat[None]
-            step = np.linalg.solve(h, g1[:, :, None])[:, :, 0]
-            u -= step
-            if np.max(np.abs(step)) < 1e-10:
-                break
-        eta = eta0[si] + np.einsum("itm,im->it", data.z, u)
-        lam = np.exp(eta)
-        curv = np.einsum("itm,it,itl->iml", data.z, lam, data.z) + w_mat[None]
-        chol_inv = np.linalg.cholesky(np.linalg.inv(curv))
-        pts = u[:, None, :] + math.sqrt(2.0) * np.einsum("iml,gl->igm", chol_inv, grid)
-        etas = eta0[si][:, None, :] + np.einsum("itm,igm->igt", data.z, pts)
-        loglam = np.sum(y[:, None, :] * etas - np.exp(etas), axis=2)
-        dev = pts - mu[si]
-        quad = np.einsum("igm,ml,igl->ig", dev, w_mat, dev)
-        logprior = -LOG_2PI + 0.5 * logdet_w[si] - 0.5 * quad
-        _, logdet_ci = np.linalg.slogdet(chol_inv)
-        logint = loglam + logprior + logw2[None, :]
-        per_subject = log_sum_exp(logint, axis=1) + math.log(2.0) + logdet_ci
-        out[si] = per_subject.sum() - log_y_fact
+    out = np.full(beta.shape[0], -np.inf)
+    grid, node_terms = _product_grid(nodes, m)
+    groups = np.unique(data.z.transpose(1, 0, 2), axis=0, return_inverse=True)
+    rows = np.flatnonzero(spd)
+    size = max(1, _BLOCK_ELEMENTS // (n * node_terms.size))
+    # the blocks share their work arrays: allocated per block, their pages can go
+    # back to the OS and fault in again each time (glibc trims a freed heap top)
+    work = np.empty((2 * m + 1, min(size, rows.size) * n * node_terms.size))
+    for lo in range(0, rows.size, size):
+        r = rows[lo:lo + size]
+        out[r] = _integrate_block(beta[r], mu[r], sigma_inv[r], logdet_w[r],
+                                  data, groups, grid, node_terms, work) - log_y_fact
     return out
 
 
-def _integrate_m1(beta, mu, prec, log_prec, data: LpmData, xg, node_terms, work):
-    """Sum over subjects of ln int prod_t Poisson(y_it | eta_it) N(u; mu, 1/prec) du,
-    less the ln y! terms, for one block of rows with scalar random effects;
-    ``work`` holds three flat arrays of at least nodes x rows x subjects each.
+def _integrate_block(beta, mu, w, logdet_w, data: LpmData, groups, grid, node_terms, work):
+    """Sum over subjects of ln int prod_t Poisson(y_it | eta_it) N(u; mu, W^-1) du,
+    less the ln y! terms, for one block of rows; ``work`` holds 2 m + 1 flat
+    arrays of at least nodes^m x rows x subjects each. Each coordinate j of u,
+    of the Newton step and of the nodes is its own (..., rows, subjects) array.
 
-    y * eta is summed per subject before the nodes enter. The periods are
-    grouped by their z column (the z_t of every subject): with E_g the sum of
-    exp(eta0_t) over the periods of group g,
-
-        sum_t exp(eta0_t + z_t v) = sum_g exp(z_g v) E_g,
-
-    so the Newton sums and the node sums take one exponential per group, not
+    y * eta is summed per subject before the nodes enter, and the periods are
+    grouped by their z row (the z_t of every subject; ``groups`` holds the
+    distinct rows, (G, n, m), and each period's group): with E_g the sum of
+    exp(eta0_t) over group g, sum_t exp(eta0_t + z_t' v) = sum_g exp(z_g' v) E_g.
+    So the Newton sums and the node sums take one exponential per group, not
     per period, and no array has a (rows, subjects, nodes, periods) shape.
     """
-    n, t = data.num_subjects, data.num_periods
-    b = beta.shape[0]
-    eta0 = (data.offsets + beta @ data.x.T).reshape(b, n, t)
-    y, z = data.y.reshape(n, t), data.z[:, :, 0]
-    yz = np.sum(y * z, axis=1)  # (n,)
+    n, t, m = data.num_subjects, data.num_periods, data.m
+    eta0 = (data.offsets + beta @ data.x.T).reshape(-1, n, t)
+    y = data.y.reshape(n, t)
+    yz = [np.sum(y * data.z[:, :, j], axis=1) for j in range(m)]  # (n,) each
     y_eta0 = np.sum(y * eta0, axis=2)  # (b, n)
-    z_cols, group = np.unique(z.T, axis=0, return_inverse=True)  # (G, n), (t,)
+    z_rows, group = groups
     exp_eta0 = np.exp(eta0)
-    e_g = np.stack([exp_eta0[:, :, group == g].sum(axis=2) for g in range(len(z_cols))])
-    zg = z_cols[:, None, :]  # (G, 1, n) against (G, b, n)
-    prec_col, mu_col = prec[:, None], mu[:, None]
+    e_g = np.stack([exp_eta0[:, :, group == g].sum(axis=2) for g in range(len(z_rows))])
+    zg = [z_rows[:, None, :, j] for j in range(m)]  # (G, 1, n) against (G, b, n)
+    mu_c = [mu[:, j, None] for j in range(m)]
+    w_c = [[w[:, j, l, None] for l in range(m)] for j in range(m)]
 
-    u = np.repeat(mu_col, n, axis=1)
+    u = [np.repeat(mu_c[j], n, axis=1) for j in range(m)]
     for _ in range(100):
-        zlam = zg * np.exp(zg * u) * e_g
-        step = ((yz - np.sum(zlam, axis=0) - prec_col * (u - mu_col))
-                / (-np.sum(zg * zlam, axis=0) - prec_col))
-        u -= step
-        if np.max(np.abs(step)) < 1e-10:
+        ex = np.exp(_weighted_sum(zg, u))
+        zlam = [zg[j] * ex * e_g for j in range(m)]
+        grad = [yz[j] - np.sum(zlam[j], axis=0)
+                - _weighted_sum(w_c[j], [u[l] - mu_c[l] for l in range(m)]) for j in range(m)]
+        step = _newton_step([[-np.sum(zg[j] * zlam[l], axis=0) - w_c[j][l] for l in range(m)]
+                             for j in range(m)], grad)
+        for j in range(m):
+            u[j] -= step[j]
+        if max(np.max(np.abs(s)) for s in step) < 1e-10:
             break
-    curv = np.sum(zg * zg * np.exp(zg * u) * e_g, axis=0) + prec_col
-    sd = 1.0 / np.sqrt(curv)
+    ex = np.exp(_weighted_sum(zg, u))
+    chol = _chol_inverse([[np.sum(zg[j] * zg[l] * ex * e_g, axis=0) + w_c[j][l]
+                           for l in range(m)] for j in range(m)])
 
-    # integrand in log space at the shifted-scaled nodes, node-major (nodes, b, n)
-    pts, exp_sum, buf = (w[:xg.size * b * n].reshape(xg.size, b, n) for w in work)
-    np.multiply((math.sqrt(2.0) * xg)[:, None, None], sd, out=pts)
-    pts += u
-    np.multiply(pts, z_cols[0], out=exp_sum)
-    np.exp(exp_sum, out=exp_sum)
-    exp_sum *= e_g[0]
-    for g in range(1, len(z_cols)):
-        np.multiply(pts, z_cols[g], out=buf)
-        np.exp(buf, out=buf)
-        buf *= e_g[g]
-        exp_sum += buf
-    logint = np.multiply(pts, yz, out=buf)
+    # integrand in log space at u + sqrt 2 L x, node-major (nodes^m, b, n)
+    bufs = [a[:node_terms.size * y_eta0.size].reshape(-1, *y_eta0.shape) for a in work]
+    pts, exp_sum, buf, spares = bufs[:m], bufs[m], bufs[m + 1], bufs[m + 2:]
+    for j in range(m):
+        _weighted_sum(grid, chol[j], pts[j], [buf])
+        pts[j] += u[j]
+    for g in range(len(z_rows)):
+        part = _weighted_sum(pts, z_rows[g].T, buf if g else exp_sum, spares)
+        np.exp(part, out=part)
+        part *= e_g[g]
+        if g:
+            exp_sum += part
+    logint = _weighted_sum(pts, yz, buf, spares)
     logint -= exp_sum
-    dev = np.subtract(pts, mu_col, out=exp_sum)
-    dev *= dev
-    dev *= 0.5 * prec_col
-    logint -= dev
-    logint += node_terms[:, None, None]
-    per_subject = (log_sum_exp(logint, axis=0) + y_eta0 + np.log(sd)
-                   + (0.5 * log_prec - 0.5 * LOG_2PI + 0.5 * math.log(2.0))[:, None])
+    for j in range(m):  # less (u - mu)' W (u - mu) / 2, term by term
+        np.subtract(pts[j], mu_c[j], out=pts[j])
+        for l in range(j + 1):
+            term = np.multiply(pts[l], pts[j], out=exp_sum)
+            term *= 0.5 * w_c[j][j] if l == j else w_c[l][j]
+            logint -= term
+    logint += node_terms
+    per_subject = (log_sum_exp(logint, axis=0) + y_eta0
+                   + np.sum(np.log([chol[j][j] for j in range(m)]), axis=0)
+                   + (0.5 * logdet_w - 0.5 * m * LOG_2PI + 0.5 * m * math.log(2.0))[:, None])
     return per_subject.sum(axis=1)
+
+
+def _weighted_sum(xs, coefs, out=None, spares=(None,)):
+    """sum_j xs[j] * coefs[j] left to right, into ``out`` and ``spares`` when given."""
+    out = np.multiply(xs[0], coefs[0], out=out)
+    for x, c, spare in zip(xs[1:], coefs[1:], spares):
+        out += np.multiply(x, c, out=spare)
+    return out
+
+
+def _newton_step(h, g):
+    """h^-1 g for a symmetric 1 x 1 or 2 x 2 h: division, or adjugate over determinant."""
+    if len(g) == 1:
+        return [g[0] / h[0][0]]
+    det = h[0][0] * h[1][1] - h[0][1] * h[0][1]
+    return [(h[1][1] * g[0] - h[0][1] * g[1]) / det, (h[0][0] * g[1] - h[0][1] * g[0]) / det]
+
+
+def _chol_inverse(c):
+    """Rows L[j][:j + 1] of the lower Cholesky factor of c^-1, c SPD 1 x 1 or 2 x 2."""
+    if len(c) == 1:
+        return [[1.0 / np.sqrt(c[0][0])]]
+    det = c[0][0] * c[1][1] - c[0][1] * c[0][1]
+    l00 = np.sqrt(c[1][1] / det)
+    return [[l00], [-c[0][1] / (det * l00), 1.0 / np.sqrt(c[1][1])]]
 
 
 # ---------------------------------------------------------------------------

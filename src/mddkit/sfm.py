@@ -144,9 +144,10 @@ class SfmGammaPrior:
 # ---------------------------------------------------------------------------
 
 def _firm_residual_stats(data: SfmData, beta: np.ndarray):
-    """Per-firm residual mean and sum of squares for a batch of betas."""
+    """Per-firm residual mean and sum of squares for a batch of betas; one x-beta
+    product per beta, so each row has the bits of a one-beta call."""
     betas = np.atleast_2d(beta)
-    resid = data.y[None, :] - betas @ data.x.T
+    resid = data.y - np.matvec(data.x, betas)
     resid = resid.reshape(betas.shape[0], data.num_firms, data.num_periods)
     return resid.mean(axis=2), np.sum(resid * resid, axis=2)
 
@@ -154,8 +155,7 @@ def _firm_residual_stats(data: SfmData, beta: np.ndarray):
 def _firm_residual_means(data: SfmData, beta: np.ndarray) -> np.ndarray:
     """Per-firm residual means of one beta or a stack (..., k), as
     :func:`_firm_residual_stats` computes them (sum / T is bit for bit ``mean``)
-    without the sums of squares; one x-beta product per beta, so each row
-    has the bits of a one-beta call."""
+    without the sums of squares."""
     resid = data.y - np.matvec(data.x, beta)
     resid = resid.reshape(resid.shape[:-1] + (data.num_firms, data.num_periods))
     return resid.sum(axis=-1) / data.num_periods

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from mddkit import lpm
+from mddkit import harness, lpm
 from mddkit.errors import ConfigError
+from mddkit.harness import ExperimentConfig, run_experiment
 from mddkit.lpm import (
     LpmData,
     LpmKernel,
@@ -120,34 +121,46 @@ class TestIntegratedLikelihood:
             lpm_loglik_integrated([0.1], [0.2], [[1.0]], data, nodes=11)
 
 
-def _default_panel_rows(size, seed):
-    """The harness's default 20 x 5 panel and ``size`` parameter rows near its truth."""
-    data = lpm_synthetic(70, 20, 5, 2, 1, [0.3, -0.2], [0.1], [[0.3]])
+def _default_panel_rows(size, seed, m=1):
+    """The harness's default 20 x 5 panel with ``m`` random effects and ``size``
+    parameter rows near its truth; with m = 2 the precisions are correlated."""
+    data = lpm_synthetic(70, 20, 5, 2, m, [0.3, -0.2], [0.1] * m, 0.3 * np.eye(m))
     rng = make_rng(seed)
     beta = np.array([0.3, -0.2]) + 0.1 * rng.standard_normal((size, 2))
-    mu = 0.1 + 0.2 * rng.standard_normal((size, 1))
-    prec = (np.exp(0.5 * rng.standard_normal(size)) / 0.3)[:, None, None]
+    mu = 0.1 + 0.2 * rng.standard_normal((size, m))
+    diag = np.exp(0.5 * rng.standard_normal((size, m))) / 0.3
+    prec = diag[:, :, None] * np.eye(m)
+    if m == 2:
+        prec[:, 0, 1] = prec[:, 1, 0] = (0.6 * rng.uniform(-1.0, 1.0, size)
+                                         * np.sqrt(diag[:, 0] * diag[:, 1]))
     return data, beta, mu, prec
 
 
+def _block_rows(m):
+    """Rows for two full blocks of the integrated likelihood and a partial one."""
+    data, _, _, _ = _default_panel_rows(1, 71, m)
+    return 2 * (lpm._BLOCK_ELEMENTS // (data.num_subjects * 31 ** m)) + 7
+
+
 class TestIntegratedLikelihoodBlocks:
-    def test_blocks_match_row_calls(self):
-        # two full blocks and a partial one
-        data, _, _, _ = _default_panel_rows(1, 71)
-        size = 2 * (lpm._BLOCK_ELEMENTS // (data.num_subjects * 31)) + 7
-        data, beta, mu, prec = _default_panel_rows(size, 71)
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_blocks_match_row_calls(self, m):
+        data, beta, mu, prec = _default_panel_rows(_block_rows(m), 71, m)
         batch = lpm_loglik_integrated(beta, mu, prec, data)
         rows = np.array([lpm_loglik_integrated(beta[i], mu[i], prec[i], data)[0]
-                         for i in range(size)])
+                         for i in range(len(beta))])
+        assert np.all(np.isfinite(batch))
         assert np.allclose(batch, rows, rtol=1e-13, atol=0.0)
 
-    def test_non_spd_precision_gives_minus_inf(self):
-        data, beta, mu, prec = _default_panel_rows(4, 72)
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_non_spd_precision_gives_minus_inf(self, m):
+        data, beta, mu, prec = _default_panel_rows(5, 72, m)
         prec[1] = 0.0
-        prec[2] = -1.0
+        prec[2] = -np.eye(m)  # for m = 2, det(-I_2) > 0
+        prec[3] = np.diag([1.0, -1.0][:m]) if m == 2 else -1e-300
         out = lpm_loglik_integrated(beta, mu, prec, data)
-        assert out[1] == -np.inf and out[2] == -np.inf
-        for i in (0, 3):
+        assert np.all(out[1:4] == -np.inf)
+        for i in (0, 4):
             assert out[i] == pytest.approx(
                 lpm_loglik_integrated(beta[i], mu[i], prec[i], data)[0], rel=1e-13)
 
@@ -165,8 +178,9 @@ class TestIntegratedLikelihoodBlocks:
         prior_vals = kernel.log_prior_batch(thetas)
         assert np.isfinite(prior_vals[0]) and prior_vals[1] == -np.inf
 
-    def test_wide_call_memory_is_bounded(self):
-        data, beta, mu, prec = _default_panel_rows(5000, 74)
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_wide_call_memory_is_bounded(self, m):
+        data, beta, mu, prec = _default_panel_rows(5000, 74, m)
         tracemalloc.start()
         try:
             out = lpm_loglik_integrated(beta, mu, prec, data)
@@ -175,6 +189,62 @@ class TestIntegratedLikelihoodBlocks:
             tracemalloc.stop()
         assert np.all(np.isfinite(out))
         assert peak < 32 * 2 ** 20
+
+
+def _per_draw_loglik_m2(beta, mu, sigma_inv, data, nodes=31):
+    """The m = 2 integrated likelihood as a loop over draws, one Newton solve
+    and one nodes^2 product grid per draw, every period's exponential apart."""
+    n, t = data.num_subjects, data.num_periods
+    y = data.y.reshape(n, t)
+    xg, wg = np.polynomial.hermite.hermgauss(nodes)
+    grid_a, grid_b = np.meshgrid(xg, xg, indexing="ij")
+    logw2 = (np.log(wg)[:, None] + np.log(wg)[None, :] + grid_a ** 2 + grid_b ** 2).ravel()
+    grid = np.stack([grid_a.ravel(), grid_b.ravel()], axis=1)
+    out = np.empty(len(beta))
+    for si in range(len(beta)):
+        w_mat = sigma_inv[si]
+        eta0 = (data.offsets + data.x @ beta[si]).reshape(n, t)
+        u = np.tile(mu[si], (n, 1))
+        for _ in range(100):
+            lam = np.exp(eta0 + np.einsum("itm,im->it", data.z, u))
+            g1 = np.einsum("itm,it->im", data.z, y - lam) - (u - mu[si]) @ w_mat
+            h = -np.einsum("itm,it,itl->iml", data.z, lam, data.z) - w_mat[None]
+            step = np.linalg.solve(h, g1[:, :, None])[:, :, 0]
+            u -= step
+            if np.max(np.abs(step)) < 1e-10:
+                break
+        lam = np.exp(eta0 + np.einsum("itm,im->it", data.z, u))
+        curv = np.einsum("itm,it,itl->iml", data.z, lam, data.z) + w_mat[None]
+        chol_inv = np.linalg.cholesky(np.linalg.inv(curv))
+        pts = u[:, None, :] + math.sqrt(2.0) * np.einsum("iml,gl->igm", chol_inv, grid)
+        etas = eta0[:, None, :] + np.einsum("itm,igm->igt", data.z, pts)
+        loglam = np.sum(y[:, None, :] * etas - np.exp(etas) - gammaln(y + 1.0)[:, None, :],
+                        axis=2)
+        dev = pts - mu[si]
+        logprior = (-LOG_2PI + 0.5 * np.linalg.slogdet(w_mat)[1]
+                    - 0.5 * np.einsum("igm,ml,igl->ig", dev, w_mat, dev))
+        logdet_ci = np.linalg.slogdet(chol_inv)[1]
+        per_subject = (log_sum_exp(loglam + logprior + logw2[None, :], axis=1)
+                       + math.log(2.0) + logdet_ci)
+        out[si] = per_subject.sum()
+    return out
+
+
+class TestProductGrid:
+    """m = 2 rows in blocks give the per-draw loop's values."""
+
+    @pytest.mark.parametrize("design", ["linear", "two-levels"])
+    def test_rows_match_per_draw_loop(self, design):
+        data, beta, mu, prec = _default_panel_rows(_block_rows(2), 77, 2)
+        if design == "two-levels":
+            z = data.z.copy()
+            z[:, :, 1] = np.where(np.arange(data.num_periods) < 2, -0.5, 1.0)
+            data = _with_z(data, z)
+        groups = len(np.unique(data.z.transpose(1, 0, 2), axis=0))
+        assert groups == {"linear": data.num_periods, "two-levels": 2}[design]
+        got = lpm_loglik_integrated(beta, mu, prec, data)
+        np.testing.assert_allclose(got, _per_draw_loglik_m2(beta, mu, prec, data),
+                                   rtol=1e-13, atol=0.0)
 
 
 def _per_period_integrate_m1(beta, mu, prec, log_prec, data, xg, node_terms):
@@ -227,9 +297,7 @@ class TestGroupedPeriods:
 
     @pytest.mark.parametrize("design", ["ones", "two-columns", "random"])
     def test_rows_match_per_period_formula(self, design):
-        data, _, _, _ = _default_panel_rows(1, 75)
-        size = 2 * (lpm._BLOCK_ELEMENTS // (data.num_subjects * 31)) + 7
-        data, beta, mu, prec = _default_panel_rows(size, 75)
+        data, beta, mu, prec = _default_panel_rows(_block_rows(1), 75)
         n, t = data.num_subjects, data.num_periods
         if design == "two-columns":
             z = np.where(np.arange(t) < 2, 1.0, 0.5)[None, :, None] * np.ones((n, t, 1))
@@ -246,6 +314,17 @@ class TestGroupedPeriods:
                 - np.sum(gammaln(data.y + 1.0)))
         got = lpm_loglik_integrated(beta, mu, prec, data)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+class TestTwoEffectsExperiment:
+    def test_default_estimators_run(self):
+        table = run_experiment(ExperimentConfig(model="lpm", synth={"m": 2}, draws=500,
+                                                burn_in=100, repetitions=2))
+        rows = {r["method"]: r for r in table.rows}
+        assert list(rows) == harness._DEFAULT_ESTIMATORS
+        assert all(r["status"] == "ok" for r in table.rows), table.rows
+        for method in ("ris-vb", "bs-vb"):
+            assert math.isfinite(rows[method]["mean_log_mdd"])
 
 
 class TestVb:
