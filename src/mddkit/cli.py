@@ -92,12 +92,13 @@ def cmd_sample(args) -> int:
 
 def cmd_experiment(args, repetitions=None) -> int:
     """Run the experiment (``estimate``: one repetition of it) and write its tables."""
+    formats = harness.output_formats(args.formats.split(","))
     config = _load_config(args)
     if repetitions is not None:
         config.repetitions = repetitions
     table = harness.run_experiment(config)
     _print_table(table)
-    written = harness.emit_outputs(table, args.out, formats=tuple(args.formats.split(",")))
+    written = harness.emit_outputs(table, args.out, formats=formats)
     if repetitions is None:
         for path in written:
             print(f"wrote {path}")

@@ -33,13 +33,13 @@ __all__ = [
     "ResultsTable",
     "run_experiment",
     "emit_outputs",
+    "output_formats",
     "parse_config_file",
     "build_context",
     "load_data",
     "sample_chain",
     "sample_chains",
     "ESTIMATORS",
-    "ESTIMATOR_IDS",
 ]
 
 
@@ -76,7 +76,6 @@ ESTIMATORS = {
     "ris-vb-cdl": EstimatorSpec(14, "ris", "vb-cdl", complete_data=True),
     "bs-vb-cdl": EstimatorSpec(15, "bs", "vb-cdl", complete_data=True),
 }
-ESTIMATOR_IDS = {name: spec.stream for name, spec in ESTIMATORS.items()}
 
 _DEFAULT_ESTIMATORS = ["ris-vb", "bs-vb", "is-vb", "ris-pmd", "ris-geweke", "ris-prior"]
 # integer fields of ExperimentConfig; the last two may also be unset (None)
@@ -427,9 +426,21 @@ _TABLE_COLUMNS = ("method", "status", "mean_log_mdd", "nse", "se_bm", "pct_in_bo
                   "repetitions")
 
 
+def output_formats(names) -> tuple:
+    """``names`` as a tuple of output formats; a name outside csv, json and svg
+    raises :class:`ConfigError` (a ``ValueError``)."""
+    names = tuple(names)
+    if unknown := sorted(set(names) - {"csv", "json", "svg"}):
+        raise ConfigError(f"unknown output format(s) {', '.join(map(repr, unknown))}; "
+                          "choose from csv, json and svg")
+    return names
+
+
 def emit_outputs(table: ResultsTable, out_dir, formats=("csv", "json")) -> list:
     """Write the results table, the per-repetition scatter, and optionally a
-    self-contained SVG; returns the written paths."""
+    self-contained SVG, in the :func:`output_formats` ``formats``; returns the
+    written paths."""
+    formats = output_formats(formats)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []

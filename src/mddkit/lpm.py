@@ -136,35 +136,33 @@ class LpmPrior:
 # variational fit
 # ---------------------------------------------------------------------------
 
-def lpm_vb(prior: LpmPrior, data: LpmData, tol: float = 1e-6, max_iter: int = 500,
+def lpm_vb(kernel: "LpmKernel", tol: float = 1e-6, max_iter: int = 500,
            damping: float = 0.5, grad_tol: float | None = None) -> VBResult:
     """Damped fixed-point fit of q(Gamma) q(mu) q(Sigma^-1), Gamma = (beta, u).
 
     Each sweep rebuilds the Gaussian factor's precision from the current
     Poisson curvature, takes a damped natural-gradient step on its mean, and
-    refreshes the conjugate mu and Sigma factors. The bound can dip between
-    sweeps (no ascent guarantee); five consecutive drops of more than one
-    nat raise an error suggesting smaller damping. ``grad_tol`` additionally
-    requires the Gaussian factor's fixed-point residual below the given norm
-    (the bound increment alone cannot certify a small gradient).
+    refreshes the conjugate factors: q(mu) is the kernel's mu conditional at
+    E[u] and E[Sigma^-1], q(Sigma^-1) folds in the second moments. The bound
+    can dip between sweeps (no ascent guarantee); five consecutive drops of
+    more than one nat raise an error suggesting smaller damping. ``grad_tol``
+    additionally requires the Gaussian factor's fixed-point residual below
+    the given norm (the bound increment alone cannot certify a small
+    gradient).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must be in (0, 1]")
-    n, t, k, m = data.num_subjects, data.num_periods, data.k, data.m
+    prior, data = kernel.prior, kernel.data
+    n, k, m = data.num_subjects, data.k, data.m
     c_mat = data.design()
     dim = k + n * m
-    v0_inv_beta = np.linalg.inv(prior.Vbeta0)
-    v0_inv_mu = np.linalg.inv(prior.Vmu0)
     nu_q = prior.nu0 + n
-    priors = (MvNormalParams(prior.beta0, prior.Vbeta0), MvNormalParams(prior.mu0, prior.Vmu0),
-              WishartParams(prior.S0, prior.nu0))
 
     gamma_q = np.zeros(dim)
     prec_q = np.eye(dim)
-    mu_q = prior.mu0.copy()
-    v_mu = prior.Vmu0.copy()
+    q_mu = kernel._gauss_mu0  # q(mu) starts at its prior
     s_q = prior.S0 + n * np.eye(m)
     trace = []
     drops = 0
@@ -174,8 +172,8 @@ def lpm_vb(prior: LpmPrior, data: LpmData, tol: float = 1e-6, max_iter: int = 50
         e_w = 0.5 * (e_w + e_w.T)
         v_gamma = np.linalg.inv(prec_q)
         v_gamma = 0.5 * (v_gamma + v_gamma.T)
-        prior_prec, w, grad = _gaussian_factor_gradient(v0_inv_beta, prior.beta0, data, c_mat,
-                                                        gamma_q, v_gamma, mu_q, e_w)
+        prior_prec, w, grad = _gaussian_factor_gradient(kernel, c_mat, gamma_q, v_gamma,
+                                                        q_mu.mean, e_w)
         prec_new = c_mat.T @ (w[:, None] * c_mat) + prior_prec
         prec_q = (1.0 - damping) * prec_q + damping * prec_new
         v_gamma = np.linalg.inv(prec_q)
@@ -185,14 +183,12 @@ def lpm_vb(prior: LpmPrior, data: LpmData, tol: float = 1e-6, max_iter: int = 50
         u_means = gamma_q[k:].reshape(n, m)
         u_covs = np.stack([v_gamma[k + i * m: k + (i + 1) * m,
                                    k + i * m: k + (i + 1) * m] for i in range(n)])
-        v_mu = np.linalg.inv(v0_inv_mu + n * e_w)
-        v_mu = 0.5 * (v_mu + v_mu.T)
-        mu_q = v_mu @ (v0_inv_mu @ prior.mu0 + e_w @ u_means.sum(axis=0))
-        dev = u_means - mu_q
-        s_q = prior.S0 + n * v_mu + dev.T @ dev + u_covs.sum(axis=0)
+        q_mu = kernel.full_conditional("mu", {"u": u_means, "sigma_inv": e_w})
+        dev = u_means - q_mu.mean
+        s_q = prior.S0 + n * q_mu.cov + dev.T @ dev + u_covs.sum(axis=0)
         s_q = 0.5 * (s_q + s_q.T)
 
-        trace.append(_elbo_lpm(priors, data, c_mat, gamma_q, v_gamma, mu_q, v_mu, s_q, nu_q))
+        trace.append(_elbo_lpm(kernel, c_mat, gamma_q, v_gamma, u_covs, q_mu, s_q, nu_q))
         if len(trace) > 1:
             step = trace[-1] - trace[-2]
             if step < -1.0:
@@ -204,54 +200,47 @@ def lpm_vb(prior: LpmPrior, data: LpmData, tol: float = 1e-6, max_iter: int = 50
                 drops = 0
             if abs(step) < tol:
                 if grad_tol is not None and _gamma_gradient_norm(
-                        prior, data, c_mat, gamma_q, v_gamma, mu_q, s_q, nu_q) > grad_tol:
+                        kernel, c_mat, gamma_q, v_gamma, q_mu.mean, s_q, nu_q) > grad_tol:
                     continue
                 converged = True
                 break
 
     gauss_gamma = MvNormalParams(gamma_q, np.linalg.inv(prec_q))
     factors = {"beta": MvNormalParams(gamma_q[:k], gauss_gamma.cov[:k, :k]),
-               "mu": MvNormalParams(mu_q, v_mu), "sigma_inv": WishartParams(s_q, nu_q)}
+               "mu": q_mu, "sigma_inv": WishartParams(s_q, nu_q)}
     # q(beta) is the beta marginal of the Gaussian factor over (beta, u)
     hyper = {"gamma": gauss_gamma, "S": s_q, "nu": nu_q, "u_means": gamma_q[k:].reshape(n, m)}
     return VBResult.mean_field(_lpm_layout(k, m), factors, trace, hyper, converged)
 
 
-def _gaussian_factor_gradient(v0_inv_beta, beta0, data, c_mat, gamma_q, v_gamma, mu_q, e_w):
+def _gaussian_factor_gradient(kernel, c_mat, gamma_q, v_gamma, mu_q, e_w):
     """At q(Gamma) = N(gamma_q, v_gamma): the block-diagonal prior precision of
     Gamma = (beta, u) (V_beta0^-1, then E[Sigma^-1] per subject), the Poisson
     weights E[exp(eta)] and the bound's gradient in the mean, as
     ``(prior_prec, w, grad)``."""
+    data = kernel.data
     n, k, m = data.num_subjects, data.k, data.m
     prior_prec = np.zeros_like(v_gamma)
-    prior_prec[:k, :k] = v0_inv_beta
+    prior_prec[:k, :k] = kernel._vbeta0_inv
     for i in range(n):
         sl = slice(k + i * m, k + (i + 1) * m)
         prior_prec[sl, sl] = e_w
-    prior_mean = np.concatenate([beta0, np.tile(mu_q, n)])
+    prior_mean = np.concatenate([kernel.prior.beta0, np.tile(mu_q, n)])
     half_diag = 0.5 * np.einsum("ij,ij->i", c_mat @ v_gamma, c_mat)
     w = np.exp(data.offsets + c_mat @ gamma_q + half_diag)
     grad = c_mat.T @ (data.y - w) - prior_prec @ (gamma_q - prior_mean)
     return prior_prec, w, grad
 
 
-def _gamma_gradient_norm(prior, data, c_mat, gamma_q, v_gamma, mu_q, s_q, nu_q) -> float:
+def _gamma_gradient_norm(kernel, c_mat, gamma_q, v_gamma, mu_q, s_q, nu_q) -> float:
     e_w = nu_q * np.linalg.inv(s_q)
-    _, _, grad = _gaussian_factor_gradient(np.linalg.inv(prior.Vbeta0), prior.beta0, data, c_mat,
-                                           gamma_q, v_gamma, mu_q, 0.5 * (e_w + e_w.T))
+    _, _, grad = _gaussian_factor_gradient(kernel, c_mat, gamma_q, v_gamma, mu_q,
+                                           0.5 * (e_w + e_w.T))
     return float(np.linalg.norm(grad))
 
 
-def lpm_vb_gradient_residual(prior: LpmPrior, data: LpmData, vb: VBResult) -> float:
-    """Norm of the Gaussian-factor fixed-point condition at the fitted values."""
-    c_mat = data.design()
-    return _gamma_gradient_norm(prior, data, c_mat, vb.hyper["gamma"].mean,
-                                vb.hyper["gamma"].cov, vb.factors["mu"].mean,
-                                vb.hyper["S"], vb.hyper["nu"])
-
-
-def _elbo_lpm(priors, data, c_mat, gamma_q, v_gamma, mu_q, v_mu, s_q, nu_q) -> float:
-    prior_beta, prior_mu, prior_w = priors
+def _elbo_lpm(kernel, c_mat, gamma_q, v_gamma, u_covs, q_mu, s_q, nu_q) -> float:
+    data = kernel.data
     n, k, m = data.num_subjects, data.k, data.m
     q_w = WishartParams(s_q, nu_q)
     e_w = nu_q * np.linalg.inv(s_q)
@@ -261,19 +250,16 @@ def _elbo_lpm(priors, data, c_mat, gamma_q, v_gamma, mu_q, v_mu, s_q, nu_q) -> f
     w = np.exp(eta + half_diag)
     val = float(-np.sum(w) + data.y @ eta - np.sum(gammaln(data.y + 1.0)))
 
-    val += prior_beta.expected_logpdf(gamma_q[:k], v_gamma[:k, :k])
+    val += kernel._gauss_beta0.expected_logpdf(gamma_q[:k], v_gamma[:k, :k])
 
-    u_means = gamma_q[k:].reshape(n, m)
-    u_covs = np.stack([v_gamma[k + i * m: k + (i + 1) * m, k + i * m: k + (i + 1) * m]
-                       for i in range(n)])
-    dev_u = u_means - mu_q
-    quad_u = float(np.sum(e_w * (dev_u.T @ dev_u + u_covs.sum(axis=0) + n * v_mu).T))
+    dev_u = gamma_q[k:].reshape(n, m) - q_mu.mean
+    quad_u = float(np.sum(e_w * (dev_u.T @ dev_u + u_covs.sum(axis=0) + n * q_mu.cov).T))
     val += -0.5 * n * m * LOG_2PI + 0.5 * n * elog_det - 0.5 * quad_u
 
-    val += prior_mu.expected_logpdf(mu_q, v_mu)
-    val += prior_w.expected_logpdf(e_w, elog_det)
+    val += kernel._gauss_mu0.expected_logpdf(q_mu.mean, q_mu.cov)
+    val += kernel._wish0.expected_logpdf(e_w, elog_det)
     val += MvNormalParams(gamma_q, v_gamma).entropy()
-    val += MvNormalParams(mu_q, v_mu).entropy()
+    val += q_mu.entropy()
     val += q_w.entropy()
     return float(val)
 
@@ -346,7 +332,8 @@ def _integrate_block(beta, mu, w, logdet_w, data: LpmData, groups, grid, node_te
     per period, and no array has a (rows, subjects, nodes, periods) shape.
     """
     n, t, m = data.num_subjects, data.num_periods, data.m
-    eta0 = (data.offsets + beta @ data.x.T).reshape(-1, n, t)
+    # one x-beta product per row, so a row has the bits of its one-row call
+    eta0 = (data.offsets + np.matvec(data.x, beta)).reshape(-1, n, t)
     y = data.y.reshape(n, t)
     yz = [np.sum(y * data.z[:, :, j], axis=1) for j in range(m)]  # (n,) each
     y_eta0 = np.sum(y * eta0, axis=2)  # (b, n)
@@ -562,7 +549,7 @@ class LpmKernel(GibbsKernel):
         """Chains from the VB fit's means, their proposals scaled from the
         variational covariance blocks."""
         n, k, m = self.data.num_subjects, self.data.k, self.data.m
-        vb = lpm_vb(self.prior, self.data) if vb is None else vb
+        vb = lpm_vb(self) if vb is None else vb
         # the (m, m) diagonal blocks of the u part of the Gaussian factor
         u_covs = vb.hyper["gamma"].cov[k:, k:].reshape(n, m, n, m)[np.arange(n), :, np.arange(n)]
         state = {"beta": vb.factors["beta"].mean, "u": vb.hyper["u_means"],
@@ -573,7 +560,7 @@ class LpmKernel(GibbsKernel):
         return stack_state(state, chains)
 
     def vb_fit(self) -> VBResult:
-        return lpm_vb(self.prior, self.data)
+        return lpm_vb(self)
 
 
 # ---------------------------------------------------------------------------

@@ -228,57 +228,44 @@ def sfm_gamma_integrated_loglik(beta, sigma_prec, lam, theta, data: SfmData):
 # what both VB fits share
 # ---------------------------------------------------------------------------
 
-class _FrontierCavi:
-    """The coordinate-ascent pieces both frontier fits share: the set-up,
-    q(beta) and q(sigma^-2) given the moments of q(u), and the bound's terms
-    for those two blocks."""
+def _vb_start(kernel) -> dict:
+    """The expectations both fits start from: E[sigma^-2] of the sigma^-2
+    conditional at the squared deviations of y from its mean, and E[u] = 1."""
+    d = kernel.data
+    n, t = d.num_firms, d.num_periods
+    return {"sigma_prec": kernel._sigma_conditional(float(np.var(d.y)) * n * t).mean(),
+            "u": np.full(n, 1.0)}
 
-    def __init__(self, prior, data: SfmData):
-        n, t = data.num_firms, data.num_periods
-        self.prior, self.data = prior, data
-        self.beta_prior = MvNormalParams(prior.beta0, prior.Vbeta0)
-        self.sig_prior = GammaParams(prior.a_sigma0, prior.b_sigma0)
-        self.v0_inv = np.linalg.inv(prior.Vbeta0)
-        self.v0_inv_b0 = self.v0_inv @ prior.beta0
-        self.xtx = data.x.T @ data.x
-        self.a_sig = prior.a_sigma0 + 0.5 * n * t
-        self.b_sig_start = prior.b_sigma0 + 0.5 * float(np.var(data.y)) * n * t
 
-    def update_beta_sigma(self, e_sig, u_mean, u_var):
-        """q(beta) given E[sigma^-2] and q(u), then the rate of q(sigma^-2)
-        given both: (beta mean, beta covariance, sigma^-2 rate, residual means)."""
-        d, c, t = self.data, self.data.c, self.data.num_periods
-        v_beta = np.linalg.inv(self.v0_inv + e_sig * self.xtx)
-        v_beta = 0.5 * (v_beta + v_beta.T)
-        adj = d.y - c * np.repeat(u_mean, t)
-        beta_q = v_beta @ (self.v0_inv_b0 + e_sig * (d.x.T @ adj))
-        ebar, sum_e2 = _firm_residual_stats(d, beta_q)
-        ebar, sum_e2 = ebar[0], sum_e2[0]
-        dev2 = sum_e2 - 2.0 * c * t * ebar * u_mean + t * (u_mean ** 2 + u_var)
-        b_sig = self.prior.b_sigma0 + 0.5 * (float(np.sum(dev2))
-                                             + float(np.sum(self.xtx * v_beta)))
-        return beta_q, v_beta, b_sig, ebar
+def _beta_sigma_step(kernel, state, u_var):
+    """q(beta), the kernel's conditional at the expectations in ``state``, then
+    q(sigma^-2), its conditional at the expected sum of squares under q(beta)
+    and q(u) (means ``state["u"]``, variances ``u_var``). Also returns the
+    per-firm residual means and sums of squares of E[beta], which q(u) and the
+    bound read as well."""
+    d = kernel.data
+    c, t, u_mean = d.c, d.num_periods, state["u"]
+    q_beta = kernel.full_conditional("beta", state)
+    ebar, sum_e2 = _firm_residual_stats(d, q_beta.mean)
+    ebar, sum_e2 = ebar[0], sum_e2[0]
+    dev2 = sum_e2 - 2.0 * c * t * ebar * u_mean + t * (u_mean ** 2 + u_var)
+    q_sig = kernel._sigma_conditional(float(np.sum(dev2))
+                                      + float(np.sum(kernel._xtx * q_beta.cov)))
+    return q_beta, q_sig, ebar, sum_e2
 
-    def elbo_start(self, beta_q, v_beta, q_sig, u_mean, u_m2) -> float:
-        """The bound's expected log likelihood given E[u] and E[u^2], plus its
-        beta and sigma^-2 prior terms, summed in that order."""
-        d = self.data
-        n, t, c = d.num_firms, d.num_periods, d.c
-        e_sig, eln_sig = q_sig.mean(), q_sig.mean_log()
-        ebar, sum_e2 = _firm_residual_stats(d, beta_q)
-        ebar, sum_e2 = ebar[0], sum_e2[0]
-        quad = (float(np.sum(sum_e2 - 2.0 * c * t * ebar * u_mean + t * u_m2))
-                + float(np.sum(self.xtx * v_beta)))
-        val = -0.5 * n * t * LOG_2PI + 0.5 * n * t * eln_sig - 0.5 * e_sig * quad
-        val += self.beta_prior.expected_logpdf(beta_q, v_beta)
-        val += self.sig_prior.expected_logpdf(e_sig, eln_sig)
-        return val
 
-    @staticmethod
-    def add_entropies(val, beta_q, v_beta, q_sig, q_lam) -> float:
-        """``val`` plus the entropies of q(beta), then of q(sigma^-2) and q(lambda)."""
-        val += MvNormalParams(beta_q, v_beta).entropy()
-        return val + (q_sig.entropy() + q_lam.entropy())
+def _elbo_start(kernel, q_beta, q_sig, ebar, sum_e2, u_mean, u_m2) -> float:
+    """The bound's expected log likelihood given E[u] and E[u^2], plus its
+    beta and sigma^-2 prior terms, summed in that order."""
+    d = kernel.data
+    n, t, c = d.num_firms, d.num_periods, d.c
+    e_sig, eln_sig = q_sig.mean(), q_sig.mean_log()
+    quad = (float(np.sum(sum_e2 - 2.0 * c * t * ebar * u_mean + t * u_m2))
+            + float(np.sum(kernel._xtx * q_beta.cov)))
+    val = -0.5 * n * t * LOG_2PI + 0.5 * n * t * eln_sig - 0.5 * e_sig * quad
+    val += kernel._gauss0.expected_logpdf(q_beta.mean, q_beta.cov)
+    val += kernel._gam_sig0.expected_logpdf(e_sig, eln_sig)
+    return val
 
 
 class _AllFirms:
@@ -300,60 +287,49 @@ class _AllFirms:
 # exponential-case VB
 # ---------------------------------------------------------------------------
 
-def sfm_exp_vb(prior: SfmExpPrior, data: SfmData, tol: float = 1e-8,
-               max_iter: int = 500) -> VBResult:
+def sfm_exp_vb(kernel: "SfmExpKernel", tol: float = 1e-8, max_iter: int = 500) -> VBResult:
     """Coordinate ascent for the exponential-inefficiency frontier model.
 
     Factors: normal (beta) x gamma (sigma^-2) x gamma (lambda) x product of
-    zero-truncated normals (u_i). The bound is assembled term by term and is
-    monotone along the sweep. q spans the integrated kernel's layout; the u
-    factor serves the complete-data weighting.
+    zero-truncated normals (u_i). q(beta), q(lambda) and q(u) are the
+    kernel's full conditionals at the current expectations; the bound is
+    assembled term by term and is monotone along the sweep. q spans the
+    integrated kernel's layout; the u factor serves the complete-data
+    weighting.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n, t, k, c = data.num_firms, data.num_periods, data.k, data.c
-    cavi = _FrontierCavi(prior, data)
-    a_sig, b_sig = cavi.a_sig, cavi.b_sig_start
-    a_lam = prior.a_lam0 + n
-    b_lam = prior.b_lam0 + n  # starts E[lambda] at ~1
-    u_mean = np.full(n, 1.0)
-    u_var = np.full(n, 0.5)
-    beta_q = prior.beta0.copy()
-    v_beta = prior.Vbeta0.copy()
-    q_u = None
-
+    n = kernel.data.num_firms
+    state, u_var = _vb_start(kernel), np.full(n, 0.5)
     trace = []
     converged = False
     for _ in range(max_iter):
-        # q(beta), q(sigma^-2)
-        beta_q, v_beta, b_sig, ebar = cavi.update_beta_sigma(a_sig / b_sig, u_mean, u_var)
-        e_sig = a_sig / b_sig
-        # q(lambda)
-        b_lam = prior.b_lam0 + float(np.sum(u_mean))
-        e_lam = a_lam / b_lam
-        # q(u): truncated normals
-        q_u = TruncNormalParams((c * t * ebar - e_lam / e_sig) / t, math.sqrt(1.0 / (t * e_sig)))
-        u_mean, u_var = q_u.mean(), q_u.var()
-        trace.append(_elbo_exp(cavi, beta_q, v_beta, b_sig, a_lam, b_lam, q_u))
+        q_beta, q_sig, ebar, sum_e2 = _beta_sigma_step(kernel, state, u_var)
+        # the u conditional reads the residual means of E[beta] from the state
+        state.update(beta=q_beta.mean, sigma_prec=q_sig.mean(), _ebar=ebar)
+        q_lam = kernel.full_conditional("lam", state)
+        state["lam"] = q_lam.mean()
+        q_u = kernel.full_conditional("u", state)
+        state["u"], u_var = q_u.mean(), q_u.var()
+        trace.append(_elbo_exp(kernel, q_beta, q_sig, q_lam, q_u, ebar, sum_e2))
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
             converged = True
             break
 
-    factors = {"beta": MvNormalParams(beta_q, v_beta), "sigma_prec": GammaParams(a_sig, b_sig),
-               "lam": GammaParams(a_lam, b_lam), "u": _AllFirms(q_u)}
-    return VBResult.mean_field(_sfm_layout(k), factors, trace,
-                               {"u_mean": u_mean, "u_var": u_var}, converged)
+    factors = {"beta": q_beta, "sigma_prec": q_sig, "lam": q_lam, "u": _AllFirms(q_u)}
+    return VBResult.mean_field(_sfm_layout(kernel.data.k), factors, trace,
+                               {"u_mean": state["u"], "u_var": u_var}, converged)
 
 
-def _elbo_exp(cavi, beta_q, v_beta, b_sig, a_lam, b_lam, q_u) -> float:
-    prior, n = cavi.prior, cavi.data.num_firms
-    q_sig, q_lam = GammaParams(cavi.a_sig, b_sig), GammaParams(a_lam, b_lam)
+def _elbo_exp(kernel, q_beta, q_sig, q_lam, q_u, ebar, sum_e2) -> float:
+    n = kernel.data.num_firms
     e_lam, eln_lam = q_lam.mean(), q_lam.mean_log()
     u_mean = q_u.mean()
-    val = cavi.elbo_start(beta_q, v_beta, q_sig, u_mean, u_mean ** 2 + q_u.var())
-    val += GammaParams(prior.a_lam0, prior.b_lam0).expected_logpdf(e_lam, eln_lam)
+    val = _elbo_start(kernel, q_beta, q_sig, ebar, sum_e2, u_mean, u_mean ** 2 + q_u.var())
+    val += kernel._gam_lam0.expected_logpdf(e_lam, eln_lam)
     val += n * eln_lam - e_lam * float(np.sum(u_mean))
-    val = cavi.add_entropies(val, beta_q, v_beta, q_sig, q_lam)
+    val += q_beta.entropy()
+    val += q_sig.entropy() + q_lam.entropy()
     val += float(np.sum(q_u.entropy()))
     return float(val)
 
@@ -525,45 +501,37 @@ class _GridDensity:
         return _grid_sample(self.grid, self._logf, rng.uniform(size=size))
 
 
-def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData) -> VBResult:
+def sfm_gamma_vb(kernel: "SfmGammaKernel") -> VBResult:
     """Coordinate ascent for the gamma-inefficiency frontier model.
 
-    The u factors are nonstandard: each iteration takes their normalizing
-    constants, E[u], E[u^2] and E[ln u] from one tanh-sinh pass over all
-    firms (:class:`GammaCaseInefficiency`), and the theta factor lives on a
-    quadrature grid. q spans the layout of
+    q(beta) and q(lambda) are the kernel's full conditionals at the current
+    expectations. The u factors are nonstandard: each iteration takes their
+    normalizing constants, E[u], E[u^2] and E[ln u] from one tanh-sinh pass
+    over all firms (:class:`GammaCaseInefficiency`), and the theta factor
+    lives on a quadrature grid. q spans the layout of
     :class:`SfmGammaKernel`, u included. The u factors' spread parameter
     T E[sigma^-2] is the coefficient on -u^2 / 2 in E_q ln p, so it is read as
     a precision: so read, each factor is its coordinate-ascent optimum and
     the bound ascends; read as a variance it is no optimum, and the ascent
     guarantee is lost.
     """
-    n, t, k, c = data.num_firms, data.num_periods, data.k, data.c
-    cavi = _FrontierCavi(prior, data)
-    a_sig, b_sig = cavi.a_sig, cavi.b_sig_start
-    theta_mean = 1.0
-    a_lam = (n + 1) * theta_mean
-    b_lam = prior.b_lam0 + n
-    u_mean = np.full(n, 1.0)
-    u_var = np.full(n, 0.5)
-    u_mean_log = np.zeros(n)
-    beta_q = prior.beta0.copy()
-    v_beta = prior.Vbeta0.copy()
+    d, prior = kernel.data, kernel.prior
+    n, t, c = d.num_firms, d.num_periods, d.c
+    state, u_var = _vb_start(kernel) | {"theta": 1.0}, np.full(n, 0.5)
+    q_lam = kernel.full_conditional("lam", state)
     u_factors = None
     theta_grid = None
 
     trace = []
     converged = False
     for _ in range(_GAMMA_VB_MAX_ITER):
-        q_lam = GammaParams(a_lam, b_lam)
         e_lam, eln_lam = q_lam.mean(), q_lam.mean_log()
-        # q(beta), q(sigma^-2)
-        beta_q, v_beta, b_sig, ebar = cavi.update_beta_sigma(a_sig / b_sig, u_mean, u_var)
-        e_sig = a_sig / b_sig
+        q_beta, q_sig, ebar, sum_e2 = _beta_sigma_step(kernel, state, u_var)
+        e_sig = state["sigma_prec"] = q_sig.mean()
         # q(u): nonstandard factors
         slopes = e_lam - c * e_sig * t * ebar
-        u_factors = GammaCaseInefficiency(theta_mean, t * e_sig, slopes)
-        u_mean, u_m2 = u_factors.moment(1), u_factors.moment(2)
+        u_factors = GammaCaseInefficiency(state["theta"], t * e_sig, slopes)
+        state["u"], u_m2 = u_factors.moment(1), u_factors.moment(2)
         u_var = u_factors.var()
         u_mean_log = u_factors.mean_log()
         # q(theta) on its grid
@@ -574,33 +542,29 @@ def sfm_gamma_vb(prior: SfmGammaPrior, data: SfmData) -> VBResult:
                     - prior.b_theta0 / th - (n + 1) * gammaln(th))
 
         theta_grid = _GridDensity(theta_log_unnorm)
-        theta_mean = theta_grid.mean()
-        # q(lambda)
-        a_lam = (n + 1) * theta_mean
-        b_lam = prior.b_lam0 + float(np.sum(u_mean))
-        trace.append(_elbo_gamma(cavi, beta_q, v_beta, b_sig, a_lam, b_lam, theta_grid,
-                                 theta_mean, u_factors, u_mean, u_m2, u_mean_log))
+        state["theta"] = theta_grid.mean()
+        q_lam = kernel.full_conditional("lam", state)
+        trace.append(_elbo_gamma(kernel, q_beta, q_sig, q_lam, theta_grid, state["theta"],
+                                 u_factors, ebar, sum_e2, state["u"], u_m2, u_mean_log))
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) < _GAMMA_VB_TOL:
             converged = True
             break
 
-    factors = {"beta": MvNormalParams(beta_q, v_beta), "sigma_prec": GammaParams(a_sig, b_sig),
-               "lam": GammaParams(a_lam, b_lam), "theta": theta_grid,
+    factors = {"beta": q_beta, "sigma_prec": q_sig, "lam": q_lam, "theta": theta_grid,
                "u": _AllFirms(u_factors)}
-    return VBResult.mean_field(_sfm_gamma_layout(k, n), factors, trace,
-                               {"theta_mean": theta_mean, "u_mean": u_mean, "u_var": u_var},
-                               converged)
+    return VBResult.mean_field(_sfm_gamma_layout(d.k, n), factors, trace,
+                               {"theta_mean": state["theta"], "u_mean": state["u"],
+                                "u_var": u_var}, converged)
 
 
-def _elbo_gamma(cavi, beta_q, v_beta, b_sig, a_lam, b_lam, theta_grid, theta_mean,
-                u_factors, u_mean, u_m2, u_mean_log) -> float:
-    prior, n = cavi.prior, cavi.data.num_firms
-    q_sig, q_lam = GammaParams(cavi.a_sig, b_sig), GammaParams(a_lam, b_lam)
+def _elbo_gamma(kernel, q_beta, q_sig, q_lam, theta_grid, theta_mean, u_factors, ebar, sum_e2,
+                u_mean, u_m2, u_mean_log) -> float:
+    prior, n = kernel.prior, kernel.data.num_firms
     e_lam, eln_lam = q_lam.mean(), q_lam.mean_log()
     eln_theta = theta_grid.expect(np.log)
     e_theta_inv = theta_grid.expect(lambda g: 1.0 / g)
     eln_gamma_theta = theta_grid.expect(lambda g: gammaln(g))
-    val = cavi.elbo_start(beta_q, v_beta, q_sig, u_mean, u_m2)
+    val = _elbo_start(kernel, q_beta, q_sig, ebar, sum_e2, u_mean, u_m2)
     # lambda | theta prior and the u priors
     val += (theta_mean * math.log(prior.b_lam0) + (theta_mean - 1.0) * eln_lam
             - prior.b_lam0 * e_lam - eln_gamma_theta)
@@ -610,7 +574,8 @@ def _elbo_gamma(cavi, beta_q, v_beta, b_sig, a_lam, b_lam, theta_grid, theta_mea
     val += (prior.a_theta0 * math.log(prior.b_theta0) - float(gammaln(prior.a_theta0))
             - (prior.a_theta0 + 1.0) * eln_theta - prior.b_theta0 * e_theta_inv)
     # entropies
-    val = cavi.add_entropies(val, beta_q, v_beta, q_sig, q_lam)
+    val += q_beta.entropy()
+    val += q_sig.entropy() + q_lam.entropy()
     val -= float(np.sum(u_factors.mean_log_q()))
     val -= theta_grid.mean_log_q()
     return float(val)
@@ -676,24 +641,28 @@ class _FrontierKernel(GibbsKernel):
             return MvNormalParams.from_precision(self._v0_inv + prec[..., None, None] * self._xtx,
                                                  rhs)
         if name == "sigma_prec":
-            return self._sigma_conditional(d.y - np.matvec(d.x, state["beta"]) - cu)
+            resid = d.y - np.matvec(d.x, state["beta"]) - cu
+            return self._sigma_conditional(np.vecdot(resid, resid))
         raise KeyError(name)
 
-    def _sigma_conditional(self, resid):
-        """sigma^-2 given the rest, from the states' residuals y - x beta - c u."""
+    def _sigma_conditional(self, ss):
+        """sigma^-2 given the rest, from the states' sums of squared residuals
+        y - x beta - c u (a VB fit passes their expectation under q)."""
         return GammaParams(self.prior.a_sigma0 + 0.5 * self.data.num_firms * self.data.num_periods,
-                           self.prior.b_sigma0 + 0.5 * np.vecdot(resid, resid))
+                           self.prior.b_sigma0 + 0.5 * ss)
 
     @staticmethod
     def _fixed(state, clamped, blocks, key, compute):
-        """``compute()`` for the states, a term of ``blocks``; while they are
-        all clamped it never changes, so it is computed on the first sweep and
-        carried in the state under ``key``."""
-        if not clamped.issuperset(blocks):
-            return compute()
-        if key not in state:
-            state[key] = compute()
-        return state[key]
+        """The term of ``blocks`` the states carry under ``key``, else
+        ``compute()``. While ``blocks`` are all clamped the term never changes,
+        so it is computed on the first sweep and carried from then on; a VB
+        fit's state carries the residual means of E[beta] as ``_ebar``."""
+        if key in state:
+            return state[key]
+        value = compute()
+        if clamped.issuperset(blocks):
+            state[key] = value
+        return value
 
     def _residual_means(self, state, clamped):
         """Per-firm residual means of the states' betas for the u step."""
@@ -708,7 +677,8 @@ class _FrontierKernel(GibbsKernel):
         if "sigma_prec" not in clamped:
             cu = self._c_times_u(state) if "beta" in clamped else cu
             resid = self._beta_residuals(state, clamped) - cu
-            state["sigma_prec"] = self._sigma_conditional(resid).sample_stack(rngs)
+            state["sigma_prec"] = self._sigma_conditional(
+                np.vecdot(resid, resid)).sample_stack(rngs)
         if "lam" not in clamped:
             state["lam"] = self.full_conditional("lam", state).sample_stack(rngs)
 
@@ -753,14 +723,15 @@ class SfmExpKernel(_FrontierKernel):
 
     def _u_conditional(self, state, clamped):
         """u given the rest, one zero-truncated normal per firm, for one state or
-        a stack (one scale per state); the terms of a clamped beta or sigma^-2
-        are carried in the state."""
+        a stack (one scale per state: a scalar, or a (chains, 1) column); the
+        terms of a clamped beta or sigma^-2 are carried in the state."""
         c, t = self.data.c, self.data.num_periods
         prec = np.asarray(state["sigma_prec"], dtype=float)
         cte = self._fixed(state, clamped, ("beta",), "_cte",
                           lambda: c * t * self._residual_means(state, clamped))
-        scale = self._fixed(state, clamped, ("sigma_prec",), "_u_scale",
-                            lambda: np.sqrt(1.0 / (t * prec))[..., None])
+        scale = self._fixed(
+            state, clamped, ("sigma_prec",), "_u_scale",
+            lambda: np.sqrt(1.0 / (t * prec)).reshape(prec.shape + (1,) * prec.ndim))
         return TruncNormalParams((cte - (state["lam"] / prec)[..., None]) / t, scale)
 
     def gibbs_sweep(self, state, rngs, clamped, steps):
@@ -773,7 +744,7 @@ class SfmExpKernel(_FrontierKernel):
         return stack_state(self._initial_state(), chains)
 
     def vb_fit(self) -> VBResult:
-        return sfm_exp_vb(self.prior, self.data)
+        return sfm_exp_vb(self)
 
     def as_complete_data(self) -> "SfmExpCdlKernel":
         return SfmExpCdlKernel(self.prior, self.data)
@@ -933,7 +904,7 @@ class SfmGammaKernel(_FrontierKernel):
         return stack_state(self._initial_state() | {"theta": 1.0}, chains)
 
     def vb_fit(self) -> VBResult:
-        return sfm_gamma_vb(self.prior, self.data)
+        return sfm_gamma_vb(self)
 
 
 def make_sfm_gamma_cdl_weighting(vb: VBResult, kernel: SfmGammaKernel) -> WeightingDensity:

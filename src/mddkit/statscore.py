@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrs
 from scipy.special import chdtri, erfcx, gammaln, log_ndtr, multigammaln, ndtri, psi
 
@@ -39,7 +38,6 @@ __all__ = [
     "safe_cholesky",
     "draw_each",
     "MvNormalParams",
-    "MatricNormalParams",
     "WishartParams",
     "GammaParams",
     "TruncNormalParams",
@@ -555,60 +553,6 @@ class MvNormalParams:
 
 
 @dataclass
-class MatricNormalParams:
-    """Matric-variate normal for a K x N matrix.
-
-    ``row_cov`` (K x K) scales across rows, ``col_cov`` (N x N) across
-    columns; vec(X) with column stacking is N(vec(mean), col_cov kron row_cov).
-    """
-
-    mean: np.ndarray
-    row_cov: np.ndarray
-    col_cov: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.atleast_2d(np.asarray(self.mean, dtype=float))
-        self.row_cov = np.atleast_2d(np.asarray(self.row_cov, dtype=float))
-        self.col_cov = np.atleast_2d(np.asarray(self.col_cov, dtype=float))
-        _check_symmetric(self.row_cov, "row covariance")
-        _check_symmetric(self.col_cov, "column covariance")
-        k, n = self.mean.shape
-        if self.row_cov.shape[0] != k or self.col_cov.shape[0] != n:
-            raise ValueError("mean/covariance dimension mismatch")
-        self._chol_row = safe_cholesky(self.row_cov)
-        self._chol_col = safe_cholesky(self.col_cov)
-
-    @property
-    def shape(self):
-        return self.mean.shape
-
-    def logpdf(self, x) -> float:
-        return float(self.logpdf_batch(x)[0])
-
-    def logpdf_batch(self, x: np.ndarray) -> np.ndarray:
-        """ln density at the points x: (points, K, N) matrices or (points, K N)
-        rows of them, row-major, as :class:`MvNormalParams` takes flat points."""
-        k, n = self.mean.shape
-        x = np.asarray(x, dtype=float).reshape(-1, k, n)
-        dev = x - self.mean
-        # trace(inv(col) dev' inv(row) dev) via triangular solves
-        a = solve_triangular(self._chol_row, dev.transpose(1, 0, 2).reshape(k, -1), lower=True)
-        a = a.reshape(k, x.shape[0], n).transpose(1, 0, 2)
-        b = solve_triangular(self._chol_col, a.transpose(2, 0, 1).reshape(n, -1), lower=True)
-        b = b.reshape(n, x.shape[0], k)
-        quad = np.einsum("nsk,nsk->s", b, b)
-        return -0.5 * (k * n * LOG_2PI + n * _chol_logdet(self._chol_row)
-                       + k * _chol_logdet(self._chol_col) + quad)
-
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        n_draws = 1 if size is None else size
-        k, n = self.mean.shape
-        z = rng.standard_normal((n_draws, k, n))
-        draws = self.mean + self._chol_row @ z @ self._chol_col.T
-        return draws[0] if size is None else draws
-
-
-@dataclass
 class WishartParams:
     """Wishart W(inv(scale_inv), dof): E[W] = dof * inv(scale_inv).
 
@@ -838,10 +782,6 @@ class TruncNormalParams:
     @cached_property
     def _mills(self):
         return inverse_mills(self._alpha)
-
-    def log_normalizer(self):
-        """ln Phi(location / scale), the kept probability mass."""
-        return self._out(log_ndtr(self._alpha))
 
     @cached_property
     def _deep(self):

@@ -154,35 +154,32 @@ class ToyNormalGammaKernel(GibbsKernel):
     # -- mean-field fit -------------------------------------------------------
 
     def vb_fit(self) -> VBResult:
+        """Coordinate ascent: q(mu) is the mu conditional at E[tau], and q(tau)
+        folds in the second moments of q(mu)."""
         t = self.y.size
         ybar = self.y.mean()
         ss = float(np.sum((self.y - ybar) ** 2))
-        a_q = self.a0 + 0.5 * (t + 1)
-        b_q = self.b_t  # any sane positive start
+        q_tau = GammaParams(self.a0 + 0.5 * (t + 1), self.b_t)  # any sane positive rate
         trace = []
-        m_q = self.m_t
         converged = False
         for _ in range(_NORMAL_GAMMA_VB_MAX_ITER):
-            e_tau = a_q / b_q
-            v_q = 1.0 / (self.kappa_t * e_tau)
+            q_mu = self.full_conditional("mu", {"tau": q_tau.mean()})
+            m_q, v_q = q_mu.mean[0], q_mu.cov[0, 0]
             # E[kappa0 (mu-m0)^2 + sum (y-mu)^2] under q(mu)
             e_quad = (self.kappa0 * ((m_q - self.m0) ** 2 + v_q)
                       + ss + t * ((m_q - ybar) ** 2 + v_q))
-            b_q = self.b0 + 0.5 * e_quad
-            trace.append(self._elbo(m_q, v_q, a_q, b_q))
+            q_tau = GammaParams(q_tau.shape, self.b0 + 0.5 * e_quad)
+            trace.append(self._elbo(m_q, v_q, q_tau))
             if len(trace) > 1 and abs(trace[-1] - trace[-2]) < _NORMAL_GAMMA_VB_TOL:
                 converged = True
                 break
-        e_tau = a_q / b_q
-        v_q = 1.0 / (self.kappa_t * e_tau)
-        factors = {"mu": MvNormalParams([m_q], [[v_q]]), "tau": GammaParams(a_q, b_q)}
+        factors = {"mu": self.full_conditional("mu", {"tau": q_tau.mean()}), "tau": q_tau}
         return VBResult.mean_field(self.layout, factors, trace, {}, converged)
 
-    def _elbo(self, m_q, v_q, a_q, b_q) -> float:
+    def _elbo(self, m_q, v_q, q_tau) -> float:
         t = self.y.size
         ybar = self.y.mean()
         ss = float(np.sum((self.y - ybar) ** 2))
-        q_tau = GammaParams(a_q, b_q)
         e_tau, e_ln_tau = q_tau.mean(), q_tau.mean_log()
         e_sq_lik = ss + t * ((m_q - ybar) ** 2 + v_q)
         e_sq_pri = (m_q - self.m0) ** 2 + v_q

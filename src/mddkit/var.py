@@ -29,7 +29,6 @@ from .modelapi import (
 )
 from .statscore import (
     LOG_2PI,
-    MatricNormalParams,
     MvNormalParams,
     WishartParams,
     _logdet,
@@ -249,65 +248,67 @@ def var_vb_conjugate(prior: VarConjugatePrior, data: VarData,
     evidence. The factorized fit breaks the coefficient/precision coupling
     and its bound sits strictly below.
     """
-    return _vb_conjugate(prior, data, var_exact_posterior(prior, data), factorized)
+    return VarConjugateKernel(prior, data).vb_fit(factorized)
 
 
-def _vb_conjugate(prior, data, post: NormalWishart, factorized: bool) -> VBResult:
-    """:func:`var_vb_conjugate` from the exact posterior ``post``."""
+def _vb_conjugate(kernel: "VarConjugateKernel", factorized: bool) -> VBResult:
+    """:func:`var_vb_conjugate` of the kernel, from its exact posterior."""
+    data, post = kernel.data, kernel._post
     n, t = data.N, data.T
     hyper = {"A": post.A, "V": post.V, "S": post.S, "nu": post.nu}
     if not factorized:
         # q is the exact normal-Wishart posterior itself, no product of factors
-        elbo = _elbo_conjugate_joint(prior, data, post)
+        elbo = _elbo_conjugate_joint(kernel)
         return VBResult(hyper, np.array([elbo]), post.logpdf_batch, post.sample, True)
-    nu_q = t + 1.0 + data.p * n + prior.nu0  # = posterior dof + K
+    nu_q = t + 1.0 + data.p * n + kernel.prior.nu0  # = posterior dof + K
     if not nu_q - n - 1.0 > 0:
         raise ConfigError("factorized VB needs nu* > N + 1")
     s_q = (nu_q / post.nu) * post.S
     col_cov = s_q / nu_q  # = inv(E_q[Sigma^-1]); the coordinate-ascent optimum
     q_w = WishartParams(s_q, nu_q)
-    elbo = _elbo_conjugate_factorized(prior, data, post, q_w, col_cov)
-    factors = {"alpha": MatricNormalParams(post.A, post.V, col_cov), "sigma_inv": q_w}
+    elbo = _elbo_conjugate_factorized(kernel, q_w, col_cov)
+    # vec(A) row by row, as alpha stacks it: covariance V kron col_cov
+    factors = {"alpha": MvNormalParams(post.A.ravel(), _kron(post.V, col_cov)), "sigma_inv": q_w}
     hyper.update(S=s_q, nu=nu_q, col_cov=col_cov)
     return VBResult.mean_field(_var_layout(n, data.K), factors, [elbo], hyper, True)
 
 
-def _elbo_conjugate_factorized(prior, data, post, q_w, col_cov) -> float:
+def _elbo_conjugate_factorized(kernel, q_w, col_cov) -> float:
+    data, post, nw0 = kernel.data, kernel._post, kernel._nw0
     n, k, t = data.N, data.K, data.T
-    v0_inv = np.linalg.inv(prior.V0)
     e_w = q_w.dof * np.linalg.inv(q_w.scale_inv)
     elog_det = q_w.mean_logdet
     resid = data.Y - data.X @ post.A
-    m_lik = resid.T @ resid + np.trace(data.X.T @ data.X @ post.V) * col_cov
-    dev = post.A - prior.A0
-    m_pri = dev.T @ v0_inv @ dev + np.trace(v0_inv @ post.V) * col_cov
+    m_lik = resid.T @ resid + np.trace(kernel._xtx @ post.V) * col_cov
+    dev = post.A - nw0.A
+    m_pri = dev.T @ nw0._v_inv @ dev + np.trace(nw0._v_inv @ post.V) * col_cov
 
     val = -0.5 * t * n * LOG_2PI + 0.5 * t * elog_det - 0.5 * float(np.sum(e_w * m_lik.T))
-    val += (-0.5 * k * n * LOG_2PI + 0.5 * k * elog_det - 0.5 * n * _logdet(prior.V0)
+    val += (-0.5 * k * n * LOG_2PI + 0.5 * k * elog_det - 0.5 * n * _logdet(nw0.V)
             - 0.5 * float(np.sum(e_w * m_pri.T)))
-    val += WishartParams(prior.S0, prior.nu0).expected_logpdf(e_w, elog_det)
+    val += nw0.wishart.expected_logpdf(e_w, elog_det)
     # entropies of q_A (matric normal) and q_W
     val += 0.5 * k * n * (LOG_2PI + 1.0) + 0.5 * n * _logdet(post.V) + 0.5 * k * _logdet(col_cov)
     val += q_w.entropy()
     return float(val)
 
 
-def _elbo_conjugate_joint(prior, data, post) -> float:
+def _elbo_conjugate_joint(kernel) -> float:
     """E_q ln p(y, theta) - E_q ln q(theta) with q the exact NW posterior."""
+    data, post, nw0 = kernel.data, kernel._post, kernel._nw0
     n, k, t = data.N, data.K, data.T
-    v0_inv = np.linalg.inv(prior.V0)
     e_w = post.nu * np.linalg.inv(post.S)
     elog_det = post.wishart.mean_logdet
     resid = data.Y - data.X @ post.A
-    dev = post.A - prior.A0
+    dev = post.A - nw0.A
 
     val = (-0.5 * t * n * LOG_2PI + 0.5 * t * elog_det
            - 0.5 * (float(np.sum(e_w * (resid.T @ resid).T))
-                    + n * float(np.trace(data.X.T @ data.X @ post.V))))
-    val += (-0.5 * k * n * LOG_2PI + 0.5 * k * elog_det - 0.5 * n * _logdet(prior.V0)
-            - 0.5 * (float(np.sum(e_w * (dev.T @ v0_inv @ dev).T))
-                     + n * float(np.trace(v0_inv @ post.V))))
-    val += WishartParams(prior.S0, prior.nu0).expected_logpdf(e_w, elog_det)
+                    + n * float(np.trace(kernel._xtx @ post.V))))
+    val += (-0.5 * k * n * LOG_2PI + 0.5 * k * elog_det - 0.5 * n * _logdet(nw0.V)
+            - 0.5 * (float(np.sum(e_w * (dev.T @ nw0._v_inv @ dev).T))
+                     + n * float(np.trace(nw0._v_inv @ post.V))))
+    val += nw0.wishart.expected_logpdf(e_w, elog_det)
     # E[ln q(A|W)] = -KN/2 ln 2pi - N/2 ln|V| + K/2 E ln|W| - KN/2
     val -= (-0.5 * k * n * LOG_2PI - 0.5 * n * _logdet(post.V) + 0.5 * k * elog_det
             - 0.5 * k * n)
@@ -315,38 +316,20 @@ def _elbo_conjugate_joint(prior, data, post) -> float:
     return float(val)
 
 
-def var_vblb_conjugate_closed_form(prior: VarConjugatePrior, data: VarData) -> float:
-    """The factorized bound in its condensed display form (cross-check)."""
-    post = var_exact_posterior(prior, data)
-    n, k, t = data.N, data.K, data.T
-    nu_bar = t + prior.nu0
-    nu_q = nu_bar + k
-    return (-0.5 * n * t * math.log(math.pi) + 0.5 * n * k * math.log(2.0 * math.e)
-            + 0.5 * n * (nu_bar * math.log(nu_bar) - nu_q * math.log(nu_q))
-            + ln_multivariate_gamma(n, 0.5 * nu_q) - ln_multivariate_gamma(n, 0.5 * prior.nu0)
-            + 0.5 * n * (_logdet(post.V) - _logdet(prior.V0))
-            + 0.5 * (prior.nu0 * _logdet(prior.S0) - nu_bar * _logdet(post.S)))
-
-
 # ---------------------------------------------------------------------------
 # VB: independent prior
 # ---------------------------------------------------------------------------
 
-def var_vb_independent(prior: VarIndependentPrior, data: VarData) -> VBResult:
+def var_vb_independent(kernel: "VarIndependentKernel") -> VBResult:
     """Coordinate ascent for the independent normal-Wishart prior.
 
     Starts the precision factor at the OLS residual scale; the coefficient
-    factor update uses E[Sigma^-1] = nu S^-1, then the scale update folds in
-    the coefficient uncertainty. The bound is assembled term by term, so the
-    trace is monotone along the iterations.
+    factor is the kernel's alpha conditional at E[Sigma^-1] = nu S^-1, then
+    the scale update folds in the coefficient uncertainty. The bound is
+    assembled term by term, so the trace is monotone along the iterations.
     """
+    prior, data = kernel.prior, kernel.data
     n, k, t = data.N, data.K, data.T
-    xtx = data.X.T @ data.X
-    xty = data.X.T @ data.Y
-    v0_inv = np.linalg.inv(prior.Vbig0)
-    v0_inv_a0 = v0_inv @ prior.alpha0
-    prior_alpha = MvNormalParams(prior.alpha0, prior.Vbig0)
-    prior_w = WishartParams(prior.S0, prior.nu0)
 
     # initialization: OLS residual cross-product
     a_ols, *_ = np.linalg.lstsq(data.X, data.Y, rcond=None)
@@ -355,49 +338,41 @@ def var_vb_independent(prior: VarIndependentPrior, data: VarData) -> VBResult:
     nu_q = t + prior.nu0
 
     trace = []
-    alpha_q = prior.alpha0.copy()
-    v_q = prior.Vbig0.copy()
     converged = False
     for _ in range(_INDEPENDENT_VB_MAX_ITER):
         e_w = nu_q * np.linalg.inv(s_q)
-        e_w = 0.5 * (e_w + e_w.T)
-        # q(alpha): precision Vbig0^-1 + X'X kron E[W]
-        prec = v0_inv + np.kron(xtx, e_w)
-        v_q = np.linalg.inv(prec)
-        v_q = 0.5 * (v_q + v_q.T)
-        alpha_q = v_q @ (v0_inv_a0 + (e_w @ xty.T).T.ravel())
+        q_alpha = kernel.full_conditional("alpha", {"sigma_inv": 0.5 * (e_w + e_w.T)})
         # q(W): scale folds residual and coefficient covariance
-        a_mat = alpha_q.reshape(k, n)
-        resid = data.Y - data.X @ a_mat
-        v4 = v_q.reshape(k, n, k, n)
-        s_q = prior.S0 + resid.T @ resid + np.einsum("kl,knlm->nm", xtx, v4)
+        _, resid = kernel._coefficients_and_residuals({"alpha": q_alpha.mean})
+        v4 = q_alpha.cov.reshape(k, n, k, n)
+        s_q = prior.S0 + resid.T @ resid + np.einsum("kl,knlm->nm", kernel._xtx, v4)
         s_q = 0.5 * (s_q + s_q.T)
-        trace.append(_elbo_independent(prior_alpha, prior_w, data, alpha_q, v_q, s_q, nu_q))
+        q_w = WishartParams(s_q, nu_q)
+        trace.append(_elbo_independent(kernel, q_alpha, q_w, resid))
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) < _INDEPENDENT_VB_TOL:
             converged = True
             break
 
-    factors = {"alpha": MvNormalParams(alpha_q, v_q), "sigma_inv": WishartParams(s_q, nu_q)}
+    factors = {"alpha": q_alpha, "sigma_inv": q_w}
     return VBResult.mean_field(_var_layout(n, k), factors, trace,
-                               {"alpha": alpha_q, "V": v_q, "S": s_q, "nu": nu_q}, converged)
+                               {"alpha": q_alpha.mean, "V": q_alpha.cov, "S": s_q, "nu": nu_q},
+                               converged)
 
 
-def _elbo_independent(prior_alpha, prior_w, data, alpha_q, v_q, s_q, nu_q) -> float:
+def _elbo_independent(kernel, q_alpha, q_w, resid) -> float:
+    """The bound at q(alpha) q(W), with ``resid`` Y - X E[A]."""
+    data = kernel.data
     n, k, t = data.N, data.K, data.T
-    xtx = data.X.T @ data.X
-    q_w = WishartParams(s_q, nu_q)
-    e_w = nu_q * np.linalg.inv(s_q)
+    e_w = q_w.dof * np.linalg.inv(q_w.scale_inv)
     elog_det = q_w.mean_logdet
-    a_mat = alpha_q.reshape(k, n)
-    resid = data.Y - data.X @ a_mat
-    v4 = v_q.reshape(k, n, k, n)
+    v4 = q_alpha.cov.reshape(k, n, k, n)
     quad_lik = float(np.sum(e_w * (resid.T @ resid).T)) \
-        + float(np.einsum("kl,nm,lmkn->", xtx, e_w, v4))
+        + float(np.einsum("kl,nm,lmkn->", kernel._xtx, e_w, v4))
 
     val = -0.5 * t * n * LOG_2PI + 0.5 * t * elog_det - 0.5 * quad_lik
-    val += prior_alpha.expected_logpdf(alpha_q, v_q)
-    val += prior_w.expected_logpdf(e_w, elog_det)
-    val += MvNormalParams(alpha_q, v_q).entropy()
+    val += kernel._gauss0.expected_logpdf(q_alpha.mean, q_alpha.cov)
+    val += kernel._wish0.expected_logpdf(e_w, elog_det)
+    val += q_alpha.entropy()
     val += q_w.entropy()
     return float(val)
 
@@ -483,7 +458,7 @@ class VarConjugateKernel(_VarKernelBase):
         raise KeyError(name)
 
     def vb_fit(self, factorized: bool = True) -> VBResult:
-        return _vb_conjugate(self.prior, self.data, self._post, factorized)
+        return _vb_conjugate(self, factorized)
 
     def exact_log_mdd(self) -> float:
         return var_exact_log_mdd(self.prior, self.data)
@@ -530,7 +505,7 @@ class VarIndependentKernel(_VarKernelBase, GibbsKernel):
         return stack_state({"alpha": a_ols.ravel(), "sigma_inv": 0.5 * (w0 + w0.T)}, chains)
 
     def vb_fit(self) -> VBResult:
-        return var_vb_independent(self.prior, self.data)
+        return var_vb_independent(self)
 
 
 # ---------------------------------------------------------------------------

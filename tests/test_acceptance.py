@@ -292,7 +292,7 @@ def test_criterion_10_lpm_micro_oracle():
     data = lpm_mod.lpm_synthetic(32, 2, 2, 1, 1, [0.3], [0.2], [[0.3]])
     prior = lpm_mod.LpmPrior([0.0], [[4.0]], [0.2], [[1e-8]], [[0.3e8]], 1e8)
     kernel = lpm_mod.LpmKernel(prior, data, nodes=41)
-    vb = lpm_mod.lpm_vb(prior, data, tol=1e-10, max_iter=2000)
+    vb = lpm_mod.lpm_vb(lpm_mod.LpmKernel(prior, data), tol=1e-10, max_iter=2000)
 
     def subject_integral(beta, i):
         t = data.num_periods

@@ -14,7 +14,7 @@ from mddkit import harness
 from mddkit.cli import main as cli_main
 from mddkit.errors import ConfigError, NumericError
 from mddkit.harness import (
-    ESTIMATOR_IDS,
+    ESTIMATORS,
     ExperimentConfig,
     config_from_mapping,
     emit_outputs,
@@ -387,7 +387,7 @@ class TestRunExperiment:
 
     def test_estimator_ids_are_stable(self):
         # frozen registry: renumbering silently breaks seed isolation
-        assert ESTIMATOR_IDS == {
+        assert {name: spec.stream for name, spec in ESTIMATORS.items()} == {
             "ris-vb": 1, "ris-geweke": 2, "ris-swz": 3, "ris-pmd": 4, "ris-prior": 5,
             "bs-vb": 6, "bs-pmd": 7, "bs-normal": 8, "is-vb": 9, "is-pmd": 10,
             "chm": 12, "chib": 13, "ris-vb-cdl": 14, "bs-vb-cdl": 15,
@@ -414,12 +414,12 @@ _MATRIX_FAILURES = {
 
 @functools.cache
 def _matrix_row_status(model):
-    cfg = ExperimentConfig(model=model, estimators=list(ESTIMATOR_IDS), draws=400,
+    cfg = ExperimentConfig(model=model, estimators=list(ESTIMATORS), draws=400,
                            burn_in=100, repetitions=2, base_seed=5, synth={"seed": 2})
     return {r["method"]: r["status"] for r in run_experiment(cfg).rows}
 
 
-@pytest.mark.parametrize("method", list(ESTIMATOR_IDS))
+@pytest.mark.parametrize("method", list(ESTIMATORS))
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_estimator_availability_matrix(model, method):
     failure = _MATRIX_FAILURES.get((model, method))
@@ -456,6 +456,12 @@ class TestOutputs:
         svg = (tmp_path / "scatter.svg").read_text()
         # one circle per estimate plus one legend swatch per method
         assert svg.count("<circle") == cfg.repetitions * len(cfg.estimators) + len(cfg.estimators)
+
+    def test_unknown_format_raises_and_writes_nothing(self, tmp_path, tiny_table):
+        _, table = tiny_table
+        with pytest.raises(ValueError, match="'jsn'"):
+            emit_outputs(table, tmp_path / "out", formats=("csv", "jsn"))
+        assert not (tmp_path / "out").exists()
 
 
 class TestDataCsv:
@@ -565,3 +571,16 @@ class TestCli:
     def test_missing_model_is_config_error(self, tmp_path):
         rc = cli_main(["estimate", "--out", str(tmp_path / "o5")])
         assert rc == 2
+
+    def test_unknown_format_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        out = tmp_path / "o9"
+        out.mkdir()
+        rc = cli_main(["estimate", "--model", "var-conjugate", "--format", "csv,jsn",
+                       "--out", str(out)])
+        assert rc == 2
+        assert "unknown output format(s) 'jsn'" in capsys.readouterr().err
+        assert not any(out.iterdir())

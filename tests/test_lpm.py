@@ -20,7 +20,6 @@ from mddkit.lpm import (
     lpm_read_csv,
     lpm_synthetic,
     lpm_vb,
-    lpm_vb_gradient_residual,
 )
 from mddkit.modelapi import SamplerConfig, run_gibbs
 from mddkit.statscore import (
@@ -33,6 +32,13 @@ from mddkit.statscore import (
     quadrature_expectations,
     safe_cholesky,
 )
+
+
+def lpm_vb_gradient_residual(prior: LpmPrior, data: LpmData, vb) -> float:
+    """Norm of the Gaussian-factor fixed-point condition at the fitted values."""
+    return lpm._gamma_gradient_norm(LpmKernel(prior, data), data.design(),
+                                    vb.hyper["gamma"].mean, vb.hyper["gamma"].cov,
+                                    vb.factors["mu"].mean, vb.hyper["S"], vb.hyper["nu"])
 
 
 @pytest.fixture(scope="module")
@@ -331,19 +337,19 @@ class TestVb:
     def test_wishart_dof_update(self):
         data = lpm_synthetic(40, 59, 5, 2, 1, [0.3, -0.2], [0.1], [[0.4]])
         prior = LpmPrior(np.zeros(2), 4 * np.eye(2), [0.0], [[4.0]], [[0.5]], 4.0)
-        vb = lpm_vb(prior, data)
+        vb = lpm_vb(LpmKernel(prior, data))
         assert vb.hyper["nu"] == 63.0
 
     def test_flat_likelihood_returns_prior_mean(self):
         data = lpm_synthetic(41, 3, 3, 1, 1, [0.2], [0.0], [[0.2]])
         dead = LpmData(np.zeros(9), data.x, data.z, 3, 3, offsets=np.full(9, -40.0))
         prior = LpmPrior([0.7], [[2.0]], [0.1], [[1.5]], [[0.5]], 3.0)
-        vb = lpm_vb(prior, dead)
+        vb = lpm_vb(LpmKernel(prior, dead))
         assert vb.factors["beta"].mean[0] == pytest.approx(0.7, abs=1e-6)
 
     def test_micro_bound_below_quadrature_evidence(self, micro):
         prior, data = micro
-        vb = lpm_vb(prior, data, tol=1e-10, max_iter=2000)
+        vb = lpm_vb(LpmKernel(prior, data), tol=1e-10, max_iter=2000)
 
         def outer(bv):
             out = np.empty(len(bv))
@@ -359,7 +365,7 @@ class TestVb:
     def test_micro_bound_matches_monte_carlo(self, micro):
         # the complete-data log joint minus ln q, averaged over draws from q
         prior, data = micro
-        vb = lpm_vb(prior, data)
+        vb = lpm_vb(LpmKernel(prior, data))
         rng, size = make_rng(33), 100_000
         gam = vb.hyper["gamma"].sample(rng, size)  # (beta, u_1, u_2)
         mu = vb.factors["mu"].sample(rng, size)[:, 0]
@@ -381,7 +387,7 @@ class TestVb:
 
     def test_fixed_point_residual(self, micro):
         prior, data = micro
-        vb = lpm_vb(prior, data, tol=1e-12, max_iter=5000, grad_tol=1e-9)
+        vb = lpm_vb(LpmKernel(prior, data), tol=1e-12, max_iter=5000, grad_tol=1e-9)
         assert lpm_vb_gradient_residual(prior, data, vb) < 1e-8
 
     def test_divergence_guard_message(self):
@@ -390,7 +396,7 @@ class TestVb:
         # damping = 1 may or may not diverge on this fixture; the API contract
         # is that a divergent path raises with advice rather than looping
         try:
-            lpm_vb(prior, data, damping=1.0, max_iter=60)
+            lpm_vb(LpmKernel(prior, data), damping=1.0, max_iter=60)
         except Exception as exc:
             assert "damping" in str(exc)
 
@@ -400,7 +406,7 @@ def sampler_fit():
     data = lpm_synthetic(50, 15, 5, 2, 1, [0.3, -0.2], [0.1], [[0.3]])
     prior = LpmPrior(np.zeros(2), 4 * np.eye(2), [0.0], [[4.0]], [[0.5]], 3.0)
     kernel = LpmKernel(prior, data)
-    vb = lpm_vb(prior, data)
+    vb = lpm_vb(kernel)
     return kernel, vb
 
 
@@ -524,7 +530,7 @@ class TestLeanSampler:
         prior = LpmPrior(np.zeros(k), 4 * np.eye(k), np.zeros(m), 4 * np.eye(m),
                          0.5 * np.eye(m), m + 2.0)
         kernel = LpmKernel(prior, data)
-        vb = lpm_vb(prior, data)
+        vb = lpm_vb(kernel)
         if wide_beta:  # proposals far too wide: beta acceptance falls below 5% and warns
             beta = vb.factors["beta"]
             vb = dataclasses.replace(vb, factors=vb.factors | {
@@ -546,7 +552,7 @@ class TestLeanSampler:
         prior = LpmPrior(np.zeros(2), 4 * np.eye(2), np.zeros(1), 4 * np.eye(1),
                          0.5 * np.eye(1), 3.0)
         kernel = LpmKernel(prior, data)
-        vb = lpm_vb(prior, data)
+        vb = lpm_vb(kernel)
         beta = vb.factors["beta"]
         vb = dataclasses.replace(vb, factors=vb.factors | {
             "beta": MvNormalParams(beta.mean, 20 * beta.cov)})
@@ -582,7 +588,7 @@ class TestBetaStep:
         prior = LpmPrior([1.0], [[0.02]], [0.0], [[4.0]], [[0.5]], 3.0)
         kernel = LpmKernel(prior, data)
         chains = 32
-        start = kernel.gibbs_start(chains, vb=lpm_vb(prior, data))
+        start = kernel.gibbs_start(chains, vb=lpm_vb(kernel))
         draws = run_gibbs(kernel, start, SamplerConfig(draws=400, burn_in=50),
                           [make_rng(92, c) for c in range(chains)],
                           clamped=frozenset({"u", "mu", "sigma_inv"}))

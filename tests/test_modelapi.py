@@ -268,7 +268,60 @@ _FIT_TOLS = {
 }
 
 
+def _final_expectations(model, vb):
+    """(block, expectations of the blocks its conditional reads) for each factor
+    a registered fit takes from its kernel's conditional, at the fit's final q;
+    for the frontiers the first is the factor updated last in a sweep."""
+    f, h = vb.factors, vb.hyper
+    if model == "sfm-exponential":
+        e = {"beta": f["beta"].mean, "sigma_prec": f["sigma_prec"].mean(),
+             "lam": f["lam"].mean(), "u": h["u_mean"]}
+        return [("u", e), ("beta", e), ("lam", e)]
+    if model == "sfm-gamma":
+        e = {"sigma_prec": f["sigma_prec"].mean(), "theta": h["theta_mean"], "u": h["u_mean"]}
+        return [("lam", e), ("beta", e)]
+    e_w = h["nu"] * np.linalg.inv(h["S"])
+    e_w = 0.5 * (e_w + e_w.T)
+    if model == "var-independent":
+        return [("alpha", {"sigma_inv": e_w})]
+    return [("mu", {"u": h["u_means"], "sigma_inv": e_w})]
+
+
+_FACTOR_PARAMS = {"MvNormalParams": ("mean", "cov"), "GammaParams": ("shape", "rate"),
+                  "TruncNormalParams": ("location", "scale")}
+# largest relative gap of a factor from its conditional at the final expectations;
+# lpm's damped fit stops on a 1e-6 bound increment while its E[Sigma^-1] still
+# moves by about 1e-4 a sweep (its q(mu) covariance reads 1.1e-4)
+_CONDITIONAL_GAP = {"lpm": 1e-3}
+
+
 class TestVbConvergence:
+    @pytest.mark.parametrize("model", sorted(_FIT_TOLS))
+    def test_conjugate_factors_are_conditionals_at_the_final_expectations(self, model):
+        # coordinate ascent: a conjugate factor is its block's full conditional at
+        # the expectations of its update. The factor a sweep updates last saw the
+        # final ones; the others saw those of the last sweep, which at convergence
+        # differ from the final ones by little
+        ctx = build_context(ExperimentConfig(model=model))
+        for j, (block, state) in enumerate(_final_expectations(model, ctx.vb)):
+            fit = ctx.vb.factors[block]
+            fit = getattr(fit, "firms", fit)  # q(u) of all firms
+            cond = ctx.kernel.full_conditional(block, state)
+            for name in _FACTOR_PARAMS[type(fit).__name__]:
+                got, want = np.asarray(getattr(fit, name)), np.asarray(getattr(cond, name))
+                if j == 0 and model.startswith("sfm"):
+                    assert np.array_equal(got, want), (block, name)
+                else:
+                    gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                    assert gap <= _CONDITIONAL_GAP.get(model, 1e-4), (block, name, gap)
+
+    def test_normal_gamma_mu_factor_is_its_conditional(self):
+        kernel = ToyNormalGammaKernel(make_rng(9).normal(0.5, 1.2, 25))
+        vb = kernel.vb_fit()
+        cond = kernel.full_conditional("mu", {"tau": vb.factors["tau"].mean()})
+        assert np.array_equal(vb.factors["mu"].mean, cond.mean)
+        assert np.array_equal(vb.factors["mu"].cov, cond.cov)
+
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_registered_fit_converges(self, model):
         vb = build_context(ExperimentConfig(model=model)).vb

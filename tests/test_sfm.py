@@ -100,19 +100,19 @@ class TestExpVb:
         data = sfm_synthetic(13, 43, 4, 2, "exponential", [1.0, 0.3], 0.04, 2.0)
         prior = SfmExpPrior(np.zeros(2), 4 * np.eye(2), 1.0, 0.1, 1.0, 1.0)
         with pytest.warns(UserWarning, match="max_iter"):
-            vb = sfm_exp_vb(prior, data, max_iter=3, tol=1e-30)
+            vb = sfm_exp_vb(SfmExpKernel(prior, data), max_iter=3, tol=1e-30)
         assert vb.factors["sigma_prec"].shape == 1.0 + 0.5 * 43 * 4 == 87.0
         assert vb.factors["lam"].shape == 1.0 + 43 == 44.0
 
     def test_trace_monotone(self, exp_setup):
         prior, data = exp_setup
-        vb = sfm_exp_vb(prior, data)
+        vb = sfm_exp_vb(SfmExpKernel(prior, data))
         assert vb.converged
         assert np.all(np.diff(vb.elbo_trace) >= -1e-10)
 
     def test_bound_against_complete_data_monte_carlo(self, exp_setup):
         prior, data = exp_setup
-        vb = sfm_exp_vb(prior, data)
+        vb = sfm_exp_vb(SfmExpKernel(prior, data))
         cdl = SfmExpCdlKernel(prior, data)
         w = make_sfm_exp_cdl_weighting(vb, cdl)
         thetas = w.sampler(make_rng(14), 50_000)
@@ -124,7 +124,7 @@ class TestExpVb:
         # u drawn firm by firm after the other blocks; its log density, the
         # per-firm terms summed over the firms by np.sum, added after theirs
         prior, data = exp_setup
-        vb = sfm_exp_vb(prior, data)
+        vb = sfm_exp_vb(SfmExpKernel(prior, data))
         w = make_sfm_exp_cdl_weighting(vb, SfmExpCdlKernel(prior, data))
         f, t, k = vb.factors, data.num_periods, data.k
         e_sig, e_lam = f["sigma_prec"].mean(), f["lam"].mean()
@@ -144,8 +144,8 @@ class TestExpVb:
 
     def test_bound_below_chib_benchmark(self, exp_setup):
         prior, data = exp_setup
-        vb = sfm_exp_vb(prior, data)
         kernel = SfmExpKernel(prior, data)
+        vb = sfm_exp_vb(kernel)
         vals = []
         for r in range(5):
             draws = kernel.posterior_sampler(SamplerConfig(draws=2000, burn_in=300),
@@ -168,7 +168,7 @@ class TestExpSampler:
     def test_chain_beta_matches_vb(self, exp_setup):
         prior, data = exp_setup
         kernel = SfmExpKernel(prior, data)
-        vb = sfm_exp_vb(prior, data)
+        vb = sfm_exp_vb(kernel)
         draws = kernel.posterior_sampler(SamplerConfig(draws=4000, burn_in=500),
                                          make_rng(17))
         beta = kernel.layout.unpack_batch(draws.thetas)["beta"]
@@ -404,7 +404,7 @@ class TestGridSampling:
 def gamma_fit():
     data = sfm_synthetic(21, 10, 5, 2, "gamma", [1.0, 0.5], 0.04, 2.0, theta=1.5)
     prior = SfmGammaPrior(np.zeros(2), 4 * np.eye(2), 2.0, 0.1, 1.0, 2.0, 2.0)
-    return prior, data, sfm_gamma_vb(prior, data)
+    return prior, data, sfm_gamma_vb(SfmGammaKernel(prior, data))
 
 
 class TestGammaVb:

@@ -4,13 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import matrix_normal
 
 from mddkit import var as var_mod
 from mddkit.errors import ConfigError
 from mddkit.estimators import make_vb_weighting, ris_estimate
 from mddkit.harness import ExperimentConfig, build_context
 from mddkit.modelapi import SamplerConfig, elbo_monte_carlo
-from mddkit.statscore import MatricNormalParams, WishartParams, make_rng, quadrature_1d
+from mddkit.statscore import (
+    WishartParams,
+    _logdet,
+    ln_multivariate_gamma,
+    make_rng,
+    quadrature_1d,
+)
 from mddkit.var import (
     NormalWishart,
     VarConjugateKernel,
@@ -24,8 +31,21 @@ from mddkit.var import (
     var_synthetic,
     var_vb_conjugate,
     var_vb_independent,
-    var_vblb_conjugate_closed_form,
 )
+
+
+
+def var_vblb_conjugate_closed_form(prior: VarConjugatePrior, data: VarData) -> float:
+    """The factorized bound in its condensed display form (cross-check)."""
+    post = var_exact_posterior(prior, data)
+    n, k, t = data.N, data.K, data.T
+    nu_bar = t + prior.nu0
+    nu_q = nu_bar + k
+    return (-0.5 * n * t * math.log(math.pi) + 0.5 * n * k * math.log(2.0 * math.e)
+            + 0.5 * n * (nu_bar * math.log(nu_bar) - nu_q * math.log(nu_q))
+            + ln_multivariate_gamma(n, 0.5 * nu_q) - ln_multivariate_gamma(n, 0.5 * prior.nu0)
+            + 0.5 * n * (_logdet(post.V) - _logdet(prior.V0))
+            + 0.5 * (prior.nu0 * _logdet(prior.S0) - nu_bar * _logdet(post.S)))
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +144,7 @@ class TestNormalWishart:
         thetas = nw.sample(rng, 20)
         thetas[:10, :k * n] += rng.standard_normal((10, k * n))  # off the bulk too
         u = nw.layout.unpack_batch(thetas)
-        want = [MatricNormalParams(a0, v, np.linalg.inv(w)).logpdf(a.reshape(k, n))
+        want = [matrix_normal(a0, v, np.linalg.inv(w)).logpdf(a.reshape(k, n))
                 + WishartParams(s, 6.0).logpdf(w)
                 for a, w in zip(u["alpha"], u["sigma_inv"])]
         np.testing.assert_allclose(nw.logpdf_batch(thetas), want, rtol=1e-10)
@@ -162,6 +182,17 @@ class TestConjugateVb:
         prior, data = small_var
         vb = var_vb_conjugate(prior, data)
         assert vb.elbo == pytest.approx(var_vblb_conjugate_closed_form(prior, data), abs=1e-9)
+
+    def test_factorized_alpha_factor_is_matric_normal(self, small_var):
+        # q(alpha) = MN(A, V, col_cov): vec(A) row by row with covariance V kron col_cov
+        prior, data = small_var
+        vb = var_vb_conjugate(prior, data)
+        k, n = data.K, data.N
+        oracle = matrix_normal(vb.hyper["A"], vb.hyper["V"], vb.hyper["col_cov"])
+        points = vb.factors["alpha"].sample(make_rng(73), 30)
+        points[:15] += make_rng(74).standard_normal((15, k * n))  # off the bulk too
+        want = [oracle.logpdf(a.reshape(k, n)) for a in points]
+        np.testing.assert_allclose(vb.factors["alpha"].logpdf_batch(points), want, rtol=1e-12)
 
     def test_factorized_mean_equals_exact_mean(self, small_var):
         prior, data = small_var
@@ -206,7 +237,7 @@ class TestConjugateVb:
 def independent_fit(small_var):
     _, data = small_var
     prior = VarIndependentPrior(np.zeros(6), 10 * np.eye(6), np.eye(2), 4.0)
-    return prior, data, var_vb_independent(prior, data)
+    return prior, data, var_vb_independent(VarIndependentKernel(prior, data))
 
 
 class TestIndependentVb:
@@ -289,7 +320,7 @@ class TestGibbs:
         _, data = small_var
         prior = VarIndependentPrior(np.zeros(6), 10 * np.eye(6), np.eye(2), 4.0)
         kernel = VarIndependentKernel(prior, data)
-        vb = var_vb_independent(prior, data)
+        vb = var_vb_independent(VarIndependentKernel(prior, data))
         draws = kernel.posterior_sampler(SamplerConfig(draws=5000, burn_in=500),
                                          make_rng(70))
         alpha = kernel.layout.unpack_batch(draws.thetas)["alpha"]
