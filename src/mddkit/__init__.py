@@ -8,7 +8,7 @@ and the Gibbs-output conditional decomposition -- all of which can use the
 fitted variational posterior as their weighting density.
 """
 
-from . import diagnostics, estimators, harness, lpm, modelapi, sfm, statscore, toys, var
+from . import diagnostics, estimators, harness, lpm, modelapi, sfm, statscore, var
 from .diagnostics import BoundsSpec, RepetitionSet, batch_means_se, nse, percent_in_bounds, spectral_density_zero
 from .estimators import (
     MddEstimate,
@@ -41,7 +41,7 @@ from .statscore import make_rng
 __version__ = "0.1.0"
 
 __all__ = [
-    "statscore", "diagnostics", "modelapi", "toys", "var", "sfm", "lpm",
+    "statscore", "diagnostics", "modelapi", "var", "sfm", "lpm",
     "estimators", "harness",
     "ris_estimate", "bs_estimate", "is_estimate", "chm_estimate", "chib_estimate",
     "make_vb_weighting", "make_prior_weighting", "make_normal_weighting",

@@ -154,24 +154,23 @@ def lpm_vb(kernel: "LpmKernel", tol: float = 1e-6, max_iter: int = 500,
         raise ValueError("tol must be positive")
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must be in (0, 1]")
-    prior, data = kernel.prior, kernel.data
+    data, w0 = kernel.data, kernel.prior_factors["sigma_inv"]
     n, k, m = data.num_subjects, data.k, data.m
     c_mat = data.design()
     dim = k + n * m
-    nu_q = prior.nu0 + n
+    nu_q = w0.dof + n
 
     gamma_q = np.zeros(dim)
-    prec_q = np.eye(dim)
-    q_mu = kernel._gauss_mu0  # q(mu) starts at its prior
-    s_q = prior.S0 + n * np.eye(m)
+    # v_gamma is always the symmetrized inverse of prec_q
+    prec_q, v_gamma = np.eye(dim), np.eye(dim)
+    q_mu = kernel.prior_factors["mu"]  # q(mu) starts at its prior
+    s_q = w0.scale_inv + n * np.eye(m)
     trace = []
     drops = 0
     converged = False
     for _ in range(max_iter):
         e_w = nu_q * np.linalg.inv(s_q)
         e_w = 0.5 * (e_w + e_w.T)
-        v_gamma = np.linalg.inv(prec_q)
-        v_gamma = 0.5 * (v_gamma + v_gamma.T)
         prior_prec, w, grad = _gaussian_factor_gradient(kernel, c_mat, gamma_q, v_gamma,
                                                         q_mu.mean, e_w)
         prec_new = c_mat.T @ (w[:, None] * c_mat) + prior_prec
@@ -185,7 +184,7 @@ def lpm_vb(kernel: "LpmKernel", tol: float = 1e-6, max_iter: int = 500,
                                    k + i * m: k + (i + 1) * m] for i in range(n)])
         q_mu = kernel.full_conditional("mu", {"u": u_means, "sigma_inv": e_w})
         dev = u_means - q_mu.mean
-        s_q = prior.S0 + n * q_mu.cov + dev.T @ dev + u_covs.sum(axis=0)
+        s_q = w0.scale_inv + n * q_mu.cov + dev.T @ dev + u_covs.sum(axis=0)
         s_q = 0.5 * (s_q + s_q.T)
 
         trace.append(_elbo_lpm(kernel, c_mat, gamma_q, v_gamma, u_covs, q_mu, s_q, nu_q))
@@ -209,8 +208,8 @@ def lpm_vb(kernel: "LpmKernel", tol: float = 1e-6, max_iter: int = 500,
     factors = {"beta": MvNormalParams(gamma_q[:k], gauss_gamma.cov[:k, :k]),
                "mu": q_mu, "sigma_inv": WishartParams(s_q, nu_q)}
     # q(beta) is the beta marginal of the Gaussian factor over (beta, u)
-    hyper = {"gamma": gauss_gamma, "S": s_q, "nu": nu_q, "u_means": gamma_q[k:].reshape(n, m)}
-    return VBResult.mean_field(_lpm_layout(k, m), factors, trace, hyper, converged)
+    return VBResult.mean_field(_lpm_layout(k, m), factors, trace, {"gamma": gauss_gamma},
+                               converged)
 
 
 def _gaussian_factor_gradient(kernel, c_mat, gamma_q, v_gamma, mu_q, e_w):
@@ -221,11 +220,11 @@ def _gaussian_factor_gradient(kernel, c_mat, gamma_q, v_gamma, mu_q, e_w):
     data = kernel.data
     n, k, m = data.num_subjects, data.k, data.m
     prior_prec = np.zeros_like(v_gamma)
-    prior_prec[:k, :k] = kernel._vbeta0_inv
+    prior_prec[:k, :k] = kernel.prior_factors["beta"].precision
     for i in range(n):
         sl = slice(k + i * m, k + (i + 1) * m)
         prior_prec[sl, sl] = e_w
-    prior_mean = np.concatenate([kernel.prior.beta0, np.tile(mu_q, n)])
+    prior_mean = np.concatenate([kernel.prior_factors["beta"].mean, np.tile(mu_q, n)])
     half_diag = 0.5 * np.einsum("ij,ij->i", c_mat @ v_gamma, c_mat)
     w = np.exp(data.offsets + c_mat @ gamma_q + half_diag)
     grad = c_mat.T @ (data.y - w) - prior_prec @ (gamma_q - prior_mean)
@@ -250,14 +249,14 @@ def _elbo_lpm(kernel, c_mat, gamma_q, v_gamma, u_covs, q_mu, s_q, nu_q) -> float
     w = np.exp(eta + half_diag)
     val = float(-np.sum(w) + data.y @ eta - np.sum(gammaln(data.y + 1.0)))
 
-    val += kernel._gauss_beta0.expected_logpdf(gamma_q[:k], v_gamma[:k, :k])
+    val += kernel.prior_factors["beta"].expected_logpdf(gamma_q[:k], v_gamma[:k, :k])
 
     dev_u = gamma_q[k:].reshape(n, m) - q_mu.mean
     quad_u = float(np.sum(e_w * (dev_u.T @ dev_u + u_covs.sum(axis=0) + n * q_mu.cov).T))
     val += -0.5 * n * m * LOG_2PI + 0.5 * n * elog_det - 0.5 * quad_u
 
-    val += kernel._gauss_mu0.expected_logpdf(q_mu.mean, q_mu.cov)
-    val += kernel._wish0.expected_logpdf(e_w, elog_det)
+    val += kernel.prior_factors["mu"].expected_logpdf(q_mu.mean, q_mu.cov)
+    val += kernel.prior_factors["sigma_inv"].expected_logpdf(e_w, elog_det)
     val += MvNormalParams(gamma_q, v_gamma).entropy()
     val += q_mu.entropy()
     val += q_w.entropy()
@@ -434,23 +433,13 @@ class LpmKernel(GibbsKernel):
         self.nodes = nodes
         self.layout = _lpm_layout(data.k, data.m)
         self.latent_layout = ParamLayout([Block("u", (data.num_subjects, data.m))])
-        self._gauss_beta0 = MvNormalParams(prior.beta0, prior.Vbeta0)
-        self._gauss_mu0 = MvNormalParams(prior.mu0, prior.Vmu0)
-        self._wish0 = WishartParams(prior.S0, prior.nu0)
-        self._vbeta0_inv = np.linalg.inv(prior.Vbeta0)
-        self._vmu0_inv = np.linalg.inv(prior.Vmu0)
-        self._vmu0_inv_mu0 = self._vmu0_inv @ prior.mu0
+        self.prior_factors = {"beta": MvNormalParams(prior.beta0, prior.Vbeta0),
+                              "mu": MvNormalParams(prior.mu0, prior.Vmu0),
+                              "sigma_inv": WishartParams(prior.S0, prior.nu0)}
         # the counts and the offsets with a leading chain axis: in a stack of
         # one they meet the states' arrays without broadcasting
         self._y_nt = data.y.reshape(1, data.num_subjects, data.num_periods)
         self._offsets_row = data.offsets[None]
-
-    def log_prior_batch(self, thetas):
-        u = self.layout.unpack_batch(thetas)
-        # the Wishart term is -inf off the SPD cone
-        return (self._gauss_beta0.logpdf_batch(u["beta"])
-                + self._gauss_mu0.logpdf_batch(u["mu"])
-                + self._wish0.logpdf_batch(u["sigma_inv"]))
 
     def log_likelihood_batch(self, thetas):
         u = self.layout.unpack_batch(thetas)
@@ -469,12 +458,11 @@ class LpmKernel(GibbsKernel):
         u = np.asarray(state["u"])  # (..., n, m)
         if name == "mu":
             w = np.asarray(state["sigma_inv"])
-            rhs = self._vmu0_inv_mu0 + np.matvec(w, u.sum(axis=-2))
-            return MvNormalParams.from_precision(self._vmu0_inv + n * w, rhs)
+            return self.prior_factors["mu"].conjugate(n * w, np.matvec(w, u.sum(axis=-2)))
         if name == "sigma_inv":
             dev = u - np.asarray(state["mu"])[..., None, :]
-            return WishartParams(self.prior.S0 + dev.swapaxes(-1, -2) @ dev,
-                                 self.prior.nu0 + n)
+            w0 = self.prior_factors["sigma_inv"]
+            return WishartParams(w0.scale_inv + dev.swapaxes(-1, -2) @ dev, w0.dof + n)
         raise KeyError(name)
 
     def metropolis_steps(self, chains):
@@ -495,8 +483,9 @@ class LpmKernel(GibbsKernel):
             state["_ll"] = self._poisson_loglik_per_subject(state["_xb"], state["_zu"])
         if "_chol_beta" not in state:
             lam = np.exp(state["_xb"] + state["_zu"])
+            curvature = d.x.T @ (lam.reshape(len(lam), -1, 1) * d.x)
             state["_chol_beta"] = safe_cholesky(np.linalg.inv(
-                d.x.T @ (lam.reshape(len(lam), -1, 1) * d.x) + self._vbeta0_inv))
+                curvature + self.prior_factors["beta"].precision))
             state["_u_chols"] = safe_cholesky(np.linalg.inv(
                 np.einsum("itm,cit,itl->ciml", d.z, lam, d.z) + state["sigma_inv"][:, None]))
 
@@ -515,9 +504,10 @@ class LpmKernel(GibbsKernel):
             prop = beta + steps["beta"][:, None] * np.matvec(state["_chol_beta"], noise)
             xb_prop = (self._offsets_row + np.matvec(d.x, prop)).reshape(-1, n, t)
             ll_prop = self._poisson_loglik_per_subject(xb_prop, state["_zu"])
-            dev_c, dev_p = beta - self.prior.beta0, prop - self.prior.beta0
-            dprior = -0.5 * (np.einsum("ck,kl,cl->c", dev_p, self._vbeta0_inv, dev_p)
-                             - np.einsum("ck,kl,cl->c", dev_c, self._vbeta0_inv, dev_c))
+            beta0 = self.prior_factors["beta"]
+            dev_c, dev_p = beta - beta0.mean, prop - beta0.mean
+            dprior = -0.5 * (np.einsum("ck,kl,cl->c", dev_p, beta0.precision, dev_p)
+                             - np.einsum("ck,kl,cl->c", dev_c, beta0.precision, dev_c))
             delta = (np.add.reduce(ll_prop, axis=-1) - np.add.reduce(ll, axis=-1)) + dprior
             acc = np.log(draw_each(rngs, lambda rng: rng.uniform())) <= delta
             state["beta"] = np.where(acc[:, None], prop, beta)
@@ -552,9 +542,9 @@ class LpmKernel(GibbsKernel):
         vb = lpm_vb(self) if vb is None else vb
         # the (m, m) diagonal blocks of the u part of the Gaussian factor
         u_covs = vb.hyper["gamma"].cov[k:, k:].reshape(n, m, n, m)[np.arange(n), :, np.arange(n)]
-        state = {"beta": vb.factors["beta"].mean, "u": vb.hyper["u_means"],
-                 "mu": vb.factors["mu"].mean,
-                 "sigma_inv": vb.hyper["nu"] * np.linalg.inv(vb.hyper["S"]),
+        q_w = vb.factors["sigma_inv"]
+        state = {"beta": vb.factors["beta"].mean, "u": vb.hyper["gamma"].mean[k:].reshape(n, m),
+                 "mu": vb.factors["mu"].mean, "sigma_inv": q_w.dof * np.linalg.inv(q_w.scale_inv),
                  "_chol_beta": safe_cholesky(vb.factors["beta"].cov),
                  "_u_chols": safe_cholesky(u_covs)}
         return stack_state(state, chains)

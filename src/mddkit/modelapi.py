@@ -265,15 +265,17 @@ def product_density(layout: ParamLayout, factors: dict):
     """The mean-field density prod_b factors[b] over the blocks b of ``layout``,
     as ``(log_eval, sample)``: ``log_eval`` sums the factors' ``logpdf_batch``
     at the unpacked blocks left to right in layout order, and ``sample`` packs
-    each factor's ``sample(rng, size)``, drawn in layout order. Factors of
-    blocks outside ``layout`` are not used."""
+    each factor's ``sample(rng, size)``, drawn in layout order. A factor with
+    one value per element of its block (q(u) over firms) is summed over them
+    by ``np.sum``. Factors of blocks outside ``layout`` are not used."""
     names = layout.names
 
     def log_eval(thetas):
         unpacked = layout.unpack_batch(thetas)
         total = 0.0
         for name in names:
-            total = total + factors[name].logpdf_batch(unpacked[name])
+            value = factors[name].logpdf_batch(unpacked[name])
+            total = total + (np.sum(value, axis=1) if value.ndim > 1 else value)
         return total
 
     def sample(rng, size):
@@ -336,21 +338,24 @@ class WeightingDensity:
 class ModelKernel:
     """Base class for model families.
 
-    Subclasses must provide ``layout``, ``log_prior_batch`` and
-    ``log_likelihood_batch``; conditional-based estimators additionally use
-    ``conditional_blocks`` / ``full_conditional`` (plus ``gibbs_sweep`` for
-    more than one block) and the complete-data variants when latent
+    Subclasses must provide ``layout``, ``log_likelihood_batch`` and either
+    ``prior_factors`` (block name to prior density, for a prior that is their
+    product) or ``log_prior_batch``; conditional-based estimators additionally
+    use ``conditional_blocks`` / ``full_conditional`` (plus ``gibbs_sweep``
+    for more than one block) and the complete-data variants when latent
     variables exist.
     """
 
     layout: ParamLayout
     latent_layout: ParamLayout | None = None
     conditional_blocks: list[str] = []
+    prior_factors: dict
 
     # -- evaluation ---------------------------------------------------------
 
     def log_prior_batch(self, thetas: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """The product of ``prior_factors`` over the layout (:func:`product_density`)."""
+        return product_density(self.layout, self.prior_factors)[0](thetas)
 
     def log_likelihood_batch(self, thetas: np.ndarray) -> np.ndarray:
         raise NotImplementedError

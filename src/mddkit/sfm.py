@@ -263,24 +263,9 @@ def _elbo_start(kernel, q_beta, q_sig, ebar, sum_e2, u_mean, u_m2) -> float:
     quad = (float(np.sum(sum_e2 - 2.0 * c * t * ebar * u_mean + t * u_m2))
             + float(np.sum(kernel._xtx * q_beta.cov)))
     val = -0.5 * n * t * LOG_2PI + 0.5 * n * t * eln_sig - 0.5 * e_sig * quad
-    val += kernel._gauss0.expected_logpdf(q_beta.mean, q_beta.cov)
-    val += kernel._gam_sig0.expected_logpdf(e_sig, eln_sig)
+    val += kernel.prior_factors["beta"].expected_logpdf(q_beta.mean, q_beta.cov)
+    val += kernel.prior_factors["sigma_prec"].expected_logpdf(e_sig, eln_sig)
     return val
-
-
-class _AllFirms:
-    """q(u) of either frontier from one factor object over all firms (a
-    :class:`GammaCaseInefficiency` or a :class:`TruncNormalParams`): one draw
-    of every firm at a time, log densities summed over the firms by ``np.sum``."""
-
-    def __init__(self, firms):
-        self.firms = firms
-
-    def logpdf_batch(self, u):
-        return np.sum(self.firms.logpdf_batch(u), axis=1)
-
-    def sample(self, rng, size):
-        return self.firms.sample(rng, size)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +301,8 @@ def sfm_exp_vb(kernel: "SfmExpKernel", tol: float = 1e-8, max_iter: int = 500) -
             converged = True
             break
 
-    factors = {"beta": q_beta, "sigma_prec": q_sig, "lam": q_lam, "u": _AllFirms(q_u)}
-    return VBResult.mean_field(_sfm_layout(kernel.data.k), factors, trace,
-                               {"u_mean": state["u"], "u_var": u_var}, converged)
+    factors = {"beta": q_beta, "sigma_prec": q_sig, "lam": q_lam, "u": q_u}
+    return VBResult.mean_field(_sfm_layout(kernel.data.k), factors, trace, {}, converged)
 
 
 def _elbo_exp(kernel, q_beta, q_sig, q_lam, q_u, ebar, sum_e2) -> float:
@@ -326,7 +310,7 @@ def _elbo_exp(kernel, q_beta, q_sig, q_lam, q_u, ebar, sum_e2) -> float:
     e_lam, eln_lam = q_lam.mean(), q_lam.mean_log()
     u_mean = q_u.mean()
     val = _elbo_start(kernel, q_beta, q_sig, ebar, sum_e2, u_mean, u_mean ** 2 + q_u.var())
-    val += kernel._gam_lam0.expected_logpdf(e_lam, eln_lam)
+    val += kernel.prior_factors["lam"].expected_logpdf(e_lam, eln_lam)
     val += n * eln_lam - e_lam * float(np.sum(u_mean))
     val += q_beta.entropy()
     val += q_sig.entropy() + q_lam.entropy()
@@ -551,10 +535,8 @@ def sfm_gamma_vb(kernel: "SfmGammaKernel") -> VBResult:
             break
 
     factors = {"beta": q_beta, "sigma_prec": q_sig, "lam": q_lam, "theta": theta_grid,
-               "u": _AllFirms(u_factors)}
-    return VBResult.mean_field(_sfm_gamma_layout(d.k, n), factors, trace,
-                               {"theta_mean": state["theta"], "u_mean": state["u"],
-                                "u_var": u_var}, converged)
+               "u": u_factors}
+    return VBResult.mean_field(_sfm_gamma_layout(d.k, n), factors, trace, {}, converged)
 
 
 def _elbo_gamma(kernel, q_beta, q_sig, q_lam, theta_grid, theta_mean, u_factors, ebar, sum_e2,
@@ -609,10 +591,8 @@ class _FrontierKernel(GibbsKernel):
             raise ConfigError("prior dimension does not match the regressors")
         self.prior = prior
         self.data = data
-        self._gauss0 = MvNormalParams(prior.beta0, prior.Vbeta0)
-        self._gam_sig0 = GammaParams(prior.a_sigma0, prior.b_sigma0)
-        self._v0_inv = np.linalg.inv(prior.Vbeta0)
-        self._v0_inv_b0 = self._v0_inv @ prior.beta0
+        self.prior_factors = {"beta": MvNormalParams(prior.beta0, prior.Vbeta0),
+                              "sigma_prec": GammaParams(prior.a_sigma0, prior.b_sigma0)}
         self._xtx = data.x.T @ data.x
         # y as a row, so that y - (x beta) of a stack of one is no broadcast
         self._y_row = data.y[None]
@@ -637,9 +617,8 @@ class _FrontierKernel(GibbsKernel):
             cu = self._c_times_u(state)
         if name == "beta":
             prec = np.asarray(state["sigma_prec"], dtype=float)
-            rhs = self._v0_inv_b0 + prec[..., None] * np.matvec(d.x.T, d.y - cu)
-            return MvNormalParams.from_precision(self._v0_inv + prec[..., None, None] * self._xtx,
-                                                 rhs)
+            return self.prior_factors["beta"].conjugate(
+                prec[..., None, None] * self._xtx, prec[..., None] * np.matvec(d.x.T, d.y - cu))
         if name == "sigma_prec":
             resid = d.y - np.matvec(d.x, state["beta"]) - cu
             return self._sigma_conditional(np.vecdot(resid, resid))
@@ -648,8 +627,9 @@ class _FrontierKernel(GibbsKernel):
     def _sigma_conditional(self, ss):
         """sigma^-2 given the rest, from the states' sums of squared residuals
         y - x beta - c u (a VB fit passes their expectation under q)."""
-        return GammaParams(self.prior.a_sigma0 + 0.5 * self.data.num_firms * self.data.num_periods,
-                           self.prior.b_sigma0 + 0.5 * ss)
+        p0 = self.prior_factors["sigma_prec"]
+        return GammaParams(p0.shape + 0.5 * self.data.num_firms * self.data.num_periods,
+                           p0.rate + 0.5 * ss)
 
     @staticmethod
     def _fixed(state, clamped, blocks, key, compute):
@@ -697,13 +677,7 @@ class SfmExpKernel(_FrontierKernel):
         super().__init__(prior, data)
         self.layout = _sfm_layout(data.k)
         self.latent_layout = ParamLayout([_u_block(data.num_firms)])
-        self._gam_lam0 = GammaParams(prior.a_lam0, prior.b_lam0)
-
-    def log_prior_batch(self, thetas):
-        u = self.layout.unpack_batch(thetas)
-        return (self._gauss0.logpdf_batch(u["beta"])
-                + self._gam_sig0.logpdf_batch(u["sigma_prec"])
-                + self._gam_lam0.logpdf_batch(u["lam"]))
+        self.prior_factors["lam"] = GammaParams(prior.a_lam0, prior.b_lam0)
 
     def log_likelihood_batch(self, thetas):
         u = self.layout.unpack_batch(thetas)
@@ -715,8 +689,8 @@ class SfmExpKernel(_FrontierKernel):
         """Conditionals of the conjugate blocks and of u, for one state or a stack."""
         d = self.data
         if name == "lam":
-            return GammaParams(self.prior.a_lam0 + d.num_firms,
-                               self.prior.b_lam0 + np.add.reduce(state["u"], axis=-1))
+            p0 = self.prior_factors["lam"]
+            return GammaParams(p0.shape + d.num_firms, p0.rate + np.add.reduce(state["u"], axis=-1))
         if name == "u":
             return self._u_conditional(state, frozenset())
         return self._conditional_given_u(name, state)
@@ -747,21 +721,20 @@ class SfmExpKernel(_FrontierKernel):
         return sfm_exp_vb(self)
 
     def as_complete_data(self) -> "SfmExpCdlKernel":
-        return SfmExpCdlKernel(self.prior, self.data)
+        return SfmExpCdlKernel(self)
 
 
 class SfmExpCdlKernel(ModelKernel):
-    """Complete-data variant: the latent inefficiencies join the parameter
-    vector and the likelihood is the plain normal density of the noise."""
+    """Complete-data variant of an :class:`SfmExpKernel`: the latent
+    inefficiencies join the parameter vector, the prior adds their
+    exponential density given lambda to the integrated kernel's
+    ``prior_factors``, and the likelihood is the plain normal density of the
+    noise."""
 
-    def __init__(self, prior: SfmExpPrior, data: SfmData):
-        self.prior = prior
-        self.data = data
-        # the integrated kernel's layout followed by its latent layout
-        self.layout = ParamLayout(_sfm_layout(data.k).blocks + [_u_block(data.num_firms)])
-        self._gauss0 = MvNormalParams(prior.beta0, prior.Vbeta0)
-        self._gam_sig0 = GammaParams(prior.a_sigma0, prior.b_sigma0)
-        self._gam_lam0 = GammaParams(prior.a_lam0, prior.b_lam0)
+    def __init__(self, integrated: SfmExpKernel):
+        self.data = integrated.data
+        self.layout = ParamLayout(integrated.layout.blocks + integrated.latent_layout.blocks)
+        self.prior_factors = integrated.prior_factors
 
     def log_prior_batch(self, thetas):
         u = self.layout.unpack_batch(thetas)
@@ -772,9 +745,9 @@ class SfmExpCdlKernel(ModelKernel):
                 np.all(uu >= 0, axis=1) & (lam > 0),
                 self.data.num_firms * np.log(np.maximum(lam, 1e-300)) - lam * uu.sum(axis=1),
                 -np.inf)
-        return (self._gauss0.logpdf_batch(u["beta"])
-                + self._gam_sig0.logpdf_batch(u["sigma_prec"])
-                + self._gam_lam0.logpdf_batch(lam) + log_p_u)
+        f = self.prior_factors
+        return (f["beta"].logpdf_batch(u["beta"]) + f["sigma_prec"].logpdf_batch(u["sigma_prec"])
+                + f["lam"].logpdf_batch(lam) + log_p_u)
 
     def log_likelihood_batch(self, thetas):
         d = self.data
@@ -825,8 +798,9 @@ class SfmGammaKernel(_FrontierKernel):
                        + (th_ - 1.0) * np.sum(np.log(u_), axis=1)
                        - lam_ * u_.sum(axis=1))
             out[ok] = log_p_lam + log_p_theta + log_p_u
-        return (self._gauss0.logpdf_batch(u["beta"])
-                + self._gam_sig0.logpdf_batch(u["sigma_prec"]) + out)
+        f = self.prior_factors
+        return (f["beta"].logpdf_batch(u["beta"]) + f["sigma_prec"].logpdf_batch(u["sigma_prec"])
+                + out)
 
     log_likelihood_batch = SfmExpCdlKernel.log_likelihood_batch
 

@@ -483,8 +483,19 @@ class MvNormalParams:
         return self.mean.shape[-1]
 
     @cached_property
-    def _prec(self) -> np.ndarray:
+    def precision(self) -> np.ndarray:
+        """inv(cov)."""
         return np.linalg.inv(self.cov)
+
+    @cached_property
+    def _precision_mean(self) -> np.ndarray:
+        return self.precision @ self.mean
+
+    def conjugate(self, prec, rhs) -> "MvNormalParams":
+        """The full conditional of a block with this (unstacked) prior N(m0, inv(P0))
+        and a likelihood term of precision ``prec`` and precision-times-mean ``rhs``
+        (one state or a stack): ``from_precision(P0 + prec, P0 m0 + rhs)``."""
+        return MvNormalParams.from_precision(self.precision + prec, self._precision_mean + rhs)
 
     @cached_property
     def _expanded(self):
@@ -493,7 +504,7 @@ class MvNormalParams:
         d = self.dim
         centre = self.mean.reshape(-1, d).mean(axis=0)
         dev = self.mean - centre
-        prec = self._prec
+        prec = self.precision
         pm = np.matvec(prec, dev)
         const = d * LOG_2PI + _chol_logdet(self._chol) + np.sum(pm * dev, axis=-1)
         return (centre, prec.reshape(prec.shape[:-2] + (d * d,)), 2.0 * pm,
@@ -527,7 +538,7 @@ class MvNormalParams:
         mean and covariance."""
         dev = mean - self.mean
         return (-0.5 * self.dim * LOG_2PI - 0.5 * _chol_logdet(self._chol)
-                - 0.5 * (dev @ self._prec @ dev + float(np.sum(self._prec * cov.T))))
+                - 0.5 * (dev @ self.precision @ dev + float(np.sum(self.precision * cov.T))))
 
     def take(self, indices) -> "MvNormalParams":
         """The stacked distributions at ``indices``, with their Cholesky factors

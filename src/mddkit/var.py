@@ -328,14 +328,14 @@ def var_vb_independent(kernel: "VarIndependentKernel") -> VBResult:
     the scale update folds in the coefficient uncertainty. The bound is
     assembled term by term, so the trace is monotone along the iterations.
     """
-    prior, data = kernel.prior, kernel.data
+    w0, data = kernel.prior_factors["sigma_inv"], kernel.data
     n, k, t = data.N, data.K, data.T
 
     # initialization: OLS residual cross-product
     a_ols, *_ = np.linalg.lstsq(data.X, data.Y, rcond=None)
     resid = data.Y - data.X @ a_ols
-    s_q = prior.S0 + resid.T @ resid
-    nu_q = t + prior.nu0
+    s_q = w0.scale_inv + resid.T @ resid
+    nu_q = t + w0.dof
 
     trace = []
     converged = False
@@ -345,7 +345,7 @@ def var_vb_independent(kernel: "VarIndependentKernel") -> VBResult:
         # q(W): scale folds residual and coefficient covariance
         _, resid = kernel._coefficients_and_residuals({"alpha": q_alpha.mean})
         v4 = q_alpha.cov.reshape(k, n, k, n)
-        s_q = prior.S0 + resid.T @ resid + np.einsum("kl,knlm->nm", kernel._xtx, v4)
+        s_q = w0.scale_inv + resid.T @ resid + np.einsum("kl,knlm->nm", kernel._xtx, v4)
         s_q = 0.5 * (s_q + s_q.T)
         q_w = WishartParams(s_q, nu_q)
         trace.append(_elbo_independent(kernel, q_alpha, q_w, resid))
@@ -354,9 +354,7 @@ def var_vb_independent(kernel: "VarIndependentKernel") -> VBResult:
             break
 
     factors = {"alpha": q_alpha, "sigma_inv": q_w}
-    return VBResult.mean_field(_var_layout(n, k), factors, trace,
-                               {"alpha": q_alpha.mean, "V": q_alpha.cov, "S": s_q, "nu": nu_q},
-                               converged)
+    return VBResult.mean_field(_var_layout(n, k), factors, trace, {}, converged)
 
 
 def _elbo_independent(kernel, q_alpha, q_w, resid) -> float:
@@ -370,8 +368,8 @@ def _elbo_independent(kernel, q_alpha, q_w, resid) -> float:
         + float(np.einsum("kl,nm,lmkn->", kernel._xtx, e_w, v4))
 
     val = -0.5 * t * n * LOG_2PI + 0.5 * t * elog_det - 0.5 * quad_lik
-    val += kernel._gauss0.expected_logpdf(q_alpha.mean, q_alpha.cov)
-    val += kernel._wish0.expected_logpdf(e_w, elog_det)
+    val += kernel.prior_factors["alpha"].expected_logpdf(q_alpha.mean, q_alpha.cov)
+    val += kernel.prior_factors["sigma_inv"].expected_logpdf(e_w, elog_det)
     val += q_alpha.entropy()
     val += q_w.entropy()
     return float(val)
@@ -475,27 +473,21 @@ class VarIndependentKernel(_VarKernelBase, GibbsKernel):
         if prior.alpha0.size != nk or prior.S0.shape[0] != data.N:
             raise ConfigError("prior dimensions do not match the data")
         self.prior = prior
-        self._v0_inv = np.linalg.inv(prior.Vbig0)
-        self._v0_inv_a0 = self._v0_inv @ prior.alpha0
-        self._gauss0 = MvNormalParams(prior.alpha0, prior.Vbig0)
-        self._wish0 = WishartParams(prior.S0, prior.nu0)
-
-    def log_prior_batch(self, thetas):
-        u = self.layout.unpack_batch(thetas)
-        # the Wishart term is -inf off the SPD cone
-        return self._gauss0.logpdf_batch(u["alpha"]) + self._wish0.logpdf_batch(u["sigma_inv"])
+        self.prior_factors = {"alpha": MvNormalParams(prior.alpha0, prior.Vbig0),
+                              "sigma_inv": WishartParams(prior.S0, prior.nu0)}
 
     def full_conditional(self, name, state):
         if name == "alpha":
             w = np.asarray(state["sigma_inv"])
             xty_w = (w @ self._xty.T).swapaxes(-1, -2)
-            rhs = self._v0_inv_a0 + xty_w.reshape(xty_w.shape[:-2] + (-1,))
-            return MvNormalParams.from_precision(self._v0_inv + _kron(self._xtx, w), rhs)
+            return self.prior_factors["alpha"].conjugate(
+                _kron(self._xtx, w), xty_w.reshape(xty_w.shape[:-2] + (-1,)))
         if name == "sigma_inv":
             _, resid = self._coefficients_and_residuals(state)
-            scale_inv = self.prior.S0 + resid.swapaxes(-1, -2) @ resid
+            w0 = self.prior_factors["sigma_inv"]
+            scale_inv = w0.scale_inv + resid.swapaxes(-1, -2) @ resid
             return WishartParams(0.5 * (scale_inv + scale_inv.swapaxes(-1, -2)),
-                                 self.prior.nu0 + self.data.T)
+                                 w0.dof + self.data.T)
         raise KeyError(name)
 
     def gibbs_start(self, chains):

@@ -21,7 +21,7 @@ from mddkit import var as var_mod
 from mddkit.harness import ExperimentConfig, emit_outputs, run_experiment
 from mddkit.modelapi import SamplerConfig
 from mddkit.statscore import make_rng, quadrature_1d
-from mddkit.toys import ToyNormalGammaKernel
+from toys import ToyNormalGammaKernel
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 

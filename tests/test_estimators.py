@@ -31,7 +31,7 @@ from mddkit.modelapi import (
     WeightingDensity,
 )
 from mddkit.statscore import MvNormalParams, log_sum_exp, make_rng, quadrature_1d
-from mddkit.toys import ToyNormalGammaKernel, ToyNormalKernel
+from toys import ToyNormalGammaKernel, ToyNormalKernel
 
 
 @pytest.fixture(scope="module")

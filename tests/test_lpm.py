@@ -38,7 +38,8 @@ def lpm_vb_gradient_residual(prior: LpmPrior, data: LpmData, vb) -> float:
     """Norm of the Gaussian-factor fixed-point condition at the fitted values."""
     return lpm._gamma_gradient_norm(LpmKernel(prior, data), data.design(),
                                     vb.hyper["gamma"].mean, vb.hyper["gamma"].cov,
-                                    vb.factors["mu"].mean, vb.hyper["S"], vb.hyper["nu"])
+                                    vb.factors["mu"].mean, vb.factors["sigma_inv"].scale_inv,
+                                    vb.factors["sigma_inv"].dof)
 
 
 @pytest.fixture(scope="module")
@@ -338,7 +339,7 @@ class TestVb:
         data = lpm_synthetic(40, 59, 5, 2, 1, [0.3, -0.2], [0.1], [[0.4]])
         prior = LpmPrior(np.zeros(2), 4 * np.eye(2), [0.0], [[4.0]], [[0.5]], 4.0)
         vb = lpm_vb(LpmKernel(prior, data))
-        assert vb.hyper["nu"] == 63.0
+        assert vb.factors["sigma_inv"].dof == 63.0
 
     def test_flat_likelihood_returns_prior_mean(self):
         data = lpm_synthetic(41, 3, 3, 1, 1, [0.2], [0.0], [[0.2]])
@@ -459,21 +460,23 @@ def _reference_sampler(kernel, config, rng, vb):
                         for i in range(n)])
     target_beta = 0.44 if k == 1 else 0.234
     target_u = 0.44 if m == 1 else 0.234
-    state = {"beta": vb.factors["beta"].mean.copy(), "u": vb.hyper["u_means"].copy(),
+    q_w = vb.factors["sigma_inv"]
+    state = {"beta": vb.factors["beta"].mean.copy(),
+             "u": vb.hyper["gamma"].mean[k:].reshape(n, m).copy(),
              "mu": vb.factors["mu"].mean.copy(),
-             "sigma_inv": vb.hyper["nu"] * np.linalg.inv(vb.hyper["S"])}
+             "sigma_inv": q_w.dof * np.linalg.inv(q_w.scale_inv)}
     step_beta, step_u = 2.38 / math.sqrt(k), np.full(n, 2.38 / math.sqrt(m))
     accept_beta = accept_u = 0
     total = config.burn_in + config.draws * config.thin
     thetas, latents = [], []
     xb = d.offsets + d.x @ state["beta"]
     zu = np.einsum("itm,im->it", d.z, state["u"])
-    lp_beta = kernel._gauss_beta0.logpdf(state["beta"])
+    lp_beta = kernel.prior_factors["beta"].logpdf(state["beta"])
     for it in range(total):
         adapt = it < config.burn_in
         prop = state["beta"] + step_beta * (chol_beta @ rng.standard_normal(k))
         xb_prop = d.offsets + d.x @ prop
-        lp_prop = kernel._gauss_beta0.logpdf(prop)
+        lp_prop = kernel.prior_factors["beta"].logpdf(prop)
         delta = (poisson_loglik(xb_prop, zu) - poisson_loglik(xb, zu) + lp_prop - lp_beta)
         acc = math.log(rng.uniform()) <= delta
         if acc:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mddkit import lpm, modelapi, sfm, toys, var
+from mddkit import lpm, modelapi, sfm, var
 from mddkit.estimators import _default_theta_star, _reduced_run
 from mddkit.harness import ExperimentConfig, build_context
 from mddkit.lpm import LpmKernel
@@ -25,8 +25,10 @@ from mddkit.modelapi import (
 )
 from mddkit.models import MODELS
 from mddkit.sfm import SfmGammaKernel
-from mddkit.statscore import make_rng, quadrature_1d
-from mddkit.toys import ToyNormalGammaKernel, ToyNormalKernel
+from mddkit.statscore import GammaParams, MvNormalParams, WishartParams, make_rng, quadrature_1d
+
+import toys
+from toys import ToyNormalGammaKernel, ToyNormalKernel
 
 
 def example_layout():
@@ -195,6 +197,31 @@ class TestKernelContract:
         with pytest.raises(ValueError, match="blocks then latents"):
             ds.complete_data(ParamLayout(layout.blocks[::-1]))
 
+    @pytest.mark.parametrize("model", ["sfm-exponential", "var-independent", "lpm"])
+    def test_log_prior_is_the_sum_of_the_block_densities(self, model):
+        ctx = build_context(ExperimentConfig(model=model))
+        kernel, layout = ctx.kernel, ctx.kernel.layout
+        thetas = ctx.vb.sample(make_rng(24), 200)
+        # off the support: a negative sigma^-2 and lambda, a Sigma^-1 that is not SPD
+        outside = ["sigma_prec", "lam"] if model == "sfm-exponential" else ["sigma_inv"]
+        for row, name in enumerate(outside):
+            thetas[row, layout.slices[name]] *= -1.0
+        p, u = kernel.prior, layout.unpack_batch(thetas)
+        if model == "sfm-exponential":
+            want = (MvNormalParams(p.beta0, p.Vbeta0).logpdf_batch(u["beta"])
+                    + GammaParams(p.a_sigma0, p.b_sigma0).logpdf_batch(u["sigma_prec"])
+                    + GammaParams(p.a_lam0, p.b_lam0).logpdf_batch(u["lam"]))
+        elif model == "var-independent":
+            want = (MvNormalParams(p.alpha0, p.Vbig0).logpdf_batch(u["alpha"])
+                    + WishartParams(p.S0, p.nu0).logpdf_batch(u["sigma_inv"]))
+        else:
+            want = (MvNormalParams(p.beta0, p.Vbeta0).logpdf_batch(u["beta"])
+                    + MvNormalParams(p.mu0, p.Vmu0).logpdf_batch(u["mu"])
+                    + WishartParams(p.S0, p.nu0).logpdf_batch(u["sigma_inv"]))
+        got = kernel.log_prior_batch(thetas)
+        assert np.array_equal(got, want)
+        assert np.all(got[:len(outside)] == -np.inf) and np.all(np.isfinite(got[len(outside):]))
+
 
 def build_kernel(name):
     from mddkit import harness
@@ -272,19 +299,21 @@ def _final_expectations(model, vb):
     """(block, expectations of the blocks its conditional reads) for each factor
     a registered fit takes from its kernel's conditional, at the fit's final q;
     for the frontiers the first is the factor updated last in a sweep."""
-    f, h = vb.factors, vb.hyper
+    f = vb.factors
     if model == "sfm-exponential":
         e = {"beta": f["beta"].mean, "sigma_prec": f["sigma_prec"].mean(),
-             "lam": f["lam"].mean(), "u": h["u_mean"]}
+             "lam": f["lam"].mean(), "u": f["u"].mean()}
         return [("u", e), ("beta", e), ("lam", e)]
     if model == "sfm-gamma":
-        e = {"sigma_prec": f["sigma_prec"].mean(), "theta": h["theta_mean"], "u": h["u_mean"]}
+        e = {"sigma_prec": f["sigma_prec"].mean(), "theta": f["theta"].mean(),
+             "u": f["u"].mean()}
         return [("lam", e), ("beta", e)]
-    e_w = h["nu"] * np.linalg.inv(h["S"])
+    e_w = f["sigma_inv"].dof * np.linalg.inv(f["sigma_inv"].scale_inv)
     e_w = 0.5 * (e_w + e_w.T)
     if model == "var-independent":
         return [("alpha", {"sigma_inv": e_w})]
-    return [("mu", {"u": h["u_means"], "sigma_inv": e_w})]
+    u_means = vb.hyper["gamma"].mean[f["beta"].dim:].reshape(-1, len(e_w))
+    return [("mu", {"u": u_means, "sigma_inv": e_w})]
 
 
 _FACTOR_PARAMS = {"MvNormalParams": ("mean", "cov"), "GammaParams": ("shape", "rate"),
@@ -305,7 +334,6 @@ class TestVbConvergence:
         ctx = build_context(ExperimentConfig(model=model))
         for j, (block, state) in enumerate(_final_expectations(model, ctx.vb)):
             fit = ctx.vb.factors[block]
-            fit = getattr(fit, "firms", fit)  # q(u) of all firms
             cond = ctx.kernel.full_conditional(block, state)
             for name in _FACTOR_PARAMS[type(fit).__name__]:
                 got, want = np.asarray(getattr(fit, name)), np.asarray(getattr(cond, name))

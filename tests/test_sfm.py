@@ -16,7 +16,6 @@ from mddkit.modelapi import SamplerConfig, elbo_monte_carlo
 from mddkit.sfm import (
     GammaCaseInefficiency,
     SfmData,
-    SfmExpCdlKernel,
     SfmExpKernel,
     SfmExpPrior,
     SfmGammaKernel,
@@ -112,8 +111,9 @@ class TestExpVb:
 
     def test_bound_against_complete_data_monte_carlo(self, exp_setup):
         prior, data = exp_setup
-        vb = sfm_exp_vb(SfmExpKernel(prior, data))
-        cdl = SfmExpCdlKernel(prior, data)
+        kernel = SfmExpKernel(prior, data)
+        vb = sfm_exp_vb(kernel)
+        cdl = kernel.as_complete_data()
         w = make_sfm_exp_cdl_weighting(vb, cdl)
         thetas = w.sampler(make_rng(14), 50_000)
         vals = cdl.log_kernel_batch(thetas) - w.log_eval(thetas)
@@ -124,8 +124,9 @@ class TestExpVb:
         # u drawn firm by firm after the other blocks; its log density, the
         # per-firm terms summed over the firms by np.sum, added after theirs
         prior, data = exp_setup
-        vb = sfm_exp_vb(SfmExpKernel(prior, data))
-        w = make_sfm_exp_cdl_weighting(vb, SfmExpCdlKernel(prior, data))
+        kernel = SfmExpKernel(prior, data)
+        vb = sfm_exp_vb(kernel)
+        w = make_sfm_exp_cdl_weighting(vb, kernel.as_complete_data())
         f, t, k = vb.factors, data.num_periods, data.k
         e_sig, e_lam = f["sigma_prec"].mean(), f["lam"].mean()
         ebar = sfm._firm_residual_stats(data, f["beta"].mean)[0][0]
@@ -397,7 +398,7 @@ class TestGridSampling:
         assert np.all(np.isfinite(w.log_eval(thetas)))
         u = kernel.layout.unpack_batch(thetas)["u"]
         se = u.std(axis=0) / math.sqrt(4000)
-        assert np.all(np.abs(u.mean(axis=0) - vb.hyper["u_mean"]) < 5 * se)
+        assert np.all(np.abs(u.mean(axis=0) - vb.factors["u"].mean()) < 5 * se)
 
 
 @pytest.fixture(scope="module")
@@ -438,7 +439,7 @@ class TestGammaVb:
     def test_lambda_shape_tracks_theta(self, gamma_fit):
         prior, data, vb = gamma_fit
         assert vb.factors["lam"].shape == pytest.approx(
-            (data.num_firms + 1) * vb.hyper["theta_mean"], rel=1e-12)
+            (data.num_firms + 1) * vb.factors["theta"].mean(), rel=1e-12)
 
     def test_bound_matches_monte_carlo_over_the_kernel_layout(self, gamma_fit):
         # q spans the kernel's layout, u included, so its draws go straight to the kernel

@@ -509,6 +509,21 @@ class TestDensities:
         ref = multivariate_normal(params.mean, params.cov).logpdf(x)
         assert params.logpdf(x) == pytest.approx(ref, abs=1e-12)
 
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    def test_mvnormal_conjugate_is_the_canonical_update(self, stack):
+        # P0 + P and P0 m0 + r, with P0 = inv(V0), for one state or a stack
+        v0 = np.array([[2.0, 0.4, 0.1], [0.4, 1.0, -0.2], [0.1, -0.2, 3.0]])
+        m0 = np.array([0.5, -1.0, 2.0])
+        rng = make_rng(12)
+        a = rng.standard_normal(stack + (3, 3))
+        prec, rhs = a @ a.swapaxes(-1, -2) + np.eye(3), rng.standard_normal(stack + (3,))
+        got = MvNormalParams(m0, v0).conjugate(prec, rhs)
+        want = MvNormalParams.from_precision(np.linalg.inv(v0) + prec,
+                                             np.linalg.inv(v0) @ m0 + rhs)
+        assert got.mean.shape == stack + (3,)
+        for name in ("mean", "cov", "_chol"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     def test_wishart_matches_scipy(self):
         scale_inv = np.array([[2.0, 0.5], [0.5, 1.0]])
         params = WishartParams(scale_inv, 5.0)

@@ -244,7 +244,7 @@ class TestIndependentVb:
 
     def test_dof_is_t_plus_prior(self, independent_fit):
         prior, data, vb = independent_fit
-        assert vb.hyper["nu"] == data.T + prior.nu0
+        assert vb.factors["sigma_inv"].dof == data.T + prior.nu0
 
     def test_trace_monotone_and_converged(self, independent_fit):
         _, _, vb = independent_fit
@@ -325,7 +325,7 @@ class TestGibbs:
                                          make_rng(70))
         alpha = kernel.layout.unpack_batch(draws.thetas)["alpha"]
         se = alpha.std(axis=0) / math.sqrt(400)  # conservative effective size
-        assert np.all(np.abs(alpha.mean(axis=0) - vb.hyper["alpha"]) < 3 * se)
+        assert np.all(np.abs(alpha.mean(axis=0) - vb.factors["alpha"].mean) < 3 * se)
 
     def test_dogmatic_prior_pins_coefficients(self, small_var):
         _, data = small_var

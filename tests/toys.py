@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from .modelapi import (
+from mddkit.modelapi import (
     Block,
     GibbsKernel,
     ModelKernel,
@@ -24,7 +24,7 @@ from .modelapi import (
     VBResult,
     stack_state,
 )
-from .statscore import GammaParams, LOG_2PI, MvNormalParams
+from mddkit.statscore import GammaParams, LOG_2PI, MvNormalParams
 
 __all__ = ["ToyNormalKernel", "ToyNormalGammaKernel"]
 
