@@ -30,7 +30,6 @@ class RepetitionSet:
     """Log-MDD values from independent repetitions of one estimator."""
 
     values: np.ndarray
-    method: str = ""
 
     def __post_init__(self):
         self.values = np.atleast_1d(np.asarray(self.values, dtype=float))

@@ -47,8 +47,6 @@ class MddEstimate:
 
     log_mdd: float
     method: str
-    num_posterior_draws: int = 0
-    num_weighting_draws: int = 0
     iterations: int = 0
     extras: dict = field(default_factory=dict)
 
@@ -91,7 +89,6 @@ def ris_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, h: WeightingDensi
     return MddEstimate(
         log_mdd=-log_recip,
         method=f"ris-{h.tag}",
-        num_posterior_draws=draws.size,
         extras={"log_terms": terms},
     )
 
@@ -105,7 +102,6 @@ def is_estimate(kernel: ModelKernel, f: WeightingDensity, num_draws: int,
     return MddEstimate(
         log_mdd=log_sum_exp(terms) - math.log(num_draws),
         method=f"is-{f.tag}",
-        num_weighting_draws=num_draws,
         extras={"log_terms": terms},
     )
 
@@ -147,8 +143,7 @@ def bs_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, g: WeightingDensit
         trace.append(new)
         if abs(new - log_r) < _BRIDGE_TOL:
             return MddEstimate(
-                log_mdd=new, method=f"bs-{g.tag}", num_posterior_draws=s,
-                num_weighting_draws=o, iterations=it,
+                log_mdd=new, method=f"bs-{g.tag}", iterations=it,
                 extras={"trace": np.asarray(trace)},
             )
         log_r = new
@@ -186,8 +181,6 @@ def chm_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, rng: np.random.Ge
     return MddEstimate(
         log_mdd=log_p_box - log_harm_inv,
         method="chm",
-        num_posterior_draws=draws.size,
-        num_weighting_draws=num_is_draws,
         extras={"log_p_box": log_p_box, "log_terms": harmonic_terms},
     )
 
@@ -247,8 +240,6 @@ def chib_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, rng: np.random.G
     return MddEstimate(
         log_mdd=log_k_star - log_ordinate,
         method="chib",
-        num_posterior_draws=draws.size,
-        num_weighting_draws=run_len * max(len(blocks) - 1, 0),
         extras={"ordinate_factors": np.asarray(factors), "theta_star": star},
     )
 

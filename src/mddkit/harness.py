@@ -390,7 +390,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultsTable:
         if method in errors and not vals:
             rows.append({"method": method, "status": f"FAILED({errors[method]})"})
             continue
-        reps = RepetitionSet(np.asarray(vals), method=method)
+        reps = RepetitionSet(np.asarray(vals))
         row = {
             "method": method,
             "status": f"FAILED({errors[method]})" if method in errors else "ok",

@@ -344,6 +344,8 @@ def _integrate_block(beta, mu, w, logdet_w, data: LpmData, groups, grid, node_te
     w_c = [[w[:, j, l, None] for l in range(m)] for j in range(m)]
 
     u = [np.repeat(mu_c[j], n, axis=1) for j in range(m)]
+    # a row stops at its own first max |step| below 1e-10, as its one-row call does
+    live = np.ones(len(mu), dtype=bool)
     for _ in range(100):
         ex = np.exp(_weighted_sum(zg, u))
         zlam = [zg[j] * ex * e_g for j in range(m)]
@@ -352,8 +354,9 @@ def _integrate_block(beta, mu, w, logdet_w, data: LpmData, groups, grid, node_te
         step = _newton_step([[-np.sum(zg[j] * zlam[l], axis=0) - w_c[j][l] for l in range(m)]
                              for j in range(m)], grad)
         for j in range(m):
-            u[j] -= step[j]
-        if max(np.max(np.abs(s)) for s in step) < 1e-10:
+            np.subtract(u[j], step[j], out=u[j], where=live[:, None])
+        live &= ~np.all([np.abs(s) < 1e-10 for s in step], axis=(0, 2))
+        if not live.any():
             break
     ex = np.exp(_weighted_sum(zg, u))
     chol = _chol_inverse([[np.sum(zg[j] * zg[l] * ex * e_g, axis=0) + w_c[j][l]

@@ -373,9 +373,8 @@ class GammaCaseInefficiency:
         """ln q(u), with u broadcast against the parameters (firms last)."""
         u = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = ((self.shape - 1.0) * np.log(u) - 0.5 * self.prec * u * u
-                    - self.slope * u - self.log_norm)
-        return np.where(u > 0, vals, -np.inf)
+            return (_log_gamma_case(u, np.log(u), self.shape - 1.0, 0.5 * self.prec, self.slope)
+                    - self.log_norm)
 
     def _trailing_logpdf(self, u: np.ndarray) -> np.ndarray:
         """ln q at points u (..., m) per factor, shaped (*param shape, m)."""
@@ -403,6 +402,12 @@ class GammaCaseInefficiency:
         grid = self._moments[0][..., None] * _U_GRID_NODES
         return _grid_sample(grid, self._trailing_logpdf(grid),
                             rng.uniform(size=(size,) + self.shape.shape))
+
+
+def _log_gamma_case(u, log_u, shape_m1, half_prec, slope):
+    """ln of u^(shape-1) exp(-half_prec u^2 - slope u), -inf at u <= 0: the
+    gamma frontier's factor for u_i and, up to a constant, its conditional."""
+    return np.where(u > 0, shape_m1 * log_u - half_prec * u * u - slope * u, -np.inf)
 
 
 # tanh-sinh nodes of (0, inf), t = exp(pi sinh s) for s in [-5, 5] at step 1/256
@@ -753,7 +758,8 @@ class SfmExpCdlKernel(ModelKernel):
         d = self.data
         u = self.layout.unpack_batch(thetas)
         prec = u["sigma_prec"]
-        resid = (d.y[None, :] - u["beta"] @ d.x.T
+        # one x-beta product per row, so a row has the bits of its one-row call
+        resid = (d.y[None, :] - np.matvec(d.x, u["beta"])
                  - d.c * np.repeat(u["u"], d.num_periods, axis=1))
         ss = np.sum(resid * resid, axis=1)
         nt = d.num_firms * d.num_periods
@@ -819,16 +825,6 @@ class SfmGammaKernel(_FrontierKernel):
                 - self.prior.b_theta0 / theta + theta * lin
                 - (self.data.num_firms + 1) * float(gammaln(theta)) - su)
 
-    @staticmethod
-    def _log_cond_u(u, log_u, coefs):
-        """ln p(u_i | rest) up to a constant, per firm, for a stack of states at
-        u with logs ``log_u``; ``coefs`` holds the states' theta - 1 and
-        T sigma^-2 / 2 as columns, then the slopes of u."""
-        theta_m1, half_tp, slopes = coefs
-        vals = theta_m1 * log_u - half_tp * u * u - slopes * u
-        vals[u <= 0] = -np.inf
-        return vals
-
     def metropolis_steps(self, chains):
         """Log-scale random-walk steps of 0.5 for theta and each u_i, capped at 10."""
         return {"theta": np.full(chains, 0.5),
@@ -868,7 +864,7 @@ class SfmGammaKernel(_FrontierKernel):
             prop = cur * np.exp(steps["u"] * draw_each(rngs, lambda rng: rng.standard_normal(n)))
             with np.errstate(divide="ignore"):
                 log_prop, log_cur = np.log(prop), np.log(cur)
-            delta = (self._log_cond_u(prop, log_prop, coefs) - self._log_cond_u(cur, log_cur, coefs)
+            delta = (_log_gamma_case(prop, log_prop, *coefs) - _log_gamma_case(cur, log_cur, *coefs)
                      + log_prop - log_cur)
             accepted["u"] = np.log(draw_each(rngs, lambda rng: rng.uniform(size=n))) <= delta
             state["u"] = np.where(accepted["u"], prop, cur)

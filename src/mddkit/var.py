@@ -227,12 +227,17 @@ def var_exact_log_mdd(prior: VarConjugatePrior, data: VarData) -> float:
     Algebraically the matric-variate-t ordinate of Y, written without
     forming T x T matrices.
     """
-    post = var_exact_posterior(prior, data)
+    return _log_evidence(NormalWishart(prior.A0, prior.V0, prior.S0, prior.nu0),
+                         var_exact_posterior(prior, data), data)
+
+
+def _log_evidence(prior: NormalWishart, post: NormalWishart, data: VarData) -> float:
+    """ln p(Y) from the normal-Wishart prior and its exact posterior."""
     n, t = data.N, data.T
     return (-0.5 * n * t * math.log(math.pi)
-            + ln_multivariate_gamma(n, 0.5 * post.nu) - ln_multivariate_gamma(n, 0.5 * prior.nu0)
-            + 0.5 * n * (_logdet(post.V) - _logdet(prior.V0))
-            + 0.5 * prior.nu0 * _logdet(prior.S0) - 0.5 * post.nu * _logdet(post.S))
+            + ln_multivariate_gamma(n, 0.5 * post.nu) - ln_multivariate_gamma(n, 0.5 * prior.nu)
+            + 0.5 * n * (_logdet(post.V) - _logdet(prior.V))
+            + 0.5 * prior.nu * _logdet(prior.S) - 0.5 * post.nu * _logdet(post.S))
 
 
 # ---------------------------------------------------------------------------
@@ -254,43 +259,27 @@ def var_vb_conjugate(prior: VarConjugatePrior, data: VarData,
 def _vb_conjugate(kernel: "VarConjugateKernel", factorized: bool) -> VBResult:
     """:func:`var_vb_conjugate` of the kernel, from its exact posterior."""
     data, post = kernel.data, kernel._post
-    n, t = data.N, data.T
+    n = data.N
     hyper = {"A": post.A, "V": post.V, "S": post.S, "nu": post.nu}
     if not factorized:
         # q is the exact normal-Wishart posterior itself, no product of factors
         elbo = _elbo_conjugate_joint(kernel)
         return VBResult(hyper, np.array([elbo]), post.logpdf_batch, post.sample, True)
-    nu_q = t + 1.0 + data.p * n + kernel.prior.nu0  # = posterior dof + K
+    nu_q = post.nu + data.K
     if not nu_q - n - 1.0 > 0:
         raise ConfigError("factorized VB needs nu* > N + 1")
     s_q = (nu_q / post.nu) * post.S
     col_cov = s_q / nu_q  # = inv(E_q[Sigma^-1]); the coordinate-ascent optimum
     q_w = WishartParams(s_q, nu_q)
-    elbo = _elbo_conjugate_factorized(kernel, q_w, col_cov)
+    # the bound is ln p(y) - KL(q || posterior); with q(A) = MN(A*, V, col_cov)
+    # and col_cov = inv(E_q W), the coefficients' part of -KL is K/2 (E ln|W| + ln|col_cov|)
+    elbo = (_log_evidence(kernel._nw0, post, data)
+            + 0.5 * data.K * (_logdet(col_cov) + q_w.mean_logdet)
+            + q_w.entropy() + post.wishart.expected_logpdf(q_w.mean(), q_w.mean_logdet))
     # vec(A) row by row, as alpha stacks it: covariance V kron col_cov
     factors = {"alpha": MvNormalParams(post.A.ravel(), _kron(post.V, col_cov)), "sigma_inv": q_w}
     hyper.update(S=s_q, nu=nu_q, col_cov=col_cov)
     return VBResult.mean_field(_var_layout(n, data.K), factors, [elbo], hyper, True)
-
-
-def _elbo_conjugate_factorized(kernel, q_w, col_cov) -> float:
-    data, post, nw0 = kernel.data, kernel._post, kernel._nw0
-    n, k, t = data.N, data.K, data.T
-    e_w = q_w.dof * np.linalg.inv(q_w.scale_inv)
-    elog_det = q_w.mean_logdet
-    resid = data.Y - data.X @ post.A
-    m_lik = resid.T @ resid + np.trace(kernel._xtx @ post.V) * col_cov
-    dev = post.A - nw0.A
-    m_pri = dev.T @ nw0._v_inv @ dev + np.trace(nw0._v_inv @ post.V) * col_cov
-
-    val = -0.5 * t * n * LOG_2PI + 0.5 * t * elog_det - 0.5 * float(np.sum(e_w * m_lik.T))
-    val += (-0.5 * k * n * LOG_2PI + 0.5 * k * elog_det - 0.5 * n * _logdet(nw0.V)
-            - 0.5 * float(np.sum(e_w * m_pri.T)))
-    val += nw0.wishart.expected_logpdf(e_w, elog_det)
-    # entropies of q_A (matric normal) and q_W
-    val += 0.5 * k * n * (LOG_2PI + 1.0) + 0.5 * n * _logdet(post.V) + 0.5 * k * _logdet(col_cov)
-    val += q_w.entropy()
-    return float(val)
 
 
 def _elbo_conjugate_joint(kernel) -> float:
@@ -448,11 +437,12 @@ class VarConjugateKernel(_VarKernelBase):
             return MvNormalParams(np.broadcast_to(self._post.A.ravel(), cov.shape[:-1]), cov)
         if name == "sigma_inv":
             a, resid = self._coefficients_and_residuals(state)
-            dev = a - self.prior.A0
-            scale_inv = (self.prior.S0 + resid.swapaxes(-1, -2) @ resid
-                         + dev.swapaxes(-1, -2) @ self._nw0._v_inv @ dev)
+            nw0 = self._nw0
+            dev = a - nw0.A
+            scale_inv = (nw0.S + resid.swapaxes(-1, -2) @ resid
+                         + dev.swapaxes(-1, -2) @ nw0._v_inv @ dev)
             return WishartParams(0.5 * (scale_inv + scale_inv.swapaxes(-1, -2)),
-                                 self.prior.nu0 + self.data.T + self.data.K)
+                                 nw0.nu + self.data.T + self.data.K)
         raise KeyError(name)
 
     def vb_fit(self, factorized: bool = True) -> VBResult:

@@ -222,6 +222,19 @@ class TestKernelContract:
         assert np.array_equal(got, want)
         assert np.all(got[:len(outside)] == -np.inf) and np.all(np.isfinite(got[len(outside):]))
 
+    @pytest.mark.parametrize("model", sorted(MODELS) + ["sfm-exponential-cdl"])
+    def test_likelihood_rows_do_not_depend_on_their_batch(self, model):
+        # a row's log likelihood has the bits of its one-row call
+        ctx = build_context(ExperimentConfig(model=model.removesuffix("-cdl")))
+        if model.endswith("-cdl"):
+            kernel, thetas = ctx.cdl_kernel, ctx.cdl_weighting.sampler(make_rng(25), 300)
+        else:
+            kernel, thetas = ctx.kernel, ctx.vb.sample(make_rng(25), 300)
+        batch = kernel.log_likelihood_batch(thetas)
+        rows = np.concatenate([kernel.log_likelihood_batch(theta[None]) for theta in thetas])
+        assert np.all(np.isfinite(batch))
+        assert np.array_equal(batch, rows)
+
 
 def build_kernel(name):
     from mddkit import harness

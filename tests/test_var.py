@@ -179,9 +179,20 @@ class TestConjugateVb:
         assert exact - 5.0 < vb.elbo
 
     def test_term_by_term_equals_condensed_display(self, small_var):
-        prior, data = small_var
-        vb = var_vb_conjugate(prior, data)
-        assert vb.elbo == pytest.approx(var_vblb_conjugate_closed_form(prior, data), abs=1e-9)
+        # the bound is read off the exact evidence less KL(q || posterior), which
+        # holds at col_cov = inv(E_q W); the display is written out independently
+        cases = [small_var]
+        for n, p, nu0 in [(1, 2, 3.0), (3, 2, 5.0), (4, 4, 6.0), (2, 4, 7.5)]:
+            k = 1 + p * n
+            coeffs = np.zeros((k, n))
+            coeffs[1:1 + n] = 0.4 * np.eye(n)
+            data = var_synthetic(80 + n + p, n, 80, p, coeffs, np.eye(n))
+            cases.append((VarConjugatePrior(np.zeros((k, n)), 10 * np.eye(k), np.eye(n), nu0),
+                          data))
+        for prior, data in cases:
+            vb = var_vb_conjugate(prior, data)
+            assert vb.elbo == pytest.approx(var_vblb_conjugate_closed_form(prior, data),
+                                            abs=1e-9), (data.N, data.p, prior.nu0)
 
     def test_factorized_alpha_factor_is_matric_normal(self, small_var):
         # q(alpha) = MN(A, V, col_cov): vec(A) row by row with covariance V kron col_cov
