@@ -441,7 +441,8 @@ def make_pmd_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
             rows = slice(lo, lo + block_rows)
             for name in names:
                 comp = conditionals[name].logpdf_batch(unpacked[name][rows])
-                total[rows] += log_sum_exp(comp, axis=0) - math.log(n_comp)
+                # a fresh temporary, so the log-mean-exp may work in it
+                total[rows] += log_sum_exp(comp, axis=0, overwrite=True) - math.log(n_comp)
         return total
 
     def sampler(rng, size):

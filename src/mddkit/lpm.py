@@ -344,20 +344,31 @@ def _integrate_block(beta, mu, w, logdet_w, data: LpmData, groups, grid, node_te
     w_c = [[w[:, j, l, None] for l in range(m)] for j in range(m)]
 
     u = [np.repeat(mu_c[j], n, axis=1) for j in range(m)]
-    # a row stops at its own first max |step| below 1e-10, as its one-row call does
-    live = np.ones(len(mu), dtype=bool)
+    # a row stops at its own first max |step| below 1e-10, as its one-row call
+    # does: only the live rows step, gathered (u_l, e_l, w_l, mu_l) whenever
+    # some stop, and a stopped row's u is scattered back into the block's
+    live = np.arange(len(mu))
+    u_l, e_l, w_l, mu_l = u, e_g, w_c, mu_c
     for _ in range(100):
-        ex = np.exp(_weighted_sum(zg, u))
-        zlam = [zg[j] * ex * e_g for j in range(m)]
+        ex = np.exp(_weighted_sum(zg, u_l))
+        zlam = [zg[j] * ex * e_l for j in range(m)]
         grad = [yz[j] - np.sum(zlam[j], axis=0)
-                - _weighted_sum(w_c[j], [u[l] - mu_c[l] for l in range(m)]) for j in range(m)]
-        step = _newton_step([[-np.sum(zg[j] * zlam[l], axis=0) - w_c[j][l] for l in range(m)]
+                - _weighted_sum(w_l[j], [u_l[l] - mu_l[l] for l in range(m)]) for j in range(m)]
+        step = _newton_step([[-np.sum(zg[j] * zlam[l], axis=0) - w_l[j][l] for l in range(m)]
                              for j in range(m)], grad)
         for j in range(m):
-            np.subtract(u[j], step[j], out=u[j], where=live[:, None])
-        live &= ~np.all([np.abs(s) < 1e-10 for s in step], axis=(0, 2))
-        if not live.any():
-            break
+            u_l[j] -= step[j]
+        done = np.all([np.abs(s) < 1e-10 for s in step], axis=(0, 2))
+        if done.any():
+            for j in range(m):
+                u[j][live[done]] = u_l[j][done]
+            keep = ~done
+            live, u_l, e_l = live[keep], [a[keep] for a in u_l], e_l[:, keep]
+            w_l, mu_l = [[a[keep] for a in row] for row in w_l], [a[keep] for a in mu_l]
+            if not live.size:
+                break
+    for j in range(m):  # rows still live after the last step
+        u[j][live] = u_l[j]
     ex = np.exp(_weighted_sum(zg, u))
     chol = _chol_inverse([[np.sum(zg[j] * zg[l] * ex * e_g, axis=0) + w_c[j][l]
                            for l in range(m)] for j in range(m)])

@@ -49,18 +49,21 @@ __all__ = [
 # scalar primitives
 # ---------------------------------------------------------------------------
 
-def log_sum_exp(values, axis=None):
+def log_sum_exp(values, axis=None, overwrite=False):
     """ln sum(exp(values)) without overflow; -inf entries are harmless zeros.
 
-    Raises ValueError on empty input.
+    The caller's array is never written unless ``overwrite`` is set: then a
+    float array ``values`` is itself the working temporary, and the caller must
+    not read it afterwards. Either way the arithmetic, and so the result, is
+    the same. Raises ValueError on empty input.
     """
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("log_sum_exp of an empty vector")
     vmax = np.max(v, axis=axis, keepdims=True)
     vmax = np.where(np.isfinite(vmax), vmax, 0.0)
-    # one temporary, exponentiated in place; the caller's array is never written
-    tmp = np.asarray(v - vmax)
+    # one temporary (``values`` itself with ``overwrite``), exponentiated in place
+    tmp = np.asarray(np.subtract(v, vmax, out=v if overwrite else None))
     np.exp(tmp, out=tmp)
     with np.errstate(divide="ignore"):
         out = np.log(np.sum(tmp, axis=axis)) + np.squeeze(vmax, axis=axis)
@@ -499,16 +502,19 @@ class MvNormalParams:
 
     @cached_property
     def _expanded(self):
-        """Centre c (the average mean), flattened precision P, 2 P (mean - c),
-        and the constant term of the log density."""
+        """Centre c (the average mean); the natural-parameter coefficients that
+        multiply the sufficient statistics [vech((x - c)(x - c)'), x - c] (the
+        lower triangle row by row: -P_ii / 2 on the diagonal, -P_ij below it,
+        then P (mean - c)); and the constant term of the log density."""
         d = self.dim
         centre = self.mean.reshape(-1, d).mean(axis=0)
         dev = self.mean - centre
         prec = self.precision
         pm = np.matvec(prec, dev)
-        const = d * LOG_2PI + _chol_logdet(self._chol) + np.sum(pm * dev, axis=-1)
-        return (centre, prec.reshape(prec.shape[:-2] + (d * d,)), 2.0 * pm,
-                np.asarray(const)[..., None])
+        rows, cols = _tril_indices(d)
+        quad = (prec + prec.swapaxes(-1, -2))[..., rows, cols] * np.where(rows == cols, -0.25, -0.5)
+        const = -0.5 * (d * LOG_2PI + _chol_logdet(self._chol) + np.sum(pm * dev, axis=-1))
+        return centre, np.concatenate([quad, pm], axis=-1), np.asarray(const)[..., None]
 
     def logpdf(self, x) -> float:
         return float(self.logpdf_batch(x)[0])
@@ -517,16 +523,16 @@ class MvNormalParams:
         """ln density at the points x (points, n): shaped (points,), or
         (stack, points) for stacked parameters."""
         d = self.dim
-        centre, prec, two_pm, const = self._expanded
-        # (x-m)'P(x-m) expanded about the centre so that each term is one BLAS
-        # matmul over the whole stack and no temporary is larger than the
-        # (stack, points) result; centring keeps the terms from cancelling
-        x = np.asarray(x, dtype=float).reshape(-1, d) - centre
-        outer = (x[:, :, None] * x[:, None, :]).reshape(len(x), d * d)
-        out = prec @ outer.T
-        out -= two_pm @ x.T
+        centre, coef, const = self._expanded
+        # one BLAS matmul of the coefficients with the points' sufficient
+        # statistics covers the whole stack; centring keeps the terms from cancelling
+        xt = np.asarray(x, dtype=float).reshape(-1, d).T - centre[:, None]
+        stats = np.empty((coef.shape[-1], xt.shape[1]))  # one column per point
+        for i in range(d):  # row i of the lower triangle: x_i x_0 .. x_i x_i
+            np.multiply(xt[:i + 1], xt[i], out=stats[i * (i + 1) // 2:(i + 1) * (i + 2) // 2])
+        stats[-d:] = xt
+        out = coef @ stats
         out += const
-        out *= -0.5
         return out
 
     def entropy(self):
@@ -595,6 +601,15 @@ class WishartParams:
                 + ln_multivariate_gamma(n, 0.5 * nu))
 
     @cached_property
+    def _coef(self):
+        """[-vec(scale_inv) / 2, (dof - n - 1) / 2], the coefficients of the
+        sufficient statistics [vec(W), ln|W|]."""
+        n = self.dim
+        vec = self.scale_inv.reshape(self.scale_inv.shape[:-2] + (n * n,))
+        half_dof = np.full(vec.shape[:-1] + (1,), 0.5 * (self.dof - n - 1.0))
+        return np.concatenate([-0.5 * vec, half_dof], axis=-1)
+
+    @cached_property
     def _bartlett(self):
         """Lower Cholesky factor of inv(scale_inv), the Bartlett draw's scale."""
         return safe_cholesky(_inverse_from_cholesky(self._chol_s))
@@ -605,14 +620,14 @@ class WishartParams:
     def logpdf_batch(self, w: np.ndarray) -> np.ndarray:
         """ln density at the matrices w (points, n, n): shaped (points,), or
         (stack, points) for stacked parameters; -inf off the SPD cone."""
-        n, nu = self.dim, self.dof
+        n = self.dim
         w = np.asarray(w, dtype=float).reshape(-1, n, n)
-        spd, logdet_w = _spd_slogdet(w)
-        # tr(scale_inv w) for every (stacked distribution, point) pair in one matmul
-        out = self.scale_inv.reshape(self.scale_inv.shape[:-2] + (n * n,)) @ w.reshape(-1, n * n).T
-        out *= -0.5
+        stats = np.empty((n * n + 1, len(w)))  # one column per point
+        stats[:-1] = w.reshape(-1, n * n).T
+        spd, stats[-1] = _spd_slogdet(w)
+        # every (stacked distribution, point) pair in one matmul
         with np.errstate(invalid="ignore"):
-            out += 0.5 * (nu - n - 1.0) * logdet_w
+            out = self._coef @ stats
         out -= np.asarray(self._log_norm)[..., None]
         out[..., ~spd] = -np.inf
         return out
@@ -707,14 +722,22 @@ class GammaParams:
     def logpdf(self, x) -> float:
         return float(self.logpdf_batch(np.atleast_1d(np.asarray(x, dtype=float)))[0])
 
+    @cached_property
+    def _natural(self):
+        """The coefficients [a - 1, -b] of the sufficient statistics [ln x, x],
+        (..., 2), and the log normaliser a ln b - ln Gamma(a) as a column."""
+        a, b = np.broadcast_arrays(np.asarray(self.shape, dtype=float),
+                                   np.asarray(self.rate, dtype=float))
+        return np.stack([a - 1.0, -b], axis=-1), (a * np.log(b) - gammaln(a))[..., None]
+
     def logpdf_batch(self, x: np.ndarray) -> np.ndarray:
         """ln density at the points x: shaped like x for unstacked parameters,
         (stack, points) for stacked ones and a vector of points."""
         x = np.asarray(x, dtype=float)
-        a = np.asarray(self.shape, dtype=float)[..., None]
-        b = np.asarray(self.rate, dtype=float)[..., None]
+        coef, const = self._natural
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = a * np.log(b) - gammaln(a) + (a - 1.0) * np.log(x) - b * x
+            out = np.inner(coef, np.stack([np.log(x), x], axis=-1))
+        out += const
         return np.where(x > 0, out, -np.inf)
 
     def take(self, indices) -> "GammaParams":

@@ -178,19 +178,29 @@ class NormalWishart:
     def _v_inv(self) -> np.ndarray:
         return np.linalg.inv(self.V)
 
+    @cached_property
+    def _log_norm(self) -> float:
+        """ln Z: the matric normal's and the Wishart's log normalisers."""
+        k, n = self.A.shape
+        return 0.5 * k * n * LOG_2PI + 0.5 * n * _logdet(self.V) + self.wishart._log_norm
+
     def logpdf_batch(self, thetas) -> np.ndarray:
-        """ln density at the rows ``thetas``; -inf where W is not SPD."""
+        """ln density at the rows ``thetas``; -inf where W is not SPD.
+
+        With D = A - A0 the density is one Wishart-shaped kernel,
+        -tr(W (S + D' V^-1 D)) / 2 + (nu + K - N - 1) ln|W| / 2 - ln Z."""
         u = self.layout.unpack_batch(thetas)
         k, n = self.A.shape
-        a = u["alpha"].reshape(-1, k, n)
+        dev = u["alpha"].reshape(-1, k, n) - self.A
         w = u["sigma_inv"]
         spd, logdet = _spd_slogdet(w)
-        dev = a - self.A
-        q = np.einsum("skn,kl,slm->snm", dev, self._v_inv, dev)
-        quad = np.einsum("snm,smn->s", q, w)
-        log_a = (-0.5 * k * n * LOG_2PI + 0.5 * k * logdet
-                 - 0.5 * n * _logdet(self.V) - 0.5 * quad)
-        out = log_a + self.wishart.logpdf_batch(w)
+        scale = dev.swapaxes(-1, -2) @ (self._v_inv @ dev)
+        scale += self.S
+        out = np.vecdot(scale.reshape(-1, n * n), w.reshape(-1, n * n))
+        out *= -0.5
+        with np.errstate(invalid="ignore"):
+            out += 0.5 * (self.nu + k - n - 1.0) * logdet
+        out -= self._log_norm
         out[~spd] = -np.inf
         return out
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, gammaln, log_ndtr, psi
 from scipy.stats import chi2, multivariate_normal, wishart
+from scipy.stats import gamma as gamma_dist
 
 from mddkit import statscore
 from mddkit.errors import NumericError
@@ -530,6 +531,37 @@ class TestDensities:
         w = params.sample(make_rng(11), None)
         ref = wishart(df=5, scale=np.linalg.inv(scale_inv)).logpdf(w)
         assert params.logpdf(w) == pytest.approx(ref, abs=1e-10)
+
+    @pytest.mark.parametrize("broadcast_mean", [False, True])
+    def test_stacked_densities_match_scipy_entrywise(self, broadcast_mean):
+        # every (component, point) entry against scipy.stats, evaluated one
+        # component at a time; the points reach 6 sd out and off the support
+        rng = make_rng(77)
+        cov = _spd_stack(rng, 5, 3)
+        mean = (np.broadcast_to(rng.standard_normal(3), (5, 3)) if broadcast_mean
+                else rng.standard_normal((5, 3)))
+        unit = rng.standard_normal((4, 3))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        far = mean[0] + 6.0 * unit @ np.linalg.cholesky(cov[0]).T
+        x = np.vstack([rng.standard_normal((6, 3)), far])
+        got = MvNormalParams(mean, cov).logpdf_batch(x)
+        want = [multivariate_normal(m, c).logpdf(x) for m, c in zip(mean, cov)]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+        scale_inv = _spd_stack(rng, 4, 3)
+        w = WishartParams(np.eye(3), 6.0).sample(rng, 5)
+        off_cone = np.array([np.diag([1.0, -1.0, 2.0]), -np.eye(3)])
+        got = WishartParams(scale_inv, 7.5).logpdf_batch(np.concatenate([w, off_cone]))
+        want = [wishart(df=7.5, scale=np.linalg.inv(s)).logpdf(w.T) for s in scale_inv]
+        np.testing.assert_allclose(got[:, :5], want, rtol=1e-10, atol=0)
+        assert np.all(got[:, 5:] == -np.inf)
+
+        rate = np.array([0.5, 1.0, 3.0, 20.0])
+        x = np.array([1e-3, 0.4, 1.0, 2.5, 30.0, 0.0, -1.0])
+        got = GammaParams(3.5, rate).logpdf_batch(x)
+        want = [gamma_dist(3.5, scale=1.0 / b).logpdf(x[:5]) for b in rate]
+        np.testing.assert_allclose(got[:, :5], want, rtol=1e-10, atol=0)
+        assert np.all(got[:, 5:] == -np.inf)
 
     def test_gamma_density_normalizes(self):
         params = GammaParams(2.5, 1.7)

@@ -147,7 +147,14 @@ class TestNormalWishart:
         want = [matrix_normal(a0, v, np.linalg.inv(w)).logpdf(a.reshape(k, n))
                 + WishartParams(s, 6.0).logpdf(w)
                 for a, w in zip(u["alpha"], u["sigma_inv"])]
-        np.testing.assert_allclose(nw.logpdf_batch(thetas), want, rtol=1e-10)
+        # off the cone: an indefinite W, and a negative-definite one whose
+        # determinant is positive (only the leading minor tells it apart)
+        off = nw.layout.pack_batch({"alpha": u["alpha"][:2],
+                                    "sigma_inv": np.array([[[1.0, 2.0], [2.0, 1.0]],
+                                                           [[-2.0, 0.5], [0.5, -1.0]]])})
+        got = nw.logpdf_batch(np.vstack([thetas, off]))
+        np.testing.assert_allclose(got[:20], want, rtol=1e-10)
+        assert np.all(got[20:] == -np.inf)
 
     def test_joint_fit_is_the_exact_posterior(self, small_var):
         prior, data = small_var
