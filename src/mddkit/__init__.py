@@ -33,8 +33,6 @@ from .modelapi import (
     SamplerConfig,
     VBResult,
     WeightingDensity,
-    elbo_monte_carlo,
-    log_posterior_kernel,
 )
 from .statscore import make_rng
 
@@ -50,6 +48,6 @@ __all__ = [
     "RepetitionSet", "BoundsSpec", "nse", "batch_means_se",
     "spectral_density_zero", "percent_in_bounds",
     "ModelKernel", "ParamLayout", "Block", "PosteriorDrawSet", "SamplerConfig",
-    "VBResult", "WeightingDensity", "log_posterior_kernel", "elbo_monte_carlo",
+    "VBResult", "WeightingDensity",
     "make_rng",
 ]

@@ -107,6 +107,18 @@ class ExperimentConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if (isinstance(self.upper_bound, bool) or not isinstance(self.upper_bound, numbers.Real)
+                or math.isnan(self.upper_bound)):
+            raise ConfigError(f"upper_bound must be a number, got {self.upper_bound!r}")
+        self.upper_bound = float(self.upper_bound)
+        if (not isinstance(self.estimators, list)
+                or not all(isinstance(e, str) for e in self.estimators)):
+            raise ConfigError(f"estimators must be a list of names, got {self.estimators!r}")
+        for name in ("synth", "options"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be a table of keys, got {getattr(self, name)!r}")
+        if not isinstance(self.data_csv, (str, type(None))):
+            raise ConfigError(f"data_csv must be a path, got {self.data_csv!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         try:
@@ -186,7 +198,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     if "model" not in mapping:
         raise ConfigError("model is required")
     mapping = {key: value for key, value in mapping.items()
-               if value or key not in ("estimators", "synth", "options")}
+               if key not in ("estimators", "synth", "options") or value not in ("", [], {})}
     if isinstance(mapping.get("estimators"), str):
         mapping["estimators"] = [mapping["estimators"]]
     return ExperimentConfig(**mapping)

@@ -32,8 +32,6 @@ __all__ = [
     "GibbsKernel",
     "ModelContext",
     "ModelSpec",
-    "log_posterior_kernel",
-    "elbo_monte_carlo",
     "run_gibbs",
     "stack_state",
     "read_panel_csv",
@@ -94,10 +92,6 @@ class ParamLayout:
             self.slices[b.name] = slice(offset, offset + b.size)
             offset += b.size
         self.dim = offset
-        self._by_name = {b.name: b for b in self.blocks}
-
-    def block(self, name: str) -> Block:
-        return self._by_name[name]
 
     @property
     def names(self) -> list[str]:
@@ -123,10 +117,6 @@ class ParamLayout:
     def pack_batch(self, values: dict) -> np.ndarray:
         n = len(np.asarray(values[self.blocks[0].name]))
         return self.pack_into(np.empty((n, self.dim)), values)
-
-    def unpack(self, theta: np.ndarray) -> dict:
-        return {k: (v[0] if np.ndim(v) and v.shape[0] == 1 else v)
-                for k, v in self.unpack_batch(np.atleast_2d(theta)).items()}
 
     def unpack_batch(self, thetas: np.ndarray) -> dict:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -480,7 +470,9 @@ def run_gibbs(kernel: GibbsKernel, state: dict, config: SamplerConfig, rngs, see
     units = {name: step.size // chains for name, step in steps.items()}
     rate_targets = {b.name: 0.44 if b.size == units[b.name] else 0.234
                     for b in blocks if b.name in steps}
-    accepted = {name: np.zeros(chains) for name in steps if name not in clamped}
+    # each proposal's accept count over the kept sweeps, reduced per chain after them
+    accepted = {name: np.zeros(step.shape, dtype=int) for name, step in steps.items()
+                if name not in clamped}
     burn_in, thin = config.burn_in, config.thin
     # the kept states' block values (sweeps bind new arrays, never write into
     # them), packed into the matrices _PACK_ROWS rows at a time
@@ -508,37 +500,24 @@ def run_gibbs(kernel: GibbsKernel, state: dict, config: SamplerConfig, rngs, see
                         steps[name] * np.exp(0.05 * (accept - rate_targets[name])), 1e-3, cap)
             continue
         for name, accept in decisions.items():
-            accepted[name] += np.count_nonzero(accept.reshape(chains, -1), axis=1) / units[name]
+            accepted[name] += accept
         if (it - burn_in) % thin == 0:
             kept.append([state[name] for name in names])
             if len(kept) == _PACK_ROWS:
                 pack()
     if kept:
         pack()
+    rates = {name: count.reshape(chains, -1).sum(axis=1) / (units[name] * config.draws * thin)
+             for name, count in accepted.items()}
     for c in range(chains):
-        for name, count in accepted.items():
-            rate = count[c] / (config.draws * thin)
-            if not 0.05 <= rate <= 0.95:
+        for name, rate in rates.items():
+            if not 0.05 <= rate[c] <= 0.95:
                 # stacklevel: the caller of the kernel's posterior_chains
-                warnings.warn(f"MH acceptance for {name} is {rate:.2f}", stacklevel=3)
+                warnings.warn(f"MH acceptance for {name} is {rate[c]:.2f}", stacklevel=3)
     return [PosteriorDrawSet(thetas[c], layout, seed=seeds[c], burn_in=burn_in, thin=thin,
                              latents=None if latents is None else latents[c],
                              latent_layout=latent_layout)
             for c in range(chains)]
-
-
-def log_posterior_kernel(model: ModelKernel, theta) -> float:
-    """ln p(y|theta) + ln p(theta); -inf outside the prior support."""
-    return float(model.log_kernel_batch(np.atleast_2d(theta))[0])
-
-
-def elbo_monte_carlo(model: ModelKernel, vb: VBResult, rng: np.random.Generator,
-                     num_draws: int = 20_000) -> tuple[float, float]:
-    """Monte Carlo ELBO oracle: mean and standard error of log k(theta) - log q(theta)
-    over i.i.d. draws from q. Used to validate closed-form lower bounds."""
-    draws = vb.sample(rng, num_draws)
-    vals = model.log_kernel_batch(draws) - vb.log_q(draws)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(num_draws))
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,8 @@ __all__ = [
     "GammaCaseInefficiency",
 ]
 
+_EXP_VB_TOL = 1e-8
+_EXP_VB_MAX_ITER = 500
 _GAMMA_VB_TOL = 1e-6
 _GAMMA_VB_MAX_ITER = 200
 
@@ -272,7 +274,7 @@ def _elbo_start(kernel, q_beta, q_sig, ebar, sum_e2, u_mean, u_m2) -> float:
 # exponential-case VB
 # ---------------------------------------------------------------------------
 
-def sfm_exp_vb(kernel: "SfmExpKernel", tol: float = 1e-8, max_iter: int = 500) -> VBResult:
+def sfm_exp_vb(kernel: "SfmExpKernel") -> VBResult:
     """Coordinate ascent for the exponential-inefficiency frontier model.
 
     Factors: normal (beta) x gamma (sigma^-2) x gamma (lambda) x product of
@@ -282,13 +284,11 @@ def sfm_exp_vb(kernel: "SfmExpKernel", tol: float = 1e-8, max_iter: int = 500) -
     integrated kernel's layout; the u factor serves the complete-data
     weighting.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     n = kernel.data.num_firms
     state, u_var = _vb_start(kernel), np.full(n, 0.5)
     trace = []
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_EXP_VB_MAX_ITER):
         q_beta, q_sig, ebar, sum_e2 = _beta_sigma_step(kernel, state, u_var)
         # the u conditional reads the residual means of E[beta] from the state
         state.update(beta=q_beta.mean, sigma_prec=q_sig.mean(), _ebar=ebar)
@@ -297,7 +297,7 @@ def sfm_exp_vb(kernel: "SfmExpKernel", tol: float = 1e-8, max_iter: int = 500) -
         q_u = kernel.full_conditional("u", state)
         state["u"], u_var = q_u.mean(), q_u.var()
         trace.append(_elbo_exp(kernel, q_beta, q_sig, q_lam, q_u, ebar, sum_e2))
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < _EXP_VB_TOL:
             converged = True
             break
 
@@ -520,7 +520,7 @@ def sfm_gamma_vb(kernel: "SfmGammaKernel") -> VBResult:
         # q(u): nonstandard factors
         slopes = e_lam - c * e_sig * t * ebar
         u_factors = GammaCaseInefficiency(state["theta"], t * e_sig, slopes)
-        state["u"], u_m2 = u_factors.moment(1), u_factors.moment(2)
+        state["u"], u_m2 = u_factors.mean(), u_factors.moment(2)
         u_var = u_factors.var()
         u_mean_log = u_factors.mean_log()
         # q(theta) on its grid

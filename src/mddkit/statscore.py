@@ -516,9 +516,6 @@ class MvNormalParams:
         const = -0.5 * (d * LOG_2PI + _chol_logdet(self._chol) + np.sum(pm * dev, axis=-1))
         return centre, np.concatenate([quad, pm], axis=-1), np.asarray(const)[..., None]
 
-    def logpdf(self, x) -> float:
-        return float(self.logpdf_batch(x)[0])
-
     def logpdf_batch(self, x: np.ndarray) -> np.ndarray:
         """ln density at the points x (points, n): shaped (points,), or
         (stack, points) for stacked parameters."""
@@ -613,9 +610,6 @@ class WishartParams:
     def _bartlett(self):
         """Lower Cholesky factor of inv(scale_inv), the Bartlett draw's scale."""
         return safe_cholesky(_inverse_from_cholesky(self._chol_s))
-
-    def logpdf(self, w) -> float:
-        return float(self.logpdf_batch(w)[0])
 
     def logpdf_batch(self, w: np.ndarray) -> np.ndarray:
         """ln density at the matrices w (points, n, n): shaped (points,), or
@@ -719,9 +713,6 @@ class GammaParams:
         if not (_all_positive(self.shape) and _all_positive(self.rate)):
             raise ValueError("gamma shape and rate must be strictly positive")
 
-    def logpdf(self, x) -> float:
-        return float(self.logpdf_batch(np.atleast_1d(np.asarray(x, dtype=float)))[0])
-
     @cached_property
     def _natural(self):
         """The coefficients [a - 1, -b] of the sufficient statistics [ln x, x],
@@ -738,7 +729,8 @@ class GammaParams:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.inner(coef, np.stack([np.log(x), x], axis=-1))
         out += const
-        return np.where(x > 0, out, -np.inf)
+        np.copyto(out, -np.inf, where=~(x > 0))
+        return out
 
     def take(self, indices) -> "GammaParams":
         """The stacked distributions at ``indices``; an unstacked (scalar)
@@ -852,9 +844,6 @@ class TruncNormalParams:
         a = self._alpha
         return self._out(0.5 * (LOG_2PI + 1.0) + np.log(self.scale) + log_ndtr(a)
                          - 0.5 * a * self._mills)
-
-    def logpdf(self, x) -> float:
-        return float(self.logpdf_batch(np.atleast_1d(np.asarray(x, dtype=float)))[0])
 
     def logpdf_batch(self, x: np.ndarray) -> np.ndarray:
         """ln density at x, broadcast against the parameters (-inf below 0)."""

@@ -44,7 +44,6 @@ __all__ = [
     "NormalWishart",
     "var_exact_posterior",
     "var_exact_log_mdd",
-    "var_vb_conjugate",
     "var_vb_independent",
     "var_synthetic",
     "var_read_csv",
@@ -254,27 +253,12 @@ def _log_evidence(prior: NormalWishart, post: NormalWishart, data: VarData) -> f
 # VB: conjugate prior
 # ---------------------------------------------------------------------------
 
-def var_vb_conjugate(prior: VarConjugatePrior, data: VarData,
-                     factorized: bool = True) -> VBResult:
-    """Closed-form VB for the conjugate VAR.
-
-    ``factorized=False`` keeps the joint normal-Wishart family, which
-    reproduces the exact posterior; its bound then equals the exact log
-    evidence. The factorized fit breaks the coefficient/precision coupling
-    and its bound sits strictly below.
-    """
-    return VarConjugateKernel(prior, data).vb_fit(factorized)
-
-
-def _vb_conjugate(kernel: "VarConjugateKernel", factorized: bool) -> VBResult:
-    """:func:`var_vb_conjugate` of the kernel, from its exact posterior."""
+def _vb_conjugate(kernel: "VarConjugateKernel") -> VBResult:
+    """Closed-form factorized VB for the conjugate VAR, from the kernel's exact
+    posterior. The factorization breaks the coefficient/precision coupling,
+    so the bound sits strictly below the exact log evidence."""
     data, post = kernel.data, kernel._post
     n = data.N
-    hyper = {"A": post.A, "V": post.V, "S": post.S, "nu": post.nu}
-    if not factorized:
-        # q is the exact normal-Wishart posterior itself, no product of factors
-        elbo = _elbo_conjugate_joint(kernel)
-        return VBResult(hyper, np.array([elbo]), post.logpdf_batch, post.sample, True)
     nu_q = post.nu + data.K
     if not nu_q - n - 1.0 > 0:
         raise ConfigError("factorized VB needs nu* > N + 1")
@@ -288,31 +272,8 @@ def _vb_conjugate(kernel: "VarConjugateKernel", factorized: bool) -> VBResult:
             + q_w.entropy() + post.wishart.expected_logpdf(q_w.mean(), q_w.mean_logdet))
     # vec(A) row by row, as alpha stacks it: covariance V kron col_cov
     factors = {"alpha": MvNormalParams(post.A.ravel(), _kron(post.V, col_cov)), "sigma_inv": q_w}
-    hyper.update(S=s_q, nu=nu_q, col_cov=col_cov)
+    hyper = {"A": post.A, "V": post.V, "S": s_q, "nu": nu_q, "col_cov": col_cov}
     return VBResult.mean_field(_var_layout(n, data.K), factors, [elbo], hyper, True)
-
-
-def _elbo_conjugate_joint(kernel) -> float:
-    """E_q ln p(y, theta) - E_q ln q(theta) with q the exact NW posterior."""
-    data, post, nw0 = kernel.data, kernel._post, kernel._nw0
-    n, k, t = data.N, data.K, data.T
-    e_w = post.nu * np.linalg.inv(post.S)
-    elog_det = post.wishart.mean_logdet
-    resid = data.Y - data.X @ post.A
-    dev = post.A - nw0.A
-
-    val = (-0.5 * t * n * LOG_2PI + 0.5 * t * elog_det
-           - 0.5 * (float(np.sum(e_w * (resid.T @ resid).T))
-                    + n * float(np.trace(kernel._xtx @ post.V))))
-    val += (-0.5 * k * n * LOG_2PI + 0.5 * k * elog_det - 0.5 * n * _logdet(nw0.V)
-            - 0.5 * (float(np.sum(e_w * (dev.T @ nw0._v_inv @ dev).T))
-                     + n * float(np.trace(nw0._v_inv @ post.V))))
-    val += nw0.wishart.expected_logpdf(e_w, elog_det)
-    # E[ln q(A|W)] = -KN/2 ln 2pi - N/2 ln|V| + K/2 E ln|W| - KN/2
-    val -= (-0.5 * k * n * LOG_2PI - 0.5 * n * _logdet(post.V) + 0.5 * k * elog_det
-            - 0.5 * k * n)
-    val += post.wishart.entropy()
-    return float(val)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +416,8 @@ class VarConjugateKernel(_VarKernelBase):
                                  nw0.nu + self.data.T + self.data.K)
         raise KeyError(name)
 
-    def vb_fit(self, factorized: bool = True) -> VBResult:
-        return _vb_conjugate(self, factorized)
+    def vb_fit(self) -> VBResult:
+        return _vb_conjugate(self)
 
     def exact_log_mdd(self) -> float:
         return var_exact_log_mdd(self.prior, self.data)

@@ -21,6 +21,7 @@ from mddkit import var as var_mod
 from mddkit.harness import ExperimentConfig, emit_outputs, run_experiment
 from mddkit.modelapi import SamplerConfig
 from mddkit.statscore import make_rng, quadrature_1d
+from oracles import var_joint_family_bound
 from toys import ToyNormalGammaKernel
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -86,9 +87,9 @@ def test_criterion_02_no_factorization_equivalence():
     coeffs = np.array([[0.1, -0.2], [0.5, 0.1], [0.2, 0.4]])
     data = var_mod.var_synthetic(7, 2, 80, 1, coeffs, np.eye(2))
     prior = var_mod.VarConjugatePrior(np.zeros((3, 2)), 10 * np.eye(3), np.eye(2), 4.0)
-    vb = var_mod.var_vb_conjugate(prior, data, factorized=False)
+    bound = var_joint_family_bound(var_mod.VarConjugateKernel(prior, data))
     exact = var_mod.var_exact_log_mdd(prior, data)
-    assert vb.elbo == pytest.approx(exact, abs=1e-6)
+    assert bound == pytest.approx(exact, abs=1e-6)
     _ok(2, "joint-family bound equals exact evidence")
 
 
@@ -97,7 +98,7 @@ def test_criterion_03_lower_bound_law(sfm_exp_fixture):
     coeffs = np.array([[0.1, -0.2], [0.5, 0.1], [0.2, 0.4]])
     var_data = var_mod.var_synthetic(7, 2, 80, 1, coeffs, np.eye(2))
     var_prior = var_mod.VarConjugatePrior(np.zeros((3, 2)), 10 * np.eye(3), np.eye(2), 4.0)
-    vb_c = var_mod.var_vb_conjugate(var_prior, var_data)
+    vb_c = var_mod.VarConjugateKernel(var_prior, var_data).vb_fit()
     assert vb_c.elbo <= var_mod.var_exact_log_mdd(var_prior, var_data)
 
     # VAR independent prior
@@ -288,11 +289,13 @@ def test_criterion_09_gamma_special_functions():
     _ok(9, "nonstandard factor normalization and moment ratios")
 
 
-def test_criterion_10_lpm_micro_oracle():
+def test_criterion_10_lpm_micro_oracle(monkeypatch):
     data = lpm_mod.lpm_synthetic(32, 2, 2, 1, 1, [0.3], [0.2], [[0.3]])
     prior = lpm_mod.LpmPrior([0.0], [[4.0]], [0.2], [[1e-8]], [[0.3e8]], 1e8)
     kernel = lpm_mod.LpmKernel(prior, data, nodes=41)
-    vb = lpm_mod.lpm_vb(lpm_mod.LpmKernel(prior, data), tol=1e-10, max_iter=2000)
+    monkeypatch.setattr(lpm_mod, "_VB_TOL", 1e-10)
+    monkeypatch.setattr(lpm_mod, "_VB_MAX_ITER", 2000)
+    vb = lpm_mod.lpm_vb(lpm_mod.LpmKernel(prior, data))
 
     def subject_integral(beta, i):
         t = data.num_periods

@@ -113,6 +113,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{name} must be an integer, got "):
             ExperimentConfig(model="var-conjugate", **counts)
 
+    # each as the config grammar parses its one bad line
+    @pytest.mark.parametrize("mapping", [{"upper_bound": True}, {"upper_bound": "abc"},
+                                         {"upper_bound": math.nan}, {"estimators": 3},
+                                         {"synth": 5}, {"synth": 0}, {"options": "abc"},
+                                         {"data_csv": 7}])
+    def test_values_of_the_wrong_type_rejected(self, mapping):
+        name = next(iter(mapping))
+        with pytest.raises(ConfigError, match=f"{name} must be "):
+            config_from_mapping({"model": "var-conjugate", **mapping})
+
+    def test_upper_bound_is_stored_as_float(self):
+        assert repr(ExperimentConfig(model="var-conjugate", upper_bound=-3).upper_bound) == "-3.0"
+
     def test_zero_draw_counts_mean_unset(self):
         ExperimentConfig(model="var-conjugate", is_draws=0, weighting_draws=0)
 
@@ -554,6 +567,14 @@ class TestCli:
         assert rc == 2
         assert f"{line.split()[0]} must be " in capsys.readouterr().err
         assert not (tmp_path / "o7").exists()
+
+    def test_value_of_the_wrong_type_is_config_error(self, tmp_path, capsys):
+        conf = tmp_path / "exp.conf"
+        conf.write_text("model = var-conjugate\nupper_bound = true\n")
+        rc = cli_main(["experiment", "--config", str(conf), "--out", str(tmp_path / "o10")])
+        assert rc == 2
+        assert "configuration error: upper_bound must be " in capsys.readouterr().err
+        assert not (tmp_path / "o10").exists()
 
     def test_upper_bound_below_vb_bound_is_config_error(self, tmp_path, capsys, monkeypatch):
         def no_chains(*args):

@@ -12,7 +12,7 @@ from scipy.special import gammaln
 from mddkit import harness, sfm, statscore
 from mddkit.errors import ConfigError
 from mddkit.estimators import _default_theta_star, _reduced_run, chib_estimate, ris_estimate
-from mddkit.modelapi import SamplerConfig, elbo_monte_carlo
+from mddkit.modelapi import SamplerConfig
 from mddkit.sfm import (
     GammaCaseInefficiency,
     SfmData,
@@ -29,6 +29,7 @@ from mddkit.sfm import (
 )
 from mddkit.sfm import make_sfm_exp_cdl_weighting, make_sfm_gamma_cdl_weighting
 from mddkit.statscore import TruncNormalParams, ln_parabolic_cylinder_d, make_rng, quadrature_1d
+from oracles import elbo_monte_carlo
 
 
 @pytest.fixture(scope="module")
@@ -95,11 +96,13 @@ class TestIntegratedLikelihood:
 
 
 class TestExpVb:
-    def test_shape_updates_are_count_based(self):
+    def test_shape_updates_are_count_based(self, monkeypatch):
         data = sfm_synthetic(13, 43, 4, 2, "exponential", [1.0, 0.3], 0.04, 2.0)
         prior = SfmExpPrior(np.zeros(2), 4 * np.eye(2), 1.0, 0.1, 1.0, 1.0)
+        monkeypatch.setattr(sfm, "_EXP_VB_MAX_ITER", 3)
+        monkeypatch.setattr(sfm, "_EXP_VB_TOL", 1e-30)
         with pytest.warns(UserWarning, match="max_iter"):
-            vb = sfm_exp_vb(SfmExpKernel(prior, data), max_iter=3, tol=1e-30)
+            vb = sfm_exp_vb(SfmExpKernel(prior, data))
         assert vb.factors["sigma_prec"].shape == 1.0 + 0.5 * 43 * 4 == 87.0
         assert vb.factors["lam"].shape == 1.0 + 43 == 44.0
 

@@ -10,7 +10,7 @@ from mddkit import var as var_mod
 from mddkit.errors import ConfigError
 from mddkit.estimators import make_vb_weighting, ris_estimate
 from mddkit.harness import ExperimentConfig, build_context
-from mddkit.modelapi import SamplerConfig, elbo_monte_carlo
+from mddkit.modelapi import SamplerConfig
 from mddkit.statscore import (
     WishartParams,
     _logdet,
@@ -29,9 +29,9 @@ from mddkit.var import (
     var_exact_posterior,
     var_read_csv,
     var_synthetic,
-    var_vb_conjugate,
     var_vb_independent,
 )
+from oracles import elbo_monte_carlo, var_joint_family_bound
 
 
 
@@ -145,7 +145,7 @@ class TestNormalWishart:
         thetas[:10, :k * n] += rng.standard_normal((10, k * n))  # off the bulk too
         u = nw.layout.unpack_batch(thetas)
         want = [matrix_normal(a0, v, np.linalg.inv(w)).logpdf(a.reshape(k, n))
-                + WishartParams(s, 6.0).logpdf(w)
+                + WishartParams(s, 6.0).logpdf_batch(w)[0]
                 for a, w in zip(u["alpha"], u["sigma_inv"])]
         # off the cone: an indefinite W, and a negative-definite one whose
         # determinant is positive (only the leading minor tells it apart)
@@ -156,21 +156,12 @@ class TestNormalWishart:
         np.testing.assert_allclose(got[:20], want, rtol=1e-10)
         assert np.all(got[20:] == -np.inf)
 
-    def test_joint_fit_is_the_exact_posterior(self, small_var):
-        prior, data = small_var
-        post = var_exact_posterior(prior, data)
-        vb = var_vb_conjugate(prior, data, factorized=False)
-        kernel = VarConjugateKernel(prior, data)
-        draws = kernel.posterior_sampler(SamplerConfig(draws=50), make_rng(71))
-        assert np.array_equal(vb.sample(make_rng(71), 50), draws.thetas)
-        assert np.array_equal(vb.log_q(draws.thetas), post.logpdf_batch(draws.thetas))
-
 
 class TestConjugateVb:
     def test_joint_family_reproduces_exact_evidence(self, small_var):
         prior, data = small_var
-        vb = var_vb_conjugate(prior, data, factorized=False)
-        assert vb.elbo == pytest.approx(var_exact_log_mdd(prior, data), abs=1e-6)
+        bound = var_joint_family_bound(VarConjugateKernel(prior, data))
+        assert bound == pytest.approx(var_exact_log_mdd(prior, data), abs=1e-6)
 
     def test_dof_arithmetic(self):
         # T=200, p=4, N=7, prior dof 9 -> factor dof 238
@@ -178,7 +169,7 @@ class TestConjugateVb:
 
     def test_factorized_bound_below_exact(self, small_var):
         prior, data = small_var
-        vb = var_vb_conjugate(prior, data)
+        vb = VarConjugateKernel(prior, data).vb_fit()
         exact = var_exact_log_mdd(prior, data)
         assert vb.elbo < exact
         # regression value for the seed-pinned gap on this fixture
@@ -197,14 +188,14 @@ class TestConjugateVb:
             cases.append((VarConjugatePrior(np.zeros((k, n)), 10 * np.eye(k), np.eye(n), nu0),
                           data))
         for prior, data in cases:
-            vb = var_vb_conjugate(prior, data)
+            vb = VarConjugateKernel(prior, data).vb_fit()
             assert vb.elbo == pytest.approx(var_vblb_conjugate_closed_form(prior, data),
                                             abs=1e-9), (data.N, data.p, prior.nu0)
 
     def test_factorized_alpha_factor_is_matric_normal(self, small_var):
         # q(alpha) = MN(A, V, col_cov): vec(A) row by row with covariance V kron col_cov
         prior, data = small_var
-        vb = var_vb_conjugate(prior, data)
+        vb = VarConjugateKernel(prior, data).vb_fit()
         k, n = data.K, data.N
         oracle = matrix_normal(vb.hyper["A"], vb.hyper["V"], vb.hyper["col_cov"])
         points = vb.factors["alpha"].sample(make_rng(73), 30)
@@ -214,14 +205,14 @@ class TestConjugateVb:
 
     def test_factorized_mean_equals_exact_mean(self, small_var):
         prior, data = small_var
-        vb = var_vb_conjugate(prior, data)
+        vb = VarConjugateKernel(prior, data).vb_fit()
         post = var_exact_posterior(prior, data)
         assert np.array_equal(vb.hyper["A"], post.A)
 
     def test_bound_confirmed_by_monte_carlo(self, small_var):
         prior, data = small_var
         kernel = VarConjugateKernel(prior, data)
-        vb = var_vb_conjugate(prior, data)
+        vb = VarConjugateKernel(prior, data).vb_fit()
         mean, se = elbo_monte_carlo(kernel, vb, make_rng(55), 50_000)
         assert vb.elbo == pytest.approx(mean, abs=4 * se + 1e-9)
 
@@ -236,19 +227,25 @@ class TestConjugateVb:
         assert len(calls) == 2
         prior, data = ctx.kernel.prior, ctx.kernel.data
         assert ctx.exact == var_exact_log_mdd(prior, data)
-        for factorized in (True, False):
-            fit, ref = ctx.kernel.vb_fit(factorized), var_vb_conjugate(prior, data, factorized)
-            assert np.array_equal(fit.elbo_trace, ref.elbo_trace)
-            draws = fit.sample(make_rng(72), 20)
-            assert np.array_equal(draws, ref.sample(make_rng(72), 20))
-            assert np.array_equal(fit.log_q(draws), ref.log_q(draws))
+        fit, ref = ctx.kernel.vb_fit(), VarConjugateKernel(prior, data).vb_fit()
+        assert np.array_equal(fit.elbo_trace, ref.elbo_trace)
+        draws = fit.sample(make_rng(72), 20)
+        assert np.array_equal(draws, ref.sample(make_rng(72), 20))
+        assert np.array_equal(fit.log_q(draws), ref.log_q(draws))
+        # the joint family: q is the exact posterior itself
+        post, ref_post = ctx.kernel._post, var_exact_posterior(prior, data)
+        assert var_joint_family_bound(ctx.kernel) == var_joint_family_bound(
+            VarConjugateKernel(prior, data))
+        draws = post.sample(make_rng(72), 20)
+        assert np.array_equal(draws, ref_post.sample(make_rng(72), 20))
+        assert np.array_equal(post.logpdf_batch(draws), ref_post.logpdf_batch(draws))
 
     def test_dof_guard(self):
         # factor dof T + 1 + pN + nu0 = 2.2 fails the > N + 1 = 3 requirement
         data = VarData(np.zeros((0, 2)), np.zeros((0, 1)), 0)
         prior = VarConjugatePrior(np.zeros((1, 2)), np.eye(1), np.eye(2), 1.2)
         with pytest.raises(ConfigError):
-            var_vb_conjugate(prior, data)
+            VarConjugateKernel(prior, data).vb_fit()
 
 
 @pytest.fixture(scope="module")
@@ -324,12 +321,12 @@ class TestLikelihood:
         # det(-I_2) > 0: only the leading minors show it is off the SPD cone
         prior, data = small_var
         w = np.stack([np.eye(2), -np.eye(2)])
-        joint_vb = var_vb_conjugate(prior, data, factorized=False)
+        post = var_exact_posterior(prior, data)
         for kernel in _var_kernels(small_var):
             thetas = kernel.layout.pack_batch({"alpha": np.zeros((2, data.K * data.N)),
                                                "sigma_inv": w})
             for out in (kernel.log_likelihood_batch(thetas), kernel.log_prior_batch(thetas),
-                        joint_vb.log_q(thetas)):
+                        post.logpdf_batch(thetas)):
                 assert np.isfinite(out[0]) and out[1] == -np.inf, type(kernel).__name__
 
 
