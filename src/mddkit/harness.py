@@ -228,7 +228,6 @@ def sample_chains(ctx: ModelContext, config: ExperimentConfig, reps) -> list:
     sampler_cfg = SamplerConfig(draws=config.draws, burn_in=config.burn_in, thin=config.thin)
     return ctx.kernel.posterior_chains(sampler_cfg,
                                        [make_rng(config.base_seed, rep, 0) for rep in reps],
-                                       [(config.base_seed, rep) for rep in reps],
                                        **ctx.sampler_kwargs)
 
 

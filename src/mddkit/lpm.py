@@ -23,6 +23,7 @@ from .modelapi import (
     ModelSpec,
     ParamLayout,
     VBResult,
+    check_prior_factors,
     read_panel_csv,
     stack_state,
 )
@@ -38,7 +39,6 @@ from .statscore import (
 
 __all__ = [
     "LpmData",
-    "LpmPrior",
     "lpm_vb",
     "lpm_loglik_integrated",
     "lpm_synthetic",
@@ -50,10 +50,11 @@ __all__ = [
 _VB_TOL = 1e-6
 _VB_MAX_ITER = 500
 _VB_DAMPING = 0.5  # the weight of each sweep's fixed-point update
+_GH_NODES = 31  # Gauss-Hermite nodes per random-effect dimension
 
 
 # ---------------------------------------------------------------------------
-# data and prior
+# data
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -112,28 +113,6 @@ def default_offsets(num_subjects: int, num_periods: int) -> np.ndarray:
     row = np.full(num_periods, math.log(2.0))
     row[0] = math.log(8.0)
     return np.tile(row, num_subjects)
-
-
-@dataclass
-class LpmPrior:
-    beta0: np.ndarray
-    Vbeta0: np.ndarray
-    mu0: np.ndarray
-    Vmu0: np.ndarray
-    S0: np.ndarray
-    nu0: float
-
-    def __post_init__(self):
-        self.beta0 = np.asarray(self.beta0, dtype=float).ravel()
-        self.Vbeta0 = np.atleast_2d(np.asarray(self.Vbeta0, dtype=float))
-        self.mu0 = np.asarray(self.mu0, dtype=float).ravel()
-        self.Vmu0 = np.atleast_2d(np.asarray(self.Vmu0, dtype=float))
-        self.S0 = np.atleast_2d(np.asarray(self.S0, dtype=float))
-        safe_cholesky(self.Vbeta0)
-        safe_cholesky(self.Vmu0)
-        m = self.S0.shape[0]
-        if not self.nu0 > m - 1:
-            raise ValueError("Wishart dof must exceed m - 1")
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +249,15 @@ def _product_grid(nodes: int, m: int):
             np.sum([a.ravel() for a in terms], axis=0)[:, None, None])
 
 
-def lpm_loglik_integrated(beta, mu, sigma_inv, data: LpmData, nodes: int = 31):
+def lpm_loglik_integrated(beta, mu, sigma_inv, data: LpmData):
     """ln p(y | beta, mu, Sigma) with the random effects integrated out by
-    adaptive Gauss-Hermite centered at each subject's conditional mode.
+    adaptive Gauss-Hermite (``_GH_NODES`` per dimension) centered at each
+    subject's conditional mode.
 
     Supports m <= 2; batched over aligned (beta, mu, sigma_inv) draws, -inf
     where sigma_inv is not SPD. The rows are integrated in blocks of at most
     ``_BLOCK_ELEMENTS`` rows x subjects x nodes^m.
     """
-    if nodes < 21:
-        raise ValueError("need at least 21 Gauss-Hermite nodes")
     if data.m > 2:
         raise ConfigError("integrated likelihood supports m <= 2")
     n, m = data.num_subjects, data.m
@@ -289,7 +267,7 @@ def lpm_loglik_integrated(beta, mu, sigma_inv, data: LpmData, nodes: int = 31):
     log_y_fact = float(np.sum(gammaln(data.y + 1.0)))
     spd, logdet_w = _spd_slogdet(sigma_inv)
     out = np.full(beta.shape[0], -np.inf)
-    grid, node_terms = _product_grid(nodes, m)
+    grid, node_terms = _product_grid(_GH_NODES, m)
     groups = np.unique(data.z.transpose(1, 0, 2), axis=0, return_inverse=True)
     rows = np.flatnonzero(spd)
     size = max(1, _BLOCK_ELEMENTS // (n * node_terms.size))
@@ -421,21 +399,17 @@ def _lpm_layout(k: int, m: int) -> ParamLayout:
 
 
 class LpmKernel(GibbsKernel):
-    """Poisson panel with the random effects integrated out numerically."""
+    """Poisson panel with the random effects integrated out numerically;
+    ``prior_factors`` holds normals for beta and mu and a Wishart for Sigma^-1."""
 
     conditional_blocks = ["mu", "sigma_inv"]
 
-    def __init__(self, prior: LpmPrior, data: LpmData, nodes: int = 31):
-        if prior.beta0.size != data.k or prior.mu0.size != data.m:
-            raise ConfigError("prior dimensions do not match the design")
-        self.prior = prior
+    def __init__(self, prior_factors: dict, data: LpmData):
+        self.prior_factors = check_prior_factors(
+            prior_factors, {"beta": data.k, "mu": data.m, "sigma_inv": data.m})
         self.data = data
-        self.nodes = nodes
         self.layout = _lpm_layout(data.k, data.m)
         self.latent_layout = ParamLayout([Block("u", (data.num_subjects, data.m))])
-        self.prior_factors = {"beta": MvNormalParams(prior.beta0, prior.Vbeta0),
-                              "mu": MvNormalParams(prior.mu0, prior.Vmu0),
-                              "sigma_inv": WishartParams(prior.S0, prior.nu0)}
         # the counts and the offsets with a leading chain axis: in a stack of
         # one they meet the states' arrays without broadcasting
         self._y_nt = data.y.reshape(1, data.num_subjects, data.num_periods)
@@ -443,8 +417,7 @@ class LpmKernel(GibbsKernel):
 
     def log_likelihood_batch(self, thetas):
         u = self.layout.unpack_batch(thetas)
-        return lpm_loglik_integrated(u["beta"], u["mu"], u["sigma_inv"],
-                                     self.data, nodes=self.nodes)
+        return lpm_loglik_integrated(u["beta"], u["mu"], u["sigma_inv"], self.data)
 
     def _poisson_loglik_per_subject(self, xb, zu):
         """Complete-data Poisson log likelihood less the ln y! terms, per subject,
@@ -629,11 +602,11 @@ def _load(data_csv, synth, options):
 
 def _kernel(data: LpmData, options) -> LpmKernel:
     dof = options["prior_dof"]
-    prior = LpmPrior(np.zeros(data.k), 4.0 * np.eye(data.k),
-                     np.zeros(data.m), 4.0 * np.eye(data.m),
-                     np.eye(data.m) * float(options["prior_scale_sigma"]),
-                     data.m + 2.0 if dof is None else float(dof))
-    return LpmKernel(prior, data)
+    sigma_inv = WishartParams(np.eye(data.m) * float(options["prior_scale_sigma"]),
+                              data.m + 2.0 if dof is None else float(dof))
+    return LpmKernel({"beta": MvNormalParams(np.zeros(data.k), 4.0 * np.eye(data.k)),
+                      "mu": MvNormalParams(np.zeros(data.m), 4.0 * np.eye(data.m)),
+                      "sigma_inv": sigma_inv}, data)
 
 
 MODELS = {

@@ -28,6 +28,7 @@ __all__ = [
     "VBResult",
     "WeightingDensity",
     "product_density",
+    "check_prior_factors",
     "ModelKernel",
     "GibbsKernel",
     "ModelContext",
@@ -215,13 +216,11 @@ class SamplerConfig:
 
 @dataclass
 class PosteriorDrawSet:
-    """Ordered posterior draws with reproducibility metadata."""
+    """Ordered posterior draws and the burn-in that preceded them."""
 
     thetas: np.ndarray  # (S, n)
     layout: ParamLayout
-    seed: object
     burn_in: int = 0
-    thin: int = 1
     latents: np.ndarray | None = None  # (S, m) aligned latent draws
     latent_layout: ParamLayout | None = None
 
@@ -247,8 +246,8 @@ class PosteriorDrawSet:
         if (self.latents is None or layout.names != self.layout.names + self.latent_layout.names
                 or layout.dim != self.layout.dim + self.latent_layout.dim):
             raise ValueError(f"layout {layout.names} is not the draws' blocks then latents")
-        return PosteriorDrawSet(np.hstack([self.thetas, self.latents]), layout, seed=self.seed,
-                                burn_in=self.burn_in, thin=self.thin)
+        return PosteriorDrawSet(np.hstack([self.thetas, self.latents]), layout,
+                                burn_in=self.burn_in)
 
 
 def product_density(layout: ParamLayout, factors: dict):
@@ -272,6 +271,17 @@ def product_density(layout: ParamLayout, factors: dict):
         return layout.pack_batch({name: factors[name].sample(rng, size) for name in names})
 
     return log_eval, sample
+
+
+def check_prior_factors(factors: dict, dims: dict) -> dict:
+    """A copy of ``factors``, a kernel's prior density by block name, once its
+    names are those of ``dims`` and each factor's ``dim`` is the one ``dims``
+    gives (None: a scalar block, whose factor has none); else ConfigError."""
+    if sorted(factors) != sorted(dims):
+        raise ConfigError(f"prior_factors has blocks {sorted(factors)}, expected {sorted(dims)}")
+    if any(dim is not None and factors[name].dim != dim for name, dim in dims.items()):
+        raise ConfigError("prior dimensions do not match the data")
+    return dict(factors)
 
 
 @dataclass
@@ -372,15 +382,14 @@ class ModelKernel:
         """
         raise UnsupportedModelError(f"{type(self).__name__} exposes no conditional for {name!r}")
 
-    def posterior_sampler(self, config: SamplerConfig, rng: np.random.Generator,
-                          seed=None) -> PosteriorDrawSet:
+    def posterior_sampler(self, config: SamplerConfig,
+                          rng: np.random.Generator) -> PosteriorDrawSet:
         raise NotImplementedError
 
-    def posterior_chains(self, config: SamplerConfig, rngs, seeds, **kwargs) -> list:
+    def posterior_chains(self, config: SamplerConfig, rngs, **kwargs) -> list:
         """One chain per generator: chain c is ``posterior_sampler(config,
-        rngs[c], seeds[c], **kwargs)``, drawn chain by chain here."""
-        return [self.posterior_sampler(config, rng, seed, **kwargs)
-                for rng, seed in zip(rngs, seeds)]
+        rngs[c], **kwargs)``, drawn chain by chain here."""
+        return [self.posterior_sampler(config, rng, **kwargs) for rng in rngs]
 
     def vb_fit(self) -> VBResult:
         raise UnsupportedModelError(f"{type(self).__name__} has no VB fit wired")
@@ -415,14 +424,14 @@ class GibbsKernel(ModelKernel):
                 state[name] = value.reshape(np.shape(state[name]))
         return {}
 
-    def posterior_chains(self, config: SamplerConfig, rngs, seeds, **kwargs) -> list:
+    def posterior_chains(self, config: SamplerConfig, rngs, **kwargs) -> list:
         """The chains of all generators advanced together by :func:`run_gibbs`."""
-        return run_gibbs(self, self.gibbs_start(len(rngs), **kwargs), config, rngs, seeds)
+        return run_gibbs(self, self.gibbs_start(len(rngs), **kwargs), config, rngs)
 
     def posterior_sampler(self, config: SamplerConfig, rng: np.random.Generator,
-                          seed=None, **kwargs) -> PosteriorDrawSet:
+                          **kwargs) -> PosteriorDrawSet:
         """One chain: :meth:`posterior_chains` with a stack of one."""
-        return self.posterior_chains(config, [rng], [seed], **kwargs)[0]
+        return self.posterior_chains(config, [rng], **kwargs)[0]
 
 
 def stack_state(state: dict, chains: int) -> dict:
@@ -435,14 +444,13 @@ def stack_state(state: dict, chains: int) -> dict:
 _PACK_ROWS = 256
 
 
-def run_gibbs(kernel: GibbsKernel, state: dict, config: SamplerConfig, rngs, seeds=None,
+def run_gibbs(kernel: GibbsKernel, state: dict, config: SamplerConfig, rngs,
               clamped=frozenset()) -> list:
     """The one Gibbs driver: one chain per generator in ``rngs``, all advanced
     by each sweep. ``config.burn_in`` sweeps from the stack of states
     ``state``, then ``config.draws`` kept states, one every ``config.thin``
     sweeps, packed into each chain's draw matrix (and latent matrix, if any)
-    a block of rows at a time; returns one draw set per chain, with its seed
-    from ``seeds``.
+    a block of rows at a time; returns one draw set per chain.
 
     ``kernel.gibbs_sweep(state, rngs, clamped, steps)`` draws every block not
     in ``clamped`` and binds it to a new value, never mutating one in place;
@@ -456,7 +464,6 @@ def run_gibbs(kernel: GibbsKernel, state: dict, config: SamplerConfig, rngs, see
     by chain.
     """
     chains = len(rngs)
-    seeds = [None] * chains if seeds is None else seeds
     layout, latent_layout = kernel.layout, kernel.latent_layout
     # each chain owns its matrices, so a chain's draws are freed with its draw set
     thetas = [np.empty((config.draws, layout.dim)) for _ in range(chains)]
@@ -514,7 +521,7 @@ def run_gibbs(kernel: GibbsKernel, state: dict, config: SamplerConfig, rngs, see
             if not 0.05 <= rate[c] <= 0.95:
                 # stacklevel: the caller of the kernel's posterior_chains
                 warnings.warn(f"MH acceptance for {name} is {rate[c]:.2f}", stacklevel=3)
-    return [PosteriorDrawSet(thetas[c], layout, seed=seeds[c], burn_in=burn_in, thin=thin,
+    return [PosteriorDrawSet(thetas[c], layout, burn_in=burn_in,
                              latents=None if latents is None else latents[c],
                              latent_layout=latent_layout)
             for c in range(chains)]
@@ -564,18 +571,23 @@ def read_panel_csv(path, unit: str, value: str):
     import csv
 
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
+        header, *rows = list(csv.reader(fh)) or [[]]
     if header[:3] != [f"{unit}_id", "period", value]:
         raise ConfigError(f"{path}: header must start with {unit}_id,period,{value}")
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
     records = {}
     for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ConfigError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
         try:
             vals = [float(v) for v in row[2:]]
         except ValueError as exc:
             raise ConfigError(f"{path}: bad cell in row {i + 2}: {exc}") from exc
-        records.setdefault(row[0], {})[row[1]] = vals
+        unit_rows = records.setdefault(row[0], {})
+        if row[1] in unit_rows:
+            raise ConfigError(f"{path}: row {i + 2} repeats {unit} {row[0]} period {row[1]}")
+        unit_rows[row[1]] = vals
     units = sorted(records)
     periods = sorted({p for r in records.values() for p in r})
     for label in units:

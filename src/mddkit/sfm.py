@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 from scipy.special import gammaln, log_ndtr
 
-from .errors import ConfigError, NumericError
+from .errors import NumericError
 from .modelapi import (
     Block,
     GibbsKernel,
@@ -26,6 +26,7 @@ from .modelapi import (
     ParamLayout,
     VBResult,
     WeightingDensity,
+    check_prior_factors,
     product_density,
     read_panel_csv,
     stack_state,
@@ -39,13 +40,10 @@ from .statscore import (
     ln_parabolic_cylinder_d,
     log_sum_exp,
     quadrature_expectations,
-    safe_cholesky,
 )
 
 __all__ = [
     "SfmData",
-    "SfmExpPrior",
-    "SfmGammaPrior",
     "sfm_exp_vb",
     "sfm_gamma_vb",
     "sfm_exp_integrated_loglik",
@@ -66,7 +64,7 @@ _GAMMA_VB_MAX_ITER = 200
 
 
 # ---------------------------------------------------------------------------
-# data and priors
+# data
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -97,48 +95,6 @@ class SfmData:
     @property
     def k(self) -> int:
         return self.x.shape[1]
-
-
-@dataclass
-class SfmExpPrior:
-    """beta ~ N, sigma^-2 ~ Gamma, lambda ~ Gamma (shape/rate)."""
-
-    beta0: np.ndarray
-    Vbeta0: np.ndarray
-    a_sigma0: float
-    b_sigma0: float
-    a_lam0: float
-    b_lam0: float
-
-    def __post_init__(self):
-        self.beta0 = np.asarray(self.beta0, dtype=float).ravel()
-        self.Vbeta0 = np.atleast_2d(np.asarray(self.Vbeta0, dtype=float))
-        safe_cholesky(self.Vbeta0)
-        for v in (self.a_sigma0, self.b_sigma0, self.a_lam0, self.b_lam0):
-            if not v > 0:
-                raise ValueError("gamma hyper-parameters must be positive")
-
-
-@dataclass
-class SfmGammaPrior:
-    """Gamma-inefficiency case: lambda | theta ~ G(theta, b_lam0) and
-    theta^-1 ~ G(a_theta0, b_theta0)."""
-
-    beta0: np.ndarray
-    Vbeta0: np.ndarray
-    a_sigma0: float
-    b_sigma0: float
-    b_lam0: float
-    a_theta0: float
-    b_theta0: float
-
-    def __post_init__(self):
-        self.beta0 = np.asarray(self.beta0, dtype=float).ravel()
-        self.Vbeta0 = np.atleast_2d(np.asarray(self.Vbeta0, dtype=float))
-        safe_cholesky(self.Vbeta0)
-        for v in (self.a_sigma0, self.b_sigma0, self.b_lam0, self.a_theta0, self.b_theta0):
-            if not v > 0:
-                raise ValueError("gamma hyper-parameters must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +460,7 @@ def sfm_gamma_vb(kernel: "SfmGammaKernel") -> VBResult:
     the bound ascends; read as a variance it is no optimum, and the ascent
     guarantee is lost.
     """
-    d, prior = kernel.data, kernel.prior
+    d = kernel.data
     n, t, c = d.num_firms, d.num_periods, d.c
     state, u_var = _vb_start(kernel) | {"theta": 1.0}, np.full(n, 0.5)
     q_lam = kernel.full_conditional("lam", state)
@@ -524,11 +480,11 @@ def sfm_gamma_vb(kernel: "SfmGammaKernel") -> VBResult:
         u_var = u_factors.var()
         u_mean_log = u_factors.mean_log()
         # q(theta) on its grid
-        lin = (n + 1) * eln_lam + math.log(prior.b_lam0) + float(np.sum(u_mean_log))
+        lin = (n + 1) * eln_lam + math.log(kernel.lam_rate) + float(np.sum(u_mean_log))
 
         def theta_log_unnorm(th, _lin=lin):
-            return (-(prior.a_theta0 + 1.0) * np.log(th) + _lin * th
-                    - prior.b_theta0 / th - (n + 1) * gammaln(th))
+            return (-(kernel.theta_shape + 1.0) * np.log(th) + _lin * th
+                    - kernel.theta_rate / th - (n + 1) * gammaln(th))
 
         theta_grid = _GridDensity(theta_log_unnorm)
         state["theta"] = theta_grid.mean()
@@ -546,20 +502,21 @@ def sfm_gamma_vb(kernel: "SfmGammaKernel") -> VBResult:
 
 def _elbo_gamma(kernel, q_beta, q_sig, q_lam, theta_grid, theta_mean, u_factors, ebar, sum_e2,
                 u_mean, u_m2, u_mean_log) -> float:
-    prior, n = kernel.prior, kernel.data.num_firms
+    n = kernel.data.num_firms
+    b_lam, a_theta, b_theta = kernel.lam_rate, kernel.theta_shape, kernel.theta_rate
     e_lam, eln_lam = q_lam.mean(), q_lam.mean_log()
     eln_theta = theta_grid.expect(np.log)
     e_theta_inv = theta_grid.expect(lambda g: 1.0 / g)
     eln_gamma_theta = theta_grid.expect(lambda g: gammaln(g))
     val = _elbo_start(kernel, q_beta, q_sig, ebar, sum_e2, u_mean, u_m2)
     # lambda | theta prior and the u priors
-    val += (theta_mean * math.log(prior.b_lam0) + (theta_mean - 1.0) * eln_lam
-            - prior.b_lam0 * e_lam - eln_gamma_theta)
+    val += (theta_mean * math.log(b_lam) + (theta_mean - 1.0) * eln_lam
+            - b_lam * e_lam - eln_gamma_theta)
     val += (n * theta_mean * eln_lam + (theta_mean - 1.0) * float(np.sum(u_mean_log))
             - e_lam * float(np.sum(u_mean)) - n * eln_gamma_theta)
     # theta prior (inverse-gamma on theta)
-    val += (prior.a_theta0 * math.log(prior.b_theta0) - float(gammaln(prior.a_theta0))
-            - (prior.a_theta0 + 1.0) * eln_theta - prior.b_theta0 * e_theta_inv)
+    val += (a_theta * math.log(b_theta) - float(gammaln(a_theta))
+            - (a_theta + 1.0) * eln_theta - b_theta * e_theta_inv)
     # entropies
     val += q_beta.entropy()
     val += q_sig.entropy() + q_lam.entropy()
@@ -589,15 +546,16 @@ def _sfm_gamma_layout(k: int, num_firms: int) -> ParamLayout:
 class _FrontierKernel(GibbsKernel):
     """What both frontier kernels share: the beta and sigma^-2 priors, their
     conditionals given the inefficiencies u, and the conjugate sweep steps
-    (lambda's conditional is each kernel's own), all over a stack of states."""
+    (lambda's conditional is each kernel's own), all over a stack of states.
+    ``prior_factors`` holds a normal for beta, a gamma for sigma^-2 and, in
+    the exponential case, a gamma for lambda."""
 
-    def __init__(self, prior, data: SfmData):
-        if prior.beta0.size != data.k:
-            raise ConfigError("prior dimension does not match the regressors")
-        self.prior = prior
+    _scalar_prior_blocks = ("sigma_prec",)
+
+    def __init__(self, prior_factors: dict, data: SfmData):
+        self.prior_factors = check_prior_factors(
+            prior_factors, {"beta": data.k} | dict.fromkeys(self._scalar_prior_blocks))
         self.data = data
-        self.prior_factors = {"beta": MvNormalParams(prior.beta0, prior.Vbeta0),
-                              "sigma_prec": GammaParams(prior.a_sigma0, prior.b_sigma0)}
         self._xtx = data.x.T @ data.x
         # y as a row, so that y - (x beta) of a stack of one is no broadcast
         self._y_row = data.y[None]
@@ -677,12 +635,12 @@ class SfmExpKernel(_FrontierKernel):
     """Exponential-inefficiency frontier with the latent integrated out."""
 
     conditional_blocks = ["beta", "sigma_prec", "lam"]
+    _scalar_prior_blocks = ("sigma_prec", "lam")
 
-    def __init__(self, prior: SfmExpPrior, data: SfmData):
-        super().__init__(prior, data)
+    def __init__(self, prior_factors: dict, data: SfmData):
+        super().__init__(prior_factors, data)
         self.layout = _sfm_layout(data.k)
         self.latent_layout = ParamLayout([_u_block(data.num_firms)])
-        self.prior_factors["lam"] = GammaParams(prior.a_lam0, prior.b_lam0)
 
     def log_likelihood_batch(self, thetas):
         u = self.layout.unpack_batch(thetas)
@@ -778,12 +736,17 @@ class SfmGammaKernel(_FrontierKernel):
     """Gamma-inefficiency frontier; the estimator-facing kernel keeps the
     latents in the parameter vector (complete-data form) since only some
     blocks are conjugate. :func:`sfm_gamma_integrated_loglik` integrates the
-    latents out."""
+    latents out. Beside ``prior_factors``, lambda | theta ~ G(theta,
+    ``lam_rate``) and theta^-1 ~ G(``theta_shape``, ``theta_rate``)."""
 
     conditional_blocks = ["beta", "sigma_prec", "lam"]
 
-    def __init__(self, prior: SfmGammaPrior, data: SfmData):
-        super().__init__(prior, data)
+    def __init__(self, prior_factors: dict, data: SfmData, lam_rate: float,
+                 theta_shape: float, theta_rate: float):
+        if not all(v > 0 for v in (lam_rate, theta_shape, theta_rate)):
+            raise ValueError("gamma hyper-parameters must be positive")
+        super().__init__(prior_factors, data)
+        self.lam_rate, self.theta_shape, self.theta_rate = lam_rate, theta_shape, theta_rate
         self.layout = _sfm_gamma_layout(data.k, data.num_firms)
 
     def log_prior_batch(self, thetas):
@@ -794,12 +757,12 @@ class SfmGammaKernel(_FrontierKernel):
         out = np.full(lam.shape, -np.inf)
         if np.any(ok):
             lam_, th_, u_ = lam[ok], theta[ok], uu[ok]
-            log_p_lam = (th_ * math.log(self.prior.b_lam0) - gammaln(th_)
-                         + (th_ - 1.0) * np.log(lam_) - self.prior.b_lam0 * lam_)
-            log_p_theta = (self.prior.a_theta0 * math.log(self.prior.b_theta0)
-                           - float(gammaln(self.prior.a_theta0))
-                           - (self.prior.a_theta0 + 1.0) * np.log(th_)
-                           - self.prior.b_theta0 / th_)
+            log_p_lam = (th_ * math.log(self.lam_rate) - gammaln(th_)
+                         + (th_ - 1.0) * np.log(lam_) - self.lam_rate * lam_)
+            log_p_theta = (self.theta_shape * math.log(self.theta_rate)
+                           - float(gammaln(self.theta_shape))
+                           - (self.theta_shape + 1.0) * np.log(th_)
+                           - self.theta_rate / th_)
             log_p_u = (n * (th_ * np.log(lam_) - gammaln(th_))
                        + (th_ - 1.0) * np.sum(np.log(u_), axis=1)
                        - lam_ * u_.sum(axis=1))
@@ -815,14 +778,14 @@ class SfmGammaKernel(_FrontierKernel):
     def full_conditional(self, name, state):
         if name == "lam":
             return GammaParams((self.data.num_firms + 1) * np.asarray(state["theta"], dtype=float),
-                               self.prior.b_lam0 + np.add.reduce(state["u"], axis=-1))
+                               self.lam_rate + np.add.reduce(state["u"], axis=-1))
         return self._conditional_given_u(name, state)
 
     def _log_cond_theta(self, theta, lin, su):
         """ln p(theta | rest) up to a constant; ``lin`` is theta's linear
         coefficient from lambda and u, ``su`` the sum of ln u."""
-        return (-(self.prior.a_theta0 + 1.0) * math.log(theta)
-                - self.prior.b_theta0 / theta + theta * lin
+        return (-(self.theta_shape + 1.0) * math.log(theta)
+                - self.theta_rate / theta + theta * lin
                 - (self.data.num_firms + 1) * float(gammaln(theta)) - su)
 
     def metropolis_steps(self, chains):
@@ -843,7 +806,7 @@ class SfmGammaKernel(_FrontierKernel):
             sums = np.add.reduce(np.log(state["u"]), axis=-1).tolist()
             for rng, cur, step, lam_i, su in zip(rngs, state["theta"].tolist(),
                                                  steps["theta"].tolist(), lam.tolist(), sums):
-                lin = math.log(self.prior.b_lam0) + (n + 1) * math.log(lam_i) + su
+                lin = math.log(self.lam_rate) + (n + 1) * math.log(lam_i) + su
                 prop = cur * math.exp(step * rng.standard_normal())
                 # log-scale random walk: proposal asymmetry enters as log(prop/cur)
                 delta = (self._log_cond_theta(prop, lin, su) - self._log_cond_theta(cur, lin, su)
@@ -949,11 +912,15 @@ def _load(family, data_csv, synth, options):
                          theta=float(synth.get("theta", 1.0)), sign=sign)
 
 
+def _frontier_factors(data: SfmData, options) -> dict:
+    """The beta and sigma^-2 priors both frontier entries build."""
+    return {"beta": MvNormalParams(np.zeros(data.k), 4.0 * np.eye(data.k)),
+            "sigma_prec": GammaParams(float(options["a_sigma"]), float(options["b_sigma"]))}
+
+
 def _exp_kernel(data: SfmData, options) -> SfmExpKernel:
-    prior = SfmExpPrior(np.zeros(data.k), 4.0 * np.eye(data.k),
-                        float(options["a_sigma"]), float(options["b_sigma"]),
-                        float(options["a_lam"]), float(options["b_lam"]))
-    return SfmExpKernel(prior, data)
+    lam = GammaParams(float(options["a_lam"]), float(options["b_lam"]))
+    return SfmExpKernel(_frontier_factors(data, options) | {"lam": lam}, data)
 
 
 def _exp_context(kernel: SfmExpKernel, vb: VBResult) -> ModelContext:
@@ -963,11 +930,8 @@ def _exp_context(kernel: SfmExpKernel, vb: VBResult) -> ModelContext:
 
 
 def _gamma_kernel(data: SfmData, options) -> SfmGammaKernel:
-    prior = SfmGammaPrior(np.zeros(data.k), 4.0 * np.eye(data.k),
-                          float(options["a_sigma"]), float(options["b_sigma"]),
-                          float(options["b_lam"]),
+    return SfmGammaKernel(_frontier_factors(data, options), data, float(options["b_lam"]),
                           float(options["a_theta"]), float(options["b_theta"]))
-    return SfmGammaKernel(prior, data)
 
 
 _SYNTH = {"seed": 1, "n": 20, "t": 5, "k": 2, "beta": (1.0, 0.5), "sigma_sq": 0.04, "lam": 2.0}

@@ -25,6 +25,7 @@ from .modelapi import (
     PosteriorDrawSet,
     SamplerConfig,
     VBResult,
+    check_prior_factors,
     stack_state,
 )
 from .statscore import (
@@ -39,11 +40,8 @@ from .statscore import (
 
 __all__ = [
     "VarData",
-    "VarConjugatePrior",
-    "VarIndependentPrior",
     "NormalWishart",
     "var_exact_posterior",
-    "var_exact_log_mdd",
     "var_vb_independent",
     "var_synthetic",
     "var_read_csv",
@@ -110,56 +108,11 @@ class VarData:
 
 
 @dataclass
-class VarConjugatePrior:
-    """A | Sigma ~ MN(A0, Sigma, V0); Sigma^-1 ~ W(S0^-1, nu0)."""
-
-    A0: np.ndarray
-    V0: np.ndarray
-    S0: np.ndarray
-    nu0: float
-
-    def __post_init__(self):
-        self.A0 = np.atleast_2d(np.asarray(self.A0, dtype=float))
-        self.V0 = np.atleast_2d(np.asarray(self.V0, dtype=float))
-        self.S0 = np.atleast_2d(np.asarray(self.S0, dtype=float))
-        safe_cholesky(self.V0)
-        n = self.S0.shape[0]
-        if not self.nu0 > n - 1:
-            raise ValueError("Wishart dof must exceed N - 1")
-
-    @property
-    def K(self):
-        return self.A0.shape[0]
-
-    @property
-    def N(self):
-        return self.A0.shape[1]
-
-
-@dataclass
-class VarIndependentPrior:
-    """alpha ~ N(alpha0, Vbig0) independent of Sigma^-1 ~ W(S0^-1, nu0)."""
-
-    alpha0: np.ndarray
-    Vbig0: np.ndarray
-    S0: np.ndarray
-    nu0: float
-
-    def __post_init__(self):
-        self.alpha0 = np.asarray(self.alpha0, dtype=float).ravel()
-        self.Vbig0 = np.atleast_2d(np.asarray(self.Vbig0, dtype=float))
-        self.S0 = np.atleast_2d(np.asarray(self.S0, dtype=float))
-        safe_cholesky(self.Vbig0)
-        n = self.S0.shape[0]
-        if not self.nu0 > n - 1:
-            raise ValueError("Wishart dof must exceed N - 1")
-
-
-@dataclass
 class NormalWishart:
     """A | W ~ MN(A, V, W^-1) and W ~ W(S^-1, nu), with W = Sigma^-1: the
     conjugate VAR's prior (A0, V0, S0, nu0) and its exact posterior. Densities
-    and draws are rows in the VAR layout."""
+    and draws are rows in the VAR layout. V must be positive definite, and
+    the Wishart factor checks S and nu."""
 
     A: np.ndarray
     V: np.ndarray
@@ -167,6 +120,9 @@ class NormalWishart:
     nu: float
 
     def __post_init__(self):
+        self.A, self.V, self.S = (np.atleast_2d(np.asarray(m, dtype=float))
+                                  for m in (self.A, self.V, self.S))
+        safe_cholesky(self.V)
         self.wishart = WishartParams(self.S, self.nu)
 
     @cached_property
@@ -217,31 +173,23 @@ class NormalWishart:
 # exact conjugate analysis
 # ---------------------------------------------------------------------------
 
-def var_exact_posterior(prior: VarConjugatePrior, data: VarData) -> NormalWishart:
+def var_exact_posterior(prior: NormalWishart, data: VarData) -> NormalWishart:
     """Normal-Wishart posterior of the conjugate VAR."""
-    v0_inv = np.linalg.inv(prior.V0)
+    v0_inv = prior._v_inv
     v_post = np.linalg.inv(v0_inv + data.X.T @ data.X)
     v_post = 0.5 * (v_post + v_post.T)
-    a_post = v_post @ (v0_inv @ prior.A0 + data.X.T @ data.Y)
+    a_post = v_post @ (v0_inv @ prior.A + data.X.T @ data.Y)
     resid = data.Y - data.X @ a_post
-    dev = a_post - prior.A0
-    s_post = resid.T @ resid + prior.S0 + dev.T @ v0_inv @ dev
+    dev = a_post - prior.A
+    s_post = resid.T @ resid + prior.S + dev.T @ v0_inv @ dev
     s_post = 0.5 * (s_post + s_post.T)
-    return NormalWishart(a_post, v_post, s_post, data.T + prior.nu0)
-
-
-def var_exact_log_mdd(prior: VarConjugatePrior, data: VarData) -> float:
-    """Closed-form log evidence via the normalizing-constant ratio.
-
-    Algebraically the matric-variate-t ordinate of Y, written without
-    forming T x T matrices.
-    """
-    return _log_evidence(NormalWishart(prior.A0, prior.V0, prior.S0, prior.nu0),
-                         var_exact_posterior(prior, data), data)
+    return NormalWishart(a_post, v_post, s_post, data.T + prior.nu)
 
 
 def _log_evidence(prior: NormalWishart, post: NormalWishart, data: VarData) -> float:
-    """ln p(Y) from the normal-Wishart prior and its exact posterior."""
+    """ln p(Y) from the normal-Wishart prior and its exact posterior, via the
+    normalizing-constant ratio: algebraically the matric-variate-t ordinate
+    of Y, written without forming T x T matrices."""
     n, t = data.N, data.T
     return (-0.5 * n * t * math.log(math.pi)
             + ln_multivariate_gamma(n, 0.5 * post.nu) - ln_multivariate_gamma(n, 0.5 * prior.nu)
@@ -385,21 +333,20 @@ class VarConjugateKernel(_VarKernelBase):
 
     conditional_blocks = ["alpha", "sigma_inv"]
 
-    def __init__(self, prior: VarConjugatePrior, data: VarData):
+    def __init__(self, prior: NormalWishart, data: VarData):
         super().__init__(data)
-        if prior.K != data.K or prior.N != data.N:
+        k, n = data.K, data.N
+        if (prior.A.shape, prior.V.shape, prior.S.shape) != ((k, n), (k, k), (n, n)):
             raise ConfigError("prior dimensions do not match the data")
-        self.prior = prior
-        self._nw0 = NormalWishart(prior.A0, prior.V0, prior.S0, prior.nu0)
+        self._nw0 = prior
         self._post = var_exact_posterior(prior, data)
 
     def log_prior_batch(self, thetas):
         return self._nw0.logpdf_batch(thetas)
 
-    def posterior_sampler(self, config: SamplerConfig, rng, seed=None) -> PosteriorDrawSet:
+    def posterior_sampler(self, config: SamplerConfig, rng) -> PosteriorDrawSet:
         """Direct Monte Carlo from the exact normal-Wishart posterior."""
-        return PosteriorDrawSet(self._post.sample(rng, config.draws), self.layout, seed=seed,
-                                burn_in=0, thin=1)
+        return PosteriorDrawSet(self._post.sample(rng, config.draws), self.layout)
 
     def full_conditional(self, name, state):
         if name == "alpha":
@@ -420,7 +367,7 @@ class VarConjugateKernel(_VarKernelBase):
         return _vb_conjugate(self)
 
     def exact_log_mdd(self) -> float:
-        return var_exact_log_mdd(self.prior, self.data)
+        return _log_evidence(self._nw0, self._post, self.data)
 
 
 class VarIndependentKernel(_VarKernelBase, GibbsKernel):
@@ -428,14 +375,10 @@ class VarIndependentKernel(_VarKernelBase, GibbsKernel):
 
     conditional_blocks = ["alpha", "sigma_inv"]
 
-    def __init__(self, prior: VarIndependentPrior, data: VarData):
+    def __init__(self, prior_factors: dict, data: VarData):
         super().__init__(data)
-        nk = data.N * data.K
-        if prior.alpha0.size != nk or prior.S0.shape[0] != data.N:
-            raise ConfigError("prior dimensions do not match the data")
-        self.prior = prior
-        self.prior_factors = {"alpha": MvNormalParams(prior.alpha0, prior.Vbig0),
-                              "sigma_inv": WishartParams(prior.S0, prior.nu0)}
+        self.prior_factors = check_prior_factors(
+            prior_factors, {"alpha": data.N * data.K, "sigma_inv": data.N})
 
     def full_conditional(self, name, state):
         if name == "alpha":
@@ -454,7 +397,8 @@ class VarIndependentKernel(_VarKernelBase, GibbsKernel):
     def gibbs_start(self, chains):
         a_ols, *_ = np.linalg.lstsq(self.data.X, self.data.Y, rcond=None)
         resid = self.data.Y - self.data.X @ a_ols
-        w0 = np.linalg.inv((resid.T @ resid + self.prior.S0) / (self.data.T + self.prior.nu0))
+        p0 = self.prior_factors["sigma_inv"]
+        w0 = np.linalg.inv((resid.T @ resid + p0.scale_inv) / (self.data.T + p0.dof))
         return stack_state({"alpha": a_ols.ravel(), "sigma_inv": 0.5 * (w0 + w0.T)}, chains)
 
     def vb_fit(self) -> VBResult:
@@ -510,11 +454,11 @@ def var_read_csv(path, p: int):
     import csv
 
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
+        header, *rows = list(csv.reader(fh)) or [[]]
+    if len(rows) <= p:
+        raise ConfigError(f"{path}: {len(rows)} data rows, lag order {p} needs more")
+    if not rows[0]:
+        raise ConfigError(f"{path}: row 2 is blank")
     drop_first = False
     try:
         float(rows[0][0])
@@ -556,16 +500,15 @@ def _prior_scale_and_dof(data: VarData, options):
 
 def _conjugate_kernel(data: VarData, options) -> VarConjugateKernel:
     scale, dof = _prior_scale_and_dof(data, options)
-    prior = VarConjugatePrior(np.zeros((data.K, data.N)), scale * np.eye(data.K),
-                              np.eye(data.N), dof)
+    prior = NormalWishart(np.zeros((data.K, data.N)), scale * np.eye(data.K), np.eye(data.N), dof)
     return VarConjugateKernel(prior, data)
 
 
 def _independent_kernel(data: VarData, options) -> VarIndependentKernel:
     scale, dof = _prior_scale_and_dof(data, options)
     nk = data.N * data.K
-    prior = VarIndependentPrior(np.zeros(nk), scale * np.eye(nk), np.eye(data.N), dof)
-    return VarIndependentKernel(prior, data)
+    return VarIndependentKernel({"alpha": MvNormalParams(np.zeros(nk), scale * np.eye(nk)),
+                                 "sigma_inv": WishartParams(np.eye(data.N), dof)}, data)
 
 
 _SYNTH = {"seed": 1, "n": 2, "t": 80, "ar_diag": 0.5}

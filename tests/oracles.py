@@ -3,7 +3,8 @@
 ``elbo_monte_carlo`` checks a closed-form variational bound against Monte
 Carlo draws from q; ``var_joint_family_bound`` is the conjugate VAR's bound
 with q the exact normal-Wishart posterior, which must equal the exact log
-evidence.
+evidence; ``var_exact_log_mdd`` is that evidence from a posterior computed
+afresh.
 """
 
 from __future__ import annotations
@@ -14,9 +15,15 @@ import numpy as np
 
 from mddkit.modelapi import ModelKernel, VBResult
 from mddkit.statscore import LOG_2PI, _logdet
-from mddkit.var import VarConjugateKernel
+from mddkit.var import (
+    NormalWishart,
+    VarConjugateKernel,
+    VarData,
+    _log_evidence,
+    var_exact_posterior,
+)
 
-__all__ = ["elbo_monte_carlo", "var_joint_family_bound"]
+__all__ = ["elbo_monte_carlo", "var_exact_log_mdd", "var_joint_family_bound"]
 
 
 def elbo_monte_carlo(model: ModelKernel, vb: VBResult, rng: np.random.Generator,
@@ -49,3 +56,9 @@ def var_joint_family_bound(kernel: VarConjugateKernel) -> float:
             - 0.5 * k * n)
     val += post.wishart.entropy()
     return float(val)
+
+
+def var_exact_log_mdd(prior: NormalWishart, data: VarData) -> float:
+    """The conjugate VAR's closed-form log evidence under ``prior``, from its
+    exact posterior computed here rather than the one a kernel holds."""
+    return _log_evidence(prior, var_exact_posterior(prior, data), data)

@@ -21,7 +21,8 @@ from mddkit import var as var_mod
 from mddkit.harness import ExperimentConfig, emit_outputs, run_experiment
 from mddkit.modelapi import SamplerConfig
 from mddkit.statscore import make_rng, quadrature_1d
-from oracles import var_joint_family_bound
+from oracles import var_exact_log_mdd, var_joint_family_bound
+from priors import frontier_factors, lpm_factors, sfm_exp_factors, var_independent_factors
 from toys import ToyNormalGammaKernel
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -54,7 +55,7 @@ def conjugate_var_run():
 @pytest.fixture(scope="module")
 def sfm_exp_fixture():
     data = sfm_mod.sfm_synthetic(11, 12, 5, 2, "exponential", [1.0, 0.5], 0.04, 2.0)
-    prior = sfm_mod.SfmExpPrior(np.zeros(2), 4 * np.eye(2), 2.0, 0.1, 2.0, 1.0)
+    prior = sfm_exp_factors(np.zeros(2), 4 * np.eye(2), 2.0, 0.1, 2.0, 1.0)
     kernel = sfm_mod.SfmExpKernel(prior, data)
     vb = kernel.vb_fit()
     return prior, data, kernel, vb
@@ -86,9 +87,9 @@ def test_criterion_01_exact_oracle_agreement(conjugate_var_run):
 def test_criterion_02_no_factorization_equivalence():
     coeffs = np.array([[0.1, -0.2], [0.5, 0.1], [0.2, 0.4]])
     data = var_mod.var_synthetic(7, 2, 80, 1, coeffs, np.eye(2))
-    prior = var_mod.VarConjugatePrior(np.zeros((3, 2)), 10 * np.eye(3), np.eye(2), 4.0)
+    prior = var_mod.NormalWishart(np.zeros((3, 2)), 10 * np.eye(3), np.eye(2), 4.0)
     bound = var_joint_family_bound(var_mod.VarConjugateKernel(prior, data))
-    exact = var_mod.var_exact_log_mdd(prior, data)
+    exact = var_exact_log_mdd(prior, data)
     assert bound == pytest.approx(exact, abs=1e-6)
     _ok(2, "joint-family bound equals exact evidence")
 
@@ -97,17 +98,17 @@ def test_criterion_03_lower_bound_law(sfm_exp_fixture):
     # VAR conjugate: exact benchmark available
     coeffs = np.array([[0.1, -0.2], [0.5, 0.1], [0.2, 0.4]])
     var_data = var_mod.var_synthetic(7, 2, 80, 1, coeffs, np.eye(2))
-    var_prior = var_mod.VarConjugatePrior(np.zeros((3, 2)), 10 * np.eye(3), np.eye(2), 4.0)
+    var_prior = var_mod.NormalWishart(np.zeros((3, 2)), 10 * np.eye(3), np.eye(2), 4.0)
     vb_c = var_mod.VarConjugateKernel(var_prior, var_data).vb_fit()
-    assert vb_c.elbo <= var_mod.var_exact_log_mdd(var_prior, var_data)
+    assert vb_c.elbo <= var_exact_log_mdd(var_prior, var_data)
 
     # VAR independent prior
-    ind_prior = var_mod.VarIndependentPrior(np.zeros(6), 10 * np.eye(6), np.eye(2), 4.0)
+    ind_prior = var_independent_factors(np.zeros(6), 10 * np.eye(6), np.eye(2), 4.0)
     kernel_i = var_mod.VarIndependentKernel(ind_prior, var_data)
     vb_i = kernel_i.vb_fit()
     assert np.all(np.diff(vb_i.elbo_trace) >= -1e-10)
     chains = kernel_i.posterior_chains(SamplerConfig(draws=2500, burn_in=300),
-                                       [make_rng(301, r) for r in range(6)], [None] * 6)
+                                       [make_rng(301, r) for r in range(6)])
     vals = [est.ris_estimate(kernel_i, draws, est.make_vb_weighting(vb_i)).log_mdd
             for draws in chains]
     assert vb_i.elbo <= np.mean(vals) + 3 * np.std(vals, ddof=1)
@@ -116,7 +117,7 @@ def test_criterion_03_lower_bound_law(sfm_exp_fixture):
     prior_e, data_e, kernel_e, vb_e = sfm_exp_fixture
     assert np.all(np.diff(vb_e.elbo_trace) >= -1e-10)
     chains = kernel_e.posterior_chains(SamplerConfig(draws=2500, burn_in=400),
-                                       [make_rng(302, r) for r in range(6)], [None] * 6)
+                                       [make_rng(302, r) for r in range(6)])
     vals = [est.ris_estimate(kernel_e, draws, est.make_vb_weighting(vb_e)).log_mdd
             for draws in chains]
     assert vb_e.elbo <= np.mean(vals) + 3 * np.std(vals, ddof=1)
@@ -124,24 +125,24 @@ def test_criterion_03_lower_bound_law(sfm_exp_fixture):
     # frontier, gamma inefficiency (complete-data kernel; grid-quadrature noise
     # in the bound evaluation justifies the looser per-step slack)
     data_g = sfm_mod.sfm_synthetic(21, 10, 5, 2, "gamma", [1.0, 0.5], 0.04, 2.0, theta=1.5)
-    prior_g = sfm_mod.SfmGammaPrior(np.zeros(2), 4 * np.eye(2), 2.0, 0.1, 1.0, 2.0, 2.0)
-    kernel_g = sfm_mod.SfmGammaKernel(prior_g, data_g)
+    prior_g = frontier_factors(np.zeros(2), 4 * np.eye(2), 2.0, 0.1)
+    kernel_g = sfm_mod.SfmGammaKernel(prior_g, data_g, 1.0, 2.0, 2.0)
     vb_g = kernel_g.vb_fit()
     assert np.all(np.diff(vb_g.elbo_trace) >= -1e-8)
     w_g = sfm_mod.make_sfm_gamma_cdl_weighting(vb_g, kernel_g)
     chains = kernel_g.posterior_chains(SamplerConfig(draws=2500, burn_in=800),
-                                       [make_rng(303, r) for r in range(4)], [None] * 4)
+                                       [make_rng(303, r) for r in range(4)])
     vals = [est.ris_estimate(kernel_g, draws, w_g).log_mdd for draws in chains]
     assert vb_g.elbo <= np.mean(vals) + 3 * np.std(vals, ddof=1)
 
     # Poisson panel: damped fixed-point updates are exempt from per-step
     # monotonicity but the final bound must hold
     data_l = lpm_mod.lpm_synthetic(40, 15, 5, 2, 1, [0.3, -0.2], [0.1], [[0.3]])
-    prior_l = lpm_mod.LpmPrior(np.zeros(2), 4 * np.eye(2), [0.0], [[4.0]], [[0.5]], 3.0)
+    prior_l = lpm_factors(np.zeros(2), 4 * np.eye(2), [0.0], [[4.0]], [[0.5]], 3.0)
     kernel_l = lpm_mod.LpmKernel(prior_l, data_l)
     vb_l = kernel_l.vb_fit()
     chains = kernel_l.posterior_chains(SamplerConfig(draws=2000, burn_in=600),
-                                       [make_rng(304, r) for r in range(5)], [None] * 5, vb=vb_l)
+                                       [make_rng(304, r) for r in range(5)], vb=vb_l)
     vals = [est.ris_estimate(kernel_l, draws, est.make_vb_weighting(vb_l)).log_mdd
             for draws in chains]
     assert vb_l.elbo <= np.mean(vals) + 3 * np.std(vals, ddof=1)
@@ -165,7 +166,7 @@ def test_criterion_05_reciprocal_unbiasedness(toy_fixture):
     scaled = np.empty(200)
     # the 200 chains advance in lockstep; each is the chain it gives alone
     chains = kernel.posterior_chains(SamplerConfig(draws=2000, burn_in=300),
-                                     [make_rng(500, rep) for rep in range(200)], [None] * 200)
+                                     [make_rng(500, rep) for rep in range(200)])
     for rep, draws in enumerate(chains):
         log_recip = -est.ris_estimate(kernel, draws, weighting).log_mdd
         scaled[rep] = math.exp(log_recip + exact)  # target value 1
@@ -196,12 +197,12 @@ def test_criterion_07_bridge_sampling_behavior(sfm_exp_fixture, toy_fixture):
     # conjugate VAR
     coeffs = np.array([[0.1, -0.2], [0.5, 0.1], [0.2, 0.4]])
     var_data = var_mod.var_synthetic(7, 2, 80, 1, coeffs, np.eye(2))
-    var_prior = var_mod.VarConjugatePrior(np.zeros((3, 2)), 10 * np.eye(3), np.eye(2), 4.0)
+    var_prior = var_mod.NormalWishart(np.zeros((3, 2)), 10 * np.eye(3), np.eye(2), 4.0)
     kernel_c = var_mod.VarConjugateKernel(var_prior, var_data)
     runs.append((kernel_c, kernel_c.posterior_sampler(SamplerConfig(draws=4000), make_rng(700)),
                  est.make_vb_weighting(kernel_c.vb_fit())))
     # independent VAR
-    ind_prior = var_mod.VarIndependentPrior(np.zeros(6), 10 * np.eye(6), np.eye(2), 4.0)
+    ind_prior = var_independent_factors(np.zeros(6), 10 * np.eye(6), np.eye(2), 4.0)
     kernel_i = var_mod.VarIndependentKernel(ind_prior, var_data)
     runs.append((kernel_i,
                  kernel_i.posterior_sampler(SamplerConfig(draws=3000, burn_in=400), make_rng(701)),
@@ -218,7 +219,7 @@ def test_criterion_07_bridge_sampling_behavior(sfm_exp_fixture, toy_fixture):
                  est.make_vb_weighting(vb_t)))
     # Poisson panel
     data_l = lpm_mod.lpm_synthetic(40, 15, 5, 2, 1, [0.3, -0.2], [0.1], [[0.3]])
-    prior_l = lpm_mod.LpmPrior(np.zeros(2), 4 * np.eye(2), [0.0], [[4.0]], [[0.5]], 3.0)
+    prior_l = lpm_factors(np.zeros(2), 4 * np.eye(2), [0.0], [[4.0]], [[0.5]], 3.0)
     kernel_l = lpm_mod.LpmKernel(prior_l, data_l)
     vb_l = kernel_l.vb_fit()
     runs.append((kernel_l,
@@ -261,7 +262,7 @@ def test_criterion_08_sfm_integrated_oracle(sfm_exp_fixture):
     w_cdl = sfm_mod.make_sfm_exp_cdl_weighting(vb, cdl)
     vals_int, vals_cdl = [], []
     for draws in kernel.posterior_chains(SamplerConfig(draws=3000, burn_in=400),
-                                         [make_rng(801, rep) for rep in range(16)], [None] * 16):
+                                         [make_rng(801, rep) for rep in range(16)]):
         vals_int.append(est.ris_estimate(kernel, draws, w_int).log_mdd)
         cdl_draws = draws.complete_data(cdl.layout)
         vals_cdl.append(est.ris_estimate(cdl, cdl_draws, w_cdl).log_mdd)
@@ -291,8 +292,9 @@ def test_criterion_09_gamma_special_functions():
 
 def test_criterion_10_lpm_micro_oracle(monkeypatch):
     data = lpm_mod.lpm_synthetic(32, 2, 2, 1, 1, [0.3], [0.2], [[0.3]])
-    prior = lpm_mod.LpmPrior([0.0], [[4.0]], [0.2], [[1e-8]], [[0.3e8]], 1e8)
-    kernel = lpm_mod.LpmKernel(prior, data, nodes=41)
+    prior = lpm_factors([0.0], [[4.0]], [0.2], [[1e-8]], [[0.3e8]], 1e8)
+    monkeypatch.setattr(lpm_mod, "_GH_NODES", 41)
+    kernel = lpm_mod.LpmKernel(prior, data)
     monkeypatch.setattr(lpm_mod, "_VB_TOL", 1e-10)
     monkeypatch.setattr(lpm_mod, "_VB_MAX_ITER", 2000)
     vb = lpm_mod.lpm_vb(lpm_mod.LpmKernel(prior, data))
@@ -321,7 +323,7 @@ def test_criterion_10_lpm_micro_oracle(monkeypatch):
     weighting = est.make_vb_weighting(vb)
     ris_vals, bs_vals = [], []
     chains = kernel.posterior_chains(SamplerConfig(draws=3000, burn_in=500),
-                                     [make_rng(1000, rep) for rep in range(8)], [None] * 8, vb=vb)
+                                     [make_rng(1000, rep) for rep in range(8)], vb=vb)
     for rep, draws in enumerate(chains):
         log_k = kernel.log_kernel_batch(draws.thetas)
         ris_vals.append(est.ris_estimate(kernel, draws, weighting, log_k).log_mdd)
@@ -358,9 +360,9 @@ def test_criterion_12_experiment_determinism(tmp_path):
                     reason="original macro dataset not supplied (place data/us_macro.csv)")
 def test_criterion_13a_var_paper_targets():
     data, _ = var_mod.var_read_csv(os.path.join(DATA_DIR, "us_macro.csv"), 4)
-    prior = var_mod.VarConjugatePrior(np.zeros((data.K, data.N)),
-                                      10 * np.eye(data.K), np.eye(data.N), data.N + 2.0)
-    assert var_mod.var_exact_log_mdd(prior, data) == pytest.approx(2910.1, abs=0.2)
+    prior = var_mod.NormalWishart(np.zeros((data.K, data.N)),
+                                  10 * np.eye(data.K), np.eye(data.N), data.N + 2.0)
+    assert var_exact_log_mdd(prior, data) == pytest.approx(2910.1, abs=0.2)
 
 
 @pytest.mark.skipif(not os.path.exists(os.path.join(DATA_DIR, "us_macro.csv")),
@@ -368,8 +370,8 @@ def test_criterion_13a_var_paper_targets():
 def test_criterion_13a2_var_independent_paper_target():
     data, _ = var_mod.var_read_csv(os.path.join(DATA_DIR, "us_macro.csv"), 4)
     nk = data.N * data.K
-    prior = var_mod.VarIndependentPrior(np.zeros(nk), 10 * np.eye(nk),
-                                        np.eye(data.N), data.N + 2.0)
+    prior = var_independent_factors(np.zeros(nk), 10 * np.eye(nk),
+                                    np.eye(data.N), data.N + 2.0)
     kernel = var_mod.VarIndependentKernel(prior, data)
     vb = kernel.vb_fit()
     draws = kernel.posterior_sampler(SamplerConfig(draws=10_000, burn_in=1000), make_rng(12))
@@ -381,7 +383,7 @@ def test_criterion_13a2_var_independent_paper_target():
                     reason="original rice-farm panel not supplied (place data/rice_farms.csv)")
 def test_criterion_13b_sfm_paper_target():
     data = sfm_mod.sfm_read_csv(os.path.join(DATA_DIR, "rice_farms.csv"))
-    prior = sfm_mod.SfmExpPrior(np.zeros(data.k), 4 * np.eye(data.k), 2.0, 0.1, 2.0, 1.0)
+    prior = sfm_exp_factors(np.zeros(data.k), 4 * np.eye(data.k), 2.0, 0.1, 2.0, 1.0)
     kernel = sfm_mod.SfmExpKernel(prior, data)
     vb = kernel.vb_fit()
     draws = kernel.posterior_sampler(SamplerConfig(draws=10_000, burn_in=1000), make_rng(13))
@@ -393,8 +395,8 @@ def test_criterion_13b_sfm_paper_target():
                     reason="original seizure panel not supplied (place data/seizures.csv)")
 def test_criterion_13c_lpm_paper_target():
     data = lpm_mod.lpm_read_csv(os.path.join(DATA_DIR, "seizures.csv"))
-    prior = lpm_mod.LpmPrior(np.zeros(data.k), 4 * np.eye(data.k), np.zeros(data.m),
-                             4 * np.eye(data.m), np.eye(data.m) * 0.5, data.m + 2.0)
+    prior = lpm_factors(np.zeros(data.k), 4 * np.eye(data.k), np.zeros(data.m),
+                        4 * np.eye(data.m), np.eye(data.m) * 0.5, data.m + 2.0)
     kernel = lpm_mod.LpmKernel(prior, data)
     vb = kernel.vb_fit()
     draws = kernel.posterior_sampler(SamplerConfig(draws=10_000, burn_in=1000),

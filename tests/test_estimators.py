@@ -80,10 +80,10 @@ class TwoBlockIndependent(ModelKernel):
     def exact_log_mdd(self):
         return self.k1.exact_log_mdd() + self.k2.exact_log_mdd()
 
-    def posterior_sampler(self, config, rng, seed=None):
+    def posterior_sampler(self, config, rng):
         d1 = self.k1.post_mean + math.sqrt(self.k1.post_var) * rng.standard_normal(config.draws)
         d2 = self.k2.post_mean + math.sqrt(self.k2.post_var) * rng.standard_normal(config.draws)
-        return PosteriorDrawSet(np.column_stack([d1, d2]), self.layout, seed=seed)
+        return PosteriorDrawSet(np.column_stack([d1, d2]), self.layout)
 
 
 class TestRis:
@@ -107,7 +107,7 @@ class TestRis:
     def test_prior_weighting_is_harmonic_mean_by_hand(self):
         kernel = ToyNormalKernel(np.array([0.2, -0.1]))
         thetas = np.array([[0.0], [0.3], [-0.2]])
-        draws = PosteriorDrawSet(thetas, kernel.layout, seed=0)
+        draws = PosteriorDrawSet(thetas, kernel.layout)
         est = ris_estimate(kernel, draws, make_prior_weighting(kernel))
         liks = kernel.log_likelihood_batch(thetas)
         hand = -(math.log(sum(math.exp(-l) for l in liks) / 3.0))
@@ -192,7 +192,7 @@ class TestGewekeWeighting:
         layout = ParamLayout([Block("theta", ())])
         z = make_rng(400).standard_normal(50_000)
         z = (z - z.mean()) / z.std(ddof=1)  # exact (0, 1) sample moments
-        draws = PosteriorDrawSet(z[:, None], layout, seed=0)
+        draws = PosteriorDrawSet(z[:, None], layout)
         w = make_geweke_weighting(draws)
         val = w.log_eval(np.array([[0.0]]))[0]
         assert val == pytest.approx(math.log((1 / 0.95) * (2 * math.pi) ** -0.5), abs=1e-6)
@@ -202,7 +202,7 @@ class TestGewekeWeighting:
         layout = ParamLayout([Block("theta", ())])
         z = make_rng(401).standard_normal(50_000)
         z = (z - z.mean()) / z.std(ddof=1)
-        draws = PosteriorDrawSet(z[:, None], layout, seed=0)
+        draws = PosteriorDrawSet(z[:, None], layout)
         w = make_geweke_weighting(draws)
         # radius^2 = 3.85 exceeds the 95% chi-square threshold 3.8415
         assert w.log_eval(np.array([[math.sqrt(3.85)]]))[0] == -np.inf
@@ -212,7 +212,7 @@ class TestGewekeWeighting:
         layout = ParamLayout([Block("theta", ())])
         z = make_rng(402).standard_normal(50_000)
         z = (z - z.mean()) / z.std(ddof=1)
-        draws = PosteriorDrawSet(z[:, None], layout, seed=0)
+        draws = PosteriorDrawSet(z[:, None], layout)
         w = make_geweke_weighting(draws)
         # split at the truncation radius so each piece is smooth
         r = math.sqrt(3.8414588206941267)

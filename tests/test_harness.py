@@ -593,6 +593,29 @@ class TestCli:
         rc = cli_main(["estimate", "--out", str(tmp_path / "o5")])
         assert rc == 2
 
+    @pytest.mark.parametrize("model, text", [
+        pytest.param("var-conjugate", "", id="var-empty"),
+        pytest.param("var-conjugate", "y1,y2\n\n1.0,2.0\n3.0,4.0\n", id="var-blank-first-row"),
+        pytest.param("var-conjugate", "y1,y2\n1.0,2.0\n", id="var-shorter-than-lags"),
+        pytest.param("sfm-exponential", "", id="panel-empty"),
+        pytest.param("sfm-exponential", "firm_id,period,y,x1\nf0,0,1.0,0.5\n\nf0,1,1.2,0.3\n",
+                     id="panel-blank-row"),
+        pytest.param("sfm-exponential", "firm_id,period,y,x1\nf0,0,1.0\nf0,1,1.2,0.3\n",
+                     id="panel-short-row"),
+        pytest.param("sfm-gamma", "firm_id,period,y,x1\n", id="panel-header-only"),
+        pytest.param("sfm-gamma", "firm_id,period,y,x1\nf0,0,1.0,0.5\nf0,1,1.2,0.3\n"
+                     "f0,0,9.0,0.5\n", id="panel-repeated-row"),
+        pytest.param("lpm", "", id="lpm-empty"),
+        pytest.param("lpm", "subject_id,period,count,x1\n", id="lpm-header-only"),
+    ])
+    def test_malformed_data_csv_is_config_error(self, tmp_path, capsys, model, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        rc = cli_main(["fit-vb", "--model", model, "--data", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"configuration error: {path}: " in capsys.readouterr().err
+
     def test_unknown_format_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch):
         def no_run(config):
             raise AssertionError("the experiment ran")

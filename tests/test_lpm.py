@@ -15,7 +15,6 @@ from mddkit.harness import ExperimentConfig, run_experiment
 from mddkit.lpm import (
     LpmData,
     LpmKernel,
-    LpmPrior,
     lpm_loglik_integrated,
     lpm_read_csv,
     lpm_synthetic,
@@ -32,9 +31,10 @@ from mddkit.statscore import (
     quadrature_expectations,
     safe_cholesky,
 )
+from priors import lpm_factors
 
 
-def lpm_vb_gradient_residual(prior: LpmPrior, data: LpmData, vb) -> float:
+def lpm_vb_gradient_residual(prior: dict, data: LpmData, vb) -> float:
     """Norm of the Gaussian-factor fixed-point condition at the fitted values."""
     q_w = vb.factors["sigma_inv"]
     e_w = q_w.dof * np.linalg.inv(q_w.scale_inv)
@@ -48,7 +48,7 @@ def lpm_vb_gradient_residual(prior: LpmPrior, data: LpmData, vb) -> float:
 def micro():
     data = lpm_synthetic(32, 2, 2, 1, 1, [0.3], [0.2], [[0.3]])
     # dogmatic prior pins mu = 0.2, Sigma = 0.3
-    prior = LpmPrior([0.0], [[4.0]], [0.2], [[1e-8]], [[0.3e8]], 1e8)
+    prior = lpm_factors([0.0], [[4.0]], [0.2], [[1e-8]], [[0.3e8]], 1e8)
     return prior, data
 
 
@@ -67,32 +67,36 @@ def _brute_subject_integral(data, beta, mu, var, i):
 
 
 class TestIntegratedLikelihood:
-    def test_matches_brute_quadrature(self, micro):
+    def test_matches_brute_quadrature(self, micro, monkeypatch):
         _, data = micro
-        got = lpm_loglik_integrated([0.25], [0.2], [[1 / 0.3]], data, nodes=41)[0]
+        monkeypatch.setattr(lpm, "_GH_NODES", 41)
+        got = lpm_loglik_integrated([0.25], [0.2], [[1 / 0.3]], data)[0]
         oracle = sum(_brute_subject_integral(data, 0.25, 0.2, 0.3, i) for i in range(2))
         assert got == pytest.approx(oracle, abs=1e-8)
 
-    def test_zero_counts_huge_negative_offsets(self, micro):
+    def test_zero_counts_huge_negative_offsets(self, micro, monkeypatch):
         _, data = micro
+        monkeypatch.setattr(lpm, "_GH_NODES", 41)
         dead = LpmData(np.zeros(4), data.x, data.z, 2, 2, offsets=np.full(4, -40.0))
-        val = lpm_loglik_integrated([0.25], [0.2], [[1 / 0.3]], dead, nodes=41)[0]
+        val = lpm_loglik_integrated([0.25], [0.2], [[1 / 0.3]], dead)[0]
         assert val == pytest.approx(0.0, abs=1e-10)
 
-    def test_monotone_in_counts_above_mean(self, micro):
+    def test_monotone_in_counts_above_mean(self, micro, monkeypatch):
         _, data = micro
+        monkeypatch.setattr(lpm, "_GH_NODES", 41)
         base = np.array(data.y)
         bumped = base.copy()
         bumped[0] += 5  # already above its conditional mean
         d2 = LpmData(bumped, data.x, data.z, 2, 2, offsets=data.offsets)
-        v1 = lpm_loglik_integrated([0.25], [0.2], [[1 / 0.3]], data, nodes=41)[0]
-        v2 = lpm_loglik_integrated([0.25], [0.2], [[1 / 0.3]], d2, nodes=41)[0]
+        v1 = lpm_loglik_integrated([0.25], [0.2], [[1 / 0.3]], data)[0]
+        v2 = lpm_loglik_integrated([0.25], [0.2], [[1 / 0.3]], d2)[0]
         assert v2 < v1
 
-    def test_two_dim_random_effects(self):
+    def test_two_dim_random_effects(self, monkeypatch):
         data = lpm_synthetic(35, 4, 4, 1, 2, [0.2], [0.1, 0.05], 0.2 * np.eye(2))
         w = np.linalg.inv(0.2 * np.eye(2))
-        got = lpm_loglik_integrated([0.2], [0.1, 0.05], w, data, nodes=25)[0]
+        monkeypatch.setattr(lpm, "_GH_NODES", 25)
+        got = lpm_loglik_integrated([0.2], [0.1, 0.05], w, data)[0]
         # oracle: nested 2-dim quadrature per subject
         total = 0.0
         t = data.num_periods
@@ -123,11 +127,6 @@ class TestIntegratedLikelihood:
         data = lpm_synthetic(36, 3, 3, 1, 3, [0.1], np.zeros(3), 0.1 * np.eye(3))
         with pytest.raises(ConfigError):
             lpm_loglik_integrated([0.1], np.zeros(3), np.eye(3), data)
-
-    def test_node_floor(self, micro):
-        _, data = micro
-        with pytest.raises(ValueError):
-            lpm_loglik_integrated([0.1], [0.2], [[1.0]], data, nodes=11)
 
 
 def _default_panel_rows(size, seed, m=1):
@@ -180,7 +179,7 @@ class TestIntegratedLikelihoodBlocks:
         out = lpm_loglik_integrated([[0.2], [0.2]], [[0.1, 0.05]] * 2, w, data)
         assert np.isfinite(out[0]) and out[1] == -np.inf
         assert WishartParams(np.eye(2), 5).logpdf_batch(-np.eye(2))[0] == -np.inf
-        prior = LpmPrior([0.0], [[4.0]], [0.0, 0.0], 4 * np.eye(2), 0.5 * np.eye(2), 4.0)
+        prior = lpm_factors([0.0], [[4.0]], [0.0, 0.0], 4 * np.eye(2), 0.5 * np.eye(2), 4.0)
         kernel = LpmKernel(prior, data)
         thetas = kernel.layout.pack_batch({"beta": [[0.2], [0.2]], "mu": [[0.1, 0.05]] * 2,
                                            "sigma_inv": w})
@@ -339,14 +338,14 @@ class TestTwoEffectsExperiment:
 class TestVb:
     def test_wishart_dof_update(self):
         data = lpm_synthetic(40, 59, 5, 2, 1, [0.3, -0.2], [0.1], [[0.4]])
-        prior = LpmPrior(np.zeros(2), 4 * np.eye(2), [0.0], [[4.0]], [[0.5]], 4.0)
+        prior = lpm_factors(np.zeros(2), 4 * np.eye(2), [0.0], [[4.0]], [[0.5]], 4.0)
         vb = lpm_vb(LpmKernel(prior, data))
         assert vb.factors["sigma_inv"].dof == 63.0
 
     def test_flat_likelihood_returns_prior_mean(self):
         data = lpm_synthetic(41, 3, 3, 1, 1, [0.2], [0.0], [[0.2]])
         dead = LpmData(np.zeros(9), data.x, data.z, 3, 3, offsets=np.full(9, -40.0))
-        prior = LpmPrior([0.7], [[2.0]], [0.1], [[1.5]], [[0.5]], 3.0)
+        prior = lpm_factors([0.7], [[2.0]], [0.1], [[1.5]], [[0.5]], 3.0)
         vb = lpm_vb(LpmKernel(prior, dead))
         assert vb.factors["beta"].mean[0] == pytest.approx(0.7, abs=1e-6)
 
@@ -400,7 +399,7 @@ class TestVb:
 
     def test_divergence_guard_message(self, monkeypatch):
         data = lpm_synthetic(42, 10, 4, 1, 1, [0.4], [0.3], [[0.5]])
-        prior = LpmPrior([0.0], [[4.0]], [0.0], [[4.0]], [[0.5]], 3.0)
+        prior = lpm_factors([0.0], [[4.0]], [0.0], [[4.0]], [[0.5]], 3.0)
         monkeypatch.setattr(lpm, "_VB_DAMPING", 1.0)
         monkeypatch.setattr(lpm, "_VB_MAX_ITER", 60)
         # damping = 1 may or may not diverge on this fixture; the API contract
@@ -414,7 +413,7 @@ class TestVb:
 @pytest.fixture(scope="module")
 def sampler_fit():
     data = lpm_synthetic(50, 15, 5, 2, 1, [0.3, -0.2], [0.1], [[0.3]])
-    prior = LpmPrior(np.zeros(2), 4 * np.eye(2), [0.0], [[4.0]], [[0.5]], 3.0)
+    prior = lpm_factors(np.zeros(2), 4 * np.eye(2), [0.0], [[4.0]], [[0.5]], 3.0)
     kernel = LpmKernel(prior, data)
     vb = lpm_vb(kernel)
     return kernel, vb
@@ -539,8 +538,8 @@ class TestLeanSampler:
     @pytest.mark.parametrize("wide_beta", [False, True])
     def test_matches_reference_loop(self, m, k, wide_beta):
         data = lpm_synthetic(80 + m + k, 12, 4, k, m, [0.3, -0.2][:k], [0.1] * m, 0.3 * np.eye(m))
-        prior = LpmPrior(np.zeros(k), 4 * np.eye(k), np.zeros(m), 4 * np.eye(m),
-                         0.5 * np.eye(m), m + 2.0)
+        prior = lpm_factors(np.zeros(k), 4 * np.eye(k), np.zeros(m), 4 * np.eye(m),
+                            0.5 * np.eye(m), m + 2.0)
         kernel = LpmKernel(prior, data)
         vb = lpm_vb(kernel)
         if wide_beta:  # proposals far too wide: beta acceptance falls below 5% and warns
@@ -561,8 +560,8 @@ class TestLeanSampler:
         # a group of three chains warns once per chain for the too-wide beta
         # proposal, in chain order, each at the rate that chain has alone
         data = lpm_synthetic(83, 12, 4, 2, 1, [0.3, -0.2], [0.1], 0.3 * np.eye(1))
-        prior = LpmPrior(np.zeros(2), 4 * np.eye(2), np.zeros(1), 4 * np.eye(1),
-                         0.5 * np.eye(1), 3.0)
+        prior = lpm_factors(np.zeros(2), 4 * np.eye(2), np.zeros(1), 4 * np.eye(1),
+                            0.5 * np.eye(1), 3.0)
         kernel = LpmKernel(prior, data)
         vb = lpm_vb(kernel)
         beta = vb.factors["beta"]
@@ -570,7 +569,7 @@ class TestLeanSampler:
             "beta": MvNormalParams(beta.mean, 20 * beta.cov)})
         config = SamplerConfig(draws=40, burn_in=25, thin=3)
         _, group = _recorded(lambda: kernel.posterior_chains(
-            config, [make_rng(85, c) for c in range(3)], list("abc"), vb=vb))
+            config, [make_rng(85, c) for c in range(3)], vb=vb))
         alone = [w for c in range(3)
                  for w in _recorded(lambda: kernel.posterior_sampler(
                      config, make_rng(85, c), vb=vb))[1]]
@@ -582,8 +581,7 @@ class TestLeanSampler:
         # every step's arithmetic is row by row, so no bit depends on the stack size
         kernel, vb = sampler_fit
         config = SamplerConfig(draws=20, burn_in=15, thin=3)
-        group = kernel.posterior_chains(config, [make_rng(86, c) for c in range(16)],
-                                        list(range(16)), vb=vb)
+        group = kernel.posterior_chains(config, [make_rng(86, c) for c in range(16)], vb=vb)
         for c, chain in enumerate(group):
             alone = kernel.posterior_sampler(config, make_rng(86, c), vb=vb)
             assert np.array_equal(chain.thetas, alone.thetas), c
@@ -597,7 +595,7 @@ class TestBetaStep:
         # away from the likelihood's, so a wrong prior term in the accept
         # ratio shows; u, mu and Sigma^-1 stay at the VB start
         data = lpm_synthetic(91, 12, 4, 1, 1, [0.3], [0.1], 0.3 * np.eye(1))
-        prior = LpmPrior([1.0], [[0.02]], [0.0], [[4.0]], [[0.5]], 3.0)
+        prior = lpm_factors([1.0], [[0.02]], [0.0], [[4.0]], [[0.5]], 3.0)
         kernel = LpmKernel(prior, data)
         chains = 32
         start = kernel.gibbs_start(chains, vb=lpm_vb(kernel))

@@ -180,19 +180,19 @@ class TestKernelContract:
 
     def test_states_include_metadata(self):
         ng = ToyNormalGammaKernel(make_rng(11).normal(0, 1, 10))
-        ds = ng.posterior_sampler(SamplerConfig(draws=50, burn_in=10, thin=2), make_rng(12), seed=99)
+        ds = ng.posterior_sampler(SamplerConfig(draws=50, burn_in=10, thin=2), make_rng(12))
         assert ds.size == 50
-        assert ds.burn_in == 10 and ds.thin == 2 and ds.seed == 99
+        assert ds.burn_in == 10
         st0 = ds.unpack([0])
         assert set(st0) == {"mu", "tau"}
 
     def test_complete_data_appends_the_latents(self):
         layout = ParamLayout([Block("a", (2,)), Block("u", (3,), "positive")])
-        ds = PosteriorDrawSet(np.ones((4, 2)), ParamLayout(layout.blocks[:1]), seed=5,
+        ds = PosteriorDrawSet(np.ones((4, 2)), ParamLayout(layout.blocks[:1]), burn_in=5,
                               latents=np.full((4, 3), 2.0),
                               latent_layout=ParamLayout(layout.blocks[1:]))
         full = ds.complete_data(layout)
-        assert full.layout is layout and full.seed == 5
+        assert full.layout is layout and full.burn_in == 5
         assert np.array_equal(full.thetas, np.hstack([np.ones((4, 2)), np.full((4, 3), 2.0)]))
         with pytest.raises(ValueError, match="blocks then latents"):
             ds.complete_data(ParamLayout(layout.blocks[::-1]))
@@ -206,18 +206,19 @@ class TestKernelContract:
         outside = ["sigma_prec", "lam"] if model == "sfm-exponential" else ["sigma_inv"]
         for row, name in enumerate(outside):
             thetas[row, layout.slices[name]] *= -1.0
-        p, u = kernel.prior, layout.unpack_batch(thetas)
+        # the densities the registry's default options give, built here afresh
+        u = layout.unpack_batch(thetas)
         if model == "sfm-exponential":
-            want = (MvNormalParams(p.beta0, p.Vbeta0).logpdf_batch(u["beta"])
-                    + GammaParams(p.a_sigma0, p.b_sigma0).logpdf_batch(u["sigma_prec"])
-                    + GammaParams(p.a_lam0, p.b_lam0).logpdf_batch(u["lam"]))
+            want = (MvNormalParams(np.zeros(2), 4 * np.eye(2)).logpdf_batch(u["beta"])
+                    + GammaParams(2.0, 0.1).logpdf_batch(u["sigma_prec"])
+                    + GammaParams(2.0, 1.0).logpdf_batch(u["lam"]))
         elif model == "var-independent":
-            want = (MvNormalParams(p.alpha0, p.Vbig0).logpdf_batch(u["alpha"])
-                    + WishartParams(p.S0, p.nu0).logpdf_batch(u["sigma_inv"]))
+            want = (MvNormalParams(np.zeros(6), 10 * np.eye(6)).logpdf_batch(u["alpha"])
+                    + WishartParams(np.eye(2), 4.0).logpdf_batch(u["sigma_inv"]))
         else:
-            want = (MvNormalParams(p.beta0, p.Vbeta0).logpdf_batch(u["beta"])
-                    + MvNormalParams(p.mu0, p.Vmu0).logpdf_batch(u["mu"])
-                    + WishartParams(p.S0, p.nu0).logpdf_batch(u["sigma_inv"]))
+            want = (MvNormalParams(np.zeros(2), 4 * np.eye(2)).logpdf_batch(u["beta"])
+                    + MvNormalParams(np.zeros(1), 4 * np.eye(1)).logpdf_batch(u["mu"])
+                    + WishartParams(0.5 * np.eye(1), 3.0).logpdf_batch(u["sigma_inv"]))
         got = kernel.log_prior_batch(thetas)
         assert np.array_equal(got, want)
         assert np.all(got[:len(outside)] == -np.inf) and np.all(np.isfinite(got[len(outside):]))
@@ -294,7 +295,7 @@ def plain_chain(kernel, state, config, rng, clamped=frozenset()):
             rows.append(kernel.layout.pack(one))
             if kernel.latent_layout is not None:
                 latents.append(kernel.latent_layout.pack(one))
-    return PosteriorDrawSet(np.array(rows), kernel.layout, seed=None,
+    return PosteriorDrawSet(np.array(rows), kernel.layout,
                             latents=np.array(latents) if latents else None,
                             latent_layout=kernel.latent_layout)
 
@@ -419,9 +420,9 @@ class TestGibbsDriver:
         kernel, draws = gibbs_draws
         config = SamplerConfig(draws=40, burn_in=25, thin=3)
         monkeypatch.setattr(modelapi, "_PACK_ROWS", 16)  # rows packed in blocks of 16, 16, 8
-        got, = run_gibbs(kernel, last_state(draws), config, [make_rng(25)], [7])
+        got, = run_gibbs(kernel, last_state(draws), config, [make_rng(25)])
         want = plain_chain(kernel, last_state(draws), config, make_rng(25))
-        assert (got.burn_in, got.thin, got.seed) == (25, 3, 7)
+        assert got.burn_in == 25
         assert np.array_equal(got.thetas, want.thetas)
         assert (got.latents is None) == (want.latents is None)
         if got.latents is not None:
@@ -447,10 +448,10 @@ class TestLockstepChains:
     def test_group_equals_each_chain_alone(self, gibbs_draws):
         kernel, draws = gibbs_draws
         config = SamplerConfig(draws=20, burn_in=15, thin=3)
-        group = kernel.posterior_chains(config, [make_rng(28, c) for c in range(3)], list("abc"))
+        group = kernel.posterior_chains(config, [make_rng(28, c) for c in range(3)])
         for c, chain in enumerate(group):
-            alone = kernel.posterior_sampler(config, make_rng(28, c), seed="abc"[c])
-            assert chain.seed == alone.seed and (chain.burn_in, chain.thin) == (15, 3)
+            alone = kernel.posterior_sampler(config, make_rng(28, c))
+            assert chain.burn_in == alone.burn_in == 15
             assert np.array_equal(chain.thetas, alone.thetas), c
             assert (chain.latents is None) == (alone.latents is None)
             if chain.latents is not None:

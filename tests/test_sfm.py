@@ -17,9 +17,7 @@ from mddkit.sfm import (
     GammaCaseInefficiency,
     SfmData,
     SfmExpKernel,
-    SfmExpPrior,
     SfmGammaKernel,
-    SfmGammaPrior,
     sfm_exp_integrated_loglik,
     sfm_exp_vb,
     sfm_gamma_integrated_loglik,
@@ -30,12 +28,20 @@ from mddkit.sfm import (
 from mddkit.sfm import make_sfm_exp_cdl_weighting, make_sfm_gamma_cdl_weighting
 from mddkit.statscore import TruncNormalParams, ln_parabolic_cylinder_d, make_rng, quadrature_1d
 from oracles import elbo_monte_carlo
+from priors import frontier_factors, sfm_exp_factors
+
+
+def _gamma_kernel(data, a_theta0=2.0, b_theta0=2.0):
+    """The gamma frontier with beta ~ N(0, 4 I), sigma^-2 ~ G(2, 0.1),
+    lambda | theta ~ G(theta, 1) and theta^-1 ~ G(a_theta0, b_theta0)."""
+    return SfmGammaKernel(frontier_factors(np.zeros(2), 4 * np.eye(2), 2.0, 0.1), data,
+                          1.0, a_theta0, b_theta0)
 
 
 @pytest.fixture(scope="module")
 def exp_setup():
     data = sfm_synthetic(11, 12, 5, 2, "exponential", [1.0, 0.5], 0.04, 2.0)
-    prior = SfmExpPrior(np.zeros(2), 4 * np.eye(2), 2.0, 0.1, 2.0, 1.0)
+    prior = sfm_exp_factors(np.zeros(2), 4 * np.eye(2), 2.0, 0.1, 2.0, 1.0)
     return prior, data
 
 
@@ -98,7 +104,7 @@ class TestIntegratedLikelihood:
 class TestExpVb:
     def test_shape_updates_are_count_based(self, monkeypatch):
         data = sfm_synthetic(13, 43, 4, 2, "exponential", [1.0, 0.3], 0.04, 2.0)
-        prior = SfmExpPrior(np.zeros(2), 4 * np.eye(2), 1.0, 0.1, 1.0, 1.0)
+        prior = sfm_exp_factors(np.zeros(2), 4 * np.eye(2), 1.0, 0.1, 1.0, 1.0)
         monkeypatch.setattr(sfm, "_EXP_VB_MAX_ITER", 3)
         monkeypatch.setattr(sfm, "_EXP_VB_TOL", 1e-30)
         with pytest.warns(UserWarning, match="max_iter"):
@@ -181,7 +187,7 @@ class TestExpSampler:
 
     def test_dogmatic_prior_pins_beta(self, exp_setup):
         _, data = exp_setup
-        prior = SfmExpPrior(np.array([1.0, 0.5]), 1e-12 * np.eye(2), 2.0, 0.1, 2.0, 1.0)
+        prior = sfm_exp_factors(np.array([1.0, 0.5]), 1e-12 * np.eye(2), 2.0, 0.1, 2.0, 1.0)
         kernel = SfmExpKernel(prior, data)
         draws = kernel.posterior_sampler(SamplerConfig(draws=200, burn_in=100), make_rng(18))
         beta = kernel.layout.unpack_batch(draws.thetas)["beta"]
@@ -393,8 +399,7 @@ class TestGridSampling:
             quadrature_1d(log_unnorm, 0.0, math.inf, tol=1e-14), abs=1e-12)
 
     def test_cdl_weighting_sampler_draws_the_vb_factors(self, gamma_fit):
-        prior, data, vb = gamma_fit
-        kernel = SfmGammaKernel(prior, data)
+        kernel, data, vb = gamma_fit
         w = make_sfm_gamma_cdl_weighting(vb, kernel)
         thetas = w.sampler(make_rng(43), 4000)
         assert thetas.shape == (4000, kernel.layout.dim)
@@ -407,8 +412,8 @@ class TestGridSampling:
 @pytest.fixture(scope="module")
 def gamma_fit():
     data = sfm_synthetic(21, 10, 5, 2, "gamma", [1.0, 0.5], 0.04, 2.0, theta=1.5)
-    prior = SfmGammaPrior(np.zeros(2), 4 * np.eye(2), 2.0, 0.1, 1.0, 2.0, 2.0)
-    return prior, data, sfm_gamma_vb(SfmGammaKernel(prior, data))
+    kernel = _gamma_kernel(data)
+    return kernel, data, sfm_gamma_vb(kernel)
 
 
 class TestGammaVb:
@@ -440,19 +445,18 @@ class TestGammaVb:
         assert counts == {"quadrature_1d": 0, "ln_parabolic_cylinder_d": 1}
 
     def test_lambda_shape_tracks_theta(self, gamma_fit):
-        prior, data, vb = gamma_fit
+        _, data, vb = gamma_fit
         assert vb.factors["lam"].shape == pytest.approx(
             (data.num_firms + 1) * vb.factors["theta"].mean(), rel=1e-12)
 
     def test_bound_matches_monte_carlo_over_the_kernel_layout(self, gamma_fit):
         # q spans the kernel's layout, u included, so its draws go straight to the kernel
-        prior, data, vb = gamma_fit
-        mean, se = elbo_monte_carlo(SfmGammaKernel(prior, data), vb, make_rng(24))
+        kernel, data, vb = gamma_fit
+        mean, se = elbo_monte_carlo(kernel, vb, make_rng(24))
         assert vb.elbo == pytest.approx(mean, abs=4 * se)
 
     def test_bound_below_ris_estimate(self, gamma_fit):
-        prior, data, vb = gamma_fit
-        kernel = SfmGammaKernel(prior, data)
+        kernel, data, vb = gamma_fit
         w = make_sfm_gamma_cdl_weighting(vb, kernel)
         vals = []
         for r in range(4):
@@ -468,14 +472,14 @@ def _gamma_reference_sampler(kernel, config, rng):
     conjugate blocks from their full conditionals, then log-scale random walks
     for theta and for each u_i, their steps adapted in burn-in towards 0.44
     and their acceptance counted as accepted proposals after it."""
-    d, prior = kernel.data, kernel.prior
+    d = kernel.data
     n, t, c = d.num_firms, d.num_periods, d.c
     beta0, *_ = np.linalg.lstsq(d.x, d.y, rcond=None)
     state = {"beta": beta0, "sigma_prec": 1.0 / max(float(np.var(d.y - d.x @ beta0)), 1e-6),
              "lam": 1.0, "theta": 1.0, "u": np.full(n, 0.5)}
 
     def log_cond_theta(theta, lin, su):
-        return (-(prior.a_theta0 + 1.0) * math.log(theta) - prior.b_theta0 / theta
+        return (-(kernel.theta_shape + 1.0) * math.log(theta) - kernel.theta_rate / theta
                 + theta * lin - (n + 1) * float(gammaln(theta)) - su)
 
     step_theta, step_u = 0.5, np.full(n, 0.5)
@@ -489,7 +493,7 @@ def _gamma_reference_sampler(kernel, config, rng):
             state[name] = np.reshape(value, np.shape(state[name]))
         cur, lam = float(state["theta"]), float(state["lam"])
         su = float(np.sum(np.log(state["u"])))
-        lin = math.log(prior.b_lam0) + (n + 1) * math.log(lam) + su
+        lin = math.log(kernel.lam_rate) + (n + 1) * math.log(lam) + su
         prop = cur * math.exp(step_theta * rng.standard_normal())
         delta = (log_cond_theta(prop, lin, su) - log_cond_theta(cur, lin, su)
                  + math.log(prop) - math.log(cur))
@@ -542,8 +546,7 @@ class TestGammaSampler:
         # a theta prior pinned at 1 leaves the theta walk far too wide: it warns
         data = sfm_synthetic(33, 10, 5, 2, "gamma", [1.0, 0.5], 0.04, 2.0, theta=1.5)
         shape = 1e6 if pinned_theta else 2.0
-        kernel = SfmGammaKernel(
-            SfmGammaPrior(np.zeros(2), 4 * np.eye(2), 2.0, 0.1, 1.0, shape, shape), data)
+        kernel = _gamma_kernel(data, shape, shape)
         config = SamplerConfig(draws=40, burn_in=25, thin=3)
         got, got_warnings = _recorded(lambda: kernel.posterior_sampler(config, make_rng(34)))
         want, want_warnings = _recorded(
@@ -554,9 +557,8 @@ class TestGammaSampler:
         assert any("theta" in w for w in got_warnings) == pinned_theta
     def test_theta_pinned_matches_exponential_model(self):
         data = sfm_synthetic(25, 10, 5, 2, "exponential", [1.0, 0.5], 0.04, 2.0)
-        gprior = SfmGammaPrior(np.zeros(2), 4 * np.eye(2), 2.0, 0.1, 1.0, 1e6, 1e6)
-        eprior = SfmExpPrior(np.zeros(2), 4 * np.eye(2), 2.0, 0.1, 1.0, 1.0)
-        gker, eker = SfmGammaKernel(gprior, data), SfmExpKernel(eprior, data)
+        eprior = sfm_exp_factors(np.zeros(2), 4 * np.eye(2), 2.0, 0.1, 1.0, 1.0)
+        gker, eker = _gamma_kernel(data, 1e6, 1e6), SfmExpKernel(eprior, data)
         gd = gker.posterior_sampler(SamplerConfig(draws=3000, burn_in=1000), make_rng(26))
         ed = eker.posterior_sampler(SamplerConfig(draws=3000, burn_in=1000), make_rng(27))
         gu = gker.layout.unpack_batch(gd.thetas)
@@ -567,8 +569,7 @@ class TestGammaSampler:
 
     def test_u_draws_positive_and_deterministic(self):
         data = sfm_synthetic(28, 6, 4, 2, "gamma", [1.0, 0.5], 0.04, 2.0, theta=1.5)
-        prior = SfmGammaPrior(np.zeros(2), 4 * np.eye(2), 2.0, 0.1, 1.0, 2.0, 2.0)
-        kernel = SfmGammaKernel(prior, data)
+        kernel = _gamma_kernel(data)
         cfg = SamplerConfig(draws=200, burn_in=150)
         a = kernel.posterior_sampler(cfg, make_rng(29, 1))
         b = kernel.posterior_sampler(cfg, make_rng(29, 1))
@@ -581,10 +582,9 @@ class TestReducedRun:
     @pytest.mark.parametrize("family", ["exponential", "gamma"])
     def test_clamped_beta_residual_means_computed_once(self, family, monkeypatch):
         data = sfm_synthetic(30, 8, 4, 2, family, [1.0, 0.5], 0.04, 2.0, theta=1.5)
-        kernel = (SfmExpKernel(SfmExpPrior(np.zeros(2), 4 * np.eye(2), 2.0, 0.1, 2.0, 1.0), data)
+        kernel = (SfmExpKernel(sfm_exp_factors(np.zeros(2), 4 * np.eye(2), 2.0, 0.1, 2.0, 1.0), data)
                   if family == "exponential" else
-                  SfmGammaKernel(SfmGammaPrior(np.zeros(2), 4 * np.eye(2), 2.0, 0.1, 1.0, 2.0, 2.0),
-                                 data))
+                  _gamma_kernel(data))
         draws = kernel.posterior_sampler(SamplerConfig(draws=30, burn_in=20), make_rng(31))
         star = _default_theta_star(draws)
         calls = []

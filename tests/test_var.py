@@ -21,31 +21,29 @@ from mddkit.statscore import (
 from mddkit.var import (
     NormalWishart,
     VarConjugateKernel,
-    VarConjugatePrior,
     VarData,
     VarIndependentKernel,
-    VarIndependentPrior,
-    var_exact_log_mdd,
     var_exact_posterior,
     var_read_csv,
     var_synthetic,
     var_vb_independent,
 )
-from oracles import elbo_monte_carlo, var_joint_family_bound
+from oracles import elbo_monte_carlo, var_exact_log_mdd, var_joint_family_bound
+from priors import var_independent_factors
 
 
 
-def var_vblb_conjugate_closed_form(prior: VarConjugatePrior, data: VarData) -> float:
+def var_vblb_conjugate_closed_form(prior: NormalWishart, data: VarData) -> float:
     """The factorized bound in its condensed display form (cross-check)."""
     post = var_exact_posterior(prior, data)
     n, k, t = data.N, data.K, data.T
-    nu_bar = t + prior.nu0
+    nu_bar = t + prior.nu
     nu_q = nu_bar + k
     return (-0.5 * n * t * math.log(math.pi) + 0.5 * n * k * math.log(2.0 * math.e)
             + 0.5 * n * (nu_bar * math.log(nu_bar) - nu_q * math.log(nu_q))
-            + ln_multivariate_gamma(n, 0.5 * nu_q) - ln_multivariate_gamma(n, 0.5 * prior.nu0)
-            + 0.5 * n * (_logdet(post.V) - _logdet(prior.V0))
-            + 0.5 * (prior.nu0 * _logdet(prior.S0) - nu_bar * _logdet(post.S)))
+            + ln_multivariate_gamma(n, 0.5 * nu_q) - ln_multivariate_gamma(n, 0.5 * prior.nu)
+            + 0.5 * n * (_logdet(post.V) - _logdet(prior.V))
+            + 0.5 * (prior.nu * _logdet(prior.S) - nu_bar * _logdet(post.S)))
 
 
 @pytest.fixture(scope="module")
@@ -53,32 +51,32 @@ def small_var():
     coeffs = np.array([[0.1, -0.2], [0.5, 0.1], [0.2, 0.4]])
     sigma = np.array([[1.0, 0.3], [0.3, 0.8]])
     data = var_synthetic(77, 2, 80, 1, coeffs, sigma)
-    prior = VarConjugatePrior(np.zeros((3, 2)), 10 * np.eye(3), np.eye(2), 4.0)
+    prior = NormalWishart(np.zeros((3, 2)), 10 * np.eye(3), np.eye(2), 4.0)
     return prior, data
 
 
 class TestExactPosterior:
     def test_empty_data_returns_prior(self):
-        prior = VarConjugatePrior(np.zeros((3, 2)), 2 * np.eye(3), np.eye(2), 4.0)
+        prior = NormalWishart(np.zeros((3, 2)), 2 * np.eye(3), np.eye(2), 4.0)
         data = VarData(np.zeros((0, 2)), np.zeros((0, 3)), 1)
         post = var_exact_posterior(prior, data)
-        assert np.allclose(post.A, prior.A0)
-        assert np.allclose(post.V, prior.V0)
-        assert np.allclose(post.S, prior.S0)
-        assert post.nu == prior.nu0
+        assert np.allclose(post.A, prior.A)
+        assert np.allclose(post.V, prior.V)
+        assert np.allclose(post.S, prior.S)
+        assert post.nu == prior.nu
 
     def test_flat_prior_limit_gives_ols(self):
         y = np.array([[0.1], [-0.2], [0.3]])
         data = VarData(y, np.ones((3, 1)), 0)
-        prior = VarConjugatePrior([[0.0]], [[1e10]], [[1.0]], 3.0)
+        prior = NormalWishart([[0.0]], [[1e10]], [[1.0]], 3.0)
         post = var_exact_posterior(prior, data)
         assert post.A[0, 0] == pytest.approx(y.mean(), abs=1e-8)
 
     def test_scale_matches_alternative_form(self, small_var):
         prior, data = small_var
         post = var_exact_posterior(prior, data)
-        v0_inv = np.linalg.inv(prior.V0)
-        alt = (data.Y.T @ data.Y + prior.S0 + prior.A0.T @ v0_inv @ prior.A0
+        v0_inv = np.linalg.inv(prior.V)
+        alt = (data.Y.T @ data.Y + prior.S + prior.A.T @ v0_inv @ prior.A
                - post.A.T @ np.linalg.inv(post.V) @ post.A)
         assert np.allclose(post.S, alt, atol=1e-9)
 
@@ -88,7 +86,7 @@ class TestExactLogMdd:
         # N=1, p=0: integrate the kernel over (intercept, precision) directly
         y = np.array([[0.1], [-0.2], [0.3]])
         data = VarData(y, np.ones((3, 1)), 0)
-        prior = VarConjugatePrior([[0.0]], [[1.0]], [[1.0]], 3.0)
+        prior = NormalWishart([[0.0]], [[1.0]], [[1.0]], 3.0)
         exact = var_exact_log_mdd(prior, data)
 
         def outer(ws):
@@ -112,7 +110,7 @@ class TestExactLogMdd:
         assert exact == pytest.approx(oracle, abs=1e-9)
 
     def test_empty_data_integrates_to_one(self):
-        prior = VarConjugatePrior(np.zeros((3, 2)), 2 * np.eye(3), np.eye(2), 4.0)
+        prior = NormalWishart(np.zeros((3, 2)), 2 * np.eye(3), np.eye(2), 4.0)
         data = VarData(np.zeros((0, 2)), np.zeros((0, 3)), 1)
         assert var_exact_log_mdd(prior, data) == pytest.approx(0.0, abs=1e-10)
 
@@ -124,11 +122,11 @@ class TestExactLogMdd:
         x2 = data.X.copy()
         x2[:, 1:] = data.X[:, 1:][:, perm]
         data2 = VarData(y2, x2, data.p)
-        v0 = prior.V0.copy()
-        v0[1:, 1:] = prior.V0[1:, 1:][np.ix_(perm, perm)]
-        prior2 = VarConjugatePrior(prior.A0[:, perm][np.ix_([0, 2, 1], [0, 1])]
-                                   if False else prior.A0, v0,
-                                   prior.S0[np.ix_(perm, perm)], prior.nu0)
+        v0 = prior.V.copy()
+        v0[1:, 1:] = prior.V[1:, 1:][np.ix_(perm, perm)]
+        prior2 = NormalWishart(prior.A[:, perm][np.ix_([0, 2, 1], [0, 1])]
+                              if False else prior.A, v0,
+                              prior.S[np.ix_(perm, perm)], prior.nu)
         assert var_exact_log_mdd(prior2, data2) == pytest.approx(
             var_exact_log_mdd(prior, data), abs=1e-8)
 
@@ -185,12 +183,12 @@ class TestConjugateVb:
             coeffs = np.zeros((k, n))
             coeffs[1:1 + n] = 0.4 * np.eye(n)
             data = var_synthetic(80 + n + p, n, 80, p, coeffs, np.eye(n))
-            cases.append((VarConjugatePrior(np.zeros((k, n)), 10 * np.eye(k), np.eye(n), nu0),
+            cases.append((NormalWishart(np.zeros((k, n)), 10 * np.eye(k), np.eye(n), nu0),
                           data))
         for prior, data in cases:
             vb = VarConjugateKernel(prior, data).vb_fit()
             assert vb.elbo == pytest.approx(var_vblb_conjugate_closed_form(prior, data),
-                                            abs=1e-9), (data.N, data.p, prior.nu0)
+                                            abs=1e-9), (data.N, data.p, prior.nu)
 
     def test_factorized_alpha_factor_is_matric_normal(self, small_var):
         # q(alpha) = MN(A, V, col_cov): vec(A) row by row with covariance V kron col_cov
@@ -217,15 +215,15 @@ class TestConjugateVb:
         assert vb.elbo == pytest.approx(mean, abs=4 * se + 1e-9)
 
     def test_context_reuses_the_kernels_posterior(self, monkeypatch):
-        # the kernel's exact posterior serves its VB fit; var_exact_log_mdd, the
-        # closed form the tests compare against, still computes its own
+        # the kernel's exact posterior serves its VB fit and its exact evidence;
+        # var_exact_log_mdd, the closed form the tests compare against, computes its own
         calls = []
         exact_posterior = var_mod.var_exact_posterior
         monkeypatch.setattr(var_mod, "var_exact_posterior",
                             lambda *args: calls.append(args) or exact_posterior(*args))
         ctx = build_context(ExperimentConfig(model="var-conjugate", repetitions=1))
-        assert len(calls) == 2
-        prior, data = ctx.kernel.prior, ctx.kernel.data
+        assert len(calls) == 1
+        prior, data = ctx.kernel._nw0, ctx.kernel.data
         assert ctx.exact == var_exact_log_mdd(prior, data)
         fit, ref = ctx.kernel.vb_fit(), VarConjugateKernel(prior, data).vb_fit()
         assert np.array_equal(fit.elbo_trace, ref.elbo_trace)
@@ -243,7 +241,7 @@ class TestConjugateVb:
     def test_dof_guard(self):
         # factor dof T + 1 + pN + nu0 = 2.2 fails the > N + 1 = 3 requirement
         data = VarData(np.zeros((0, 2)), np.zeros((0, 1)), 0)
-        prior = VarConjugatePrior(np.zeros((1, 2)), np.eye(1), np.eye(2), 1.2)
+        prior = NormalWishart(np.zeros((1, 2)), np.eye(1), np.eye(2), 1.2)
         with pytest.raises(ConfigError):
             VarConjugateKernel(prior, data).vb_fit()
 
@@ -251,7 +249,7 @@ class TestConjugateVb:
 @pytest.fixture(scope="module")
 def independent_fit(small_var):
     _, data = small_var
-    prior = VarIndependentPrior(np.zeros(6), 10 * np.eye(6), np.eye(2), 4.0)
+    prior = var_independent_factors(np.zeros(6), 10 * np.eye(6), np.eye(2), 4.0)
     return prior, data, var_vb_independent(VarIndependentKernel(prior, data))
 
 
@@ -259,7 +257,7 @@ class TestIndependentVb:
 
     def test_dof_is_t_plus_prior(self, independent_fit):
         prior, data, vb = independent_fit
-        assert vb.factors["sigma_inv"].dof == data.T + prior.nu0
+        assert vb.factors["sigma_inv"].dof == data.T + prior["sigma_inv"].dof
 
     def test_trace_monotone_and_converged(self, independent_fit):
         _, _, vb = independent_fit
@@ -287,7 +285,7 @@ class TestIndependentVb:
 
 def _var_kernels(small_var):
     prior, data = small_var
-    independent = VarIndependentPrior(np.zeros(6), 10 * np.eye(6), np.eye(2), 4.0)
+    independent = var_independent_factors(np.zeros(6), 10 * np.eye(6), np.eye(2), 4.0)
     return [VarConjugateKernel(prior, data), VarIndependentKernel(independent, data)]
 
 
@@ -333,7 +331,7 @@ class TestLikelihood:
 class TestGibbs:
     def test_chain_mean_matches_vb_mean(self, small_var):
         _, data = small_var
-        prior = VarIndependentPrior(np.zeros(6), 10 * np.eye(6), np.eye(2), 4.0)
+        prior = var_independent_factors(np.zeros(6), 10 * np.eye(6), np.eye(2), 4.0)
         kernel = VarIndependentKernel(prior, data)
         vb = var_vb_independent(VarIndependentKernel(prior, data))
         draws = kernel.posterior_sampler(SamplerConfig(draws=5000, burn_in=500),
@@ -344,7 +342,7 @@ class TestGibbs:
 
     def test_dogmatic_prior_pins_coefficients(self, small_var):
         _, data = small_var
-        prior = VarIndependentPrior(np.full(6, 0.3), 1e-12 * np.eye(6), np.eye(2), 4.0)
+        prior = var_independent_factors(np.full(6, 0.3), 1e-12 * np.eye(6), np.eye(2), 4.0)
         kernel = VarIndependentKernel(prior, data)
         draws = kernel.posterior_sampler(SamplerConfig(draws=200, burn_in=50), make_rng(71))
         alpha = kernel.layout.unpack_batch(draws.thetas)["alpha"]
@@ -352,7 +350,7 @@ class TestGibbs:
 
     def test_seed_determinism(self, small_var):
         _, data = small_var
-        prior = VarIndependentPrior(np.zeros(6), 10 * np.eye(6), np.eye(2), 4.0)
+        prior = var_independent_factors(np.zeros(6), 10 * np.eye(6), np.eye(2), 4.0)
         kernel = VarIndependentKernel(prior, data)
         cfg = SamplerConfig(draws=100, burn_in=20)
         a = kernel.posterior_sampler(cfg, make_rng(72, 5))

@@ -77,10 +77,9 @@ class ToyNormalKernel(ModelKernel):
         return MvNormalParams(np.full(stack + (1,), self.post_mean),
                               np.full(stack + (1, 1), self.post_var))
 
-    def posterior_sampler(self, config: SamplerConfig, rng, seed=None) -> PosteriorDrawSet:
+    def posterior_sampler(self, config: SamplerConfig, rng) -> PosteriorDrawSet:
         draws = self.post_mean + math.sqrt(self.post_var) * rng.standard_normal(config.draws)
-        return PosteriorDrawSet(draws[:, None], self.layout, seed=seed,
-                                burn_in=config.burn_in, thin=config.thin)
+        return PosteriorDrawSet(draws[:, None], self.layout, burn_in=config.burn_in)
 
     def vb_fit(self) -> VBResult:
         # one block: the optimal approximation is the posterior itself
