@@ -55,16 +55,16 @@ def cmd_synth(args) -> int:
 
 def cmd_fit_vb(args) -> int:
     config = _load_config(args)
-    ctx = harness.build_context(config)
-    vb = ctx.vb
+    kernel = harness.build_context(config)
+    vb = kernel.vb
     report = {
         "model": config.model,
         "vblb": vb.elbo,
         "iterations": int(len(vb.elbo_trace)),
         "converged": bool(vb.converged),
     }
-    if ctx.exact is not None:
-        report["exact_log_mdd"] = ctx.exact
+    if (exact := kernel.exact_log_mdd()) is not None:
+        report["exact_log_mdd"] = exact
     print(json.dumps(report, indent=2, sort_keys=True))
     args.out.mkdir(parents=True, exist_ok=True)
     trace_path = args.out / "elbo_trace.csv"
@@ -76,12 +76,12 @@ def cmd_fit_vb(args) -> int:
 
 def cmd_sample(args) -> int:
     config = _load_config(args)
-    ctx = harness.build_context(config)
-    draws = harness.sample_chain(ctx, config, rep=0)
+    kernel = harness.build_context(config)
+    draws = harness.sample_chain(kernel, config, rep=0)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "draws.csv"
     names = []
-    for block in ctx.kernel.layout.blocks:
+    for block in kernel.layout.blocks:
         size = block.size
         names.extend(f"{block.name}_{j}" for j in range(size))
     body = "\n".join(",".join(repr(float(v)) for v in row) for row in draws.thetas)

@@ -39,6 +39,9 @@ __all__ = [
 _BRIDGE_TOL = 1e-10
 _BRIDGE_MAX_ITER = 100
 _GEWEKE_ALPHA = 0.05
+_SE_BATCHES = 30  # batches of the batch-means SE
+_REDUCED_RUN_LENGTH = None  # states per Chib reduced run; None: as many as the chain keeps
+_SWZ_COVERAGE = 0.9  # share of the chain draws inside SWZ's kernel superlevel set
 
 
 @dataclass
@@ -50,21 +53,21 @@ class MddEstimate:
     iterations: int = 0
     extras: dict = field(default_factory=dict)
 
-    def se_batch_means(self, num_batches: int = 30) -> float:
+    def se_batch_means(self) -> float:
         """Delta-method SE of the log estimate from its per-draw log terms.
 
         The estimate is the log (or minus the log) of the mean weight
         exp(term); its SE is the batch-means SE of the normalised weights
-        exp(term - max term) over the first floor(S / B) * B terms, divided
-        by their mean.
+        exp(term - max term) over the first floor(S / B) * B terms, B =
+        ``_SE_BATCHES``, divided by their mean.
         """
         terms = self.extras.get("log_terms")
         if terms is None:
             raise UnsupportedModelError(f"{self.method} keeps no per-draw series")
         terms = np.asarray(terms, dtype=float)
-        usable = terms[:(terms.size // num_batches) * num_batches]
+        usable = terms[:(terms.size // _SE_BATCHES) * _SE_BATCHES]
         weights = np.exp(usable - np.max(usable))
-        return batch_means_se(weights, num_batches) / float(np.mean(weights))
+        return batch_means_se(weights, _SE_BATCHES) / float(np.mean(weights))
 
 
 def _kernel_values(kernel, draws, cached=None):
@@ -204,14 +207,15 @@ def _default_theta_star(draws: PosteriorDrawSet) -> dict:
     return star
 
 
-def chib_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, rng: np.random.Generator,
-                  reduced_run_length: int | None = None) -> MddEstimate:
+def chib_estimate(kernel: ModelKernel, draws: PosteriorDrawSet,
+                  rng: np.random.Generator) -> MddEstimate:
     """Basic marginal likelihood identity evaluated at a high-density point.
 
     ln p(y) = ln p(y|t*) + ln p(t*) - ln p(t*|y), with the posterior ordinate
     decomposed block by block along the Gibbs sweep order; every factor after
-    the first is Rao-Blackwellized over one reduced run with the earlier
-    blocks clamped at their starred values.
+    the first is Rao-Blackwellized over one reduced run of
+    ``_REDUCED_RUN_LENGTH`` states with the earlier blocks clamped at their
+    starred values.
     """
     blocks = kernel.conditional_blocks
     if missing := kernel.layout.missing(blocks):  # would need Chib-Jeliazkov ordinates
@@ -219,7 +223,7 @@ def chib_estimate(kernel: ModelKernel, draws: PosteriorDrawSet, rng: np.random.G
                                     f"{type(kernel).__name__} has none for {' and '.join(missing)}")
     if len(blocks) > 1 and not hasattr(kernel, "gibbs_sweep"):
         raise UnsupportedModelError(f"{type(kernel).__name__} lacks a clampable Gibbs sweep")
-    run_len = reduced_run_length or draws.size
+    run_len = _REDUCED_RUN_LENGTH or draws.size
     star = _default_theta_star(draws)
 
     log_ordinate = 0.0
@@ -346,11 +350,11 @@ def _kernel_mode(kernel: ModelKernel, layout, start: np.ndarray) -> np.ndarray:
 
 
 def make_swz_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
-                       coverage: float = 0.9, log_kernel_values=None) -> WeightingDensity:
+                       log_kernel_values=None) -> WeightingDensity:
     """Elliptical weighting centered at the posterior mode with a fitted
     power-law radial density on the 1st to 99th percentile of the draws'
-    radii, truncated to a kernel superlevel set holding ~``coverage`` of the
-    chain draws.
+    radii, truncated to a kernel superlevel set holding ~``_SWZ_COVERAGE`` of
+    the chain draws.
 
     The ellipse lives on the unconstrained transform; the scaling matrix is
     the second moment of the transformed draws about the transformed mode,
@@ -378,13 +382,13 @@ def make_swz_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
         nu = brentq(lambda v: mean_radius(v) - r_mean, 1e-3, 1e6)
     except ValueError:
         nu = float(layout.dim)  # radius matching infeasible; chi-like default
-    threshold = np.percentile(log_k, 100.0 * (1.0 - coverage))
+    threshold = np.percentile(log_k, 100.0 * (1.0 - _SWZ_COVERAGE))
 
     n = layout.dim
     log_det_half = float(np.sum(np.log(np.diag(chol))))
     log_const = (float(gammaln(n / 2.0)) - math.log(2.0) - (n / 2.0) * math.log(math.pi)
                  + math.log(nu) - math.log(b ** nu - a ** nu)
-                 - math.log(coverage) - log_det_half)
+                 - math.log(_SWZ_COVERAGE) - log_det_half)
 
     def log_eval(thetas):
         thetas = np.atleast_2d(thetas)
@@ -411,19 +415,20 @@ _PMD_BLOCK_ELEMENTS = 2 ** 17
 
 
 def make_pmd_weighting(kernel: ModelKernel, draws: PosteriorDrawSet,
-                       components: int | None = 512) -> WeightingDensity:
+                       components: int = 512) -> WeightingDensity:
     """Product of Rao-Blackwellized marginal posterior densities.
 
     Each factor, one per block of ``kernel.conditional_blocks``, is the chain
     average of the block's full conditional, built once over the component
     states; the sampler draws every block independently from the conditional
     of a uniformly chosen component. ``components`` caps the number of
-    mixture components by even-stride subsampling (None keeps all draws).
+    mixture components by even-stride subsampling (at least the draw count
+    keeps every draw).
     """
     names = kernel.conditional_blocks
     if not names:
         raise UnsupportedModelError(f"{type(kernel).__name__} exposes no conditionals for PMD")
-    if components is None or components >= draws.size:
+    if components >= draws.size:
         idx = np.arange(draws.size)
     else:
         idx = np.linspace(0, draws.size - 1, components).round().astype(int)

@@ -22,7 +22,7 @@ import numpy as np
 from . import estimators as est
 from .diagnostics import BoundsSpec, RepetitionSet, nse, percent_in_bounds
 from .errors import ConfigError, EstimationError, NumericError, UnsupportedModelError
-from .modelapi import GibbsKernel, ModelContext, SamplerConfig
+from .modelapi import GibbsKernel, ModelKernel, SamplerConfig
 from .models import MODELS
 from .statscore import make_rng
 
@@ -79,7 +79,7 @@ ESTIMATORS = {
 
 _DEFAULT_ESTIMATORS = ["ris-vb", "bs-vb", "is-vb", "ris-pmd", "ris-geweke", "ris-prior"]
 # integer fields of ExperimentConfig; the last two may also be unset (None)
-_COUNT_KEYS = ("repetitions", "draws", "burn_in", "thin", "pmd_components",
+_COUNT_KEYS = ("repetitions", "draws", "burn_in", "thin", "pmd_components", "base_seed",
                "is_draws", "weighting_draws")
 
 
@@ -121,6 +121,8 @@ class ExperimentConfig:
             raise ConfigError(f"data_csv must be a path, got {self.data_csv!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed!r}")
         try:
             SamplerConfig(self.draws, self.burn_in, self.thin)
         except ValueError as exc:
@@ -205,7 +207,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# model contexts
+# model kernels
 # ---------------------------------------------------------------------------
 
 def load_data(config: ExperimentConfig):
@@ -215,25 +217,26 @@ def load_data(config: ExperimentConfig):
                      {**spec.options, **config.options})
 
 
-def build_context(config: ExperimentConfig) -> ModelContext:
+def build_context(config: ExperimentConfig) -> ModelKernel:
+    """The model kernel of ``config``, its VB fit made (``kernel.vb``)."""
     spec = MODELS[config.model]
     kernel = spec.kernel(load_data(config), {**spec.options, **config.options})
-    return spec.context(kernel, kernel.vb_fit())
+    kernel.vb  # fitted here, once per experiment
+    return kernel
 
 
-def sample_chains(ctx: ModelContext, config: ExperimentConfig, reps) -> list:
+def sample_chains(kernel: ModelKernel, config: ExperimentConfig, reps) -> list:
     """The posterior chains of repetitions ``reps``, each from its own seed
     stream, sampled together (a Gibbs kernel advances them in lockstep); each
     is the chain its repetition gets alone."""
     sampler_cfg = SamplerConfig(draws=config.draws, burn_in=config.burn_in, thin=config.thin)
-    return ctx.kernel.posterior_chains(sampler_cfg,
-                                       [make_rng(config.base_seed, rep, 0) for rep in reps],
-                                       **ctx.sampler_kwargs)
+    return kernel.posterior_chains(sampler_cfg,
+                                   [make_rng(config.base_seed, rep, 0) for rep in reps])
 
 
-def sample_chain(ctx: ModelContext, config: ExperimentConfig, rep: int):
+def sample_chain(kernel: ModelKernel, config: ExperimentConfig, rep: int):
     """The posterior chain of repetition ``rep``, from its own seed stream."""
-    return sample_chains(ctx, config, [rep])[0]
+    return sample_chains(kernel, config, [rep])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +268,11 @@ class _RepBundle:
     """One repetition: its chain on the integrated route and, built for the
     first cell that asks, its draws with their latents on the complete-data one."""
 
-    def __init__(self, ctx: ModelContext, config: ExperimentConfig, rep: int, draws):
-        self.ctx, self.config, self.rep = ctx, config, rep
+    def __init__(self, kernel: ModelKernel, config: ExperimentConfig, rep: int, draws):
+        self.config, self.rep = config, rep
         # builders reach ``est`` at call time, so patches of its functions apply
-        self.integrated = _Route(ctx.kernel, draws, {
-            "vb": lambda r: est.make_vb_weighting(ctx.vb),
+        self.integrated = _Route(kernel, draws, {
+            "vb": lambda r: est.make_vb_weighting(r.kernel.vb),
             "prior": lambda r: est.make_prior_weighting(r.kernel),
             "geweke": lambda r: est.make_geweke_weighting(r.draws),
             "swz": lambda r: est.make_swz_weighting(r.kernel, r.draws, log_kernel_values=r.log_k),
@@ -280,11 +283,11 @@ class _RepBundle:
 
     @cached_property
     def complete_data(self) -> _Route:
-        ctx = self.ctx  # a builder holding self would keep the repetition alive in a cycle
-        if ctx.cdl_kernel is None:
+        kernel = self.integrated.kernel.as_complete_data()
+        if kernel is None:
             raise UnsupportedModelError(f"{self.config.model} has no complete-data route")
-        return _Route(ctx.cdl_kernel, self.integrated.draws.complete_data(ctx.cdl_kernel.layout),
-                      {"vb-cdl": lambda r: ctx.cdl_weighting})
+        return _Route(kernel, self.integrated.draws.complete_data(kernel.layout),
+                      {"vb-cdl": lambda r: r.kernel.vb_weighting()})
 
 
 def _run_method(method: str, bundle: _RepBundle):
@@ -328,16 +331,16 @@ def _group_size(kernel, config: ExperimentConfig) -> int:
     return max(1, min(config.repetitions, _GROUP_ELEMENTS // max(per_chain, 1)))
 
 
-def _sample_group(ctx: ModelContext, config: ExperimentConfig, reps) -> list:
+def _sample_group(kernel: ModelKernel, config: ExperimentConfig, reps) -> list:
     """The chain of each repetition in ``reps``, or the ``_CELL_ERRORS`` error
     that failed it. A group that fails is sampled again one chain at a time,
     so that only the failing repetition fails."""
     try:
-        return sample_chains(ctx, config, reps)
+        return sample_chains(kernel, config, reps)
     except _CELL_ERRORS as exc:
         if len(reps) == 1:
             return [exc]
-    return [chain for rep in reps for chain in _sample_group(ctx, config, [rep])]
+    return [chain for rep in reps for chain in _sample_group(kernel, config, [rep])]
 
 
 @dataclass
@@ -356,24 +359,26 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultsTable:
     their cells run, and each is freed when its repetition's cells are done.
     An ``upper_bound`` below the VB lower bound raises ConfigError before any
     chain is sampled."""
-    ctx = build_context(config)
-    if not ctx.vb.elbo <= config.upper_bound:
+    kernel = build_context(config)
+    vb = kernel.vb
+    if not vb.elbo <= config.upper_bound:
         raise ConfigError(f"upper_bound {config.upper_bound!r} is below the VB lower bound "
-                          f"{ctx.vb.elbo!r}")
-    bounds = BoundsSpec(ctx.vb.elbo, config.upper_bound)
+                          f"{vb.elbo!r}")
+    bounds = BoundsSpec(vb.elbo, config.upper_bound)
     values: dict[str, list] = {m: [] for m in config.estimators}
     errors: dict[str, str] = {}
     se_bm: dict[str, list] = {m: [] for m in config.estimators}
     scatter = []
-    group, chains = _group_size(ctx.kernel, config), []
+    group, chains = _group_size(kernel, config), []
     for rep in range(config.repetitions):
         if not chains:
-            chains = _sample_group(ctx, config, range(rep, min(rep + group, config.repetitions)))
+            chains = _sample_group(kernel, config,
+                                   range(rep, min(rep + group, config.repetitions)))
         chain = chains.pop(0)
         try:
             if isinstance(chain, Exception):  # a failed chain fails its repetition's cells only
                 raise chain
-            bundle, chain_error = _RepBundle(ctx, config, rep, chain), None
+            bundle, chain_error = _RepBundle(kernel, config, rep, chain), None
         except _CELL_ERRORS as exc:
             chain_error = exc
         for method in config.estimators:
@@ -386,7 +391,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultsTable:
                 values[method].append(result.log_mdd)
                 scatter.append((rep, method, result.log_mdd))
                 try:
-                    se_bm[method].append(result.se_batch_means(30))
+                    se_bm[method].append(result.se_batch_means())
                 except UnsupportedModelError:
                     pass
             except _CELL_ERRORS as exc:  # record and continue: table comparability
@@ -412,9 +417,9 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultsTable:
             "repetitions": len(vals),
         }
         rows.append(row)
-    benchmarks = {"vblb": ctx.vb.elbo, "upper_bound": config.upper_bound}
-    if ctx.exact is not None:
-        benchmarks["exact"] = ctx.exact
+    benchmarks = {"vblb": vb.elbo, "upper_bound": config.upper_bound}
+    if (exact := kernel.exact_log_mdd()) is not None:
+        benchmarks["exact"] = exact
     return ResultsTable(rows=rows, benchmarks=benchmarks, scatter=scatter, config=config)
 
 

@@ -19,11 +19,13 @@ from .errors import ConfigError, EstimationError
 from .modelapi import (
     Block,
     GibbsKernel,
-    ModelContext,
     ModelSpec,
     ParamLayout,
     VBResult,
     check_prior_factors,
+    config_int,
+    config_real,
+    config_reals,
     read_panel_csv,
     stack_state,
 )
@@ -447,20 +449,21 @@ class LpmKernel(GibbsKernel):
 
     def _carry(self, state):
         """Add what the Metropolis steps carry across sweeps where absent: xb, zu,
-        the per-subject log likelihood and the proposal factors (from the
-        curvature at the state when no VB fit gave them)."""
-        d, n, t = self.data, self.data.num_subjects, self.data.num_periods
+        the per-subject log likelihood and the proposal factors, the Cholesky
+        factors of the VB fit's q(beta) covariance and of each subject's (m, m)
+        block of its Gaussian factor over u."""
+        d = self.data
+        n, t, k, m = d.num_subjects, d.num_periods, d.k, d.m
         if "_ll" not in state:
             state["_xb"] = (self._offsets_row + np.matvec(d.x, state["beta"])).reshape(-1, n, t)
             state["_zu"] = np.einsum("itm,cim->cit", d.z, state["u"])
             state["_ll"] = self._poisson_loglik_per_subject(state["_xb"], state["_zu"])
         if "_chol_beta" not in state:
-            lam = np.exp(state["_xb"] + state["_zu"])
-            curvature = d.x.T @ (lam.reshape(len(lam), -1, 1) * d.x)
-            state["_chol_beta"] = safe_cholesky(np.linalg.inv(
-                curvature + self.prior_factors["beta"].precision))
-            state["_u_chols"] = safe_cholesky(np.linalg.inv(
-                np.einsum("itm,cit,itl->ciml", d.z, lam, d.z) + state["sigma_inv"][:, None]))
+            u_cov = self.vb.hyper["gamma"].cov[k:, k:].reshape(n, m, n, m)
+            state.update(stack_state(
+                {"_chol_beta": safe_cholesky(self.vb.factors["beta"].cov),
+                 "_u_chols": safe_cholesky(u_cov[np.arange(n), :, np.arange(n)])},
+                len(state["beta"])))
 
     def gibbs_sweep(self, state, rngs, clamped, steps):
         """Random-walk Metropolis for beta, then all u_i, then conjugate mu and
@@ -508,19 +511,13 @@ class LpmKernel(GibbsKernel):
                 state[name] = self.full_conditional(name, state).sample_stack(rngs)
         return accepted
 
-    def gibbs_start(self, chains, vb: VBResult | None = None):
-        """Chains from the VB fit's means, their proposals scaled from the
-        variational covariance blocks."""
+    def gibbs_start(self, chains):
+        """Chains from the VB fit's means (the first sweep adds the proposals)."""
         n, k, m = self.data.num_subjects, self.data.k, self.data.m
-        vb = lpm_vb(self) if vb is None else vb
-        # the (m, m) diagonal blocks of the u part of the Gaussian factor
-        u_covs = vb.hyper["gamma"].cov[k:, k:].reshape(n, m, n, m)[np.arange(n), :, np.arange(n)]
-        q_w = vb.factors["sigma_inv"]
-        state = {"beta": vb.factors["beta"].mean, "u": vb.hyper["gamma"].mean[k:].reshape(n, m),
-                 "mu": vb.factors["mu"].mean, "sigma_inv": q_w.dof * np.linalg.inv(q_w.scale_inv),
-                 "_chol_beta": safe_cholesky(vb.factors["beta"].cov),
-                 "_u_chols": safe_cholesky(u_covs)}
-        return stack_state(state, chains)
+        q_gamma, q_w = self.vb.hyper["gamma"], self.vb.factors["sigma_inv"]
+        return stack_state({"beta": self.vb.factors["beta"].mean,
+                            "u": q_gamma.mean[k:].reshape(n, m), "mu": self.vb.factors["mu"].mean,
+                            "sigma_inv": q_w.dof * np.linalg.inv(q_w.scale_inv)}, chains)
 
     def vb_fit(self) -> VBResult:
         return lpm_vb(self)
@@ -594,16 +591,21 @@ def lpm_read_csv(path) -> LpmData:
 def _load(data_csv, synth, options):
     if data_csv:
         return lpm_read_csv(data_csv)
-    m = int(synth["m"])
-    mu = [0.1] * m if synth["mu"] is None else synth["mu"]
-    return lpm_synthetic(int(synth["seed"]), int(synth["n"]), int(synth["t"]), int(synth["k"]),
-                         m, synth["beta"], mu, np.eye(m) * float(synth["sigma_diag"]))
+    k, m = config_int(synth, "synth.k", 1), config_int(synth, "synth.m", 1)
+    if m > 2:  # beyond what the integrated likelihood's quadrature supports
+        raise ConfigError(f"synth.m must be 1 or 2, got {m}")
+    mu = [0.1] * m if synth["mu"] is None else config_reals(synth, "synth.mu", m)
+    return lpm_synthetic(config_int(synth, "synth.seed", 0), config_int(synth, "synth.n", 1),
+                         config_int(synth, "synth.t", 1), k, m,
+                         config_reals(synth, "synth.beta", k), mu,
+                         np.eye(m) * config_real(synth, "synth.sigma_diag"))
 
 
 def _kernel(data: LpmData, options) -> LpmKernel:
-    dof = options["prior_dof"]
-    sigma_inv = WishartParams(np.eye(data.m) * float(options["prior_scale_sigma"]),
-                              data.m + 2.0 if dof is None else float(dof))
+    dof = (data.m + 2.0 if options["prior_dof"] is None
+           else config_real(options, "options.prior_dof", data.m - 1.0))
+    sigma_inv = WishartParams(np.eye(data.m) * config_real(options, "options.prior_scale_sigma"),
+                              dof)
     return LpmKernel({"beta": MvNormalParams(np.zeros(data.k), 4.0 * np.eye(data.k)),
                       "mu": MvNormalParams(np.zeros(data.m), 4.0 * np.eye(data.m)),
                       "sigma_inv": sigma_inv}, data)
@@ -615,7 +617,5 @@ MODELS = {
         {"seed": 1, "n": 20, "t": 5, "k": 2, "m": 1, "beta": (0.3, -0.2), "mu": None,
          "sigma_diag": 0.3},
         {"prior_scale_sigma": 0.5, "prior_dof": None},
-        _load, _kernel, lpm_write_csv,
-        # the sampler scales its Metropolis proposals from the VB fit
-        context=lambda kernel, vb: ModelContext(kernel, vb, sampler_kwargs={"vb": vb})),
+        _load, _kernel, lpm_write_csv),
 }

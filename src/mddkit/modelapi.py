@@ -11,8 +11,10 @@ and only enter complete-data variants.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -31,7 +33,6 @@ __all__ = [
     "check_prior_factors",
     "ModelKernel",
     "GibbsKernel",
-    "ModelContext",
     "ModelSpec",
     "run_gibbs",
     "stack_state",
@@ -343,7 +344,7 @@ class ModelKernel:
     product) or ``log_prior_batch``; conditional-based estimators additionally
     use ``conditional_blocks`` / ``full_conditional`` (plus ``gibbs_sweep``
     for more than one block) and the complete-data variants when latent
-    variables exist.
+    variables exist. A kernel holds its VB fit as :attr:`vb`.
     """
 
     layout: ParamLayout
@@ -386,19 +387,34 @@ class ModelKernel:
                           rng: np.random.Generator) -> PosteriorDrawSet:
         raise NotImplementedError
 
-    def posterior_chains(self, config: SamplerConfig, rngs, **kwargs) -> list:
+    def posterior_chains(self, config: SamplerConfig, rngs) -> list:
         """One chain per generator: chain c is ``posterior_sampler(config,
-        rngs[c], **kwargs)``, drawn chain by chain here."""
-        return [self.posterior_sampler(config, rng, **kwargs) for rng in rngs]
+        rngs[c])``, drawn chain by chain here."""
+        return [self.posterior_sampler(config, rng) for rng in rngs]
 
     def vb_fit(self) -> VBResult:
         raise UnsupportedModelError(f"{type(self).__name__} has no VB fit wired")
+
+    @cached_property
+    def vb(self) -> VBResult:
+        """The VB fit, made by :meth:`vb_fit` on first use and kept."""
+        return self.vb_fit()
+
+    def exact_log_mdd(self) -> float | None:
+        """The exact log evidence, where it has a closed form; None here."""
+        return None
+
+    def as_complete_data(self) -> "ModelKernel | None":
+        """The complete-data kernel, whose layout is this one's then the latent
+        one and whose ``vb_weighting()`` is the fit's q over it, where the
+        family has that route; None here."""
+        return None
 
 
 class GibbsKernel(ModelKernel):
     """A model family sampled by :func:`run_gibbs`.
 
-    Subclasses provide ``gibbs_start(chains, **kwargs)``, the start of that
+    Subclasses provide ``gibbs_start(chains)``, the start of that
     many chains as one stack of states, and ``gibbs_sweep(state, rngs,
     clamped, steps)``, which advances a stack of states, chain c drawing from
     ``rngs[c]``, and returns the accept decisions of its random-walk
@@ -408,7 +424,7 @@ class GibbsKernel(ModelKernel):
     ``clamped`` from its full conditional, in ``conditional_blocks`` order.
     """
 
-    def gibbs_start(self, chains: int, **kwargs) -> dict:
+    def gibbs_start(self, chains: int) -> dict:
         raise NotImplementedError
 
     def metropolis_steps(self, chains: int) -> tuple[dict, float]:
@@ -424,14 +440,14 @@ class GibbsKernel(ModelKernel):
                 state[name] = value.reshape(np.shape(state[name]))
         return {}
 
-    def posterior_chains(self, config: SamplerConfig, rngs, **kwargs) -> list:
+    def posterior_chains(self, config: SamplerConfig, rngs) -> list:
         """The chains of all generators advanced together by :func:`run_gibbs`."""
-        return run_gibbs(self, self.gibbs_start(len(rngs), **kwargs), config, rngs)
+        return run_gibbs(self, self.gibbs_start(len(rngs)), config, rngs)
 
-    def posterior_sampler(self, config: SamplerConfig, rng: np.random.Generator,
-                          **kwargs) -> PosteriorDrawSet:
+    def posterior_sampler(self, config: SamplerConfig,
+                          rng: np.random.Generator) -> PosteriorDrawSet:
         """One chain: :meth:`posterior_chains` with a stack of one."""
-        return self.posterior_chains(config, [rng], **kwargs)[0]
+        return self.posterior_chains(config, [rng])[0]
 
 
 def stack_state(state: dict, chains: int) -> dict:
@@ -531,19 +547,6 @@ def run_gibbs(kernel: GibbsKernel, state: dict, config: SamplerConfig, rngs,
 # model registry entries
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ModelContext:
-    """Everything the repetition loop needs for one model."""
-
-    kernel: ModelKernel
-    vb: VBResult
-    exact: float | None = None
-    # the complete-data route: its layout is the kernel's then the latent one
-    cdl_kernel: ModelKernel | None = None
-    cdl_weighting: WeightingDensity | None = None
-    sampler_kwargs: dict = field(default_factory=dict)  # extra posterior_chains arguments
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """One model name's registry entry, kept in its family's module.
@@ -551,8 +554,7 @@ class ModelSpec:
     ``synth`` and ``options`` map every key the entry reads to its default
     (None: derived from the data or another key). ``load(data_csv, synth,
     options)`` reads the CSV, or simulates from ``synth`` without one;
-    ``kernel(data, options)`` builds the model kernel and ``context(kernel,
-    vb)`` the loop's context from it and its VB fit. ``write_csv(data,
+    ``kernel(data, options)`` builds the model kernel. ``write_csv(data,
     path)`` writes data that ``load`` reads back unchanged.
     """
 
@@ -561,7 +563,44 @@ class ModelSpec:
     load: Callable[[str | None, dict, dict], object]
     kernel: Callable[[object, dict], ModelKernel]
     write_csv: Callable[[object, object], None]
-    context: Callable[[ModelKernel, VBResult], ModelContext] = ModelContext
+
+
+def _config_entry(table: dict, key: str):
+    """The value of the dotted config ``key`` in its table: ``synth.n`` is ``table["n"]``."""
+    return table[key.partition(".")[2]]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def config_int(table: dict, key: str, low: int) -> int:
+    """The dotted config ``key`` of ``table`` once it is an integer >= ``low``;
+    else ConfigError naming the key."""
+    value = _config_entry(table, key)
+    if not (isinstance(value, numbers.Integral) and _is_number(value) and value >= low):
+        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def config_real(table: dict, key: str, low: float = 0.0, high: float = math.inf) -> float:
+    """The dotted config ``key`` of ``table`` once it is a number strictly
+    between ``low`` and ``high``; else ConfigError naming the key."""
+    value = _config_entry(table, key)
+    if not (_is_number(value) and low < value < high):
+        bounds = f"above {low:g}" if high == math.inf else f"strictly between {low:g} and {high:g}"
+        raise ConfigError(f"{key} must be a number {bounds}, got {value!r}")
+    return float(value)
+
+
+def config_reals(table: dict, key: str, size: int) -> np.ndarray:
+    """The dotted config ``key`` of ``table`` once it is ``size`` numbers (a
+    lone number is one); else ConfigError naming the key."""
+    value = _config_entry(table, key)
+    values = list(value) if isinstance(value, (list, tuple)) else [value]
+    if len(values) != size or not all(_is_number(v) and math.isfinite(v) for v in values):
+        raise ConfigError(f"{key} must be {size} number{'s' * (size != 1)}, got {value!r}")
+    return np.array(values, dtype=float)
 
 
 def read_panel_csv(path, unit: str, value: str):

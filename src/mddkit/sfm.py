@@ -16,17 +16,19 @@ from functools import partial
 import numpy as np
 from scipy.special import gammaln, log_ndtr
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .modelapi import (
     Block,
     GibbsKernel,
-    ModelContext,
     ModelKernel,
     ModelSpec,
     ParamLayout,
     VBResult,
     WeightingDensity,
     check_prior_factors,
+    config_int,
+    config_real,
+    config_reals,
     product_density,
     read_panel_csv,
     stack_state,
@@ -446,6 +448,13 @@ class _GridDensity:
         return _grid_sample(self.grid, self._logf, rng.uniform(size=size))
 
 
+def _theta_log_unnorm(kernel, lin, theta):
+    """ln q(theta) up to a constant, over an array of theta: its inverse-gamma
+    prior times exp(lin theta) / Gamma(theta)^(N + 1)."""
+    return (-(kernel.theta_shape + 1.0) * np.log(theta) + lin * theta
+            - kernel.theta_rate / theta - (kernel.data.num_firms + 1) * gammaln(theta))
+
+
 def sfm_gamma_vb(kernel: "SfmGammaKernel") -> VBResult:
     """Coordinate ascent for the gamma-inefficiency frontier model.
 
@@ -481,12 +490,7 @@ def sfm_gamma_vb(kernel: "SfmGammaKernel") -> VBResult:
         u_mean_log = u_factors.mean_log()
         # q(theta) on its grid
         lin = (n + 1) * eln_lam + math.log(kernel.lam_rate) + float(np.sum(u_mean_log))
-
-        def theta_log_unnorm(th, _lin=lin):
-            return (-(kernel.theta_shape + 1.0) * np.log(th) + _lin * th
-                    - kernel.theta_rate / th - (n + 1) * gammaln(th))
-
-        theta_grid = _GridDensity(theta_log_unnorm)
+        theta_grid = _GridDensity(partial(_theta_log_unnorm, kernel, lin))
         state["theta"] = theta_grid.mean()
         q_lam = kernel.full_conditional("lam", state)
         trace.append(_elbo_gamma(kernel, q_beta, q_sig, q_lam, theta_grid, state["theta"],
@@ -695,9 +699,14 @@ class SfmExpCdlKernel(ModelKernel):
     noise."""
 
     def __init__(self, integrated: SfmExpKernel):
+        self.integrated = integrated
         self.data = integrated.data
         self.layout = ParamLayout(integrated.layout.blocks + integrated.latent_layout.blocks)
         self.prior_factors = integrated.prior_factors
+
+    def vb_weighting(self) -> WeightingDensity:
+        """The integrated kernel's VB fit as this kernel's weighting."""
+        return make_sfm_exp_cdl_weighting(self.integrated.vb, self)
 
     def log_prior_batch(self, thetas):
         u = self.layout.unpack_batch(thetas)
@@ -905,33 +914,35 @@ def sfm_read_csv(path, sign: str = "production") -> SfmData:
 
 def _load(family, data_csv, synth, options):
     sign = options["sign"]
+    if sign not in ("production", "cost"):
+        raise ConfigError(f"options.sign must be production or cost, got {sign!r}")
     if data_csv:
         return sfm_read_csv(data_csv, sign=sign)
-    return sfm_synthetic(int(synth["seed"]), int(synth["n"]), int(synth["t"]), int(synth["k"]),
-                         family, synth["beta"], float(synth["sigma_sq"]), float(synth["lam"]),
-                         theta=float(synth.get("theta", 1.0)), sign=sign)
+    k = config_int(synth, "synth.k", 1)
+    theta = config_real(synth, "synth.theta") if family == "gamma" else 1.0
+    return sfm_synthetic(config_int(synth, "synth.seed", 0), config_int(synth, "synth.n", 1),
+                         config_int(synth, "synth.t", 1), k, family,
+                         config_reals(synth, "synth.beta", k), config_real(synth, "synth.sigma_sq"),
+                         config_real(synth, "synth.lam"), theta=theta, sign=sign)
 
 
 def _frontier_factors(data: SfmData, options) -> dict:
     """The beta and sigma^-2 priors both frontier entries build."""
     return {"beta": MvNormalParams(np.zeros(data.k), 4.0 * np.eye(data.k)),
-            "sigma_prec": GammaParams(float(options["a_sigma"]), float(options["b_sigma"]))}
+            "sigma_prec": GammaParams(config_real(options, "options.a_sigma"),
+                                      config_real(options, "options.b_sigma"))}
 
 
 def _exp_kernel(data: SfmData, options) -> SfmExpKernel:
-    lam = GammaParams(float(options["a_lam"]), float(options["b_lam"]))
+    lam = GammaParams(config_real(options, "options.a_lam"), config_real(options, "options.b_lam"))
     return SfmExpKernel(_frontier_factors(data, options) | {"lam": lam}, data)
 
 
-def _exp_context(kernel: SfmExpKernel, vb: VBResult) -> ModelContext:
-    cdl = kernel.as_complete_data()
-    return ModelContext(kernel, vb, cdl_kernel=cdl,
-                        cdl_weighting=make_sfm_exp_cdl_weighting(vb, cdl))
-
-
 def _gamma_kernel(data: SfmData, options) -> SfmGammaKernel:
-    return SfmGammaKernel(_frontier_factors(data, options), data, float(options["b_lam"]),
-                          float(options["a_theta"]), float(options["b_theta"]))
+    return SfmGammaKernel(_frontier_factors(data, options), data,
+                          config_real(options, "options.b_lam"),
+                          config_real(options, "options.a_theta"),
+                          config_real(options, "options.b_theta"))
 
 
 _SYNTH = {"seed": 1, "n": 20, "t": 5, "k": 2, "beta": (1.0, 0.5), "sigma_sq": 0.04, "lam": 2.0}
@@ -940,7 +951,7 @@ _OPTIONS = {"sign": "production", "a_sigma": 2.0, "b_sigma": 0.1, "b_lam": 1.0}
 MODELS = {
     "sfm-exponential": ModelSpec(
         _SYNTH, {**_OPTIONS, "a_lam": 2.0}, partial(_load, "exponential"),
-        _exp_kernel, sfm_write_csv, context=_exp_context),
+        _exp_kernel, sfm_write_csv),
     "sfm-gamma": ModelSpec(
         {**_SYNTH, "n": 12, "theta": 1.5}, {**_OPTIONS, "a_theta": 2.0, "b_theta": 2.0},
         partial(_load, "gamma"), _gamma_kernel, sfm_write_csv),

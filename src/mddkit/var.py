@@ -18,7 +18,6 @@ from .errors import ConfigError
 from .modelapi import (
     Block,
     GibbsKernel,
-    ModelContext,
     ModelKernel,
     ModelSpec,
     ParamLayout,
@@ -26,6 +25,8 @@ from .modelapi import (
     SamplerConfig,
     VBResult,
     check_prior_factors,
+    config_int,
+    config_real,
     stack_state,
 )
 from .statscore import (
@@ -220,8 +221,7 @@ def _vb_conjugate(kernel: "VarConjugateKernel") -> VBResult:
             + q_w.entropy() + post.wishart.expected_logpdf(q_w.mean(), q_w.mean_logdet))
     # vec(A) row by row, as alpha stacks it: covariance V kron col_cov
     factors = {"alpha": MvNormalParams(post.A.ravel(), _kron(post.V, col_cov)), "sigma_inv": q_w}
-    hyper = {"A": post.A, "V": post.V, "S": s_q, "nu": nu_q, "col_cov": col_cov}
-    return VBResult.mean_field(_var_layout(n, data.K), factors, [elbo], hyper, True)
+    return VBResult.mean_field(_var_layout(n, data.K), factors, [elbo], {}, True)
 
 
 # ---------------------------------------------------------------------------
@@ -483,19 +483,21 @@ def var_read_csv(path, p: int):
 # ---------------------------------------------------------------------------
 
 def _load(data_csv, synth, options):
-    p = int(options["p"])
+    p = config_int(options, "options.p", 0)
     if data_csv:
         return var_read_csv(data_csv, p)[0]
-    n = int(synth["n"])
+    n = config_int(synth, "synth.n", 1)
     coeffs = np.zeros((1 + p * n, n))
-    if p >= 1:
-        coeffs[1:1 + n, :] = float(synth["ar_diag"]) * np.eye(n)
-    return var_synthetic(int(synth["seed"]), n, int(synth["t"]), p, coeffs, np.eye(n))
+    if p >= 1:  # a stable VAR: the companion's spectral radius is |ar_diag|
+        coeffs[1:1 + n, :] = config_real(synth, "synth.ar_diag", -1.0, 1.0) * np.eye(n)
+    return var_synthetic(config_int(synth, "synth.seed", 0), n, config_int(synth, "synth.t", 1),
+                         p, coeffs, np.eye(n))
 
 
 def _prior_scale_and_dof(data: VarData, options):
-    dof = options["prior_dof"]
-    return float(options["prior_scale"]), data.N + 2.0 if dof is None else float(dof)
+    dof = (data.N + 2.0 if options["prior_dof"] is None
+           else config_real(options, "options.prior_dof", data.N - 1.0))
+    return config_real(options, "options.prior_scale"), dof
 
 
 def _conjugate_kernel(data: VarData, options) -> VarConjugateKernel:
@@ -515,8 +517,6 @@ _SYNTH = {"seed": 1, "n": 2, "t": 80, "ar_diag": 0.5}
 _OPTIONS = {"p": 1, "prior_scale": 10.0, "prior_dof": None}   # prior_dof None: N + 2
 
 MODELS = {
-    "var-conjugate": ModelSpec(
-        _SYNTH, _OPTIONS, _load, _conjugate_kernel, var_write_csv,
-        context=lambda kernel, vb: ModelContext(kernel, vb, exact=kernel.exact_log_mdd())),
+    "var-conjugate": ModelSpec(_SYNTH, _OPTIONS, _load, _conjugate_kernel, var_write_csv),
     "var-independent": ModelSpec(_SYNTH, _OPTIONS, _load, _independent_kernel, var_write_csv),
 }

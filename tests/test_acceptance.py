@@ -140,9 +140,9 @@ def test_criterion_03_lower_bound_law(sfm_exp_fixture):
     data_l = lpm_mod.lpm_synthetic(40, 15, 5, 2, 1, [0.3, -0.2], [0.1], [[0.3]])
     prior_l = lpm_factors(np.zeros(2), 4 * np.eye(2), [0.0], [[4.0]], [[0.5]], 3.0)
     kernel_l = lpm_mod.LpmKernel(prior_l, data_l)
-    vb_l = kernel_l.vb_fit()
+    vb_l = kernel_l.vb
     chains = kernel_l.posterior_chains(SamplerConfig(draws=2000, burn_in=600),
-                                       [make_rng(304, r) for r in range(5)], vb=vb_l)
+                                       [make_rng(304, r) for r in range(5)])
     vals = [est.ris_estimate(kernel_l, draws, est.make_vb_weighting(vb_l)).log_mdd
             for draws in chains]
     assert vb_l.elbo <= np.mean(vals) + 3 * np.std(vals, ddof=1)
@@ -221,10 +221,10 @@ def test_criterion_07_bridge_sampling_behavior(sfm_exp_fixture, toy_fixture):
     data_l = lpm_mod.lpm_synthetic(40, 15, 5, 2, 1, [0.3, -0.2], [0.1], [[0.3]])
     prior_l = lpm_factors(np.zeros(2), 4 * np.eye(2), [0.0], [[4.0]], [[0.5]], 3.0)
     kernel_l = lpm_mod.LpmKernel(prior_l, data_l)
-    vb_l = kernel_l.vb_fit()
+    vb_l = kernel_l.vb
     runs.append((kernel_l,
                  kernel_l.posterior_sampler(SamplerConfig(draws=2000, burn_in=600),
-                                            make_rng(704), vb=vb_l),
+                                            make_rng(704)),
                  est.make_vb_weighting(vb_l)))
     for idx, (kernel, draws, weighting) in enumerate(runs):
         result = est.bs_estimate(kernel, draws, weighting, rng=make_rng(705, idx))
@@ -297,7 +297,7 @@ def test_criterion_10_lpm_micro_oracle(monkeypatch):
     kernel = lpm_mod.LpmKernel(prior, data)
     monkeypatch.setattr(lpm_mod, "_VB_TOL", 1e-10)
     monkeypatch.setattr(lpm_mod, "_VB_MAX_ITER", 2000)
-    vb = lpm_mod.lpm_vb(lpm_mod.LpmKernel(prior, data))
+    vb = kernel.vb
 
     def subject_integral(beta, i):
         t = data.num_periods
@@ -323,7 +323,7 @@ def test_criterion_10_lpm_micro_oracle(monkeypatch):
     weighting = est.make_vb_weighting(vb)
     ris_vals, bs_vals = [], []
     chains = kernel.posterior_chains(SamplerConfig(draws=3000, burn_in=500),
-                                     [make_rng(1000, rep) for rep in range(8)], vb=vb)
+                                     [make_rng(1000, rep) for rep in range(8)])
     for rep, draws in enumerate(chains):
         log_k = kernel.log_kernel_batch(draws.thetas)
         ris_vals.append(est.ris_estimate(kernel, draws, weighting, log_k).log_mdd)
@@ -398,8 +398,8 @@ def test_criterion_13c_lpm_paper_target():
     prior = lpm_factors(np.zeros(data.k), 4 * np.eye(data.k), np.zeros(data.m),
                         4 * np.eye(data.m), np.eye(data.m) * 0.5, data.m + 2.0)
     kernel = lpm_mod.LpmKernel(prior, data)
-    vb = kernel.vb_fit()
+    vb = kernel.vb
     draws = kernel.posterior_sampler(SamplerConfig(draws=10_000, burn_in=1000),
-                                     make_rng(14), vb=vb)
+                                     make_rng(14))
     result = est.ris_estimate(kernel, draws, est.make_vb_weighting(vb))
     assert result.log_mdd == pytest.approx(-915.3, abs=0.2)

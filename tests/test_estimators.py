@@ -113,10 +113,11 @@ class TestRis:
         hand = -(math.log(sum(math.exp(-l) for l in liks) / 3.0))
         assert est.log_mdd == pytest.approx(hand, abs=1e-12)
 
-    def test_batch_means_se_available(self, normal_gamma):
+    def test_batch_means_se_available(self, normal_gamma, monkeypatch):
         kernel, draws, vb, log_k, _ = normal_gamma
         est = ris_estimate(kernel, draws, make_vb_weighting(vb), log_k)
-        se = est.se_batch_means(20)
+        monkeypatch.setattr(estimators, "_SE_BATCHES", 20)
+        se = est.se_batch_means()
         assert 0.0 < se < 0.1
 
 
@@ -126,13 +127,13 @@ class TestBatchMeansSe:
         est = MddEstimate(log_mdd=0.0, method="ris-test", extras={"log_terms": terms})
         w = np.exp(terms)
         iid = np.std(w, ddof=1) / np.mean(w) / math.sqrt(terms.size)
-        assert 0.6 < est.se_batch_means(30) / iid < 1.5
+        assert 0.6 < est.se_batch_means() / iid < 1.5
 
     def test_all_minus_inf_batch_gives_finite_se(self):
         terms = make_rng(521).normal(0.0, 0.3, 3000)
         terms[:100] = -np.inf  # the first of 30 batches carries no weight
         est = MddEstimate(log_mdd=0.0, method="ris-test", extras={"log_terms": terms})
-        se = est.se_batch_means(30)
+        se = est.se_batch_means()
         assert np.isfinite(se) and se > 0.0
 
 
@@ -246,13 +247,14 @@ class TestSwzWeighting:
 
     def test_chain_fraction_near_coverage(self, toy):
         kernel, draws, _ = toy
-        w = make_swz_weighting(kernel, draws, coverage=0.9)
+        w = make_swz_weighting(kernel, draws)
         frac = np.mean(np.isfinite(w.log_eval(draws.thetas)))
         assert frac == pytest.approx(0.9, abs=0.02)
 
-    def test_radial_density_normalizes_untruncated(self, toy):
+    def test_radial_density_normalizes_untruncated(self, toy, monkeypatch):
         kernel, draws, _ = toy
-        w = make_swz_weighting(kernel, draws, coverage=1.0 - 1e-12)
+        monkeypatch.setattr(estimators, "_SWZ_COVERAGE", 1.0 - 1e-12)
+        w = make_swz_weighting(kernel, draws)
 
         def log_eval(v):
             return w.log_eval(np.reshape(v, (-1, 1)))
@@ -277,7 +279,7 @@ class TestSwzWeighting:
 
     def test_kernel_mode_is_closed_form_var_mode(self):
         # conjugate VAR: the kernel peaks at A = A_post and W = (K + nu - N - 1) inv(S_post)
-        kernel = harness.build_context(harness.ExperimentConfig(model="var-conjugate")).kernel
+        kernel = harness.build_context(harness.ExperimentConfig(model="var-conjugate"))
         draws = kernel.posterior_sampler(SamplerConfig(draws=2000, burn_in=0), make_rng(520))
         layout = kernel.layout
         phis, _ = layout.to_unconstrained_batch(draws.thetas)
@@ -313,7 +315,7 @@ class TestPmdWeighting:
 
     def test_sampler_targets_pmd_density_on_matrix_blocks(self):
         # var-conjugate stacks a normal and a Wishart conditional; its evidence is exact
-        kernel = harness.build_context(harness.ExperimentConfig(model="var-conjugate")).kernel
+        kernel = harness.build_context(harness.ExperimentConfig(model="var-conjugate"))
         draws = kernel.posterior_sampler(SamplerConfig(draws=2000, burn_in=0), make_rng(510))
         w = make_pmd_weighting(kernel, draws, components=256)
         est = is_estimate(kernel, w, 20_000, make_rng(511))
@@ -322,7 +324,7 @@ class TestPmdWeighting:
     @pytest.mark.parametrize("model", ["lpm", "sfm-gamma"])
     def test_uncovered_blocks_leave_no_sampler(self, model):
         # the conditionals leave out lpm's beta and sfm-gamma's theta: no draw can be built
-        kernel = harness.build_context(harness.ExperimentConfig(model=model)).kernel
+        kernel = harness.build_context(harness.ExperimentConfig(model=model))
         draws = kernel.posterior_sampler(SamplerConfig(draws=200, burn_in=50), make_rng(530))
         w = make_pmd_weighting(kernel, draws, components=64)
         with pytest.raises(UnsupportedModelError, match="'pmd' cannot be sampled from"):
@@ -357,8 +359,8 @@ def pmd_chains():
             else:
                 config = harness.ExperimentConfig(model=model, draws=600, burn_in=100,
                                                   base_seed=542)
-                ctx = harness.build_context(config)
-                kernel, draws = ctx.kernel, harness.sample_chain(ctx, config, 0)
+                kernel = harness.build_context(config)
+                draws = harness.sample_chain(kernel, config, 0)
             chains[model] = kernel, draws
         return chains[model]
 
@@ -366,7 +368,7 @@ def pmd_chains():
 
 
 def _pmd_components(draws, components):
-    if components is None:
+    if components >= draws.size:
         return np.arange(draws.size)
     return np.linspace(0, draws.size - 1, components).round().astype(int)
 
@@ -402,7 +404,7 @@ class TestPmdAgainstReference:
     @pytest.mark.parametrize("model", _PMD_MODELS)
     def test_log_eval_across_block_edges(self, model, pmd_chains):
         kernel, draws = pmd_chains(model)
-        cases = [(512, n) for n in (1, 255, 256, 257, 515)] + [(None, draws.size)]
+        cases = [(512, n) for n in (1, 255, 256, 257, 515)] + [(draws.size, draws.size)]
         for components, n in cases:
             w = make_pmd_weighting(kernel, draws, components=components)
             thetas = draws.thetas[:n]
@@ -452,31 +454,33 @@ class TestChib:
         kernel, draws, exact = toy
         est = chib_estimate(kernel, draws, make_rng(700))
         star = est.extras["theta_star"]
-        pmd = make_pmd_weighting(kernel, draws, components=None)
+        pmd = make_pmd_weighting(kernel, draws, components=draws.size)
         ordinate = pmd.log_eval(kernel.layout.pack(star)[None, :])[0]
         assert est.extras["ordinate_factors"].sum() == pytest.approx(ordinate, abs=1e-9)
         assert est.log_mdd == pytest.approx(exact, abs=1e-9)
 
-    def test_normal_gamma_matches_exact(self, normal_gamma):
+    def test_normal_gamma_matches_exact(self, normal_gamma, monkeypatch):
         kernel, draws, _, _, exact = normal_gamma
-        est = chib_estimate(kernel, draws, make_rng(701), reduced_run_length=4000)
+        monkeypatch.setattr(estimators, "_REDUCED_RUN_LENGTH", 4000)
+        est = chib_estimate(kernel, draws, make_rng(701))
         assert est.log_mdd == pytest.approx(exact, abs=0.02)
 
-    def test_deterministic_given_rng(self, normal_gamma):
+    def test_deterministic_given_rng(self, normal_gamma, monkeypatch):
         kernel, draws, _, _, _ = normal_gamma
-        a = chib_estimate(kernel, draws, make_rng(702), reduced_run_length=500)
-        b = chib_estimate(kernel, draws, make_rng(702), reduced_run_length=500)
+        monkeypatch.setattr(estimators, "_REDUCED_RUN_LENGTH", 500)
+        a = chib_estimate(kernel, draws, make_rng(702))
+        b = chib_estimate(kernel, draws, make_rng(702))
         assert a.log_mdd == b.log_mdd
 
     @pytest.mark.parametrize("model, missing", [("sfm-gamma", "theta and u"), ("lpm", "beta")])
     def test_refuses_conditionals_that_leave_a_block_out(self, model, missing, monkeypatch):
         # the ordinate would drop the Metropolis-moved blocks; refused before any reduced run
         config = harness.ExperimentConfig(model=model, draws=20, burn_in=10)
-        ctx = harness.build_context(config)
-        draws = harness.sample_chain(ctx, config, 0)
+        kernel = harness.build_context(config)
+        draws = harness.sample_chain(kernel, config, 0)
 
         def no_reduced_run(*args):
             raise AssertionError("reduced run started")
         monkeypatch.setattr(estimators, "_reduced_run", no_reduced_run)
         with pytest.raises(UnsupportedModelError, match=f"has none for {missing}$"):
-            chib_estimate(ctx.kernel, draws, make_rng(703))
+            chib_estimate(kernel, draws, make_rng(703))

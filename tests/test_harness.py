@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mddkit import harness
+from mddkit import harness, lpm, sfm, var
 from mddkit.cli import main as cli_main
 from mddkit.errors import ConfigError, NumericError
 from mddkit.harness import (
@@ -26,6 +26,11 @@ from mddkit.lpm import lpm_read_csv
 from mddkit.models import MODELS
 from mddkit.sfm import SfmExpCdlKernel, SfmExpKernel, sfm_read_csv
 from mddkit.var import var_read_csv
+
+# every kernel class with a VB fit of its own, the refusing default included
+_VB_FIT_CLASSES = list(dict.fromkeys(
+    cls for module in (var, sfm, lpm) for cls in vars(module).values()
+    if isinstance(cls, type) and "vb_fit" in vars(cls)))
 
 TINY = dict(model="var-conjugate", synth={"seed": 5, "n": 2, "t": 50},
             options={"p": 1}, draws=1200, burn_in=0, repetitions=3, base_seed=7)
@@ -222,10 +227,10 @@ class TestRunExperiment:
         cfg, unpatched = tiny_table
         sample_chains = harness.sample_chains
 
-        def fail_at_rep_1(ctx, config, reps):
+        def fail_at_rep_1(kernel, config, reps):
             if 1 in reps:
                 raise NumericError("chain left the support")
-            return sample_chains(ctx, config, reps)
+            return sample_chains(kernel, config, reps)
 
         monkeypatch.setattr(harness, "sample_chains", fail_at_rep_1)
         seen = []
@@ -243,10 +248,10 @@ class TestRunExperiment:
     def test_programming_error_in_the_chain_propagates(self, monkeypatch, tiny_table):
         sample_chains = harness.sample_chains
 
-        def type_error_at_rep_1(ctx, config, reps):
+        def type_error_at_rep_1(kernel, config, reps):
             if 1 in reps:
                 raise TypeError("a bug, not a failed chain")
-            return sample_chains(ctx, config, reps)
+            return sample_chains(kernel, config, reps)
 
         monkeypatch.setattr(harness, "sample_chains", type_error_at_rep_1)
         with pytest.raises(TypeError, match="a bug"):
@@ -300,7 +305,7 @@ class TestRunExperiment:
     def test_results_do_not_depend_on_the_group_size(self, monkeypatch, gibbs_table):
         # 5 repetitions: groups of one, of three then two, and one group of five
         cfg = dataclasses.replace(gibbs_table[0], repetitions=5)
-        kernel = harness.build_context(cfg).kernel
+        kernel = harness.build_context(cfg)
         per_chain = cfg.draws * (kernel.layout.dim + kernel.latent_layout.dim)
         tables = []
         for group, expected in ((1, 1), (3, 3), (16, 5)):
@@ -314,12 +319,12 @@ class TestRunExperiment:
         # 2**21 entries over 2,000 draws of 4 parameters and 20 latents: 43 chains
         cfg = ExperimentConfig(model="sfm-exponential", synth={"seed": 2}, draws=2000,
                                repetitions=100)
-        kernel = harness.build_context(cfg).kernel
+        kernel = harness.build_context(cfg)
         assert harness._group_size(kernel, cfg) == 2 ** 21 // (2000 * 24) == 43
         assert harness._group_size(kernel, dataclasses.replace(cfg, repetitions=5)) == 5
         assert harness._group_size(kernel, dataclasses.replace(cfg, draws=10 ** 6)) == 1
         # a kernel that draws its chains one by one gains nothing from a group
-        exact = harness.build_context(ExperimentConfig(**TINY)).kernel
+        exact = harness.build_context(ExperimentConfig(**TINY))
         assert harness._group_size(exact, ExperimentConfig(**TINY)) == 1
 
     def test_each_chain_of_a_group_owns_its_draws(self, gibbs_table):
@@ -359,8 +364,8 @@ class TestRunExperiment:
         cfg = ExperimentConfig(model="sfm-exponential", synth={"seed": 2}, draws=200,
                                burn_in=50, repetitions=1, base_seed=5,
                                estimators=["ris-vb", "ris-pmd", "bs-vb-cdl"])
-        ctx = harness.build_context(cfg)
-        bundle = harness._RepBundle(ctx, cfg, 0, harness.sample_chain(ctx, cfg, 0))
+        kernel = harness.build_context(cfg)
+        bundle = harness._RepBundle(kernel, cfg, 0, harness.sample_chain(kernel, cfg, 0))
         for method in cfg.estimators:
             harness._run_method(method, bundle)
         freed = weakref.ref(bundle)
@@ -371,13 +376,48 @@ class TestRunExperiment:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_one_fit_per_experiment(self, model, monkeypatch):
+        # build_context fits once; the chains of both groups and every VB
+        # weighting read that fit, and no later step fits again
+        cfg = ExperimentConfig(model=model, draws=100, burn_in=20, repetitions=2, base_seed=3,
+                               estimators=["ris-vb", "bs-vb", "ris-vb-cdl"])
+        fits, built, groups, weighted = [], [], [], []
+        for cls in _VB_FIT_CLASSES:
+            def counted(self, fit=cls.vb_fit):
+                fits.append((self, fit(self)))
+                return fits[-1][1]
+            monkeypatch.setattr(cls, "vb_fit", counted)
+        build_context, sample_chains = harness.build_context, harness.sample_chains
+        monkeypatch.setattr(harness, "build_context",
+                            lambda config: built.append(build_context(config)) or built[-1])
+        monkeypatch.setattr(harness, "sample_chains",
+                            lambda *args: groups.append(args[2]) or sample_chains(*args))
+        monkeypatch.setattr(harness, "_GROUP_ELEMENTS", 1)  # one chain per group
+        lpm_vb, lpm_fits = lpm.lpm_vb, []  # lpm's start once fitted again past vb_fit
+        monkeypatch.setattr(lpm, "lpm_vb", lambda kernel: lpm_fits.append(1) or lpm_vb(kernel))
+        for module, name in ((harness.est, "make_vb_weighting"),
+                             (sfm, "make_sfm_exp_cdl_weighting")):
+            def recorded(vb, *args, build=getattr(module, name)):
+                weighted.append(vb)
+                return build(vb, *args)
+            monkeypatch.setattr(module, name, recorded)
+        run_experiment(cfg)
+        assert [kernel for kernel, _ in fits] == built
+        assert len(lpm_fits) == (model == "lpm")
+        assert built[0].vb is fits[0][1]
+        assert [list(reps) for reps in groups] == [[0], [1]]
+        # per repetition: the vb weighting, and sfm-exponential's vb-cdl one
+        per_rep = 2 if model == "sfm-exponential" else 1
+        assert len(weighted) == 2 * per_rep and all(vb is fits[0][1] for vb in weighted)
+
     def test_sfm_gamma_vb_cells_use_the_vb_weighting(self):
         # the gamma kernel carries the u's and so does its q: "vb" is the fit's q itself
         cfg = ExperimentConfig(model="sfm-gamma", estimators=["ris-vb", "bs-vb", "is-vb"],
                                synth={"seed": 1, "n": 6, "t": 4}, draws=300, burn_in=100,
                                repetitions=1, base_seed=9)
-        ctx = harness.build_context(cfg)
-        bundle = harness._RepBundle(ctx, cfg, 0, harness.sample_chain(ctx, cfg, 0))
+        kernel = harness.build_context(cfg)
+        bundle = harness._RepBundle(kernel, cfg, 0, harness.sample_chain(kernel, cfg, 0))
         assert [harness._run_method(m, bundle).method for m in cfg.estimators] == cfg.estimators
 
     def test_sfm_gamma_default_list_all_ok(self):
@@ -615,6 +655,31 @@ class TestCli:
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         assert f"configuration error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, model, line", [
+        ("fit-vb", "sfm-gamma", "options.a_theta = -1"),
+        ("fit-vb", "var-conjugate", "options.p = -1"),
+        ("fit-vb", "var-conjugate", "options.prior_dof = 1"),
+        ("fit-vb", "var-conjugate", "options.prior_scale = 0"),
+        ("fit-vb", "lpm", "options.prior_scale_sigma = 0"),
+        ("fit-vb", "lpm", "synth.sigma_diag = -1"),
+        ("fit-vb", "lpm", "synth.m = 3"),
+        ("fit-vb", "sfm-exponential", "options.sign = sideways"),
+        ("fit-vb", "sfm-exponential", "synth.k = 0"),
+        ("fit-vb", "var-conjugate", "synth.n = 0"),
+        ("fit-vb", "var-conjugate", "synth.ar_diag = 1.5"),
+        ("fit-vb", "sfm-gamma", "synth.n = abc"),
+        ("experiment", "var-conjugate", "base_seed = -1"),
+        ("experiment", "var-conjugate", "base_seed = abc"),
+        ("experiment", "var-conjugate", "base_seed = 1.5"),
+    ])
+    def test_value_out_of_range_is_config_error(self, tmp_path, capsys, command, model, line):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(f"model = {model}\n{line}\nrepetitions = 1\ndraws = 50\nburn_in = 0\n")
+        rc = cli_main([command, "--config", str(conf), "--out", str(tmp_path / "o11")])
+        assert rc == 2
+        assert f"configuration error: {line.split()[0]} must be " in capsys.readouterr().err
+        assert not (tmp_path / "o11").exists()
 
     def test_unknown_format_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch):
         def no_run(config):

@@ -20,7 +20,7 @@ from mddkit.lpm import (
     lpm_synthetic,
     lpm_vb,
 )
-from mddkit.modelapi import SamplerConfig, run_gibbs
+from mddkit.modelapi import SamplerConfig, run_gibbs, stack_state
 from mddkit.statscore import (
     LOG_2PI,
     MvNormalParams,
@@ -415,8 +415,7 @@ def sampler_fit():
     data = lpm_synthetic(50, 15, 5, 2, 1, [0.3, -0.2], [0.1], [[0.3]])
     prior = lpm_factors(np.zeros(2), 4 * np.eye(2), [0.0], [[4.0]], [[0.5]], 3.0)
     kernel = LpmKernel(prior, data)
-    vb = lpm_vb(kernel)
-    return kernel, vb
+    return kernel, kernel.vb
 
 
 class TestSampler:
@@ -424,14 +423,14 @@ class TestSampler:
     def test_determinism(self, sampler_fit):
         kernel, vb = sampler_fit
         cfg = SamplerConfig(draws=200, burn_in=150)
-        a = kernel.posterior_sampler(cfg, make_rng(51, 1), vb=vb)
-        b = kernel.posterior_sampler(cfg, make_rng(51, 1), vb=vb)
+        a = kernel.posterior_sampler(cfg, make_rng(51, 1))
+        b = kernel.posterior_sampler(cfg, make_rng(51, 1))
         assert np.array_equal(a.thetas, b.thetas)
 
     def test_posterior_mu_matches_vb(self, sampler_fit):
         kernel, vb = sampler_fit
         draws = kernel.posterior_sampler(SamplerConfig(draws=4000, burn_in=1000),
-                                         make_rng(52), vb=vb)
+                                         make_rng(52))
         mu = kernel.layout.unpack_batch(draws.thetas)["mu"]
         se = mu.std(axis=0) / math.sqrt(150)  # conservative for MH autocorrelation
         assert np.all(np.abs(mu.mean(axis=0) - vb.factors["mu"].mean) < 3 * se)
@@ -541,14 +540,14 @@ class TestLeanSampler:
         prior = lpm_factors(np.zeros(k), 4 * np.eye(k), np.zeros(m), 4 * np.eye(m),
                             0.5 * np.eye(m), m + 2.0)
         kernel = LpmKernel(prior, data)
-        vb = lpm_vb(kernel)
+        vb = kernel.vb
         if wide_beta:  # proposals far too wide: beta acceptance falls below 5% and warns
             beta = vb.factors["beta"]
-            vb = dataclasses.replace(vb, factors=vb.factors | {
+            vb = kernel.vb = dataclasses.replace(vb, factors=vb.factors | {
                 "beta": MvNormalParams(beta.mean, 1e4 * beta.cov)})
         config = SamplerConfig(draws=40, burn_in=25, thin=3)
         got, got_warnings = _recorded(
-            lambda: kernel.posterior_sampler(config, make_rng(81, m, k), vb=vb))
+            lambda: kernel.posterior_sampler(config, make_rng(81, m, k)))
         (thetas, latents), want_warnings = _recorded(
             lambda: _reference_sampler(kernel, config, make_rng(81, m, k), vb))
         assert np.array_equal(got.thetas, thetas)
@@ -563,29 +562,51 @@ class TestLeanSampler:
         prior = lpm_factors(np.zeros(2), 4 * np.eye(2), np.zeros(1), 4 * np.eye(1),
                             0.5 * np.eye(1), 3.0)
         kernel = LpmKernel(prior, data)
-        vb = lpm_vb(kernel)
-        beta = vb.factors["beta"]
-        vb = dataclasses.replace(vb, factors=vb.factors | {
+        beta = kernel.vb.factors["beta"]
+        kernel.vb = dataclasses.replace(kernel.vb, factors=kernel.vb.factors | {
             "beta": MvNormalParams(beta.mean, 20 * beta.cov)})
         config = SamplerConfig(draws=40, burn_in=25, thin=3)
         _, group = _recorded(lambda: kernel.posterior_chains(
-            config, [make_rng(85, c) for c in range(3)], vb=vb))
+            config, [make_rng(85, c) for c in range(3)]))
         alone = [w for c in range(3)
                  for w in _recorded(lambda: kernel.posterior_sampler(
-                     config, make_rng(85, c), vb=vb))[1]]
+                     config, make_rng(85, c)))[1]]
         assert group == alone
         beta_warnings = [w for w in group if "beta" in w]
         assert len(set(beta_warnings)) == len(beta_warnings) == 3  # so their order shows
 
     def test_group_of_sixteen_equals_each_chain_alone(self, sampler_fit):
         # every step's arithmetic is row by row, so no bit depends on the stack size
-        kernel, vb = sampler_fit
+        kernel, _ = sampler_fit
         config = SamplerConfig(draws=20, burn_in=15, thin=3)
-        group = kernel.posterior_chains(config, [make_rng(86, c) for c in range(16)], vb=vb)
+        group = kernel.posterior_chains(config, [make_rng(86, c) for c in range(16)])
         for c, chain in enumerate(group):
-            alone = kernel.posterior_sampler(config, make_rng(86, c), vb=vb)
+            alone = kernel.posterior_sampler(config, make_rng(86, c))
             assert np.array_equal(chain.thetas, alone.thetas), c
             assert np.array_equal(chain.latents, alone.latents), c
+
+
+    def test_fresh_kernel_starts_from_its_own_fit(self, sampler_fit):
+        # a kernel fits itself on first use; its chain is the one started from an
+        # explicit lpm_vb fit: its means, and proposals from its covariance blocks
+        kernel, _ = sampler_fit
+        config = SamplerConfig(draws=20, burn_in=15, thin=3)
+        fresh = LpmKernel(kernel.prior_factors, kernel.data)
+        got = fresh.posterior_sampler(config, make_rng(87))
+        other = LpmKernel(kernel.prior_factors, kernel.data)
+        vb = lpm_vb(other)
+        n, k, m = kernel.data.num_subjects, kernel.data.k, kernel.data.m
+        gamma, q_w = vb.hyper["gamma"], vb.factors["sigma_inv"]
+        u_covs = gamma.cov[k:, k:].reshape(n, m, n, m)[np.arange(n), :, np.arange(n)]
+        start = stack_state({"beta": vb.factors["beta"].mean, "u": gamma.mean[k:].reshape(n, m),
+                             "mu": vb.factors["mu"].mean,
+                             "sigma_inv": q_w.dof * np.linalg.inv(q_w.scale_inv),
+                             "_chol_beta": safe_cholesky(vb.factors["beta"].cov),
+                             "_u_chols": safe_cholesky(u_covs)}, 1)
+        want, = run_gibbs(other, start, config, [make_rng(87)])
+        assert "vb" in vars(fresh) and "vb" not in vars(other)
+        assert np.array_equal(got.thetas, want.thetas)
+        assert np.array_equal(got.latents, want.latents)
 
 
 class TestBetaStep:
@@ -598,7 +619,7 @@ class TestBetaStep:
         prior = lpm_factors([1.0], [[0.02]], [0.0], [[4.0]], [[0.5]], 3.0)
         kernel = LpmKernel(prior, data)
         chains = 32
-        start = kernel.gibbs_start(chains, vb=lpm_vb(kernel))
+        start = kernel.gibbs_start(chains)
         draws = run_gibbs(kernel, start, SamplerConfig(draws=400, burn_in=50),
                           [make_rng(92, c) for c in range(chains)],
                           clamped=frozenset({"u", "mu", "sigma_inv"}))

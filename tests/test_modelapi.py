@@ -199,9 +199,9 @@ class TestKernelContract:
 
     @pytest.mark.parametrize("model", ["sfm-exponential", "var-independent", "lpm"])
     def test_log_prior_is_the_sum_of_the_block_densities(self, model):
-        ctx = build_context(ExperimentConfig(model=model))
-        kernel, layout = ctx.kernel, ctx.kernel.layout
-        thetas = ctx.vb.sample(make_rng(24), 200)
+        kernel = build_context(ExperimentConfig(model=model))
+        layout = kernel.layout
+        thetas = kernel.vb.sample(make_rng(24), 200)
         # off the support: a negative sigma^-2 and lambda, a Sigma^-1 that is not SPD
         outside = ["sigma_prec", "lam"] if model == "sfm-exponential" else ["sigma_inv"]
         for row, name in enumerate(outside):
@@ -226,11 +226,12 @@ class TestKernelContract:
     @pytest.mark.parametrize("model", sorted(MODELS) + ["sfm-exponential-cdl"])
     def test_likelihood_rows_do_not_depend_on_their_batch(self, model):
         # a row's log likelihood has the bits of its one-row call
-        ctx = build_context(ExperimentConfig(model=model.removesuffix("-cdl")))
+        kernel = build_context(ExperimentConfig(model=model.removesuffix("-cdl")))
         if model.endswith("-cdl"):
-            kernel, thetas = ctx.cdl_kernel, ctx.cdl_weighting.sampler(make_rng(25), 300)
+            kernel = kernel.as_complete_data()
+            thetas = kernel.vb_weighting().sampler(make_rng(25), 300)
         else:
-            kernel, thetas = ctx.kernel, ctx.vb.sample(make_rng(25), 300)
+            thetas = kernel.vb.sample(make_rng(25), 300)
         batch = kernel.log_likelihood_batch(thetas)
         rows = np.concatenate([kernel.log_likelihood_batch(theta[None]) for theta in thetas])
         assert np.all(np.isfinite(batch))
@@ -244,7 +245,7 @@ def build_kernel(name):
         return ToyNormalKernel(make_rng(20).normal(0.3, 1.0, 8))
     if name == "toy-normal-gamma":
         return ToyNormalGammaKernel(make_rng(21).normal(0.3, 1.0, 8))
-    return harness.build_context(harness.ExperimentConfig(model=name)).kernel
+    return harness.build_context(harness.ExperimentConfig(model=name))
 
 
 @pytest.fixture(scope="module", params=["toy-normal", "toy-normal-gamma", "var-conjugate",
@@ -345,10 +346,10 @@ class TestVbConvergence:
         # the expectations of its update. The factor a sweep updates last saw the
         # final ones; the others saw those of the last sweep, which at convergence
         # differ from the final ones by little
-        ctx = build_context(ExperimentConfig(model=model))
-        for j, (block, state) in enumerate(_final_expectations(model, ctx.vb)):
-            fit = ctx.vb.factors[block]
-            cond = ctx.kernel.full_conditional(block, state)
+        kernel = build_context(ExperimentConfig(model=model))
+        for j, (block, state) in enumerate(_final_expectations(model, kernel.vb)):
+            fit = kernel.vb.factors[block]
+            cond = kernel.full_conditional(block, state)
             for name in _FACTOR_PARAMS[type(fit).__name__]:
                 got, want = np.asarray(getattr(fit, name)), np.asarray(getattr(cond, name))
                 if j == 0 and model.startswith("sfm"):

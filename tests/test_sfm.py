@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from mddkit import harness, sfm, statscore
+from mddkit import estimators, harness, sfm, statscore
 from mddkit.errors import ConfigError
 from mddkit.estimators import _default_theta_star, _reduced_run, chib_estimate, ris_estimate
 from mddkit.modelapi import SamplerConfig
@@ -152,16 +152,16 @@ class TestExpVb:
         assert np.array_equal(w.sampler(make_rng(15), 500), ref)
         assert np.array_equal(w.log_eval(ref), ref_log)
 
-    def test_bound_below_chib_benchmark(self, exp_setup):
+    def test_bound_below_chib_benchmark(self, exp_setup, monkeypatch):
         prior, data = exp_setup
+        monkeypatch.setattr(estimators, "_REDUCED_RUN_LENGTH", 1000)
         kernel = SfmExpKernel(prior, data)
         vb = sfm_exp_vb(kernel)
         vals = []
         for r in range(5):
             draws = kernel.posterior_sampler(SamplerConfig(draws=2000, burn_in=300),
                                              make_rng(15, r))
-            vals.append(chib_estimate(kernel, draws, make_rng(16, r),
-                                      reduced_run_length=1000).log_mdd)
+            vals.append(chib_estimate(kernel, draws, make_rng(16, r)).log_mdd)
         nse = np.std(vals, ddof=1)
         assert vb.elbo <= np.mean(vals) + 3 * nse
 
@@ -437,11 +437,11 @@ class TestGammaVb:
             for module_name, module in list(sys.modules.items()):
                 if module_name.startswith("mddkit") and getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
-        ctx = harness.build_context(harness.ExperimentConfig(model="sfm-gamma"))
-        assert len(ctx.vb.elbo_trace) > 100
+        kernel = harness.build_context(harness.ExperimentConfig(model="sfm-gamma"))
+        assert len(kernel.vb.elbo_trace) > 100
         assert counts == {"quadrature_1d": 0, "ln_parabolic_cylinder_d": 0}
         # the counters see the calls that remain: one integrated likelihood
-        sfm_gamma_integrated_loglik(np.array([1.0, 0.5]), 25.0, 2.0, 1.5, ctx.kernel.data)
+        sfm_gamma_integrated_loglik(np.array([1.0, 0.5]), 25.0, 2.0, 1.5, kernel.data)
         assert counts == {"quadrature_1d": 0, "ln_parabolic_cylinder_d": 1}
 
     def test_lambda_shape_tracks_theta(self, gamma_fit):

@@ -191,11 +191,13 @@ class TestConjugateVb:
                                             abs=1e-9), (data.N, data.p, prior.nu)
 
     def test_factorized_alpha_factor_is_matric_normal(self, small_var):
-        # q(alpha) = MN(A, V, col_cov): vec(A) row by row with covariance V kron col_cov
+        # q(alpha) = MN(A*, V*, inv(E_q W)): vec(A) row by row with covariance
+        # V* kron inv(E_q W), at the exact posterior's A* and V*
         prior, data = small_var
         vb = VarConjugateKernel(prior, data).vb_fit()
         k, n = data.K, data.N
-        oracle = matrix_normal(vb.hyper["A"], vb.hyper["V"], vb.hyper["col_cov"])
+        post, q_w = var_exact_posterior(prior, data), vb.factors["sigma_inv"]
+        oracle = matrix_normal(post.A, post.V, q_w.scale_inv / q_w.dof)
         points = vb.factors["alpha"].sample(make_rng(73), 30)
         points[:15] += make_rng(74).standard_normal((15, k * n))  # off the bulk too
         want = [oracle.logpdf(a.reshape(k, n)) for a in points]
@@ -205,7 +207,7 @@ class TestConjugateVb:
         prior, data = small_var
         vb = VarConjugateKernel(prior, data).vb_fit()
         post = var_exact_posterior(prior, data)
-        assert np.array_equal(vb.hyper["A"], post.A)
+        assert np.array_equal(vb.factors["alpha"].mean, post.A.ravel())
 
     def test_bound_confirmed_by_monte_carlo(self, small_var):
         prior, data = small_var
@@ -221,18 +223,19 @@ class TestConjugateVb:
         exact_posterior = var_mod.var_exact_posterior
         monkeypatch.setattr(var_mod, "var_exact_posterior",
                             lambda *args: calls.append(args) or exact_posterior(*args))
-        ctx = build_context(ExperimentConfig(model="var-conjugate", repetitions=1))
+        kernel = build_context(ExperimentConfig(model="var-conjugate", repetitions=1))
+        exact = kernel.exact_log_mdd()
         assert len(calls) == 1
-        prior, data = ctx.kernel._nw0, ctx.kernel.data
-        assert ctx.exact == var_exact_log_mdd(prior, data)
-        fit, ref = ctx.kernel.vb_fit(), VarConjugateKernel(prior, data).vb_fit()
+        prior, data = kernel._nw0, kernel.data
+        assert exact == var_exact_log_mdd(prior, data)
+        fit, ref = kernel.vb, VarConjugateKernel(prior, data).vb_fit()
         assert np.array_equal(fit.elbo_trace, ref.elbo_trace)
         draws = fit.sample(make_rng(72), 20)
         assert np.array_equal(draws, ref.sample(make_rng(72), 20))
         assert np.array_equal(fit.log_q(draws), ref.log_q(draws))
         # the joint family: q is the exact posterior itself
-        post, ref_post = ctx.kernel._post, var_exact_posterior(prior, data)
-        assert var_joint_family_bound(ctx.kernel) == var_joint_family_bound(
+        post, ref_post = kernel._post, var_exact_posterior(prior, data)
+        assert var_joint_family_bound(kernel) == var_joint_family_bound(
             VarConjugateKernel(prior, data))
         draws = post.sample(make_rng(72), 20)
         assert np.array_equal(draws, ref_post.sample(make_rng(72), 20))
